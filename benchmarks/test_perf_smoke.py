@@ -29,6 +29,7 @@ slower than the slow one by more than measurement noise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -447,36 +448,61 @@ def test_experiment_suite_throughput(tmp_path):
 
 
 def test_cluster_step(tmp_path):
-    """Cluster-environment step throughput at 64, 256 and 1024 nodes.
+    """Cluster-environment step throughput: substrate floor and install.
 
     Measures one fused traffic -> balancer -> (node x service) physics
     step of ``ClusterEnvironment`` with the paper's 4-service colocation
-    on every node (static assignments — no agent in the loop, this is
-    the substrate's cost floor). Records whole-cluster steps/sec and the
-    per-node step rate into ``BENCH_perf_smoke.json``.
+    on every node. The static case (64, 256 and 1024 nodes) gives every
+    node the same assignment every step — no agent in the loop and no
+    install, this is the substrate's cost floor. The alternating case
+    (256 and 1024 nodes) switches every node between two mapper
+    placements each step, so each step installs N new assignments: the
+    install cost a learning fleet pays every tick. Records whole-cluster
+    steps/sec, the per-node step rate and the CPU count into
+    ``BENCH_perf_smoke.json``.
     """
     from repro.cluster import ClusterEnvironment
     from repro.core.actions import Allocation
     from repro.core.mapper import Mapper
 
     services = ["masstree", "xapian", "moses", "img-dnn"]
-    results = {}
-    for num_nodes, rounds in {64: 20, 256: 8, 1024: 3}.items():
+    results = {"cpus": len(os.sched_getaffinity(0))}
+    cases = [
+        ("static", 64, 20), ("static", 256, 20), ("static", 1024, 6),
+        ("alternating", 256, 20), ("alternating", 1024, 6),
+    ]
+    for case, num_nodes, rounds in cases:
         venv = ClusterEnvironment.from_services(
             services, num_nodes=num_nodes, seed=7,
             traffic="diurnal", balancer="power_of_two",
         )
         mapper = Mapper(venv.spec, socket_index=venv.config.socket_index)
         top = len(venv.spec.dvfs) - 1
-        assignment = mapper.map(
+        static = mapper.map(
             {name: Allocation(num_cores=4, freq_index=top) for name in services}
         )
-        assignments = [assignment] * num_nodes
+        if case == "static":
+            placements = [[static] * num_nodes]
+        else:
+            # Over the socket's 18 cores, so some cores are timeshared.
+            other = mapper.map(
+                {
+                    name: Allocation(num_cores=3 + 2 * i, freq_index=top - i)
+                    for i, name in enumerate(services)
+                }
+            )
+            placements = [[static] * num_nodes, [other] * num_nodes]
+        schedule = itertools.cycle(placements)
+
+        def step():
+            venv.step(next(schedule))
+
         for _ in range(2):  # warm up caches / shard maps
-            venv.step(assignments)
-        step_s = _best_block_s(lambda: venv.step(assignments), rounds)
+            step()
+        step_s = _best_block_s(step, rounds)
         steps_per_s = 1.0 / step_s
-        results[f"nodes_{num_nodes}"] = {
+        key = f"nodes_{num_nodes}" if case == "static" else f"{case}_nodes_{num_nodes}"
+        results[key] = {
             "services": len(services),
             "rounds": rounds,
             "step_ms": round(step_s * 1e3, 3),
@@ -484,14 +510,15 @@ def test_cluster_step(tmp_path):
             "node_steps_per_s": round(steps_per_s * num_nodes, 1),
         }
         print(
-            f"\ncluster step ({num_nodes} nodes x {len(services)} services): "
-            f"{step_s * 1e3:.1f}ms/step, {steps_per_s:.1f} steps/s, "
+            f"\ncluster step, {case} ({num_nodes} nodes x {len(services)} "
+            f"services): {step_s * 1e3:.1f}ms/step, {steps_per_s:.1f} steps/s, "
             f"{steps_per_s * num_nodes:.0f} node-steps/s"
         )
     _record("cluster_step", results)
     # The bar from the fleet layer's design goal: a 256-node cluster tick
     # stays well inside one simulated control interval (1 s).
     assert results["nodes_256"]["step_ms"] < 1000.0, results
+    assert results["alternating_nodes_256"]["step_ms"] < 1000.0, results
 
 
 def test_cluster_step_shard(tmp_path):

@@ -229,28 +229,16 @@ def _shard_worker(
                         views[key][lo:hi] = arrays[key]
                     conn.send(("ok", None))
                 elif cmd == "state":
-                    conn.send(
-                        ("ok", [env.state_dict() for env in slice_env.envs])
-                    )
+                    conn.send(("ok", slice_env.env_states()))
                 elif cmd == "load":
-                    for env, tree in zip(slice_env.envs, payload):
-                        env.load_state_dict(dict(tree))
-                    slice_env._applied_keys = [None] * len(slice_env.envs)
-                    conn.send(("ok", slice_env.envs[0].time))
+                    slice_env.load_env_states(payload)
+                    conn.send(("ok", slice_env.time))
                 elif cmd == "faults":
                     local_index, injector = payload
                     slice_env.envs[local_index].faults = injector
                     conn.send(("ok", None))
                 elif cmd == "migrations":
-                    conn.send(
-                        (
-                            "ok",
-                            [
-                                dict(env.machine.migration_counts)
-                                for env in slice_env.envs
-                            ],
-                        )
-                    )
+                    conn.send(("ok", slice_env.migration_counts()))
                 elif cmd == "close":
                     conn.send(("ok", None))
                     return

@@ -11,10 +11,10 @@ resolution, telemetry synthesis, and the ground-truth power model, all as
 
 Draw-for-draw RNG fidelity
 --------------------------
-The wrapped environments remain the source of truth for all mutable
-state (machine cores, service backlogs, RAPL energy, RNG streams), and
-the vector step consumes their RNG streams in exactly the order the
-scalar ``ColocationEnvironment.step`` would:
+The wrapped environments remain the source of truth for service
+backlogs, RAPL energy and RNG streams, and the vector step consumes
+their RNG streams in exactly the order the scalar
+``ColocationEnvironment.step`` would:
 
 - each load generator's *private* RNG draws its jitter normal first
   (one per service, in service order);
@@ -34,9 +34,20 @@ equivalence oracle: stepping the same seeds through
 ``ColocationEnvironment.step`` reproduces the vector trajectories (see
 ``tests/test_engine_vector.py``).
 
+Machine state (core pins, per-core DVFS indices, migration counters)
+is owned by the engine as ``(E, S, C)`` / ``(E, C)`` / ``(E, S)``
+arrays. Assignments are installed without ``Machine.apply``: each
+distinct service core set is validated once and cached as a boolean
+core row, and every changed environment is written in one indexing pass
+with ``Machine.apply``'s arbitration (a core runs at the highest DVFS
+index pinned to it, an unpinned core drops to 0, a service's migration
+counter grows by ``popcount(old XOR new)``). The wrapped ``Machine``
+objects are read on construction and ``load_state_dict`` and written
+back only where they are read (:meth:`VectorEnvironment.sync_machines`,
+called by ``state_dict`` and ``migration_counts``).
+
 Only the gather/scatter against the wrapped environments' Python
-objects (machine state in, backlogs/energy/results out) and the
-control-plane ``Machine.apply`` run per environment; every numeric
+objects (backlogs/energy/results) runs per environment; every numeric
 formula on the hot path is evaluated once over the whole batch.
 """
 
@@ -65,6 +76,10 @@ from repro.sim.environment import (
 #: :meth:`VectorEnvironment.from_services`; large and prime so the
 #: derived per-generator seeds of different environments never collide.
 ENV_SEED_STRIDE = 100003
+
+#: Validated core sets the install keeps as pin rows before it starts
+#: over; a 256-node learning fleet used about 340 in 150 ticks.
+_ROW_CACHE_LIMIT = 4096
 
 #: Raw counter names in the exact order ``TelemetrySynthesizer.synthesize``
 #: builds (and therefore noises) them.
@@ -242,64 +257,162 @@ class VectorEnvironment:
         #: Optional :class:`~repro.obs.timing.TimingRegistry` wired in by
         #: the rollout loop; subclasses report timing sub-sections here.
         self.timings = None
-        # Installed-assignment cache: per-env content key of the last
-        # applied assignment plus the machine-state arrays it produced.
-        # Machine state only changes through Machine.apply (faults touch
-        # observations/backlogs, never cores), so an unchanged key means
-        # validate/apply/gather can all be skipped for that env.
+        # Machine state, owned here as (env x service x socket core)
+        # arrays: the wrapped Machine objects are read on construction and
+        # load, and written back only where they are read (sync_machines).
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
-        self._applied_keys: List[Optional[tuple]] = [None] * E
         self._m_membership = np.zeros((E, S, C), dtype=bool)
         self._m_online = np.zeros((E, C), dtype=bool)
         self._m_freq_index = np.zeros((E, C), dtype=np.int64)
         self._m_n_cores = np.zeros((E, S))
         self._m_freq = np.zeros((E, S))
         self._m_llc_quota = np.zeros((E, S))
+        self._migrations = np.zeros((E, S), dtype=np.int64)
+        # Per env, a copy of the last installed assignment dict (None
+        # forces a full install), and whether its Machine lags the arrays.
+        self._applied: List[Optional[Dict[str, CoreAssignment]]] = [None] * E
+        self._machine_stale = np.zeros(E, dtype=bool)
+        # Validated core sets: core-id tuple -> index of its pin row in
+        # the boolean (rows, C) table ``_rows``.
+        self._row_ids: Dict[tuple, int] = {}
+        self._rows = np.zeros((16, C), dtype=bool)
+        self._gather_machines()
 
-    def _assignment_key(self, assignment: Mapping[str, CoreAssignment]) -> Optional[tuple]:
-        """Content key of an assignment, or ``None`` if it needs the full
-        validate path (missing services, unexpected keys)."""
-        if len(assignment) != len(self.names):
-            return None
-        try:
-            return tuple(
-                (name, a.cores, a.freq_index, a.llc_ways)
-                for name, a in ((n, assignment[n]) for n in self.names)
+    def _gather_machines(self) -> None:
+        """Read pins, online flags and migration counters from every
+        wrapped Machine; the next step then installs every env in full,
+        which rewrites the DVFS, core-count, frequency and LLC rows."""
+        online, pins, migrations = [], [], []
+        for env in self.envs:
+            machine = env.machine
+            cores = [machine.cores[cid] for cid in self._core_ids]
+            online.append([core.online for core in cores])
+            pins.append([[name in core.services for core in cores] for name in self.names])
+            migrations.append([machine.migration_counts.get(name, 0) for name in self.names])
+        self._m_online[:] = online
+        self._m_membership[:] = pins
+        self._migrations[:] = migrations
+        self._applied = [None] * self.num_envs
+        self._machine_stale[:] = False
+
+    def sync_machines(self) -> None:
+        """Write the engine's machine state back into the wrapped envs.
+
+        ``venv.envs[e].machine`` is current only after this call;
+        :meth:`state_dict` and :meth:`migration_counts` make it first.
+        """
+        for e in np.flatnonzero(self._machine_stale).tolist():
+            machine = self.envs[e].machine
+            pins = self._m_membership[e].T.tolist()
+            levels = self._m_freq_index[e].tolist()
+            for cid, pinned, level in zip(self._core_ids, pins, levels):
+                core = machine.cores[cid]
+                core.services = {name for name, on in zip(self.names, pinned) if on}
+                core.freq_index = level
+            counts = machine.migration_counts
+            for name, count in zip(self.names, self._migrations[e].tolist()):
+                if count or name in counts:
+                    counts[name] = count
+        self._machine_stale[:] = False
+
+    def _core_row(self, name: str, cores) -> int:
+        """Index of ``cores``' pin row, validating a core set not seen yet.
+
+        Raises the ``AllocationError`` the scalar path raises for the same
+        set: a core outside the server socket, zero cores, a repeated core.
+        """
+        key = tuple(cores)
+        row = self._row_ids.get(key)
+        if row is not None:
+            return row
+        outside = [c for c in key if c not in self._column]
+        if outside:
+            raise AllocationError(
+                f"service {name!r} assigned cores {outside} outside server "
+                f"socket {self.config.socket_index}"
             )
-        except KeyError:
-            return None
+        if not key:
+            raise AllocationError(f"service {name!r} assigned zero cores")
+        if len(set(key)) != len(key):
+            raise AllocationError(f"service {name!r} repeats cores: {cores}")
+        row = len(self._row_ids)
+        if row == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+        self._rows[row] = False
+        self._rows[row, [self._column[c] for c in key]] = True
+        self._row_ids[key] = row
+        return row
 
     def _install_assignments(
         self, assignments: Sequence[Mapping[str, CoreAssignment]]
     ) -> None:
-        """Validate/apply changed assignments and refresh their cached
-        machine-state rows; unchanged envs are skipped entirely."""
-        mb_per_way = self.spec.socket.mb_per_way
-        for e, (env, assignment) in enumerate(zip(self.envs, assignments)):
-            key = self._assignment_key(assignment)
-            if key is not None and key == self._applied_keys[e]:
+        """Validate every changed assignment, then write them in one pass.
+
+        An env whose assignment equals the one it last installed is
+        skipped. The others are written together, as ``Machine.apply``
+        would: a core runs at the highest DVFS index pinned to it, an
+        unpinned core drops to 0, and each service's migration counter
+        grows by the cores entering or leaving its set. Nothing is written
+        unless every env validates.
+        """
+        names = self.names
+        S = len(names)
+        if len(self._row_ids) > _ROW_CACHE_LIMIT:
+            self._row_ids.clear()
+        row_ids = self._row_ids
+        changed: List[int] = []
+        snapshots: List[Dict[str, CoreAssignment]] = []
+        rows: List[int] = []
+        levels: List[int] = []
+        ways: List[int] = []
+        for e, assignment in enumerate(assignments):
+            if assignment == self._applied[e]:
                 continue
-            if set(assignment) != set(env.services):
+            try:
+                values = [assignment[name] for name in names]
+            except KeyError:
+                values = None
+            if values is None or len(assignment) != S:
                 raise AllocationError(
                     f"assignments for {sorted(assignment)} but services are "
-                    f"{sorted(env.services)}"
+                    f"{sorted(names)}"
                 )
-            env._check_socket(assignment)
-            env.machine.apply(assignment)
-            self._applied_keys[e] = key
-            membership = self._m_membership[e]
-            membership[:] = False
-            for j, cid in enumerate(self._core_ids):
-                core = env.machine.cores[cid]
-                self._m_online[e, j] = core.online
-                self._m_freq_index[e, j] = core.freq_index
-            for i, name in enumerate(self.names):
-                cores = env.machine.cores_of(name)
-                self._m_n_cores[e, i] = len(cores)
-                for core in cores:
-                    membership[i, self._column[core.core_id]] = True
-                self._m_freq[e, i] = env.machine.frequency_of(name)
-                self._m_llc_quota[e, i] = assignment[name].llc_ways * mb_per_way
+            for name, a in zip(names, values):
+                try:
+                    rows.append(row_ids[a.cores])
+                except (KeyError, TypeError):  # unseen or unhashable core set
+                    rows.append(self._core_row(name, a.cores))
+                levels.append(a.freq_index)
+                ways.append(a.llc_ways)
+            changed.append(e)
+            snapshots.append(dict(assignment))
+        if not changed:
+            return
+        K = len(changed)
+        level = np.array(levels, dtype=np.int64).reshape(K, S)
+        out_of_range = (level < 0) | (level >= len(self._ladder))
+        if out_of_range.any():
+            k, i = np.argwhere(out_of_range)[0].tolist()
+            raise AllocationError(
+                f"service {names[i]!r} freq index {levels[k * S + i]} out of "
+                f"range [0, {len(self._ladder)})"
+            )
+
+        idx = np.array(changed)
+        pins = self._rows[rows].reshape(K, S, -1)
+        self._migrations[idx] += (pins != self._m_membership[idx]).sum(axis=2)
+        self._m_membership[idx] = pins
+        core_level = np.where(pins, level[:, :, None], 0).max(axis=1)
+        self._m_freq_index[idx] = core_level
+        self._m_n_cores[idx] = pins.sum(axis=2)
+        core_ghz = self._ladder[core_level][:, None, :]
+        self._m_freq[idx] = np.where(pins, core_ghz, -np.inf).max(axis=2)
+        self._m_llc_quota[idx] = (
+            np.array(ways).reshape(K, S) * self.spec.socket.mb_per_way
+        )
+        self._machine_stale[idx] = True
+        for e, snapshot in zip(changed, snapshots):
+            self._applied[e] = snapshot
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -393,6 +506,7 @@ class VectorEnvironment:
 
     def migration_counts(self) -> List[Dict[str, int]]:
         """Per-env service migration counters (for final run traces)."""
+        self.sync_machines()
         return [dict(env.machine.migration_counts) for env in self.envs]
 
     def close(self) -> None:
@@ -413,8 +527,8 @@ class VectorEnvironment:
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
         interval = self.config.interval_s
 
-        # Control plane: validate and install placements per environment
-        # (cached — unchanged assignments skip apply + gather entirely).
+        # Control plane: validate and install every changed placement in
+        # one array pass (unchanged assignments are skipped).
         self._install_assignments(assignments)
         membership = self._m_membership
         online = self._m_online
@@ -776,8 +890,23 @@ class VectorEnvironment:
         """Per-env state trees, keyed by zero-padded env index."""
         return {
             "num_envs": self.num_envs,
-            "envs": {f"{e:04d}": env.state_dict() for e, env in enumerate(self.envs)},
+            "envs": {f"{e:04d}": tree for e, tree in enumerate(self.env_states())},
         }
+
+    def env_states(self) -> List[Dict[str, Any]]:
+        """Every wrapped env's ``state_dict``, machines synced first."""
+        self.sync_machines()
+        return [env.state_dict() for env in self.envs]
+
+    def load_env_states(self, trees: Sequence[Mapping[str, Any]]) -> None:
+        """Restore each wrapped env from its tree, then re-gather the
+        machine state the fused step reads (also after a failed load)."""
+        self.sync_machines()
+        try:
+            for env, tree in zip(self.envs, trees):
+                env.load_state_dict(dict(tree))
+        finally:
+            self._gather_machines()
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
         """Restore every sibling environment from a ``state_dict`` tree."""
@@ -796,11 +925,7 @@ class VectorEnvironment:
                 f"vector checkpoint env keys {sorted(env_trees)} do not match "
                 f"batch size {self.num_envs}"
             )
-        for e, env in enumerate(self.envs):
-            env.load_state_dict(dict(env_trees[f"{e:04d}"]))
-        # Machine state was just replaced wholesale; drop the installed-
-        # assignment cache so the next step re-gathers everything.
-        self._applied_keys = [None] * self.num_envs
+        self.load_env_states([env_trees[f"{e:04d}"] for e in range(self.num_envs)])
 
 
 def make_sibling_environment(

@@ -30,12 +30,14 @@ from repro.engine.vector_env import (
     VectorEnvironment,
     make_sibling_environment,
 )
-from repro.errors import CheckpointError
+from repro.errors import AllocationError, CheckpointError
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
+from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
+from tests.test_engine_sharded import _assert_tree_equal
 
 SERVICES = ["masstree", "xapian", "moses"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5, "moses": 0.3}
@@ -128,6 +130,209 @@ class TestVectorMatchesScalar:
         expected = solo.step(assignment)
         assert _ulp_close(results[0].socket_power_w, expected.socket_power_w)
         assert not _ulp_close(results[1].socket_power_w, expected.socket_power_w)
+
+
+SERVICES4 = ["masstree", "xapian", "moses", "img-dnn"]
+FRACTIONS4 = {"masstree": 0.3, "xapian": 0.4, "moses": 0.2, "img-dnn": 0.3}
+
+
+def _map4(mapper, cores, freqs, ways):
+    return mapper.map(
+        {
+            name: Allocation(num_cores=c, freq_index=f, llc_ways=w)
+            for name, c, f, w in zip(SERVICES4, cores, freqs, ways)
+        }
+    )
+
+
+def _schedule4(spec, num_envs, steps):
+    """Per-env 4-service assignment schedules for the install oracle.
+
+    Each env alternates its own two placements A (requests over the
+    socket's 18 cores, so the mapper timeshares cores between services
+    asking for different DVFS states) and B (disjoint, with LLC ways),
+    repeats A unchanged (the same dict, then an equal copy) and every
+    fifth step takes a fresh, possibly overlapping placement.
+    """
+    mapper = Mapper(spec)
+    top = len(spec.dvfs) - 1
+    schedule = []
+    for e in range(num_envs):
+        a = _map4(mapper, (6 + e, 7, 5, 4), (top, 0, 3 + e, 1), (0, 0, 0, 0))
+        b = _map4(mapper, (2, 3 + e, 4, 5), (1, top, 2, 4), (4, 0, 6, 2))
+        rows = []
+        for t in range(steps):
+            kind = (t + e) % 5
+            if kind in (0, 1):
+                rows.append(a)
+            elif kind == 2:
+                rows.append(b)
+            elif kind == 3:
+                rows.append(dict(a))
+            else:
+                rows.append(
+                    _map4(
+                        mapper,
+                        [1 + (3 * t + 5 * i + e) % 9 for i in range(4)],
+                        [(t + 2 * i + e) % (top + 1) for i in range(4)],
+                        [(t + i + e) % 4 for i in range(4)],
+                    )
+                )
+        schedule.append(rows)
+    return schedule
+
+
+def _assert_machine_matches(venv, oracles):
+    """Migration counters and the machine subtree equal each oracle's."""
+    assert venv.migration_counts() == [
+        dict(oracle.machine.migration_counts) for oracle in oracles
+    ]
+    trees = venv.state_dict()["envs"]
+    for e, oracle in enumerate(oracles):
+        got = trees[f"{e:04d}"]["machine"]
+        expected = oracle.machine.state_dict()
+        assert set(got) == set(expected)
+        assert got["freq_index"].dtype == expected["freq_index"].dtype
+        assert np.array_equal(got["freq_index"], expected["freq_index"]), e
+        assert np.array_equal(got["online"], expected["online"]), e
+        assert got["services"] == expected["services"], e
+        assert got["migration_counts"] == expected["migration_counts"], e
+
+
+def _step_and_compare(venv, oracles, assignments):
+    results = venv.step(assignments)
+    for e, oracle in enumerate(oracles):
+        expected = oracle.step(assignments[e])
+        assert results[e].time == expected.time
+        assert _ulp_close(results[e].socket_power_w, expected.socket_power_w)
+        for name in SERVICES4:
+            got = results[e].observations[name].interval
+            ref = expected.observations[name].interval
+            for field in ("p99_ms", "cores", "frequency_ghz", "miss_inflation"):
+                assert _ulp_close(getattr(got, field), getattr(ref, field)), (
+                    e, name, field,
+                )
+    _assert_machine_matches(venv, oracles)
+
+
+def _four_service_batch(num_envs):
+    venv = VectorEnvironment.from_services(SERVICES4, FRACTIONS4, num_envs, SEED)
+    oracles = [
+        make_sibling_environment(SERVICES4, FRACTIONS4, SEED + e * ENV_SEED_STRIDE)
+        for e in range(num_envs)
+    ]
+    return venv, oracles
+
+
+class TestArrayInstall:
+    """The array install pinned to ``Machine.apply`` on the scalar oracle."""
+
+    @pytest.mark.parametrize("row_cache_limit", [None, 8])
+    def test_install_matches_scalar_machine(self, monkeypatch, row_cache_limit):
+        if row_cache_limit is not None:
+            # The schedule uses ~50 core sets: a tiny cache restarts often.
+            monkeypatch.setattr(
+                "repro.engine.vector_env._ROW_CACHE_LIMIT", row_cache_limit
+            )
+        num_envs, steps, mid = 3, 24, 11
+        venv, oracles = _four_service_batch(num_envs)
+        schedule = _schedule4(venv.spec, num_envs, steps)
+        assert any(
+            sum(len(a.cores) for a in schedule[e][t].values()) > 18
+            for e in range(num_envs)
+            for t in range(steps)
+        )
+        for t in range(mid):
+            _step_and_compare(venv, oracles, [schedule[e][t] for e in range(num_envs)])
+        # Checkpoint mid-schedule, load into a fresh batch and continue:
+        # the re-gathered machines carry the pins and counters on.
+        resumed = VectorEnvironment.from_services(SERVICES4, FRACTIONS4, num_envs, 999)
+        resumed.load_state_dict(venv.state_dict())
+        _assert_machine_matches(resumed, oracles)
+        for t in range(mid, steps):
+            _step_and_compare(
+                resumed, oracles, [schedule[e][t] for e in range(num_envs)]
+            )
+
+    def test_in_place_mutation_is_installed(self):
+        venv, oracles = _four_service_batch(2)
+        shared = _map4(Mapper(venv.spec), (4, 4, 4, 4), (8, 2, 5, 0), (0, 0, 0, 0))
+        _step_and_compare(venv, oracles, [shared, shared])
+        # A manager reusing one dict and replacing an entry in place.
+        shared["xapian"] = CoreAssignment(
+            cores=shared["xapian"].cores[:2], freq_index=7, llc_ways=3
+        )
+        _step_and_compare(venv, oracles, [shared, shared])
+        shared["moses"] = CoreAssignment(cores=shared["masstree"].cores, freq_index=1)
+        _step_and_compare(venv, oracles, [shared, shared])
+
+
+INVALID = [
+    "outside_socket",
+    "repeated_core",
+    "zero_cores",
+    "freq_too_high",
+    "freq_negative",
+    "missing_service",
+    "extra_service",
+]
+
+
+def _invalid(label, good, spec):
+    """``good`` made invalid in the way ``label`` names."""
+    if label == "missing_service":
+        return {name: a for name, a in good.items() if name != "moses"}
+    socket = Mapper(spec).socket_cores
+    outside = next(c for c in range(spec.total_cores) if c not in socket)
+    name, cores, level = {
+        "outside_socket": ("xapian", (socket[0], outside), 1),
+        "repeated_core": ("xapian", (socket[3], socket[3]), 1),
+        "zero_cores": ("moses", (), 1),
+        "freq_too_high": ("img-dnn", (socket[5],), len(spec.dvfs)),
+        "freq_negative": ("img-dnn", (socket[5],), -1),
+        "extra_service": ("bogus", (socket[1],), 1),
+    }[label]
+    return {**good, name: CoreAssignment(cores=cores, freq_index=level)}
+
+
+class TestInstallValidation:
+    """``VectorEnvironment.step`` rejects what ``ColocationEnvironment.step``
+    rejects, with the same message, and a rejected step changes nothing."""
+
+    @pytest.mark.parametrize("label", INVALID)
+    def test_rejects_like_scalar_and_changes_nothing(self, label):
+        venv, oracles = _four_service_batch(2)
+        mapper = Mapper(venv.spec)
+        good = _map4(mapper, (3, 4, 5, 2), (2, 6, 1, 8), (0, 2, 0, 0))
+        changed = _map4(mapper, (8, 6, 5, 4), (1, 3, 5, 7), (0, 0, 0, 0))
+        _step_and_compare(venv, oracles, [good, good])
+        bad = _invalid(label, good, venv.spec)
+        with pytest.raises(AllocationError) as scalar:
+            oracles[1].step(bad)
+        before = venv.state_dict()
+        # Env 0 would install a valid new placement; env 1 is rejected,
+        # so neither may change.
+        with pytest.raises(AllocationError) as vector:
+            venv.step([changed, bad])
+        assert str(vector.value) == str(scalar.value)
+        _assert_tree_equal(venv.state_dict(), before)
+        _step_and_compare(venv, oracles, [changed, good])
+
+    def test_freq_checked_for_cached_core_set(self):
+        venv, oracles = _four_service_batch(1)
+        good = _map4(Mapper(venv.spec), (3, 4, 5, 2), (2, 6, 1, 8), (0, 0, 0, 0))
+        _step_and_compare(venv, oracles, [good])
+        for level in (len(venv.spec.dvfs), -1):
+            bad = {
+                **good,
+                "xapian": CoreAssignment(cores=good["xapian"].cores, freq_index=level),
+            }
+            with pytest.raises(AllocationError) as scalar:
+                oracles[0].step(bad)
+            with pytest.raises(AllocationError) as vector:
+                venv.step([bad])
+            assert str(vector.value) == str(scalar.value)
+        _step_and_compare(venv, oracles, [good])
 
 
 class TestBatchedAct:

@@ -142,7 +142,7 @@ def test_jobs_must_be_positive():
 
 def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch):
     """jobs > cpu_count degrades to the serial path, not an oversized pool."""
-    monkeypatch.setattr("repro.experiments.runner.os.cpu_count", lambda: 1)
+    monkeypatch.setattr("repro.experiments.runner._available_cpus", lambda: 1)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor used despite 1 cpu")

@@ -4,12 +4,18 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-robust test-fleet test-hier test-ctrl trace-e2e bench bench-smoke docs-check profile-cluster
+.PHONY: test test-matrix test-robust test-fleet test-hier test-ctrl trace-e2e bench bench-smoke docs-check profile-cluster
 
 ## Tier-1: the full unit/property/integration suite (excludes -m slow).
 ## Includes tests/test_repo_hygiene.py, which fails if bytecode, caches,
 ## or build artifacts are ever tracked by git again.
 test:
+	$(PYTEST) -x -q
+
+## Tier-1 on two machine shapes: pinned to one CPU (taskset -c 0), then
+## unrestricted, so a test that assumes a CPU count fails on either.
+test-matrix:
+	PYTHONPATH=src taskset -c 0 $(PYTHON) -m pytest -x -q
 	$(PYTEST) -x -q
 
 ## Robustness suite: checkpoint container round-trips, torn-write

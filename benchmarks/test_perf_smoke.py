@@ -18,7 +18,10 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
   colocated services per node;
 - the hierarchical stack: the same 64/256-node clusters driven through
   ``HierFleetTwig.update_batch`` with the budget allocator active, so
-  the delta over ``cluster_step`` prices two-level control.
+  the delta over ``cluster_step`` prices two-level control;
+- rule fleets: a 256-node cluster step plus ``RuleFleet.update_batch``
+  for a static fleet (reads results, no observation) and a PARTIES
+  fleet (reads every observation).
 
 Each test appends its measurement to ``BENCH_perf_smoke.json`` at the repo
 root so the performance trajectory is recorded across PRs. Run via
@@ -647,6 +650,46 @@ def test_hier_step(tmp_path):
     # Same bar as the substrate: a 256-node hierarchical tick must stay
     # inside one simulated 1 s control interval.
     assert results["nodes_256"]["step_ms"] < 1000.0, results
+
+
+def test_rule_fleet_tick(tmp_path):
+    """Rule-fleet tick at 256 nodes: cluster step + ``RuleFleet.update_batch``.
+
+    A static fleet reads every node's ``StepResult`` but none of its
+    observations, so it pays for the results only; a PARTIES fleet reads
+    every service's observation of every node, so it pays for the full
+    per-service object build. Records the per-tick cost of both and the
+    CPU count into ``BENCH_perf_smoke.json``.
+    """
+    from repro.cluster import ClusterEnvironment
+    from repro.hier.baselines import make_rule_fleet
+
+    services = ["masstree", "xapian", "moses", "img-dnn"]
+    num_nodes, rounds = 256, 20
+    results = {"cpus": len(os.sched_getaffinity(0)), "nodes": num_nodes,
+               "services": len(services)}
+    for name in ("static", "parties"):
+        venv = ClusterEnvironment.from_services(
+            services, num_nodes=num_nodes, seed=7,
+            traffic="diurnal", balancer="power_of_two",
+        )
+        fleet = make_rule_fleet(name, services, num_nodes, seed=7)
+        state = {"assignments": fleet.initial_assignments()}
+
+        def tick(state=state, fleet=fleet, venv=venv):
+            state["assignments"] = fleet.update_batch(venv.step(state["assignments"]))
+
+        for _ in range(2):  # warm up caches
+            tick()
+        tick_s = _best_block_s(tick, rounds)
+        results[name] = {"rounds": rounds, "tick_ms": round(tick_s * 1e3, 3)}
+        print(
+            f"\nrule fleet tick, {name} ({num_nodes} nodes x {len(services)} "
+            f"services): {tick_s * 1e3:.1f}ms/tick"
+        )
+    _record("rule_fleet_tick", results)
+    assert results["static"]["tick_ms"] < 1000.0, results
+    assert results["parties"]["tick_ms"] < 1000.0, results
 
 
 def test_ctrl_rpc_throughput():

@@ -32,7 +32,7 @@ feedback under a ``cluster`` subtree alongside the per-node state, so
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,14 +42,15 @@ from repro.cluster.traffic import (
     ScheduledLoad,
     TrafficModel,
     TrafficSpec,
+    install_rates,
     make_traffic_spec,
 )
-from repro.engine.vector_env import ENV_SEED_STRIDE, VectorEnvironment
+from repro.engine.vector_env import ENV_SEED_STRIDE, StepBatch, VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.events import make_event
 from repro.server.machine import CoreAssignment
 from repro.services.profiles import get_profile
-from repro.sim.environment import ColocationEnvironment, EnvironmentConfig, StepResult
+from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 
 #: Seed offsets separating the cluster-layer RNG streams from the
 #: per-node environment streams (which sit at seed + node * ENV_SEED_STRIDE).
@@ -178,7 +179,7 @@ class ClusterEnvironment(VectorEnvironment):
     # ------------------------------------------------------------------ #
     def step(
         self, assignments: Sequence[Dict[str, CoreAssignment]]
-    ) -> List[StepResult]:
+    ) -> StepBatch:
         """Balance this interval's fleet demand, then step every node.
 
         When a timing registry is attached (traced runs), the cluster
@@ -209,12 +210,10 @@ class ClusterEnvironment(VectorEnvironment):
         rates = self._pending_rates
         if rates is None:  # stepped outside step(); fall back to generators
             return super()._gather_arrivals()
-        for e, env in enumerate(self.envs):
-            for i, name in enumerate(self.names):
-                env.load_generators[name].set_rate(rates[e, i])
+        install_rates(self._generators, rates)
         return rates
 
-    def _post_step(self, results: List[StepResult], arrays: Dict[str, np.ndarray]) -> None:
+    def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
         # A node whose telemetry came back non-finite (e.g. a
         # service_crash fault NaN-ing its p99) is marked degraded so the
         # balancer sheds its traffic onto live nodes next interval.
@@ -227,11 +226,9 @@ class ClusterEnvironment(VectorEnvironment):
             degraded=degraded,
         )
         if self.envs[0].trace.enabled:
-            self._emit_cluster_interval(results, arrays)
+            self._emit_cluster_interval(arrays)
 
-    def _emit_cluster_interval(
-        self, results: List[StepResult], arrays: Dict[str, np.ndarray]
-    ) -> None:
+    def _emit_cluster_interval(self, arrays: Dict[str, np.ndarray]) -> None:
         """One fleet-level aggregate event per control interval."""
         p99 = arrays["p99"]
         qos_met = p99 <= self._qos_target[None, :]
@@ -247,7 +244,7 @@ class ClusterEnvironment(VectorEnvironment):
         self.envs[0].trace.emit(
             make_event(
                 "cluster_interval",
-                results[0].time,
+                int(arrays["time"][0]),
                 nodes=self.num_envs,
                 services=services,
                 qos_guarantee=float(qos_met.mean()),

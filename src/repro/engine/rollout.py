@@ -59,7 +59,9 @@ def run_fleet(
     Returns one :class:`RunTrace` per environment (index order). The
     trace sink, timing registry, and checkpoint cadence resolve exactly
     like :func:`repro.experiments.runner.run_manager`: an explicit
-    ``obs`` wins, otherwise the ambient context applies.
+    ``obs`` wins, otherwise the ambient context applies. With a timing
+    registry, each tick is timed as ``env.step``, ``loop.record`` (the
+    per-environment ``RunTrace`` appends) and ``manager.update``.
     """
     if steps <= 0:
         raise ConfigurationError(f"steps must be positive, got {steps}")
@@ -165,6 +167,18 @@ def run_fleet(
             )
     step_timing = timings.get("env.step") if timings is not None else None
     update_timing = timings.get("manager.update") if timings is not None else None
+    record_timing = timings.get("loop.record") if timings is not None else None
+    # Every recorded list in row-major (env, service) order, so a tick's
+    # (E, S) matrices append in one flat pass per series.
+    names = venv.service_names
+    service_series = [
+        [getattr(trace.services[name], field) for trace in traces for name in names]
+        for field in ("p99_ms", "arrival_rps", "cores", "frequency_ghz")
+    ]
+    env_series = [
+        [getattr(trace, field) for trace in traces]
+        for field in ("power_w", "true_power_w", "membw_utilization")
+    ]
     started = time.perf_counter()
     for t in range(first_t, steps):
         if step_timing is not None:
@@ -173,41 +187,23 @@ def run_fleet(
             step_timing.add(time.perf_counter() - t0)
         else:
             results = venv.step(assignments)
-        arrays = getattr(results, "arrays", None)
-        if arrays is not None:
-            # Array fast path: append from the fused matrices without
-            # materialising N StepResult objects. Values are identical —
-            # the objects are built from these same arrays.
-            p99 = arrays["p99"]
-            arrival = arrays["arrivals"]
-            cores = arrays["cores"]
-            freq = arrays["frequency_ghz"]
-            power = arrays["power_w"]
-            true_power = arrays["true_power_w"]
-            membw = arrays["membw_utilization"]
-            for e, trace in enumerate(traces):
-                for i, name in enumerate(venv.service_names):
-                    service_trace = trace.services[name]
-                    service_trace.p99_ms.append(float(p99[e, i]))
-                    service_trace.arrival_rps.append(float(arrival[e, i]))
-                    service_trace.cores.append(float(cores[e, i]))
-                    service_trace.frequency_ghz.append(float(freq[e, i]))
-                trace.power_w.append(float(power[e]))
-                trace.true_power_w.append(float(true_power[e]))
-                trace.membw_utilization.append(float(membw[e]))
-        else:
-            for e, result in enumerate(results):
-                trace = traces[e]
-                for name in venv.service_names:
-                    observation = result.observations[name]
-                    service_trace = trace.services[name]
-                    service_trace.p99_ms.append(observation.p99_ms)
-                    service_trace.arrival_rps.append(observation.interval.arrival_rate)
-                    service_trace.cores.append(observation.interval.cores)
-                    service_trace.frequency_ghz.append(observation.interval.frequency_ghz)
-                trace.power_w.append(result.socket_power_w)
-                trace.true_power_w.append(result.true_power_w)
-                trace.membw_utilization.append(result.membw_utilization)
+        if record_timing is not None:
+            t0 = time.perf_counter()
+        # Recorded from the batch's matrices, so no StepResult is built;
+        # the values equal the result objects' fields.
+        arrays = results.arrays
+        for lists, key in zip(
+            service_series, ("p99", "arrivals", "cores", "frequency_ghz")
+        ):
+            for values, value in zip(lists, arrays[key].ravel().tolist()):
+                values.append(value)
+        for lists, key in zip(
+            env_series, ("power_w", "true_power_w", "membw_utilization")
+        ):
+            for values, value in zip(lists, arrays[key].tolist()):
+                values.append(value)
+        if record_timing is not None:
+            record_timing.add(time.perf_counter() - t0)
         if update_timing is not None:
             t0 = time.perf_counter()
             assignments = manager.update_batch(results)

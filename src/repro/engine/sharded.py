@@ -63,7 +63,13 @@ from repro.cluster.environment import (
     make_cluster_node,
 )
 from repro.cluster.topology import ClusterTopology
-from repro.cluster.traffic import TrafficModel, TrafficSpec, make_traffic_spec
+from repro.cluster.traffic import (
+    TrafficModel,
+    TrafficSpec,
+    check_rates,
+    install_rates,
+    make_traffic_spec,
+)
 from repro.engine.vector_env import ENV_SEED_STRIDE, StepBatch, VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.sink import NULL_SINK
@@ -141,9 +147,7 @@ class _ShardSlice(VectorEnvironment):
             return super()._gather_arrivals()
         # Keep the generators in sync exactly as ClusterEnvironment does,
         # so node state (and its checkpoint bytes) match the vector path.
-        for e, env in enumerate(self.envs):
-            for i, name in enumerate(self.names):
-                env.load_generators[name].set_rate(rates[e, i])
+        install_rates(self._generators, rates)
         return rates
 
 
@@ -580,6 +584,8 @@ class ShardedClusterEnvironment:
         t0 = _time.perf_counter() if timings is not None else 0.0
         demand = self.traffic.demand(self._time)
         rates = self.balancer.assign(self._time, demand, self._last_loads)
+        # Refused here, so that no shard installs or steps a bad matrix.
+        check_rates(rates)
         if timings is not None:
             timings.get("cluster.control").add(_time.perf_counter() - t0)
             t0 = _time.perf_counter()

@@ -46,13 +46,38 @@ objects are read on construction and ``load_state_dict`` and written
 back only where they are read (:meth:`VectorEnvironment.sync_machines`,
 called by ``state_dict`` and ``migration_counts``).
 
-Only the gather/scatter against the wrapped environments' Python
-objects (backlogs/energy/results) runs per environment; every numeric
-formula on the hot path is evaluated once over the whole batch.
+Every numeric formula on the hot path is evaluated once over the whole
+batch. What still touches the wrapped environments' Python objects is
+one flat pass each over their services and load generators (backlogs
+in and out, balancer rates in) and, per environment, one RNG draw block
+and the RAPL/clock update.
+
+Results: built only when read
+-----------------------------
+:meth:`VectorEnvironment.step` returns a :class:`StepBatch`. What is
+eager:
+
+- the interval's ``(E, S)`` / ``(E,)`` matrices in ``batch.arrays``,
+  which the batch owns and which are read-only, so a batch kept across
+  later steps still reads its own interval;
+- the result of every env with an active fault or an enabled trace
+  sink, built inside ``step`` (the fault injector consumes RNG and
+  replaces observations; the trace events read them), which also sets
+  that env's ``last_result``.
+
+What is built on read: ``batch[e]`` builds env ``e``'s ``StepResult``
+with its five scalar fields on first access; its ``observations``
+mapping builds the per-service ``ServiceObservation``,
+``IntervalResult`` and pmcs objects from the arrays on the first read
+of a value, equal field for field to the scalar path's. Reading
+``batch[e]`` sets ``envs[e].last_result`` unless env ``e`` has stepped
+since. A result refers to the arrays, never back to its batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -98,23 +123,120 @@ _COUNTER_ORDER = (
 )
 
 
+#: The batch array behind each ``IntervalResult`` field.
+_FIELD_ARRAYS = {
+    "arrival_rate": "arrivals",
+    "throughput_rps": "throughput",
+    "p99_ms": "p99",
+    "mean_ms": "mean_ms",
+    "utilization": "utilization",
+    "capacity_rps": "capacity",
+    "backlog": "backlog",
+    "cores": "cores",
+    "frequency_ghz": "frequency_ghz",
+    "inflation": "inflation",
+    "miss_inflation": "miss_inflation",
+    "membw_gbps": "membw_gbps",
+    "busy_core_seconds": "busy_core_seconds",
+    "instructions": "instructions",
+}
+#: Those arrays in ``IntervalResult`` field order: its fields are
+#: ``service``, ``interval_s``, these, then ``qos_target_ms``.
+_INTERVAL_ARRAYS = tuple(
+    _FIELD_ARRAYS[f.name] for f in dataclasses.fields(IntervalResult)[2:-1]
+)
+
+
+def _build_observations(
+    names: Sequence[str],
+    interval_s: float,
+    arrays: Mapping[str, np.ndarray],
+    e: int,
+) -> Dict[str, ServiceObservation]:
+    """Env ``e``'s per-service observation objects from a batch's arrays."""
+    columns = [arrays[key][e].tolist() for key in _INTERVAL_ARRAYS]
+    observations: Dict[str, ServiceObservation] = {}
+    for name, row, counters, qos_target in zip(
+        names, zip(*columns), arrays["counters"][e].tolist(),
+        arrays["qos_target"].tolist(),
+    ):
+        observations[name] = ServiceObservation(
+            interval=IntervalResult(name, interval_s, *row, qos_target),
+            pmcs=dict(zip(_COUNTER_ORDER, counters)),
+        )
+    return observations
+
+
+class _LazyObservations(Mapping):
+    """Read-only ``name -> ServiceObservation`` map of one env's interval.
+
+    The objects are built from the batch's arrays on the first read of a
+    value and kept; iterating names, ``len`` and ``in`` build nothing.
+    It holds the arrays, never the batch.
+    """
+
+    __slots__ = ("_names", "_interval_s", "_arrays", "_index", "_built")
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        interval_s: float,
+        arrays: Mapping[str, np.ndarray],
+        index: int,
+    ):
+        self._names = names
+        self._interval_s = interval_s
+        self._arrays = arrays
+        self._index = index
+        self._built: Optional[Dict[str, ServiceObservation]] = None
+
+    def _objects(self) -> Dict[str, ServiceObservation]:
+        if self._built is None:
+            self._built = _build_observations(
+                self._names, self._interval_s, self._arrays, self._index
+            )
+        return self._built
+
+    def __getitem__(self, name: str) -> ServiceObservation:
+        return self._objects()[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __repr__(self) -> str:
+        return repr(self._objects())
+
+
 class StepBatch(Sequence):
-    """One fused step's results: arrays now, ``StepResult`` objects on demand.
+    """One fused step's results: arrays now, ``StepResult`` objects on read.
 
     :meth:`VectorEnvironment.step` computes the whole interval as
-    ``(E, S)`` arrays; building E :class:`StepResult` objects (with their
-    per-service :class:`IntervalResult`/pmcs dicts) used to dominate the
-    large-fleet step cost even though array-aware consumers (the rollout
+    ``(E, S)`` / ``(E,)`` arrays and hands them out in :attr:`arrays`.
+    The batch owns them and they are read-only: a batch kept across later
+    steps still reads its own interval. Array-aware consumers (the rollout
     loop, :class:`~repro.engine.fleet.FleetTwig`, the cluster balancer
-    feedback) never look at them. A ``StepBatch`` carries the arrays in
-    :attr:`arrays` and materialises ``results[e]`` lazily — the
-    materialised object is field-for-field identical to what the eager
-    scatter built, so object-oriented consumers (the scalar-equivalence
-    tests, rule fleets) work unchanged.
+    feedback) read the arrays and never build a result object.
 
-    Environments with active faults or an enabled trace sink are
-    materialised eagerly inside ``step`` (faults consume RNG and mutate
-    the observation objects); their cached results are returned as-is.
+    ``batch[e]`` builds env ``e``'s :class:`StepResult` on first read
+    and keeps it. Its five scalar fields (``time``, ``socket_power_w``,
+    ``true_power_w``, ``membw_utilization``, ``energy_j``) are filled
+    then; its ``observations`` is a read-only mapping whose per-service
+    :class:`ServiceObservation`/:class:`IntervalResult`/pmcs objects are
+    built from the arrays only when a value is first read, field for
+    field equal to the scalar path's. A result holds the arrays, never
+    the batch. Reading ``batch[e]`` also sets the wrapped env's
+    ``last_result``, unless that env has stepped since.
+
+    Envs with an active fault or an enabled trace sink get their results
+    built eagerly inside ``step`` (faults consume RNG and replace
+    observations; trace events read them) and installed with
+    :meth:`set_result`.
     """
 
     def __init__(
@@ -126,7 +248,9 @@ class StepBatch(Sequence):
     ):
         self.names = list(names)
         self.interval_s = interval_s
-        #: The interval's internal matrices; see ``VectorEnvironment.step``.
+        for array in arrays.values():
+            array.setflags(write=False)
+        #: The interval's matrices, read-only; see ``VectorEnvironment.step``.
         self.arrays = arrays
         self._envs = envs
         self._results: List[Optional[StepResult]] = [None] * len(arrays["time"])
@@ -152,47 +276,21 @@ class StepBatch(Sequence):
         self._results[index] = result
 
     def build_observations(self, e: int) -> Dict[str, ServiceObservation]:
-        """Per-service observation objects for env ``e`` from the arrays."""
-        a = self.arrays
-        observations: Dict[str, ServiceObservation] = {}
-        for i, name in enumerate(self.names):
-            interval = IntervalResult(
-                service=name,
-                interval_s=self.interval_s,
-                arrival_rate=float(a["arrivals"][e, i]),
-                throughput_rps=float(a["throughput"][e, i]),
-                p99_ms=float(a["p99"][e, i]),
-                mean_ms=float(a["mean_ms"][e, i]),
-                utilization=float(a["utilization"][e, i]),
-                capacity_rps=float(a["capacity"][e, i]),
-                backlog=float(a["backlog"][e, i]),
-                cores=float(a["cores"][e, i]),
-                frequency_ghz=float(a["frequency_ghz"][e, i]),
-                inflation=float(a["inflation"][e, i]),
-                miss_inflation=float(a["miss_inflation"][e, i]),
-                membw_gbps=float(a["membw_gbps"][e, i]),
-                busy_core_seconds=float(a["busy_core_seconds"][e, i]),
-                instructions=float(a["instructions"][e, i]),
-                qos_target_ms=float(a["qos_target"][i]),
-            )
-            pmcs = {
-                counter: float(a["counters"][e, i, c])
-                for c, counter in enumerate(_COUNTER_ORDER)
-            }
-            observations[name] = ServiceObservation(interval=interval, pmcs=pmcs)
-        return observations
+        """Per-service observation objects for env ``e``, built now."""
+        return _build_observations(self.names, self.interval_s, self.arrays, e)
 
     def _materialize(self, e: int) -> StepResult:
         a = self.arrays
+        time = int(a["time"][e])
         result = StepResult(
-            time=int(a["time"][e]),
-            observations=self.build_observations(e),
+            time=time,
+            observations=_LazyObservations(self.names, self.interval_s, a, e),
             socket_power_w=float(a["power_w"][e]),
             true_power_w=float(a["true_power_w"][e]),
             membw_utilization=float(a["membw_utilization"][e]),
             energy_j=float(a["energy_j"][e]),
         )
-        if self._envs is not None:
+        if self._envs is not None and self._envs[e].time == time:
             self._envs[e].last_result = result
         return result
 
@@ -248,11 +346,19 @@ class VectorEnvironment:
         self._qos_target = np.array(
             [base.services[name].qos_target_ms for name in self.names], dtype=np.float64
         )
+        self._qos_target.setflags(write=False)  # handed to every StepBatch
         self._ladder = np.array(
             self.spec.dvfs.frequencies_ghz, dtype=np.float64
         )
         self._core_ids = base.socket_core_ids
         self._column = {cid: j for j, cid in enumerate(self._core_ids)}
+        # Every env's services and load generators in row-major
+        # (env, service) order, so per-(env, service) state moves to and
+        # from the (E, S) matrices in one flat pass.
+        self._services = [env.services[name] for env in self.envs for name in self.names]
+        self._generators = [
+            env.load_generators[name] for env in self.envs for name in self.names
+        ]
 
         #: Optional :class:`~repro.obs.timing.TimingRegistry` wired in by
         #: the rollout loop; subclasses report timing sub-sections here.
@@ -538,12 +644,9 @@ class VectorEnvironment:
         llc_quota = self._m_llc_quota
 
         arrivals = self._gather_arrivals()
-
-        backlog = np.empty((E, S))
-        for e, env in enumerate(self.envs):
-            services = env.services
-            for i, name in enumerate(self.names):
-                backlog[e, i] = services[name].backlog
+        backlog = np.fromiter(
+            map(attrgetter("backlog"), self._services), dtype=np.float64, count=E * S
+        ).reshape(E, S)
 
         # --- effective capacities (demand-aware timesharing) ------------ #
         freq_factor = self._alpha * (self.spec.dvfs.max_ghz / freq) + (1.0 - self._alpha)
@@ -562,7 +665,7 @@ class VectorEnvironment:
         membw_expected = expected * self._membw_per_req / 1024.0
         bw_util = membw_expected.sum(axis=1) / interference.membw_capacity_gbps
         pressure = np.array(
-            [interference._bandwidth_pressure(float(u)) for u in bw_util]
+            list(map(interference._bandwidth_pressure, bw_util.tolist()))
         )
         llc_cap = interference.llc_capacity_mb
         quota_total = np.minimum(
@@ -699,23 +802,21 @@ class VectorEnvironment:
         readings = np.maximum(true_power * rapl_noise, 0.0)
 
         # --- scatter state back into the wrapped environments -------------- #
-        # Only the cheap per-env state sync (backlogs, RAPL, clocks) runs
-        # eagerly; result-object construction is deferred to the
-        # StepBatch and only forced for envs with active faults (which
-        # consume RNG and mutate observations) or an enabled trace sink.
+        # Backlogs go back in one pass over the flat (env, service) list,
+        # RAPL energy and clocks per env. No result object is built here
+        # (see StepBatch) except for the faulted and traced envs below.
+        for service, value in zip(self._services, new_backlog.ravel().tolist()):
+            service.backlog = value
         socket = self.config.socket_index
-        times = np.empty(E, dtype=np.int64)
-        energy = np.empty(E)
-        for e, env in enumerate(self.envs):
-            services = env.services
-            for i, name in enumerate(self.names):
-                services[name].backlog = float(new_backlog[e, i])
-            reading = float(readings[e])
-            env.rapl.energy_j += reading * interval
-            env.rapl.last_reading_w = {socket: reading}
+        times: List[int] = []
+        energy: List[float] = []
+        for env, reading in zip(self.envs, readings.tolist()):
+            rapl = env.rapl
+            rapl.energy_j += reading * interval
+            rapl.last_reading_w = {socket: reading}
             env.time += 1
-            times[e] = env.time
-            energy[e] = env.rapl.energy_j
+            times.append(env.time)
+            energy.append(rapl.energy_j)
 
         arrays = {
             "arrivals": arrivals,
@@ -726,7 +827,7 @@ class VectorEnvironment:
             "capacity": capacity,
             "backlog": new_backlog,
             "cores": capacities,
-            "frequency_ghz": freq,
+            "frequency_ghz": freq.copy(),
             "inflation": inflation,
             "miss_inflation": miss_inflation,
             "membw_gbps": membw_out,
@@ -737,23 +838,23 @@ class VectorEnvironment:
             "power_w": readings,
             "true_power_w": true_power,
             "membw_utilization": bw_util,
-            "energy_j": energy,
-            "time": times,
+            "energy_j": np.array(energy),
+            "time": np.array(times, dtype=np.int64),
         }
-        batch = StepBatch(self.names, interval, arrays, envs=self.envs)
+        eager: Dict[int, StepResult] = {}
         for e, env in enumerate(self.envs):
             pending = (
                 env.faults is not None and env.faults.active_at(env.time)
             )
             if not pending and not env.trace.enabled:
                 continue
+            observations = _build_observations(self.names, interval, arrays, e)
             applied = []
             if pending:
                 # Same ordering as the scalar path: injected after
                 # power/RAPL, so sensor faults corrupt what the manager
                 # *sees*, not what the machine drew. The per-env injector
                 # RNG is consumed here, draw-for-draw with the oracle.
-                observations = batch.build_observations(e)
                 observations, applied = env.faults.apply(
                     env.time, observations, env.services
                 )
@@ -768,18 +869,17 @@ class VectorEnvironment:
                     new_backlog[e, i] = obs.interval.backlog
                     for c, counter in enumerate(_COUNTER_ORDER):
                         counters[e, i, c] = obs.pmcs[counter]
-                step_result = StepResult(
-                    time=env.time,
-                    observations=observations,
-                    socket_power_w=float(readings[e]),
-                    true_power_w=float(true_power[e]),
-                    membw_utilization=float(bw_util[e]),
-                    energy_j=env.rapl.energy_j,
-                )
-                env.last_result = step_result
-                batch.set_result(e, step_result)
+            step_result = StepResult(
+                time=env.time,
+                observations=observations,
+                socket_power_w=float(readings[e]),
+                true_power_w=float(true_power[e]),
+                membw_utilization=float(bw_util[e]),
+                energy_j=env.rapl.energy_j,
+            )
+            env.last_result = step_result
+            eager[e] = step_result
             if env.trace.enabled:
-                step_result = batch[e]
                 for fault in applied:
                     env.trace.emit(
                         make_event(
@@ -794,6 +894,9 @@ class VectorEnvironment:
                         )
                     )
                 self._emit_step_events(env, e, step_result)
+        batch = StepBatch(self.names, interval, arrays, envs=self.envs)
+        for e, step_result in eager.items():
+            batch.set_result(e, step_result)
         self._post_step(batch, arrays)
         return batch
 
@@ -812,16 +915,15 @@ class VectorEnvironment:
                 arrivals[e, i] = env.load_generators[name].rate(env.time)
         return arrivals
 
-    def _post_step(
-        self, results: List[StepResult], arrays: Dict[str, np.ndarray]
-    ) -> None:
-        """Hook called once per :meth:`step` after results are built.
+    def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
+        """Hook called once per :meth:`step` with the finished batch.
 
-        ``arrays`` exposes the interval's internal ``(E, S)`` / ``(E,)``
-        matrices (arrivals, throughput, p99, utilization, backlog,
-        power_w, true_power_w, membw_utilization) so subclasses can build
-        feedback and aggregates without re-deriving them. The base class
-        does nothing.
+        ``arrays`` is ``results.arrays``: the interval's read-only
+        ``(E, S)`` / ``(E,)`` matrices (arrivals, throughput, p99,
+        utilization, backlog, power_w, true_power_w, membw_utilization)
+        so subclasses can build feedback and aggregates without
+        re-deriving them or building result objects. The base class does
+        nothing.
         """
 
     def _wait_q99_ms(

@@ -1,0 +1,284 @@
+"""Lazy step results: what a fleet tick builds, and that it is still right.
+
+A :class:`~repro.engine.vector_env.StepBatch` builds a node's
+``StepResult`` only when it is read, and that result's per-service
+``ServiceObservation``/``IntervalResult`` objects only when a value of
+its ``observations`` mapping is read. These tests pin:
+
+- the hot path: a static rule fleet, which never reads an observation,
+  constructs none (counted through patched constructors);
+- equality: what the PARTIES and Heracles fleets read equals the eager
+  ``build_observations`` build field for field, and the hand-stepped
+  scalar oracle to the last ulp, with a faulted node and with a trace
+  sink, on multi-node and 1-node clusters;
+- ownership: a batch's arrays are read-only;
+- rate installation: a balancer rate matrix with a NaN or negative rate
+  is refused before any generator is written, on both engines.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cluster.environment import ClusterEnvironment, make_cluster_node
+from repro.cluster.traffic import ScheduledLoad, install_rates
+from repro.engine.rollout import run_fleet
+from repro.engine.sharded import ShardedClusterEnvironment
+from repro.engine.vector_env import ENV_SEED_STRIDE
+from repro.errors import ConfigurationError
+from repro.hier.baselines import make_rule_fleet
+from repro.obs.context import ObsContext
+from repro.obs.sink import MemorySink
+from repro.services.service import IntervalResult
+from repro.sim.environment import ServiceObservation, StepResult
+from repro.sim.faults import Fault, FaultInjector
+from tests.test_engine_sharded import _assert_tree_equal
+
+SERVICES = ["masstree", "xapian"]
+SEED = 7
+#: The node that carries a fault schedule in the faulted runs.
+FAULTED = 2
+
+_INTERVAL_FIELDS = [
+    "arrival_rate", "throughput_rps", "p99_ms", "mean_ms", "utilization",
+    "capacity_rps", "backlog", "cores", "frequency_ghz", "inflation",
+    "miss_inflation", "membw_gbps", "busy_core_seconds", "instructions",
+    "qos_target_ms",
+]
+
+
+def _faults(services):
+    return FaultInjector(
+        [
+            Fault("latency_spike", services[-1], start=2, duration=2, magnitude=3.0),
+            Fault("pmc_nan", services[0], start=3, duration=2, magnitude=2.0),
+        ],
+        rng=np.random.default_rng(5),
+    )
+
+
+def _cluster(services, nodes, faulted=False):
+    venv = ClusterEnvironment.from_services(
+        services, num_nodes=nodes, seed=SEED, balancer="least_loaded"
+    )
+    if faulted:
+        venv.envs[FAULTED].faults = _faults(services)
+    return venv
+
+
+def _engine(kind, nodes):
+    """A ``nodes``-node cluster on the vector or the shard engine."""
+    if kind == "vector":
+        return _cluster(SERVICES, nodes)
+    return ShardedClusterEnvironment.from_services(
+        SERVICES, num_nodes=nodes, seed=SEED, balancer="least_loaded", workers=2
+    )
+
+
+def _run_recorded(fleet, venv, ticks, obs=None):
+    """Run ``fleet`` on ``venv``; per tick, the batch, the assignments it
+    was stepped with, and the results the fleet was handed."""
+    seen = []
+    step, update = venv.step, fleet.update_batch
+
+    def recording_step(assignments):
+        batch = step(assignments)
+        seen.append((batch, list(assignments), []))
+        return batch
+
+    def recording_update(results):
+        seen[-1][2].extend(results[e] for e in range(len(results)))
+        return update(results)
+
+    venv.step = recording_step
+    fleet.update_batch = recording_update
+    run_fleet(fleet, venv, ticks, obs=obs)
+    return seen
+
+
+def _eager(batch, e):
+    """Env ``e``'s result built eagerly from the batch's arrays."""
+    a = batch.arrays
+    return StepResult(
+        time=int(a["time"][e]),
+        observations=batch.build_observations(e),
+        socket_power_w=float(a["power_w"][e]),
+        true_power_w=float(a["true_power_w"][e]),
+        membw_utilization=float(a["membw_utilization"][e]),
+        energy_j=float(a["energy_j"][e]),
+    )
+
+
+def _ulp_close(a: float, b: float) -> bool:
+    return bool(np.isclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True))
+
+
+def _assert_matches_scalar(got: StepResult, expected: StepResult, where) -> None:
+    assert got.time == expected.time, where
+    for field in ("socket_power_w", "true_power_w", "membw_utilization", "energy_j"):
+        assert _ulp_close(getattr(got, field), getattr(expected, field)), (where, field)
+    assert list(got.observations) == list(expected.observations), where
+    for name, ref in expected.observations.items():
+        obs = got.observations[name]
+        for field in _INTERVAL_FIELDS:
+            assert _ulp_close(
+                getattr(obs.interval, field), getattr(ref.interval, field)
+            ), (where, name, field)
+        assert list(obs.pmcs) == list(ref.pmcs), where
+        for counter, value in ref.pmcs.items():
+            assert _ulp_close(obs.pmcs[counter], value), (where, name, counter)
+
+
+def _assert_matches_oracles(services, seen, faulted):
+    """Hand-step one scalar node per cluster node with the rates the
+    balancer gave it; every result the fleet read must match."""
+    oracles = [
+        make_cluster_node(services, SEED + e * ENV_SEED_STRIDE)
+        for e in range(len(seen[0][2]))
+    ]
+    if faulted:
+        oracles[FAULTED].faults = _faults(services)
+    for batch, assignments, results in seen:
+        for e, (oracle, result) in enumerate(zip(oracles, results)):
+            for i, name in enumerate(services):
+                oracle.load_generators[name].set_rate(batch.arrays["arrivals"][e, i])
+            _assert_matches_scalar(result, oracle.step(assignments[e]), (e, result.time))
+
+
+class _Counter:
+    """Patches a class's ``__init__`` to count constructions."""
+
+    def __init__(self, monkeypatch, cls):
+        self.count = 0
+        init = cls.__init__
+
+        def counting_init(obj, *args, **kwargs):
+            self.count += 1
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+
+class TestHotPath:
+    def test_static_fleet_builds_no_observation_objects(self, monkeypatch):
+        nodes, ticks = 32, 5
+        venv = _cluster(SERVICES, nodes)
+        fleet = make_rule_fleet("static", SERVICES, nodes, SEED)
+        intervals = _Counter(monkeypatch, IntervalResult)
+        observations = _Counter(monkeypatch, ServiceObservation)
+        results = _Counter(monkeypatch, StepResult)
+        traces = run_fleet(fleet, venv, ticks)
+        assert intervals.count == 0
+        assert observations.count == 0
+        # The fleet did read a result per node and tick.
+        assert results.count == nodes * ticks
+        assert all(t.steps() == ticks for t in traces)
+
+    def test_reading_a_value_builds_that_nodes_observations_once(self, monkeypatch):
+        venv = _cluster(SERVICES, 4)
+        fleet = make_rule_fleet("static", SERVICES, 4, SEED)
+        batch = venv.step(fleet.initial_assignments())
+        intervals = _Counter(monkeypatch, IntervalResult)
+        result = batch[1]
+        assert list(result.observations) == SERVICES
+        assert "xapian" in result.observations and len(result.observations) == 2
+        assert intervals.count == 0
+        result.observations["xapian"]
+        assert intervals.count == len(SERVICES)
+        assert result.observations["masstree"] is result.observations["masstree"]
+        assert intervals.count == len(SERVICES)
+        assert batch[1] is result
+
+
+class TestLazyEqualsEager:
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "name,services", [("parties", SERVICES), ("heracles", ["masstree"])]
+    )
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_rule_fleet_reads_eager_equal_results(self, name, services, nodes, traced):
+        faulted = nodes > FAULTED
+        venv = _cluster(services, nodes, faulted=faulted)
+        fleet = make_rule_fleet(name, services, nodes, SEED)
+        sink = MemorySink(validate=True) if traced else None
+        obs = ObsContext(sink=sink) if traced else None
+        seen = _run_recorded(fleet, venv, 6, obs=obs)
+        for batch, _, results in seen:
+            assert len(results) == nodes
+            for e, result in enumerate(results):
+                if faulted and e == FAULTED and venv.envs[e].faults.active_at(result.time):
+                    continue  # the injector replaced these observations
+                assert result == _eager(batch, e), (e, result.time)
+        _assert_matches_oracles(services, seen, faulted)
+        if traced:
+            assert len(sink.of_type("interval")) == 6 * nodes
+        if faulted:
+            assert any(
+                venv.envs[FAULTED].faults.active_at(results[0].time)
+                for _, _, results in seen
+            )
+
+    def test_last_result_is_set_on_read_until_the_env_steps(self):
+        venv = _cluster(SERVICES, 3)
+        assignments = make_rule_fleet("static", SERVICES, 3, SEED).initial_assignments()
+        kept = venv.step(assignments)
+        assert all(env.last_result is None for env in venv.envs)
+        first = kept[0]
+        assert venv.envs[0].last_result is first
+        venv.step(assignments)
+        # Reading an older batch does not overwrite a newer interval.
+        assert kept[1].time == 1
+        assert venv.envs[1].last_result is None
+
+
+class TestBatchArraysReadOnly:
+    @pytest.mark.parametrize("engine", ["vector", "shard"])
+    def test_writing_into_batch_arrays_raises(self, engine):
+        venv = _engine(engine, 4)
+        try:
+            assignments = make_rule_fleet("static", SERVICES, 4, SEED).initial_assignments()
+            batch = venv.step(assignments)
+            for key, array in batch.arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+                assert not array.flags.writeable, key
+        finally:
+            venv.close()
+
+
+class TestRateInstall:
+    def test_helper_validates_whole_matrix_before_writing(self):
+        generators = [ScheduledLoad(100.0) for _ in range(6)]
+        install_rates(generators, np.arange(6.0).reshape(3, 2))
+        for bad in (float("nan"), -1.0, float("inf")):
+            rates = np.arange(6.0).reshape(3, 2) + 10.0
+            rates[2, 1] = bad
+            with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
+                install_rates(generators, rates)
+            assert [g.rate(0) for g in generators] == list(np.arange(6.0))
+        with pytest.raises(ConfigurationError):
+            install_rates(generators, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -3.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("engine", ["vector", "shard"])
+    def test_engine_refuses_bad_balancer_rates(self, monkeypatch, engine, bad):
+        nodes = 4
+        venv = _engine(engine, nodes)
+        try:
+            assignments = make_rule_fleet("static", SERVICES, nodes, SEED).initial_assignments()
+            good = venv.step(assignments).arrays["arrivals"].copy()
+            rates = good + 1.0
+            rates[-1, -1] = bad
+            monkeypatch.setattr(venv.balancer, "assign", lambda t, demand, loads=None: rates)
+            before = venv.state_dict()["envs"]
+            with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
+                venv.step(assignments)
+            # No node stepped, and no generator took a rate of the matrix.
+            assert venv.time == 1
+            _assert_tree_equal(venv.state_dict()["envs"], before)
+            if engine == "vector":
+                installed = [g.rate(0) for g in venv._generators]
+                assert installed == good.ravel().tolist()
+        finally:
+            venv.close()

@@ -267,6 +267,48 @@ class TestArrayInstall:
         _step_and_compare(venv, oracles, [shared, shared])
 
 
+class TestKeptBatch:
+    """A batch kept across the next step still reads its own interval."""
+
+    def test_kept_batch_matches_scalar_after_next_step(self):
+        venv, oracles = _four_service_batch(2)
+        mapper = Mapper(venv.spec)
+        top = len(venv.spec.dvfs) - 1
+        fast = _map4(mapper, (3, 4, 5, 2), (top, top, top, top), (0, 0, 0, 0))
+        slow = _map4(mapper, (5, 2, 3, 4), (0, 0, 0, 0), (0, 0, 0, 0))
+        kept = venv.step([fast, fast])
+        expected = [oracle.step(fast) for oracle in oracles]
+        # Step t+1 installs another placement (every service at DVFS 0)
+        # before anything reads batch t.
+        venv.step([slow, slow])
+        for oracle in oracles:
+            oracle.step(slow)
+        columns = {
+            "frequency_ghz": "frequency_ghz", "cores": "cores", "p99": "p99_ms",
+            "arrivals": "arrival_rate", "backlog": "backlog",
+        }
+        for e, ref in enumerate(expected):
+            for i, name in enumerate(SERVICES4):
+                interval = ref.observations[name].interval
+                for key, field in columns.items():
+                    assert _ulp_close(
+                        kept.arrays[key][e, i], getattr(interval, field)
+                    ), (e, name, key)
+            got = kept[e]
+            assert got.time == ref.time
+            assert _ulp_close(got.socket_power_w, ref.socket_power_w)
+            assert _ulp_close(got.energy_j, ref.energy_j)
+            for name in SERVICES4:
+                for field in _INTERVAL_FIELDS:
+                    assert _ulp_close(
+                        getattr(got.observations[name].interval, field),
+                        getattr(ref.observations[name].interval, field),
+                    ), (e, name, field)
+                assert got.observations[name].pmcs.keys() == (
+                    ref.observations[name].pmcs.keys()
+                )
+
+
 INVALID = [
     "outside_socket",
     "repeated_core",

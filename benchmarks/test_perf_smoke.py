@@ -10,9 +10,10 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
   per-head loop implementation (:mod:`repro.rl.bdq_reference`), at 1, 2
   and 4 colocated agents;
 - the vectorized rollout engine: the fleet agent's fused train step and
-  batched act at 1, 2 and 4 colocated agents, and the end-to-end
-  experiment-suite throughput of ``--engine vector`` vs the serial
-  scalar loop;
+  batched act at 1, 2 and 4 colocated agents, its per-tick handoff
+  (one batched replay insert and one ``act_batch``) at 256 nodes, and
+  the end-to-end experiment-suite throughput of ``--engine vector`` vs
+  the serial scalar loop;
 - the cluster layer: whole-cluster step throughput (traffic model ->
   load balancer -> fused node physics) at 64 and 256 nodes with 4
   colocated services per node;
@@ -343,21 +344,16 @@ def _fleet_agent(num_agents: int, num_envs: int = 8, seed: int = 0) -> FleetBDQA
     )
     agent = FleetBDQAgent(config, np.random.default_rng(seed), num_envs=num_envs)
     feeder = np.random.default_rng(seed + 1)
-    for i in range(32 * num_envs):
-        actions = [
-            [int(feeder.integers(0, n)) for n in branch]
-            for branch in config.branch_sizes
-        ]
-        agent.striped.add(
-            i % num_envs,
+    sizes = np.array([n for branch in config.branch_sizes for n in branch])
+    for _ in range(32):  # one batched insert per tick, every env a row
+        agent.striped.add_batch(
+            np.arange(num_envs),
             {
-                "state": feeder.normal(size=config.state_dim),
-                "actions": np.asarray(
-                    [a for branch in actions for a in branch], dtype=np.float64
-                ),
-                "rewards": feeder.normal(size=num_agents),
-                "next_state": feeder.normal(size=config.state_dim),
-                "done": np.asarray(0.0),
+                "state": feeder.normal(size=(num_envs, config.state_dim)),
+                "actions": feeder.integers(0, sizes, size=(num_envs, sizes.size)),
+                "rewards": feeder.normal(size=(num_envs, num_agents)),
+                "next_state": feeder.normal(size=(num_envs, config.state_dim)),
+                "done": np.zeros(num_envs),
             },
         )
     agent.step_count = 300  # past min_buffer_size bookkeeping
@@ -400,6 +396,69 @@ def test_vector_rollout_train_and_act():
     # The acceptance bar: one fused train round stays well inside a 1 s
     # control interval at the paper's largest colocation shape.
     assert results["agents_4"]["train_ms"] < 5.0, results
+
+
+def test_fleet_agent_handoff():
+    """A learning fleet tick's handoff to the agent at 256 nodes, 4 agents.
+
+    The two per-tick calls between ``FleetTwig.update_batch`` and the
+    shared agent, on the agent ``fleet_learn`` runs (``TwigConfig.fast``
+    shapes, 4 colocated services): the replay insert (``observe_batch``
+    with every node's transition as row-aligned arrays, gathered from
+    the manager's state matrices as ``update_batch`` does) and
+    ``act_batch`` at mid-schedule epsilon. Train and target-sync
+    cadences are pushed out of reach so the insert is timed alone.
+    """
+    from repro.core.config import TwigConfig
+    from repro.engine.fleet import FleetTwig
+    from repro.services.profiles import get_profile
+
+    services = ["masstree", "xapian", "moses", "img-dnn"]
+    num_envs, rounds = 256, 20
+    config = TwigConfig.fast().scaled(train_every=10**9, target_update_every=10**9)
+    manager = FleetTwig(
+        [get_profile(s) for s in services], config, np.random.default_rng(7), num_envs
+    )
+    agent = manager.agent
+    feeder = np.random.default_rng(8)
+    sizes = np.array([n for branch in agent.config.branch_sizes for n in branch])
+    state_dim = agent.config.state_dim
+    prev_states = feeder.normal(size=(num_envs, state_dim))
+    prev_actions = feeder.integers(0, sizes, size=(num_envs, sizes.size))
+    totals = feeder.normal(size=(num_envs, len(services)))
+    states = feeder.normal(size=(num_envs, state_dim))
+    envs = np.arange(num_envs)
+
+    def insert():
+        agent.observe_batch(
+            envs, prev_states[envs], prev_actions[envs], totals[envs], states[envs]
+        )
+
+    for _ in range(3):  # allocate storage, warm up
+        insert()
+        agent.act_batch(states)
+    observe_s = _best_block_s(insert, rounds)
+    agent.step_count = agent.config.epsilon_mid_steps // 2
+    epsilon = agent.epsilon()
+    act_s = _best_block_s(lambda: agent.act_batch(states), rounds)
+    assert agent.train_count == 0
+    results = {
+        "cpus": len(os.sched_getaffinity(0)),
+        "num_envs": num_envs,
+        "agents": len(services),
+        "rounds": rounds,
+        "observe_batch_ms": round(observe_s * 1e3, 3),
+        "act_batch_ms": round(act_s * 1e3, 3),
+        "act_epsilon": round(epsilon, 3),
+    }
+    print(
+        f"\nfleet agent handoff ({num_envs} envs x {len(services)} agents): "
+        f"observe_batch {observe_s * 1e3:.2f}ms, act_batch {act_s * 1e3:.2f}ms "
+        f"at epsilon {epsilon:.2f}"
+    )
+    _record("fleet_agent_handoff", results)
+    # Both stay a small share of one simulated 1 s control interval.
+    assert results["observe_batch_ms"] < 100.0 and results["act_batch_ms"] < 100.0, results
 
 
 def test_experiment_suite_throughput(tmp_path):

@@ -36,7 +36,7 @@ from repro.obs.sink import NULL_SINK, TraceSink
 from repro.obs.timing import TimingRegistry
 from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import MonitorBank
-from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
+from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
 from repro.server.machine import CoreAssignment
 from repro.server.power import PowerModel
@@ -62,12 +62,19 @@ class FleetBDQAgent(BDQAgent):
       at the cost of ONE ``find_batch``/``update_batch`` per train step
       instead of N.
     - **Batched acting.** :meth:`act_batch` runs one fused forward for
-      all environments and then applies the per-branch epsilon noise in
-      env-major order — the RNG draw sequence for M stacked states is
-      identical to M consecutive scalar :meth:`~BDQAgent.act` calls.
-    - **One tick, one train round.** :meth:`observe_batch` adds N
-      transitions but advances ``step_count`` (and thus the epsilon/beta
-      schedules and the train/target cadence) by ONE.
+      all environments and returns the ``(M, total_branches)`` int64
+      action matrix, with the per-branch epsilon noise applied to it in
+      place, env-major, by the scalar agent's own loop
+      (:meth:`~BDQAgent._explore`) — the RNG draw sequence for M stacked
+      states is identical to M consecutive scalar :meth:`~BDQAgent.act`
+      calls.
+    - **One tick, one insert, one train round.** :meth:`observe_batch`
+      takes the tick's transitions as row-aligned arrays, at most one
+      row per environment, and stores them with ONE
+      :meth:`~repro.rl.striped.StripedPrioritizedReplayBuffer.add_batch`
+      (tree bitwise equal to per-row inserts); it advances
+      ``step_count`` (and thus the epsilon/beta schedules and the
+      train/target cadence) by ONE, rows or none.
 
     The base class's ``self.buffer`` is left in place but unused (the
     replay hooks below never touch it); it keeps the inherited
@@ -97,98 +104,79 @@ class FleetBDQAgent(BDQAgent):
     # ------------------------------------------------------------------ #
     # acting
     # ------------------------------------------------------------------ #
-    def act_batch(self, states: np.ndarray, greedy: bool = False) -> List[List[List[int]]]:
+    def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
         """Choose actions for M stacked states through one fused forward.
 
-        ``states`` is ``(M, state_dim)``; returns one per-agent,
-        per-branch action list per row. With the same RNG state, row
-        ``i`` equals what :meth:`~BDQAgent.act` would return for
-        ``states[i]`` after acting on rows ``0..i-1``.
+        ``states`` is ``(M, state_dim)``; returns the ``(M,
+        total_branches)`` int64 action matrix, each row agent-major like
+        the flattened :meth:`~BDQAgent.act` result. With the same RNG
+        state, row ``i`` equals the flattened ``act(states[i])`` after
+        acting on rows ``0..i-1``.
         """
         if self.timings is not None:
             with self.timings.measure("agent.act"):
                 return self._act_batch(states, greedy)
         return self._act_batch(states, greedy)
 
-    def _act_batch(self, states: np.ndarray, greedy: bool) -> List[List[List[int]]]:
+    def _act_batch(self, states: np.ndarray, greedy: bool) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if states.shape[1] != self.config.state_dim:
             raise ShapeError(
                 f"states have dim {states.shape[1]}, expected {self.config.state_dim}"
             )
-        best = self.online.greedy_actions_batch(states)         # (M, B)
-        rows: List[List[List[int]]] = []
-        for i in range(states.shape[0]):
-            actions: List[List[int]] = []
-            b = 0
-            for agent in self.online.branch_sizes:
-                actions.append([int(best[i, b + d]) for d in range(len(agent))])
-                b += len(agent)
-            rows.append(actions)
-        if greedy:
-            return rows
-        epsilon = self.epsilon()
-        # Env-major noise: per row, the same per-branch draw sequence as
-        # the scalar _act, so batched and per-state acting are
-        # stream-compatible.
-        for actions in rows:
-            for k, agent in enumerate(self.online.branch_sizes):
-                for d, n in enumerate(agent):
-                    if self._rng.random() >= epsilon:
-                        continue
-                    if self._rng.random() < 0.5:
-                        actions[k][d] = int(self._rng.integers(0, n))
-                    else:
-                        step = int(self._rng.integers(1, 5)) * (
-                            1 if self._rng.random() < 0.5 else -1
-                        )
-                        actions[k][d] = int(np.clip(actions[k][d] + step, 0, n - 1))
-        return rows
+        actions = self.online.greedy_actions_batch(states)      # (M, B)
+        if not greedy:
+            # Env-major noise through the scalar act's own loop, so batched
+            # and per-state acting are stream-compatible by construction.
+            self._explore(actions.reshape(-1), self.epsilon())
+        return actions
 
     # ------------------------------------------------------------------ #
     # learning
     # ------------------------------------------------------------------ #
     def observe_batch(
-        self, transitions: Sequence[Tuple[int, Transition]]
+        self,
+        env_indices: np.ndarray,
+        states: np.ndarray,
+        actions: np.ndarray,
+        rewards: np.ndarray,
+        next_states: np.ndarray,
     ) -> Optional[float]:
-        """Store one tick's transitions (env-tagged) and maybe train once.
+        """Store one tick's transitions and maybe train once.
 
-        ``transitions`` holds ``(env_index, transition)`` pairs — absent
-        environments (degraded telemetry, broken transition chain) are
-        simply skipped for this tick. One call advances ``step_count`` by
-        one and runs at most one training round, however many
-        environments contributed.
+        Row ``i`` of ``states`` ``(M, state_dim)``, ``actions`` ``(M,
+        total_branches)``, ``rewards`` ``(M, num_agents)`` and
+        ``next_states`` is environment ``env_indices[i]``'s transition;
+        absent environments (degraded telemetry, broken transition chain)
+        simply have no row, and each environment has at most one. The
+        rows go into the striped buffer as one
+        :meth:`~repro.rl.striped.StripedPrioritizedReplayBuffer.add_batch`.
+        One call advances ``step_count`` by one and runs at most one
+        training round, however many environments contributed (none
+        included).
         """
-        for env_index, transition in transitions:
-            if not 0 <= env_index < self.num_envs:
-                raise ShapeError(f"env index {env_index} out of range [0, {self.num_envs})")
-            if len(transition.rewards) != self.num_agents:
+        env_indices = np.asarray(env_indices, dtype=np.int64).reshape(-1)
+        count = env_indices.size
+        fields = {
+            "state": states,
+            "actions": actions,
+            "rewards": rewards,
+            "next_state": next_states,
+        }
+        widths = {
+            "state": self.config.state_dim,
+            "actions": self.online.total_branches,
+            "rewards": self.num_agents,
+            "next_state": self.config.state_dim,
+        }
+        for key, value in fields.items():
+            if np.shape(value) != (count, widths[key]):
                 raise ShapeError(
-                    f"expected {self.num_agents} rewards, got {len(transition.rewards)}"
+                    f"{key} rows have shape {np.shape(value)}, expected {(count, widths[key])}"
                 )
-            self.striped.add(
-                env_index,
-                {
-                    "state": np.asarray(transition.state, dtype=np.float64),
-                    "actions": np.asarray(
-                        self._flatten_actions(transition.actions), dtype=np.float64
-                    ),
-                    "rewards": np.asarray(transition.rewards, dtype=np.float64),
-                    "next_state": np.asarray(transition.next_state, dtype=np.float64),
-                    "done": np.asarray(float(transition.done)),
-                },
-            )
-        self.step_count += 1
-        loss = None
-        if (
-            self._replay_size() >= self.config.min_buffer_size
-            and self.step_count % self.config.train_every == 0
-        ):
-            for _ in range(self.config.gradient_steps):
-                loss = self.train_step()
-        if self.step_count % self.config.target_update_every == 0:
-            self.target.copy_from(self.online)
-        return loss
+        fields["done"] = np.zeros(count)
+        self.striped.add_batch(env_indices, fields)
+        return self._advance()
 
     # ------------------------------------------------------------------ #
     # replay hooks (striped)
@@ -284,9 +272,14 @@ class FleetTwig:
     objects: one :class:`~repro.pmc.monitor.MonitorBank` replaces N
     :class:`SystemMonitor` objects, allocation/power/reward dicts become
     integer and float matrices, and action decode/encode is index
-    arithmetic. ``update_batch`` therefore does O(1) array passes per
-    tick; the only remaining per-env Python work is trace emission and
-    mapper placement (memoised by allocation content).
+    arithmetic. The agent handoff is row-aligned arrays too: a tick's
+    transitions are read straight from the previous state/action
+    matrices, this tick's reward matrix and states, and the chosen
+    actions come back as one ``(envs, total_branches)`` matrix that is
+    reshaped in place. ``update_batch`` therefore does O(1) array passes
+    per tick; the only remaining per-env Python work is trace emission,
+    mapper placement (memoised by allocation content) and the agent's
+    per-branch exploration draws.
 
     Trajectories, RNG streams, and agent state are bit-identical to the
     frozen dict-state reference
@@ -551,27 +544,18 @@ class FleetTwig:
                 self._has_alloc[e] = True
                 assignments[e] = self._map_row(e)
 
-        transitions: List[Tuple[int, Transition]] = []
-        for e in np.nonzero(~env_degraded & self._has_prev)[0].tolist():
-            transitions.append(
-                (
-                    e,
-                    Transition(
-                        state=self._prev_state_mat[e],
-                        actions=[
-                            [int(a) for a in branch]
-                            for branch in self._prev_action_mat[e]
-                        ],
-                        rewards=totals[e],
-                        next_state=states[e],
-                    ),
-                )
-            )
-        self.agent.observe_batch(transitions)
+        learning = np.nonzero(~env_degraded & self._has_prev)[0]
+        self.agent.observe_batch(
+            learning,
+            self._prev_state_mat[learning],
+            self._prev_action_mat.reshape(E, -1)[learning],
+            totals[learning],
+            states[learning],
+        )
 
         if healthy_idx.size:
-            action_rows = self.agent.act_batch(states[healthy_idx])
-            acts = np.asarray(action_rows, dtype=np.int64)  # (A, k, n_branches)
+            acts = self.agent.act_batch(states[healthy_idx])
+            acts = acts.reshape(healthy_idx.size, k, -1)  # (A, k, n_branches)
             acts = self._repair_action_rows(healthy_idx, acts, arrival, results)
             cores = acts[:, :, 0] + 1
             freqs = acts[:, :, 1]

@@ -189,11 +189,11 @@ class DictFleetTwig:
             acting.append(e)
             states.append(state)
             self.last_rewards[e] = rewards
-        self.agent.observe_batch(transitions)
+        self.agent.observe_batch(*self._transition_rows(transitions))
         if acting:
             action_rows = self.agent.act_batch(np.stack(states))
             for row, e in enumerate(acting):
-                actions = action_rows[row]
+                actions = self._action_lists(action_rows[row])
                 allocations = {
                     name: self.action_space.decode(actions[k])
                     for k, name in enumerate(self.service_order)
@@ -226,6 +226,27 @@ class DictFleetTwig:
     # ------------------------------------------------------------------ #
     # internals (per-env Twig.update building blocks)
     # ------------------------------------------------------------------ #
+    def _transition_rows(self, transitions: List[Tuple[int, Transition]]):
+        """The agent's row-aligned ``observe_batch`` arrays for the pairs."""
+        n = len(transitions)
+        config = self.agent.config
+        return (
+            np.array([e for e, _ in transitions], dtype=np.int64),
+            np.array([t.state for _, t in transitions]).reshape(n, config.state_dim),
+            np.array(
+                [[a for branch in t.actions for a in branch] for _, t in transitions],
+                dtype=np.int64,
+            ).reshape(n, self.agent.online.total_branches),
+            np.array([t.rewards for _, t in transitions]).reshape(n, self.agent.num_agents),
+            np.array([t.next_state for _, t in transitions]).reshape(n, config.state_dim),
+        )
+
+    def _action_lists(self, row: np.ndarray) -> List[List[int]]:
+        """Split one flat ``act_batch`` row into per-service branch lists."""
+        flat = row.tolist()
+        width = self.action_space.n_branches
+        return [flat[k * width : (k + 1) * width] for k in range(len(self.service_order))]
+
     def _build_state(self, env_index: int, result: StepResult) -> np.ndarray:
         monitor = self.monitors[env_index]
         parts = []

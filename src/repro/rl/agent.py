@@ -149,6 +149,7 @@ class BDQAgent:
             ]
         )
         self.beta_schedule = LinearSchedule(config.per_beta_start, 1.0, config.per_beta_steps)
+        self._branch_sizes_flat = [int(n) for agent in config.branch_sizes for n in agent]
         self.step_count = 0
         self.train_count = 0
         self._q_grad_buf: Optional[np.ndarray] = None
@@ -194,21 +195,37 @@ class BDQAgent:
         actions = self.online.greedy_actions(state)
         if greedy:
             return actions
-        epsilon = self.epsilon()
-        for k, agent in enumerate(self.online.branch_sizes):
-            for d, n in enumerate(agent):
-                if self._rng.random() >= epsilon:
-                    continue
-                if self._rng.random() < 0.5:
-                    # Global: uniform over the branch's actions.
-                    actions[k][d] = int(self._rng.integers(0, n))
-                else:
-                    # Local: a +-1..4 step from the greedy action, which lets
-                    # the policy walk across shallow reward valleys (e.g.
-                    # "add cores now, drop DVFS next") one branch at a time.
-                    step = int(self._rng.integers(1, 5)) * (1 if self._rng.random() < 0.5 else -1)
-                    actions[k][d] = int(np.clip(actions[k][d] + step, 0, n - 1))
+        flat = [a for agent in actions for a in agent]
+        self._explore(flat, self.epsilon())
+        b = 0
+        for agent in actions:
+            agent[:] = flat[b : b + len(agent)]
+            b += len(agent)
         return actions
+
+    def _explore(self, actions, epsilon: float) -> None:
+        """Apply per-branch epsilon noise to a flat action array, in place.
+
+        ``actions`` is a mutable 1-D sequence (list or int array) of whole
+        rows of agent-major branch actions, row after row. Each entry
+        draws in order, so M stacked rows consume the RNG exactly like M
+        consecutive single-state calls; both act paths share this loop.
+        """
+        random = self._rng.random
+        integers = self._rng.integers
+        sizes = self._branch_sizes_flat * (len(actions) // len(self._branch_sizes_flat))
+        for i, n in enumerate(sizes):
+            if random() >= epsilon:
+                continue
+            if random() < 0.5:
+                # Global: uniform over the branch's actions.
+                actions[i] = int(integers(0, n))
+            else:
+                # Local: a +-1..4 step from the greedy action, which lets
+                # the policy walk across shallow reward valleys (e.g.
+                # "add cores now, drop DVFS next") one branch at a time.
+                step = int(integers(1, 5)) * (1 if random() < 0.5 else -1)
+                actions[i] = min(max(int(actions[i]) + step, 0), n - 1)
 
     # ------------------------------------------------------------------ #
     # learning
@@ -231,6 +248,13 @@ class BDQAgent:
                 "done": np.asarray(float(transition.done)),
             }
         )
+        return self._advance()
+
+    def _advance(self) -> Optional[float]:
+        """One control interval: step the schedules, maybe train, maybe sync.
+
+        Returns the loss of the last gradient step taken, else ``None``.
+        """
         self.step_count += 1
         loss = None
         if (

@@ -40,7 +40,11 @@ class ReplayBuffer:
             self._storage[key] = np.zeros((self.capacity,) + array.shape)
 
     def add(self, transition: Mapping[str, np.ndarray]) -> int:
-        """Store one transition; returns the slot index it was written to."""
+        """Store one transition; returns the slot index it was written to.
+
+        The field set and every shape are checked before any field is
+        written, so a rejected transition leaves the buffer unchanged.
+        """
         if self._storage is None:
             self._allocate(transition)
         assert self._storage is not None
@@ -48,13 +52,14 @@ class ReplayBuffer:
             raise ShapeError(
                 f"transition fields {sorted(transition)} != buffer fields {sorted(self._storage)}"
             )
-        index = self._next_index
-        for key, value in transition.items():
-            array = np.asarray(value, dtype=np.float64)
+        arrays = {key: np.asarray(value, dtype=np.float64) for key, value in transition.items()}
+        for key, array in arrays.items():
             if array.shape != self._storage[key].shape[1:]:
                 raise ShapeError(
                     f"field {key!r} shape {array.shape} != expected {self._storage[key].shape[1:]}"
                 )
+        index = self._next_index
+        for key, array in arrays.items():
             self._storage[key][index] = array
         self._next_index = (self._next_index + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)

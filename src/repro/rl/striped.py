@@ -11,11 +11,11 @@ This buffer keeps the per-environment ring semantics while folding all
 stripes into one :class:`~repro.rl.sum_tree.SumTree`: environment ``e``
 owns the contiguous leaf range ``[e * stripe_capacity, (e + 1) *
 stripe_capacity)`` and overwrites its own oldest transitions, but
-sampling and priority updates are single batched tree operations over
-the whole fleet. Sampling is globally proportional — exactly the
-distribution one big PER buffer over the union of transitions would use,
-so importance-sampling weights normalise over the whole minibatch just
-like the scalar agent's.
+inserts, sampling and priority updates are single batched tree
+operations over the whole fleet. Sampling is globally proportional —
+exactly the distribution one big PER buffer over the union of
+transitions would use, so importance-sampling weights normalise over
+the whole minibatch just like the scalar agent's.
 """
 
 from __future__ import annotations
@@ -73,41 +73,72 @@ class StripedPrioritizedReplayBuffer:
             raise IndexError(f"env index {env_index} out of range [0, {self.num_envs})")
         return int(self._sizes[env_index])
 
-    def _allocate(self, transition: Mapping[str, np.ndarray]) -> None:
-        self._storage = {}
-        for key, value in transition.items():
-            array = np.asarray(value, dtype=np.float64)
-            self._storage[key] = np.zeros((self.capacity,) + array.shape)
-
     def add(self, env_index: int, transition: Mapping[str, np.ndarray]) -> int:
         """Store one transition in ``env_index``'s stripe; returns its slot.
 
-        The slot index is global (``stripe base + ring position``), so it
-        can be handed straight back to :meth:`update_priorities`.
+        A one-row :meth:`add_batch`. The slot index is global (``stripe
+        base + ring position``), so it can be handed straight back to
+        :meth:`update_priorities`.
         """
-        if not 0 <= env_index < self.num_envs:
-            raise ShapeError(f"env index {env_index} out of range [0, {self.num_envs})")
-        if self._storage is None:
-            self._allocate(transition)
-        assert self._storage is not None
-        if set(transition) != set(self._storage):
+        rows = {
+            key: np.asarray(value, dtype=np.float64)[None] for key, value in transition.items()
+        }
+        return int(self.add_batch(np.array([env_index]), rows)[0])
+
+    def add_batch(
+        self, env_indices: np.ndarray, rows: Mapping[str, np.ndarray]
+    ) -> np.ndarray:
+        """Store row ``i`` of every field in ``env_indices[i]``'s stripe.
+
+        Each environment contributes at most one row per call, so the
+        slots written are distinct and the insert is one fancy-index
+        write per field, one cursor/size update and one
+        :meth:`~repro.rl.sum_tree.SumTree.update_distinct`: storage and
+        tree end bitwise equal to per-row :meth:`add` calls in
+        ``env_indices`` order. Everything is validated before anything is
+        written, so a rejected call leaves the buffer untouched; an empty
+        call writes nothing and allocates nothing. Returns the global
+        slots, row-aligned with ``env_indices``.
+        """
+        env_indices = np.asarray(env_indices, dtype=np.int64).reshape(-1)
+        count = env_indices.size
+        if count and not (0 <= env_indices.min() and env_indices.max() < self.num_envs):
+            outside = env_indices[(env_indices < 0) | (env_indices >= self.num_envs)]
+            raise ShapeError(f"env indices {outside} out of range [0, {self.num_envs})")
+        if count and np.bincount(env_indices, minlength=self.num_envs).max() > 1:
+            raise ShapeError(f"env indices {env_indices} repeat an environment")
+        arrays = {key: np.asarray(value, dtype=np.float64) for key, value in rows.items()}
+        if self._storage is not None and set(arrays) != set(self._storage):
             raise ShapeError(
-                f"transition fields {sorted(transition)} != buffer fields "
+                f"transition fields {sorted(arrays)} != buffer fields "
                 f"{sorted(self._storage)}"
             )
-        slot = env_index * self.stripe_capacity + int(self._cursors[env_index])
-        for key, value in transition.items():
-            array = np.asarray(value, dtype=np.float64)
-            if array.shape != self._storage[key].shape[1:]:
+        for key, array in arrays.items():
+            row_shape = array.shape[1:] if self._storage is None else self._storage[key].shape[1:]
+            if array.shape != (count,) + row_shape:
                 raise ShapeError(
-                    f"field {key!r} shape {array.shape} != expected "
-                    f"{self._storage[key].shape[1:]}"
+                    f"field {key!r} rows have shape {array.shape}, "
+                    f"expected {(count,) + row_shape}"
                 )
-            self._storage[key][slot] = array
-        self._cursors[env_index] = (self._cursors[env_index] + 1) % self.stripe_capacity
-        self._sizes[env_index] = min(self._sizes[env_index] + 1, self.stripe_capacity)
-        self._tree.update(slot, self._max_priority ** self.alpha)
-        return slot
+        if count == 0:
+            return env_indices
+        if self._storage is None:
+            self._storage = {
+                key: np.zeros((self.capacity,) + array.shape[1:])
+                for key, array in arrays.items()
+            }
+        cursors = self._cursors[env_indices]
+        slots = env_indices * self.stripe_capacity + cursors
+        for key, array in arrays.items():
+            self._storage[key][slots] = array
+        self._cursors[env_indices] = (cursors + 1) % self.stripe_capacity
+        self._sizes[env_indices] = np.minimum(
+            self._sizes[env_indices] + 1, self.stripe_capacity
+        )
+        self._tree.update_distinct(
+            slots, np.full(count, self._max_priority ** self.alpha)
+        )
+        return slots
 
     def sample(self, batch_size: int, beta: float = 1.0) -> Dict[str, np.ndarray]:
         """Sample proportionally across ALL stripes in one tree descent.

@@ -7,14 +7,15 @@ uniform draw over the total mass.
 
 Besides the scalar :meth:`SumTree.find` / :meth:`SumTree.update` pair, the
 tree exposes batched counterparts (:meth:`SumTree.find_batch`,
-:meth:`SumTree.update_batch`) that descend/propagate one whole tree level
-per numpy operation, so sampling a minibatch costs O(log n) array ops
-instead of O(batch * log n) Python steps.
+:meth:`SumTree.update_batch`, :meth:`SumTree.update_distinct`) that
+descend/propagate one whole tree level per numpy operation, so sampling
+or inserting a batch costs O(log n) array ops instead of
+O(batch * log n) Python steps.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -122,6 +123,23 @@ class SumTree:
     # ------------------------------------------------------------------ #
     # batched operations
     # ------------------------------------------------------------------ #
+    def _check_batch(
+        self, leaves: np.ndarray, priorities: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Validated flat ``(leaves, priorities)`` for a batched update."""
+        leaves = self._check_leaves(leaves)
+        priorities = np.asarray(priorities, dtype=np.float64).reshape(-1)
+        if priorities.shape != leaves.shape:
+            raise ConfigurationError(
+                f"got {leaves.size} leaves but {priorities.size} priorities"
+            )
+        if priorities.size and (not np.all(np.isfinite(priorities)) or priorities.min() < 0):
+            raise ConfigurationError(
+                "priorities must be finite and >= 0, got "
+                f"{priorities[~(np.isfinite(priorities) & (priorities >= 0))]}"
+            )
+        return leaves, priorities
+
     def update_batch(self, leaves: np.ndarray, priorities: np.ndarray) -> None:
         """Set many leaf priorities and re-propagate sums level by level.
 
@@ -130,19 +148,9 @@ class SumTree:
         recomputed from their children rather than delta-adjusted, so
         duplicates cannot double-count.
         """
-        leaves = self._check_leaves(leaves)
-        priorities = np.asarray(priorities, dtype=np.float64).reshape(-1)
-        if priorities.shape != leaves.shape:
-            raise ConfigurationError(
-                f"got {leaves.size} leaves but {priorities.size} priorities"
-            )
+        leaves, priorities = self._check_batch(leaves, priorities)
         if priorities.size == 0:
             return
-        if not np.all(np.isfinite(priorities)) or priorities.min() < 0:
-            raise ConfigurationError(
-                "priorities must be finite and >= 0, got "
-                f"{priorities[~(np.isfinite(priorities) & (priorities >= 0))]}"
-            )
         nodes = self._leaf_count + leaves
         self._tree[nodes] = priorities
         # No dedup needed while climbing: duplicate parents all recompute
@@ -156,6 +164,38 @@ class SumTree:
             children = parents << 1
             self._tree[parents] = self._tree[children] + self._tree[children + 1]
             parents = parents >> 1
+
+    def update_distinct(self, leaves: np.ndarray, priorities: np.ndarray) -> None:
+        """Set the priorities of distinct leaves, bitwise like scalar updates.
+
+        The tree array afterwards equals, bit for bit, a loop of
+        :meth:`update` calls over the same leaves in the same order: each
+        leaf's delta is added to every ancestor with ``np.add.at``, one
+        level per call, and ``np.add.at`` accumulates repeated ancestors
+        in index order, so every node sees the same float additions in
+        the same order as the loop. :meth:`update_batch` recomputes sums
+        from the children instead and can differ in the last ulp.
+
+        Leaves must be distinct (a repeated leaf's second delta would be
+        taken against its stale value); everything is validated before
+        the tree is touched.
+        """
+        leaves, priorities = self._check_batch(leaves, priorities)
+        if priorities.size == 0:
+            return
+        ordered = np.sort(leaves)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ConfigurationError(
+                f"leaves must be distinct, got repeats of "
+                f"{ordered[1:][ordered[1:] == ordered[:-1]]}"
+            )
+        nodes = self._leaf_count + leaves
+        deltas = priorities - self._tree[nodes]
+        # depth + 1 levels: the leaves themselves, then every ancestor up
+        # to and including the root (node 1).
+        for _ in range(self._depth + 1):
+            np.add.at(self._tree, nodes, deltas)
+            nodes = nodes >> 1
 
     def find_batch(self, masses: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`find`: one leaf per entry of ``masses``.

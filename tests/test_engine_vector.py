@@ -30,10 +30,11 @@ from repro.engine.vector_env import (
     VectorEnvironment,
     make_sibling_environment,
 )
-from repro.errors import AllocationError, CheckpointError
+from repro.errors import AllocationError, CheckpointError, ShapeError
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
+from repro.rl.sum_tree import SumTree
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
@@ -389,28 +390,93 @@ class TestBatchedAct:
             branch_hidden=8,
         )
 
+    @staticmethod
+    def _flat(actions):
+        return [a for agent in actions for a in agent]
+
     def test_act_batch_matches_sequential_act(self):
         config = self._agent_config()
-        scalar = BDQAgent(config, np.random.default_rng(5))
-        fleet = FleetBDQAgent(config, np.random.default_rng(5), num_envs=4)
         states = np.random.default_rng(9).normal(size=(4, config.state_dim))
-        # Mid-schedule epsilon so the exploration branch actually fires.
-        scalar.step_count = fleet.step_count = config.epsilon_mid_steps // 2
-        batched = fleet.act_batch(states)
-        sequential = [scalar.act(states[i]) for i in range(4)]
-        assert batched == sequential
-        # Identical draw counts: both streams end in the same state.
-        assert (
-            fleet._rng.bit_generator.state == scalar._rng.bit_generator.state
-        )
+        for schedule in ("frozen", "mid", "start"):
+            scalar = BDQAgent(config, np.random.default_rng(5))
+            fleet = FleetBDQAgent(config, np.random.default_rng(5), num_envs=4)
+            if schedule == "frozen":
+                # Epsilon 0 still draws once per branch.
+                scalar.exploring_frozen = fleet.exploring_frozen = True
+            elif schedule == "mid":
+                # Mid-schedule epsilon so the exploration branch actually fires.
+                scalar.step_count = fleet.step_count = config.epsilon_mid_steps // 2
+            epsilon = fleet.epsilon()
+            assert epsilon == scalar.epsilon()
+            assert {
+                "frozen": epsilon == 0.0,
+                "mid": 0.0 < epsilon < 1.0,
+                "start": epsilon == 1.0,
+            }[schedule]
+            batched = fleet.act_batch(states)
+            assert batched.dtype == np.int64
+            assert batched.shape == (4, sum(len(agent) for agent in config.branch_sizes))
+            for i in range(4):
+                assert batched[i].tolist() == self._flat(scalar.act(states[i])), schedule
+            # Identical draw counts: both streams end in the same state.
+            assert (
+                fleet._rng.bit_generator.state == scalar._rng.bit_generator.state
+            ), schedule
 
     def test_act_batch_greedy_matches_single(self):
         config = self._agent_config()
         fleet = FleetBDQAgent(config, np.random.default_rng(5), num_envs=3)
         states = np.random.default_rng(10).normal(size=(3, config.state_dim))
+        before = fleet._rng.bit_generator.state
         batched = fleet.act_batch(states, greedy=True)
         for i in range(3):
-            assert batched[i] == fleet.act(states[i], greedy=True)
+            assert batched[i].tolist() == self._flat(fleet.act(states[i], greedy=True))
+        # The greedy path draws nothing.
+        assert fleet._rng.bit_generator.state == before
+
+
+class TestObserveBatch:
+    def _agent(self):
+        config = BDQAgentConfig(
+            state_dim=4,
+            branch_sizes=[[3, 2], [3, 2]],
+            batch_size=2,
+            min_buffer_size=2,
+            buffer_capacity=8,
+            shared_hidden=(8,),
+            branch_hidden=4,
+            target_update_every=2,
+        )
+        return FleetBDQAgent(config, np.random.default_rng(3), num_envs=2)
+
+    @staticmethod
+    def _rows(count, rewards=2):
+        rng = np.random.default_rng(count)
+        return (
+            np.arange(count),
+            rng.normal(size=(count, 4)),
+            rng.integers(0, 2, size=(count, 4)),
+            rng.normal(size=(count, rewards)),
+            rng.normal(size=(count, 4)),
+        )
+
+    def test_empty_tick_advances_cadence_once(self):
+        agent = self._agent()
+        assert agent.observe_batch(*self._rows(2)) is not None  # trains at 2 rows
+        assert (agent.step_count, agent.train_count, len(agent.striped)) == (1, 1, 2)
+        loss = agent.observe_batch(*self._rows(0))
+        assert loss is not None
+        assert (agent.step_count, agent.train_count, len(agent.striped)) == (2, 2, 2)
+        # Step 2 is a target-sync step.
+        for online, target in zip(agent.online.parameters(), agent.target.parameters()):
+            assert np.array_equal(online.value, target.value)
+
+    def test_rows_checked_before_storing(self):
+        agent = self._agent()
+        with pytest.raises(ShapeError):
+            agent.observe_batch(*self._rows(2, rewards=3))
+        assert (agent.step_count, len(agent.striped)) == (0, 0)
+        assert agent.striped._storage is None
 
 
 class TestStripedReplay:
@@ -461,6 +527,106 @@ class TestStripedReplay:
         other = StripedPrioritizedReplayBuffer(4, 8, rng)
         with pytest.raises(CheckpointError):
             other.load_state_dict(buf.state_dict())
+
+    @staticmethod
+    def _rows(rng, count):
+        return {
+            "state": rng.normal(size=(count, 4)),
+            "actions": rng.integers(0, 3, size=(count, 2)).astype(float),
+            "rewards": rng.normal(size=(count, 1)),
+            "next_state": rng.normal(size=(count, 4)),
+            "done": np.zeros(count),
+        }
+
+    @staticmethod
+    def _snapshot(buf):
+        storage = {key: store.copy() for key, store in buf._storage.items()}
+        return storage, buf._cursors.copy(), buf._sizes.copy(), buf._tree._tree.copy()
+
+    def _assert_unchanged(self, buf, snapshot):
+        storage, cursors, sizes, tree = snapshot
+        assert set(buf._storage) == set(storage)
+        for key, store in storage.items():
+            assert np.array_equal(buf._storage[key], store), key
+        assert np.array_equal(buf._cursors, cursors)
+        assert np.array_equal(buf._sizes, sizes)
+        assert np.array_equal(buf._tree._tree, tree)
+
+    def test_add_batch_bitwise_matches_per_row_inserts(self):
+        # 5 stripes of 3 (a non-power-of-two tree of 15 leaves); ten
+        # rounds wrap every ring, so inserts overwrite leaves that hold
+        # re-prioritised, non-zero priorities.
+        rng = np.random.default_rng(11)
+        num_envs, stripe = 5, 3
+        buf = StripedPrioritizedReplayBuffer(num_envs, stripe, np.random.default_rng(0), alpha=0.7)
+        tree = SumTree(num_envs * stripe)
+        storage = {}
+        cursors = np.zeros(num_envs, dtype=np.int64)
+        sizes = np.zeros(num_envs, dtype=np.int64)
+        max_priority = 1.0
+        for _ in range(10):
+            envs = rng.permutation(num_envs)[: rng.integers(1, num_envs + 1)]
+            rows = self._rows(rng, envs.size)
+            slots = buf.add_batch(envs, rows)
+            for i, e in enumerate(envs.tolist()):
+                slot = e * stripe + int(cursors[e])
+                assert slots[i] == slot
+                cursors[e] = (cursors[e] + 1) % stripe
+                sizes[e] = min(sizes[e] + 1, stripe)
+                for key, value in rows.items():
+                    storage.setdefault(key, np.zeros((num_envs * stripe,) + value.shape[1:]))
+                    storage[key][slot] = value[i]
+                tree.update(slot, max_priority ** 0.7)
+            assert np.array_equal(buf._tree._tree, tree._tree)
+            for key, store in storage.items():
+                assert np.array_equal(buf._storage[key], store), key
+            assert np.array_equal(buf._cursors, cursors)
+            assert np.array_equal(buf._sizes, sizes)
+            # Re-prioritise what is stored, as a train round would.
+            filled = np.nonzero(tree._tree[tree._leaf_count:][: num_envs * stripe])[0]
+            td = rng.random(filled.size) * 3.0
+            buf.update_priorities(filled, td)
+            max_priority = max(max_priority, float((np.abs(td) + buf.eps).max()))
+            tree.update_batch(filled, (np.abs(td) + buf.eps) ** 0.7)
+            assert np.array_equal(buf._tree._tree, tree._tree)
+        assert np.array_equal(sizes, np.full(num_envs, stripe))
+
+    def test_add_batch_rejects_before_writing(self):
+        rng = np.random.default_rng(12)
+        buf = StripedPrioritizedReplayBuffer(3, 2, rng)
+        for _ in range(3):  # wrap every stripe
+            buf.add_batch(np.arange(3), self._rows(rng, 3))
+        snapshot = self._snapshot(buf)
+        good = self._rows(rng, 2)
+        missing = {key: value for key, value in good.items() if key != "done"}
+        extra = {**good, "bonus": np.zeros((2, 1))}
+        wide = {**good, "rewards": np.ones((2, 2))}
+        short = {**good, "state": np.ones((1, 4))}
+        bad_calls = [
+            (np.array([0, 3]), good),     # env index out of range
+            (np.array([-1, 0]), good),
+            (np.array([1, 1]), good),     # one env twice in one call
+            (np.array([0, 1]), missing),
+            (np.array([0, 1]), extra),
+            (np.array([0, 1]), wide),     # wrong row shape
+            (np.array([0, 1]), short),    # wrong row count
+        ]
+        for envs, rows in bad_calls:
+            with pytest.raises(ShapeError):
+                buf.add_batch(envs, rows)
+            self._assert_unchanged(buf, snapshot)
+
+    def test_add_batch_empty_writes_nothing(self):
+        rng = np.random.default_rng(13)
+        fresh = StripedPrioritizedReplayBuffer(2, 4, rng)
+        slots = fresh.add_batch(np.zeros(0, dtype=np.int64), self._rows(rng, 0))
+        assert slots.shape == (0,)
+        assert fresh._storage is None
+        assert len(fresh) == 0 and fresh._tree.total == 0.0
+        fresh.add_batch(np.array([1]), self._rows(rng, 1))
+        snapshot = self._snapshot(fresh)
+        fresh.add_batch(np.zeros(0, dtype=np.int64), self._rows(rng, 0))
+        self._assert_unchanged(fresh, snapshot)
 
 
 def _build_fleet(num_envs: int, seed: int = 7):

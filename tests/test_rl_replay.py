@@ -51,6 +51,25 @@ def test_replay_field_mismatch_rejected(rng):
         buffer.add({"state": np.ones(4), "reward": np.array(1.0)})
 
 
+def test_rejected_add_leaves_full_buffer_untouched(rng):
+    # Regression: a field was written before the next field's shape was
+    # checked, so a rejected transition tore a live slot.
+    buffer = PrioritizedReplayBuffer(2, rng)
+    for value in (1.0, 2.0):
+        buffer.add({"state": np.full(3, value), "rewards": np.array([value])})
+    buffer.update_priorities(np.array([0, 1]), np.array([0.5, 3.0]))
+    storage = {key: store.copy() for key, store in buffer._storage.items()}
+    tree = buffer._tree._tree.copy()
+    size, next_index = len(buffer), buffer._next_index
+    with pytest.raises(ShapeError):
+        buffer.add({"state": np.full(3, 9.0), "rewards": np.ones(2)})
+    assert set(buffer._storage) == set(storage)
+    for key, store in storage.items():
+        assert np.array_equal(buffer._storage[key], store), key
+    assert np.array_equal(buffer._tree._tree, tree)
+    assert (len(buffer), buffer._next_index) == (size, next_index)
+
+
 def test_replay_sample_empty_raises(rng):
     with pytest.raises(ShapeError):
         ReplayBuffer(4, rng).sample(1)

@@ -116,6 +116,44 @@ def test_update_batch_matches_sequential_updates():
     assert np.allclose(sequential._tree, batched._tree)
 
 
+def _scalar_updates(tree, leaves, priorities):
+    for leaf, priority in zip(np.asarray(leaves).tolist(), np.asarray(priorities).tolist()):
+        tree.update(leaf, priority)
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 13, 64, 100])
+def test_update_distinct_bitwise_matches_scalar_updates(capacity):
+    rng = np.random.default_rng(capacity)
+    scalar, batched = SumTree(capacity), SumTree(capacity)
+    for _ in range(4):
+        # Overwrite leaves that already hold non-zero priorities (a
+        # wrapped replay ring), in a shuffled order, over several rounds.
+        leaves = rng.permutation(capacity)[: rng.integers(1, capacity + 1)]
+        priorities = rng.random(leaves.size) * 10.0 ** rng.integers(-3, 4, size=leaves.size)
+        _scalar_updates(scalar, leaves, priorities)
+        batched.update_distinct(leaves, priorities)
+        assert np.array_equal(batched._tree, scalar._tree)
+
+
+def test_update_distinct_validation_leaves_tree_untouched():
+    tree = SumTree(6)
+    _scalar_updates(tree, [0, 2, 5], [1.0, 2.0, 3.0])
+    before = tree._tree.copy()
+    bad_calls = [
+        (IndexError, [0, 6], [1.0, 1.0]),
+        (ConfigurationError, [0, 1], [1.0, -1.0]),
+        (ConfigurationError, [0, 1], [1.0, float("inf")]),
+        (ConfigurationError, [0, 1], [1.0]),
+        (ConfigurationError, [2, 4, 2], [1.0, 1.0, 1.0]),
+    ]
+    for error, leaves, priorities in bad_calls:
+        with pytest.raises(error):
+            tree.update_distinct(np.array(leaves), np.array(priorities))
+        assert np.array_equal(tree._tree, before), (leaves, priorities)
+    tree.update_distinct(np.array([], dtype=np.int64), np.array([]))  # no-op
+    assert np.array_equal(tree._tree, before)
+
+
 def test_update_batch_validation():
     tree = SumTree(4)
     with pytest.raises(IndexError):

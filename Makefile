@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-matrix test-robust test-fleet test-hier test-ctrl trace-e2e bench bench-smoke docs-check profile-cluster
+.PHONY: test test-matrix test-golden test-robust test-fleet test-hier test-ctrl trace-e2e bench bench-smoke docs-check profile-cluster
 
 ## Tier-1: the full unit/property/integration suite (excludes -m slow).
 ## Includes tests/test_repo_hygiene.py, which fails if bytecode, caches,
@@ -18,12 +18,20 @@ test-matrix:
 	PYTHONPATH=src taskset -c 0 $(PYTHON) -m pytest -x -q
 	$(PYTEST) -x -q
 
+## Golden hashes and checkpoint fixtures: the fleet and paper-loop
+## run-trace hashes (tests/data/golden_run_traces.json) and the
+## checkpoints written before Twig became a one-server FleetTwig.
+test-golden:
+	$(PYTEST) -q tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py
+
 ## Robustness suite: checkpoint container round-trips, torn-write
-## recovery, save->load->continue-training resume equivalence, fault
-## injection + degraded-mode behaviour, and runner crash recovery.
+## recovery, save->load->continue-training resume equivalence, refused
+## loads, pre-merge checkpoint formats, fault injection + degraded-mode
+## behaviour, and runner crash recovery.
 test-robust:
 	$(PYTEST) -q tests/test_ckpt_checkpoint.py tests/test_sim_faults.py \
-		tests/test_resume_equivalence.py
+		tests/test_resume_equivalence.py tests/test_checkpoint_refusals.py \
+		tests/test_legacy_checkpoints.py
 
 ## One tiny end-to-end traced experiment; validates every emitted JSONL
 ## trace line against the repro.obs event schema and the run manifest.

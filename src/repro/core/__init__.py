@@ -9,9 +9,12 @@
   inside the reward.
 - :mod:`repro.core.mapper` — core placement with cache-locality ordering,
   DVFS programming, and resource arbitration for conflicting requests.
-- :mod:`repro.core.twig` — the runtime (Figure 3): system monitor +
-  learning agent + mapper, in Twig-S (single service) and Twig-C
-  (colocated) variants.
+- :mod:`repro.core.fleet` — the one control runtime (Figure 3): system
+  monitor + multi-agent BDQ + mapper for N lock-step environments
+  (:class:`~repro.core.fleet.FleetTwig` and its shared
+  :class:`~repro.core.fleet.FleetBDQAgent`).
+- :mod:`repro.core.twig` — :class:`Twig`, that runtime on one server, in
+  Twig-S (single service) and Twig-C (colocated) variants.
 """
 
 from repro.core.actions import ActionSpace, Allocation

@@ -1,48 +1,51 @@
-"""The Twig runtime (Figure 3): system monitor + learning agent + mapper.
+"""The Twig runtime (Figure 3) on one server: Twig-S and Twig-C.
 
 One ``Twig`` instance manages K colocated LC services with a single
 multi-agent BDQ (Twig-S is the K = 1 special case, Twig-C the K >= 2
 case). Each control interval it:
 
-1. gathers per-service PMCs through the :class:`SystemMonitor`
-   (eta-smoothed, max-normalised),
+1. gathers per-service PMCs through the system monitor (eta-smoothed,
+   max-normalised),
 2. computes the Equation-1 reward per service from measured tail latency
    and the Equation-2 per-service power estimate,
 3. feeds the (state, action, reward, next-state) transition to the deep
    Q-learning agent,
 4. selects the next per-service (core count, DVFS) actions, and
 5. resolves them to concrete core pins through the mapper.
+
+All of that is :class:`~repro.core.fleet.FleetTwig`, the runtime the
+fleet, cluster and hierarchical runs use; ``Twig`` is its one-environment
+case and adds only the single-server interface: one result in, one
+assignment dict out, service swaps for transfer learning, and loading the
+checkpoints the earlier per-service-dict implementation wrote.
 """
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
+from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.ckpt.checkpoint import checkpoint_kind, load_state, save_state
-from repro.core.actions import ActionSpace, Allocation
+from repro.ckpt.checkpoint import checkpoint_kind, load_state
 from repro.core.config import TwigConfig
+from repro.core.fleet import FleetTwig
 from repro.core.manager import TaskManager
-from repro.core.mapper import Mapper
 from repro.core.power_model import ServicePowerModel
-from repro.core.reward import RewardBreakdown, reward_components
-from repro.errors import CheckpointError, ConfigurationError
-from repro.obs.events import make_event
-from repro.obs.sink import NULL_SINK, TraceSink
+from repro.errors import ConfigurationError
+from repro.obs.sink import TraceSink
 from repro.obs.timing import TimingRegistry
-from repro.pmc.counters import CounterCatalogue
-from repro.pmc.monitor import SystemMonitor
-from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
+from repro.rl.agent import BDQAgent
 from repro.server.machine import CoreAssignment
-from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
 from repro.sim.environment import StepResult
 
 
-class Twig(TaskManager):
+class Twig(FleetTwig, TaskManager):
     """QoS-aware, energy-minimising task manager for K LC services."""
+
+    #: Checkpoint kind tag for full manager state (see :mod:`repro.ckpt`).
+    CKPT_KIND: ClassVar[str] = "twig"
 
     def __init__(
         self,
@@ -55,336 +58,50 @@ class Twig(TaskManager):
         trace: Optional[TraceSink] = None,
         timings: Optional[TimingRegistry] = None,
     ):
-        if not profiles:
-            raise ConfigurationError("Twig needs at least one service profile")
-        self.spec = spec or ServerSpec()
-        self.config = config
-        self._rng = rng
-        self.profiles: Dict[str, ServiceProfile] = {p.name: p for p in profiles}
-        self.service_order: List[str] = [p.name for p in profiles]
+        super().__init__(
+            profiles, config, rng, num_envs=1, spec=spec, power_models=power_models,
+            qos_targets=qos_targets, trace=trace, timings=timings,
+        )
         self.name = "twig-s" if len(profiles) == 1 else "twig-c"
-
-        self.qos_targets = {
-            name: (qos_targets or {}).get(name, self.profiles[name].qos_target_ms)
-            for name in self.service_order
-        }
-        self.power_models = dict(power_models or {})
-        self.max_power_w = PowerModel(self.spec).max_power_w()
-
-        max_cores = config.max_cores or self.spec.cores_per_socket
-        self.action_space = ActionSpace(
-            self.spec, max_cores=max_cores, manage_llc=config.manage_llc
-        )
-        self.mapper = Mapper(self.spec, socket_index=config.socket_index)
-
-        catalogue = CounterCatalogue(self.spec)
-        self.monitor = SystemMonitor(catalogue.max_values(), eta=config.eta)
-
-        k = len(self.service_order)
-        agent_config = BDQAgentConfig(
-            state_dim=self.monitor.state_dim * k,
-            branch_sizes=[self.action_space.branch_sizes for _ in range(k)],
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            discount=config.discount,
-            target_update_every=config.target_update_every,
-            epsilon_mid_steps=config.epsilon_mid_steps,
-            epsilon_final_steps=config.epsilon_final_steps,
-            buffer_capacity=config.buffer_capacity,
-            use_prioritized_replay=config.use_prioritized_replay,
-            per_alpha=config.per_alpha,
-            per_beta_start=config.per_beta_start,
-            per_beta_steps=config.epsilon_final_steps,
-            min_buffer_size=config.min_buffer_size,
-            shared_hidden=config.shared_hidden,
-            branch_hidden=config.branch_hidden,
-            dropout=config.dropout,
-            train_every=config.train_every,
-            gradient_steps=config.gradient_steps,
-        )
-        self.trace = trace or NULL_SINK
-        self.agent = BDQAgent(agent_config, rng, trace=self.trace, timings=timings)
-
-        self._prev_state: Optional[np.ndarray] = None
-        self._prev_actions: Optional[List[List[int]]] = None
-        self._last_allocations: Dict[str, Allocation] = {}
-        self._last_estimated_power: Dict[str, float] = {}
-        self.last_rewards: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # TaskManager interface
     # ------------------------------------------------------------------ #
     def initial_assignments(self) -> Dict[str, CoreAssignment]:
         """Start like the paper's experiments: all cores at max DVFS."""
-        top = len(self.spec.dvfs) - 1
-        allocations = {
-            name: Allocation(num_cores=self.action_space.max_cores, freq_index=top)
-            for name in self.service_order
-        }
-        self._last_allocations = allocations
-        return self.mapper.map(allocations)
+        return super().initial_assignments()[0]
 
     def update(self, result: StepResult) -> Dict[str, CoreAssignment]:
-        state = self._build_state(result)
-        degraded = self._degraded_services(result)
-        if degraded:
-            # Graceful degradation: telemetry for at least one service is
-            # unusable (PMC dropout/NaN or a crashed service reporting NaN
-            # latency). Acting on garbage state — or learning from a
-            # transition that spans the gap — would corrupt the policy, so
-            # hold the last known-good allocation and break the transition
-            # chain until telemetry recovers.
-            if self.trace.enabled:
-                self.trace.emit(
-                    make_event(
-                        "degraded",
-                        result.time,
-                        services=sorted(degraded),
-                        held_allocation=True,
-                    )
-                )
-            self._prev_state = None
-            self._prev_actions = None
-            if not self._last_allocations:
-                return self.initial_assignments()
-            return self.mapper.map(self._last_allocations)
-        breakdowns = self._compute_rewards(result)
-        rewards = {name: b.total for name, b in breakdowns.items()}
-        if self._prev_state is not None and self._prev_actions is not None:
-            self.agent.observe(
-                Transition(
-                    state=self._prev_state,
-                    actions=self._prev_actions,
-                    rewards=np.array([rewards[n] for n in self.service_order]),
-                    next_state=state,
-                )
-            )
-        actions = self.agent.act(state)
-        allocations = {
-            name: self.action_space.decode(actions[k])
-            for k, name in enumerate(self.service_order)
-        }
-        if self.trace.enabled:
-            self._emit_decisions(result, breakdowns, allocations)
-        self._prev_state = state
-        self._prev_actions = actions
-        self._last_allocations = allocations
-        self.last_rewards = rewards
-        return self.mapper.map(allocations)
+        return self.update_batch((result,))[0]
 
-    def attach_obs(self, trace: Optional[TraceSink], timings: Optional[TimingRegistry]) -> None:
-        """Wire a trace sink / timing registry in after construction.
+    @property
+    def last_rewards(self) -> Dict[str, float]:
+        """Each service's Equation-1 reward at the last healthy interval."""
+        return super().last_rewards[0]
 
-        The experiment runner uses this so tracing can be switched on for
-        managers built deep inside experiment modules.
-        """
-        if trace is not None:
-            self.trace = trace
-            self.agent.trace = trace
-        if timings is not None:
-            self.agent.timings = timings
-
-    def _emit_decisions(
-        self,
-        result: StepResult,
-        breakdowns: Mapping[str, RewardBreakdown],
-        allocations: Mapping[str, Allocation],
-    ) -> None:
-        """One ``reward`` + one ``action`` event per service for interval t."""
-        epsilon = self.agent.epsilon()
-        for name in self.service_order:
-            breakdown = breakdowns[name]
-            observation = result.observations[name]
-            self.trace.emit(
-                make_event(
-                    "reward",
-                    result.time,
-                    service=name,
-                    reward=breakdown.total,
-                    qos_rew=breakdown.qos_rew,
-                    power_rew=breakdown.power_rew,
-                    violation=breakdown.violation,
-                    measured_qos_ms=observation.p99_ms,
-                    estimated_power_w=self._last_estimated_power.get(name, 0.0),
-                )
-            )
-            allocation = allocations[name]
-            self.trace.emit(
-                make_event(
-                    "action",
-                    result.time,
-                    service=name,
-                    cores=allocation.num_cores,
-                    freq_index=allocation.freq_index,
-                    frequency_ghz=self.spec.dvfs[allocation.freq_index],
-                    llc_ways=allocation.llc_ways,
-                    epsilon=epsilon,
-                )
-            )
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _build_state(self, result: StepResult) -> np.ndarray:
-        parts = []
-        for name in self.service_order:
-            observation = result.observations[name]
-            parts.append(self.monitor.observe(name, observation.pmcs))
-        return np.concatenate(parts)
-
-    def _degraded_services(self, result: StepResult) -> List[str]:
-        """Services whose telemetry this interval cannot be acted upon.
-
-        Combines the monitor's PMC-level rejection (non-finite counter
-        readings, see :attr:`SystemMonitor.degraded`) with non-finite
-        latency observations (a crashed service reports NaN p99).
-        """
-        degraded = {
-            name for name in self.service_order if name in self.monitor.degraded
-        }
-        for name in self.service_order:
-            if not np.isfinite(result.observations[name].p99_ms):
-                degraded.add(name)
-        return sorted(degraded)
-
-    def _compute_rewards(self, result: StepResult) -> Dict[str, RewardBreakdown]:
-        rewards: Dict[str, RewardBreakdown] = {}
-        for name in self.service_order:
-            observation = result.observations[name]
-            estimated = self._estimate_power(name, observation.interval.arrival_rate)
-            self._last_estimated_power[name] = estimated
-            rewards[name] = reward_components(
-                measured_qos_ms=observation.p99_ms,
-                qos_target_ms=self.qos_targets[name],
-                max_power_w=self.max_power_w,
-                estimated_power_w=estimated,
-                params=self.config.reward,
-            )
-        return rewards
-
-    def _estimate_power(self, name: str, arrival_rate: float) -> float:
-        """Equation-2 estimate of the service's power for its allocation.
-
-        Falls back to the physical CV^2 f model when no fitted Equation-2
-        model was supplied (equivalent information, used mainly in tests).
-        """
-        allocation = self._last_allocations.get(
-            name,
-            Allocation(self.action_space.max_cores, len(self.spec.dvfs) - 1),
-        )
-        freq = self.spec.dvfs[allocation.freq_index]
-        model = self.power_models.get(name)
-        if model is not None and model.fitted:
-            load_pct = 100.0 * arrival_rate / self.profiles[name].max_load_rps
-            return model.predict(load_pct, allocation.num_cores, freq)
-        physical = PowerModel(self.spec)
-        profile = self.profiles[name]
-        capacity = profile.capacity_rps(allocation.num_cores, freq, self.spec.dvfs.max_ghz)
-        utilization = float(np.clip(arrival_rate / max(capacity, 1e-9), 0.0, 1.0))
-        effective = utilization + profile.active_idle_util * (1.0 - utilization)
-        per_core = physical.core_dynamic_w(freq, effective)
-        return max(per_core * allocation.num_cores, 0.5)
+    def _tag(self, e: int) -> Dict[str, int]:
+        # One server: its events carry no environment index.
+        return {}
 
     # ------------------------------------------------------------------ #
     # lifecycle operations
     # ------------------------------------------------------------------ #
-    def exploit(self) -> None:
-        """Switch to pure exploitation (recommended once trained)."""
-        self.agent.exploring_frozen = True
-
-    #: Checkpoint kind tag for full manager state (see :mod:`repro.ckpt`).
-    CKPT_KIND: ClassVar[str] = "twig"
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Complete manager state for crash-safe resume.
-
-        Besides the agent (which carries the shared RNG — Twig and its
-        agent draw from one generator), this captures the control-loop
-        context: the pending transition half (prev state/actions), the
-        last allocations held per service, monitor smoothing history, and
-        the reward bookkeeping used by trace events.
-        """
-        tree: Dict[str, Any] = {
-            "services": list(self.service_order),
-            "agent": self.agent.state_dict(),
-            "monitor": self.monitor.state_dict(),
-            "prev_actions": (
-                None
-                if self._prev_actions is None
-                else [[int(a) for a in branch] for branch in self._prev_actions]
-            ),
-            "last_allocations": {
-                name: {
-                    "num_cores": allocation.num_cores,
-                    "freq_index": allocation.freq_index,
-                    "llc_ways": allocation.llc_ways,
-                }
-                for name, allocation in self._last_allocations.items()
-            },
-            "last_estimated_power": {
-                name: float(value) for name, value in self._last_estimated_power.items()
-            },
-            "last_rewards": {name: float(value) for name, value in self.last_rewards.items()},
-        }
-        if self._prev_state is not None:
-            tree["prev_state"] = np.asarray(self._prev_state, dtype=np.float64).copy()
-        return tree
-
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
-        """Restore state from :meth:`state_dict` (stage-then-commit)."""
-        try:
-            services = [str(name) for name in list(tree["services"])]
-            agent_tree = dict(tree["agent"])
-            monitor_tree = dict(tree["monitor"])
-            prev_actions = tree["prev_actions"]
-            raw_allocations = dict(tree["last_allocations"])
-            estimated_power = {
-                str(k): float(v) for k, v in dict(tree["last_estimated_power"]).items()
-            }
-            last_rewards = {str(k): float(v) for k, v in dict(tree["last_rewards"]).items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed twig checkpoint: {exc}") from exc
-        if services != self.service_order:
-            raise CheckpointError(
-                f"checkpoint manages services {services}, this Twig manages {self.service_order}"
-            )
-        prev_state = tree.get("prev_state")
-        if prev_state is not None:
-            prev_state = np.asarray(prev_state, dtype=np.float64).reshape(-1)
-            if prev_state.shape[0] != self.agent.config.state_dim:
-                raise CheckpointError(
-                    f"checkpoint prev_state dim {prev_state.shape[0]} != "
-                    f"state dim {self.agent.config.state_dim}"
-                )
-        if prev_actions is not None:
-            try:
-                prev_actions = [[int(a) for a in branch] for branch in prev_actions]
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(f"malformed prev_actions: {exc}") from exc
-        try:
-            allocations = {
-                str(name): Allocation(
-                    num_cores=int(fields["num_cores"]),
-                    freq_index=int(fields["freq_index"]),
-                    llc_ways=int(fields.get("llc_ways", 0)),
-                )
-                for name, fields in raw_allocations.items()
-            }
-        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-            raise CheckpointError(f"malformed allocation in checkpoint: {exc}") from exc
-        # The agent load (stage-then-commit itself) goes first: it is the
-        # part that can still reject the checkpoint.
-        self.agent.load_state_dict(agent_tree)
-        self.monitor.load_state_dict(monitor_tree)
-        self._prev_state = prev_state
-        self._prev_actions = prev_actions
-        self._last_allocations = allocations
-        self._last_estimated_power = estimated_power
-        self.last_rewards = last_rewards
+        """Restore :meth:`state_dict` output, or a per-service-dict tree.
 
-    def save(self, path) -> None:
-        """Atomically checkpoint the full manager state (see repro.ckpt)."""
-        save_state(path, self.CKPT_KIND, self.state_dict())
+        The per-service-dict implementation wrote the control state at
+        the top level next to one ``monitor`` tree; that is environment 0
+        of the legacy per-env layout :class:`FleetTwig` reads.
+        """
+        if "monitor" in tree:
+            tree = {
+                "services": tree.get("services"),
+                "num_envs": 1,
+                "agent": tree.get("agent"),
+                "monitors": {"0000": tree["monitor"]},
+                "envs": {"0000": tree},
+            }
+        super().load_state_dict(tree)
 
     def load(self, path) -> None:
         """Restore a checkpoint written by :meth:`save`.
@@ -410,7 +127,8 @@ class Twig(TaskManager):
         """Swap a managed service and transfer-learn (Figures 8/9).
 
         The shared representation is kept; every head's output layer is
-        re-randomised and the monitor history for the slot is cleared.
+        re-randomised, the monitor history for the slot is cleared, and
+        the slot's allocation falls back to the starting one.
         """
         if old_name not in self.profiles:
             raise ConfigurationError(f"unknown service {old_name!r}")
@@ -425,9 +143,11 @@ class Twig(TaskManager):
         )
         if power_model is not None:
             self.power_models[new_profile.name] = power_model
-        self.monitor.reset(old_name)
+        self._build_service_rows()
+        k = len(self.service_order)
+        self.monitor_bank.reset(np.arange(self.num_envs) * k + index)
         self.agent.transfer(self._rng)
-        self._prev_state = None
-        self._prev_actions = None
-        self._last_allocations.pop(old_name, None)
-        self._last_estimated_power.pop(old_name, None)
+        self._has_prev[:] = False
+        self._alloc_cores[:, index] = self.action_space.max_cores
+        self._alloc_freq[:, index] = len(self.spec.dvfs) - 1
+        self._alloc_ways[:, index] = 0

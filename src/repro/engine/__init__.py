@@ -5,10 +5,11 @@ Runs N experiments/environments in lock-step inside one process:
 - :mod:`repro.engine.vector_env` — :class:`VectorEnvironment` steps every
   environment's queueing, interference, telemetry, and power math as
   array-shaped NumPy over an (env, service) grid;
-- :mod:`repro.engine.fleet` — :class:`FleetBDQAgent` routes all envs'
-  observations through one fused HeadBank forward and trains once per tick
-  from a striped prioritized replay buffer; :class:`FleetTwig` is the
-  matching N-environment task manager;
+- :mod:`repro.engine.fleet` — re-exports the control runtime from
+  :mod:`repro.core.fleet`: :class:`FleetBDQAgent` routes all envs'
+  observations through one fused HeadBank forward and trains at most once
+  per tick from a striped prioritized replay buffer; :class:`FleetTwig`
+  is the matching N-environment task manager;
 - :mod:`repro.engine.rollout` — :func:`run_fleet`, the lock-step rollout
   loop with per-env deterministic seeding, per-env traces, and
   checkpoint/resume.
@@ -24,7 +25,7 @@ simulate a load-balanced multi-node datacenter: its
 the same :func:`run_fleet` loop — see ``docs/fleet.md``.
 """
 
-from repro.engine.fleet import FleetBDQAgent, FleetTwig
+from repro.core.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import (
     ENV_SEED_STRIDE,

@@ -1,7 +1,7 @@
 """Frozen dict-state fleet control plane (the pre-array reference).
 
 :class:`DictFleetTwig` is the original per-env implementation of
-:class:`~repro.engine.fleet.FleetTwig`: one :class:`SystemMonitor` per
+:class:`~repro.core.fleet.FleetTwig`: one :class:`SystemMonitor` per
 environment, per-env ``_last_allocations`` / ``_last_estimated_power`` /
 ``last_rewards`` dicts, per-row ``action_space.decode`` / ``encode``
 calls, and one ``mapper.map`` per environment per tick. It is kept
@@ -31,7 +31,7 @@ from repro.core.config import TwigConfig
 from repro.core.mapper import Mapper
 from repro.core.power_model import ServicePowerModel
 from repro.core.reward import RewardBreakdown, reward_components
-from repro.engine.fleet import FleetBDQAgent
+from repro.core.fleet import FleetBDQAgent
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.obs.events import make_event
 from repro.obs.sink import NULL_SINK, TraceSink

@@ -1,6 +1,6 @@
 """Lock-step rollout loop for the vectorized engine.
 
-Drives a :class:`~repro.engine.fleet.FleetTwig` against a
+Drives a :class:`~repro.core.fleet.FleetTwig` against a
 :class:`~repro.engine.vector_env.VectorEnvironment` exactly the way
 :func:`repro.experiments.runner.run_manager` drives one manager against
 one scalar environment:
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.ckpt.checkpoint import load_state, save_state
-from repro.engine.fleet import FleetTwig
+from repro.core.fleet import FleetTwig
 from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.runner import (

@@ -18,7 +18,7 @@ worker process. Per tick the parent:
    rebuilds the balancer feedback.
 
 The parent keeps the single fused act/train path: ``run_fleet`` drives
-one :class:`~repro.engine.fleet.FleetTwig` against this environment
+one :class:`~repro.core.fleet.FleetTwig` against this environment
 unchanged, so the policy forward/backward and the striped PER never
 cross a process boundary.
 

@@ -220,7 +220,7 @@ class StepBatch(Sequence):
     ``(E, S)`` / ``(E,)`` arrays and hands them out in :attr:`arrays`.
     The batch owns them and they are read-only: a batch kept across later
     steps still reads its own interval. Array-aware consumers (the rollout
-    loop, :class:`~repro.engine.fleet.FleetTwig`, the cluster balancer
+    loop, :class:`~repro.core.fleet.FleetTwig`, the cluster balancer
     feedback) read the arrays and never build a result object.
 
     ``batch[e]`` builds env ``e``'s :class:`StepResult` on first read

@@ -11,7 +11,7 @@ Engines:
 ``vector`` (default)
     One :class:`~repro.cluster.environment.ClusterEnvironment` steps all
     nodes through the fused (node x service) NumPy path, and one shared
-    :class:`~repro.engine.fleet.FleetTwig` policy acts for every node
+    :class:`~repro.core.fleet.FleetTwig` policy acts for every node
     with a single batched forward per tick — the only configuration that
     makes 256+ nodes per process practical.
 ``scalar``
@@ -44,7 +44,7 @@ from repro.cluster.topology import ClusterTopology
 from repro.cluster.traffic import TRAFFIC_PRESETS, TrafficModel, make_traffic_spec
 from repro.core.config import TwigConfig
 from repro.core.twig import Twig
-from repro.engine.fleet import FleetTwig
+from repro.core.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import ENV_SEED_STRIDE
 from repro.errors import ConfigurationError

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.engine.fleet import FleetTwig
+from repro.core.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import ENV_SEED_STRIDE, VectorEnvironment, make_sibling_environment
 from repro.core.config import TwigConfig

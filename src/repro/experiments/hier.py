@@ -32,7 +32,7 @@ from repro.cluster.balancer import BALANCER_POLICIES
 from repro.cluster.environment import ClusterEnvironment
 from repro.cluster.traffic import TRAFFIC_PRESETS
 from repro.core.config import TwigConfig
-from repro.engine.fleet import FleetTwig
+from repro.core.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.errors import ConfigurationError
 from repro.experiments.runner import RunTrace

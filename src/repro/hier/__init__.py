@@ -8,7 +8,7 @@ multi-agent control"):
   choosing a per-node power-budget level plus a slack tilt every
   ``period`` control ticks;
 - :class:`~repro.hier.manager.HierFleetTwig` — a
-  :class:`~repro.engine.fleet.FleetTwig` whose leaf BDQ agents manage
+  :class:`~repro.core.fleet.FleetTwig` whose leaf BDQ agents manage
   cores + DVFS *within* their node's budget via reward shaping and
   deterministic action masking;
 - :mod:`~repro.hier.baselines` — Static/Heracles/PARTIES rule fleets

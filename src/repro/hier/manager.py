@@ -1,6 +1,6 @@
 """The leaf side of the hierarchy: budget-aware fleet control.
 
-:class:`HierFleetTwig` is a :class:`~repro.engine.fleet.FleetTwig` (so
+:class:`HierFleetTwig` is a :class:`~repro.core.fleet.FleetTwig` (so
 all N nodes still act through one fused forward and train through one
 fused GEMM per tick) plus a :class:`~repro.hier.allocator.BudgetAllocator`
 on top. Every ``period`` control ticks the manager aggregates the
@@ -9,7 +9,7 @@ ended, asks it for the next (level, tilt), derives per-node watt
 budgets, and emits one ``budget_assign`` trace event.
 
 The budget reaches the leaves through the two
-:class:`~repro.engine.fleet.FleetTwig` hooks:
+:class:`~repro.core.fleet.FleetTwig` hooks:
 
 - **reward shaping** (:meth:`_shape_rewards`): Equation-1 stays intact;
   when a node's summed Equation-2 power estimate exceeded its budget,
@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.actions import Allocation
 from repro.core.reward import RewardBreakdown
-from repro.engine.fleet import FleetTwig
+from repro.core.fleet import FleetTwig
 from repro.errors import CheckpointError
 from repro.hier.allocator import BudgetAllocator, BudgetConfig
 from repro.obs.events import make_event

@@ -2,7 +2,7 @@
 
 When the cluster grows, the new nodes should not learn from scratch:
 :func:`provision_fleet` seeds a fleet manager's shared
-:class:`~repro.engine.fleet.FleetBDQAgent` with trained weights from an
+:class:`~repro.core.fleet.FleetBDQAgent` with trained weights from an
 existing checkpoint and then applies the paper's Section-IV transfer
 recipe (:meth:`~repro.rl.agent.BDQAgent.transfer`): the shared trunk and
 hidden layers are kept, every head's output layer is re-randomised, the
@@ -60,7 +60,7 @@ def provision_fleet(
 ) -> None:
     """Seed ``manager``'s shared agent from ``source`` and transfer.
 
-    ``manager`` is a :class:`~repro.engine.fleet.FleetTwig` (or subclass)
+    ``manager`` is a :class:`~repro.core.fleet.FleetTwig` (or subclass)
     for the freshly provisioned nodes; ``source`` is any checkpoint whose
     agent matches the manager's network architecture. Loads the online
     weights, then runs :meth:`~repro.rl.agent.BDQAgent.transfer` with

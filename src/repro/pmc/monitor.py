@@ -191,6 +191,13 @@ class MonitorBank:
     def state_dim(self) -> int:
         return len(self.counters)
 
+    def reset(self, rows) -> None:
+        """Drop the smoothing history of ``rows`` (an index or index
+        array), leaving them as a freshly built bank's rows."""
+        self._history[rows] = 0.0
+        self._counts[rows] = 0
+        self.degraded[rows] = False
+
     def observe_rows(self, raw: np.ndarray) -> np.ndarray:
         """Record one interval's ``(R, counters)`` readings; smoothed states.
 

@@ -28,6 +28,31 @@ from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.rl.sum_tree import SumTree
 
 
+def one_stripe_state(state: Mapping[str, Any]) -> Dict[str, Any]:
+    """A :class:`~repro.rl.prioritized.PrioritizedReplayBuffer` snapshot as
+    a one-stripe :class:`StripedPrioritizedReplayBuffer` snapshot.
+
+    The ring becomes stripe 0 with the same capacity, size, cursor and
+    rows; the sum tree and max priority carry over verbatim, because one
+    stripe's leaves are the ring's slots in the same order. A uniform
+    :class:`~repro.rl.replay.ReplayBuffer` ring has no priorities: its
+    stripe gets an all-zero tree, which uniform sampling never reads.
+    """
+    try:
+        capacity = int(state["capacity"])
+        return {
+            "num_envs": 1,
+            "stripe_capacity": capacity,
+            "sizes": np.array([int(state["size"])]),
+            "cursors": np.array([int(state["next_index"])]),
+            "fields": state["fields"],
+            "tree": state["tree"] if "tree" in state else SumTree(capacity).state_dict(),
+            "max_priority": state.get("max_priority", 1.0),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed replay state: {exc}") from exc
+
+
 class StripedPrioritizedReplayBuffer:
     """Proportional PER over ``num_envs`` per-environment ring stripes.
 
@@ -166,6 +191,24 @@ class StripedPrioritizedReplayBuffer:
         batch = {key: store[indices] for key, store in self._storage.items()}
         batch["indices"] = np.asarray(indices)
         batch["weights"] = weights
+        return batch
+
+    def sample_uniform(self, batch_size: int) -> Dict[str, np.ndarray]:
+        """Sample uniformly, with replacement, over every stored transition.
+
+        One ``integers`` draw over the stored transitions in stripe order,
+        so a single stripe samples exactly the slots
+        :meth:`~repro.rl.replay.ReplayBuffer.sample` samples from its ring.
+        """
+        total = len(self)
+        if total == 0:
+            raise ConfigurationError("cannot sample from an empty replay buffer")
+        if batch_size <= 0:
+            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
+        indices = self._occupied_slots()[self._rng.integers(0, total, size=batch_size)]
+        assert self._storage is not None
+        batch = {key: store[indices] for key, store in self._storage.items()}
+        batch["indices"] = indices
         return batch
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:

@@ -170,10 +170,11 @@ class SumTree:
 
         The tree array afterwards equals, bit for bit, a loop of
         :meth:`update` calls over the same leaves in the same order: each
-        leaf's delta is added to every ancestor with ``np.add.at``, one
-        level per call, and ``np.add.at`` accumulates repeated ancestors
-        in index order, so every node sees the same float additions in
-        the same order as the loop. :meth:`update_batch` recomputes sums
+        leaf's delta is added to every ancestor by ONE ``np.add.at`` over
+        all levels' node indices, level-major, and ``np.add.at``
+        accumulates repeated indices in index order, so every node sees
+        the same float additions in the same order as the loop (a node
+        lies on one level only). :meth:`update_batch` recomputes sums
         from the children instead and can differ in the last ulp.
 
         Leaves must be distinct (a repeated leaf's second delta would be
@@ -192,10 +193,9 @@ class SumTree:
         nodes = self._leaf_count + leaves
         deltas = priorities - self._tree[nodes]
         # depth + 1 levels: the leaves themselves, then every ancestor up
-        # to and including the root (node 1).
-        for _ in range(self._depth + 1):
-            np.add.at(self._tree, nodes, deltas)
-            nodes = nodes >> 1
+        # to and including the root (node 1); row L holds level L's nodes.
+        levels = nodes >> np.arange(self._depth + 1)[:, None]
+        np.add.at(self._tree, levels.ravel(), np.tile(deltas, self._depth + 1))
 
     def find_batch(self, masses: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`find`: one leaf per entry of ``masses``.

@@ -7,10 +7,12 @@ from repro.core import Twig, TwigConfig
 from repro.core.config import TwigConfig as Config
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_manager
+from repro.obs.sink import MemorySink
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from repro.sim.faults import Fault, FaultInjector
 
 
 def _make(names=("masstree",), config=None, seed=5):
@@ -57,10 +59,10 @@ def test_transitions_are_fed_to_agent():
     assignments = twig.initial_assignments()
     result = env.step(assignments)
     twig.update(result)
-    assert len(twig.agent.buffer) == 0  # first update has no previous state
-    result = env.step(twig.mapper.map(twig._last_allocations))
+    assert len(twig.agent.striped) == 0  # first update has no previous state
+    result = env.step(twig._map_row(0))
     twig.update(result)
-    assert len(twig.agent.buffer) == 1
+    assert len(twig.agent.striped) == 1
 
 
 def test_state_dim_scales_with_services():
@@ -95,6 +97,30 @@ def test_transfer_to_swaps_service_and_resets_heads():
         twig.agent.online.adv_heads[0][0].layers[-1].weight.value, out_before
     )
 
+
+
+def test_degraded_interval_right_after_transfer_holds_a_full_assignment():
+    """The swapped-in slot falls back to the starting allocation, so a
+    degraded first interval still assigns every service (the per-service
+    dict runtime dropped the new service and the next step raised)."""
+    twig, env = _make(("masstree", "moses"))
+    assignments = twig.initial_assignments()
+    for _ in range(5):
+        assignments = twig.update(env.step(assignments))
+    xapian = get_profile("xapian")
+    env.swap_service(
+        "moses", xapian, ConstantLoad(xapian.max_load_rps, 0.4, rng=np.random.default_rng(9))
+    )
+    twig.transfer_to("moses", xapian)
+    env.faults = FaultInjector([Fault("pmc_dropout", "xapian", start=env.time + 1)])
+    sink = MemorySink()
+    twig.attach_obs(sink, None)
+    assignments = {("xapian" if n == "moses" else n): a for n, a in assignments.items()}
+    assignments = twig.update(env.step(assignments))
+    assert [e["services"] for e in sink.of_type("degraded")] == [["xapian"]]
+    assert set(assignments) == {"masstree", "xapian"}
+    assert twig._alloc_cores[0, 1] == twig.action_space.max_cores
+    env.step(assignments)
 
 def test_transfer_unknown_service_raises():
     twig, _ = _make()

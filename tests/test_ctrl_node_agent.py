@@ -155,7 +155,7 @@ def test_faulted_telemetry_holds_allocation_over_the_wire(agent, client):
     reply = client.call("report_interval", {"result": step_result_to_wire(faulted)})
     held = wire_to_assignments(reply["assignments"])
     assert held == before  # degraded: last known-good allocation held
-    assert agent.twig._prev_state is None  # transition chain broken
+    assert not agent.twig._has_prev[0]  # transition chain broken
 
 
 # --------------------------------------------------------------------- #

@@ -460,14 +460,17 @@ class TestObserveBatch:
             rng.normal(size=(count, 4)),
         )
 
-    def test_empty_tick_advances_cadence_once(self):
+    def test_empty_tick_leaves_cadence_alone(self):
         agent = self._agent()
         assert agent.observe_batch(*self._rows(2)) is not None  # trains at 2 rows
         assert (agent.step_count, agent.train_count, len(agent.striped)) == (1, 1, 2)
-        loss = agent.observe_batch(*self._rows(0))
-        assert loss is not None
-        assert (agent.step_count, agent.train_count, len(agent.striped)) == (2, 2, 2)
-        # Step 2 is a target-sync step.
+        rng_before = agent._rng.bit_generator.state
+        assert agent.observe_batch(*self._rows(0)) is None
+        assert (agent.step_count, agent.train_count, len(agent.striped)) == (1, 1, 2)
+        assert agent._rng.bit_generator.state == rng_before
+        # The next tick that stores a row is step 2, a target-sync step.
+        assert agent.observe_batch(*self._rows(1)) is not None
+        assert (agent.step_count, agent.train_count, len(agent.striped)) == (2, 2, 3)
         for online, target in zip(agent.online.parameters(), agent.target.parameters()):
             assert np.array_equal(online.value, target.value)
 

@@ -1,11 +1,21 @@
-"""Golden run-trace hashes for the fleet layer.
+"""Golden run-trace hashes for the fleet layer and the paper loop.
 
-Each entry of ``tests/data/golden_run_traces.json`` names a small fleet
-run on the vector engine (manager, nodes, ticks, seed, traffic,
-balancer) and the sha256 over every series its :class:`RunTrace` list
-records. The test re-runs each config and compares: a refactor of the
-engine, the cluster layer, the rule fleets or ``FleetTwig`` that keeps
-these hashes kept the simulated behaviour bit for bit.
+``tests/data/golden_run_traces.json`` maps each run named here (its
+config, as canonical JSON) to a sha256 over every series its
+:class:`RunTrace` list records. The test re-runs each config and
+compares: a refactor that keeps these hashes kept the simulated
+behaviour bit for bit.
+
+- Fleet runs: rule fleets and learning ``FleetTwig`` fleets on the
+  vector engine, the learning fleet again on the shard engine (its hash
+  must equal the vector one), and a learning config small enough to
+  sync its target network and wrap its replay stripes within 20 ticks.
+- Paper-loop runs: one ``Twig`` on one ``ColocationEnvironment`` under
+  ``run_manager`` — the bench ``twig_c`` recipe, Twig-C with every fault
+  kind, Twig-C with the LLC branch, a mid-run service swap with
+  ``transfer_to``, Twig-S with a fitted Equation-2 model, Twig-S with
+  uniform replay, and the event stream of a short traced run (``events``
+  hashes the JSON lines with ``run_end.wall_time_s`` dropped).
 
 A change that moves a trajectory on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_run_traces.py --write`` and
@@ -17,29 +27,80 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 import pytest
 
 from repro.cluster.environment import ClusterEnvironment
+from repro.core import Twig
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
+from repro.engine.sharded import ShardedClusterEnvironment
+from repro.experiments.common import HarnessConfig, build_twig, make_environment
+from repro.experiments.profiling import fit_service_power_model
+from repro.experiments.runner import run_manager
 from repro.hier.baselines import make_rule_fleet
+from repro.obs.context import ObsContext
+from repro.obs.sink import MemorySink
+from repro.server.spec import ServerSpec
+from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
+from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from repro.sim.faults import Fault, FaultInjector
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_run_traces.json"
 
 SERVICES = ["masstree", "xapian", "moses", "img-dnn"]
 
-#: The runs the golden file pins: two rule fleets and a learning fleet.
-CONFIGS: List[Dict[str, Any]] = [
-    {"manager": manager, "services": SERVICES, "nodes": 8, "ticks": 20,
-     "seed": 11, "traffic": "diurnal", "balancer": "least_loaded"}
-    for manager in ("static", "parties", "twig")
-]
+_FLEET = {"services": SERVICES, "nodes": 8, "ticks": 20, "seed": 11,
+          "traffic": "diurnal", "balancer": "least_loaded"}
+
+#: Fleet runs, with their test ids: two rule fleets, a learning fleet on
+#: both engines, and a learning fleet that crosses a target-network sync
+#: (every 5 steps) and a replay-stripe wrap (stripes of 8 transitions).
+FLEET_CONFIGS: Dict[str, Dict[str, Any]] = {
+    "static": {"manager": "static", **_FLEET},
+    "parties": {"manager": "parties", **_FLEET},
+    "twig": {"manager": "twig", **_FLEET},
+    "twig-shard": {"manager": "twig", **_FLEET, "engine": "shard", "workers": 2},
+    "twig-sync-wrap": {
+        "manager": "twig", **_FLEET,
+        "agent": {"batch_size": 8, "buffer_capacity": 64, "min_buffer_size": 16,
+                  "target_update_every": 5},
+    },
+}
+
+#: Paper-loop runs, with their test ids.
+PAPER_CONFIGS: Dict[str, Dict[str, Any]] = {
+    # bench/episode.py:run_twig_c: HarnessConfig.quick at seed 7.
+    "twig-c-bench": {"loop": "paper", "case": "bench", "services": ["masstree", "xapian"],
+                     "loads": [0.3, 0.3], "seed": 7, "steps": 410},
+    "twig-c-faults": {"loop": "paper", "case": "faults", "services": ["masstree", "moses"],
+                      "loads": [0.4, 0.4], "seed": 11, "steps": 200},
+    "twig-c-llc": {"loop": "paper", "case": "llc", "services": ["masstree", "xapian"],
+                   "loads": [0.4, 0.4], "seed": 5, "steps": 200},
+    "twig-c-transfer": {"loop": "paper", "case": "transfer",
+                        "services": ["masstree", "moses"], "swap": "img-dnn",
+                        "swap_at": 120, "loads": [0.4, 0.4], "seed": 9, "steps": 240},
+    "twig-s-fitted": {"loop": "paper", "case": "fitted", "services": ["masstree"],
+                      "loads": [0.4], "seed": 7, "steps": 250},
+    "twig-s-uniform": {"loop": "paper", "case": "uniform", "services": ["masstree"],
+                       "loads": [0.5], "seed": 7, "steps": 200},
+    "twig-s-events": {"loop": "paper", "case": "events", "services": ["masstree"],
+                      "loads": [0.4], "seed": 3, "steps": 80},
+}
+
+#: Twig-C fault windows: every kind, each on its own interval window.
+FAULTS = (
+    Fault("pmc_dropout", "masstree", start=70, duration=3),
+    Fault("pmc_nan", "moses", start=100, duration=2, magnitude=3),
+    Fault("latency_spike", "masstree", start=130, duration=4, magnitude=5.0),
+    Fault("service_crash", "moses", start=160, duration=3),
+)
 
 
 def config_key(config: Dict[str, Any]) -> str:
@@ -48,23 +109,122 @@ def config_key(config: Dict[str, Any]) -> str:
 
 
 def run_traces(config: Dict[str, Any]):
-    """Run one golden config on the vector engine; one RunTrace per node."""
+    """Run one golden fleet config; one RunTrace per node."""
     services, nodes, seed = config["services"], config["nodes"], config["seed"]
-    venv = ClusterEnvironment.from_services(
-        services, num_nodes=nodes, seed=seed,
-        traffic=config["traffic"], balancer=config["balancer"],
-    )
+    kwargs = dict(num_nodes=nodes, seed=seed, traffic=config["traffic"],
+                  balancer=config["balancer"])
+    if config.get("engine") == "shard":
+        venv = ShardedClusterEnvironment.from_services(
+            services, workers=config["workers"], **kwargs
+        )
+    else:
+        venv = ClusterEnvironment.from_services(services, **kwargs)
     if config["manager"] == "twig":
+        twig_config = TwigConfig.fast(epsilon_mid_steps=8, epsilon_final_steps=16)
         manager = FleetTwig(
             [get_profile(s) for s in services],
-            TwigConfig.fast(epsilon_mid_steps=8, epsilon_final_steps=16),
+            twig_config.scaled(**config.get("agent", {})),
             np.random.default_rng(seed + 1),
             num_envs=nodes,
         )
         manager.index_tag = "node"
     else:
         manager = make_rule_fleet(config["manager"], services, nodes, seed)
-    return run_fleet(manager, venv, config["ticks"])
+    try:
+        return run_fleet(manager, venv, config["ticks"])
+    finally:
+        close = getattr(venv, "close", None)
+        if close is not None:
+            close()
+
+
+def _paper_env(config: Dict[str, Any], faults=None) -> ColocationEnvironment:
+    services, seed = config["services"], config["seed"]
+    generators = {
+        name: ConstantLoad(get_profile(name).max_load_rps, load,
+                           rng=np.random.default_rng(seed + 101 + i))
+        for i, (name, load) in enumerate(zip(services, config["loads"]))
+    }
+    return ColocationEnvironment(
+        EnvironmentConfig(spec=ServerSpec()),
+        [get_profile(name) for name in services],
+        generators,
+        np.random.default_rng(seed),
+        faults=faults,
+    )
+
+
+def _paper_twig(config: Dict[str, Any], **overrides) -> Twig:
+    twig_config = TwigConfig.fast(epsilon_mid_steps=60, epsilon_final_steps=150)
+    return Twig(
+        [get_profile(name) for name in config["services"]],
+        twig_config.scaled(**overrides),
+        np.random.default_rng(config["seed"] + 42),
+        spec=ServerSpec(),
+    )
+
+
+def run_paper(config: Dict[str, Any]):
+    """Run one golden paper-loop config: ``[trace]``, or the event lines."""
+    case, steps, seed = config["case"], config["steps"], config["seed"]
+    if case == "bench":
+        harness = replace(HarnessConfig.quick(), seed=seed)
+        twig = build_twig([get_profile(s) for s in config["services"]], harness,
+                          seed_offset=seed)
+        env = make_environment(config["services"], config["loads"], harness.seed)
+        return [run_manager(twig, env, steps)]
+    if case == "faults":
+        env = _paper_env(config, faults=FaultInjector(list(FAULTS)))
+        return [run_manager(_paper_twig(config), env, steps)]
+    if case == "llc":
+        return [run_manager(_paper_twig(config, manage_llc=True), _paper_env(config), steps)]
+    if case == "uniform":
+        # The uniform-replay ablation (benchmarks/test_ablations.py).
+        twig = _paper_twig(config, use_prioritized_replay=False)
+        return [run_manager(twig, _paper_env(config), steps)]
+    if case == "transfer":
+        twig, env = _paper_twig(config), _paper_env(config)
+        old, new = config["services"][1], get_profile(config["swap"])
+
+        def swap(t, result):
+            # The Figure-9 swap, mid-run: new service, transfer, restart
+            # from the full socket, mildly exploratory again.
+            if t != config["swap_at"]:
+                return None
+            env.swap_service(old, new, ConstantLoad(
+                new.max_load_rps, config["loads"][1], rng=np.random.default_rng(seed + 5)
+            ))
+            twig.transfer_to(old, new)
+            twig.agent.step_count = twig.config.epsilon_mid_steps
+            return twig.initial_assignments()
+
+        return [run_manager(twig, env, steps, on_step=swap)]
+    if case == "fitted":
+        # tests/test_integration.py's fitted Twig-S.
+        spec = ServerSpec()
+        profile = get_profile("masstree")
+        model = fit_service_power_model(
+            profile, spec, np.random.default_rng(1234),
+            loads=(0.3, 0.6), core_counts=(6, 12, 18), dvfs_indices=(0, 4, 8),
+            seconds_per_point=2, n_candidates=400,
+        )
+        twig = Twig([profile], TwigConfig.fast(epsilon_mid_steps=150, epsilon_final_steps=300),
+                    np.random.default_rng(42), spec=spec, power_models={"masstree": model})
+        env = make_environment(["masstree"], config["loads"], seed, spec)
+        return [run_manager(twig, env, steps)]
+    if case == "events":
+        sink = MemorySink(validate=True)
+        env = _paper_env(config, faults=FaultInjector(
+            [Fault("pmc_dropout", "masstree", start=70, duration=2)]
+        ))
+        run_manager(_paper_twig(config), env, steps, obs=ObsContext(sink=sink))
+        lines = []
+        for event in sink.events:
+            if event["ev"] == "run_end":
+                event = {k: v for k, v in event.items() if k != "wall_time_s"}
+            lines.append(json.dumps(event, separators=(",", ":")))
+        return lines
+    raise ValueError(f"unknown paper-loop case {case!r}")
 
 
 def trace_sha256(traces) -> str:
@@ -83,19 +243,37 @@ def trace_sha256(traces) -> str:
     return digest.hexdigest()
 
 
+def config_sha256(config: Dict[str, Any]) -> str:
+    if config.get("loop") != "paper":
+        return trace_sha256(run_traces(config))
+    output = run_paper(config)
+    if output and isinstance(output[0], str):
+        return hashlib.sha256("\n".join(output).encode()).hexdigest()
+    return trace_sha256(output)
+
+
+ALL_CONFIGS: Dict[str, Dict[str, Any]] = {**FLEET_CONFIGS, **PAPER_CONFIGS}
+
+
 def compute_golden() -> Dict[str, str]:
-    return {config_key(c): trace_sha256(run_traces(c)) for c in CONFIGS}
+    return {config_key(c): config_sha256(c) for c in ALL_CONFIGS.values()}
 
 
 def test_golden_file_covers_every_config():
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert sorted(golden) == sorted(config_key(c) for c in CONFIGS)
+    assert sorted(golden) == sorted(config_key(c) for c in ALL_CONFIGS.values())
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=[c["manager"] for c in CONFIGS])
+def test_shard_engine_hash_equals_vector_engine_hash():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert (golden[config_key(FLEET_CONFIGS["twig-shard"])]
+            == golden[config_key(FLEET_CONFIGS["twig"])])
+
+
+@pytest.mark.parametrize("config", list(ALL_CONFIGS.values()), ids=list(ALL_CONFIGS))
 def test_run_trace_hash_unchanged(config):
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert trace_sha256(run_traces(config)) == golden[config_key(config)]
+    assert config_sha256(config) == golden[config_key(config)]
 
 
 if __name__ == "__main__":

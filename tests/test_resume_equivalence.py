@@ -295,9 +295,12 @@ def test_twig_full_checkpoint_roundtrip(tmp_path):
 
     other, _ = _twig_and_env(seed=77)
     other.load(tmp_path / "twig.ckpt")
-    assert other._last_allocations == twig._last_allocations
-    assert other._prev_actions == twig._prev_actions
-    assert np.array_equal(other._prev_state, twig._prev_state)
+    assert np.array_equal(other._alloc_cores, twig._alloc_cores)
+    assert np.array_equal(other._alloc_freq, twig._alloc_freq)
+    assert np.array_equal(other._alloc_ways, twig._alloc_ways)
+    assert np.array_equal(other._prev_action_mat, twig._prev_action_mat)
+    assert other._has_prev[0] and twig._has_prev[0]
+    assert np.array_equal(other._prev_state_mat, twig._prev_state_mat)
     assert other.last_rewards == twig.last_rewards
     assert other.agent.step_count == twig.agent.step_count
     # Both managers now produce identical next assignments.

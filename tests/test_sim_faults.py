@@ -233,12 +233,13 @@ def test_twig_holds_allocation_through_fault(kind):
     held = None
     for t in range(1, 9):
         result = env.step(assignments)
-        before = dict(twig._last_allocations)
+        before = np.stack([twig._alloc_cores, twig._alloc_freq, twig._alloc_ways])
         assignments = twig.update(result)
         if 4 <= t < 6:
             # Degraded: allocation held, transition chain broken.
-            assert twig._last_allocations == before
-            assert twig._prev_state is None and twig._prev_actions is None
+            after = np.stack([twig._alloc_cores, twig._alloc_freq, twig._alloc_ways])
+            assert np.array_equal(after, before)
+            assert not twig._has_prev[0]
             if held is not None:
                 assert assignments == held
             held = assignments
@@ -247,7 +248,7 @@ def test_twig_holds_allocation_through_fault(kind):
     assert all(e["services"] == ["masstree"] for e in degraded)
     assert all(e["held_allocation"] for e in degraded)
     # Recovery: the agent acts again after the fault clears.
-    assert twig._prev_state is not None
+    assert twig._has_prev[0]
 
 
 def test_latency_spike_does_not_degrade():
@@ -268,7 +269,7 @@ def test_latency_spike_does_not_degrade():
         result = env.step(assignments)
         assignments = twig.update(result)
     assert not any(e["ev"] == "degraded" for e in sink.events)
-    assert twig._prev_state is not None  # chain unbroken
+    assert twig._has_prev[0]  # chain unbroken
 
 
 def test_twig_degraded_skips_learning():
@@ -277,14 +278,17 @@ def test_twig_degraded_skips_learning():
     )
     twig = _twig()
     assignments = twig.initial_assignments()
-    sizes = []
+    sizes, steps = [], []
     for _ in range(1, 6):
         result = env.step(assignments)
         assignments = twig.update(result)
-        sizes.append(len(twig.agent.buffer))
+        sizes.append(len(twig.agent.striped))
+        steps.append(twig.agent.step_count)
     # t=1 seeds no transition; t=2 adds one; t=3 (degraded) adds nothing and
-    # resets the chain; t=4 re-seeds; t=5 adds the next one.
+    # resets the chain; t=4 re-seeds; t=5 adds the next one. Only the
+    # intervals that store a transition step the agent's schedules.
     assert sizes == [0, 1, 1, 1, 2]
+    assert steps == [0, 1, 1, 1, 2]
 
 
 def test_faulted_run_completes_end_to_end():

@@ -19,10 +19,12 @@ test-matrix:
 	$(PYTEST) -x -q
 
 ## Golden hashes and checkpoint fixtures: the fleet and paper-loop
-## run-trace hashes (tests/data/golden_run_traces.json) and the
-## checkpoints written before Twig became a one-server FleetTwig.
+## run-trace hashes (tests/data/golden_run_traces.json), the checkpoints
+## written before Twig became a one-server FleetTwig, and a vector_run
+## checkpoint written before assignments became arrays.
 test-golden:
-	$(PYTEST) -q tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py
+	$(PYTEST) -q tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py \
+		tests/test_vector_run_fixture.py
 
 ## Robustness suite: checkpoint container round-trips, torn-write
 ## recovery, save->load->continue-training resume equivalence, refused

@@ -17,6 +17,9 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
 - the cluster layer: whole-cluster step throughput (traffic model ->
   load balancer -> fused node physics) at 64 and 256 nodes with 4
   colocated services per node;
+- the learning fleet tick (physics, install, monitor, reward, act,
+  train and placement) at 64, 256 and 1024 nodes on the vector engine
+  and on the shard engine with 2 workers;
 - the hierarchical stack: the same 64/256-node clusters driven through
   ``HierFleetTwig.update_batch`` with the budget allocator active, so
   the delta over ``cluster_step`` prices two-level control;
@@ -581,6 +584,91 @@ def test_cluster_step(tmp_path):
     # stays well inside one simulated control interval (1 s).
     assert results["nodes_256"]["step_ms"] < 1000.0, results
     assert results["alternating_nodes_256"]["step_ms"] < 1000.0, results
+
+
+def fleet_tick_results(sizes=((64, 30), (256, 20), (1024, 12)), warmup=5):
+    """Wall ms per learning-fleet tick on the vector and shard engines.
+
+    For each ``(nodes, ticks)`` one learning ``FleetTwig``
+    (``TwigConfig.fast``, the 4 ``fleet_learn`` services, ``diurnal``
+    traffic, ``least_loaded`` balancer) runs on ``ClusterEnvironment``
+    and an identically seeded one on ``ShardedClusterEnvironment`` with 2
+    workers; both trajectories are the same, bit for bit. After
+    ``warmup`` ticks each, the two alternate tick by tick, so a slow
+    stretch of a shared host hits both, and the median tick is recorded.
+    A tick is ``manager.update_batch(venv.step(assignments))``.
+    """
+    from repro.cluster import ClusterEnvironment
+    from repro.core.config import TwigConfig
+    from repro.engine.fleet import FleetTwig
+    from repro.engine.sharded import ShardedClusterEnvironment
+    from repro.services.profiles import get_profile
+
+    services = ["masstree", "xapian", "moses", "img-dnn"]
+    workers = 2
+    results = {"cpus": len(os.sched_getaffinity(0)), "services": len(services),
+               "workers": workers, "warmup_ticks": warmup}
+    for num_nodes, ticks in sizes:
+        kwargs = dict(num_nodes=num_nodes, seed=7, traffic="diurnal",
+                      balancer="least_loaded")
+        fleets = {}
+        try:
+            for engine in ("vector", "shard"):
+                venv = (
+                    ShardedClusterEnvironment.from_services(
+                        services, workers=workers, **kwargs
+                    )
+                    if engine == "shard"
+                    else ClusterEnvironment.from_services(services, **kwargs)
+                )
+                manager = FleetTwig(
+                    [get_profile(s) for s in services], TwigConfig.fast(),
+                    np.random.default_rng(8), num_envs=num_nodes,
+                )
+                manager.index_tag = "node"
+                fleets[engine] = [venv, manager, manager.initial_assignments()]
+
+            def tick(fleet):
+                venv, manager, assignments = fleet
+                fleet[2] = manager.update_batch(venv.step(assignments))
+
+            times = {engine: [] for engine in fleets}
+            for t in range(warmup + ticks):
+                for engine, fleet in fleets.items():
+                    t0 = time.perf_counter()
+                    tick(fleet)
+                    if t >= warmup:
+                        times[engine].append(time.perf_counter() - t0)
+        finally:
+            for venv, _, _ in fleets.values():
+                venv.close()
+        vector_ms = 1e3 * float(np.median(times["vector"]))
+        shard_ms = 1e3 * float(np.median(times["shard"]))
+        results[f"nodes_{num_nodes}"] = {
+            "ticks": ticks,
+            "vector_ms": round(vector_ms, 3),
+            "shard_ms": round(shard_ms, 3),
+            "shard_speedup": round(vector_ms / shard_ms, 2),
+        }
+        print(
+            f"\nlearning fleet tick ({num_nodes} nodes x {len(services)} services, "
+            f"{results['cpus']} cpus): vector {vector_ms:.1f}ms, shard "
+            f"({workers} workers) {shard_ms:.1f}ms"
+        )
+    return results
+
+
+def test_fleet_tick():
+    """The learning fleet tick on both engines; see :func:`fleet_tick_results`.
+
+    Records the median wall ms per tick and the CPU count. The shard
+    engine's speedup over the vector engine is recorded, not asserted:
+    it depends on how many CPUs the workers really get.
+    """
+    results = fleet_tick_results()
+    _record("fleet_tick", results)
+    # A 256-node learning tick stays inside one simulated 1 s interval.
+    assert results["nodes_256"]["vector_ms"] < 1000.0, results
 
 
 def test_cluster_step_shard(tmp_path):

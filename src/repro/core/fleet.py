@@ -26,14 +26,14 @@ and the train/target cadence where they were.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.ckpt.checkpoint import load_state, save_state
 from repro.core.actions import ActionSpace, Allocation
 from repro.core.config import TwigConfig
-from repro.core.mapper import Mapper
+from repro.core.mapper import AssignmentBatch, Mapper
 from repro.core.power_model import ServicePowerModel
 from repro.core.reward import RewardBreakdown, reward_components
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
@@ -44,7 +44,6 @@ from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import MonitorBank
 from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer, one_stripe_state
-from repro.server.machine import CoreAssignment
 from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
@@ -248,6 +247,7 @@ class FleetBDQAgent(BDQAgent):
             raise CheckpointError(
                 f"checkpoint has {num_envs} replay stripes, agent has {self.num_envs}"
             )
+        self._check_replay_actions(striped_tree, "striped replay")
         # Stage the striped buffer into a scratch instance first: its load
         # is itself stage-then-commit, so a malformed buffer rejects the
         # checkpoint before anything here mutates.
@@ -308,9 +308,13 @@ class FleetTwig:
     transitions are read straight from the previous state/action
     matrices, this tick's reward matrix and states, and the chosen
     actions come back as one ``(envs, total_branches)`` matrix that is
-    reshaped in place. ``update_batch`` therefore does O(1) array passes
-    per tick; the only remaining per-env Python work is trace emission,
-    mapper placement (memoised by allocation content) and the agent's
+    reshaped in place. Placement is array-shaped as well:
+    :meth:`~repro.core.mapper.Mapper.map_rows` places the allocation
+    matrices, and the tick returns its
+    :class:`~repro.core.mapper.AssignmentBatch` of pin, DVFS and way
+    rows, which the engines install without building a dict.
+    ``update_batch`` therefore does O(1) array passes per tick; the only
+    remaining per-env Python work is trace emission and the agent's
     per-branch exploration draws.
 
     Trajectories, RNG streams, and agent state are bit-identical to the
@@ -427,7 +431,7 @@ class FleetTwig:
 
     def _build_service_rows(self) -> None:
         """Precompute the per-service Equation-2/QoS rows (broadcast over
-        envs) and drop the placements memoised for the old service set."""
+        envs)."""
         profs = [self.profiles[name] for name in self.service_order]
         self._sf_row = np.array([p.serial_fraction for p in profs])
         self._cpu_ms_row = np.array([p.cpu_ms_per_req for p in profs])
@@ -440,9 +444,6 @@ class FleetTwig:
             for i, name in enumerate(self.service_order)
             if self.power_models.get(name) is not None
         ]
-        #: Mapper placements memoised by allocation content; identical
-        #: rows (common once exploitation dominates) share one placement.
-        self._mapper_cache: Dict[Tuple, Dict[str, CoreAssignment]] = {}
 
     # ------------------------------------------------------------------ #
     # dict-shaped compatibility views over the state arrays
@@ -494,16 +495,16 @@ class FleetTwig:
             for name in self.service_order
         }
 
-    def initial_assignments(self) -> List[Dict[str, CoreAssignment]]:
+    def initial_assignments(self) -> AssignmentBatch:
         """Per-env starting assignments: all cores at max DVFS."""
         top = len(self.spec.dvfs) - 1
         self._alloc_cores[:] = self.action_space.max_cores
         self._alloc_freq[:] = top
         self._alloc_ways[:] = 0
         self._has_alloc[:] = True
-        return [self._map_row(e) for e in range(self.num_envs)]
+        return self._assignment_batch()
 
-    def update_batch(self, results: Sequence[StepResult]) -> List[Dict[str, CoreAssignment]]:
+    def update_batch(self, results: Sequence[StepResult]) -> AssignmentBatch:
         """One lock-step control tick over every environment's result.
 
         Semantically identical to N scalar ``Twig.update`` calls plus a
@@ -513,7 +514,9 @@ class FleetTwig:
         forward, and one decode-by-arithmetic over the action matrix.
         When ``results`` is a :class:`~repro.engine.vector_env.StepBatch`
         the raw matrices are consumed directly; a plain result sequence
-        is gathered into matrices first.
+        is gathered into matrices first. Returns every env's next
+        placement as one :class:`~repro.core.mapper.AssignmentBatch`
+        (a degraded env holds its allocation).
         """
         if len(results) != self.num_envs:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
@@ -559,10 +562,9 @@ class FleetTwig:
         self._reward_totals[healthy_idx] = totals[healthy_idx]
         self._has_reward[healthy_idx] = True
 
-        assignments: List[Optional[Dict[str, CoreAssignment]]] = [None] * E
         if env_degraded.any():
-            for e in np.nonzero(env_degraded)[0].tolist():
-                if self.trace.enabled:
+            if self.trace.enabled:
+                for e in np.nonzero(env_degraded)[0].tolist():
                     self.trace.emit(
                         make_event(
                             "degraded",
@@ -576,9 +578,8 @@ class FleetTwig:
                             **self._tag(e),
                         )
                     )
-                self._has_prev[e] = False
-                self._has_alloc[e] = True
-                assignments[e] = self._map_row(e)
+            self._has_prev[env_degraded] = False
+            self._has_alloc[env_degraded] = True
 
         learning = np.nonzero(~env_degraded & self._has_prev)[0]
         self.agent.observe_batch(
@@ -607,22 +608,14 @@ class FleetTwig:
             self._alloc_freq[healthy_idx] = freqs
             self._alloc_ways[healthy_idx] = ways
             self._has_alloc[healthy_idx] = True
-            cores_l = cores.tolist()
-            freqs_l = freqs.tolist()
-            ways_l = ways.tolist()
-            tracing = self.trace.enabled
-            for r, e in enumerate(healthy_idx.tolist()):
-                if tracing:
+            if self.trace.enabled:
+                rows = zip(cores.tolist(), freqs.tolist(), ways.tolist())
+                for e, (cores_e, freqs_e, ways_e) in zip(healthy_idx.tolist(), rows):
                     self._emit_decision_rows(
                         e, int(times[e]), totals, qos_rew, power_rew, violation,
-                        p99, cores_l[r], freqs_l[r], ways_l[r],
+                        p99, cores_e, freqs_e, ways_e,
                     )
-                assignments[e] = self._map_key(
-                    tuple(cores_l[r]), tuple(freqs_l[r]), tuple(ways_l[r])
-                )
-        # Every env took exactly one of the two branches above, so every
-        # slot is filled.
-        return [a for a in assignments if a is not None]
+        return self._assignment_batch()
 
     def attach_obs(self, trace: Optional[TraceSink], timings: Optional[TimingRegistry]) -> None:
         """Wire a trace sink / timing registry in after construction."""
@@ -705,27 +698,15 @@ class FleetTwig:
             total = total + power[:, i]
         return total
 
-    def _map_row(self, e: int) -> Dict[str, CoreAssignment]:
-        return self._map_key(
-            tuple(self._alloc_cores[e].tolist()),
-            tuple(self._alloc_freq[e].tolist()),
-            tuple(self._alloc_ways[e].tolist()),
-        )
+    def _assignment_batch(self) -> AssignmentBatch:
+        """Every env's placement of its current allocation row.
 
-    def _map_key(self, cores: Tuple, freqs: Tuple, ways: Tuple) -> Dict[str, CoreAssignment]:
-        key = (cores, freqs, ways)
-        cached = self._mapper_cache.get(key)
-        if cached is not None:
-            return cached
-        allocations = {
-            name: Allocation(num_cores=cores[i], freq_index=freqs[i], llc_ways=ways[i])
-            for i, name in enumerate(self.service_order)
-        }
-        placed = self.mapper.map(allocations)
-        if len(self._mapper_cache) >= 8192:
-            self._mapper_cache.clear()
-        self._mapper_cache[key] = placed
-        return placed
+        The rows are checked as :meth:`Mapper.map` checks a request, so a
+        repair hook's bad row raises what it always raised.
+        """
+        return self.mapper.map_rows(
+            self.service_order, self._alloc_cores, self._alloc_freq, self._alloc_ways
+        )
 
     def _tag(self, e: int) -> Dict[str, int]:
         """The envelope field naming environment ``e`` on its events."""
@@ -1071,7 +1052,6 @@ class FleetTwig:
         self._has_est = has_est.copy()
         self._reward_totals = reward_totals.copy()
         self._has_reward = has_reward.copy()
-        self._mapper_cache.clear()
 
     def _array_tree_from_legacy(self, tree: Dict[str, Any]) -> Dict[str, Any]:
         """The array-format ``monitor_bank``/``fleet`` subtrees of a legacy

@@ -4,7 +4,7 @@ Three responsibilities:
 
 1. Turn each service's ``Allocation`` request into concrete core pins and a
    DVFS index; unallocated cores implicitly drop to the lowest DVFS state
-   when :class:`repro.server.machine.Machine` applies the assignment.
+   when the engine installs the assignment.
 2. Prioritise core order for cache locality: services are placed from
    opposite ends of the socket, preferring every-other core (the paper's
    example gives sv-1 cores 0, 2, 4 and sv-2 cores 10, 12, 14, 16).
@@ -12,16 +12,88 @@ Three responsibilities:
    cores are timeshared by the contending services and run at the highest
    DVFS state among their requests (the machine model enforces the
    max-DVFS rule for shared cores).
+
+:meth:`Mapper.map` places one server's requests and returns a
+``name -> CoreAssignment`` dict; the rule managers use it, and it is the
+reference the batched path is tested against. :meth:`Mapper.map_rows`
+places N servers at once from ``(N, S)`` core, DVFS and way matrices and
+returns an :class:`AssignmentBatch`: ``(N, S, C)`` pin rows, built with a
+few array passes per service and no per-server Python.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.actions import Allocation
-from repro.errors import AllocationError
+from repro.errors import AllocationError, ShapeError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
+
+
+class AssignmentBatch(Sequence):
+    """N servers' placements as arrays; per-server dicts built on read.
+
+    ``pins`` is ``(N, S, C)`` bool over the socket's cores ``core_ids``
+    (column ``c`` is core ``core_ids[c]``), ``freq`` and ``ways`` are the
+    ``(N, S)`` DVFS indices and arbitrated LLC ways of the services
+    ``names``. The batch owns read-only copies of all five, so a batch
+    kept across later ticks still reads its own tick.
+
+    ``batch[e]`` builds server ``e``'s ``name -> CoreAssignment`` dict
+    (a new one on every read), equal to :meth:`Mapper.map`'s for the same
+    requests. Array-aware consumers (the vector and shard engines) read
+    the arrays and never build a dict.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        core_ids: Sequence[int],
+        pins: np.ndarray,
+        freq: np.ndarray,
+        ways: np.ndarray,
+    ):
+        self.names = tuple(names)
+        self.core_ids = np.array(core_ids, dtype=np.int64)
+        self.pins = np.array(pins, dtype=bool)
+        self.freq = np.array(freq, dtype=np.int64)
+        self.ways = np.array(ways, dtype=np.int64)
+        shape = self.pins.shape[:2]
+        if (
+            self.pins.shape[1:] != (len(self.names), self.core_ids.size)
+            or self.freq.shape != shape
+            or self.ways.shape != shape
+        ):
+            raise ShapeError(
+                f"assignment batch for {len(self.names)} services on "
+                f"{self.core_ids.size} cores got pins {self.pins.shape}, "
+                f"freq {self.freq.shape}, ways {self.ways.shape}"
+            )
+        for array in (self.core_ids, self.pins, self.freq, self.ways):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.pins.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        return {
+            name: CoreAssignment(
+                cores=tuple(self.core_ids[row].tolist()), freq_index=level, llc_ways=llc
+            )
+            for name, row, level, llc in zip(
+                self.names, self.pins[index], self.freq[index].tolist(),
+                self.ways[index].tolist(),
+            )
+        }
 
 
 class Mapper:
@@ -31,6 +103,13 @@ class Mapper:
         self.spec = spec
         self.socket_index = socket_index
         self.socket_cores = spec.socket_core_ids(socket_index)
+        n = len(self.socket_cores)
+        # Each side's pick order as local core indices, for the batched
+        # disjoint placement.
+        self._orders = (
+            np.array(self._preference(0, n), dtype=np.int64),
+            np.array(self._preference(1, n), dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------ #
     # public API
@@ -65,6 +144,94 @@ class Mapper:
             )
             for name, ids in local.items()
         }
+
+    def map_rows(
+        self,
+        names: Sequence[str],
+        cores: np.ndarray,
+        freq: np.ndarray,
+        ways: np.ndarray,
+    ) -> AssignmentBatch:
+        """:meth:`map` for N servers at once: row ``e`` of the ``(N, S)``
+        matrices is server ``e``'s requests, column ``i`` service
+        ``names[i]``. Row ``e`` of the batch equals ``map`` of that row.
+        """
+        cores, freq, ways = (np.asarray(a, dtype=np.int64) for a in (cores, freq, ways))
+        self._check_rows(names, cores, freq, ways)
+        return AssignmentBatch(
+            names, self.socket_cores, self._pin_rows(cores), freq, self._way_rows(ways)
+        )
+
+    def _check_rows(
+        self,
+        names: Sequence[str],
+        cores: np.ndarray,
+        freq: np.ndarray,
+        ways: np.ndarray,
+    ) -> None:
+        """Refuse ``(N, S)`` request matrices :meth:`map` would refuse.
+
+        The first row holding a bad request is handed to ``Allocation``
+        and :meth:`map`, so it raises the error the scalar path raises
+        for it: ``ConfigurationError`` for fewer than one core, a negative
+        DVFS index or negative ways, ``AllocationError`` for more cores
+        than the socket or a DVFS index past the ladder.
+        """
+        if not names:
+            raise AllocationError("mapper received no requests")
+        if not cores.shape == freq.shape == ways.shape == (len(cores), len(names)):
+            raise ShapeError(
+                f"request matrices for {len(names)} services have shapes "
+                f"{cores.shape}, {freq.shape}, {ways.shape}"
+            )
+        bad = (
+            (cores < 1) | (cores > len(self.socket_cores))
+            | (freq < 0) | (freq >= len(self.spec.dvfs)) | (ways < 0)
+        )
+        if bad.any():
+            e = int(np.flatnonzero(bad.any(axis=1))[0])
+            self.map({
+                name: Allocation(
+                    num_cores=int(cores[e, i]),
+                    freq_index=int(freq[e, i]),
+                    llc_ways=int(ways[e, i]),
+                )
+                for i, name in enumerate(names)
+            })
+
+    def _pin_rows(self, cores: np.ndarray) -> np.ndarray:
+        """``(N, S, C)`` pins, over the socket's cores, for ``(N, S)`` core
+        counts already checked by :meth:`_check_rows`.
+
+        A row that fits the socket takes the disjoint locality placement
+        (one masked cumulative-sum pass per service over the free cores
+        in its side's pick order); an oversubscribed row takes the
+        overlap windows, as modular arithmetic over core indices.
+        """
+        n = len(self.socket_cores)
+        over = cores.sum(axis=1) > n
+        if not over.any():
+            return self._disjoint_rows(cores)
+        if over.all():
+            return self._overlap_rows(cores)
+        pins = np.empty(cores.shape + (n,), dtype=bool)
+        pins[~over] = self._disjoint_rows(cores[~over])
+        pins[over] = self._overlap_rows(cores[over])
+        return pins
+
+    def _way_rows(self, ways: np.ndarray) -> np.ndarray:
+        """:meth:`_arbitrate_ways` for every row of an ``(N, S)`` matrix:
+        each request is capped at the socket's ways, and a row whose
+        requests still exceed them is scaled by ``ways / total``, floored."""
+        available = self.spec.socket.llc_ways
+        requested = np.minimum(ways, available)
+        total = requested.sum(axis=1)
+        over = total > available
+        if not over.any():
+            return requested
+        factor = available / np.maximum(total, 1)
+        scaled = (requested * factor[:, None]).astype(np.int64)
+        return np.where(over[:, None], scaled, requested)
 
     def _arbitrate_ways(self, requests: Mapping[str, Allocation]) -> Dict[str, int]:
         """Scale conflicting CAT way requests to fit the socket's ways.
@@ -117,6 +284,21 @@ class Mapper:
             placement[name] = picked
         return placement
 
+    def _disjoint_rows(self, cores: np.ndarray) -> np.ndarray:
+        """:meth:`_place_disjoint` for rows that fit the socket: service
+        ``i`` takes the first ``cores[:, i]`` still-free cores in its
+        side's pick order."""
+        rows, services = cores.shape
+        pins = np.empty((rows, services, len(self.socket_cores)), dtype=bool)
+        free = np.ones((rows, len(self.socket_cores)), dtype=bool)
+        for i in range(services):
+            order = self._orders[i % 2]
+            available = free[:, order]
+            take = available & (available.cumsum(axis=1) <= cores[:, i, None])
+            pins[:, i, order] = take
+            free[:, order] = available ^ take
+        return pins
+
     def _place_with_overlap(
         self, requests: Mapping[str, Allocation]
     ) -> Dict[str, List[int]]:
@@ -145,6 +327,19 @@ class Mapper:
             placement[name] = [(offset + i) % n for i in range(count)]
             offset = (offset + count) % n
         return placement
+
+    def _overlap_rows(self, cores: np.ndarray) -> np.ndarray:
+        """:meth:`_place_with_overlap` for oversubscribed rows: service
+        ``i`` holds the window of ``cores[:, i]`` cores starting at its
+        offset, modulo the socket (two services: from opposite ends)."""
+        n = len(self.socket_cores)
+        local = np.arange(n)
+        if cores.shape[1] == 2:
+            start = np.zeros_like(cores)
+            start[:, 1] = n - cores[:, 1]
+        else:
+            start = (cores.cumsum(axis=1) - cores) % n
+        return (local - start[:, :, None]) % n < cores[:, :, None]
 
     # ------------------------------------------------------------------ #
     # helpers

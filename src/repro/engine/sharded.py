@@ -9,11 +9,15 @@ worker process. Per tick the parent:
 
 1. runs the cluster control plane (traffic model + balancer — their RNG
    streams live here, exactly as in the single-process engine),
-2. publishes the ``(N, S)`` rate matrix into a
-   :mod:`multiprocessing.shared_memory` block and releases every worker,
-3. waits on the lock-step barrier while each worker steps its node slice
-   through the fused :class:`VectorEnvironment` math and writes its rows
-   of every result array straight into the shared block,
+2. writes the tick's assignments as pin, DVFS and way rows (those of
+   the nodes whose assignment changed; per-node dicts are converted
+   first) and the ``(N, S)`` rate matrix into a
+   :mod:`multiprocessing.shared_memory` block, so the ``step`` message
+   carries nothing, and releases every worker,
+3. waits on the lock-step barrier while each worker installs its rows
+   and steps its node slice through the fused :class:`VectorEnvironment`
+   math, writing its rows of every result array straight into the
+   shared block,
 4. assembles the full-fleet :class:`StepBatch` from the shared arrays and
    rebuilds the balancer feedback.
 
@@ -70,7 +74,13 @@ from repro.cluster.traffic import (
     install_rates,
     make_traffic_spec,
 )
-from repro.engine.vector_env import ENV_SEED_STRIDE, StepBatch, VectorEnvironment
+from repro.core.mapper import AssignmentBatch
+from repro.engine.vector_env import (
+    ENV_SEED_STRIDE,
+    AssignmentRows,
+    StepBatch,
+    VectorEnvironment,
+)
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.sink import NULL_SINK
 from repro.server.machine import CoreAssignment
@@ -104,23 +114,38 @@ _OUT_FIELDS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
-class _ShmLayout:
-    """Offsets of the rate-in and result-out arrays in one shared block."""
+#: What the parent writes for the workers each tick: the balancer's
+#: rates and the assignments as pin ("SC": one row per service over the
+#: socket's cores), DVFS and way rows.
+_IN_FIELDS: Tuple[Tuple[str, str, str], ...] = (
+    ("rates_in", "S", "f8"),
+    ("freq_in", "S", "i8"),
+    ("ways_in", "S", "i8"),
+    ("pins_in", "SC", "?"),
+)
 
-    def __init__(self, num_nodes: int, num_services: int):
+
+class _ShmLayout:
+    """Offsets of the input and result-out arrays in one shared block."""
+
+    def __init__(self, num_nodes: int, num_services: int, num_cores: int):
         self.num_nodes = num_nodes
         self.num_services = num_services
         self._slots: Dict[str, Tuple[int, Tuple[int, ...], np.dtype]] = {}
         offset = 0
-        for key, shape, dtype in (("rates_in", "S", "f8"),) + _OUT_FIELDS:
+        for key, shape, dtype in _IN_FIELDS + _OUT_FIELDS:
             dims: Tuple[int, ...] = (num_nodes,)
             if shape == "S":
                 dims += (num_services,)
             elif shape == "S11":
                 dims += (num_services, 11)
+            elif shape == "SC":
+                dims += (num_services, num_cores)
             dt = np.dtype(dtype)
             self._slots[key] = (offset, dims, dt)
-            offset += int(np.prod(dims)) * dt.itemsize
+            # Round up so every slot stays 8-byte aligned after the bool
+            # pin rows.
+            offset += (int(np.prod(dims)) * dt.itemsize + 7) // 8 * 8
         self.nbytes = offset
 
     def views(self, buf) -> Dict[str, np.ndarray]:
@@ -159,6 +184,7 @@ def _shard_worker(
     seed: int,
     config: Optional[EnvironmentConfig],
     qos_targets: Optional[Dict[str, float]],
+    core_ids: Sequence[int],
     lo: int,
     hi: int,
     parent_pid: int,
@@ -211,7 +237,7 @@ def _shard_worker(
     # parent, so the duplicate collapses and the parent's unlink() both
     # releases the segment and clears the single registration.
     shm = shared_memory.SharedMemory(name=shm_name)
-    views = _ShmLayout(num_nodes, len(services)).views(shm.buf)
+    views = _ShmLayout(num_nodes, len(services), len(core_ids)).views(shm.buf)
     slice_env = _ShardSlice(
         [
             make_cluster_node(services, seed + e * ENV_SEED_STRIDE, config, qos_targets)
@@ -224,8 +250,12 @@ def _shard_worker(
             try:
                 if cmd == "step":
                     slice_env._pending_rates = np.array(views["rates_in"][lo:hi])
+                    assignments = AssignmentBatch(
+                        services, core_ids, views["pins_in"][lo:hi],
+                        views["freq_in"][lo:hi], views["ways_in"][lo:hi],
+                    )
                     try:
-                        batch = slice_env.step(payload)
+                        batch = slice_env.step(assignments)
                     finally:
                         slice_env._pending_rates = None
                     arrays = batch.arrays
@@ -328,7 +358,12 @@ class ShardedClusterEnvironment:
             bounds.append(bounds[-1] + base + (1 if w < extra else 0))
         self._bounds = bounds
 
-        self._layout = _ShmLayout(num_nodes, len(self.names))
+        core_ids = self.spec.socket_core_ids(self.config.socket_index)
+        self._inputs = AssignmentRows(
+            self.names, core_ids, self.config.socket_index, len(self.spec.dvfs),
+            num_nodes,
+        )
+        self._layout = _ShmLayout(num_nodes, len(self.names), len(core_ids))
         self._shm = shared_memory.SharedMemory(
             create=True, size=self._layout.nbytes
         )
@@ -352,6 +387,7 @@ class ShardedClusterEnvironment:
                         seed,
                         config,
                         qos_targets or None,
+                        core_ids,
                         bounds[w],
                         bounds[w + 1],
                         os.getpid(),
@@ -589,12 +625,11 @@ class ShardedClusterEnvironment:
         if timings is not None:
             timings.get("cluster.control").add(_time.perf_counter() - t0)
             t0 = _time.perf_counter()
+        # Also refused before any worker is released: a bad assignment
+        # leaves every shard as it was.
+        self._write_assignments(assignments)
         self._views["rates_in"][:] = rates
-        bounds = self._bounds
-        payloads = [
-            list(assignments[bounds[w]:bounds[w + 1]]) for w in range(self.workers)
-        ]
-        self._broadcast("step", payloads)
+        self._broadcast("step", [None] * self.workers)
         # Copy out of the shared block so the batch (and anything holding
         # references into it — balancer feedback, manager transitions)
         # survives the next tick's overwrite.
@@ -615,6 +650,23 @@ class ShardedClusterEnvironment:
             degraded=degraded,
         )
         return batch
+
+    def _write_assignments(
+        self, assignments: Sequence[Mapping[str, CoreAssignment]]
+    ) -> None:
+        """Write the tick's assignments into the shared input rows.
+
+        Only the nodes whose assignment changed are rewritten; the rows of
+        the others still hold it. Each worker then installs the rows of
+        its nodes that differ from what it has installed.
+        """
+        views = self._views
+        changed, pins, level, ways = self._inputs.changes(
+            assignments, views["pins_in"], views["freq_in"], views["ways_in"]
+        )
+        views["pins_in"][changed] = pins
+        views["freq_in"][changed] = level
+        views["ways_in"][changed] = ways
 
     # ------------------------------------------------------------------ #
     # checkpointing

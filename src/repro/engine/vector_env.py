@@ -36,15 +36,20 @@ equivalence oracle: stepping the same seeds through
 
 Machine state (core pins, per-core DVFS indices, migration counters)
 is owned by the engine as ``(E, S, C)`` / ``(E, C)`` / ``(E, S)``
-arrays. Assignments are installed without ``Machine.apply``: each
-distinct service core set is validated once and cached as a boolean
-core row, and every changed environment is written in one indexing pass
-with ``Machine.apply``'s arbitration (a core runs at the highest DVFS
-index pinned to it, an unpinned core drops to 0, a service's migration
-counter grows by ``popcount(old XOR new)``). The wrapped ``Machine``
-objects are read on construction and ``load_state_dict`` and written
-back only where they are read (:meth:`VectorEnvironment.sync_machines`,
-called by ``state_dict`` and ``migration_counts``).
+arrays. Assignments are installed without ``Machine.apply``, as pin,
+DVFS and way rows: an :class:`~repro.core.mapper.AssignmentBatch` hands
+them over as arrays, and its changed rows are picked by one array
+compare with the installed rows; per-env dicts (rule fleets, a resumed
+run, tests) are converted into the same rows by :class:`AssignmentRows`,
+each distinct core set validated once and cached as a boolean row, and
+an env whose dict equals the one it last installed is skipped. Every
+changed environment is then written in one indexing pass with
+``Machine.apply``'s arbitration (a core runs at the highest DVFS index
+pinned to it, an unpinned core drops to 0, a service's migration counter
+grows by ``popcount(old XOR new)``). The wrapped ``Machine`` objects are
+read on construction and ``load_state_dict`` and written back only where
+they are read (:meth:`VectorEnvironment.sync_machines`, called by
+``state_dict`` and ``migration_counts``).
 
 Every numeric formula on the hot path is evaluated once over the whole
 batch. What still touches the wrapped environments' Python objects is
@@ -78,10 +83,11 @@ from __future__ import annotations
 
 import dataclasses
 from operator import attrgetter
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.mapper import AssignmentBatch
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.obs.events import make_event
 from repro.server.machine import CoreAssignment
@@ -102,8 +108,8 @@ from repro.sim.environment import (
 #: derived per-generator seeds of different environments never collide.
 ENV_SEED_STRIDE = 100003
 
-#: Validated core sets the install keeps as pin rows before it starts
-#: over; a 256-node learning fleet used about 340 in 150 ticks.
+#: Validated core sets the dict conversion keeps as pin rows before it
+#: starts over; a 256-node learning fleet used about 340 in 150 ticks.
 _ROW_CACHE_LIMIT = 4096
 
 #: Raw counter names in the exact order ``TelemetrySynthesizer.synthesize``
@@ -295,6 +301,171 @@ class StepBatch(Sequence):
         return result
 
 
+class AssignmentRows:
+    """Checks assignment input and turns it into pin, DVFS and way rows.
+
+    Both engines install from ``(E, S, C)`` pin rows over the socket's
+    cores ``core_ids`` and ``(E, S)`` DVFS and way rows of the services
+    ``names``; :meth:`changes` hands them the rows of the envs whose
+    assignment changed. An :class:`~repro.core.mapper.AssignmentBatch`
+    already is rows, compared with the current ones in one array pass.
+    Per-env ``name -> CoreAssignment`` dicts are converted: each distinct
+    core set is validated once and kept as a boolean row, and an env
+    whose dict equals the one it last converted is skipped until
+    :meth:`forget` (its rows changed some other way). Bad input raises
+    the ``AllocationError`` the scalar path raises for it, before
+    anything is recorded.
+    """
+
+    def __init__(
+        self, names: Sequence[str], core_ids: Sequence[int], socket_index: int,
+        num_levels: int, num_envs: int,
+    ):
+        self.names = list(names)
+        self.core_ids = list(core_ids)
+        self.socket_index = socket_index
+        self.num_levels = num_levels
+        self._column = {cid: j for j, cid in enumerate(self.core_ids)}
+        self._applied: List[Optional[Dict[str, CoreAssignment]]] = [None] * num_envs
+        # Validated core sets: core-id tuple -> index of its pin row in
+        # the boolean (rows, C) table ``_rows``.
+        self._row_ids: Dict[tuple, int] = {}
+        self._rows = np.zeros((16, len(self.core_ids)), dtype=bool)
+
+    def forget(self) -> None:
+        """Convert every env's next dict, equal to its last one or not."""
+        self._applied = [None] * len(self._applied)
+
+    def changes(
+        self,
+        assignments: Sequence[Mapping[str, CoreAssignment]],
+        pins: np.ndarray,
+        level: np.ndarray,
+        ways: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The envs whose assignment changed, with their new pin, DVFS and
+        way rows; ``pins``, ``level`` and ``ways`` are the current rows."""
+        if not isinstance(assignments, AssignmentBatch):
+            return self._convert(assignments)
+        self._check_batch(assignments)
+        changed = np.flatnonzero(
+            (assignments.pins != pins).any(axis=(1, 2))
+            | (assignments.freq != level).any(axis=1)
+            | (assignments.ways != ways).any(axis=1)
+        )
+        if changed.size:
+            # The changed rows no longer hold the dicts last converted.
+            self.forget()
+        return (
+            changed, assignments.pins[changed], assignments.freq[changed],
+            assignments.ways[changed],
+        )
+
+    def _check_batch(self, batch: AssignmentBatch) -> None:
+        """Refuse a batch for other services (or in another column order)
+        or another socket, a service pinned to no core, or a DVFS index
+        off the ladder."""
+        if list(batch.names) != self.names:
+            raise AllocationError(
+                f"assignments for services {list(batch.names)} but the engine "
+                f"runs {self.names}, in that order"
+            )
+        if batch.core_ids.tolist() != self.core_ids:
+            raise AllocationError(
+                f"assignments pin cores {batch.core_ids.tolist()}, server socket "
+                f"{self.socket_index} has cores {self.core_ids}"
+            )
+        empty = ~batch.pins.any(axis=2)
+        if empty.any():
+            i = int(np.argwhere(empty)[0, 1])
+            raise AllocationError(f"service {self.names[i]!r} assigned zero cores")
+        self._check_levels(batch.freq)
+
+    def _convert(
+        self, assignments: Sequence[Mapping[str, CoreAssignment]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The envs whose dict changed, with their pin, DVFS and way rows."""
+        names = self.names
+        S = len(names)
+        if len(self._row_ids) > _ROW_CACHE_LIMIT:
+            self._row_ids.clear()
+        row_ids = self._row_ids
+        changed: List[int] = []
+        snapshots: List[Dict[str, CoreAssignment]] = []
+        rows: List[int] = []
+        levels: List[int] = []
+        ways: List[int] = []
+        for e, assignment in enumerate(assignments):
+            if assignment == self._applied[e]:
+                continue
+            try:
+                values = [assignment[name] for name in names]
+            except KeyError:
+                values = None
+            if values is None or len(assignment) != S:
+                raise AllocationError(
+                    f"assignments for {sorted(assignment)} but services are "
+                    f"{sorted(names)}"
+                )
+            for name, a in zip(names, values):
+                try:
+                    rows.append(row_ids[a.cores])
+                except (KeyError, TypeError):  # unseen or unhashable core set
+                    rows.append(self._core_row(name, a.cores))
+                levels.append(a.freq_index)
+                ways.append(a.llc_ways)
+            changed.append(e)
+            snapshots.append(dict(assignment))
+        K = len(changed)
+        level = np.array(levels, dtype=np.int64).reshape(K, S)
+        self._check_levels(level)
+        for e, snapshot in zip(changed, snapshots):
+            self._applied[e] = snapshot
+        return (
+            np.array(changed, dtype=np.int64),
+            self._rows[rows].reshape(K, S, len(self.core_ids)),
+            level,
+            np.array(ways, dtype=np.int64).reshape(K, S),
+        )
+
+    def _check_levels(self, level: np.ndarray) -> None:
+        out_of_range = (level < 0) | (level >= self.num_levels)
+        if out_of_range.any():
+            k, i = np.argwhere(out_of_range)[0].tolist()
+            raise AllocationError(
+                f"service {self.names[i]!r} freq index {level[k, i]} out of "
+                f"range [0, {self.num_levels})"
+            )
+
+    def _core_row(self, name: str, cores) -> int:
+        """Index of ``cores``' pin row, validating a core set not seen yet.
+
+        Raises the ``AllocationError`` the scalar path raises for the same
+        set: a core outside the server socket, zero cores, a repeated core.
+        """
+        key = tuple(cores)
+        row = self._row_ids.get(key)
+        if row is not None:
+            return row
+        outside = [c for c in key if c not in self._column]
+        if outside:
+            raise AllocationError(
+                f"service {name!r} assigned cores {outside} outside server "
+                f"socket {self.socket_index}"
+            )
+        if not key:
+            raise AllocationError(f"service {name!r} assigned zero cores")
+        if len(set(key)) != len(key):
+            raise AllocationError(f"service {name!r} repeats cores: {cores}")
+        row = len(self._row_ids)
+        if row == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+        self._rows[row] = False
+        self._rows[row, [self._column[c] for c in key]] = True
+        self._row_ids[key] = row
+        return row
+
+
 class VectorEnvironment:
     """N homogeneous colocation environments stepped in lock-step.
 
@@ -351,7 +522,6 @@ class VectorEnvironment:
             self.spec.dvfs.frequencies_ghz, dtype=np.float64
         )
         self._core_ids = base.socket_core_ids
-        self._column = {cid: j for j, cid in enumerate(self._core_ids)}
         # Every env's services and load generators in row-major
         # (env, service) order, so per-(env, service) state moves to and
         # from the (E, S) matrices in one flat pass.
@@ -374,14 +544,15 @@ class VectorEnvironment:
         self._m_freq = np.zeros((E, S))
         self._m_llc_quota = np.zeros((E, S))
         self._migrations = np.zeros((E, S), dtype=np.int64)
-        # Per env, a copy of the last installed assignment dict (None
-        # forces a full install), and whether its Machine lags the arrays.
-        self._applied: List[Optional[Dict[str, CoreAssignment]]] = [None] * E
+        # The installed rows a batch is compared with: each service's DVFS
+        # index and LLC ways, next to its pins in ``_m_membership``.
+        self._m_level = np.zeros((E, S), dtype=np.int64)
+        self._m_ways = np.zeros((E, S), dtype=np.int64)
+        # Per env, whether its Machine lags the arrays.
         self._machine_stale = np.zeros(E, dtype=bool)
-        # Validated core sets: core-id tuple -> index of its pin row in
-        # the boolean (rows, C) table ``_rows``.
-        self._row_ids: Dict[tuple, int] = {}
-        self._rows = np.zeros((16, C), dtype=bool)
+        self._inputs = AssignmentRows(
+            self.names, self._core_ids, self.config.socket_index, len(self._ladder), E
+        )
         self._gather_machines()
 
     def _gather_machines(self) -> None:
@@ -398,7 +569,10 @@ class VectorEnvironment:
         self._m_online[:] = online
         self._m_membership[:] = pins
         self._migrations[:] = migrations
-        self._applied = [None] * self.num_envs
+        # A Machine holds no per-service DVFS or way rows: mark them with
+        # a level no batch carries, so the next install writes every env.
+        self._m_level[:] = -1
+        self._inputs.forget()
         self._machine_stale[:] = False
 
     def sync_machines(self) -> None:
@@ -421,104 +595,35 @@ class VectorEnvironment:
                     counts[name] = count
         self._machine_stale[:] = False
 
-    def _core_row(self, name: str, cores) -> int:
-        """Index of ``cores``' pin row, validating a core set not seen yet.
-
-        Raises the ``AllocationError`` the scalar path raises for the same
-        set: a core outside the server socket, zero cores, a repeated core.
-        """
-        key = tuple(cores)
-        row = self._row_ids.get(key)
-        if row is not None:
-            return row
-        outside = [c for c in key if c not in self._column]
-        if outside:
-            raise AllocationError(
-                f"service {name!r} assigned cores {outside} outside server "
-                f"socket {self.config.socket_index}"
-            )
-        if not key:
-            raise AllocationError(f"service {name!r} assigned zero cores")
-        if len(set(key)) != len(key):
-            raise AllocationError(f"service {name!r} repeats cores: {cores}")
-        row = len(self._row_ids)
-        if row == len(self._rows):
-            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
-        self._rows[row] = False
-        self._rows[row, [self._column[c] for c in key]] = True
-        self._row_ids[key] = row
-        return row
-
     def _install_assignments(
         self, assignments: Sequence[Mapping[str, CoreAssignment]]
     ) -> None:
         """Validate every changed assignment, then write them in one pass.
 
-        An env whose assignment equals the one it last installed is
-        skipped. The others are written together, as ``Machine.apply``
-        would: a core runs at the highest DVFS index pinned to it, an
-        unpinned core drops to 0, and each service's migration counter
-        grows by the cores entering or leaving its set. Nothing is written
-        unless every env validates.
+        A batch's changed rows are those whose pins, DVFS indices or ways
+        differ from the installed ones; a dict equal to the one its env
+        last installed is skipped. The changed envs are written together,
+        as ``Machine.apply`` would: a core runs at the highest DVFS index
+        pinned to it, an unpinned core drops to 0, and each service's
+        migration counter grows by the cores entering or leaving its set.
+        Nothing is written unless every env validates.
         """
-        names = self.names
-        S = len(names)
-        if len(self._row_ids) > _ROW_CACHE_LIMIT:
-            self._row_ids.clear()
-        row_ids = self._row_ids
-        changed: List[int] = []
-        snapshots: List[Dict[str, CoreAssignment]] = []
-        rows: List[int] = []
-        levels: List[int] = []
-        ways: List[int] = []
-        for e, assignment in enumerate(assignments):
-            if assignment == self._applied[e]:
-                continue
-            try:
-                values = [assignment[name] for name in names]
-            except KeyError:
-                values = None
-            if values is None or len(assignment) != S:
-                raise AllocationError(
-                    f"assignments for {sorted(assignment)} but services are "
-                    f"{sorted(names)}"
-                )
-            for name, a in zip(names, values):
-                try:
-                    rows.append(row_ids[a.cores])
-                except (KeyError, TypeError):  # unseen or unhashable core set
-                    rows.append(self._core_row(name, a.cores))
-                levels.append(a.freq_index)
-                ways.append(a.llc_ways)
-            changed.append(e)
-            snapshots.append(dict(assignment))
-        if not changed:
-            return
-        K = len(changed)
-        level = np.array(levels, dtype=np.int64).reshape(K, S)
-        out_of_range = (level < 0) | (level >= len(self._ladder))
-        if out_of_range.any():
-            k, i = np.argwhere(out_of_range)[0].tolist()
-            raise AllocationError(
-                f"service {names[i]!r} freq index {levels[k * S + i]} out of "
-                f"range [0, {len(self._ladder)})"
-            )
-
-        idx = np.array(changed)
-        pins = self._rows[rows].reshape(K, S, -1)
-        self._migrations[idx] += (pins != self._m_membership[idx]).sum(axis=2)
-        self._m_membership[idx] = pins
-        core_level = np.where(pins, level[:, :, None], 0).max(axis=1)
-        self._m_freq_index[idx] = core_level
-        self._m_n_cores[idx] = pins.sum(axis=2)
-        core_ghz = self._ladder[core_level][:, None, :]
-        self._m_freq[idx] = np.where(pins, core_ghz, -np.inf).max(axis=2)
-        self._m_llc_quota[idx] = (
-            np.array(ways).reshape(K, S) * self.spec.socket.mb_per_way
+        changed, pins, level, ways = self._inputs.changes(
+            assignments, self._m_membership, self._m_level, self._m_ways
         )
-        self._machine_stale[idx] = True
-        for e, snapshot in zip(changed, snapshots):
-            self._applied[e] = snapshot
+        if not changed.size:
+            return
+        self._migrations[changed] += (pins != self._m_membership[changed]).sum(axis=2)
+        self._m_membership[changed] = pins
+        self._m_level[changed] = level
+        self._m_ways[changed] = ways
+        core_level = np.where(pins, level[:, :, None], 0).max(axis=1)
+        self._m_freq_index[changed] = core_level
+        self._m_n_cores[changed] = pins.sum(axis=2)
+        core_ghz = self._ladder[core_level][:, None, :]
+        self._m_freq[changed] = np.where(pins, core_ghz, -np.inf).max(axis=2)
+        self._m_llc_quota[changed] = ways * self.spec.socket.mb_per_way
+        self._machine_stale[changed] = True
 
     # ------------------------------------------------------------------ #
     # construction helpers

@@ -579,6 +579,7 @@ class BDQAgent:
             raise CheckpointError(
                 f"checkpoint replay kind {buffer_kind!r} != agent replay kind {expected_kind!r}"
             )
+        self._check_replay_actions(buffer_tree, "replay")
 
         def stage_weights(name: str, stored: Dict[str, Any], model_params) -> List[np.ndarray]:
             if len(stored) != len(model_params):
@@ -660,6 +661,35 @@ class BDQAgent:
         self.last_loss = None if last_loss is None else float(last_loss)
         self.last_td_error = None if last_td_error is None else float(last_td_error)
         set_rng_state(self._rng, rng_tree)
+
+    def _check_replay_actions(self, buffer_tree: Dict[str, Any], where: str) -> None:
+        """Refuse stored replay actions a train step could not gather.
+
+        A train step casts the sampled rows' actions to int and indexes
+        each branch's Q-values with them: an index at or past its branch
+        size raises ``IndexError`` there, a negative one counts from the
+        end and a fractional one is truncated. All three are refused here,
+        before anything is committed.
+        """
+        try:
+            actions = dict(buffer_tree.get("fields") or {}).get("actions")
+            actions = None if actions is None else np.asarray(actions, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed {where} actions: {exc}") from exc
+        if actions is None or actions.size == 0:
+            return
+        sizes = self._branch_sizes_flat
+        if actions.ndim != 2 or actions.shape[1] != len(sizes):
+            raise CheckpointError(
+                f"{where} actions have shape {actions.shape}, expected "
+                f"(rows, {len(sizes)})"
+            )
+        if not np.all(actions == np.floor(actions)):
+            raise CheckpointError(f"{where} actions are not whole branch indices")
+        if not (np.all(actions >= 0) and np.all(actions < np.asarray(sizes))):
+            raise CheckpointError(
+                f"{where} actions out of range for branch sizes {sizes}"
+            )
 
     def save(self, path: Union[str, Path]) -> None:
         """Write a full-training-state checkpoint (atomic; see repro.ckpt)."""

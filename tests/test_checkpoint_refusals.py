@@ -16,6 +16,7 @@ from repro.engine.fleet import FleetTwig
 from repro.engine.fleet_reference import DictFleetTwig
 from repro.errors import CheckpointError
 from repro.experiments.common import make_environment
+from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.services.profiles import get_profile
 from tests.test_engine_sharded import _assert_tree_equal
 from tests.test_legacy_checkpoints import DATA
@@ -79,4 +80,67 @@ def test_out_of_range_pending_actions_in_a_twig_tree_are_refused():
     before = twig.state_dict()
     with pytest.raises(CheckpointError, match="prev_actions out of range"):
         twig.load_state_dict(tree)
+    _assert_tree_equal(twig.state_dict(), before)
+
+
+#: Replay ``actions`` a train step cannot gather, by what they do there:
+#: an index at its branch size raises IndexError, a negative one counts
+#: from the end, a fractional one is truncated by the int cast.
+REPLAY_ACTION_CORRUPTIONS = {
+    "past_branch": (0, 18.0),  # cores branch has 18 choices: 0..17
+    "negative": (1, -1.0),
+    "fractional": (0, 2.5),
+}
+
+
+def _corrupt_actions(fields, corruption):
+    column, value = REPLAY_ACTION_CORRUPTIONS[corruption]
+    actions = np.array(fields["actions"], dtype=np.float64)
+    actions[-1, column] = value
+    fields["actions"] = actions
+
+
+@pytest.mark.parametrize("corruption", sorted(REPLAY_ACTION_CORRUPTIONS))
+def test_bad_striped_replay_actions_are_refused(corruption):
+    env = make_environment(PENDING_SERVICES, [0.4, 0.4], 3)
+    fleet, assignments = _pending_fleet(FleetTwig, env, 6)
+    tree = fleet.state_dict()
+    _corrupt_actions(tree["agent"]["striped"]["fields"], corruption)
+    before = fleet.state_dict()
+    with pytest.raises(CheckpointError, match="striped replay actions"):
+        fleet.load_state_dict(tree)
+    _assert_tree_equal(fleet.state_dict(), before)
+    for _ in range(4):
+        assignments = fleet.update_batch([env.step(assignments[0])])
+
+
+@pytest.mark.parametrize("corruption", sorted(REPLAY_ACTION_CORRUPTIONS))
+def test_bad_scalar_replay_actions_are_refused(corruption):
+    """The scalar agent's ring, on its own and inside a legacy Twig tree
+    (where it becomes the one-stripe buffer)."""
+    config = BDQAgentConfig(
+        state_dim=4, branch_sizes=[[18, 9]], batch_size=4, min_buffer_size=4,
+        buffer_capacity=8, shared_hidden=(8,), branch_hidden=4,
+    )
+    source = BDQAgent(config, np.random.default_rng(1))
+    feeder = np.random.default_rng(2)
+    for _ in range(6):
+        source.observe(Transition(
+            state=feeder.normal(size=4), actions=[[3, 2]], rewards=feeder.normal(size=1),
+            next_state=feeder.normal(size=4),
+        ))
+    tree = source.state_dict()
+    _corrupt_actions(tree["buffer"]["fields"], corruption)
+    agent = BDQAgent(config, np.random.default_rng(3))
+    before = agent.state_dict()
+    with pytest.raises(CheckpointError, match="replay actions"):
+        agent.load_state_dict(tree)
+    _assert_tree_equal(agent.state_dict(), before)
+
+    legacy = load_state(DATA / "legacy_twig.ckpt.npz")
+    _corrupt_actions(legacy["agent"]["buffer"]["fields"], corruption)
+    twig = _legacy_twig()
+    before = twig.state_dict()
+    with pytest.raises(CheckpointError, match="replay actions"):
+        twig.load_state_dict(legacy)
     _assert_tree_equal(twig.state_dict(), before)

@@ -58,9 +58,9 @@ def test_transitions_are_fed_to_agent():
     twig, env = _make()
     assignments = twig.initial_assignments()
     result = env.step(assignments)
-    twig.update(result)
+    assignments = twig.update(result)
     assert len(twig.agent.striped) == 0  # first update has no previous state
-    result = env.step(twig._map_row(0))
+    result = env.step(assignments)
     twig.update(result)
     assert len(twig.agent.striped) == 1
 

@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 
 from repro.cluster.environment import ClusterEnvironment
+from repro.core.actions import Allocation
 from repro.core.config import TwigConfig
+from repro.core.mapper import Mapper
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import RUN_CKPT_NAME, run_fleet
 from repro.engine.sharded import ShardedClusterEnvironment
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.hier import BudgetConfig, HierFleetTwig
 from repro.obs.sink import MemorySink
+from repro.server.machine import CoreAssignment
 from repro.services.profiles import get_profile
 from repro.sim.faults import Fault, FaultInjector
 
@@ -280,6 +283,69 @@ class TestHier:
         _assert_traces_equal(results["vector"][0], results["shard"][0])
         assert np.array_equal(results["vector"][1], results["shard"][1])
         _assert_tree_equal(results["vector"][2], results["shard"][2])
+
+
+class TestAssignmentRows:
+    """Assignments reach the workers as shared-memory rows only."""
+
+    def _schedule(self, venv, num_nodes):
+        """Dicts, a batch, the same dicts again, the same batch again."""
+        mapper = Mapper(venv.spec, socket_index=venv.config.socket_index)
+        top = len(venv.spec.dvfs) - 1
+        dicts = [
+            mapper.map({name: Allocation(2 + e, top - e) for name in SERVICES})
+            for e in range(num_nodes)
+        ]
+        cores = np.array([[9, 12]] * num_nodes)
+        batch = mapper.map_rows(SERVICES, cores, np.ones_like(cores), np.zeros_like(cores))
+        return [dicts, batch, dicts, batch]
+
+    def test_step_message_carries_no_assignments(self):
+        venv = _make_env("shard", num_nodes=4, workers=2)
+        sent = []
+        send = venv._send
+
+        def recording(w, cmd, payload):
+            sent.append((cmd, payload))
+            send(w, cmd, payload)
+
+        venv._send = recording
+        try:
+            run_fleet(_make_manager(4), venv, 4)  # batches
+            for assignments in self._schedule(venv, 4):
+                venv.step(assignments)
+        finally:
+            venv.close()
+        steps = [payload for cmd, payload in sent if cmd == "step"]
+        assert len(steps) == 2 * 8 and all(payload is None for payload in steps)
+
+    def test_dicts_and_batches_interleave_like_vector(self):
+        trees = {}
+        for engine in ("vector", "shard"):
+            venv = _make_env(engine, 5, workers=2)
+            try:
+                for assignments in self._schedule(venv, 5):
+                    venv.step(assignments)
+                trees[engine] = venv.state_dict()
+            finally:
+                venv.close()
+        _assert_tree_equal(trees["vector"], trees["shard"])
+
+    def test_bad_assignment_is_refused_before_any_worker_steps(self):
+        venv = _make_env("shard", num_nodes=3, workers=2)
+        try:
+            good = self._schedule(venv, 3)[0]
+            venv.step(good)
+            before = venv.state_dict()["envs"]
+            bad = list(good)
+            bad[2] = {**good[2], "xapian": CoreAssignment(cores=(), freq_index=1)}
+            with pytest.raises(AllocationError, match="zero cores"):
+                venv.step(bad)
+            assert venv.time == 1
+            _assert_tree_equal(venv.state_dict()["envs"], before)
+            venv.step(good)
+        finally:
+            venv.close()
 
 
 class TestSurfaceAndErrors:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.actions import Allocation
 from repro.core.config import TwigConfig
-from repro.core.mapper import Mapper
+from repro.core.mapper import AssignmentBatch, Mapper
 from repro.engine.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import (
@@ -376,6 +376,100 @@ class TestInstallValidation:
                 venv.step([bad])
             assert str(vector.value) == str(scalar.value)
         _step_and_compare(venv, oracles, [good])
+
+
+def _rows4(mapper, rows):
+    """An ``AssignmentBatch`` of one ``(cores, freqs, ways)`` row per env."""
+    cores, freqs, ways = (np.array([row[k] for row in rows]) for k in range(3))
+    return mapper.map_rows(SERVICES4, cores, freqs, ways)
+
+
+def _machine_arrays(venv):
+    return [
+        a.copy() for a in (
+            venv._m_membership, venv._m_level, venv._m_freq_index, venv._migrations,
+        )
+    ]
+
+
+class TestBatchInstall:
+    """An ``AssignmentBatch`` installs as its dicts would, and a bad one
+    changes nothing."""
+
+    GOOD = ((3, 4, 5, 2), (2, 6, 1, 8), (0, 2, 0, 0))
+    OVER = ((8, 6, 5, 4), (1, 3, 5, 7), (4, 0, 6, 20))
+
+    def test_batches_and_dicts_interleave_like_the_scalar_machine(self):
+        venv, oracles = _four_service_batch(2)
+        mapper = Mapper(venv.spec)
+        good = _map4(mapper, *self.GOOD)
+        batch = _rows4(mapper, [self.OVER, self.GOOD])
+        _step_and_compare(venv, oracles, [good, good])
+        _step_and_compare(venv, oracles, batch)
+        # The same dicts as two steps ago: env 0's machine now holds the
+        # batch's row, so the dict must be installed again, not skipped.
+        _step_and_compare(venv, oracles, [good, good])
+        _step_and_compare(venv, oracles, batch)
+        _step_and_compare(venv, oracles, batch)
+
+    def test_only_changed_rows_are_written(self):
+        venv, oracles = _four_service_batch(3)
+        mapper = Mapper(venv.spec)
+        _step_and_compare(venv, oracles, _rows4(mapper, [self.GOOD] * 3))
+        batch = _rows4(mapper, [self.GOOD, self.OVER, self.GOOD])
+        venv.step(batch)
+        assert venv._machine_stale.tolist() == [False, True, False]
+        for e, oracle in enumerate(oracles):
+            oracle.step(batch[e])
+        _assert_machine_matches(venv, oracles)
+
+    def test_load_reinstalls_every_env(self):
+        """After a load only the pins are re-read from the machines, so
+        the next batch is written in full even where it matches them."""
+        venv, oracles = _four_service_batch(2)
+        mapper = Mapper(venv.spec)
+        first = _rows4(mapper, [self.GOOD, self.GOOD])
+        second = _rows4(mapper, [self.OVER, self.OVER])
+        _step_and_compare(venv, oracles, first)
+        saved, oracle_trees = venv.state_dict(), [o.state_dict() for o in oracles]
+        _step_and_compare(venv, oracles, second)
+        venv.load_state_dict(saved)
+        for oracle, tree in zip(oracles, oracle_trees):
+            oracle.load_state_dict(tree)
+        # The first batch's pins (the machines' now) with the second's
+        # DVFS and ways (the rows installed before the load).
+        mixed = AssignmentBatch(SERVICES4, first.core_ids, first.pins, second.freq,
+                                second.ways)
+        _step_and_compare(venv, oracles, mixed)
+
+    @pytest.mark.parametrize("label", ["other_socket", "zero_cores", "freq_too_high",
+                                       "freq_negative", "service_order"])
+    def test_bad_batch_changes_nothing(self, label):
+        venv, oracles = _four_service_batch(2)
+        mapper = Mapper(venv.spec)
+        _step_and_compare(venv, oracles, _rows4(mapper, [self.GOOD, self.GOOD]))
+        batch = _rows4(mapper, [self.OVER, self.GOOD])
+        pins, freq, ways = batch.pins.copy(), batch.freq.copy(), batch.ways.copy()
+        core_ids, names = batch.core_ids, SERVICES4
+        if label == "service_order":
+            names = SERVICES4[::-1]
+        elif label == "other_socket":
+            core_ids = Mapper(venv.spec, socket_index=0).socket_cores
+        elif label == "zero_cores":
+            pins[1, 2] = False
+        elif label == "freq_too_high":
+            freq[1, 3] = len(venv.spec.dvfs)
+        else:
+            freq[1, 0] = -1
+        bad = AssignmentBatch(names, core_ids, pins, freq, ways)
+        before, arrays, time = venv.state_dict(), _machine_arrays(venv), venv.time
+        with pytest.raises(AllocationError):
+            venv.step(bad)
+        assert venv.time == time
+        for got, expected in zip(_machine_arrays(venv), arrays):
+            assert np.array_equal(got, expected)
+        _assert_tree_equal(venv.state_dict(), before)
+        _step_and_compare(venv, oracles, batch)
 
 
 class TestBatchedAct:

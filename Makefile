@@ -18,10 +18,11 @@ test-matrix:
 	PYTHONPATH=src taskset -c 0 $(PYTHON) -m pytest -x -q
 	$(PYTEST) -x -q
 
-## Golden hashes and checkpoint fixtures: the fleet and paper-loop
-## run-trace hashes (tests/data/golden_run_traces.json), the checkpoints
-## written before Twig became a one-server FleetTwig, and a vector_run
-## checkpoint written before assignments became arrays.
+## Golden hashes and checkpoint fixtures: the fleet, cluster/hier
+## experiment and paper-loop run-trace hashes
+## (tests/data/golden_run_traces.json), the checkpoints written before
+## Twig became a one-server FleetTwig, and a vector_run checkpoint
+## written before assignments became arrays.
 test-golden:
 	$(PYTEST) -q tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py \
 		tests/test_vector_run_fixture.py
@@ -45,9 +46,8 @@ trace-e2e:
 ## docs/fleet.md schema diff.
 test-fleet:
 	$(PYTEST) -q tests/test_engine_vector.py tests/test_engine_fleet_array.py \
-		tests/test_engine_sharded.py tests/test_cluster_traffic.py \
-		tests/test_cluster_balancer.py tests/test_cluster_environment.py \
-		tests/test_fleet_doc.py
+		tests/test_cluster_traffic.py tests/test_cluster_balancer.py \
+		tests/test_cluster_environment.py tests/test_fleet_doc.py
 
 ## Hierarchical control: budget allocator + HierFleetTwig masking/reward
 ## shaping, provisioning transfer, degraded-node shedding, rule fleets,

@@ -18,8 +18,8 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
   load balancer -> fused node physics) at 64 and 256 nodes with 4
   colocated services per node;
 - the learning fleet tick (physics, install, monitor, reward, act,
-  train and placement) at 64, 256 and 1024 nodes on the vector engine
-  and on the shard engine with 2 workers;
+  train and placement) at 64, 256 and 1024 nodes, and the fused node
+  step's share of it;
 - the hierarchical stack: the same 64/256-node clusters driven through
   ``HierFleetTwig.update_batch`` with the budget allocator active, so
   the delta over ``cluster_step`` prices two-level control;
@@ -373,7 +373,7 @@ def test_vector_rollout_train_and_act():
     """
     num_envs = 8
     rounds = {1: 40, 2: 30, 4: 20}
-    results = {}
+    results = {"cpus": len(os.sched_getaffinity(0))}
     for num_agents, n in rounds.items():
         agent = _fleet_agent(num_agents, num_envs=num_envs)
         states = np.random.default_rng(9).normal(
@@ -562,7 +562,7 @@ def test_cluster_step(tmp_path):
         def step():
             venv.step(next(schedule))
 
-        for _ in range(2):  # warm up caches / shard maps
+        for _ in range(2):  # warm up caches
             step()
         step_s = _best_block_s(step, rounds)
         steps_per_s = 1.0 / step_s
@@ -587,155 +587,71 @@ def test_cluster_step(tmp_path):
 
 
 def fleet_tick_results(sizes=((64, 30), (256, 20), (1024, 12)), warmup=5):
-    """Wall ms per learning-fleet tick on the vector and shard engines.
+    """Wall ms per learning-fleet tick, and the node step's share of it.
 
     For each ``(nodes, ticks)`` one learning ``FleetTwig``
     (``TwigConfig.fast``, the 4 ``fleet_learn`` services, ``diurnal``
-    traffic, ``least_loaded`` balancer) runs on ``ClusterEnvironment``
-    and an identically seeded one on ``ShardedClusterEnvironment`` with 2
-    workers; both trajectories are the same, bit for bit. After
-    ``warmup`` ticks each, the two alternate tick by tick, so a slow
-    stretch of a shared host hits both, and the median tick is recorded.
-    A tick is ``manager.update_batch(venv.step(assignments))``.
+    traffic, ``least_loaded`` balancer) runs on ``ClusterEnvironment``.
+    A tick is ``manager.update_batch(venv.step(assignments))``; after
+    ``warmup`` ticks the median tick is recorded, with the median
+    ``cluster.step`` section (the fused node simulation) and its share
+    of the tick. The rest of a tick is the traffic model, the balancer
+    and the manager update (monitor, reward, act, train, placement).
     """
     from repro.cluster import ClusterEnvironment
     from repro.core.config import TwigConfig
     from repro.engine.fleet import FleetTwig
-    from repro.engine.sharded import ShardedClusterEnvironment
+    from repro.obs.timing import TimingRegistry
     from repro.services.profiles import get_profile
 
     services = ["masstree", "xapian", "moses", "img-dnn"]
-    workers = 2
     results = {"cpus": len(os.sched_getaffinity(0)), "services": len(services),
-               "workers": workers, "warmup_ticks": warmup}
+               "warmup_ticks": warmup}
     for num_nodes, ticks in sizes:
-        kwargs = dict(num_nodes=num_nodes, seed=7, traffic="diurnal",
-                      balancer="least_loaded")
-        fleets = {}
-        try:
-            for engine in ("vector", "shard"):
-                venv = (
-                    ShardedClusterEnvironment.from_services(
-                        services, workers=workers, **kwargs
-                    )
-                    if engine == "shard"
-                    else ClusterEnvironment.from_services(services, **kwargs)
-                )
-                manager = FleetTwig(
-                    [get_profile(s) for s in services], TwigConfig.fast(),
-                    np.random.default_rng(8), num_envs=num_nodes,
-                )
-                manager.index_tag = "node"
-                fleets[engine] = [venv, manager, manager.initial_assignments()]
-
-            def tick(fleet):
-                venv, manager, assignments = fleet
-                fleet[2] = manager.update_batch(venv.step(assignments))
-
-            times = {engine: [] for engine in fleets}
-            for t in range(warmup + ticks):
-                for engine, fleet in fleets.items():
-                    t0 = time.perf_counter()
-                    tick(fleet)
-                    if t >= warmup:
-                        times[engine].append(time.perf_counter() - t0)
-        finally:
-            for venv, _, _ in fleets.values():
-                venv.close()
-        vector_ms = 1e3 * float(np.median(times["vector"]))
-        shard_ms = 1e3 * float(np.median(times["shard"]))
+        venv = ClusterEnvironment.from_services(
+            services, num_nodes=num_nodes, seed=7, traffic="diurnal",
+            balancer="least_loaded",
+        )
+        manager = FleetTwig(
+            [get_profile(s) for s in services], TwigConfig.fast(),
+            np.random.default_rng(8), num_envs=num_nodes,
+        )
+        manager.index_tag = "node"
+        assignments = manager.initial_assignments()
+        for _ in range(warmup):
+            assignments = manager.update_batch(venv.step(assignments))
+        venv.timings = TimingRegistry()
+        times = []
+        for _ in range(ticks):
+            t0 = time.perf_counter()
+            assignments = manager.update_batch(venv.step(assignments))
+            times.append(time.perf_counter() - t0)
+        tick_ms = 1e3 * float(np.median(times))
+        step_ms = venv.timings.get("cluster.step").percentile_ms(50)
         results[f"nodes_{num_nodes}"] = {
             "ticks": ticks,
-            "vector_ms": round(vector_ms, 3),
-            "shard_ms": round(shard_ms, 3),
-            "shard_speedup": round(vector_ms / shard_ms, 2),
+            "vector_ms": round(tick_ms, 3),
+            "node_step_ms": round(step_ms, 3),
+            "node_step_share": round(step_ms / tick_ms, 3),
         }
         print(
             f"\nlearning fleet tick ({num_nodes} nodes x {len(services)} services, "
-            f"{results['cpus']} cpus): vector {vector_ms:.1f}ms, shard "
-            f"({workers} workers) {shard_ms:.1f}ms"
+            f"{results['cpus']} cpus): {tick_ms:.1f}ms, node step {step_ms:.1f}ms "
+            f"({step_ms / tick_ms:.0%})"
         )
     return results
 
 
 def test_fleet_tick():
-    """The learning fleet tick on both engines; see :func:`fleet_tick_results`.
+    """The learning fleet tick; see :func:`fleet_tick_results`.
 
-    Records the median wall ms per tick and the CPU count. The shard
-    engine's speedup over the vector engine is recorded, not asserted:
-    it depends on how many CPUs the workers really get.
+    Records the median wall ms per tick, the node step's share of it and
+    the CPU count.
     """
     results = fleet_tick_results()
     _record("fleet_tick", results)
     # A 256-node learning tick stays inside one simulated 1 s interval.
     assert results["nodes_256"]["vector_ms"] < 1000.0, results
-
-
-def test_cluster_step_shard(tmp_path):
-    """Sharded multi-core stepping vs the in-process vector engine.
-
-    Same 1024-node substrate as ``test_cluster_step`` but stepped through
-    ``ShardedClusterEnvironment`` with 4 worker processes. Records the
-    measured speedup over the serial vector engine plus the worker and
-    CPU counts; like the parallel-runner smoke, the speedup is recorded
-    rather than asserted — on a 1-CPU container the barrier and IPC
-    overhead make workers a net loss, and the number only becomes a
-    claim on a machine with spare cores (trajectory bit-identity is the
-    asserted contract, in ``tests/test_engine_sharded.py``).
-    """
-    from repro.cluster import ClusterEnvironment
-    from repro.core.actions import Allocation
-    from repro.core.mapper import Mapper
-    from repro.engine.sharded import ShardedClusterEnvironment
-
-    services = ["masstree", "xapian", "moses", "img-dnn"]
-    num_nodes, workers, rounds = 1024, 4, 3
-    timings = {}
-    for engine in ("vector", "shard"):
-        if engine == "shard":
-            venv = ShardedClusterEnvironment.from_services(
-                services, num_nodes=num_nodes, seed=7,
-                traffic="diurnal", balancer="power_of_two", workers=workers,
-            )
-        else:
-            venv = ClusterEnvironment.from_services(
-                services, num_nodes=num_nodes, seed=7,
-                traffic="diurnal", balancer="power_of_two",
-            )
-        try:
-            mapper = Mapper(venv.spec, socket_index=venv.config.socket_index)
-            top = len(venv.spec.dvfs) - 1
-            assignment = mapper.map(
-                {name: Allocation(num_cores=4, freq_index=top) for name in services}
-            )
-            assignments = [assignment] * num_nodes
-            for _ in range(2):
-                venv.step(assignments)
-            timings[engine] = _best_block_s(
-                lambda: venv.step(assignments), rounds
-            )
-        finally:
-            venv.close()
-    speedup = timings["vector"] / timings["shard"]
-    cpus = len(os.sched_getaffinity(0))
-    steps_per_s = 1.0 / timings["shard"]
-    results = {
-        "nodes": num_nodes,
-        "services": len(services),
-        "workers": workers,
-        "cpus": cpus,
-        "rounds": rounds,
-        "vector_step_ms": round(timings["vector"] * 1e3, 3),
-        "shard_step_ms": round(timings["shard"] * 1e3, 3),
-        "shard_node_steps_per_s": round(steps_per_s * num_nodes, 1),
-        "speedup": round(speedup, 2),
-    }
-    print(
-        f"\ncluster shard step ({num_nodes} nodes, {workers} workers, "
-        f"{cpus} cpus): vector {timings['vector'] * 1e3:.1f}ms -> shard "
-        f"{timings['shard'] * 1e3:.1f}ms/step ({speedup:.2f}x)"
-    )
-    _record("cluster_step_shard", results)
 
 
 def test_hier_step(tmp_path):
@@ -754,7 +670,7 @@ def test_hier_step(tmp_path):
     from repro.services.profiles import get_profile
 
     services = ["masstree", "xapian", "moses", "img-dnn"]
-    results = {}
+    results = {"cpus": len(os.sched_getaffinity(0))}
     for num_nodes, rounds in {64: 20, 256: 8}.items():
         venv = ClusterEnvironment.from_services(
             services, num_nodes=num_nodes, seed=7,

@@ -131,7 +131,6 @@ def _config_for(
             for flag, key in (
                 ("nodes", "num_nodes"), ("seed", "seed"),
                 ("balancer", "balancer"), ("traffic_preset", "traffic"),
-                ("workers", "workers"),
             ):
                 value = getattr(overrides, flag, None)
                 if value is not None:
@@ -153,7 +152,6 @@ def _config_for(
                 ("nodes", "num_nodes"), ("seed", "seed"),
                 ("balancer", "balancer"), ("traffic_preset", "traffic"),
                 ("levels", "levels"), ("budget_period", "budget_period"),
-                ("workers", "workers"),
             ):
                 value = getattr(overrides, flag, None)
                 if value is not None:
@@ -559,19 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
              "inside each experiment",
     )
     run_parser.add_argument(
-        "--engine", choices=("auto", "serial", "pool", "vector", "shard"),
+        "--engine", choices=("auto", "serial", "pool", "vector"),
         default="auto",
         help="batch execution engine: auto picks pool vs serial from the "
              "usable CPU count; vector routes engine-aware experiments "
              "(e.g. fleet, cluster) through the batched in-process rollout "
-             "engine; shard steps cluster/hier fleets with --workers "
-             "shard processes over shared memory (same trajectories as "
-             "vector, see docs/architecture.md)",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, default=None, metavar="W",
-        help="cluster/hier experiments only: shard worker processes for "
-             "--engine shard (default 4)",
+             "engine, which runs a whole fleet in one process (see "
+             "docs/architecture.md)",
     )
     run_parser.add_argument(
         "--nodes", type=int, default=None, metavar="N",

@@ -277,7 +277,7 @@ class ClusterEnvironment(VectorEnvironment):
         tree["cluster"] = cluster
         return tree
 
-    def load_state_dict(self, tree: Dict[str, Any]) -> None:
+    def _load_state(self, tree: Dict[str, Any]) -> None:
         """Restore nodes, traffic RNG, balancer state and feedback loads."""
         try:
             cluster = dict(tree["cluster"])
@@ -285,20 +285,23 @@ class ClusterEnvironment(VectorEnvironment):
             raise CheckpointError(
                 f"cluster checkpoint missing 'cluster' subtree: {exc}"
             ) from exc
-        super().load_state_dict(tree)
+        super()._load_state(tree)
         self.traffic.load_state_dict(dict(cluster["traffic"]))
         self.balancer.load_state_dict(dict(cluster["balancer"]))
         loads = cluster.get("loads")
-        if loads is not None:
-            loads = dict(loads)
-            degraded = loads.get("degraded")
-            self._last_loads = NodeLoads(
-                arrival_rps=np.asarray(loads["arrival_rps"], dtype=np.float64),
-                utilization=np.asarray(loads["utilization"], dtype=np.float64),
-                backlog=np.asarray(loads["backlog"], dtype=np.float64),
-                degraded=(
-                    None if degraded is None else np.asarray(degraded, dtype=bool)
-                ),
-            )
-        else:
+        if loads is None:
             self._last_loads = None
+            return
+        shape = (self.num_envs, len(self.names))
+        feedback = {
+            key: np.asarray(loads[key], dtype=np.float64)
+            for key in ("arrival_rps", "utilization", "backlog")
+        }
+        degraded = loads.get("degraded")
+        if degraded is not None:
+            degraded = np.asarray(degraded, dtype=bool)
+        if any(a.shape != shape for a in feedback.values()) or (
+            degraded is not None and degraded.shape != shape[:1]
+        ):
+            raise CheckpointError(f"cluster feedback loads are not {shape} matrices")
+        self._last_loads = NodeLoads(**feedback, degraded=degraded)

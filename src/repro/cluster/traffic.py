@@ -303,30 +303,20 @@ class ScheduledLoad(LoadGenerator):
         return self._scheduled_rate
 
 
-def check_rates(rates: np.ndarray) -> np.ndarray:
-    """``rates`` as a flat float64 array, once every rate is finite and >= 0.
-
-    Raises :meth:`ScheduledLoad.set_rate`'s error for the first rate in
-    row-major order that is not.
-    """
-    flat = np.asarray(rates, dtype=np.float64).ravel()
-    valid = np.isfinite(flat) & (flat >= 0)
-    if not valid.all():
-        bad = flat[np.argmin(valid)]
-        raise ConfigurationError(f"scheduled rate must be finite >= 0: {bad}")
-    return flat
-
-
 def install_rates(generators: Sequence[ScheduledLoad], rates: np.ndarray) -> None:
     """Validate a whole rate matrix, then install it into ``generators``.
 
     ``generators`` holds one :class:`ScheduledLoad` per entry of
     ``rates`` in row-major (node, service) order. Each generator ends up
     where ``set_rate`` would put it, but a matrix with any rate that is
-    not finite and >= 0 raises ``set_rate``'s error before a single
-    generator is written.
+    not finite and >= 0 raises ``set_rate``'s error (for the first such
+    rate in row-major order) before a single generator is written.
     """
-    flat = check_rates(rates)
+    flat = np.asarray(rates, dtype=np.float64).ravel()
+    valid = np.isfinite(flat) & (flat >= 0)
+    if not valid.all():
+        bad = flat[np.argmin(valid)]
+        raise ConfigurationError(f"scheduled rate must be finite >= 0: {bad}")
     if len(flat) != len(generators):
         raise ConfigurationError(
             f"got {len(flat)} rates for {len(generators)} generators"

@@ -312,7 +312,7 @@ class FleetTwig:
     :meth:`~repro.core.mapper.Mapper.map_rows` places the allocation
     matrices, and the tick returns its
     :class:`~repro.core.mapper.AssignmentBatch` of pin, DVFS and way
-    rows, which the engines install without building a dict.
+    rows, which the vector engine installs without building a dict.
     ``update_batch`` therefore does O(1) array passes per tick; the only
     remaining per-env Python work is trace emission and the agent's
     per-branch exploration draws.

@@ -44,8 +44,8 @@ class AssignmentBatch(Sequence):
 
     ``batch[e]`` builds server ``e``'s ``name -> CoreAssignment`` dict
     (a new one on every read), equal to :meth:`Mapper.map`'s for the same
-    requests. Array-aware consumers (the vector and shard engines) read
-    the arrays and never build a dict.
+    requests. The vector engine reads the arrays and never builds a
+    dict.
     """
 
     def __init__(

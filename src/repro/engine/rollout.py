@@ -151,7 +151,7 @@ def run_fleet(
             for _ in range(venv.num_envs)
         ]
         assignments = manager.initial_assignments()
-    index_tag = getattr(venv, "index_tag", "env")
+    index_tag = venv.index_tag
     if sink.enabled:
         for e in range(venv.num_envs):
             sink.emit(

@@ -250,7 +250,7 @@ class StepBatch(Sequence):
         names: Sequence[str],
         interval_s: float,
         arrays: Dict[str, np.ndarray],
-        envs: Optional[Sequence[ColocationEnvironment]] = None,
+        envs: Sequence[ColocationEnvironment],
     ):
         self.names = list(names)
         self.interval_s = interval_s
@@ -296,7 +296,7 @@ class StepBatch(Sequence):
             membw_utilization=float(a["membw_utilization"][e]),
             energy_j=float(a["energy_j"][e]),
         )
-        if self._envs is not None and self._envs[e].time == time:
+        if self._envs[e].time == time:
             self._envs[e].last_result = result
         return result
 
@@ -304,9 +304,9 @@ class StepBatch(Sequence):
 class AssignmentRows:
     """Checks assignment input and turns it into pin, DVFS and way rows.
 
-    Both engines install from ``(E, S, C)`` pin rows over the socket's
+    The engine installs from ``(E, S, C)`` pin rows over the socket's
     cores ``core_ids`` and ``(E, S)`` DVFS and way rows of the services
-    ``names``; :meth:`changes` hands them the rows of the envs whose
+    ``names``; :meth:`changes` hands it the rows of the envs whose
     assignment changed. An :class:`~repro.core.mapper.AssignmentBatch`
     already is rows, compared with the current ones in one array pass.
     Per-env ``name -> CoreAssignment`` dicts are converted: each distinct
@@ -720,9 +720,6 @@ class VectorEnvironment:
         self.sync_machines()
         return [dict(env.machine.migration_counts) for env in self.envs]
 
-    def close(self) -> None:
-        """Release engine resources (no-op for the in-process engine)."""
-
     # ------------------------------------------------------------------ #
     # stepping
     # ------------------------------------------------------------------ #
@@ -1094,34 +1091,34 @@ class VectorEnvironment:
     # checkpointing
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, Any]:
-        """Per-env state trees, keyed by zero-padded env index."""
+        """Per-env state trees, keyed by zero-padded env index, with every
+        wrapped env's machine synced first."""
+        self.sync_machines()
         return {
             "num_envs": self.num_envs,
-            "envs": {f"{e:04d}": tree for e, tree in enumerate(self.env_states())},
+            "envs": {f"{e:04d}": env.state_dict() for e, env in enumerate(self.envs)},
         }
 
-    def env_states(self) -> List[Dict[str, Any]]:
-        """Every wrapped env's ``state_dict``, machines synced first."""
-        self.sync_machines()
-        return [env.state_dict() for env in self.envs]
-
-    def load_env_states(self, trees: Sequence[Mapping[str, Any]]) -> None:
-        """Restore each wrapped env from its tree, then re-gather the
-        machine state the fused step reads (also after a failed load)."""
-        self.sync_machines()
-        try:
-            for env, tree in zip(self.envs, trees):
-                env.load_state_dict(dict(tree))
-        finally:
-            self._gather_machines()
-
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
-        """Restore every sibling environment from a ``state_dict`` tree."""
+        """Restore every sibling environment from a ``state_dict`` tree.
+
+        All or nothing: a tree that fails to load anywhere raises
+        ``CheckpointError`` once the state from before the call has been
+        restored, so ``state_dict()`` reads as if no load was tried.
+        """
+        snapshot = self.state_dict()
         try:
-            num_envs = int(tree["num_envs"])
-            env_trees = dict(tree["envs"])
-        except (KeyError, TypeError, ValueError) as exc:
+            self._load_state(tree)
+        except Exception as exc:
+            self._load_state(snapshot)
+            if isinstance(exc, CheckpointError):
+                raise
             raise CheckpointError(f"malformed vector environment checkpoint: {exc}") from exc
+
+    def _load_state(self, tree: Mapping[str, Any]) -> None:
+        """Restore from ``tree``; a bad tree can raise after a partial write."""
+        num_envs = int(tree["num_envs"])
+        env_trees = dict(tree["envs"])
         if num_envs != self.num_envs:
             raise CheckpointError(
                 f"checkpoint describes {num_envs} environments, batch has {self.num_envs}"
@@ -1132,7 +1129,9 @@ class VectorEnvironment:
                 f"vector checkpoint env keys {sorted(env_trees)} do not match "
                 f"batch size {self.num_envs}"
             )
-        self.load_env_states([env_trees[f"{e:04d}"] for e in range(self.num_envs)])
+        for e, env in enumerate(self.envs):
+            env.load_state_dict(dict(env_trees[f"{e:04d}"]))
+        self._gather_machines()
 
 
 def make_sibling_environment(

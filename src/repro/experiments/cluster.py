@@ -59,12 +59,8 @@ class ClusterConfig:
     steps: int = 200
     seed: int = 7
     #: "vector" = one fused ClusterEnvironment + shared FleetTwig;
-    #: "shard" = the same trajectory stepped by ``workers`` shard
-    #: processes (:mod:`repro.engine.sharded`);
     #: "scalar" = N independent Twigs in a lock-step loop (the oracle).
     engine: str = "vector"
-    #: Shard worker processes (``engine="shard"`` only).
-    workers: int = 4
     balancer: str = "round_robin"
     traffic: str = "diurnal"
     regions: Tuple[str, ...] = ("r0", "r1")
@@ -75,22 +71,12 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if not self.services:
             raise ConfigurationError("need at least one service")
-        if self.engine not in ("vector", "shard", "scalar"):
+        if self.engine not in ("vector", "scalar"):
             raise ConfigurationError(
-                f"engine must be 'vector', 'shard', or 'scalar', "
-                f"got {self.engine!r}"
+                f"engine must be 'vector' or 'scalar', got {self.engine!r}"
             )
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if self.num_nodes < 1:
             raise ConfigurationError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.engine == "shard" and self.workers > self.num_nodes:
-            raise ConfigurationError(
-                f"workers={self.workers} exceeds num_nodes={self.num_nodes}: "
-                f"each shard worker owns at least one node, so at most "
-                f"{self.num_nodes} workers can do useful work — lower "
-                f"--workers or raise --nodes"
-            )
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.balancer not in BALANCER_POLICIES:
@@ -150,27 +136,14 @@ def _twig_config(config: ClusterConfig) -> TwigConfig:
 
 
 def _run_vector(config: ClusterConfig) -> List[RunTrace]:
-    if config.engine == "shard":
-        from repro.engine.sharded import ShardedClusterEnvironment
-
-        venv = ShardedClusterEnvironment.from_services(
-            list(config.services),
-            num_nodes=config.num_nodes,
-            seed=config.seed,
-            traffic=config.traffic,
-            balancer=config.balancer,
-            regions=config.regions,
-            workers=config.workers,
-        )
-    else:
-        venv = ClusterEnvironment.from_services(
-            list(config.services),
-            num_nodes=config.num_nodes,
-            seed=config.seed,
-            traffic=config.traffic,
-            balancer=config.balancer,
-            regions=config.regions,
-        )
+    venv = ClusterEnvironment.from_services(
+        list(config.services),
+        num_nodes=config.num_nodes,
+        seed=config.seed,
+        traffic=config.traffic,
+        balancer=config.balancer,
+        regions=config.regions,
+    )
     manager = FleetTwig(
         [get_profile(s) for s in config.services],
         _twig_config(config),
@@ -178,10 +151,7 @@ def _run_vector(config: ClusterConfig) -> List[RunTrace]:
         num_envs=config.num_nodes,
     )
     manager.index_tag = "node"
-    try:
-        return run_fleet(manager, venv, config.steps)
-    finally:
-        venv.close()
+    return run_fleet(manager, venv, config.steps)
 
 
 def _run_scalar(config: ClusterConfig) -> List[RunTrace]:

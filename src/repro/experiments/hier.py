@@ -55,13 +55,12 @@ class HierConfig:
     num_nodes: int = 10
     steps: int = 200
     seed: int = 7
-    #: "vector" or "shard": the hierarchy needs the fused lock-step path
-    #: (the allocator and budget masking live inside ``update_batch``);
-    #: "shard" keeps that path in the parent and moves only the node
-    #: simulation into worker processes, so both are valid.
+    #: Only "vector": the hierarchy needs the fused lock-step path (the
+    #: allocator and budget masking live inside ``update_batch``). The
+    #: field marks the experiment engine-aware for ``run_experiments``:
+    #: ``--engine vector`` runs it, ``--engine serial`` asks for the
+    #: scalar oracle, which this config refuses.
     engine: str = "vector"
-    #: Shard worker processes (``engine="shard"`` only).
-    workers: int = 4
     balancer: str = "least_loaded"
     traffic: str = "diurnal"
     regions: Tuple[str, ...] = ("r0", "r1")
@@ -81,23 +80,14 @@ class HierConfig:
     def __post_init__(self) -> None:
         if not self.services:
             raise ConfigurationError("need at least one service")
-        if self.engine not in ("vector", "shard"):
+        if self.engine != "vector":
             raise ConfigurationError(
-                "hierarchical control requires a fused lock-step engine "
-                "('vector' or 'shard' — the allocator and budget masking "
-                f"live in update_batch); got engine={self.engine!r}"
+                "hierarchical control requires the fused lock-step 'vector' "
+                "engine (the allocator and budget masking live in "
+                f"update_batch); got engine={self.engine!r}"
             )
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if self.num_nodes < 1:
             raise ConfigurationError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.engine == "shard" and self.workers > self.num_nodes:
-            raise ConfigurationError(
-                f"workers={self.workers} exceeds num_nodes={self.num_nodes}: "
-                f"each shard worker owns at least one node, so at most "
-                f"{self.num_nodes} workers can do useful work — lower "
-                f"--workers or raise --nodes"
-            )
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.balancer not in BALANCER_POLICIES:
@@ -177,19 +167,7 @@ def _twig_config(config: HierConfig) -> TwigConfig:
     )
 
 
-def _make_env(config: HierConfig):
-    if config.engine == "shard":
-        from repro.engine.sharded import ShardedClusterEnvironment
-
-        return ShardedClusterEnvironment.from_services(
-            list(config.services),
-            num_nodes=config.num_nodes,
-            seed=config.seed,
-            traffic=config.traffic,
-            balancer=config.balancer,
-            regions=config.regions,
-            workers=config.workers,
-        )
+def _make_env(config: HierConfig) -> ClusterEnvironment:
     return ClusterEnvironment.from_services(
         list(config.services),
         num_nodes=config.num_nodes,
@@ -258,10 +236,7 @@ def run(config: HierConfig = HierConfig()) -> HierResult:
         manager = _make_manager(config, variant)
         if variant == "hier" and config.provision_from is not None:
             provision_fleet(manager, config.provision_from)
-        try:
-            traces = run_fleet(manager, venv, config.steps)
-        finally:
-            venv.close()
+        traces = run_fleet(manager, venv, config.steps)
         summaries[variant] = _summarize(config, traces)
         all_traces[variant] = traces
     beats = True

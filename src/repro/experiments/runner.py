@@ -545,16 +545,14 @@ def run_experiments(
             "strict=True re-raises the first failure; combining it with "
             "retries is contradictory — pick one"
         )
-    if engine not in ("auto", "serial", "pool", "vector", "shard"):
+    if engine not in ("auto", "serial", "pool", "vector"):
         raise ConfigurationError(
-            f"engine must be auto, serial, pool, vector, or shard, got {engine!r}"
+            f"engine must be auto, serial, pool, or vector, got {engine!r}"
         )
     configs = dict(configs or {})
-    if engine in ("vector", "shard"):
-        # Route every experiment through the batched rollout engine
-        # (single-process vector path, or the sharded multi-process
-        # cluster path): its config must expose an ``engine`` field to
-        # honour the request.
+    if engine == "vector":
+        # Route every experiment through the batched rollout engine: its
+        # config must expose an ``engine`` field to honour the request.
         import dataclasses
 
         for experiment_id in experiment_ids:

@@ -296,7 +296,7 @@ class BDQAgent:
         return self.timings.measure(label)
 
     # ------------------------------------------------------------------ #
-    # replay hooks (overridden by sharded/striped buffer variants)
+    # replay hooks (FleetBDQAgent overrides them for its striped buffer)
     # ------------------------------------------------------------------ #
     def _replay_size(self) -> int:
         """Number of stored transitions available for sampling."""

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 
 from repro.ckpt.checkpoint import load_state
+from repro.cluster.environment import ClusterEnvironment
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetTwig
 from repro.engine.fleet_reference import DictFleetTwig
 from repro.errors import CheckpointError
 from repro.experiments.common import make_environment
+from repro.hier.baselines import make_rule_fleet
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.services.profiles import get_profile
-from tests.test_engine_sharded import _assert_tree_equal
+from tests.helpers import _assert_tree_equal
 from tests.test_legacy_checkpoints import DATA
 from tests.test_legacy_checkpoints import _twig as _legacy_twig
 
@@ -144,3 +146,67 @@ def test_bad_scalar_replay_actions_are_refused(corruption):
     with pytest.raises(CheckpointError, match="replay actions"):
         twig.load_state_dict(legacy)
     _assert_tree_equal(twig.state_dict(), before)
+
+
+CLUSTER_SERVICES = ["masstree", "xapian"]
+
+
+def _stepped_cluster(ticks, nodes=4):
+    """A round-robin cluster (its balancer keeps cursors) after ``ticks``
+    static-fleet intervals, with the assignments it was stepped with."""
+    venv = ClusterEnvironment.from_services(CLUSTER_SERVICES, num_nodes=nodes, seed=3)
+    assignments = make_rule_fleet("static", CLUSTER_SERVICES, nodes, 3).initial_assignments()
+    for _ in range(ticks):
+        venv.step(assignments)
+    return venv, assignments
+
+
+def _drop(*path):
+    def corrupt(tree):
+        for key in path[:-1]:
+            tree = tree[key]
+        del tree[path[-1]]
+    return corrupt
+
+
+def _set(value, *path):
+    def corrupt(tree):
+        for key in path[:-1]:
+            tree = tree[key]
+        tree[path[-1]] = value
+    return corrupt
+
+
+def _three_nodes(tree):
+    tree.update(_stepped_cluster(2, nodes=3)[0].state_dict())
+
+
+#: Trees a cluster cannot continue from. The first four used to raise
+#: only after some part of the fleet was restored: the last node after
+#: nodes 0-2, the cluster subtrees after every node.
+CLUSTER_CORRUPTIONS = {
+    "last_node": _drop("envs", "0003", "rapl"),
+    "traffic": _drop("cluster", "traffic", "rng"),
+    "balancer": _set(np.zeros(3, dtype=np.int64), "cluster", "balancer", "cursors"),
+    "loads": _set(np.zeros((3, 2)), "cluster", "loads", "backlog"),
+    "no_cluster": _drop("cluster"),
+    "node_count": _three_nodes,
+}
+
+
+@pytest.mark.parametrize("corruption", list(CLUSTER_CORRUPTIONS))
+def test_malformed_cluster_tree_leaves_the_fleet_as_it_was(corruption):
+    tree = _stepped_cluster(2)[0].state_dict()
+    CLUSTER_CORRUPTIONS[corruption](tree)
+    venv, assignments = _stepped_cluster(5)
+    before = venv.state_dict()
+    with pytest.raises(CheckpointError):
+        venv.load_state_dict(tree)
+    _assert_tree_equal(venv.state_dict(), before)
+    assert venv.time == 5
+    # It steps on exactly like a fleet that never saw the tree.
+    twin = _stepped_cluster(5)[0]
+    for _ in range(2):
+        venv.step(assignments)
+        twin.step(assignments)
+    _assert_tree_equal(venv.state_dict(), twin.state_dict())

@@ -42,6 +42,12 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("flags", [["--engine", "shard"], ["--workers", "2"]])
+def test_run_refuses_the_removed_shard_engine_flags(flags):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "cluster", *flags])
+
+
 def test_run_jobs_flag_parses():
     args = build_parser().parse_args(["run", "mem", "tab02", "--jobs", "4"])
     assert args.jobs == 4

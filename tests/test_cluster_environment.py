@@ -248,8 +248,9 @@ class TestExperiment:
             self._config(balancer="nope")
         with pytest.raises(ConfigurationError):
             self._config(traffic="nope")
-        with pytest.raises(ConfigurationError):
-            self._config(engine="warp")
+        for engine in ("warp", "shard"):
+            with pytest.raises(ConfigurationError):
+                self._config(engine=engine)
         with pytest.raises(ConfigurationError):
             self._config(num_nodes=1)  # two regions need two nodes
 

@@ -24,7 +24,6 @@ import pytest
 from repro.cluster.environment import ClusterEnvironment, make_cluster_node
 from repro.cluster.traffic import ScheduledLoad, install_rates
 from repro.engine.rollout import run_fleet
-from repro.engine.sharded import ShardedClusterEnvironment
 from repro.engine.vector_env import ENV_SEED_STRIDE
 from repro.errors import ConfigurationError
 from repro.hier.baselines import make_rule_fleet
@@ -33,7 +32,7 @@ from repro.obs.sink import MemorySink
 from repro.services.service import IntervalResult
 from repro.sim.environment import ServiceObservation, StepResult
 from repro.sim.faults import Fault, FaultInjector
-from tests.test_engine_sharded import _assert_tree_equal
+from tests.helpers import _assert_tree_equal
 
 SERVICES = ["masstree", "xapian"]
 SEED = 7
@@ -65,15 +64,6 @@ def _cluster(services, nodes, faulted=False):
     if faulted:
         venv.envs[FAULTED].faults = _faults(services)
     return venv
-
-
-def _engine(kind, nodes):
-    """A ``nodes``-node cluster on the vector or the shard engine."""
-    if kind == "vector":
-        return _cluster(SERVICES, nodes)
-    return ShardedClusterEnvironment.from_services(
-        SERVICES, num_nodes=nodes, seed=SEED, balancer="least_loaded", workers=2
-    )
 
 
 def _run_recorded(fleet, venv, ticks, obs=None):
@@ -233,18 +223,15 @@ class TestLazyEqualsEager:
 
 
 class TestBatchArraysReadOnly:
-    @pytest.mark.parametrize("engine", ["vector", "shard"])
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_writing_into_batch_arrays_raises(self, engine):
-        venv = _engine(engine, 4)
-        try:
-            assignments = make_rule_fleet("static", SERVICES, 4, SEED).initial_assignments()
-            batch = venv.step(assignments)
-            for key, array in batch.arrays.items():
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0
-                assert not array.flags.writeable, key
-        finally:
-            venv.close()
+        venv = _cluster(SERVICES, 4)
+        assignments = make_rule_fleet("static", SERVICES, 4, SEED).initial_assignments()
+        batch = venv.step(assignments)
+        for key, array in batch.arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+            assert not array.flags.writeable, key
 
 
 class TestRateInstall:
@@ -261,24 +248,20 @@ class TestRateInstall:
             install_rates(generators, np.ones((2, 2)))
 
     @pytest.mark.parametrize("bad", [float("nan"), -3.0], ids=["nan", "negative"])
-    @pytest.mark.parametrize("engine", ["vector", "shard"])
+    @pytest.mark.parametrize("engine", ["vector"])
     def test_engine_refuses_bad_balancer_rates(self, monkeypatch, engine, bad):
         nodes = 4
-        venv = _engine(engine, nodes)
-        try:
-            assignments = make_rule_fleet("static", SERVICES, nodes, SEED).initial_assignments()
-            good = venv.step(assignments).arrays["arrivals"].copy()
-            rates = good + 1.0
-            rates[-1, -1] = bad
-            monkeypatch.setattr(venv.balancer, "assign", lambda t, demand, loads=None: rates)
-            before = venv.state_dict()["envs"]
-            with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
-                venv.step(assignments)
-            # No node stepped, and no generator took a rate of the matrix.
-            assert venv.time == 1
-            _assert_tree_equal(venv.state_dict()["envs"], before)
-            if engine == "vector":
-                installed = [g.rate(0) for g in venv._generators]
-                assert installed == good.ravel().tolist()
-        finally:
-            venv.close()
+        venv = _cluster(SERVICES, nodes)
+        assignments = make_rule_fleet("static", SERVICES, nodes, SEED).initial_assignments()
+        good = venv.step(assignments).arrays["arrivals"].copy()
+        rates = good + 1.0
+        rates[-1, -1] = bad
+        monkeypatch.setattr(venv.balancer, "assign", lambda t, demand, loads=None: rates)
+        before = venv.state_dict()["envs"]
+        with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
+            venv.step(assignments)
+        # No node stepped, and no generator took a rate of the matrix.
+        assert venv.time == 1
+        _assert_tree_equal(venv.state_dict()["envs"], before)
+        installed = [g.rate(0) for g in venv._generators]
+        assert installed == good.ravel().tolist()

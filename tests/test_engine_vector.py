@@ -38,7 +38,7 @@ from repro.rl.sum_tree import SumTree
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
-from tests.test_engine_sharded import _assert_tree_equal
+from tests.helpers import _assert_tree_equal
 
 SERVICES = ["masstree", "xapian", "moses"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5, "moses": 0.3}

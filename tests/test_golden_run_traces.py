@@ -7,15 +7,18 @@ compares: a refactor that keeps these hashes kept the simulated
 behaviour bit for bit.
 
 - Fleet runs: rule fleets and learning ``FleetTwig`` fleets on the
-  vector engine, the learning fleet again on the shard engine (its hash
-  must equal the vector one), and a learning config small enough to
-  sync its target network and wrap its replay stripes within 20 ticks.
+  vector engine, and a learning config small enough to sync its target
+  network and wrap its replay stripes within 20 ticks.
 - Paper-loop runs: one ``Twig`` on one ``ColocationEnvironment`` under
   ``run_manager`` — the bench ``twig_c`` recipe, Twig-C with every fault
   kind, Twig-C with the LLC branch, a mid-run service swap with
   ``transfer_to``, Twig-S with a fitted Equation-2 model, Twig-S with
   uniform replay, and the event stream of a short traced run (``events``
   hashes the JSON lines with ``run_end.wall_time_s`` dropped).
+- Experiment runs: ``repro.experiments.cluster.run`` at the CLI's quick
+  scale on the vector engine and the scalar oracle, and
+  ``repro.experiments.hier.run`` at quick scale, one hash per variant
+  (hier, flat, static, PARTIES).
 
 A change that moves a trajectory on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_run_traces.py --write`` and
@@ -24,6 +27,7 @@ says why in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -34,12 +38,13 @@ from typing import Any, Dict
 import numpy as np
 import pytest
 
+from repro.cli import _config_for
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
-from repro.engine.sharded import ShardedClusterEnvironment
+from repro.experiments import cluster, hier
 from repro.experiments.common import HarnessConfig, build_twig, make_environment
 from repro.experiments.profiling import fit_service_power_model
 from repro.experiments.runner import run_manager
@@ -59,14 +64,13 @@ SERVICES = ["masstree", "xapian", "moses", "img-dnn"]
 _FLEET = {"services": SERVICES, "nodes": 8, "ticks": 20, "seed": 11,
           "traffic": "diurnal", "balancer": "least_loaded"}
 
-#: Fleet runs, with their test ids: two rule fleets, a learning fleet on
-#: both engines, and a learning fleet that crosses a target-network sync
-#: (every 5 steps) and a replay-stripe wrap (stripes of 8 transitions).
+#: Fleet runs, with their test ids: two rule fleets, a learning fleet,
+#: and a learning fleet that crosses a target-network sync (every 5
+#: steps) and a replay-stripe wrap (stripes of 8 transitions).
 FLEET_CONFIGS: Dict[str, Dict[str, Any]] = {
     "static": {"manager": "static", **_FLEET},
     "parties": {"manager": "parties", **_FLEET},
     "twig": {"manager": "twig", **_FLEET},
-    "twig-shard": {"manager": "twig", **_FLEET, "engine": "shard", "workers": 2},
     "twig-sync-wrap": {
         "manager": "twig", **_FLEET,
         "agent": {"batch_size": 8, "buffer_capacity": 64, "min_buffer_size": 16,
@@ -94,6 +98,24 @@ PAPER_CONFIGS: Dict[str, Dict[str, Any]] = {
                       "loads": [0.4], "seed": 3, "steps": 80},
 }
 
+#: The CLI's quick scale for ``repro run cluster`` and ``repro run hier``.
+_QUICK = {"num_nodes": 8, "steps": 80, "epsilon_mid_steps": 30,
+          "epsilon_final_steps": 60, "window": 40}
+_HIER = {"loop": "experiment", "experiment": "hier", **_QUICK, "budget_period": 5}
+
+#: Experiment runs, with their test ids: the cluster experiment on each
+#: engine, and each variant of one hier experiment run.
+EXPERIMENT_CONFIGS: Dict[str, Dict[str, Any]] = {
+    "cluster-vector": {"loop": "experiment", "experiment": "cluster",
+                       "engine": "vector", **_QUICK},
+    "cluster-scalar": {"loop": "experiment", "experiment": "cluster",
+                       "engine": "scalar", **_QUICK},
+    "hier-hier": {**_HIER, "variant": "hier"},
+    "hier-flat": {**_HIER, "variant": "flat"},
+    "hier-static": {**_HIER, "variant": "static"},
+    "hier-parties": {**_HIER, "variant": "parties"},
+}
+
 #: Twig-C fault windows: every kind, each on its own interval window.
 FAULTS = (
     Fault("pmc_dropout", "masstree", start=70, duration=3),
@@ -111,14 +133,10 @@ def config_key(config: Dict[str, Any]) -> str:
 def run_traces(config: Dict[str, Any]):
     """Run one golden fleet config; one RunTrace per node."""
     services, nodes, seed = config["services"], config["nodes"], config["seed"]
-    kwargs = dict(num_nodes=nodes, seed=seed, traffic=config["traffic"],
-                  balancer=config["balancer"])
-    if config.get("engine") == "shard":
-        venv = ShardedClusterEnvironment.from_services(
-            services, workers=config["workers"], **kwargs
-        )
-    else:
-        venv = ClusterEnvironment.from_services(services, **kwargs)
+    venv = ClusterEnvironment.from_services(
+        services, num_nodes=nodes, seed=seed, traffic=config["traffic"],
+        balancer=config["balancer"],
+    )
     if config["manager"] == "twig":
         twig_config = TwigConfig.fast(epsilon_mid_steps=8, epsilon_final_steps=16)
         manager = FleetTwig(
@@ -130,12 +148,7 @@ def run_traces(config: Dict[str, Any]):
         manager.index_tag = "node"
     else:
         manager = make_rule_fleet(config["manager"], services, nodes, seed)
-    try:
-        return run_fleet(manager, venv, config["ticks"])
-    finally:
-        close = getattr(venv, "close", None)
-        if close is not None:
-            close()
+    return run_fleet(manager, venv, config["ticks"])
 
 
 def _paper_env(config: Dict[str, Any], faults=None) -> ColocationEnvironment:
@@ -227,6 +240,28 @@ def run_paper(config: Dict[str, Any]):
     raise ValueError(f"unknown paper-loop case {case!r}")
 
 
+def experiment_config(config: Dict[str, Any]):
+    """The ``ClusterConfig`` or ``HierConfig`` a golden experiment config names."""
+    kwargs = {k: v for k, v in config.items()
+              if k not in ("loop", "experiment", "variant")}
+    if config["experiment"] == "cluster":
+        return cluster.ClusterConfig(**kwargs)
+    return hier.HierConfig(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _hier_traces(config: hier.HierConfig):
+    """Every variant's traces of one hier run (one run serves all four ids)."""
+    return hier.run(config).traces
+
+
+def run_experiment(config: Dict[str, Any]):
+    """Run one golden experiment config; one RunTrace per node."""
+    if config["experiment"] == "cluster":
+        return cluster.run(experiment_config(config)).traces
+    return _hier_traces(experiment_config(config))[config["variant"]]
+
+
 def trace_sha256(traces) -> str:
     """sha256 over every series of every trace, in node and service order."""
     digest = hashlib.sha256()
@@ -244,6 +279,8 @@ def trace_sha256(traces) -> str:
 
 
 def config_sha256(config: Dict[str, Any]) -> str:
+    if config.get("loop") == "experiment":
+        return trace_sha256(run_experiment(config))
     if config.get("loop") != "paper":
         return trace_sha256(run_traces(config))
     output = run_paper(config)
@@ -252,7 +289,9 @@ def config_sha256(config: Dict[str, Any]) -> str:
     return trace_sha256(output)
 
 
-ALL_CONFIGS: Dict[str, Dict[str, Any]] = {**FLEET_CONFIGS, **PAPER_CONFIGS}
+ALL_CONFIGS: Dict[str, Dict[str, Any]] = {
+    **FLEET_CONFIGS, **PAPER_CONFIGS, **EXPERIMENT_CONFIGS,
+}
 
 
 def compute_golden() -> Dict[str, str]:
@@ -264,10 +303,10 @@ def test_golden_file_covers_every_config():
     assert sorted(golden) == sorted(config_key(c) for c in ALL_CONFIGS.values())
 
 
-def test_shard_engine_hash_equals_vector_engine_hash():
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert (golden[config_key(FLEET_CONFIGS["twig-shard"])]
-            == golden[config_key(FLEET_CONFIGS["twig"])])
+@pytest.mark.parametrize("config_id", ["cluster-vector", "hier-hier"])
+def test_experiment_configs_are_the_cli_quick_scale(config_id):
+    config = EXPERIMENT_CONFIGS[config_id]
+    assert _config_for(config["experiment"], "quick") == experiment_config(config)
 
 
 @pytest.mark.parametrize("config", list(ALL_CONFIGS.values()), ids=list(ALL_CONFIGS))

@@ -473,8 +473,9 @@ class TestHierExperiment:
     def test_scalar_engine_rejected(self):
         from repro.experiments.hier import HierConfig
 
-        with pytest.raises(ConfigurationError):
-            HierConfig(engine="scalar")
+        for engine in ("scalar", "shard"):
+            with pytest.raises(ConfigurationError):
+                HierConfig(engine=engine)
 
     def test_heracles_with_colocation_rejected(self):
         from repro.experiments.hier import HierConfig

@@ -35,7 +35,7 @@ from repro.experiments.runner import run_manager
 from repro.nn.network import save_weights
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.services.profiles import get_profile
-from tests.test_engine_sharded import _assert_tree_equal
+from tests.helpers import _assert_tree_equal
 from tests.test_golden_run_traces import trace_sha256
 
 DATA = Path(__file__).parent / "data"

@@ -3,9 +3,11 @@
 The seed tree shipped 66 tracked ``__pycache__/*.pyc`` files; this test
 (part of the default ``make test`` path) fails if any tracked path ever
 matches those patterns again, and checks that ``.gitignore`` keeps
-ignoring them.
+ignoring them. It also checks that every test module the Makefile names
+exists, so deleting a module cannot silently break a ``make`` target.
 """
 
+import re
 import subprocess
 from pathlib import Path
 
@@ -62,3 +64,11 @@ def test_pycod_pattern_covers_pyc():
     # *.py[cod] is the conventional spelling; make sure it (or *.pyc) is there.
     lines = (REPO_ROOT / ".gitignore").read_text()
     assert "*.py[cod]" in lines or "*.pyc" in lines
+
+
+def test_makefile_names_only_existing_test_modules():
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    named = set(re.findall(r"\b(?:tests|benchmarks)/[\w/]+\.py\b", makefile))
+    assert named, "expected the Makefile to name test modules"
+    missing = sorted(path for path in named if not (REPO_ROOT / path).is_file())
+    assert missing == [], f"Makefile names missing test modules: {missing}"

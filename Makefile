@@ -21,11 +21,13 @@ test-matrix:
 ## Golden hashes and checkpoint fixtures: the fleet, cluster/hier
 ## experiment and paper-loop run-trace hashes
 ## (tests/data/golden_run_traces.json), the checkpoints written before
-## Twig became a one-server FleetTwig, and a vector_run checkpoint
-## written before assignments became arrays.
+## Twig became a one-server FleetTwig, a vector_run checkpoint written
+## before assignments became arrays, and a vector_run checkpoint whose
+## manager subtree has the per-env-dict layout the dict-state reference
+## fleet writes (tests/test_dict_fleet_run_fixture.py).
 test-golden:
 	$(PYTEST) -q tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py \
-		tests/test_vector_run_fixture.py
+		tests/test_vector_run_fixture.py tests/test_dict_fleet_run_fixture.py
 
 ## Robustness suite: checkpoint container round-trips, torn-write
 ## recovery, save->load->continue-training resume equivalence, refused
@@ -51,10 +53,12 @@ test-fleet:
 
 ## Hierarchical control: budget allocator + HierFleetTwig masking/reward
 ## shaping, provisioning transfer, degraded-node shedding, rule fleets,
-## and hier checkpoint resume bit-identity.
+## hier checkpoint resume bit-identity, and HierFleetTwig's array hooks
+## against their dict-state oracle.
 test-hier:
 	$(PYTEST) -q tests/test_hier.py tests/test_cluster_balancer.py \
-		tests/test_cluster_traffic.py tests/test_fleet_doc.py
+		tests/test_cluster_traffic.py tests/test_fleet_doc.py \
+		tests/test_engine_fleet_array.py::TestHierOracle
 
 ## Control plane: RPC framing/correlation/timeouts, lifecycle state
 ## machine + registry sweeps, node agent round-trips, the coordinator

@@ -31,11 +31,10 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.ckpt.checkpoint import load_state, save_state
-from repro.core.actions import ActionSpace, Allocation
+from repro.core.actions import ActionSpace
 from repro.core.config import TwigConfig
 from repro.core.mapper import AssignmentBatch, Mapper
 from repro.core.power_model import ServicePowerModel
-from repro.core.reward import RewardBreakdown, reward_components
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.obs.events import make_event
 from repro.obs.sink import NULL_SINK, TraceSink
@@ -262,36 +261,6 @@ class FleetBDQAgent(BDQAgent):
         self.striped = scratch
 
 
-class _RowDicts:
-    """Lazy per-environment dict views over the fleet's state arrays.
-
-    ``manager._last_estimated_power[e]`` and friends used to be real
-    lists of dicts; with the array control plane they are rebuilt on
-    demand so traces, checkpoint conversion, and tests keep their
-    dict-shaped API without the manager paying O(num_envs) per tick.
-    """
-
-    def __init__(self, build, length: int):
-        self._build = build
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._build(e) for e in range(*index.indices(self._length))]
-        e = int(index)
-        if e < 0:
-            e += self._length
-        if not 0 <= e < self._length:
-            raise IndexError(index)
-        return self._build(e)
-
-    def __iter__(self):
-        return (self._build(e) for e in range(self._length))
-
-
 class FleetTwig:
     """N lock-step Twig control loops sharing one :class:`FleetBDQAgent`.
 
@@ -324,10 +293,14 @@ class FleetTwig:
     paper loop (``num_envs=1``) is pinned by run-trace hashes in
     ``tests/test_golden_run_traces.py``.
 
-    Subclasses written against the original per-env hooks
-    (:meth:`_shape_rewards` / :meth:`_constrain_allocations`) still
-    work: the array paths detect the overrides and fall back to
-    per-env dict calls for exactly those hooks.
+    A subclass changes a tick through two array hooks, which take
+    row-aligned matrices, edit them in place and must be deterministic:
+    :meth:`_shape_reward_rows` adjusts the reward matrix before the
+    agent learns from it, and :meth:`_repair_action_rows` repairs the
+    decoded actions before they are placed and learned from.
+    :class:`repro.hier.manager.HierFleetTwig` plumbs its budgets through
+    both; ``tests/test_engine_fleet_array.py`` pins its hooks against
+    per-env dict forms on the dict-state reference.
     """
 
     def __init__(
@@ -446,55 +419,8 @@ class FleetTwig:
         ]
 
     # ------------------------------------------------------------------ #
-    # dict-shaped compatibility views over the state arrays
-    # ------------------------------------------------------------------ #
-    @property
-    def _last_allocations(self) -> _RowDicts:
-        def build(e: int) -> Dict[str, Allocation]:
-            if not self._has_alloc[e]:
-                return {}
-            return {
-                name: Allocation(
-                    num_cores=int(self._alloc_cores[e, i]),
-                    freq_index=int(self._alloc_freq[e, i]),
-                    llc_ways=int(self._alloc_ways[e, i]),
-                )
-                for i, name in enumerate(self.service_order)
-            }
-        return _RowDicts(build, self.num_envs)
-
-    @property
-    def _last_estimated_power(self) -> _RowDicts:
-        def build(e: int) -> Dict[str, float]:
-            if not self._has_est[e]:
-                return {}
-            return {
-                name: float(self._est_power[e, i])
-                for i, name in enumerate(self.service_order)
-            }
-        return _RowDicts(build, self.num_envs)
-
-    @property
-    def last_rewards(self) -> _RowDicts:
-        def build(e: int) -> Dict[str, float]:
-            if not self._has_reward[e]:
-                return {}
-            return {
-                name: float(self._reward_totals[e, i])
-                for i, name in enumerate(self.service_order)
-            }
-        return _RowDicts(build, self.num_envs)
-
-    # ------------------------------------------------------------------ #
     # lock-step manager interface
     # ------------------------------------------------------------------ #
-    def _initial_allocations(self) -> Dict[str, Allocation]:
-        top = len(self.spec.dvfs) - 1
-        return {
-            name: Allocation(num_cores=self.action_space.max_cores, freq_index=top)
-            for name in self.service_order
-        }
-
     def initial_assignments(self) -> AssignmentBatch:
         """Per-env starting assignments: all cores at max DVFS."""
         top = len(self.spec.dvfs) - 1
@@ -556,9 +482,7 @@ class FleetTwig:
                 totals[e, i] = max(-(float(qos_rew[e, i]) ** phi), cap)
         self._est_power[healthy_idx] = est[healthy_idx]
         self._has_est[healthy_idx] = True
-        totals = self._shape_reward_rows(
-            healthy_idx, totals, qos_rew, power_rew, violation, results
-        )
+        totals = self._shape_reward_rows(healthy_idx, totals, qos_rew, power_rew, violation)
         self._reward_totals[healthy_idx] = totals[healthy_idx]
         self._has_reward[healthy_idx] = True
 
@@ -593,7 +517,7 @@ class FleetTwig:
         if healthy_idx.size:
             acts = self.agent.act_batch(states[healthy_idx])
             acts = acts.reshape(healthy_idx.size, k, -1)  # (A, k, n_branches)
-            acts = self._repair_action_rows(healthy_idx, acts, arrival, results)
+            acts = self._repair_action_rows(healthy_idx, acts, arrival)
             cores = acts[:, :, 0] + 1
             freqs = acts[:, :, 1]
             ways = (
@@ -660,9 +584,11 @@ class FleetTwig:
     ) -> np.ndarray:
         """Vectorized Equation-2 over ``(rows, services)`` allocations.
 
-        Every operation mirrors :meth:`_allocation_power` element-wise
-        (same expressions, same association order), so each entry is
-        bit-identical to the scalar estimate for that allocation.
+        Every operation mirrors the per-allocation estimate of the
+        dict-state reference
+        (:meth:`repro.engine.fleet_reference.DictFleetTwig._allocation_power`)
+        element-wise, with the same expressions in the same association
+        order, so each entry is bit-identical to it.
         """
         fcores = cores.astype(np.float64)
         freq = self._dvfs_values[freq_index]
@@ -689,9 +615,9 @@ class FleetTwig:
     def _node_power_rows(self, power: np.ndarray) -> np.ndarray:
         """Per-row summed service power, accumulated left-to-right.
 
-        Matches ``sum(...)`` over ``service_order`` in the scalar hooks
-        (NumPy's axis reductions may pairwise-associate; Python's
-        ``sum`` never does).
+        Matches a Python ``sum(...)`` over ``service_order``, as the
+        dict-state reference adds one env's services (NumPy's axis
+        reductions may pairwise-associate; Python's ``sum`` never does).
         """
         total = power[:, 0].copy()
         for i in range(1, power.shape[1]):
@@ -757,55 +683,6 @@ class FleetTwig:
             )
 
     # ------------------------------------------------------------------ #
-    # scalar building blocks (kept for subclasses, tools, and tests)
-    # ------------------------------------------------------------------ #
-    def _compute_rewards(
-        self, env_index: int, result: StepResult
-    ) -> Dict[str, RewardBreakdown]:
-        rewards: Dict[str, RewardBreakdown] = {}
-        for i, name in enumerate(self.service_order):
-            observation = result.observations[name]
-            estimated = self._estimate_power(
-                env_index, name, observation.interval.arrival_rate
-            )
-            self._est_power[env_index, i] = estimated
-            rewards[name] = reward_components(
-                measured_qos_ms=observation.p99_ms,
-                qos_target_ms=self.qos_targets[name],
-                max_power_w=self.max_power_w,
-                estimated_power_w=estimated,
-                params=self.config.reward,
-            )
-        self._has_est[env_index] = True
-        return rewards
-
-    def _estimate_power(self, env_index: int, name: str, arrival_rate: float) -> float:
-        i = self.service_order.index(name)
-        allocation = Allocation(
-            num_cores=int(self._alloc_cores[env_index, i]),
-            freq_index=int(self._alloc_freq[env_index, i]),
-            llc_ways=int(self._alloc_ways[env_index, i]),
-        )
-        return self._allocation_power(name, allocation, arrival_rate)
-
-    def _allocation_power(
-        self, name: str, allocation: Allocation, arrival_rate: float
-    ) -> float:
-        """Equation-2 power estimate for an arbitrary candidate allocation."""
-        freq = self.spec.dvfs[allocation.freq_index]
-        model = self.power_models.get(name)
-        if model is not None and model.fitted:
-            load_pct = 100.0 * arrival_rate / self.profiles[name].max_load_rps
-            return model.predict(load_pct, allocation.num_cores, freq)
-        physical = PowerModel(self.spec)
-        profile = self.profiles[name]
-        capacity = profile.capacity_rps(allocation.num_cores, freq, self.spec.dvfs.max_ghz)
-        utilization = float(np.clip(arrival_rate / max(capacity, 1e-9), 0.0, 1.0))
-        effective = utilization + profile.active_idle_util * (1.0 - utilization)
-        per_core = physical.core_dynamic_w(freq, effective)
-        return max(per_core * allocation.num_cores, 0.5)
-
-    # ------------------------------------------------------------------ #
     # subclass hooks (hierarchical control plumbs budgets through these)
     # ------------------------------------------------------------------ #
     def _shape_reward_rows(
@@ -815,107 +692,31 @@ class FleetTwig:
         qos_rew: np.ndarray,
         power_rew: np.ndarray,
         violation: np.ndarray,
-        results: Sequence[StepResult],
     ) -> np.ndarray:
-        """Array hook: adjust this tick's reward matrix before learning.
+        """Hook: adjust this tick's reward matrix before learning.
 
-        Only the rows in ``env_rows`` (healthy envs) are consumed. The
-        base fleet applies Equation-1 unmodified. A subclass that still
-        overrides the per-env dict hook :meth:`_shape_rewards` is
-        detected here and served through per-env dict calls.
+        ``totals`` and its Equation-1 parts ``qos_rew``, ``power_rew``
+        and ``violation`` are ``(envs, services)`` matrices; only the
+        rows in ``env_rows`` (the healthy envs) are learned from. Edit
+        ``totals`` in place and return it. The base fleet applies
+        Equation-1 unmodified.
         """
-        if type(self)._shape_rewards is FleetTwig._shape_rewards:
-            return totals
-        order = self.service_order
-        for e in env_rows.tolist():
-            breakdowns = {
-                name: RewardBreakdown(
-                    total=float(totals[e, i]),
-                    qos_rew=float(qos_rew[e, i]),
-                    power_rew=float(power_rew[e, i]),
-                    violation=bool(violation[e, i]),
-                )
-                for i, name in enumerate(order)
-            }
-            shaped = self._shape_rewards(e, breakdowns)
-            if shaped is not breakdowns:
-                for i, name in enumerate(order):
-                    b = shaped[name]
-                    totals[e, i] = b.total
-                    qos_rew[e, i] = b.qos_rew
-                    power_rew[e, i] = b.power_rew
-                    violation[e, i] = b.violation
         return totals
 
     def _repair_action_rows(
-        self,
-        env_rows: np.ndarray,
-        actions: np.ndarray,
-        arrival: np.ndarray,
-        results: Sequence[StepResult],
+        self, env_rows: np.ndarray, actions: np.ndarray, arrival: np.ndarray
     ) -> np.ndarray:
-        """Array hook: repair decoded actions before they are installed.
+        """Hook: repair decoded actions before they are placed.
 
         ``actions`` is the ``(len(env_rows), services, branches)`` action
-        matrix; returns the (possibly edited in place) matrix. Must be
-        deterministic. A subclass overriding the per-env dict hook
-        :meth:`_constrain_allocations` is detected and served through
-        per-env dict calls.
+        matrix of the acting envs, row ``r`` for env ``env_rows[r]``;
+        ``arrival`` is every env's ``(envs, services)`` arrival rates.
+        Edit ``actions`` in place and return it: the repaired actions
+        are what the agent learns from. Must be deterministic (no RNG
+        draws), so acting stays on the agent's RNG stream. The base
+        fleet keeps the agent's actions.
         """
-        if type(self)._constrain_allocations is FleetTwig._constrain_allocations:
-            return actions
-        for r, e in enumerate(env_rows.tolist()):
-            self._repair_row_via_dict(r, e, actions, results)
         return actions
-
-    def _repair_row_via_dict(
-        self, r: int, e: int, actions: np.ndarray, results: Sequence[StepResult]
-    ) -> None:
-        """Run one env's actions through the dict repair hook, in place."""
-        manage_llc = self.action_space.manage_llc
-        allocations = {
-            name: Allocation(
-                num_cores=int(actions[r, i, 0]) + 1,
-                freq_index=int(actions[r, i, 1]),
-                llc_ways=int(actions[r, i, 2]) if manage_llc else 0,
-            )
-            for i, name in enumerate(self.service_order)
-        }
-        constrained = self._constrain_allocations(e, allocations, results[e])
-        if constrained is not allocations:
-            for i, name in enumerate(self.service_order):
-                a = constrained[name]
-                actions[r, i, 0] = a.num_cores - 1
-                actions[r, i, 1] = a.freq_index
-                if manage_llc:
-                    actions[r, i, 2] = a.llc_ways
-
-    def _shape_rewards(
-        self, env_index: int, breakdowns: Dict[str, RewardBreakdown]
-    ) -> Dict[str, RewardBreakdown]:
-        """Per-env dict hook: adjust one env's reward breakdowns.
-
-        The base fleet applies Equation-1 unmodified;
-        :class:`repro.hier.manager.HierFleetTwig` subtracts a budget
-        overshoot penalty (vectorized via :meth:`_shape_reward_rows`,
-        with this dict form kept for direct calls).
-        """
-        return breakdowns
-
-    def _constrain_allocations(
-        self,
-        env_index: int,
-        allocations: Dict[str, Allocation],
-        result: StepResult,
-    ) -> Dict[str, Allocation]:
-        """Per-env dict hook: repair decoded allocations before install.
-
-        Must be deterministic (no RNG draws) so batched acting stays
-        stream-compatible with the scalar path. Return the *same* object
-        when nothing changes; a new dict signals that the executed
-        actions must be re-encoded for learning.
-        """
-        return allocations
 
     # ------------------------------------------------------------------ #
     # checkpointing

@@ -77,7 +77,9 @@ class Twig(FleetTwig, TaskManager):
     @property
     def last_rewards(self) -> Dict[str, float]:
         """Each service's Equation-1 reward at the last healthy interval."""
-        return super().last_rewards[0]
+        if not self._has_reward[0]:
+            return {}
+        return dict(zip(self.service_order, self._reward_totals[0].tolist()))
 
     def _tag(self, e: int) -> Dict[str, int]:
         # One server: its events carry no environment index.

@@ -8,41 +8,44 @@ window's per-node stats, rewards the allocator for the window just
 ended, asks it for the next (level, tilt), derives per-node watt
 budgets, and emits one ``budget_assign`` trace event.
 
-The budget reaches the leaves through the two
-:class:`~repro.core.fleet.FleetTwig` hooks:
+The budget reaches the leaves through the two array hooks of
+:class:`~repro.core.fleet.FleetTwig`, one pass over every node row:
 
-- **reward shaping** (:meth:`_shape_rewards`): Equation-1 stays intact;
-  when a node's summed Equation-2 power estimate exceeded its budget,
-  ``theta * overshoot`` is subtracted from every service's reward on
-  that node, so the leaves learn to live inside the envelope;
-- **action masking** (:meth:`_constrain_allocations`): decoded actions
+- **reward shaping** (:meth:`_shape_reward_rows`): Equation-1 stays
+  intact; when a node's summed Equation-2 power estimate exceeded its
+  budget, ``theta * overshoot`` is subtracted from every service's
+  reward on that node, so the leaves learn to live inside the envelope;
+- **action masking** (:meth:`_repair_action_rows`): decoded actions
   whose estimated node power exceeds the budget are greedily repaired —
   the highest-power service steps its DVFS down first, then sheds cores
-  — entirely deterministically (no RNG draws), so batched acting stays
-  stream-compatible with the scalar path. The repaired actions are what
-  the agent learns from.
+  — entirely deterministically (no RNG draws), so acting stays on the
+  agent's RNG stream. The repaired actions are what the agent learns
+  from.
+
+``tests/test_engine_fleet_array.py`` pins both hooks against per-env
+dict forms of the same rules on the dict-state reference fleet.
+:meth:`HierFleetTwig.update_batch` takes a
+:class:`~repro.engine.vector_env.StepBatch` only.
 
 All hierarchical state (allocator agent, budgets, window accumulators,
 provisioning log) rides in :meth:`state_dict` under a ``hier`` subtree,
 so ``run_fleet``'s ``vector_run`` checkpoints resume bit-identically
-with zero rollout-loop changes. ``name = "twig-hier"`` keeps flat and
-hierarchical checkpoints from cross-resuming.
+with zero rollout-loop changes; a ``hier`` subtree that would poison
+the leaves or the allocator is refused. ``name = "twig-hier"`` keeps
+flat and hierarchical checkpoints from cross-resuming.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.actions import Allocation
-from repro.core.reward import RewardBreakdown
 from repro.core.fleet import FleetTwig
-from repro.errors import CheckpointError
+from repro.engine.vector_env import StepBatch
+from repro.errors import CheckpointError, ConfigurationError
 from repro.hier.allocator import BudgetAllocator, BudgetConfig
 from repro.obs.events import make_event
-from repro.sim.environment import StepResult
 
 
 class HierFleetTwig(FleetTwig):
@@ -84,51 +87,34 @@ class HierFleetTwig(FleetTwig):
     # ------------------------------------------------------------------ #
     # lock-step control with periodic reallocation
     # ------------------------------------------------------------------ #
-    def update_batch(self, results: Sequence[StepResult]):
-        self._accumulate_window(results)
+    def update_batch(self, results: StepBatch):
+        """One tick over a :class:`~repro.engine.vector_env.StepBatch`;
+        a plain result sequence is refused (the window sums read the
+        batch's matrices)."""
+        if not isinstance(results, StepBatch):
+            raise ConfigurationError(
+                f"HierFleetTwig.update_batch takes a StepBatch, got {type(results).__name__}"
+            )
+        self._accumulate_window(results.arrays)
         self._tick += 1
         if self._tick % self.budget_config.period == 0:
-            arrays = getattr(results, "arrays", None)
-            t = int(arrays["time"][0]) if arrays is not None else results[0].time
-            self._reallocate(t)
+            self._reallocate(int(results.arrays["time"][0]))
         return super().update_batch(results)
 
-    def _accumulate_window(self, results: Sequence[StepResult]) -> None:
-        arrays = getattr(results, "arrays", None)
-        if arrays is not None:
-            # Array fast path over the StepBatch matrices. The scalar
-            # accumulators are still advanced env-by-env (Python float
-            # adds), keeping the window sums bit-identical to the
-            # object-path loop below.
-            p99 = arrays["p99"]
-            util = arrays["utilization"]
-            met = np.isfinite(p99) & (p99 <= arrays["qos_target"])
-            self._win_qos_total += met.size
-            self._win_qos_met += int(met.sum())
-            self._win_node_viol += (~met).sum(axis=1).astype(np.float64)
-            finite_util = np.where(np.isfinite(util), util, 1.0)
-            for v in arrays["power_w"].tolist():
-                self._win_power += v
-            for v in finite_util.mean(axis=1).tolist():
-                self._win_util += v
-            self._win_ticks += 1
-            return
-        for e, result in enumerate(results):
-            self._win_power += float(result.socket_power_w)
-            utils = []
-            for name in self.service_order:
-                observation = result.observations[name]
-                util = observation.interval.utilization
-                utils.append(util if np.isfinite(util) else 1.0)
-                met = bool(np.isfinite(observation.p99_ms)) and bool(
-                    observation.qos_met
-                )
-                self._win_qos_total += 1
-                if met:
-                    self._win_qos_met += 1
-                else:
-                    self._win_node_viol[e] += 1.0
-            self._win_util += float(np.mean(utils))
+    def _accumulate_window(self, arrays: Dict[str, np.ndarray]) -> None:
+        # The power and utilisation sums advance node by node (Python
+        # float adds), so they do not depend on NumPy's summation order.
+        p99 = arrays["p99"]
+        util = arrays["utilization"]
+        met = np.isfinite(p99) & (p99 <= arrays["qos_target"])
+        self._win_qos_total += met.size
+        self._win_qos_met += int(met.sum())
+        self._win_node_viol += (~met).sum(axis=1).astype(np.float64)
+        finite_util = np.where(np.isfinite(util), util, 1.0)
+        for v in arrays["power_w"].tolist():
+            self._win_power += v
+        for v in finite_util.mean(axis=1).tolist():
+            self._win_util += v
         self._win_ticks += 1
 
     def _fleet_state(self) -> np.ndarray:
@@ -193,18 +179,12 @@ class HierFleetTwig(FleetTwig):
         qos_rew: np.ndarray,
         power_rew: np.ndarray,
         violation: np.ndarray,
-        results: Sequence[StepResult],
     ) -> np.ndarray:
-        """Vectorized budget-overshoot penalty over all healthy rows.
+        """Budget-overshoot penalty over all healthy rows, in place.
 
-        One array pass replaces the per-env dict hook; a subclass that
-        overrides :meth:`_shape_rewards` again is handed back to the base
-        fleet's per-env fallback.
+        A node whose summed Equation-2 estimate exceeds its budget loses
+        ``theta * (power / budget - 1)`` from every service's reward.
         """
-        if type(self)._shape_rewards is not HierFleetTwig._shape_rewards:
-            return super()._shape_reward_rows(
-                env_rows, totals, qos_rew, power_rew, violation, results
-            )
         if not env_rows.size:
             return totals
         node_power = self._node_power_rows(self._est_power[env_rows])
@@ -218,27 +198,17 @@ class HierFleetTwig(FleetTwig):
         return totals
 
     def _repair_action_rows(
-        self,
-        env_rows: np.ndarray,
-        actions: np.ndarray,
-        arrival: np.ndarray,
-        results: Sequence[StepResult],
+        self, env_rows: np.ndarray, actions: np.ndarray, arrival: np.ndarray
     ) -> np.ndarray:
-        """Vectorized budget screen + lock-step greedy repair.
+        """Budget screen and lock-step greedy repair, in place.
 
         One :meth:`_power_for` pass screens every acting row; rows whose
         decoded actions overshoot their budget are then repaired in
         lock-step: each round, every still-over-budget row steps its
         highest-power shrinkable service (DVFS down first, else shed a
-        core) — the same first-max/first-tie choice and the same
-        Equation-2 values as the scalar greedy loop in
-        :meth:`_constrain_allocations`, so the repaired actions are
-        identical. Deterministic throughout (no RNG draws). A subclass
-        that overrides :meth:`_constrain_allocations` again is handed
-        back to the base fleet's per-env fallback.
+        core; the first service in order wins a tie) until the row fits
+        or nothing can shrink. Deterministic throughout (no RNG draws).
         """
-        if type(self)._constrain_allocations is not HierFleetTwig._constrain_allocations:
-            return super()._repair_action_rows(env_rows, actions, arrival, results)
         if not env_rows.size:
             return actions
         cores = actions[:, :, 0] + 1
@@ -255,7 +225,7 @@ class HierFleetTwig(FleetTwig):
             has = shrinkable.any(axis=1)
             if not has.all():
                 # Nothing left to shrink on some rows: they stop here,
-                # over budget, exactly as the scalar loop breaks.
+                # over budget.
                 active = active[has]
                 if not active.size:
                     break
@@ -278,68 +248,6 @@ class HierFleetTwig(FleetTwig):
         actions[:, :, 0] = cores - 1
         actions[:, :, 1] = freqs
         return actions
-
-    def _shape_rewards(
-        self, env_index: int, breakdowns: Dict[str, RewardBreakdown]
-    ) -> Dict[str, RewardBreakdown]:
-        budget = float(self.budgets[env_index])
-        node_power = sum(self._last_estimated_power[env_index].values())
-        overshoot = max(0.0, node_power / max(budget, 1e-9) - 1.0)
-        if overshoot <= 0.0:
-            return breakdowns
-        penalty = self.config.reward.theta * overshoot
-        return {
-            name: replace(b, total=b.total - penalty)
-            for name, b in breakdowns.items()
-        }
-
-    def _constrain_allocations(
-        self,
-        env_index: int,
-        allocations: Dict[str, Allocation],
-        result: StepResult,
-    ) -> Dict[str, Allocation]:
-        budget = float(self.budgets[env_index])
-        rates = {
-            name: result.observations[name].interval.arrival_rate
-            for name in self.service_order
-        }
-
-        def node_power(allocs: Dict[str, Allocation]) -> float:
-            return sum(
-                self._allocation_power(name, allocs[name], rates[name])
-                for name in self.service_order
-            )
-
-        if node_power(allocations) <= budget:
-            return allocations
-        repaired = dict(allocations)
-        while node_power(repaired) > budget:
-            shrinkable = [
-                name
-                for name in self.service_order
-                if repaired[name].freq_index > 0 or repaired[name].num_cores > 1
-            ]
-            if not shrinkable:
-                break
-            name = max(
-                shrinkable,
-                key=lambda n: self._allocation_power(n, repaired[n], rates[n]),
-            )
-            a = repaired[name]
-            if a.freq_index > 0:
-                repaired[name] = Allocation(
-                    num_cores=a.num_cores,
-                    freq_index=a.freq_index - 1,
-                    llc_ways=a.llc_ways,
-                )
-            else:
-                repaired[name] = Allocation(
-                    num_cores=a.num_cores - 1,
-                    freq_index=a.freq_index,
-                    llc_ways=a.llc_ways,
-                )
-        return repaired
 
     # ------------------------------------------------------------------ #
     # checkpointing
@@ -402,6 +310,20 @@ class HierFleetTwig(FleetTwig):
             raise CheckpointError(
                 f"checkpoint has {node_viol.shape[0]} violation counters, "
                 f"fleet has {self.num_envs}"
+            )
+        # A NaN budget switches the repair and the penalty off, a
+        # non-positive one shrinks the node to nothing; a window the
+        # running fleet cannot produce would reach the allocator's state,
+        # reward and replay buffer at the next reallocation.
+        if not (np.isfinite(budgets).all() and (budgets > 0).all()):
+            raise CheckpointError(f"hier budgets must be finite and > 0, got {budgets}")
+        if not np.isfinite(np.append(node_viol, [win_power, win_util])).all():
+            raise CheckpointError("hier window power, util and node_viol must be finite")
+        if min(tick, win_ticks, win_qos_met, win_qos_total, node_viol.min()) < 0:
+            raise CheckpointError("hier tick, window counts and node_viol must be >= 0")
+        if win_qos_met > win_qos_total:
+            raise CheckpointError(
+                f"hier window qos_met {win_qos_met} exceeds qos_total {win_qos_total}"
             )
         # The two sub-loads are each stage-then-commit; run them before
         # committing the plain fields.

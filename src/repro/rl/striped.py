@@ -317,7 +317,8 @@ class StripedPrioritizedReplayBuffer:
             for key, value in fields.items():
                 storage[key][occupied] = value
         self._storage = storage
-        self._sizes = sizes if storage is not None else np.zeros_like(sizes)
-        self._cursors = cursors if storage is not None else np.zeros_like(cursors)
+        # Copies: the caller's tree must not advance with later inserts.
+        self._sizes = sizes.copy() if storage is not None else np.zeros_like(sizes)
+        self._cursors = cursors.copy() if storage is not None else np.zeros_like(cursors)
         self._tree = staged_tree
         self._max_priority = max_priority

@@ -15,8 +15,11 @@ from repro.cluster.environment import ClusterEnvironment
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetTwig
 from repro.engine.fleet_reference import DictFleetTwig
+from repro.engine.rollout import run_fleet
+from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError
 from repro.experiments.common import make_environment
+from repro.hier import BudgetConfig, HierFleetTwig
 from repro.hier.baselines import make_rule_fleet
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.services.profiles import get_profile
@@ -210,3 +213,54 @@ def test_malformed_cluster_tree_leaves_the_fleet_as_it_was(corruption):
         venv.step(assignments)
         twin.step(assignments)
     _assert_tree_equal(venv.state_dict(), twin.state_dict())
+
+
+def _hier_fleet(ticks):
+    """A 3-node hierarchical fleet after ``ticks`` intervals; with a
+    budget period of 2 its budgets and window are both live."""
+    venv = VectorEnvironment.from_services(
+        CLUSTER_SERVICES, {"masstree": 0.4, "xapian": 0.5}, 3, 11
+    )
+    fleet = HierFleetTwig(
+        [get_profile(s) for s in CLUSTER_SERVICES],
+        TwigConfig.fast(),
+        np.random.default_rng(12),
+        num_envs=3,
+        budget=BudgetConfig(period=2),
+        allocator_rng=np.random.default_rng(13),
+    )
+    run_fleet(fleet, venv, ticks)
+    return fleet
+
+
+#: ``hier`` subtrees that used to load and then poison the leaves or the
+#: allocator: a NaN budget switches the repair and the penalty off, a
+#: non-positive one shrinks the node to one core at the lowest DVFS, a
+#: QoS ratio above 1 or a NaN window sum reaches the allocator's state,
+#: reward and replay buffer.
+HIER_CORRUPTIONS = {
+    "nan_budget": _set(np.nan, "hier", "budgets", 1),
+    "inf_budget": _set(np.inf, "hier", "budgets", 0),
+    "negative_budget": _set(-5.0, "hier", "budgets", 2),
+    "zero_budget": _set(0.0, "hier", "budgets", 0),
+    "negative_tick": _set(-3, "hier", "tick"),
+    "negative_window_ticks": _set(-2, "hier", "window", "ticks"),
+    "negative_qos_met": _set(-1, "hier", "window", "qos_met"),
+    "negative_qos_total": _set(-6, "hier", "window", "qos_total"),
+    "qos_met_over_total": _set(99, "hier", "window", "qos_met"),
+    "negative_node_viol": _set(-1.0, "hier", "window", "node_viol", 0),
+    "nan_node_viol": _set(np.nan, "hier", "window", "node_viol", 1),
+    "nan_window_power": _set(np.nan, "hier", "window", "power"),
+    "inf_window_util": _set(np.inf, "hier", "window", "util"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(HIER_CORRUPTIONS))
+def test_malformed_hier_tree_is_refused(corruption):
+    tree = _hier_fleet(3).state_dict()
+    HIER_CORRUPTIONS[corruption](tree)
+    fleet = _hier_fleet(5)
+    before = fleet.state_dict()
+    with pytest.raises(CheckpointError):
+        fleet.load_state_dict(tree)
+    _assert_tree_equal(fleet.state_dict(), before)

@@ -130,7 +130,7 @@ def test_bad_rows_raise_what_map_raises(label):
 class _ZeroCoreRepair(FleetTwig):
     """A repair hook that asks for zero cores for the second service."""
 
-    def _repair_action_rows(self, env_rows, actions, arrival, results):
+    def _repair_action_rows(self, env_rows, actions, arrival):
         actions[:, 1, 0] = -1
         return actions
 

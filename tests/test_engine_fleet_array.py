@@ -9,6 +9,9 @@ same RNG streams, same agent state, and a loadable legacy checkpoint
 format. These tests are the pin.
 """
 
+from dataclasses import replace
+from typing import Dict
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.hier import BudgetConfig, HierFleetTwig
 from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import MonitorBank, SystemMonitor
 from repro.services.profiles import get_profile
+from repro.sim.environment import StepResult
 
 SERVICES = ["masstree", "xapian"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5}
@@ -90,13 +94,26 @@ def _assert_managers_equivalent(array_mgr, dict_mgr):
     )
     # Same learned state (network weights, replay, schedule counters).
     _assert_tree_equal(array_mgr.agent.state_dict(), dict_mgr.agent.state_dict())
-    # The array side's lazily-built dict views match the reference dicts.
+    # Each env's array rows hold what the reference keeps in its dicts; a
+    # flag is set exactly when the reference dict is non-empty.
+    order = array_mgr.service_order
     for e in range(array_mgr.num_envs):
-        assert array_mgr._last_allocations[e] == dict_mgr._last_allocations[e]
-        assert (
-            array_mgr._last_estimated_power[e] == dict_mgr._last_estimated_power[e]
-        )
-        assert array_mgr.last_rewards[e] == dict_mgr.last_rewards[e]
+        allocations = dict_mgr._last_allocations[e]
+        assert array_mgr._has_alloc[e] == bool(allocations), e
+        if allocations:
+            rows = (array_mgr._alloc_cores, array_mgr._alloc_freq, array_mgr._alloc_ways)
+            fields = ("num_cores", "freq_index", "llc_ways")
+            for row, field in zip(rows, fields):
+                assert row[e].tolist() == [
+                    getattr(allocations[name], field) for name in order
+                ], (e, field)
+        for flag, values, dicts in (
+            (array_mgr._has_est, array_mgr._est_power, dict_mgr._last_estimated_power),
+            (array_mgr._has_reward, array_mgr._reward_totals, dict_mgr.last_rewards),
+        ):
+            assert flag[e] == bool(dicts[e]), e
+            if dicts[e]:
+                assert values[e].tolist() == [dicts[e][name] for name in order], e
     # MonitorBank rows == per-env SystemMonitor smoothed states.
     states = array_mgr.monitor_bank.states()
     k = len(SERVICES)
@@ -120,89 +137,123 @@ class TestArrayDictEquivalence:
         _assert_tree_equal(array_venv.state_dict(), dict_venv.state_dict())
 
 
-class TestHookFallback:
-    def test_dict_hook_overrides_still_work(self):
-        # Subclasses written against the original per-env dict hooks must
-        # be detected and served through per-env calls — same trajectory
-        # from the array manager and the reference.
-        def make_subclass(base):
-            class Shaped(base):
-                def _shape_rewards(self, env_index, breakdowns):
-                    return {
-                        name: RewardBreakdown(
-                            total=b.total * 0.5,
-                            qos_rew=b.qos_rew,
-                            power_rew=b.power_rew,
-                            violation=b.violation,
-                        )
-                        for name, b in breakdowns.items()
-                    }
+class _DictHierFleetTwig(DictFleetTwig):
+    """The dict-state reference for ``HierFleetTwig``'s two array hooks.
 
-                def _constrain_allocations(self, env_index, allocations, result):
-                    changed = dict(allocations)
-                    for name, a in allocations.items():
-                        if a.num_cores > 14:
-                            changed[name] = Allocation(
-                                num_cores=14,
-                                freq_index=a.freq_index,
-                                llc_ways=a.llc_ways,
-                            )
-                    return changed
+    ``_shape_rewards`` and ``_constrain_allocations`` state the budget
+    rules one environment and one service at a time, on the dict-state
+    fleet's per-env hooks: the overshoot penalty, and the greedy repair
+    that steps the highest-power shrinkable service's DVFS down, else
+    sheds one of its cores, until the node fits. They are the reference,
+    so keep them scalar. There is no allocator, so ``budgets`` holds
+    still; a run shorter than ``HierFleetTwig``'s budget period compares
+    the hooks alone.
+    """
 
-            return Shaped
+    def __init__(self, *args, budget_w, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.budgets = np.full(self.num_envs, budget_w, dtype=np.float64)
 
-        array_mgr, array_venv = _build(make_subclass(FleetTwig), 3)
-        dict_mgr, dict_venv = _build(make_subclass(DictFleetTwig), 3)
-        array_traces = run_fleet(array_mgr, array_venv, 10)
-        dict_traces = run_fleet(dict_mgr, dict_venv, 10)
-        _assert_traces_equal(array_traces, dict_traces)
-        assert (
-            array_mgr.agent._rng.bit_generator.state
-            == dict_mgr.agent._rng.bit_generator.state
+    def _shape_rewards(
+        self, env_index: int, breakdowns: Dict[str, RewardBreakdown]
+    ) -> Dict[str, RewardBreakdown]:
+        budget = float(self.budgets[env_index])
+        node_power = sum(self._last_estimated_power[env_index].values())
+        overshoot = max(0.0, node_power / max(budget, 1e-9) - 1.0)
+        if overshoot <= 0.0:
+            return breakdowns
+        penalty = self.config.reward.theta * overshoot
+        return {
+            name: replace(b, total=b.total - penalty)
+            for name, b in breakdowns.items()
+        }
+
+    def _constrain_allocations(
+        self,
+        env_index: int,
+        allocations: Dict[str, Allocation],
+        result: StepResult,
+    ) -> Dict[str, Allocation]:
+        budget = float(self.budgets[env_index])
+        rates = {
+            name: result.observations[name].interval.arrival_rate
+            for name in self.service_order
+        }
+
+        def node_power(allocs: Dict[str, Allocation]) -> float:
+            return sum(
+                self._allocation_power(name, allocs[name], rates[name])
+                for name in self.service_order
+            )
+
+        if node_power(allocations) <= budget:
+            return allocations
+        repaired = dict(allocations)
+        while node_power(repaired) > budget:
+            shrinkable = [
+                name
+                for name in self.service_order
+                if repaired[name].freq_index > 0 or repaired[name].num_cores > 1
+            ]
+            if not shrinkable:
+                break
+            name = max(
+                shrinkable,
+                key=lambda n: self._allocation_power(n, repaired[n], rates[n]),
+            )
+            a = repaired[name]
+            if a.freq_index > 0:
+                repaired[name] = Allocation(
+                    num_cores=a.num_cores,
+                    freq_index=a.freq_index - 1,
+                    llc_ways=a.llc_ways,
+                )
+            else:
+                repaired[name] = Allocation(
+                    num_cores=a.num_cores - 1,
+                    freq_index=a.freq_index,
+                    llc_ways=a.llc_ways,
+                )
+        return repaired
+
+
+class TestHierOracle:
+    def test_array_hooks_match_the_dict_oracle(self):
+        # Fixed budgets (the period outlasts the run, so the allocator
+        # never decides) from loose to below the smallest allocation's
+        # power: the repair sheds DVFS and cores, stops where nothing can
+        # shrink, and the penalty lands on stored transitions.
+        budgets = np.array([60.0, 30.0, 10.0, 0.9])
+        hier, hier_venv = _build(
+            HierFleetTwig,
+            4,
+            budget=BudgetConfig(period=50),
+            allocator_rng=np.random.default_rng(SEED + 2),
         )
-        # The constraint actually fired somewhere, or the test is vacuous.
-        cores = [
-            c
-            for t in array_traces
-            for name in SERVICES
-            for c in t.services[name].cores
-        ]
-        assert max(cores) <= 14
+        hier.budgets[:] = budgets
+        changed = {"stored_penalty": 0, "repair": 0}
 
-
-class TestHierFallback:
-    def test_hier_array_repair_matches_dict_hooks(self):
-        # HierFleetTwig's vectorized budget repair/shaping vs a subclass
-        # that re-overrides the dict hooks (forcing the per-env path).
-        class DictPath(HierFleetTwig):
+        class Counting(_DictHierFleetTwig):
             def _shape_rewards(self, env_index, breakdowns):
-                return HierFleetTwig._shape_rewards(self, env_index, breakdowns)
+                shaped = super()._shape_rewards(env_index, breakdowns)
+                stored = self._prev_states[env_index] is not None
+                changed["stored_penalty"] += stored and shaped is not breakdowns
+                return shaped
 
             def _constrain_allocations(self, env_index, allocations, result):
-                return HierFleetTwig._constrain_allocations(
-                    self, env_index, allocations, result
-                )
+                repaired = super()._constrain_allocations(env_index, allocations, result)
+                changed["repair"] += repaired is not allocations
+                return repaired
 
-        results = {}
-        for cls in (HierFleetTwig, DictPath):
-            manager, venv = _build(
-                cls,
-                4,
-                budget=BudgetConfig(period=50),
-                allocator_rng=np.random.default_rng(SEED + 2),
-            )
-            # Tight budgets with a long period: the greedy repair loop and
-            # overshoot penalty stay active for the whole run.
-            manager.budgets[:] = 60.0
-            traces = run_fleet(manager, venv, 8)
-            results[cls.__name__] = (traces, manager)
-        _assert_traces_equal(results["HierFleetTwig"][0], results["DictPath"][0])
-        a, b = results["HierFleetTwig"][1], results["DictPath"][1]
-        assert np.array_equal(a.budgets, b.budgets)
-        assert (
-            a.agent._rng.bit_generator.state == b.agent._rng.bit_generator.state
-        )
-        _assert_tree_equal(a.agent.state_dict(), b.agent.state_dict())
+        oracle, oracle_venv = _build(Counting, 4, budget_w=budgets)
+        hier_traces = run_fleet(hier, hier_venv, 8)
+        oracle_traces = run_fleet(oracle, oracle_venv, 8)
+        _assert_traces_equal(hier_traces, oracle_traces)
+        _assert_managers_equivalent(hier, oracle)
+        _assert_tree_equal(hier_venv.state_dict(), oracle_venv.state_dict())
+        assert np.array_equal(hier.budgets, oracle.budgets)
+        # Both hooks changed what was learned, or the comparison is vacuous.
+        assert changed["stored_penalty"] > 0 and changed["repair"] > 0
 
 
 class TestMonitorBank:

@@ -20,6 +20,7 @@ from repro.obs.context import ObsContext
 from repro.obs.sink import MemorySink
 from repro.services.profiles import get_profile
 from repro.sim.faults import Fault, FaultInjector
+from tests.helpers import _assert_tree_equal
 
 SERVICES = ["masstree", "xapian"]
 
@@ -133,47 +134,63 @@ class TestBudgetAllocator:
 
 
 class TestBudgetMasking:
+    def _first_tick(self, manager, venv):
+        """Every node's arrivals after one tick, and an action matrix
+        asking for all cores at max DVFS for every service."""
+        arrival = venv.step(manager.initial_assignments()).arrays["arrivals"]
+        actions = np.zeros(
+            (manager.num_envs, len(manager.service_order), manager.action_space.n_branches),
+            dtype=np.int64,
+        )
+        actions[:, :, 0] = manager.action_space.max_cores - 1
+        actions[:, :, 1] = len(manager.spec.dvfs) - 1
+        return arrival, actions
+
     def test_tight_budget_repairs_allocations(self):
         manager, venv = _build_hier(2)
-        results = venv.step(manager.initial_assignments())
+        arrival, actions = self._first_tick(manager, venv)
         manager.budgets[:] = 0.35 * manager.max_power_w
-        allocations = manager._initial_allocations()   # all cores, max DVFS
-        repaired = manager._constrain_allocations(0, allocations, results[0])
-        assert repaired is not allocations
-        rates = {
-            n: results[0].observations[n].interval.arrival_rate
-            for n in manager.service_order
-        }
-        power = sum(
-            manager._allocation_power(n, repaired[n], rates[n])
-            for n in manager.service_order
-        )
-        budget = float(manager.budgets[0])
-        shrinkable = any(
-            repaired[n].freq_index > 0 or repaired[n].num_cores > 1
-            for n in manager.service_order
-        )
-        assert power <= budget or not shrinkable
+        requested = actions.copy()
+        repaired = manager._repair_action_rows(np.arange(2), actions, arrival)
+        assert not np.array_equal(repaired, requested)
+        cores, freqs = repaired[:, :, 0] + 1, repaired[:, :, 1]
+        power = manager._power_for(cores, freqs, arrival)
+        for e in range(2):
+            shrinkable = ((freqs[e] > 0) | (cores[e] > 1)).any()
+            assert sum(power[e].tolist()) <= manager.budgets[e] or not shrinkable
 
     def test_loose_budget_returns_same_object(self):
         manager, venv = _build_hier(2)
-        results = venv.step(manager.initial_assignments())
+        arrival, actions = self._first_tick(manager, venv)
         manager.budgets[:] = len(SERVICES) * manager.max_power_w
-        allocations = manager._initial_allocations()
-        assert manager._constrain_allocations(0, allocations, results[0]) is allocations
+        requested = actions.copy()
+        assert manager._repair_action_rows(np.arange(2), actions, arrival) is actions
+        assert np.array_equal(actions, requested)
 
     def test_overshoot_penalty_lowers_rewards(self):
         manager, venv = _build_hier(2)
-        results = venv.step(manager.initial_assignments())
-        breakdowns = manager._compute_rewards(0, results[0])
+        arrival, _ = self._first_tick(manager, venv)
+        manager._est_power[:] = manager._power_for(
+            manager._alloc_cores, manager._alloc_freq, arrival
+        )
+        rows = np.arange(2)
+        totals = np.ones((2, len(SERVICES)))
+        extras = (np.zeros_like(totals), np.zeros_like(totals), np.zeros(totals.shape, bool))
         manager.budgets[:] = 1e6                          # no overshoot
-        unshaped = manager._shape_rewards(0, breakdowns)
-        assert unshaped is breakdowns
-        estimated = sum(manager._last_estimated_power[0].values())
-        manager.budgets[:] = estimated / 2.0              # 2x overshoot
-        shaped = manager._shape_rewards(0, breakdowns)
-        for name in manager.service_order:
-            assert shaped[name].total < breakdowns[name].total
+        unshaped = manager._shape_reward_rows(rows, totals.copy(), *extras)
+        assert np.array_equal(unshaped, totals)
+        estimated = manager._est_power[0].sum()
+        manager.budgets[:] = estimated / 2.0              # 2x overshoot on node 0
+        shaped = manager._shape_reward_rows(rows, totals.copy(), *extras)
+        assert (shaped[0] < totals[0]).all()
+
+    def test_update_batch_refuses_a_plain_result_list(self):
+        manager, venv = _build_hier(2)
+        batch = venv.step(manager.initial_assignments())
+        before = manager.state_dict()
+        with pytest.raises(ConfigurationError, match="StepBatch"):
+            manager.update_batch([batch[e] for e in range(2)])
+        _assert_tree_equal(manager.state_dict(), before)
 
 
 class TestBudgetEvents:

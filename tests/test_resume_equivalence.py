@@ -8,19 +8,26 @@ for both BDQ implementations at the agent level, and end to end through
 raises ``CheckpointError`` and leaves the target object untouched.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.ckpt.checkpoint import load_state, save_state
 from repro.core import Twig, TwigConfig
+from repro.core.fleet import FleetTwig
+from repro.engine.rollout import run_fleet
+from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.runner import RUN_CKPT_NAME, run_manager
+from repro.hier import BudgetConfig, HierFleetTwig
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq_reference import ReferenceBDQAgent
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from tests.helpers import _assert_tree_equal
 
 IMPLEMENTATIONS = [BDQAgent, ReferenceBDQAgent]
 
@@ -306,3 +313,51 @@ def test_twig_full_checkpoint_roundtrip(tmp_path):
     # Both managers now produce identical next assignments.
     result = env.step(assignments)
     assert twig.update(result) == other.update(result)
+
+
+# ---------------------------------------------------------------------- #
+# a loaded tree stays the caller's
+# ---------------------------------------------------------------------- #
+FLEET_SERVICES = ["masstree", "xapian"]
+
+
+def _stepped_fleet(cls, ticks, seed):
+    """A 3-environment fleet after ``ticks`` intervals, with its batch."""
+    venv = VectorEnvironment.from_services(
+        FLEET_SERVICES, {"masstree": 0.4, "xapian": 0.5}, 3, seed
+    )
+    kwargs = {"budget": BudgetConfig(period=4)} if cls is HierFleetTwig else {}
+    fleet = cls(
+        [get_profile(s) for s in FLEET_SERVICES],
+        TwigConfig.fast().scaled(batch_size=2, min_buffer_size=2, buffer_capacity=48),
+        np.random.default_rng(seed + 1),
+        num_envs=3,
+        **kwargs,
+    )
+    if ticks:
+        run_fleet(fleet, venv, ticks)
+    return fleet, venv
+
+
+def _loaded_then_stepped(cls, manager_tree, env_tree):
+    fleet, venv = _stepped_fleet(cls, 0, seed=99)
+    fleet.load_state_dict(manager_tree)
+    venv.load_state_dict(copy.deepcopy(env_tree))
+    run_fleet(fleet, venv, 6)
+    return fleet
+
+
+@pytest.mark.parametrize("cls", [FleetTwig, HierFleetTwig])
+def test_stepping_a_loaded_fleet_leaves_its_tree_alone(cls):
+    """The striped replay buffer used to keep the tree's ``sizes`` and
+    ``cursors`` arrays as its own, so every later insert advanced the
+    caller's tree; loading it a second time then raised or resumed from
+    the wrong ring positions."""
+    source, source_venv = _stepped_fleet(cls, 5, seed=11)
+    tree, env_tree = source.state_dict(), source_venv.state_dict()
+    pristine = copy.deepcopy(tree)
+    _loaded_then_stepped(cls, tree, env_tree)
+    _assert_tree_equal(tree, pristine)
+    again = _loaded_then_stepped(cls, tree, env_tree)
+    untouched = _loaded_then_stepped(cls, copy.deepcopy(pristine), env_tree)
+    _assert_tree_equal(again.state_dict(), untouched.state_dict())

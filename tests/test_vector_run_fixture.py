@@ -1,8 +1,9 @@
 """A checked-in ``vector_run`` checkpoint resumes and is rewritten unchanged.
 
 ``tests/data/vector_run_fleet.ckpt.npz`` is the rolling checkpoint a
-learning ``FleetTwig`` fleet wrote at tick 12 of a 30-tick ``run_fleet``,
-before controller-to-engine assignments became arrays:
+learning ``FleetTwig`` fleet wrote every 12 ticks of a 30-tick
+``run_fleet`` (the file holds the last one, at tick 24), before
+controller-to-engine assignments became arrays:
 
     venv = ClusterEnvironment.from_services(
         ["masstree", "xapian"], num_nodes=8, seed=23, traffic="diurnal",

@@ -80,8 +80,11 @@ bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 ## Harness perf smoke: serial vs --jobs batch running, looped vs batched
-## PER sampling, and fused head-bank vs per-head-loop BDQ train_step/act
-## at 1/2/4 agents; appends measured speedups to BENCH_perf_smoke.json.
+## PER sampling on a one-stripe replay buffer, fused head-bank vs
+## per-head-loop BDQ train_step/act at 1/2/4 agents, the fleet agent and
+## vector rollout, cluster, learning-fleet, hier and rule-fleet ticks, and
+## control-plane RPC throughput; each test overwrites its own entry in
+## BENCH_perf_smoke.json.
 bench-smoke:
 	$(PYTEST) benchmarks/test_perf_smoke.py -q -s
 

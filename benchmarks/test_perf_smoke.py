@@ -5,7 +5,8 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
 - serial ``run_experiments`` vs the same batch with ``jobs`` workers;
 - the per-transition Python sampling loop (the pre-vectorization
   implementation, kept here as a reference) vs the batched
-  ``PrioritizedReplayBuffer.sample`` / ``SumTree.find_batch`` path;
+  ``StripedPrioritizedReplayBuffer.sample`` / ``SumTree.find_batch`` path
+  on a one-stripe buffer, the replay of a plain ``BDQAgent``;
 - the fused head-bank ``BDQAgent.train_step`` / ``act`` vs the frozen
   per-head loop implementation (:mod:`repro.rl.bdq_reference`), at 1, 2
   and 4 colocated agents;
@@ -50,7 +51,7 @@ from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.experiments.runner import run_experiments
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq_reference import ReferenceBDQAgent
-from repro.rl.prioritized import PrioritizedReplayBuffer
+from repro.rl.striped import StripedPrioritizedReplayBuffer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_perf_smoke.json"
@@ -122,7 +123,7 @@ def _best_block_interleaved_s(fns, rounds: int, per_block: int = 2):
     return best
 
 
-def _looped_sample(buffer: PrioritizedReplayBuffer, batch_size: int, beta: float):
+def _looped_sample(buffer: StripedPrioritizedReplayBuffer, batch_size: int, beta: float):
     """Reference one-transition-at-a-time sampler (pre-vectorization)."""
     total = buffer._tree.total
     segment = total / batch_size
@@ -136,17 +137,18 @@ def _looped_sample(buffer: PrioritizedReplayBuffer, batch_size: int, beta: float
     probabilities = priorities / total
     weights = (len(buffer) * probabilities) ** (-beta)
     weights /= weights.max()
-    batch = buffer.gather(indices)
+    batch = {key: store[indices] for key, store in buffer._storage.items()}
+    batch["indices"] = indices
     batch["weights"] = weights
     return batch
 
 
-def _fill(capacity: int, size: int) -> PrioritizedReplayBuffer:
+def _fill(capacity: int, size: int) -> StripedPrioritizedReplayBuffer:
     rng = np.random.default_rng(0)
-    buffer = PrioritizedReplayBuffer(capacity, rng)
+    buffer = StripedPrioritizedReplayBuffer(1, capacity, rng)
     transition = {"state": np.zeros(11), "reward": np.array(0.0)}
     for _ in range(size):
-        buffer.add(transition)
+        buffer.add(0, transition)
     buffer.update_priorities(
         np.arange(size), np.random.default_rng(1).random(size) * 3
     )
@@ -176,6 +178,7 @@ def test_batched_per_sampling_vs_loop():
     _record(
         "per_sample_batched",
         {
+            "cpus": len(os.sched_getaffinity(0)),
             "buffer_size": size,
             "batch_size": batch_size,
             "rounds": rounds,
@@ -204,7 +207,8 @@ def _bdq_agent(cls, num_agents: int, seed: int = 0) -> BDQAgent:
             [int(feeder.integers(0, n)) for n in branch]
             for branch in config.branch_sizes
         ]
-        agent.buffer.add(
+        agent.striped.add(
+            0,
             {
                 "state": state,
                 "actions": np.asarray(
@@ -213,7 +217,7 @@ def _bdq_agent(cls, num_agents: int, seed: int = 0) -> BDQAgent:
                 "rewards": feeder.normal(size=num_agents),
                 "next_state": feeder.normal(size=config.state_dim),
                 "done": np.asarray(0.0),
-            }
+            },
         )
     agent.step_count = 300  # past min_buffer_size bookkeeping
     return agent
@@ -245,7 +249,7 @@ def test_bdq_train_step_fused_vs_loop():
             f"loop {timings['loop'] * 1e3:.2f}ms, fused {timings['fused'] * 1e3:.2f}ms, "
             f"{speedup:.1f}x"
         )
-    _record("bdq_train_step", results)
+    _record("bdq_train_step", {"cpus": len(os.sched_getaffinity(0)), **results})
     # The acceptance bar: the fused head bank must beat the per-head loop
     # by >= 1.5x on the paper's Twig-C shape (2 colocated agents).
     assert results["agents_2"]["speedup"] >= 1.5, results
@@ -267,7 +271,7 @@ def test_bdq_act_fused_vs_loop():
                 it[0] += 1
 
             for _ in range(5):
-                step()  # warm up the fast-path buffers
+                step()  # warm up allocator and BLAS
             steps[key] = step
         loop_s, fused_s = _best_block_interleaved_s(
             [steps["loop"], steps["fused"]], n, per_block=8
@@ -285,7 +289,7 @@ def test_bdq_act_fused_vs_loop():
             f"loop {timings['loop'] * 1e6:.0f}us, fused {timings['fused'] * 1e6:.0f}us, "
             f"{speedup:.1f}x"
         )
-    _record("bdq_act", results)
+    _record("bdq_act", {"cpus": len(os.sched_getaffinity(0)), **results})
     # act runs once per simulated second in every experiment; the fast
     # path must never lose to the loop.
     assert all(r["speedup"] > 1.0 for r in results.values()), results

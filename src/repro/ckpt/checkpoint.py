@@ -42,7 +42,10 @@ import numpy as np
 from repro.errors import CheckpointError
 
 CKPT_FORMAT = "repro.ckpt"
-CKPT_VERSION = 1
+#: 2: an agent tree (``bdq_agent``, and wherever one is nested) lost its
+#: scalar replay ``buffer``; every agent keeps ``num_envs`` and
+#: ``striped``. Version-1 files still load: their ring becomes stripe 0.
+CKPT_VERSION = 2
 
 #: Reserved npz member holding the JSON envelope (format/version/kind/scalars).
 META_KEY = "__meta__"

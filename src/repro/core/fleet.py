@@ -42,7 +42,6 @@ from repro.obs.timing import TimingRegistry
 from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import MonitorBank
 from repro.rl.agent import BDQAgent, BDQAgentConfig
-from repro.rl.striped import StripedPrioritizedReplayBuffer, one_stripe_state
 from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
@@ -52,25 +51,20 @@ from repro.sim.environment import StepResult
 class FleetBDQAgent(BDQAgent):
     """A :class:`BDQAgent` that learns one policy from N environments.
 
-    Differences from the scalar agent, all confined to the replay hooks
-    and the acting path:
+    The base agent already replays from a
+    :class:`~repro.rl.striped.StripedPrioritizedReplayBuffer`; this one
+    gives it a ring stripe per environment (stripe capacity
+    ``buffer_capacity // num_envs``, floored at one batch) inside the
+    single sum tree. Eviction stays per-environment (each stripe
+    overwrites its own oldest transitions), while sampling is globally
+    proportional to priority across the fleet, at the cost of ONE
+    ``find_batch``/``update_batch`` per train step instead of N. What
+    else differs is the acting and storing:
 
-    - **Striped replay.** One
-      :class:`~repro.rl.striped.StripedPrioritizedReplayBuffer` holding
-      a ring stripe per environment (stripe capacity
-      ``buffer_capacity // num_envs``, floored at one batch) inside a
-      single sum tree. Eviction stays per-environment (each stripe
-      overwrites its own oldest transitions), while sampling is globally
-      proportional to priority across the fleet — the same distribution
-      and batch-global IS-weight normalisation the scalar agent uses,
-      at the cost of ONE ``find_batch``/``update_batch`` per train step
-      instead of N. With ``use_prioritized_replay`` off, sampling is
-      uniform over every stored transition, as the scalar agent's
-      uniform buffer samples.
     - **Batched acting.** :meth:`act_batch` runs one fused forward for
       all environments and returns the ``(M, total_branches)`` int64
       action matrix, with the per-branch epsilon noise applied to it in
-      place, env-major, by the scalar agent's own loop
+      place, env-major, by the base agent's own loop
       (:meth:`~BDQAgent._explore`) — the RNG draw sequence for M stacked
       states is identical to M consecutive scalar :meth:`~BDQAgent.act`
       calls.
@@ -82,12 +76,6 @@ class FleetBDQAgent(BDQAgent):
       least one row advances ``step_count`` (and thus the epsilon/beta
       schedules and the train/target cadence) by ONE, a call that
       stores none leaves them alone.
-
-    The base class's ``self.buffer`` is left in place but unused (the
-    replay hooks below never touch it); it keeps the inherited
-    checkpoint machinery intact, and :meth:`state_dict` adds the striped
-    buffer alongside it. :meth:`load_state_dict` also reads a scalar
-    :class:`BDQAgent` tree, whose replay ring becomes one stripe.
     """
 
     def __init__(
@@ -100,12 +88,8 @@ class FleetBDQAgent(BDQAgent):
     ):
         if num_envs < 1:
             raise ConfigurationError(f"num_envs must be >= 1, got {num_envs}")
-        super().__init__(config, rng, trace=trace, timings=timings)
         self.num_envs = num_envs
-        stripe_capacity = max(config.buffer_capacity // num_envs, config.batch_size)
-        self.striped = StripedPrioritizedReplayBuffer(
-            num_envs, stripe_capacity, rng, alpha=config.per_alpha
-        )
+        super().__init__(config, rng, trace=trace, timings=timings)
 
     # ------------------------------------------------------------------ #
     # acting
@@ -132,7 +116,7 @@ class FleetBDQAgent(BDQAgent):
             )
         actions = self.online.greedy_actions_batch(states)      # (M, B)
         if not greedy:
-            # Env-major noise through the scalar act's own loop, so batched
+            # Env-major noise through act's own loop, so batched
             # and per-state acting are stream-compatible by construction.
             self._explore(actions.reshape(-1), self.epsilon())
         return actions
@@ -186,79 +170,6 @@ class FleetBDQAgent(BDQAgent):
         if count == 0:
             return None
         return self._advance()
-
-    # ------------------------------------------------------------------ #
-    # replay hooks (striped)
-    # ------------------------------------------------------------------ #
-    def _replay_size(self) -> int:
-        return len(self.striped)
-
-    def _replay_sample(self):
-        with self._measure("agent.train.replay"):
-            if self.config.use_prioritized_replay:
-                beta = self.beta_schedule(self.step_count)
-                batch = self.striped.sample(self.config.batch_size, beta=beta)
-                weights = batch["weights"]
-            else:
-                beta = 1.0
-                batch = self.striped.sample_uniform(self.config.batch_size)
-                weights = np.ones(len(batch["indices"]))
-        return batch, weights, beta
-
-    def _replay_update(self, batch: Dict[str, Any], td_error_accum: np.ndarray) -> None:
-        if self.config.use_prioritized_replay:
-            with self._measure("agent.train.replay"):
-                priorities = td_error_accum / self.online.total_branches
-                self.striped.update_priorities(batch["indices"], priorities)
-
-    # ------------------------------------------------------------------ #
-    # checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, Any]:
-        """Agent state plus the striped replay buffer's stripe layout."""
-        tree = super().state_dict()
-        tree["num_envs"] = self.num_envs
-        tree["striped"] = self.striped.state_dict()
-        return tree
-
-    def load_state_dict(self, tree: Dict[str, Any]) -> None:
-        """Restore agent and striped-buffer state from :meth:`state_dict`.
-
-        A scalar :class:`BDQAgent` tree (no ``striped`` subtree) loads as
-        a one-environment fleet agent: its replay ring is stripe 0, with
-        the same capacity, cursor, rows and sum tree.
-        """
-        if "striped" not in tree:
-            # The ring moves into the stripe; the unused base buffer keeps
-            # its own (empty) state rather than a second copy of the ring.
-            tree = dict(
-                tree,
-                num_envs=1,
-                striped=one_stripe_state(tree.get("buffer", {})),
-                buffer=self.buffer.state_dict(),
-            )
-        try:
-            num_envs = int(tree["num_envs"])
-            striped_tree = dict(tree["striped"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed fleet-agent checkpoint: {exc}") from exc
-        if num_envs != self.num_envs:
-            raise CheckpointError(
-                f"checkpoint has {num_envs} replay stripes, agent has {self.num_envs}"
-            )
-        self._check_replay_actions(striped_tree, "striped replay")
-        # Stage the striped buffer into a scratch instance first: its load
-        # is itself stage-then-commit, so a malformed buffer rejects the
-        # checkpoint before anything here mutates.
-        scratch = StripedPrioritizedReplayBuffer(
-            self.num_envs,
-            self.striped.stripe_capacity,
-            self._rng,
-            alpha=self.config.per_alpha,
-        )
-        scratch.load_state_dict(striped_tree)
-        super().load_state_dict(tree)
-        self.striped = scratch
 
 
 class FleetTwig:

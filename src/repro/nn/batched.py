@@ -38,12 +38,11 @@ forever — in particular fused optimizer updates leave them untouched
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.initializers import he_uniform
 from repro.nn.layers import Dense, Dropout, Layer, Parameter, ReLU, Sequential
 
 
@@ -58,36 +57,6 @@ def exact_inverse(scale: float) -> Optional[float]:
     if scale <= 0.0 or not np.isfinite(scale):
         return None
     return 1.0 / scale if math.frexp(scale)[0] == 0.5 else None
-
-
-class ScratchPool:
-    """Keyed, persistently reused scratch buffers for per-step temporaries.
-
-    Freshly allocating a multi-hundred-kilobyte activation or mask every
-    step is surprisingly expensive: arrays past the allocator's cache are
-    ``mmap``'d and every page is soft-faulted on first touch, which can
-    cost more than the arithmetic that fills the buffer. Keying buffers by
-    purpose returns the same resident memory on every step once shapes
-    stabilise (a buffer is reallocated only when its shape or dtype
-    changes). Callers own the lifetime discipline: a pooled buffer is
-    valid until the next request for the same key.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def get(
-        self,
-        key: str,
-        shape: Tuple[int, ...],
-        dtype: type = np.float64,
-    ) -> np.ndarray:
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._buffers[key] = np.empty(shape, dtype)
-        return buf
 
 
 def _stack_param(name: str, value: np.ndarray, grad: np.ndarray) -> Parameter:
@@ -158,22 +127,6 @@ class BatchedDense(Layer):
         ]
         self._input: Optional[np.ndarray] = None
 
-    @classmethod
-    def create(
-        cls,
-        in_features: int,
-        out_sizes: Sequence[int],
-        rng: np.random.Generator,
-        weight_init: Callable[[int, int, np.random.Generator], np.ndarray] = he_uniform,
-        name: str = "batched_dense",
-    ) -> "BatchedDense":
-        """Build a fresh bank by drawing each head in order (stable RNG)."""
-        heads = [
-            Dense(in_features, n, rng, weight_init=weight_init, name=f"{name}.{i}")
-            for i, n in enumerate(out_sizes)
-        ]
-        return cls(heads, name=name)
-
     # ------------------------------------------------------------------ #
     def forward(
         self,
@@ -232,17 +185,6 @@ class BatchedDense(Layer):
             raise ShapeError(f"{self.name} expected a 2-D or 3-D input, got {x.shape}")
         result += self.bias
         return result
-
-    def forward_single(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Eval-only single-state path: ``(in,) -> (H, out_max)``.
-
-        Does not record the input for backward; ``out`` may be a
-        preallocated flat ``(H * out_max,)`` buffer reused across calls.
-        """
-        y = np.dot(x, self.weight_2d, out=out)
-        y = y.reshape(self.num_heads, self.out_max)
-        y += self.bias
-        return y
 
     def backward(
         self,
@@ -403,11 +345,6 @@ class HeadBank:
         # Pooled (batch, H, hidden) destination for the output layer's
         # input gradient (lazily sized on first backward).
         self._hidden_grad_buf: Optional[np.ndarray] = None
-        # Preallocated single-state buffers (lazily sized on first use).
-        self._single_hidden: Optional[np.ndarray] = None
-        self._single_out: Optional[np.ndarray] = None
-        self._single_tail_hidden: Optional[np.ndarray] = None
-        self._single_tail_out: Optional[np.ndarray] = None
 
     def forward(self, shared: np.ndarray, training: bool = False) -> np.ndarray:
         """All heads at once: ``(batch, in) -> (batch, H, out_max)``.
@@ -552,23 +489,6 @@ class HeadBank:
         tail_out += self.out.bias[tail_start:]
         return train_out, tail_out
 
-    def forward_single(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode fast path for one state: ``(in,) -> (H, out_max)``.
-
-        Skips dropout/ReLU mask allocation entirely and reuses
-        preallocated buffers; the returned array is one of those buffers
-        and is only valid until the next call.
-        """
-        if self._single_hidden is None:
-            self._single_hidden = np.empty(self.num_heads * self.hidden.out_max)
-            self._single_out = np.empty((self.num_heads, 1, self.out_max))
-        h = self.hidden.forward_single(x, out=self._single_hidden)
-        np.maximum(h, 0.0, out=h)
-        np.matmul(h[:, None, :], self.out.weight.transpose(1, 0, 2), out=self._single_out)
-        out = self._single_out[:, 0, :]
-        out += self.out.bias
-        return out
-
     def forward_tail(self, shared: np.ndarray, start: int) -> np.ndarray:
         """Eval-only forward of heads ``start..H-1``: ``(batch, H-start, out_max)``.
 
@@ -595,46 +515,10 @@ class HeadBank:
         out += self.out.bias[start:]
         return out
 
-    def forward_single_tail(self, x: np.ndarray, start: int) -> np.ndarray:
-        """Single-state :meth:`forward_tail`: ``(in,) -> (H-start, out_max)``.
-
-        Reuses preallocated buffers; the returned array is one of those
-        buffers and is only valid until the next call.
-        """
-        if not 0 <= start < self.num_heads:
-            raise ShapeError(
-                f"{self.name}.forward_single_tail start {start} out of range "
-                f"[0, {self.num_heads})"
-            )
-        count = self.num_heads - start
-        width = self.hidden.out_max
-        buf_h = self._single_tail_hidden
-        if buf_h is None or buf_h.shape[0] != count * width:
-            buf_h = self._single_tail_hidden = np.empty(count * width)
-            self._single_tail_out = np.empty((count, 1, self.out_max))
-        # matmul, not dot: dot falls back to a slow non-BLAS path for the
-        # column-strided weight view, matmul dispatches to GEMV regardless.
-        h = np.matmul(x, self.hidden.weight_2d[:, start * width:], out=buf_h)
-        h = h.reshape(count, width)
-        h += self.hidden.bias[start:]
-        np.maximum(h, 0.0, out=h)
-        np.matmul(
-            h[:, None, :],
-            self.out.weight[:, start:, :].transpose(1, 0, 2),
-            out=self._single_tail_out,
-        )
-        out = self._single_tail_out[:, 0, :]
-        out += self.out.bias[start:]
-        return out
-
     def rebind_storage(self) -> None:
         """Refresh both layers' views after their stack Parameters moved."""
         self.hidden.rebind_storage()
         self.out.rebind_storage()
-        self._single_hidden = None
-        self._single_out = None
-        self._single_tail_hidden = None
-        self._single_tail_out = None
         self._hidden_grad_buf = None
 
     def parameters(self) -> List[Parameter]:

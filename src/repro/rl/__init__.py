@@ -3,17 +3,16 @@
 Contains the pieces the paper's learning agent is assembled from:
 
 - :mod:`repro.rl.schedules` — linear / piecewise annealing (ε, PER β).
-- :mod:`repro.rl.replay` — uniform experience replay.
-- :mod:`repro.rl.sum_tree` / :mod:`repro.rl.prioritized` — prioritised
-  experience replay (Schaul et al. 2015) with proportional sampling.
+- :mod:`repro.rl.sum_tree` / :mod:`repro.rl.striped` — the one replay
+  buffer: prioritised experience replay (Schaul et al. 2015) with
+  proportional or uniform sampling over one ring stripe per environment
+  feeding the agent, all in one sum tree.
 - :mod:`repro.rl.bdq` — the (multi-agent) branching dueling Q-network.
 - :mod:`repro.rl.agent` — the deep Q-learning agent (Algorithm 1).
 """
 
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq import BDQNetwork
-from repro.rl.prioritized import PrioritizedReplayBuffer
-from repro.rl.replay import ReplayBuffer
 from repro.rl.schedules import LinearSchedule, PiecewiseSchedule
 from repro.rl.sum_tree import SumTree
 
@@ -23,8 +22,6 @@ __all__ = [
     "BDQNetwork",
     "LinearSchedule",
     "PiecewiseSchedule",
-    "PrioritizedReplayBuffer",
-    "ReplayBuffer",
     "SumTree",
     "Transition",
 ]

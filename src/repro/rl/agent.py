@@ -6,6 +6,13 @@ annealing, prioritised experience replay, double-Q per-branch TD targets
 periodic target-network synchronisation. The agent is variant-agnostic:
 Twig-S instantiates it with one learning agent, Twig-C with one per
 colocated service.
+
+There is one replay and one acting path. Transitions go into a
+:class:`~repro.rl.striped.StripedPrioritizedReplayBuffer`, one ring
+stripe per environment feeding the agent (one for a plain
+:class:`BDQAgent`; :class:`repro.core.fleet.FleetBDQAgent` has a stripe
+per fleet node), and every greedy action comes from
+:meth:`BDQNetwork.greedy_actions_batch`.
 """
 
 from __future__ import annotations
@@ -32,9 +39,8 @@ from repro.obs.events import make_event
 from repro.obs.sink import NULL_SINK, TraceSink
 from repro.obs.timing import TimingRegistry
 from repro.rl.bdq import BDQNetwork
-from repro.rl.prioritized import PrioritizedReplayBuffer
-from repro.rl.replay import ReplayBuffer
 from repro.rl.schedules import LinearSchedule, PiecewiseSchedule
+from repro.rl.striped import StripedPrioritizedReplayBuffer, one_stripe_state
 
 
 @dataclass
@@ -99,12 +105,21 @@ class BDQAgentConfig:
 class BDQAgent:
     """ε-greedy deep Q-learning over a :class:`BDQNetwork`.
 
+    Replays from :attr:`striped`, a
+    :class:`~repro.rl.striped.StripedPrioritizedReplayBuffer` with
+    ``num_envs`` stripes of ``buffer_capacity // num_envs`` slots (at
+    least one batch): one stripe holding ``buffer_capacity`` transitions
+    for a plain agent. ``use_prioritized_replay`` picks proportional or
+    uniform sampling over it.
+
     ``network_cls`` is an override hook for the Q-network implementation;
     :class:`repro.rl.bdq_reference.ReferenceBDQAgent` uses it to run the
     frozen pre-fusion per-head loop for equivalence tests and benchmarks.
     """
 
     network_cls: ClassVar[type] = BDQNetwork
+    #: Replay stripes, one per environment feeding the agent.
+    num_envs: int = 1
 
     def __init__(
         self,
@@ -135,12 +150,7 @@ class BDQAgent:
             learning_rate=config.learning_rate,
             max_grad_norm=config.max_grad_norm,
         )
-        if config.use_prioritized_replay:
-            self.buffer: ReplayBuffer = PrioritizedReplayBuffer(
-                config.buffer_capacity, rng, alpha=config.per_alpha
-            )
-        else:
-            self.buffer = ReplayBuffer(config.buffer_capacity, rng)
+        self.striped = self._make_replay()
         self.epsilon_schedule = PiecewiseSchedule(
             [
                 (0, config.epsilon_start),
@@ -156,6 +166,15 @@ class BDQAgent:
         self.last_loss: Optional[float] = None
         self.last_td_error: Optional[float] = None
         self.exploring_frozen = False
+
+    def _make_replay(self) -> StripedPrioritizedReplayBuffer:
+        config = self.config
+        return StripedPrioritizedReplayBuffer(
+            self.num_envs,
+            max(config.buffer_capacity // self.num_envs, config.batch_size),
+            self._rng,
+            alpha=config.per_alpha,
+        )
 
     # ------------------------------------------------------------------ #
     # acting
@@ -192,23 +211,22 @@ class BDQAgent:
             raise ShapeError(
                 f"state has dim {state.shape[0]}, expected {self.config.state_dim}"
             )
-        actions = self.online.greedy_actions(state)
-        if greedy:
-            return actions
-        flat = [a for agent in actions for a in agent]
-        self._explore(flat, self.epsilon())
+        flat = self.online.greedy_actions_batch(state[None])[0]
+        if not greedy:
+            self._explore(flat, self.epsilon())
+        actions: List[List[int]] = []
         b = 0
-        for agent in actions:
-            agent[:] = flat[b : b + len(agent)]
+        for agent in self.online.branch_sizes:
+            actions.append([int(a) for a in flat[b : b + len(agent)]])
             b += len(agent)
         return actions
 
     def _explore(self, actions, epsilon: float) -> None:
         """Apply per-branch epsilon noise to a flat action array, in place.
 
-        ``actions`` is a mutable 1-D sequence (list or int array) of whole
-        rows of agent-major branch actions, row after row. Each entry
-        draws in order, so M stacked rows consume the RNG exactly like M
+        ``actions`` is a mutable 1-D int array of whole rows of
+        agent-major branch actions, row after row. Each entry draws in
+        order, so M stacked rows consume the RNG exactly like M
         consecutive single-state calls; both act paths share this loop.
         """
         random = self._rng.random
@@ -239,14 +257,15 @@ class BDQAgent:
             raise ShapeError(
                 f"expected {self.num_agents} rewards, got {len(transition.rewards)}"
             )
-        self.buffer.add(
+        self.striped.add(
+            0,
             {
                 "state": np.asarray(transition.state, dtype=np.float64),
                 "actions": np.asarray(self._flatten_actions(transition.actions), dtype=np.float64),
                 "rewards": np.asarray(transition.rewards, dtype=np.float64),
                 "next_state": np.asarray(transition.next_state, dtype=np.float64),
                 "done": np.asarray(float(transition.done)),
-            }
+            },
         )
         return self._advance()
 
@@ -258,7 +277,7 @@ class BDQAgent:
         self.step_count += 1
         loss = None
         if (
-            self._replay_size() >= self.config.min_buffer_size
+            len(self.striped) >= self.config.min_buffer_size
             and self.step_count % self.config.train_every == 0
         ):
             for _ in range(self.config.gradient_steps):
@@ -296,32 +315,28 @@ class BDQAgent:
         return self.timings.measure(label)
 
     # ------------------------------------------------------------------ #
-    # replay hooks (FleetBDQAgent overrides them for its striped buffer)
+    # replay
     # ------------------------------------------------------------------ #
-    def _replay_size(self) -> int:
-        """Number of stored transitions available for sampling."""
-        return len(self.buffer)
-
     def _replay_sample(self):
         """Draw one training minibatch; returns ``(batch, weights, beta)``."""
         with self._measure("agent.train.replay"):
-            if isinstance(self.buffer, PrioritizedReplayBuffer):
+            if self.config.use_prioritized_replay:
                 # Batched tree descent + gather; no per-transition Python loop.
                 beta = self.beta_schedule(self.step_count)
-                batch = self.buffer.sample(self.config.batch_size, beta=beta)
+                batch = self.striped.sample(self.config.batch_size, beta=beta)
                 weights = batch["weights"]
             else:
                 beta = 1.0
-                batch = self.buffer.sample(self.config.batch_size)
+                batch = self.striped.sample_uniform(self.config.batch_size)
                 weights = np.ones(len(batch["indices"]))
         return batch, weights, beta
 
     def _replay_update(self, batch: Dict[str, Any], td_error_accum: np.ndarray) -> None:
         """Write new priorities for the sampled transitions (PER only)."""
-        if isinstance(self.buffer, PrioritizedReplayBuffer):
+        if self.config.use_prioritized_replay:
             with self._measure("agent.train.replay"):
                 priorities = td_error_accum / self.online.total_branches
-                self.buffer.update_priorities(batch["indices"], priorities)
+                self.striped.update_priorities(batch["indices"], priorities)
 
     def _train_step(self) -> float:
         """Vectorized over a flat branch axis — no per-agent/per-branch loops.
@@ -424,7 +439,7 @@ class BDQAgent:
                     loss=self.last_loss,
                     epsilon=self.epsilon(),
                     beta=float(beta),
-                    buffer_size=self._replay_size(),
+                    buffer_size=len(self.striped),
                     mean_td_error=self.last_td_error,
                 )
             )
@@ -505,10 +520,10 @@ class BDQAgent:
         """The complete training state as a checkpointable tree.
 
         Covers everything resume needs for bit-exact continuation: both
-        networks, Adam moments and step, the replay buffer with its
-        sum-tree priorities, schedule counters, and the shared RNG stream
-        (one generator drives action noise, dropout masks, and replay
-        sampling for this agent).
+        networks, Adam moments and step, the striped replay buffer with
+        its sum-tree priorities, schedule counters, and the shared RNG
+        stream (one generator drives action noise, dropout masks, and
+        replay sampling for this agent).
         """
         params = self.online.parameters()
         return {
@@ -521,10 +536,7 @@ class BDQAgent:
                 f"{i:04d}": p.value.copy() for i, p in enumerate(self.target.parameters())
             },
             "optimizer": self._optimizer_state(),
-            "buffer_kind": (
-                "prioritized" if isinstance(self.buffer, PrioritizedReplayBuffer) else "uniform"
-            ),
-            "buffer": self.buffer.state_dict(),
+            "buffer_kind": self._buffer_kind(),
             "counters": {
                 "step_count": self.step_count,
                 "train_count": self.train_count,
@@ -533,15 +545,26 @@ class BDQAgent:
                 "last_td_error": self.last_td_error,
             },
             "rng": rng_state(self._rng),
+            "num_envs": self.num_envs,
+            "striped": self.striped.state_dict(),
         }
+
+    def _buffer_kind(self) -> str:
+        return "prioritized" if self.config.use_prioritized_replay else "uniform"
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
         """Restore state from :meth:`state_dict` (stage-then-commit).
 
         Everything is parsed and shape-checked before the first mutation;
         any mismatch raises :class:`CheckpointError` and leaves the agent
-        untouched.
+        untouched. A tree without ``striped`` holds the scalar replay ring
+        agents kept before they replayed from stripes, prioritized or
+        uniform, under ``buffer``: it loads as stripe 0, with the same
+        capacity, cursor, rows and sum tree. A tree with both (a fleet
+        agent's, from then) drops its unused, empty ``buffer``.
         """
+        if "striped" not in tree:
+            tree = dict(tree, num_envs=1, striped=one_stripe_state(tree.get("buffer", {})))
         params = self.online.parameters()
         target_params = self.target.parameters()
         try:
@@ -553,7 +576,6 @@ class BDQAgent:
             optim_tree = dict(tree["optimizer"])
             optim_steps = int(optim_tree["step_count"])
             buffer_kind = str(tree["buffer_kind"])
-            buffer_tree = dict(tree["buffer"])
             counters = dict(tree["counters"])
             step_count = int(counters["step_count"])
             train_count = int(counters["train_count"])
@@ -561,6 +583,8 @@ class BDQAgent:
             last_loss = counters.get("last_loss")
             last_td_error = counters.get("last_td_error")
             rng_tree = dict(tree["rng"])
+            num_envs = int(tree["num_envs"])
+            striped_tree = dict(tree["striped"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed agent checkpoint: {exc}") from exc
         if state_dim != self.config.state_dim:
@@ -572,14 +596,20 @@ class BDQAgent:
                 f"checkpoint branch_sizes {branch_sizes} != agent "
                 f"branch_sizes {[list(b) for b in self.online.branch_sizes]}"
             )
-        expected_kind = (
-            "prioritized" if isinstance(self.buffer, PrioritizedReplayBuffer) else "uniform"
-        )
-        if buffer_kind != expected_kind:
+        if buffer_kind != self._buffer_kind():
             raise CheckpointError(
-                f"checkpoint replay kind {buffer_kind!r} != agent replay kind {expected_kind!r}"
+                f"checkpoint replay kind {buffer_kind!r} != agent replay kind "
+                f"{self._buffer_kind()!r}"
             )
-        self._check_replay_actions(buffer_tree, "replay")
+        if num_envs != self.num_envs:
+            raise CheckpointError(
+                f"checkpoint has {num_envs} replay stripes, agent has {self.num_envs}"
+            )
+        self._check_replay_fields(striped_tree)
+        # A scratch buffer stages the replay: its load is itself
+        # stage-then-commit, so a malformed one rejects the checkpoint here.
+        replay = self._make_replay()
+        replay.load_state_dict(striped_tree)
 
         def stage_weights(name: str, stored: Dict[str, Any], model_params) -> List[np.ndarray]:
             if len(stored) != len(model_params):
@@ -629,9 +659,8 @@ class BDQAgent:
         scratch = np.random.Generator(type(self._rng.bit_generator)())
         set_rng_state(scratch, rng_tree)
 
-        # ---- commit (buffer first: its load is itself stage-then-commit,
-        # so the only CheckpointError still possible leaves us untouched).
-        self.buffer.load_state_dict(buffer_tree)
+        # ---- commit: nothing below can reject.
+        self.striped = replay
         for param, value in zip(params, online_values):
             param.value[...] = value
         for param, value in zip(target_params, target_values):
@@ -662,33 +691,52 @@ class BDQAgent:
         self.last_td_error = None if last_td_error is None else float(last_td_error)
         set_rng_state(self._rng, rng_tree)
 
-    def _check_replay_actions(self, buffer_tree: Dict[str, Any], where: str) -> None:
-        """Refuse stored replay actions a train step could not gather.
+    def _check_replay_fields(self, striped_tree: Dict[str, Any]) -> None:
+        """Refuse stored replay rows a train step or an insert could not use.
 
-        A train step casts the sampled rows' actions to int and indexes
-        each branch's Q-values with them: an index at or past its branch
-        size raises ``IndexError`` there, a negative one counts from the
-        end and a fractional one is truncated. All three are refused here,
+        Every stored row needs a ``state_dim`` state and next state, one
+        reward per agent and one ``done`` value: a wider state makes the
+        next insert raise ``ShapeError``, and a reward column too many
+        trains silently on the wrong column. A train step also casts the
+        sampled rows' actions to int and indexes each branch's Q-values
+        with them: an index at or past its branch size raises
+        ``IndexError`` there, a negative one counts from the end and a
+        fractional one is truncated. All of these are refused here,
         before anything is committed.
         """
         try:
-            actions = dict(buffer_tree.get("fields") or {}).get("actions")
-            actions = None if actions is None else np.asarray(actions, dtype=np.float64)
+            fields = {
+                key: np.asarray(value, dtype=np.float64)
+                for key, value in dict(striped_tree.get("fields") or {}).items()
+            }
         except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed {where} actions: {exc}") from exc
-        if actions is None or actions.size == 0:
+            raise CheckpointError(f"malformed striped replay fields: {exc}") from exc
+        if not fields:
             return
         sizes = self._branch_sizes_flat
-        if actions.ndim != 2 or actions.shape[1] != len(sizes):
+        widths = {
+            "state": (self.config.state_dim,),
+            "actions": (len(sizes),),
+            "rewards": (self.num_agents,),
+            "next_state": (self.config.state_dim,),
+            "done": (),
+        }
+        if set(fields) != set(widths):
             raise CheckpointError(
-                f"{where} actions have shape {actions.shape}, expected "
-                f"(rows, {len(sizes)})"
+                f"striped replay fields {sorted(fields)} != {sorted(widths)}"
             )
+        for key, width in widths.items():
+            if fields[key].shape[1:] != width or fields[key].ndim != 1 + len(width):
+                raise CheckpointError(
+                    f"striped replay {key} rows have shape {fields[key].shape[1:]}, "
+                    f"expected {width}"
+                )
+        actions = fields["actions"]
         if not np.all(actions == np.floor(actions)):
-            raise CheckpointError(f"{where} actions are not whole branch indices")
+            raise CheckpointError("striped replay actions are not whole branch indices")
         if not (np.all(actions >= 0) and np.all(actions < np.asarray(sizes))):
             raise CheckpointError(
-                f"{where} actions out of range for branch sizes {sizes}"
+                f"striped replay actions out of range for branch sizes {sizes}"
             )
 
     def save(self, path: Union[str, Path]) -> None:

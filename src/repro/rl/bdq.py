@@ -35,10 +35,10 @@ per-head introspection are unchanged from the loop implementation (kept in
 :mod:`repro.rl.bdq_reference` and asserted equivalent by
 ``tests/test_rl_bdq_fused.py``).
 
-``q_single`` is the act-path fast lane: a ``training=False`` forward for
-one state that skips dropout/ReLU mask allocation and reuses preallocated
-buffers — ``act``/``greedy_actions`` run once per simulated second in
-every experiment.
+Acting has one forward, :meth:`BDQNetwork.greedy_actions_batch`: the
+eval-mode trunk and the bank's advantage tail over a batch of states, one
+row for a plain agent's ``act`` and one per environment for a fleet's
+``act_batch``.
 """
 
 from __future__ import annotations
@@ -189,8 +189,6 @@ class BDQNetwork:
         self._trunk_acts: List[np.ndarray] = []
         self._trunk_relu_masks: List[Optional[np.ndarray]] = []
         self._trunk_drop_masks: List[Optional[np.ndarray]] = []
-        self._trunk_bufs: Optional[List[np.ndarray]] = None
-        self._q_single_buf: Optional[np.ndarray] = None
         self._head_grads_buf: Optional[np.ndarray] = None
         self._flat_param = self._build_parameter_arena()
         # Cache-hot global gradient sq-norm, refreshed by each assign-mode
@@ -529,79 +527,18 @@ class BDQNetwork:
         self.backward_stacked(stack)
 
     # ------------------------------------------------------------------ #
-    # act fast path
+    # acting
     # ------------------------------------------------------------------ #
-    def _trunk_single(self, state: np.ndarray) -> np.ndarray:
-        """Eval-mode trunk for one state using preallocated buffers."""
-        denses = [layer for layer in self.trunk.layers if isinstance(layer, Dense)]
-        if self._trunk_bufs is None:
-            self._trunk_bufs = [np.empty(d.out_features) for d in denses]
-        x = state
-        for dense, buf in zip(denses, self._trunk_bufs):
-            np.dot(x, dense.weight.value, out=buf)
-            buf += dense.bias.value
-            np.maximum(buf, 0.0, out=buf)          # every trunk Dense is ReLU'd
-            x = buf
-        return x
-
-    def q_single(self, state: np.ndarray) -> np.ndarray:
-        """Eval-mode Q-values for one state: ``(total_branches, out_max)``.
-
-        The act fast path: no dropout/ReLU mask allocation, no batch
-        dimension, preallocated activation buffers. Padded entries are
-        ``-inf``. The returned array is an internal buffer, valid only
-        until the next call.
-        """
-        state = np.asarray(state, dtype=np.float64).reshape(-1)
-        if state.shape[0] != self.state_dim:
-            raise ShapeError(f"expected state dim {self.state_dim}, got {state.shape[0]}")
-        shared = self._trunk_single(state)
-        heads = self.head_bank.forward_single(shared)   # (K + B, out_max)
-        K = self.num_agents
-        value = heads[:K, 0]
-        adv = heads[K:]
-        if self._q_single_buf is None:
-            self._q_single_buf = np.empty((self.total_branches, self.out_max))
-        q = self._q_single_buf
-        q[...] = value[self.branch_agent_index][:, None] + adv
-        q -= (adv.sum(axis=1) / self.branch_sizes_flat)[:, None]
-        if self._pad_rows.size:
-            q[self._pad_rows, self._pad_cols] = -np.inf
-        return q
-
-    def greedy_actions(self, state: np.ndarray) -> List[List[int]]:
-        """Per-agent, per-branch argmax actions for a single state.
-
-        Argmaxes the raw advantages rather than full Q-values — identical
-        per branch, since ``V`` and ``mean(A)`` are branch constants (see
-        :meth:`advantages_stacked`) — so the value heads and the dueling
-        aggregation are skipped entirely.
-        """
-        state = np.asarray(state, dtype=np.float64).reshape(-1)
-        if state.shape[0] != self.state_dim:
-            raise ShapeError(f"expected state dim {self.state_dim}, got {state.shape[0]}")
-        shared = self._trunk_single(state)
-        adv = self.head_bank.forward_single_tail(shared, self.num_agents)
-        if self._pad_rows.size:
-            adv[self._pad_rows, self._pad_cols] = -np.inf
-        best = np.argmax(adv, axis=1)
-        actions: List[List[int]] = []
-        b = 0
-        for agent in self.branch_sizes:
-            actions.append([int(best[b + d]) for d in range(len(agent))])
-            b += len(agent)
-        return actions
-
     def greedy_actions_batch(self, states: np.ndarray) -> np.ndarray:
         """Greedy actions for a batch of states in one fused pass.
 
         Returns ``(batch, total_branches)`` int64 — row ``i`` holds the
         flattened (agent-major) per-branch argmax actions for ``states[i]``.
         One trunk GEMM + one bank tail GEMM serve every row, so N
-        environments pay for one forward instead of N
-        :meth:`greedy_actions` calls. Argmaxing raw advantages is exact
-        (see :meth:`greedy_actions`), so each row agrees elementwise with
-        the single-state path.
+        environments pay for one forward. It argmaxes the raw advantages
+        rather than full Q-values — identical per branch, since ``V`` and
+        ``mean(A)`` are branch constants (see :meth:`advantages_stacked`)
+        — so the value heads and the dueling aggregation are skipped.
         """
         adv = self.advantages_stacked(states)       # (batch, B, out_max)
         return np.argmax(adv, axis=2)

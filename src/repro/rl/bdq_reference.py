@@ -32,7 +32,6 @@ from repro.nn.network import copy_parameters
 from repro.nn.optim import Optimizer
 from repro.rl.agent import BDQAgent
 from repro.rl.bdq import _head, _hidden_stack
-from repro.rl.prioritized import PrioritizedReplayBuffer
 
 
 class ReferenceAdam(Optimizer):
@@ -224,6 +223,13 @@ class ReferenceBDQNetwork:
         q_values = self.forward(np.atleast_2d(state), training=False)
         return [[int(np.argmax(q[0])) for q in agent] for agent in q_values]
 
+    def greedy_actions_batch(self, states: np.ndarray) -> np.ndarray:
+        """``(batch, total_branches)`` argmax actions, one head at a time."""
+        q_values = self.forward(states, training=False)
+        return np.stack(
+            [np.argmax(q, axis=1) for agent in q_values for q in agent], axis=1
+        )
+
 
 class ReferenceBDQAgent(BDQAgent):
     """A :class:`BDQAgent` running the pre-fusion per-branch train loop.
@@ -247,14 +253,7 @@ class ReferenceBDQAgent(BDQAgent):
 
     def _train_step(self) -> float:
         config = self.config
-        if isinstance(self.buffer, PrioritizedReplayBuffer):
-            beta = self.beta_schedule(self.step_count)
-            batch = self.buffer.sample(config.batch_size, beta=beta)
-            weights = batch["weights"]
-        else:
-            beta = 1.0
-            batch = self.buffer.sample(config.batch_size)
-            weights = np.ones(len(batch["indices"]))
+        batch, weights, _ = self._replay_sample()
 
         states = batch["state"]
         next_states = batch["next_state"]
@@ -303,9 +302,7 @@ class ReferenceBDQAgent(BDQAgent):
         self.online.backward(q_grads)
         self.optimizer.step()
 
-        if isinstance(self.buffer, PrioritizedReplayBuffer):
-            priorities = td_error_accum / self.online.total_branches
-            self.buffer.update_priorities(batch["indices"], priorities)
+        self._replay_update(batch, td_error_accum)
 
         self.train_count += 1
         self.last_loss = float(total_loss)

@@ -1,11 +1,12 @@
 """Striped prioritised replay: N per-environment stripes, ONE sum tree.
 
-The vectorized engine (``repro.engine``) feeds one shared agent from N
-environments. Giving each environment its own
-:class:`~repro.rl.prioritized.PrioritizedReplayBuffer` preserves per-env
-recency (each stripe is its own ring) but makes every train step pay N
-small ``sample``/``update_priorities`` calls — at fleet scale the tiny
-tree walks cost more than the gradient math.
+This is the replay buffer of every :class:`~repro.rl.agent.BDQAgent`. A
+plain agent has one stripe, a ring of ``buffer_capacity`` transitions;
+the vectorized engine (``repro.engine``) feeds one shared fleet agent
+from N environments, one stripe each. Giving each environment its own
+buffer would preserve per-env recency (each stripe is its own ring) but
+make every train step pay N small ``sample``/``update_priorities`` calls
+— at fleet scale the tiny tree walks cost more than the gradient math.
 
 This buffer keeps the per-environment ring semantics while folding all
 stripes into one :class:`~repro.rl.sum_tree.SumTree`: environment ``e``
@@ -15,7 +16,8 @@ inserts, sampling and priority updates are single batched tree
 operations over the whole fleet. Sampling is globally proportional —
 exactly the distribution one big PER buffer over the union of
 transitions would use, so importance-sampling weights normalise over
-the whole minibatch just like the scalar agent's.
+the whole minibatch. :meth:`StripedPrioritizedReplayBuffer.sample_uniform`
+is the uniform-replay ablation over the same rows.
 """
 
 from __future__ import annotations
@@ -29,14 +31,16 @@ from repro.rl.sum_tree import SumTree
 
 
 def one_stripe_state(state: Mapping[str, Any]) -> Dict[str, Any]:
-    """A :class:`~repro.rl.prioritized.PrioritizedReplayBuffer` snapshot as
-    a one-stripe :class:`StripedPrioritizedReplayBuffer` snapshot.
+    """A scalar replay-ring snapshot as a one-stripe
+    :class:`StripedPrioritizedReplayBuffer` snapshot.
 
-    The ring becomes stripe 0 with the same capacity, size, cursor and
-    rows; the sum tree and max priority carry over verbatim, because one
-    stripe's leaves are the ring's slots in the same order. A uniform
-    :class:`~repro.rl.replay.ReplayBuffer` ring has no priorities: its
-    stripe gets an all-zero tree, which uniform sampling never reads.
+    Agents wrote such a ring (``capacity``, ``size``, ``next_index``,
+    ``fields``, and for prioritized replay ``tree`` and ``max_priority``)
+    before they replayed from stripes. The ring becomes stripe 0 with the
+    same capacity, size, cursor and rows; the sum tree and max priority
+    carry over verbatim, because one stripe's leaves are the ring's slots
+    in the same order. A uniform ring has no priorities: its stripe gets
+    an all-zero tree, which uniform sampling never reads.
     """
     try:
         capacity = int(state["capacity"])
@@ -56,9 +60,8 @@ def one_stripe_state(state: Mapping[str, Any]) -> Dict[str, Any]:
 class StripedPrioritizedReplayBuffer:
     """Proportional PER over ``num_envs`` per-environment ring stripes.
 
-    Fields are declared lazily from the first transition added (same
-    contract as :class:`~repro.rl.replay.ReplayBuffer`); every later
-    transition must carry the same fields with the same shapes.
+    Fields are declared lazily from the first transition added; every
+    later transition must carry the same fields with the same shapes.
     """
 
     def __init__(
@@ -168,11 +171,12 @@ class StripedPrioritizedReplayBuffer:
     def sample(self, batch_size: int, beta: float = 1.0) -> Dict[str, np.ndarray]:
         """Sample proportionally across ALL stripes in one tree descent.
 
-        Same segment-stratified scheme as
-        :meth:`~repro.rl.prioritized.PrioritizedReplayBuffer.sample`;
-        importance-sampling weights use the fleet-wide transition count
-        and are max-normalised over the whole minibatch. Empty slots hold
-        zero priority, so ``find_batch`` never returns one.
+        Segment-stratified: the total mass is cut into ``batch_size``
+        equal segments and one uniform draw picks a mass in each.
+        Importance-sampling weights use the fleet-wide transition count
+        and are max-normalised over the whole minibatch, so updates are
+        only ever scaled down. Empty slots hold zero priority, so
+        ``find_batch`` never returns one.
         """
         if len(self) == 0:
             raise ConfigurationError("cannot sample from an empty replay buffer")
@@ -197,12 +201,11 @@ class StripedPrioritizedReplayBuffer:
         """Sample uniformly, with replacement, over every stored transition.
 
         One ``integers`` draw over the stored transitions in stripe order,
-        so a single stripe samples exactly the slots
-        :meth:`~repro.rl.replay.ReplayBuffer.sample` samples from its ring.
+        so a single stripe samples ``integers(0, size)`` slots of its ring.
         """
         total = len(self)
         if total == 0:
-            raise ConfigurationError("cannot sample from an empty replay buffer")
+            raise ShapeError("cannot sample from an empty replay buffer")
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         indices = self._occupied_slots()[self._rng.integers(0, total, size=batch_size)]
@@ -222,19 +225,21 @@ class StripedPrioritizedReplayBuffer:
     # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
-    def _occupied_slots(self) -> np.ndarray:
+    def _occupied_slots(self, sizes: Optional[np.ndarray] = None) -> np.ndarray:
         """Global slot indices of every stored transition, stripe order.
 
         Each stripe fills its region from the base, so the occupied slots
         are per-stripe prefixes — rows past ``sizes[e]`` were never
-        written and stay all-zero by allocation.
+        written and stay all-zero by allocation. ``sizes`` defaults to
+        the buffer's own.
         """
+        sizes = self._sizes if sizes is None else sizes
         return np.concatenate(
             [
-                e * self.stripe_capacity + np.arange(self._sizes[e], dtype=np.int64)
+                e * self.stripe_capacity + np.arange(sizes[e], dtype=np.int64)
                 for e in range(self.num_envs)
             ]
-        ) if len(self) else np.zeros(0, dtype=np.int64)
+        )
 
     def state_dict(self) -> Dict[str, Any]:
         """Snapshot: ring state per stripe, occupied rows, tree, max priority."""
@@ -301,15 +306,19 @@ class StripedPrioritizedReplayBuffer:
                 )
         staged_tree = SumTree(self.capacity)
         staged_tree.load_state_dict(tree_state)
+        occupied = self._occupied_slots(sizes)
+        # Sampling draws slots by mass: mass on a slot no stripe occupies
+        # would be drawn as an all-zero transition.
+        phantom = staged_tree.priorities(np.arange(self.capacity)) > 0
+        phantom[occupied] = False
+        if phantom.any():
+            raise CheckpointError(
+                f"sum-tree priority on slots {np.flatnonzero(phantom)} "
+                "that no stripe occupies"
+            )
         if total == 0 or not fields:
             storage = None
         else:
-            occupied = np.concatenate(
-                [
-                    e * stripe_capacity + np.arange(sizes[e], dtype=np.int64)
-                    for e in range(num_envs)
-                ]
-            )
             storage = {
                 key: np.zeros((self.capacity,) + value.shape[1:])
                 for key, value in fields.items()

@@ -118,6 +118,20 @@ class SumTree:
             raise CheckpointError(
                 f"sum-tree node-array shape mismatch: {tree.shape} != {self._tree.shape}"
             )
+        # Internal sums are not checked against their children (see
+        # state_dict), but every descent reads them: they must be finite.
+        if not np.all(np.isfinite(tree)):
+            raise CheckpointError("sum-tree nodes must be finite")
+        leaves = tree[self._leaf_count:]
+        if leaves.min() < 0:
+            raise CheckpointError(
+                f"sum-tree priorities must be >= 0, got leaves "
+                f"{np.flatnonzero(leaves < 0)} below zero"
+            )
+        if np.any(leaves[self.capacity:] > 0):
+            raise CheckpointError(
+                f"sum-tree priority on padding leaves past capacity {self.capacity}"
+            )
         self._tree = tree.copy()
 
     # ------------------------------------------------------------------ #

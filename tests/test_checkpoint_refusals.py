@@ -13,7 +13,7 @@ import pytest
 from repro.ckpt.checkpoint import load_state
 from repro.cluster.environment import ClusterEnvironment
 from repro.core.config import TwigConfig
-from repro.engine.fleet import FleetTwig
+from repro.engine.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.fleet_reference import DictFleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import VectorEnvironment
@@ -24,7 +24,7 @@ from repro.hier.baselines import make_rule_fleet
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.services.profiles import get_profile
 from tests.helpers import _assert_tree_equal
-from tests.test_legacy_checkpoints import DATA
+from tests.test_legacy_checkpoints import DATA, scalar_agent_config
 from tests.test_legacy_checkpoints import _twig as _legacy_twig
 
 PENDING_SERVICES = ["masstree", "moses"]
@@ -119,10 +119,25 @@ def test_bad_striped_replay_actions_are_refused(corruption):
         assignments = fleet.update_batch([env.step(assignments[0])])
 
 
+#: The ``bdq_agent`` fixture a plain agent wrote with its own scalar
+#: replay ring (``buffer`` subtree, no ``striped`` one), and its config.
+LEGACY_AGENT = DATA / "scalar_bdq_agent_prioritized.ckpt.npz"
+LEGACY_AGENT_CONFIG = scalar_agent_config()
+
+
+def _refused(agent, tree, match):
+    before = agent.state_dict()
+    with pytest.raises(CheckpointError, match=match):
+        agent.load_state_dict(tree)
+    _assert_tree_equal(agent.state_dict(), before)
+
+
 @pytest.mark.parametrize("corruption", sorted(REPLAY_ACTION_CORRUPTIONS))
 def test_bad_scalar_replay_actions_are_refused(corruption):
-    """The scalar agent's ring, on its own and inside a legacy Twig tree
-    (where it becomes the one-stripe buffer)."""
+    """A plain agent's replay, as its own ``striped`` tree, as the
+    ``buffer`` ring of a ``bdq_agent`` file written before the agent
+    replayed from stripes, and inside a legacy Twig tree (where that
+    ring becomes stripe 0)."""
     config = BDQAgentConfig(
         state_dim=4, branch_sizes=[[18, 9]], batch_size=4, min_buffer_size=4,
         buffer_capacity=8, shared_hidden=(8,), branch_hidden=4,
@@ -135,12 +150,14 @@ def test_bad_scalar_replay_actions_are_refused(corruption):
             next_state=feeder.normal(size=4),
         ))
     tree = source.state_dict()
-    _corrupt_actions(tree["buffer"]["fields"], corruption)
-    agent = BDQAgent(config, np.random.default_rng(3))
-    before = agent.state_dict()
-    with pytest.raises(CheckpointError, match="replay actions"):
-        agent.load_state_dict(tree)
-    _assert_tree_equal(agent.state_dict(), before)
+    _corrupt_actions(tree["striped"]["fields"], corruption)
+    _refused(BDQAgent(config, np.random.default_rng(3)), tree, "replay actions")
+
+    legacy_agent = load_state(LEGACY_AGENT)
+    _corrupt_actions(legacy_agent["buffer"]["fields"], corruption)
+    _refused(
+        BDQAgent(LEGACY_AGENT_CONFIG, np.random.default_rng(3)), legacy_agent, "replay actions"
+    )
 
     legacy = load_state(DATA / "legacy_twig.ckpt.npz")
     _corrupt_actions(legacy["agent"]["buffer"]["fields"], corruption)
@@ -149,6 +166,102 @@ def test_bad_scalar_replay_actions_are_refused(corruption):
     with pytest.raises(CheckpointError, match="replay actions"):
         twig.load_state_dict(legacy)
     _assert_tree_equal(twig.state_dict(), before)
+
+
+def _widen(fields, key):
+    """One column more than the agent stores (two ``done`` values a row)."""
+    value = np.asarray(fields[key], dtype=np.float64)
+    value = value[:, None] if value.ndim == 1 else value
+    fields[key] = np.concatenate([value, value[:, :1]], axis=1)
+
+
+@pytest.mark.parametrize("key", ["state", "next_state", "rewards", "done"])
+@pytest.mark.parametrize("layout", ["striped", "buffer"])
+def test_replay_fields_of_the_wrong_width_are_refused(layout, key):
+    """Replay rows the network cannot read used to load: a state wider
+    than ``state_dim`` made the next insert raise ``ShapeError``, and a
+    reward column too many trained silently on column 0. Refused for a
+    fleet agent's own ``striped`` tree and for a scalar ``buffer`` ring,
+    whichever class loads it."""
+    if layout == "striped":
+        config = BDQAgentConfig(
+            state_dim=4, branch_sizes=[[18, 9]], batch_size=2, min_buffer_size=2,
+            buffer_capacity=8, shared_hidden=(8,), branch_hidden=4,
+        )
+        source = FleetBDQAgent(config, np.random.default_rng(1), num_envs=1)
+        feeder = np.random.default_rng(2)
+        for _ in range(5):
+            source.observe_batch(
+                np.array([0]), feeder.normal(size=(1, 4)), np.array([[3, 2]]),
+                feeder.normal(size=(1, 1)), feeder.normal(size=(1, 4)),
+            )
+        tree = source.state_dict()
+    else:
+        config = LEGACY_AGENT_CONFIG
+        tree = load_state(LEGACY_AGENT)
+    _widen(tree[layout]["fields"], key)
+    for agent in (
+        BDQAgent(config, np.random.default_rng(3)),
+        FleetBDQAgent(config, np.random.default_rng(3), num_envs=1),
+    ):
+        _refused(agent, tree, f"replay {key}")
+
+
+def _sum_tree_fleet():
+    """A 3-stripe agent (stripes of 4 slots in a 16-leaf tree) whose
+    stripes 0 and 2 hold two transitions each and stripe 1 none."""
+    config = BDQAgentConfig(
+        state_dim=4, branch_sizes=[[18, 9]], batch_size=2, min_buffer_size=2,
+        buffer_capacity=12, shared_hidden=(8,), branch_hidden=4,
+    )
+    agent = FleetBDQAgent(config, np.random.default_rng(1), num_envs=3)
+    feeder = np.random.default_rng(2)
+    for _ in range(2):
+        agent.observe_batch(
+            np.array([0, 2]), feeder.normal(size=(2, 4)), np.array([[3, 2], [5, 1]]),
+            feeder.normal(size=(2, 1)), feeder.normal(size=(2, 4)),
+        )
+    return agent
+
+
+def _leaf(slot, value):
+    """Set one leaf of the striped sum tree, its ancestors' sums kept true."""
+    def corrupt(tree):
+        nodes = tree["agent"]["striped"]["tree"]["tree"]
+        node = nodes.size // 2 + slot
+        delta = value - nodes[node]
+        while node >= 1:
+            nodes[node] += delta
+            node //= 2
+    return corrupt
+
+
+def _node(index, value):
+    def corrupt(tree):
+        tree["agent"]["striped"]["tree"]["tree"][index] = value
+    return corrupt
+
+
+#: Sum trees that used to load. Mass on an unoccupied slot is sampled as
+#: an all-zero transition (slot 4 is stripe 1's first, empty slot; slot 2
+#: is past stripe 0's two rows; leaf 13 is padding past the 12 slots); a
+#: NaN or infinite node poisons every later descent; a negative leaf is
+#: a negative sampling probability.
+SUM_TREE_CORRUPTIONS = {
+    "empty_stripe": _leaf(4, 1.0),
+    "past_stripe_size": _leaf(2, 0.5),
+    "padding": _leaf(13, 1.0),
+    "nan_leaf": _leaf(9, np.nan),
+    "inf_root": _node(1, np.inf),
+    "negative_leaf": _leaf(8, -0.5),
+}
+
+
+@pytest.mark.parametrize("corruption", list(SUM_TREE_CORRUPTIONS))
+def test_sum_tree_without_a_transition_behind_its_mass_is_refused(corruption):
+    tree = {"agent": _sum_tree_fleet().state_dict()}
+    SUM_TREE_CORRUPTIONS[corruption](tree)
+    _refused(_sum_tree_fleet(), tree["agent"], "sum.tree")
 
 
 CLUSTER_SERVICES = ["masstree", "xapian"]

@@ -171,8 +171,8 @@ def test_twig_save_load_roundtrip(tmp_path):
     path = tmp_path / "twig.npz"
     twig_a.save(path)
     twig_b.load(path)
-    state = np.zeros(11)
-    assert (
-        twig_b.agent.online.greedy_actions(state)
-        == twig_a.agent.online.greedy_actions(state)
+    states = np.zeros((1, 11))
+    assert np.array_equal(
+        twig_b.agent.online.greedy_actions_batch(states),
+        twig_a.agent.online.greedy_actions_batch(states),
     )

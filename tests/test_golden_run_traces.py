@@ -18,7 +18,10 @@ behaviour bit for bit.
 - Experiment runs: ``repro.experiments.cluster.run`` at the CLI's quick
   scale on the vector engine and the scalar oracle, and
   ``repro.experiments.hier.run`` at quick scale, one hash per variant
-  (hier, flat, static, PARTIES).
+  (hier, flat, static, PARTIES), and a longer ``hier`` run with a
+  two-tick budget period, long enough for the budget allocator's own
+  agent to train (at quick scale it stores 15 transitions, below its
+  ``min_buffer_size`` of 16, and never does).
 
 A change that moves a trajectory on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_run_traces.py --write`` and
@@ -114,6 +117,10 @@ EXPERIMENT_CONFIGS: Dict[str, Dict[str, Any]] = {
     "hier-flat": {**_HIER, "variant": "flat"},
     "hier-static": {**_HIER, "variant": "static"},
     "hier-parties": {**_HIER, "variant": "parties"},
+    # 160 ticks at period 2: the allocator decides 80 times and takes 64
+    # train steps. No comparison fleets, so only the hier variant runs.
+    "hier-allocator-trains": {**_HIER, "budget_period": 2, "steps": 160,
+                              "baselines": [], "variant": "hier"},
 }
 
 #: Twig-C fault windows: every kind, each on its own interval window.
@@ -242,7 +249,7 @@ def run_paper(config: Dict[str, Any]):
 
 def experiment_config(config: Dict[str, Any]):
     """The ``ClusterConfig`` or ``HierConfig`` a golden experiment config names."""
-    kwargs = {k: v for k, v in config.items()
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in config.items()
               if k not in ("loop", "experiment", "variant")}
     if config["experiment"] == "cluster":
         return cluster.ClusterConfig(**kwargs)

@@ -17,10 +17,16 @@ The recorded hashes are the run traces of 20 more intervals, by that same
 runtime, from each file loaded into a differently seeded Twig, on a fresh
 environment (seed 17). The replay ring has wrapped three times, so the
 conversion has to keep its cursor and sum tree exactly.
+
+``tests/data/scalar_bdq_agent_{prioritized,uniform}.ckpt.npz`` are a
+plain ``BDQAgent``'s own ``bdq_agent`` checkpoints from before every
+agent replayed from a striped buffer; the recipe is in
+``test_scalar_agent_tree_trains_like_the_scalar_agent``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -118,31 +124,82 @@ def test_truncated_legacy_checkpoint_leaves_the_policy_untouched(tmp_path, name)
     _assert_tree_equal(twig.state_dict(), before)
 
 
-@pytest.mark.parametrize("prioritized", [True, False], ids=["prioritized", "uniform"])
-def test_scalar_agent_tree_trains_like_the_scalar_agent(prioritized):
-    """A scalar agent's tree, ring wrapped, becomes a one-stripe fleet agent
-    that draws the same minibatch and takes the same gradient step."""
-    config = BDQAgentConfig(
+def scalar_agent_config(prioritized: bool = True) -> BDQAgentConfig:
+    """The config of the ``scalar_bdq_agent_*`` fixtures."""
+    return BDQAgentConfig(
         state_dim=6, branch_sizes=[[5, 3], [4, 2]], batch_size=8, min_buffer_size=8,
         buffer_capacity=16, shared_hidden=(8,), branch_hidden=4,
         use_prioritized_replay=prioritized,
     )
-    scalar = BDQAgent(config, np.random.default_rng(3))
+
+
+#: use_prioritized_replay -> (train_step loss after the load, loss of the
+#: observe after it, sha256 of the online weights after both), as the
+#: scalar agent that wrote the file went on.
+SCALAR_AGENT = {
+    True: (
+        1.55703652338876, 2.7843590805395966,
+        "117b5c4a3b3e1a7951345cc4c2f2b263b97c6150c0f527c54e6c0698018780c2",
+    ),
+    False: (
+        6.501537809952767, 7.440676641279388,
+        "51db9c8d193f0d94115f84292fd05f73f62cabf2c23a8e80848351989d137fd1",
+    ),
+}
+
+
+@pytest.mark.parametrize("prioritized", [True, False], ids=["prioritized", "uniform"])
+def test_scalar_agent_tree_trains_like_the_scalar_agent(prioritized):
+    """A scalar agent's tree, ring wrapped, loads as replay stripe 0 and the
+    agent draws the same minibatch and takes the same gradient steps.
+
+    ``tests/data/scalar_bdq_agent_{prioritized,uniform}.ckpt.npz`` are
+    ``bdq_agent`` checkpoints (format version 1) that a plain ``BDQAgent``
+    wrote while it still kept its own ``ReplayBuffer`` /
+    ``PrioritizedReplayBuffer`` ring, so its tree has a ``buffer`` subtree
+    and no ``striped`` one:
+
+        config = BDQAgentConfig(
+            state_dim=6, branch_sizes=[[5, 3], [4, 2]], batch_size=8,
+            min_buffer_size=8, buffer_capacity=16, shared_hidden=(8,),
+            branch_hidden=4, use_prioritized_replay=prioritized)
+        agent = BDQAgent(config, np.random.default_rng(3))
+        feeder = np.random.default_rng(4)
+        for _ in range(21):
+            agent.observe(Transition(
+                state=feeder.normal(size=6), actions=[[1, 2], [3, 1]],
+                rewards=feeder.normal(size=2), next_state=feeder.normal(size=6)))
+        agent.save(path)
+
+    21 transitions in a 16-slot ring: it has wrapped and its cursor is at
+    slot 5. ``SCALAR_AGENT`` holds what that agent did next: one
+    ``train_step``, then one more observed transition (the feeder's next
+    draws), which trained once more.
+    """
+    config = scalar_agent_config(prioritized)
     feeder = np.random.default_rng(4)
     for _ in range(21):
-        scalar.observe(Transition(
-            state=feeder.normal(size=6), actions=[[1, 2], [3, 1]],
-            rewards=feeder.normal(size=2), next_state=feeder.normal(size=6),
-        ))
-    fleet = FleetBDQAgent(config, np.random.default_rng(99), num_envs=1)
-    fleet.load_state_dict(scalar.state_dict())
-    assert fleet.train_step() == scalar.train_step()
-    # One more stored transition overwrites the same ring slot on both.
+        feeder.normal(size=6), feeder.normal(size=2), feeder.normal(size=6)
     state, next_state, rewards = feeder.normal(size=6), feeder.normal(size=6), feeder.normal(size=2)
-    loss = scalar.observe(Transition(state, [[1, 2], [3, 1]], rewards, next_state))
-    assert fleet.observe_batch(
-        np.array([0]), state[None], np.array([[1, 2, 3, 1]]), rewards[None], next_state[None]
-    ) == loss
-    for mine, theirs in zip(fleet.online.parameters(), scalar.online.parameters()):
-        assert np.array_equal(mine.value, theirs.value)
-    assert fleet._rng.bit_generator.state == scalar._rng.bit_generator.state
+    kind = "prioritized" if prioritized else "uniform"
+    tree = load_state(DATA / f"scalar_bdq_agent_{kind}.ckpt.npz", kind="bdq_agent")
+    assert "striped" not in tree and tree["buffer"]["next_index"] == 5
+    train_loss, observe_loss, weights = SCALAR_AGENT[prioritized]
+    for agent in (
+        BDQAgent(config, np.random.default_rng(99)),
+        FleetBDQAgent(config, np.random.default_rng(99), num_envs=1),
+    ):
+        agent.load_state_dict(tree)
+        assert agent.train_step() == train_loss
+        if isinstance(agent, FleetBDQAgent):
+            loss = agent.observe_batch(
+                np.array([0]), state[None], np.array([[1, 2, 3, 1]]), rewards[None],
+                next_state[None],
+            )
+        else:
+            loss = agent.observe(Transition(state, [[1, 2], [3, 1]], rewards, next_state))
+        assert loss == observe_loss
+        digest = hashlib.sha256()
+        for param in agent.online.parameters():
+            digest.update(np.ascontiguousarray(param.value).tobytes())
+        assert digest.hexdigest() == weights

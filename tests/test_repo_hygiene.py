@@ -4,9 +4,13 @@ The seed tree shipped 66 tracked ``__pycache__/*.pyc`` files; this test
 (part of the default ``make test`` path) fails if any tracked path ever
 matches those patterns again, and checks that ``.gitignore`` keeps
 ignoring them. It also checks that every test module the Makefile names
-exists, so deleting a module cannot silently break a ``make`` target.
+exists, so deleting a module cannot silently break a ``make`` target, and
+that every method the benchmark's span tracer wraps is still defined
+where the tracer looks for it.
 """
 
+import importlib
+import importlib.util
 import re
 import subprocess
 from pathlib import Path
@@ -72,3 +76,23 @@ def test_makefile_names_only_existing_test_modules():
     assert named, "expected the Makefile to name test modules"
     missing = sorted(path for path in named if not (REPO_ROOT / path).is_file())
     assert missing == [], f"Makefile names missing test modules: {missing}"
+
+
+def test_bench_tracer_targets_exist():
+    """``bench/tracer.py`` wraps each target through its class's own
+    ``__dict__``: a refactor that deletes a traced method, or moves it to a
+    base class, breaks every traced benchmark run. Only the full bench run
+    exercises the tracer, so this checks its tables against ``src``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", REPO_ROOT / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, cls, attr) for module, cls, attr, _ in tracer.TARGETS]
+    targets += [(module, cls, "_dispatch") for module, cls in tracer.DISPATCHERS]
+    missing = [
+        f"{module}.{cls}.{attr}"
+        for module, cls, attr in targets
+        if attr not in vars(getattr(importlib.import_module(module), cls))
+    ]
+    assert not missing, f"traced names not defined on their own class: {missing}"

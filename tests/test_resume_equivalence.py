@@ -92,10 +92,10 @@ def test_agent_resume_is_bit_identical(tmp_path, cls):
 
     # After the continuation the resumed agent's Q-function matches the
     # uninterrupted agent's exactly.
-    probe = np.random.default_rng(3).normal(size=resumed.config.state_dim)
-    assert (
-        resumed.online.greedy_actions(probe)
-        == uninterrupted.online.greedy_actions(probe)
+    probe = np.random.default_rng(3).normal(size=(8, resumed.config.state_dim))
+    assert np.array_equal(
+        resumed.online.greedy_actions_batch(probe),
+        uninterrupted.online.greedy_actions_batch(probe),
     )
 
 
@@ -147,8 +147,10 @@ def test_legacy_weight_only_checkpoint_loads_with_warning(tmp_path):
     other = BDQAgent(_config(), np.random.default_rng(9))
     with pytest.warns(UserWarning, match="legacy weight-only"):
         other.load(path)
-    probe = np.random.default_rng(3).normal(size=agent.config.state_dim)
-    assert other.online.greedy_actions(probe) == agent.online.greedy_actions(probe)
+    probe = np.random.default_rng(3).normal(size=(8, agent.config.state_dim))
+    assert np.array_equal(
+        other.online.greedy_actions_batch(probe), agent.online.greedy_actions_batch(probe)
+    )
     # Target resynced from the restored online network.
     for p, t in zip(other.online.parameters(), other.target.parameters()):
         assert np.array_equal(p.value, t.value)
@@ -164,8 +166,10 @@ def test_cross_implementation_checkpoints_interchange(tmp_path):
     reference = ReferenceBDQAgent(_config(), np.random.default_rng(99))
     reference.load(tmp_path / "fused.ckpt")
     assert reference.step_count == fused.step_count
-    probe = np.random.default_rng(3).normal(size=fused.config.state_dim)
-    assert reference.online.greedy_actions(probe) == fused.online.greedy_actions(probe)
+    probe = np.random.default_rng(3).normal(size=(8, fused.config.state_dim))
+    assert np.array_equal(
+        reference.online.greedy_actions_batch(probe), fused.online.greedy_actions_batch(probe)
+    )
 
     reference.save(tmp_path / "reference.ckpt")
     round_tripped = BDQAgent(_config(), np.random.default_rng(4))

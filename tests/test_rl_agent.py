@@ -161,8 +161,10 @@ def test_save_load_roundtrip(tmp_path, rng):
     path = tmp_path / "agent.npz"
     agent.save(path)
     other.load(path)
-    state = rng.random(4)
-    assert other.online.greedy_actions(state) == agent.online.greedy_actions(state)
+    states = rng.random((8, 4))
+    assert np.array_equal(
+        other.online.greedy_actions_batch(states), agent.online.greedy_actions_batch(states)
+    )
 
 
 def test_uniform_replay_mode(rng):

@@ -148,11 +148,11 @@ def test_reinitialize_output_layers_keeps_trunk(rng):
 
 def test_greedy_actions_structure(rng):
     net = _net(rng)
-    actions = net.greedy_actions(rng.normal(size=6))
-    assert len(actions) == 2
-    assert len(actions[0]) == 2
-    assert 0 <= actions[0][0] < 5
-    assert 0 <= actions[0][1] < 3
+    actions = net.greedy_actions_batch(rng.normal(size=(3, 6)))
+    # One row per state, agent-major: (agent 0 cores, dvfs, agent 1 ...).
+    assert actions.shape == (3, 4)
+    assert actions.dtype == np.int64
+    assert np.all((0 <= actions) & (actions < np.array([5, 3, 5, 3])))
 
 
 def test_parameter_count_matches_architecture(rng):

@@ -83,22 +83,15 @@ def test_backward_gradients_match_with_zero_dropout(branch_sizes, rng):
 
 @pytest.mark.parametrize("branch_sizes", CONFIGS)
 def test_greedy_actions_match(branch_sizes, rng):
+    """Each row of the fused batch forward is the reference's per-state
+    greedy action, flattened agent-major."""
     fused, ref = _pair(branch_sizes)
-    for _ in range(25):
-        state = rng.normal(size=STATE_DIM)
-        assert fused.greedy_actions(state) == ref.greedy_actions(state)
-
-
-@pytest.mark.parametrize("branch_sizes", CONFIGS)
-def test_q_single_matches_batched_forward(branch_sizes, rng):
-    """The act fast path agrees with the batched eval forward."""
-    fused, _ = _pair(branch_sizes)
-    for _ in range(5):
-        state = rng.normal(size=STATE_DIM)
-        q_fast = fused.q_single(state)
-        q_batch = fused.forward_stacked(state[None, :])[0]
-        assert np.max(np.abs(q_fast[np.isfinite(q_fast)] - q_batch[np.isfinite(q_batch)])) <= TOL
-        assert np.array_equal(np.isinf(q_fast), np.isinf(q_batch))
+    states = rng.normal(size=(25, STATE_DIM))
+    rows = fused.greedy_actions_batch(states)
+    assert rows.shape == (25, sum(len(agent) for agent in branch_sizes))
+    for state, row in zip(states, rows):
+        expected = [a for agent in ref.greedy_actions(state) for a in agent]
+        assert row.tolist() == expected
 
 
 @pytest.mark.parametrize("branch_sizes", CONFIGS)
@@ -119,7 +112,9 @@ def test_checkpoints_interchangeable(branch_sizes, tmp_path, rng):
     _assert_q_equal(ref.forward(states), fused2.forward(states))
     # Loading into the fused net must hit the stacked storage the hot path
     # reads, not just the view parameters.
-    assert fused2.greedy_actions(states[0]) == ref.greedy_actions(states[0])
+    assert np.array_equal(
+        fused2.greedy_actions_batch(states), ref.greedy_actions_batch(states)
+    )
 
 
 def test_dueling_aggregation_with_training_dropout(rng):
@@ -239,8 +234,7 @@ def test_hot_path_never_calls_per_head_dense(monkeypatch, rng):
 
     q = net.forward_stacked(states, training=True, mask_padding=False)
     net.backward_stacked(np.zeros_like(q), accumulate=False)
-    net.q_single(states[0])
-    net.greedy_actions(states[0])
+    net.greedy_actions_batch(states)
     assert calls == {"forward": 0, "backward": 0}
 
     feeder = np.random.default_rng(1)

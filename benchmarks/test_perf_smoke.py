@@ -25,8 +25,9 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
   ``HierFleetTwig.update_batch`` with the budget allocator active, so
   the delta over ``cluster_step`` prices two-level control;
 - rule fleets: a 256-node cluster step plus ``RuleFleet.update_batch``
-  for a static fleet (reads results, no observation) and a PARTIES
-  fleet (reads every observation).
+  for a static fleet (one fixed batch: reads no result, installs
+  nothing after the first tick) and a PARTIES fleet (reads every
+  observation).
 
 Each test appends its measurement to ``BENCH_perf_smoke.json`` at the repo
 root so the performance trajectory is recorded across PRs. Run via
@@ -722,11 +723,13 @@ def test_hier_step(tmp_path):
 def test_rule_fleet_tick(tmp_path):
     """Rule-fleet tick at 256 nodes: cluster step + ``RuleFleet.update_batch``.
 
-    A static fleet reads every node's ``StepResult`` but none of its
-    observations, so it pays for the results only; a PARTIES fleet reads
-    every service's observation of every node, so it pays for the full
-    per-service object build. Records the per-tick cost of both and the
-    CPU count into ``BENCH_perf_smoke.json``.
+    A static fleet hands back one fixed ``AssignmentBatch`` without
+    reading a result, and the engine finds its rows unchanged after the
+    first tick, so it pays for the cluster step alone; a PARTIES fleet
+    reads every service's observation of every node, so it also pays for
+    the full per-service object build and a per-node install. Records the
+    per-tick cost of both and the CPU count into
+    ``BENCH_perf_smoke.json``.
     """
     from repro.cluster import ClusterEnvironment
     from repro.hier.baselines import make_rule_fleet

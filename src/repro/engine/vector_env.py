@@ -23,11 +23,13 @@ their RNG streams in exactly the order the scalar
   eleven telemetry normals (iff ``telemetry_noise_std > 0``), and
   finally one RAPL normal (always).
 
-The shared draws are taken as a single ``standard_normal(total)`` block
-per environment and scattered; ``Generator.normal(0, s)`` equals
-``s * standard_normal()`` bitwise, and array draws continue the same
-stream as repeated scalar draws, so a wrapped environment's RNG state
-after a vector step is identical to the state after a scalar step.
+The shared draws are taken as a single ``standard_normal`` block per
+environment, drawn in place into that environment's row of one
+``(E, total)`` matrix (``out=row``: no temporary, no copy), and
+scattered; ``Generator.normal(0, s)`` equals ``s * standard_normal()``
+bitwise, and array draws continue the same stream as repeated scalar
+draws, so a wrapped environment's RNG state after a vector step is
+identical to the state after a scalar step.
 
 The scalar per-environment path is retained untouched as the
 equivalence oracle: stepping the same seeds through
@@ -39,8 +41,10 @@ is owned by the engine as ``(E, S, C)`` / ``(E, C)`` / ``(E, S)``
 arrays. Assignments are installed without ``Machine.apply``, as pin,
 DVFS and way rows: an :class:`~repro.core.mapper.AssignmentBatch` hands
 them over as arrays, and its changed rows are picked by one array
-compare with the installed rows; per-env dicts (rule fleets, a resumed
-run, tests) are converted into the same rows by :class:`AssignmentRows`,
+compare with the installed rows (so a static fleet's batch, equal
+every tick, writes no row after the first); per-env dicts (the PARTIES
+and Heracles fleets, a resumed run, tests) are converted into the same
+rows by :class:`AssignmentRows`,
 each distinct core set validated once and cached as a boolean row, and
 an env whose dict equals the one it last installed is skipped. Every
 changed environment is then written in one indexing pass with
@@ -52,10 +56,12 @@ they are read (:meth:`VectorEnvironment.sync_machines`, called by
 ``state_dict`` and ``migration_counts``).
 
 Every numeric formula on the hot path is evaluated once over the whole
-batch. What still touches the wrapped environments' Python objects is
-one flat pass each over their services and load generators (backlogs
-in and out, balancer rates in) and, per environment, one RNG draw block
-and the RAPL/clock update.
+batch; the Erlang-C probabilities come from one unmasked Erlang-B table
+(:func:`~repro.services.queueing.erlang_c_batch`). What still touches
+the wrapped environments' Python objects is one flat pass each over
+their services and load generators (backlogs in and out, balancer rates
+in) and, per environment, one in-place RNG draw and the RAPL/clock
+update.
 
 Results: built only when read
 -----------------------------
@@ -826,8 +832,8 @@ class VectorEnvironment:
         block = lat_draws + tel_draws
         total_draws = S * block + 1
         z = np.empty((E, total_draws))
-        for e, env in enumerate(self.envs):
-            z[e] = env._rng.standard_normal(total_draws)
+        for env, row in zip(self.envs, z):
+            env._rng.standard_normal(out=row)
         per_service = z[:, : S * block].reshape(E, S, block)
         if lat_draws:
             p99 = p99 * np.exp(self.config.latency_noise_std * per_service[:, :, 0])

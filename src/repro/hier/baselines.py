@@ -1,12 +1,16 @@
 """Rule-based fleets: Static/Heracles/PARTIES behind the fleet interface.
 
 The hierarchical experiment compares the allocator + Twig-leaf stack
-against the paper's rule-based managers at fleet scale. Those managers
-are scalar (one node each), so :class:`RuleFleet` wraps N independent
-instances behind the same lock-step manager interface
+against the paper's rule-based managers at fleet scale. PARTIES and
+Heracles are scalar (one node each), so :class:`RuleFleet` wraps N
+independent instances behind the same lock-step manager interface
 :func:`~repro.engine.rollout.run_fleet` drives — each node's manager
 sees only its own :class:`~repro.sim.environment.StepResult`, exactly as
-N real nodes running N independent controllers would.
+N real nodes running N independent controllers would. The static
+baseline never reads an observation and never changes its placement, so
+a static fleet is that one placement as an N-row
+:class:`~repro.core.mapper.AssignmentBatch`: it reads no result, and the
+engine installs it once and then finds every row unchanged.
 
 Rule managers carry no learned state worth checkpointing mid-run (their
 controllers are cheap to re-run), so :meth:`RuleFleet.state_dict` is
@@ -16,13 +20,14 @@ deterministic initial state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.baselines.heracles import HeraclesManager
 from repro.baselines.parties import PartiesManager
 from repro.baselines.static import StaticManager
+from repro.core.mapper import AssignmentBatch
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.obs.sink import NULL_SINK, TraceSink
 from repro.obs.timing import TimingRegistry
@@ -36,27 +41,45 @@ RULE_BASELINES = ("static", "heracles", "parties")
 
 
 class RuleFleet:
-    """N independent scalar rule managers behind the fleet interface."""
+    """N independent scalar rule managers, or one fixed placement for N
+    nodes, behind the fleet interface."""
 
     CKPT_KIND = "rule_fleet"
 
-    def __init__(self, name: str, managers: Sequence[Any]):
-        if not managers:
-            raise ConfigurationError("RuleFleet needs at least one manager")
+    def __init__(
+        self,
+        name: str,
+        managers: Sequence[Any] = (),
+        fixed: Optional[AssignmentBatch] = None,
+    ):
+        if (fixed is None) == (not managers):
+            raise ConfigurationError(
+                "RuleFleet needs either at least one manager or a fixed placement"
+            )
         self.name = name
         self.managers = list(managers)
-        self.num_envs = len(self.managers)
+        #: The placement of a fleet that never changes it (static), else None.
+        self.fixed = fixed
+        self.num_envs = len(fixed) if fixed is not None else len(self.managers)
         self.index_tag = "env"
         self.trace: TraceSink = NULL_SINK
 
-    def initial_assignments(self) -> List[Dict[str, CoreAssignment]]:
+    def initial_assignments(
+        self,
+    ) -> Union[AssignmentBatch, List[Dict[str, CoreAssignment]]]:
+        if self.fixed is not None:
+            return self.fixed
         return [m.initial_assignments() for m in self.managers]
 
     def update_batch(
         self, results: Sequence[StepResult]
-    ) -> List[Dict[str, CoreAssignment]]:
+    ) -> Union[AssignmentBatch, List[Dict[str, CoreAssignment]]]:
+        """The next placements: the fixed batch itself, whose results are
+        never read, or each manager's update on its own node's result."""
         if len(results) != self.num_envs:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
+        if self.fixed is not None:
+            return self.fixed
         return [m.update(r) for m, r in zip(self.managers, results)]
 
     def attach_obs(
@@ -95,7 +118,8 @@ def make_rule_fleet(
 
     Heracles is the paper's single-service controller; asking for it with
     a colocation is a configuration error rather than a silent partial
-    assignment.
+    assignment. A static fleet's batch names ``services`` in the order
+    given, which the engine requires to be its own order.
     """
     if name not in RULE_BASELINES:
         raise ConfigurationError(
@@ -107,10 +131,8 @@ def make_rule_fleet(
     if not services:
         raise ConfigurationError("need at least one service")
     if name == "static":
-        managers = [
-            StaticManager(services, spec=spec) for _ in range(num_envs)
-        ]
-    elif name == "heracles":
+        return RuleFleet(name, fixed=_static_placement(services, num_envs, spec))
+    if name == "heracles":
         if len(services) != 1:
             raise ConfigurationError(
                 "heracles manages exactly one LC service per node; got "
@@ -127,3 +149,24 @@ def make_rule_fleet(
             for e in range(num_envs)
         ]
     return RuleFleet(name, managers)
+
+
+def _static_placement(
+    services: Sequence[str], num_envs: int, spec: Optional[ServerSpec]
+) -> AssignmentBatch:
+    """:class:`StaticManager`'s placement, built once, as ``num_envs``
+    equal rows."""
+    manager = StaticManager(services, spec=spec)
+    placement = manager.initial_assignments()
+    cores = manager.mapper.socket_cores
+    shape = (num_envs, len(services))
+    return AssignmentBatch(
+        services,
+        cores,
+        np.broadcast_to(
+            [[core in placement[s].cores for core in cores] for s in services],
+            shape + (len(cores),),
+        ),
+        np.broadcast_to([placement[s].freq_index for s in services], shape),
+        np.broadcast_to([placement[s].llc_ways for s in services], shape),
+    )

@@ -251,19 +251,29 @@ class BDQAgent:
     def observe(self, transition: Transition) -> Optional[float]:
         """Store a transition and (maybe) run a training step.
 
-        Returns the training loss when a gradient step was taken.
+        Returns the training loss when a gradient step was taken. Every
+        width is checked before anything is stored: the first stored row
+        fixes the replay widths, so one wrong-width row would make every
+        later correct call raise.
         """
         if len(transition.rewards) != self.num_agents:
             raise ShapeError(
                 f"expected {self.num_agents} rewards, got {len(transition.rewards)}"
             )
+        state = np.asarray(transition.state, dtype=np.float64)
+        next_state = np.asarray(transition.next_state, dtype=np.float64)
+        for key, value in (("state", state), ("next_state", next_state)):
+            if value.shape != (self.config.state_dim,):
+                raise ShapeError(
+                    f"{key} has shape {value.shape}, expected ({self.config.state_dim},)"
+                )
         self.striped.add(
             0,
             {
-                "state": np.asarray(transition.state, dtype=np.float64),
+                "state": state,
                 "actions": np.asarray(self._flatten_actions(transition.actions), dtype=np.float64),
                 "rewards": np.asarray(transition.rewards, dtype=np.float64),
-                "next_state": np.asarray(transition.next_state, dtype=np.float64),
+                "next_state": next_state,
                 "done": np.asarray(float(transition.done)),
             },
         )
@@ -287,6 +297,8 @@ class BDQAgent:
         return loss
 
     def _flatten_actions(self, actions: Sequence[Sequence[int]]) -> List[int]:
+        if len(actions) != self.num_agents:
+            raise ShapeError(f"expected {self.num_agents} agents' actions, got {len(actions)}")
         flat: List[int] = []
         for k, agent in enumerate(actions):
             expected = len(self.online.branch_sizes[k])

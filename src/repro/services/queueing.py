@@ -50,6 +50,8 @@ def _erlang_c_integer(servers: int, offered: float) -> float:
 
 def erlang_c(servers: float, offered: float) -> float:
     """Erlang-C for possibly fractional server counts (linear interpolation)."""
+    if not math.isfinite(servers):
+        raise ConfigurationError(f"servers must be finite, got {servers}")
     if servers <= 0:
         raise ConfigurationError(f"servers must be positive, got {servers}")
     if offered < 0:
@@ -67,23 +69,34 @@ def erlang_c(servers: float, offered: float) -> float:
 def erlang_c_batch(servers: np.ndarray, offered: np.ndarray) -> np.ndarray:
     """Vectorized :func:`erlang_c` over arrays of (servers, offered) pairs.
 
-    Bitwise-equivalent to calling the scalar function elementwise: the same
-    Erlang-B recurrence runs for every element in lock-step (masked so each
-    element stops contributing once ``k`` passes its own integer server
-    count), the same fractional interpolation applies, and the same
-    ``offered >= servers -> 1.0`` / ``offered <= 0 -> 0.0`` guards are
-    applied per *integer* evaluation — exactly where the scalar code
-    applies them.
+    Bitwise-equivalent to calling the scalar function elementwise (pinned
+    by ``tests/test_services_queueing.py``). The Erlang-B recurrence runs
+    unmasked for every element up to the largest integer count ``K``,
+    into a ``(K + 1, n)`` table whose row ``k`` is every element's
+    ``B(k)``, computed as ``t = offered * B(k-1)``, ``B(k) = t / (t + k)``,
+    the scalar loop's two roundings. Each element then reads its own
+    ``B`` at its two integer counts, and the same fractional
+    interpolation and the same ``offered >= servers -> 1.0`` /
+    ``offered <= 0 -> 0.0`` guards apply per *integer* evaluation,
+    exactly where the scalar code applies them. The table costs
+    ``K + 1`` rows of ``n``; the engine's counts are effective cores, so
+    ``K`` is at most the socket's cores. Non-finite server counts are
+    refused before any indexing, as the scalar function refuses them.
     """
     servers = np.asarray(servers, dtype=np.float64)
     offered = np.asarray(offered, dtype=np.float64)
     servers, offered = np.broadcast_arrays(servers, offered)
     if servers.size == 0:
         return np.zeros_like(servers)
+    if not np.isfinite(servers).all():
+        raise ConfigurationError("servers must be finite")
     if np.any(servers <= 0):
         raise ConfigurationError("servers must be positive")
     if np.any(offered < 0):
         raise ConfigurationError("offered load must be >= 0")
+    shape = servers.shape
+    servers = servers.ravel()
+    offered = offered.ravel()
 
     low = np.floor(servers)
     high = np.ceil(servers)
@@ -92,20 +105,23 @@ def erlang_c_batch(servers: np.ndarray, offered: np.ndarray) -> np.ndarray:
     n_low = np.where(degenerate, np.maximum(high, 1.0), low).astype(np.int64)
     n_high = np.maximum(high, 1.0).astype(np.int64)
 
-    # Shared Erlang-B recurrence: advance every element together, snapshot
-    # the blocking probability as each element's integer counts pass by.
-    blocking = np.ones_like(offered)
-    b_low = np.ones_like(offered)
-    b_high = np.ones_like(offered)
-    for k in range(1, int(n_high.max()) + 1):
-        active = k <= n_high
-        blocking = np.where(
-            active, offered * blocking / (k + offered * blocking), blocking
-        )
-        b_low = np.where(k == n_low, blocking, b_low)
-        b_high = np.where(k == n_high, blocking, b_high)
+    # Shared Erlang-B table: B(0) = 1, then every element advances
+    # together, computing rows past its own counts that it never reads.
+    # An infinite load fills its column with NaN (inf / inf), which the
+    # ``offered >= n`` guard replaces.
+    table = np.empty((int(n_high.max()) + 1, offered.size))
+    table[0] = 1.0
+    t = np.empty_like(offered)
+    denominator = np.empty_like(offered)
+    with np.errstate(invalid="ignore"):
+        for k in range(1, len(table)):
+            np.multiply(offered, table[k - 1], out=t)
+            np.add(t, k, out=denominator)
+            np.divide(t, denominator, out=table[k])
+    columns = np.arange(offered.size)
 
-    def _finish(b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    def _finish(n: np.ndarray) -> np.ndarray:
+        b = table[n, columns]
         n = n.astype(np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = offered / n
@@ -113,11 +129,11 @@ def erlang_c_batch(servers: np.ndarray, offered: np.ndarray) -> np.ndarray:
         p = np.where(offered >= n, 1.0, p)
         return np.where(offered <= 0.0, 0.0, p)
 
-    p_low = _finish(b_low, n_low)
-    p_high = _finish(b_high, n_high)
+    p_low = _finish(n_low)
+    p_high = _finish(n_high)
     weight = servers - low
     interpolated = (1.0 - weight) * p_low + weight * p_high
-    return np.where(degenerate, p_low, interpolated)
+    return np.where(degenerate, p_low, interpolated).reshape(shape)
 
 
 def mmc_sojourn_tail(

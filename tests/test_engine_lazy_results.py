@@ -6,7 +6,9 @@ A :class:`~repro.engine.vector_env.StepBatch` builds a node's
 its ``observations`` mapping is read. These tests pin:
 
 - the hot path: a static rule fleet, which never reads an observation,
-  constructs none (counted through patched constructors);
+  builds no result object (counted through patched constructors), hands
+  back one batch equal row for row to a per-node ``StaticManager``, and
+  has its rows written on the first tick only;
 - equality: what the PARTIES and Heracles fleets read equals the eager
   ``build_observations`` build field for field, and the hand-stepped
   scalar oracle to the last ulp, with a faulted node and with a trace
@@ -21,11 +23,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.static import StaticManager
 from repro.cluster.environment import ClusterEnvironment, make_cluster_node
 from repro.cluster.traffic import ScheduledLoad, install_rates
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import ENV_SEED_STRIDE
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 from repro.hier.baselines import make_rule_fleet
 from repro.obs.context import ObsContext
 from repro.obs.sink import MemorySink
@@ -161,9 +164,46 @@ class TestHotPath:
         traces = run_fleet(fleet, venv, ticks)
         assert intervals.count == 0
         assert observations.count == 0
-        # The fleet did read a result per node and tick.
-        assert results.count == nodes * ticks
+        # The fleet hands back its one batch without reading a result.
+        assert results.count == 0
         assert all(t.steps() == ticks for t in traces)
+
+    def test_static_fleet_is_one_batch_the_engine_installs_once(self, monkeypatch):
+        """Every node's row, every tick, is what a per-node
+        ``StaticManager`` returns; a batch of the wrong length is refused;
+        the engine writes every row on the first tick and none after."""
+        nodes, ticks = 6, 5
+        venv = _cluster(SERVICES, nodes)
+        fleet = make_rule_fleet("static", SERVICES, nodes, SEED)
+        oracle = StaticManager(SERVICES)
+        installed, handed = [], []
+        changes, update = venv._inputs.changes, fleet.update_batch
+
+        def recording_changes(*args):
+            found = changes(*args)
+            installed.append(found[0].tolist())
+            return found
+
+        def recording_update(results):
+            handed.append((results, update(results)))
+            return handed[-1][1]
+
+        monkeypatch.setattr(venv._inputs, "changes", recording_changes)
+        monkeypatch.setattr(fleet, "update_batch", recording_update)
+        run_fleet(fleet, venv, ticks)
+        assert installed == [list(range(nodes))] + [[]] * (ticks - 1)
+        assert len(handed) == ticks
+        initial = fleet.initial_assignments()
+        assert [initial[e] for e in range(nodes)] == [oracle.initial_assignments()] * nodes
+        for results, assignments in handed:
+            assert len(assignments) == nodes
+            for e in range(nodes):
+                assert assignments[e] == oracle.update(results[e]), (e, results[e].time)
+        short = _cluster(SERVICES, nodes - 1).step(
+            make_rule_fleet("static", SERVICES, nodes - 1, SEED).initial_assignments()
+        )
+        with pytest.raises(ShapeError, match=f"expected {nodes} results"):
+            update(short)
 
     def test_reading_a_value_builds_that_nodes_observations_once(self, monkeypatch):
         venv = _cluster(SERVICES, 4)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
+from tests.helpers import _assert_tree_equal
 
 
 def _config(**overrides):
@@ -64,6 +65,32 @@ def test_observe_rejects_wrong_reward_count(rng):
         agent.observe(
             Transition(np.ones(4), [[0, 0]], np.array([1.0, 2.0]), np.ones(4))
         )
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("state", np.ones(5)),
+        ("state", np.ones((1, 4))),
+        ("next_state", np.ones(3)),
+        ("next_state", np.ones((4, 1))),
+        ("actions", []),
+    ],
+    ids=["state-wide", "state-2d", "next-narrow", "next-2d", "no-actions"],
+)
+def test_observe_refuses_a_wrong_width_before_storing(rng, field, bad):
+    """The first stored row fixes the replay widths, so a wrong-width
+    transition must be refused before it is stored: otherwise every later
+    correct ``observe`` raises."""
+    agent = BDQAgent(_config(), rng)
+    good = dict(state=np.ones(4), actions=[[0, 0]], rewards=np.array([1.0]), next_state=np.ones(4))
+    before = agent.state_dict()
+    with pytest.raises(ShapeError, match=field):
+        agent.observe(Transition(**{**good, field: bad}))
+    assert len(agent.striped) == 0
+    _assert_tree_equal(agent.state_dict(), before)
+    agent.observe(Transition(**good))
+    assert len(agent.striped) == 1
 
 
 def test_training_starts_after_min_buffer(rng):

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.services.queueing import (
     erlang_c,
+    erlang_c_batch,
     mmc_sojourn_tail,
     response_time_quantile,
     utilization,
@@ -40,6 +42,64 @@ def test_erlang_c_fractional_interpolates():
     high = erlang_c(5, 2.0)
     mid = erlang_c(4.5, 2.0)
     assert min(low, high) <= mid <= max(low, high)
+
+
+#: Server counts the engine hands ``erlang_c_batch``: whole, fractional
+#: (timeshared cores) and below one, up to a socket's 18 cores.
+_SERVER_COUNTS = st.one_of(
+    st.integers(min_value=1, max_value=18).map(float),
+    st.floats(min_value=1.0, max_value=18.0),
+    st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+)
+
+
+@st.composite
+def _servers_and_load(draw):
+    """A server count and an offered load of zero, below, at or above it
+    (at: the count itself or either integer neighbour), inf or NaN."""
+    servers = draw(_SERVER_COUNTS)
+    kind = draw(st.sampled_from(["zero", "below", "at", "above", "inf", "nan"]))
+    if kind == "zero":
+        return servers, 0.0
+    if kind == "below":
+        return servers, servers * draw(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+        )
+    if kind == "at":
+        return servers, float(
+            draw(st.sampled_from([servers, math.floor(servers), math.ceil(servers)]))
+        )
+    if kind == "above":
+        return servers, servers * draw(
+            st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+        )
+    return servers, math.inf if kind == "inf" else math.nan
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(_servers_and_load(), min_size=1, max_size=24))
+def test_erlang_c_batch_is_the_scalar_bit_for_bit(pairs):
+    """The batch evaluates every pair as ``erlang_c`` does, to the bit
+    (NaN payloads included), with pairs of different counts side by side."""
+    servers, offered = (np.array(column) for column in zip(*pairs))
+    scalar = np.array([erlang_c(s, a) for s, a in pairs])
+    batch = erlang_c_batch(servers, offered)
+    np.testing.assert_array_equal(batch.view(np.int64), scalar.view(np.int64))
+    # The engine's (E, S) matrices: same values, same shape.
+    if len(pairs) % 2 == 0:
+        matrix = erlang_c_batch(servers.reshape(2, -1), offered.reshape(2, -1))
+        assert matrix.shape == (2, len(pairs) // 2)
+        np.testing.assert_array_equal(
+            matrix.ravel().view(np.int64), scalar.view(np.int64)
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_erlang_c_refuses_non_finite_servers(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        erlang_c(bad, 1.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        erlang_c_batch(np.array([4.0, bad]), np.array([1.0, 2.0]))
 
 
 def test_sojourn_tail_at_zero_is_one():

@@ -557,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
              "inside each experiment",
     )
     run_parser.add_argument(
-        "--engine", choices=("auto", "serial", "pool", "vector"),
+        "--engine", choices=("auto", "serial", "vector"),
         default="auto",
         help="batch execution engine: auto picks pool vs serial from the "
              "usable CPU count; vector routes engine-aware experiments "

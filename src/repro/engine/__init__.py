@@ -10,13 +10,17 @@ Runs N experiments/environments in lock-step inside one process:
   observations through one fused HeadBank forward and trains at most once
   per tick from a striped prioritized replay buffer; :class:`FleetTwig`
   is the matching N-environment task manager;
-- :mod:`repro.engine.rollout` — :func:`run_fleet`, the lock-step rollout
-  loop with per-env deterministic seeding, per-env traces, and
-  checkpoint/resume.
+- :mod:`repro.engine.rollout` — :func:`run_fleet`, the fleet entry
+  point of the one run loop (:func:`repro.experiments.runner.run_loop`,
+  which also drives ``run_manager``): its :class:`FleetRun` records the
+  per-env traces by column and reads and writes the ``vector_run``
+  checkpoint; the loop owns obs wiring, resume, run events, tick timings
+  and the checkpoint cadence.
 
-The scalar path (:class:`repro.sim.environment.ColocationEnvironment` +
-the per-experiment loop in :mod:`repro.experiments.runner`) is retained as
-the equivalence oracle.
+:class:`repro.sim.environment.ColocationEnvironment`, stepped directly,
+is the equivalence oracle the vector physics is tested against, and it
+emits every environment's ``interval``/``qos_violation``/``fault``
+events, with the index tag, for the vector step too.
 
 The cluster layer (:mod:`repro.cluster`) builds on these same pieces to
 simulate a load-balanced multi-node datacenter: its

@@ -95,7 +95,6 @@ import numpy as np
 
 from repro.core.mapper import AssignmentBatch
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
-from repro.obs.events import make_event
 from repro.server.machine import CoreAssignment
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
@@ -712,14 +711,16 @@ class VectorEnvironment:
         return self.envs[0].profile_of(name)
 
     @property
-    def trace_sink(self):
-        """The trace sink wrapped env 0 emits into."""
+    def trace(self):
+        """The trace sink the wrapped environments emit into."""
         return self.envs[0].trace
 
-    def set_trace_sink(self, sink) -> None:
-        """Point every wrapped environment at ``sink``."""
+    def attach_obs(self, trace, timings) -> None:
+        """Point every wrapped environment at ``trace``, and keep
+        ``timings`` for the sections a subclass reports."""
         for env in self.envs:
-            env.trace = sink
+            env.trace = trace
+        self.timings = timings
 
     def migration_counts(self) -> List[Dict[str, int]]:
         """Per-env service migration counters (for final run traces)."""
@@ -988,20 +989,7 @@ class VectorEnvironment:
             env.last_result = step_result
             eager[e] = step_result
             if env.trace.enabled:
-                for fault in applied:
-                    env.trace.emit(
-                        make_event(
-                            "fault",
-                            env.time,
-                            service=fault.service,
-                            kind=fault.kind,
-                            magnitude=float(fault.magnitude),
-                            start=fault.start,
-                            duration=fault.duration,
-                            **{self.index_tag: e},
-                        )
-                    )
-                self._emit_step_events(env, e, step_result)
+                env._emit_step_events(step_result, applied, **{self.index_tag: e})
         batch = StepBatch(self.names, interval, arrays, envs=self.envs)
         for e, step_result in eager.items():
             batch.set_result(e, step_result)
@@ -1047,51 +1035,6 @@ class VectorEnvironment:
         wait = np.where(theta <= 0, np.inf, wait)
         wait = np.where(p_wait <= 0.01, 0.0, wait)
         return np.where(arrival <= 0, 0.0, wait)
-
-    def _emit_step_events(
-        self, env: ColocationEnvironment, env_index: int, result: StepResult
-    ) -> None:
-        """Scalar ``_emit_step_events`` with per-env envelope tagging."""
-        tag = {self.index_tag: env_index}
-        per_service = {}
-        for name, obs in result.observations.items():
-            per_service[name] = {
-                "p99_ms": obs.p99_ms,
-                "qos_target_ms": obs.interval.qos_target_ms,
-                "qos_met": obs.qos_met,
-                "arrival_rps": obs.interval.arrival_rate,
-                "cores": obs.interval.cores,
-                "frequency_ghz": obs.interval.frequency_ghz,
-            }
-            if obs.qos_met:
-                env._violation_streaks[name] = 0
-            else:
-                streak = env._violation_streaks.get(name, 0) + 1
-                env._violation_streaks[name] = streak
-                env.trace.emit(
-                    make_event(
-                        "qos_violation",
-                        result.time,
-                        service=name,
-                        p99_ms=obs.p99_ms,
-                        qos_target_ms=obs.interval.qos_target_ms,
-                        tardiness=obs.tardiness,
-                        consecutive=streak,
-                        **tag,
-                    )
-                )
-        env.trace.emit(
-            make_event(
-                "interval",
-                result.time,
-                services=per_service,
-                power_w=result.socket_power_w,
-                true_power_w=result.true_power_w,
-                membw_utilization=result.membw_utilization,
-                energy_j=result.energy_j,
-                **tag,
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # checkpointing

@@ -17,9 +17,13 @@ Engines:
 ``scalar``
     N independent :class:`~repro.core.twig.Twig` managers stepped in an
     explicit lock-step Python loop (the balancer still needs all nodes'
-    results each tick). This is the bit-exactness oracle for the cluster
-    physics: with identical assignments, its trajectories match the
-    vector path draw-for-draw (``tests/test_cluster_environment.py``).
+    results each tick), each node recorded by ``RunTrace.record``. It
+    learns N policies, not one, so it is a baseline, not an oracle: the
+    cluster physics is checked against
+    :class:`~repro.sim.environment.ColocationEnvironment` nodes stepped
+    by hand (``tests/test_cluster_environment.py``), and this engine is
+    pinned only by the ``cluster-scalar`` golden hash and a test that it
+    runs.
 
 Cross-references: ``docs/fleet.md`` (topology/balancer/traffic model),
 ``docs/architecture.md`` (cluster layer diagram), ``EXPERIMENTS.md``
@@ -48,7 +52,7 @@ from repro.core.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import ENV_SEED_STRIDE
 from repro.errors import ConfigurationError
-from repro.experiments.runner import RunTrace, ServiceTrace
+from repro.experiments.runner import RunTrace
 from repro.services.profiles import get_profile
 
 
@@ -59,7 +63,7 @@ class ClusterConfig:
     steps: int = 200
     seed: int = 7
     #: "vector" = one fused ClusterEnvironment + shared FleetTwig;
-    #: "scalar" = N independent Twigs in a lock-step loop (the oracle).
+    #: "scalar" = N independent Twigs in a lock-step loop.
     engine: str = "vector"
     balancer: str = "round_robin"
     traffic: str = "diurnal"
@@ -155,7 +159,7 @@ def _run_vector(config: ClusterConfig) -> List[RunTrace]:
 
 
 def _run_scalar(config: ClusterConfig) -> List[RunTrace]:
-    """Lock-step scalar oracle: N Twigs, shared traffic + balancer."""
+    """Lock-step scalar engine: N Twigs, shared traffic + balancer."""
     services = list(config.services)
     topology = ClusterTopology(config.num_nodes, tuple(config.regions))
     model = TrafficModel(
@@ -179,17 +183,7 @@ def _run_scalar(config: ClusterConfig) -> List[RunTrace]:
         for e in range(config.num_nodes)
     ]
     assignments = [m.initial_assignments() for m in managers]
-    traces = [
-        RunTrace(
-            manager_name=managers[e].name,
-            services={
-                name: ServiceTrace(qos_target_ms=nodes[e].qos_target_of(name))
-                for name in services
-            },
-            interval_s=nodes[e].config.interval_s,
-        )
-        for e in range(config.num_nodes)
-    ]
+    traces = [RunTrace.for_env(m.name, env) for m, env in zip(managers, nodes)]
     loads = None
     shape = (config.num_nodes, len(services))
     for _ in range(config.steps):
@@ -201,20 +195,12 @@ def _run_scalar(config: ClusterConfig) -> List[RunTrace]:
         results = [env.step(assignments[e]) for e, env in enumerate(nodes)]
         arrival, util, backlog = (np.empty(shape) for _ in range(3))
         for e, result in enumerate(results):
-            trace = traces[e]
+            traces[e].record(result)
             for i, name in enumerate(services):
-                obs = result.observations[name]
-                arrival[e, i] = obs.interval.arrival_rate
-                util[e, i] = obs.interval.utilization
-                backlog[e, i] = obs.interval.backlog
-                service_trace = trace.services[name]
-                service_trace.p99_ms.append(obs.p99_ms)
-                service_trace.arrival_rps.append(obs.interval.arrival_rate)
-                service_trace.cores.append(obs.interval.cores)
-                service_trace.frequency_ghz.append(obs.interval.frequency_ghz)
-            trace.power_w.append(result.socket_power_w)
-            trace.true_power_w.append(result.true_power_w)
-            trace.membw_utilization.append(result.membw_utilization)
+                interval = result.observations[name].interval
+                arrival[e, i] = interval.arrival_rate
+                util[e, i] = interval.utilization
+                backlog[e, i] = interval.backlog
         loads = NodeLoads(arrival_rps=arrival, utilization=util, backlog=backlog)
         assignments = [managers[e].update(results[e]) for e in range(config.num_nodes)]
     for e, env in enumerate(nodes):

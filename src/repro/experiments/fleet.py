@@ -6,15 +6,16 @@ experiment is the engine demo for that: N sibling environments (same
 service mix, per-env deterministic seeds) driven either by the
 vectorized in-process engine (``engine="vector"``: one fused
 environment step, one batched act, one train round per tick) or by the
-retained scalar oracle (``engine="scalar"``: N independent sequential
+scalar engine (``engine="scalar"``: N independent sequential
 ``run_manager`` loops, one Twig each).
 
 The two engines answer different questions — the vector fleet learns ONE
-shared policy from N environments, the scalar oracle learns N separate
-policies — so their reward trajectories are not comparable head-to-head;
-the scalar mode exists as the serial-throughput baseline and as the
-bit-exactness oracle for the environment physics (see
-tests/test_engine_vector.py).
+shared policy from N environments, the scalar engine learns N separate
+policies — so their reward trajectories are not comparable head-to-head.
+The scalar mode is the serial-throughput baseline, not an oracle: the
+vector physics is checked against
+:class:`~repro.sim.environment.ColocationEnvironment` stepped directly
+(tests/test_engine_vector.py), not against this engine.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class FleetConfig:
     steps: int = 400
     seed: int = 7
     #: "vector" = batched in-process engine; "scalar" = N sequential
-    #: scalar rollouts (the serial oracle/baseline).
+    #: scalar rollouts (the serial baseline).
     engine: str = "vector"
     epsilon_mid_steps: int = 150
     epsilon_final_steps: int = 300

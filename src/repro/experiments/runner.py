@@ -1,12 +1,21 @@
 """Run a task manager against an environment and record the trace.
 
+One loop core, :func:`run_loop`, drives every run. :func:`run_manager`
+(one manager on one :class:`ColocationEnvironment`) and
+:func:`repro.engine.rollout.run_fleet` (one fleet manager on a
+:class:`~repro.engine.vector_env.VectorEnvironment`) differ only in the
+small object they hand it: :class:`ScalarRun` or
+:class:`~repro.engine.rollout.FleetRun`, which update the manager,
+record the traces and read and write the checkpoint tree.
+
 The trace keeps everything the paper's evaluation metrics need: per-step,
 per-service tail latency, QoS target, arrival rate, allocated cores and
 frequency, plus the socket power and cumulative energy. Summaries (QoS
 guarantee, normalised energy, tardiness histograms, core-mapping
 distributions) are computed over configurable windows, matching the
 paper's practice of summarising over the last 300 s or 600 s after the
-learning phase.
+learning phase. :func:`run_experiments` runs registered experiments in
+batches, one manifest each.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +43,7 @@ from repro.obs.manifest import RunManifest, config_hash, git_sha, now_iso
 from repro.obs.sink import JsonlSink, iter_trace
 from repro.obs.summary import summarize_events
 from repro.server.machine import CoreAssignment
-from repro.sim.environment import ColocationEnvironment
+from repro.sim.environment import ColocationEnvironment, StepResult
 
 #: File name of the rolling run checkpoint inside ``checkpoint_dir``.
 RUN_CKPT_NAME = "run.ckpt.npz"
@@ -65,6 +74,36 @@ class RunTrace:
     membw_utilization: List[float] = field(default_factory=list)
     migrations: Dict[str, int] = field(default_factory=dict)
     interval_s: float = 1.0
+
+    @classmethod
+    def for_env(cls, manager_name: str, env: Any) -> "RunTrace":
+        """An empty trace of ``env``'s services, QoS targets and interval
+        (a :class:`ColocationEnvironment` or a vector of them)."""
+        return cls(
+            manager_name=manager_name,
+            services={
+                name: ServiceTrace(qos_target_ms=env.qos_target_of(name))
+                for name in env.service_names
+            },
+            interval_s=env.config.interval_s,
+        )
+
+    def record(self, result: StepResult) -> None:
+        """Append one interval's :class:`StepResult`. A service swapped in
+        mid-run (transfer-learning runs) starts its own series."""
+        for name, observation in result.observations.items():
+            interval = observation.interval
+            series = self.services.get(name)
+            if series is None:
+                series = self.services[name] = ServiceTrace()
+            series.p99_ms.append(interval.p99_ms)
+            series.arrival_rps.append(interval.arrival_rate)
+            series.cores.append(interval.cores)
+            series.frequency_ghz.append(interval.frequency_ghz)
+            series.qos_target_ms = interval.qos_target_ms
+        self.power_w.append(result.socket_power_w)
+        self.true_power_w.append(result.true_power_w)
+        self.membw_utilization.append(result.membw_utilization)
 
     # ------------------------------------------------------------------ #
     # summaries
@@ -214,14 +253,199 @@ def _deserialize_trace(state: Mapping[str, Any], manager_name: str) -> RunTrace:
         raise CheckpointError(f"malformed run-trace state: {exc}") from exc
 
 
-def _manager_state_dict(manager: TaskManager) -> Dict[str, Any]:
-    state_dict = getattr(manager, "state_dict", None)
-    if state_dict is None:
+def _checkpointable(manager: Any) -> bool:
+    return hasattr(manager, "state_dict") and hasattr(manager, "load_state_dict")
+
+
+def _require_checkpointable(manager: Any) -> None:
+    if not _checkpointable(manager):
         raise ConfigurationError(
             f"manager {manager.name!r} does not support checkpointing "
-            "(no state_dict method)"
+            "(no state_dict/load_state_dict methods)"
         )
-    return state_dict()
+
+
+def run_loop(
+    manager: Any,
+    env: Any,
+    steps: int,
+    side: Any,
+    on_step=None,
+    obs: Optional[ObsContext] = None,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_dir: Optional[Union[str, Path]] = None,
+    resume_from: Optional[Union[str, Path]] = None,
+) -> Any:
+    """The one run loop body behind :func:`run_manager` and
+    :func:`repro.engine.rollout.run_fleet`.
+
+    ``side`` is what an entry point keeps of its own (:class:`ScalarRun`,
+    :class:`repro.engine.rollout.FleetRun`): ``kind``, its checkpoint
+    kind; ``tags``, one index envelope per ``run_start``/``run_end``
+    pair; ``update``, the manager call a tick makes; ``record``, which
+    appends a tick's results to its traces; ``tree``/``stage``, which
+    write and read its checkpoint tree; and ``finish``, which returns its
+    traces. Everything else is here, once: the step-count check, the
+    ambient :class:`ObsContext` and checkpoint resolution, resume, run
+    events, the ``env.step``/``loop.record``/``manager.update`` timings,
+    ``on_step`` and the checkpoint cadence.
+    """
+    if steps <= 0:
+        raise ConfigurationError(f"steps must be positive, got {steps}")
+    obs = obs if obs is not None else current()
+    timings = None
+    if obs is not None:
+        timings = obs.timings
+        env.attach_obs(obs.sink, timings)
+        attach = getattr(manager, "attach_obs", None)
+        if attach is not None:
+            attach(obs.sink, timings)
+        # The ambient flag (repro run --checkpoint-every) reaches *every*
+        # run inside an experiment, including baseline comparison runs.
+        # Baselines without state support just run uncheckpointed — only
+        # an explicit checkpoint_every= argument makes that an error.
+        if checkpoint_every is None and _checkpointable(manager):
+            checkpoint_every = obs.checkpoint_every
+        if checkpoint_dir is None:
+            checkpoint_dir = obs.checkpoint_dir
+    if checkpoint_every is not None:
+        if checkpoint_every <= 0:
+            raise ConfigurationError(
+                f"checkpoint_every must be positive, got {checkpoint_every}"
+            )
+        if checkpoint_dir is None:
+            raise ConfigurationError("checkpoint_every requires checkpoint_dir")
+        _require_checkpointable(manager)
+        ckpt_path = Path(checkpoint_dir) / RUN_CKPT_NAME
+    if resume_from is not None:
+        assignments, first_t = _resume(manager, env, steps, side, resume_from)
+    else:
+        assignments, first_t = manager.initial_assignments(), 0
+    sink = env.trace
+    if sink.enabled:
+        for tag in side.tags:
+            sink.emit(
+                make_event(
+                    "run_start",
+                    env.time,
+                    manager=manager.name,
+                    services=list(env.service_names),
+                    steps=steps,
+                    interval_s=env.config.interval_s,
+                    **tag,
+                )
+            )
+    sections = (
+        None if timings is None
+        else [timings.get(n) for n in ("env.step", "loop.record", "manager.update")]
+    )
+    record, update = side.record, side.update
+    started = time.perf_counter()
+    for t in range(first_t, steps):
+        t0 = time.perf_counter()
+        results = env.step(assignments)
+        t1 = time.perf_counter()
+        record(results)
+        t2 = time.perf_counter()
+        assignments = update(results)
+        if sections is not None:
+            t3 = time.perf_counter()
+            for timing, seconds in zip(sections, (t1 - t0, t2 - t1, t3 - t2)):
+                timing.add(seconds)
+        if on_step is not None:
+            replaced = on_step(t, results)
+            if replaced is not None:
+                assignments = replaced
+        if checkpoint_every is not None and (t + 1) % checkpoint_every == 0 and t + 1 < steps:
+            # Taken after the manager produced the *next* assignments, so a
+            # resume replays the loop exactly: restore state, apply the
+            # stored assignments, continue at next_t.
+            loop = {"next_t": t + 1, "steps": steps, "manager_name": manager.name}
+            save_state(ckpt_path, side.kind, side.tree(manager, env, loop, assignments))
+    if sink.enabled:
+        wall_time_s = time.perf_counter() - started
+        for tag in side.tags:
+            sink.emit(
+                make_event("run_end", env.time, steps=steps, wall_time_s=wall_time_s, **tag)
+            )
+    return side.finish(env)
+
+
+def _resume(manager: Any, env: Any, steps: int, side: Any, resume_from) -> Tuple[Any, int]:
+    """Restore a run checkpoint into ``manager`` and ``env``.
+
+    Returns the stored next assignments and the tick to continue at.
+    Everything that can fail is staged first, and a manager or
+    environment that refuses its subtree is rolled back with the other:
+    a refused resume leaves both as they were.
+    """
+    path = Path(resume_from)
+    if path.is_dir():
+        path = path / RUN_CKPT_NAME
+    tree = load_state(path, kind=side.kind)
+    try:
+        loop = dict(tree["loop"])
+        next_t = int(loop["next_t"])
+        stored_steps = int(loop["steps"])
+        stored_manager = str(loop["manager_name"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed {side.kind} checkpoint: {exc}") from exc
+    if stored_manager != manager.name:
+        raise CheckpointError(
+            f"checkpoint was taken from manager {stored_manager!r}, "
+            f"resuming with {manager.name!r}"
+        )
+    if stored_steps != steps:
+        raise CheckpointError(
+            f"checkpoint was taken from a {stored_steps}-step run, "
+            f"this run asks for {steps}"
+        )
+    if not 0 < next_t <= steps:
+        raise CheckpointError(f"checkpoint next_t {next_t} out of range")
+    _require_checkpointable(manager)
+    try:
+        assignments, manager_tree, env_tree = side.stage(tree, loop, manager.name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed {side.kind} checkpoint: {exc}") from exc
+    snapshot = manager.state_dict(), env.state_dict()
+    try:
+        manager.load_state_dict(manager_tree)
+        env.load_state_dict(env_tree)
+    except Exception:
+        manager.load_state_dict(snapshot[0])
+        env.load_state_dict(snapshot[1])
+        raise
+    return assignments, next_t
+
+
+class ScalarRun:
+    """:func:`run_manager`'s side of :func:`run_loop`: ``manager.update``
+    on each result, one :class:`RunTrace` recorded per result, and the
+    ``run`` checkpoint tree."""
+
+    kind = RUN_CKPT_KIND
+    tags = ({},)
+
+    def __init__(self, manager: TaskManager, env: ColocationEnvironment) -> None:
+        self.update = manager.update
+        self.trace = RunTrace.for_env(manager.name, env)
+
+    def record(self, result) -> None:
+        self.trace.record(result)
+
+    def tree(self, manager, env, loop, assignments) -> Dict[str, Any]:
+        loop["assignments"] = _serialize_assignments(assignments)
+        return {"manager": manager.state_dict(), "env": env.state_dict(), "loop": loop,
+                "trace": _serialize_trace(self.trace)}
+
+    def stage(self, tree, loop, manager_name: str):
+        assignments = _deserialize_assignments(loop["assignments"])
+        self.trace = _deserialize_trace(dict(tree["trace"]), manager_name)
+        return assignments, dict(tree["manager"]), dict(tree["env"])
+
+    def finish(self, env: ColocationEnvironment) -> RunTrace:
+        self.trace.migrations = dict(env.machine.migration_counts)
+        return self.trace
 
 
 def run_manager(
@@ -252,171 +476,12 @@ def run_manager(
     where it left off; the returned :class:`RunTrace` is bit-identical to
     the uninterrupted run's. Both default to the ambient
     :class:`ObsContext`'s ``checkpoint_every`` / ``checkpoint_dir`` when
-    not passed explicitly.
+    not passed explicitly. The loop itself is :func:`run_loop`.
     """
-    if steps <= 0:
-        raise ConfigurationError(f"steps must be positive, got {steps}")
-    obs = obs if obs is not None else current()
-    timings = None
-    ambient_checkpoint = False
-    if obs is not None:
-        env.trace = obs.sink
-        timings = obs.timings
-        attach = getattr(manager, "attach_obs", None)
-        if attach is not None:
-            attach(obs.sink, timings)
-        if checkpoint_every is None:
-            checkpoint_every = obs.checkpoint_every
-            ambient_checkpoint = checkpoint_every is not None
-        if checkpoint_dir is None:
-            checkpoint_dir = obs.checkpoint_dir
-    if ambient_checkpoint and (
-        getattr(manager, "state_dict", None) is None
-        or getattr(manager, "load_state_dict", None) is None
-    ):
-        # The ambient flag (repro run --checkpoint-every) reaches *every*
-        # run inside an experiment, including baseline comparison runs.
-        # Baselines without state support just run uncheckpointed — only
-        # an explicit checkpoint_every= argument makes that an error.
-        checkpoint_every = None
-        checkpoint_dir = None
-    if checkpoint_every is not None and checkpoint_every <= 0:
-        raise ConfigurationError(
-            f"checkpoint_every must be positive, got {checkpoint_every}"
-        )
-    if checkpoint_every is not None and checkpoint_dir is None:
-        raise ConfigurationError("checkpoint_every requires checkpoint_dir")
-    ckpt_path = (
-        Path(checkpoint_dir) / RUN_CKPT_NAME if checkpoint_dir is not None else None
+    return run_loop(
+        manager, env, steps, ScalarRun(manager, env), on_step, obs,
+        checkpoint_every, checkpoint_dir, resume_from,
     )
-    sink = env.trace
-    first_t = 0
-    if resume_from is not None:
-        resume_path = Path(resume_from)
-        if resume_path.is_dir():
-            resume_path = resume_path / RUN_CKPT_NAME
-        tree = load_state(resume_path, kind=RUN_CKPT_KIND)
-        try:
-            loop = dict(tree["loop"])
-            next_t = int(loop["next_t"])
-            stored_steps = int(loop["steps"])
-            stored_manager = str(loop["manager_name"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed run checkpoint: {exc}") from exc
-        if stored_manager != manager.name:
-            raise CheckpointError(
-                f"checkpoint was taken from manager {stored_manager!r}, "
-                f"resuming with {manager.name!r}"
-            )
-        if stored_steps != steps:
-            raise CheckpointError(
-                f"checkpoint was taken from a {stored_steps}-step run, "
-                f"this run asks for {steps}"
-            )
-        if not 0 < next_t <= steps:
-            raise CheckpointError(f"checkpoint next_t {next_t} out of range")
-        # Stage everything that can fail before mutating manager/env.
-        assignments = _deserialize_assignments(loop["assignments"])
-        trace = _deserialize_trace(dict(tree["trace"]), manager.name)
-        load_manager = getattr(manager, "load_state_dict", None)
-        if load_manager is None:
-            raise ConfigurationError(
-                f"manager {manager.name!r} does not support checkpointing "
-                "(no load_state_dict method)"
-            )
-        load_manager(dict(tree["manager"]))
-        env.load_state_dict(dict(tree["env"]))
-        first_t = next_t
-    else:
-        trace = RunTrace(
-            manager_name=manager.name,
-            services={
-                name: ServiceTrace(qos_target_ms=env.qos_target_of(name))
-                for name in env.service_names
-            },
-            interval_s=env.config.interval_s,
-        )
-        assignments = manager.initial_assignments()
-    if sink.enabled:
-        sink.emit(
-            make_event(
-                "run_start",
-                env.time,
-                manager=manager.name,
-                services=list(env.service_names),
-                steps=steps,
-                interval_s=env.config.interval_s,
-            )
-        )
-    step_timing = timings.get("env.step") if timings is not None else None
-    update_timing = timings.get("manager.update") if timings is not None else None
-    started = time.perf_counter()
-    for t in range(first_t, steps):
-        if step_timing is not None:
-            t0 = time.perf_counter()
-            result = env.step(assignments)
-            step_timing.add(time.perf_counter() - t0)
-        else:
-            result = env.step(assignments)
-        for name in env.service_names:
-            if name not in trace.services:
-                # A service swap occurred mid-run (transfer-learning runs).
-                trace.services[name] = ServiceTrace(qos_target_ms=env.qos_target_of(name))
-            observation = result.observations[name]
-            service_trace = trace.services[name]
-            service_trace.p99_ms.append(observation.p99_ms)
-            service_trace.arrival_rps.append(observation.interval.arrival_rate)
-            service_trace.cores.append(observation.interval.cores)
-            service_trace.frequency_ghz.append(observation.interval.frequency_ghz)
-            service_trace.qos_target_ms = env.qos_target_of(name)
-        trace.power_w.append(result.socket_power_w)
-        trace.true_power_w.append(result.true_power_w)
-        trace.membw_utilization.append(result.membw_utilization)
-        if update_timing is not None:
-            t0 = time.perf_counter()
-            assignments = manager.update(result)
-            update_timing.add(time.perf_counter() - t0)
-        else:
-            assignments = manager.update(result)
-        if on_step is not None:
-            maybe_assignments = on_step(t, result)
-            if maybe_assignments is not None:
-                assignments = maybe_assignments
-        if (
-            ckpt_path is not None
-            and checkpoint_every is not None
-            and (t + 1) % checkpoint_every == 0
-            and (t + 1) < steps
-        ):
-            # Taken after the manager produced the *next* assignments, so a
-            # resume replays the loop exactly: restore state, apply the
-            # stored assignments, continue at next_t.
-            save_state(
-                ckpt_path,
-                RUN_CKPT_KIND,
-                {
-                    "manager": _manager_state_dict(manager),
-                    "env": env.state_dict(),
-                    "loop": {
-                        "next_t": t + 1,
-                        "steps": steps,
-                        "manager_name": manager.name,
-                        "assignments": _serialize_assignments(assignments),
-                    },
-                    "trace": _serialize_trace(trace),
-                },
-            )
-    if sink.enabled:
-        sink.emit(
-            make_event(
-                "run_end",
-                env.time,
-                steps=steps,
-                wall_time_s=time.perf_counter() - started,
-            )
-        )
-    trace.migrations = dict(env.machine.migration_counts)
-    return trace
 
 
 # ---------------------------------------------------------------------- #
@@ -475,11 +540,12 @@ def run_experiments(
     and whose summary/timing histograms land in the manifest.
 
     ``jobs > 1`` dispatches the experiments to a pool of worker processes.
-    The effective worker count is ``min(jobs, os.cpu_count(),
-    len(experiment_ids))`` — asking for more workers than cores only adds
-    scheduling overhead (CPU-bound experiments cannot overlap), so on a
-    single-core box any ``jobs`` value degrades gracefully to the serial
-    path. Each worker writes its own manifest and JSONL sink (no file is
+    The effective worker count is ``min(jobs, usable CPUs,
+    len(experiment_ids))``, where the usable CPUs are those of the
+    scheduler affinity mask (``os.sched_getaffinity``). Asking for more
+    workers than cores only adds scheduling overhead (CPU-bound
+    experiments cannot overlap), so on a single-core box any ``jobs``
+    value degrades gracefully to the serial path. Each worker writes its own manifest and JSONL sink (no file is
     ever shared between processes), the global RNGs are re-seeded per
     experiment from a stable hash of ``(experiment_id, config)`` in both
     the serial and parallel paths, and results come back in
@@ -517,12 +583,10 @@ def run_experiments(
       ``os.cpu_count``) and more than one effective worker; otherwise run
       serially. This fixes the silent 0.93x regression the pool showed on
       1-CPU boxes, where pickling/IPC overhead bought no overlap.
-    - ``"serial"`` / ``"pool"``: force the corresponding path (``"pool"``
-      still degrades to serial when only one worker is effective).
-      ``"serial"`` additionally rewrites any config that has an
-      ``engine`` field to ``engine="scalar"`` — for engine-aware
-      experiments (``fleet``) it IS the scalar-oracle baseline, not just
-      a scheduling choice.
+    - ``"serial"``: run in-process, one experiment after another, and
+      rewrite any config that has an ``engine`` field to
+      ``engine="scalar"`` — for engine-aware experiments (``fleet``) it
+      IS the scalar baseline, not just a scheduling choice.
     - ``"vector"``: run serially and rewrite every config that has an
       ``engine`` field to ``engine="vector"``, routing those experiments
       through the batched in-process rollout engine
@@ -545,9 +609,9 @@ def run_experiments(
             "strict=True re-raises the first failure; combining it with "
             "retries is contradictory — pick one"
         )
-    if engine not in ("auto", "serial", "pool", "vector"):
+    if engine not in ("auto", "serial", "vector"):
         raise ConfigurationError(
-            f"engine must be auto, serial, pool, or vector, got {engine!r}"
+            f"engine must be auto, serial, or vector, got {engine!r}"
         )
     configs = dict(configs or {})
     if engine == "vector":
@@ -568,7 +632,7 @@ def run_experiments(
                 )
             configs[experiment_id] = dataclasses.replace(config, engine=engine)
     elif engine == "serial":
-        # For engine-aware experiments, "serial" means the scalar oracle,
+        # For engine-aware experiments, "serial" means the scalar engine,
         # not merely "no process pool".
         import dataclasses
 
@@ -600,9 +664,7 @@ def run_experiments(
     # Capping at the *affinity-visible* CPU count (not os.cpu_count) is
     # what auto-selects serial on 1-CPU boxes and containers.
     effective_jobs = min(jobs, _available_cpus(), max(len(pending), 1))
-    use_pool = (
-        engine in ("auto", "pool") and effective_jobs > 1 and len(pending) > 1
-    )
+    use_pool = engine == "auto" and effective_jobs > 1 and len(pending) > 1
     if not use_pool:
         for experiment_id in pending:
             results[experiment_id] = _run_with_retries(

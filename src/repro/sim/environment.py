@@ -190,6 +190,11 @@ class ColocationEnvironment:
     def qos_target_of(self, name: str) -> float:
         return self.services[name].qos_target_ms
 
+    def attach_obs(self, trace: TraceSink, timings: Any) -> None:
+        """Emit trace events into ``trace``. The step reports no timing
+        sections of its own, so ``timings`` is unused."""
+        self.trace = trace
+
     # ------------------------------------------------------------------ #
     # stepping
     # ------------------------------------------------------------------ #
@@ -263,23 +268,32 @@ class ColocationEnvironment:
             energy_j=self.rapl.energy_j,
         )
         if self.trace.enabled:
-            for fault in applied:
-                self.trace.emit(
-                    make_event(
-                        "fault",
-                        self.time,
-                        service=fault.service,
-                        kind=fault.kind,
-                        magnitude=float(fault.magnitude),
-                        start=fault.start,
-                        duration=fault.duration,
-                    )
-                )
-            self._emit_step_events(self.last_result)
+            self._emit_step_events(self.last_result, applied)
         return self.last_result
 
-    def _emit_step_events(self, result: StepResult) -> None:
-        """Emit the ``interval`` event plus any ``qos_violation`` events."""
+    def _emit_step_events(
+        self, result: StepResult, applied: Sequence[Any], **tag: int
+    ) -> None:
+        """Emit a ``fault`` event per applied fault, any ``qos_violation``
+        events, then the ``interval`` event.
+
+        ``tag`` is the index envelope (``env=e`` or ``node=e``) a vector
+        engine adds for the wrapped environment it steps; a standalone
+        environment emits untagged events.
+        """
+        for fault in applied:
+            self.trace.emit(
+                make_event(
+                    "fault",
+                    result.time,
+                    service=fault.service,
+                    kind=fault.kind,
+                    magnitude=float(fault.magnitude),
+                    start=fault.start,
+                    duration=fault.duration,
+                    **tag,
+                )
+            )
         per_service = {}
         for name, obs in result.observations.items():
             per_service[name] = {
@@ -304,6 +318,7 @@ class ColocationEnvironment:
                         qos_target_ms=obs.interval.qos_target_ms,
                         tardiness=obs.tardiness,
                         consecutive=streak,
+                        **tag,
                     )
                 )
         self.trace.emit(
@@ -315,6 +330,7 @@ class ColocationEnvironment:
                 true_power_w=result.true_power_w,
                 membw_utilization=result.membw_utilization,
                 energy_j=result.energy_j,
+                **tag,
             )
         )
 

@@ -2,7 +2,9 @@
 
 Each case raises ``CheckpointError`` before anything mutates, so the
 serving policy (a node agent's ``update_policy`` loads files from outside
-the program through this path) is left exactly as it was.
+the program through this path) is left exactly as it was. A run
+checkpoint refused at resume leaves the manager and the environment it
+was handed as they were, whichever run loop entry point loaded it.
 """
 
 from __future__ import annotations
@@ -10,15 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt.checkpoint import load_state
+from repro.ckpt.checkpoint import load_state, save_state
 from repro.cluster.environment import ClusterEnvironment
+from repro.core import Twig
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.fleet_reference import DictFleetTwig
-from repro.engine.rollout import run_fleet
+from repro.engine.rollout import VECTOR_RUN_CKPT_KIND, run_fleet
 from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError
 from repro.experiments.common import make_environment
+from repro.experiments.runner import RUN_CKPT_KIND, RUN_CKPT_NAME, run_manager
 from repro.hier import BudgetConfig, HierFleetTwig
 from repro.hier.baselines import make_rule_fleet
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
@@ -377,3 +381,59 @@ def test_malformed_hier_tree_is_refused(corruption):
     with pytest.raises(CheckpointError):
         fleet.load_state_dict(tree)
     _assert_tree_equal(fleet.state_dict(), before)
+
+
+def _twig_c_pair():
+    """Twig-C (one learning Twig, two services) and its environment."""
+    twig = Twig([get_profile(s) for s in CLUSTER_SERVICES], TwigConfig.fast(),
+                np.random.default_rng(21))
+    return twig, make_environment(CLUSTER_SERVICES, [0.4, 0.5], 21)
+
+
+def _fleet_pair():
+    """A 3-environment learning fleet and its vector environment."""
+    venv = VectorEnvironment.from_services(
+        CLUSTER_SERVICES, {"masstree": 0.4, "xapian": 0.5}, 3, 21
+    )
+    fleet = FleetTwig([get_profile(s) for s in CLUSTER_SERVICES], TwigConfig.fast(),
+                      np.random.default_rng(22), num_envs=3)
+    return fleet, venv
+
+
+#: Each run loop entry point: its driver, a fresh (manager, environment)
+#: pair, its checkpoint kind, and the path to one environment's services.
+RESUME_ENTRY_POINTS = {
+    "run_manager": (run_manager, _twig_c_pair, RUN_CKPT_KIND, ("env", "services")),
+    "run_fleet": (run_fleet, _fleet_pair, VECTOR_RUN_CKPT_KIND,
+                  ("envs", "envs", "0002", "services")),
+}
+
+
+def _traces(output):
+    return output if isinstance(output, list) else [output]
+
+
+@pytest.mark.parametrize("entry", list(RESUME_ENTRY_POINTS))
+def test_refused_resume_leaves_manager_and_environment_as_they_were(entry, tmp_path):
+    """The manager used to load before the environment refused its
+    subtree, so the run raised with the manager already resumed."""
+    run, make_pair, kind, services = RESUME_ENTRY_POINTS[entry]
+    run(*make_pair(), 8, checkpoint_every=4, checkpoint_dir=tmp_path)
+    tree = load_state(tmp_path / RUN_CKPT_NAME, kind=kind)
+    _drop(*services, "xapian")(tree)
+    refused = tmp_path / "refused.ckpt.npz"
+    save_state(refused, kind, tree)
+
+    manager, env = make_pair()
+    run(manager, env, 3)
+    before = manager.state_dict(), env.state_dict()
+    with pytest.raises(CheckpointError, match="services"):
+        run(manager, env, 8, resume_from=refused)
+    _assert_tree_equal(manager.state_dict(), before[0])
+    _assert_tree_equal(env.state_dict(), before[1])
+    # It runs on exactly like a pair that never saw the checkpoint.
+    twin_manager, twin_env = make_pair()
+    run(twin_manager, twin_env, 3)
+    assert _traces(run(manager, env, 5)) == _traces(run(twin_manager, twin_env, 5))
+    _assert_tree_equal(manager.state_dict(), twin_manager.state_dict())
+    _assert_tree_equal(env.state_dict(), twin_env.state_dict())

@@ -7,8 +7,11 @@ compares: a refactor that keeps these hashes kept the simulated
 behaviour bit for bit.
 
 - Fleet runs: rule fleets and learning ``FleetTwig`` fleets on the
-  vector engine, and a learning config small enough to sync its target
-  network and wrap its replay stripes within 20 ticks.
+  vector engine, a learning config small enough to sync its target
+  network and wrap its replay stripes within 20 ticks, and the event
+  stream of a traced learning fleet with faults on one node
+  (``fleet-events``: per-node ``run_start``/``run_end`` and node-tagged
+  ``interval``/``qos_violation``/``fault``/``degraded`` events).
 - Paper-loop runs: one ``Twig`` on one ``ColocationEnvironment`` under
   ``run_manager`` — the bench ``twig_c`` recipe, Twig-C with every fault
   kind, Twig-C with the LLC branch, a mid-run service swap with
@@ -79,7 +82,17 @@ FLEET_CONFIGS: Dict[str, Dict[str, Any]] = {
         "agent": {"batch_size": 8, "buffer_capacity": 64, "min_buffer_size": 16,
                   "target_update_every": 5},
     },
+    # The traced event stream of the learning fleet, with faults on node 2.
+    "fleet-events": {"manager": "twig", **_FLEET, "events": True, "fault_node": 2},
 }
+
+#: Fault windows of the ``fleet-events`` node: a PMC dropout (the node's
+#: ``degraded`` ticks) and a latency spike (the p99 and tardiness its
+#: ``interval`` and ``qos_violation`` events carry).
+FLEET_FAULTS = (
+    Fault("pmc_dropout", "masstree", start=5, duration=3),
+    Fault("latency_spike", "xapian", start=11, duration=4, magnitude=5.0),
+)
 
 #: Paper-loop runs, with their test ids.
 PAPER_CONFIGS: Dict[str, Dict[str, Any]] = {
@@ -137,13 +150,25 @@ def config_key(config: Dict[str, Any]) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
+def event_lines(sink: MemorySink):
+    """A sink's events as JSON lines, ``run_end.wall_time_s`` dropped."""
+    lines = []
+    for event in sink.events:
+        if event["ev"] == "run_end":
+            event = {k: v for k, v in event.items() if k != "wall_time_s"}
+        lines.append(json.dumps(event, separators=(",", ":")))
+    return lines
+
+
 def run_traces(config: Dict[str, Any]):
-    """Run one golden fleet config; one RunTrace per node."""
+    """Run one golden fleet config: one RunTrace per node, or the event lines."""
     services, nodes, seed = config["services"], config["nodes"], config["seed"]
     venv = ClusterEnvironment.from_services(
         services, num_nodes=nodes, seed=seed, traffic=config["traffic"],
         balancer=config["balancer"],
     )
+    if "fault_node" in config:
+        venv.envs[config["fault_node"]].faults = FaultInjector(list(FLEET_FAULTS))
     if config["manager"] == "twig":
         twig_config = TwigConfig.fast(epsilon_mid_steps=8, epsilon_final_steps=16)
         manager = FleetTwig(
@@ -155,6 +180,10 @@ def run_traces(config: Dict[str, Any]):
         manager.index_tag = "node"
     else:
         manager = make_rule_fleet(config["manager"], services, nodes, seed)
+    if config.get("events"):
+        sink = MemorySink(validate=True)
+        run_fleet(manager, venv, config["ticks"], obs=ObsContext(sink=sink))
+        return event_lines(sink)
     return run_fleet(manager, venv, config["ticks"])
 
 
@@ -238,12 +267,7 @@ def run_paper(config: Dict[str, Any]):
             [Fault("pmc_dropout", "masstree", start=70, duration=2)]
         ))
         run_manager(_paper_twig(config), env, steps, obs=ObsContext(sink=sink))
-        lines = []
-        for event in sink.events:
-            if event["ev"] == "run_end":
-                event = {k: v for k, v in event.items() if k != "wall_time_s"}
-            lines.append(json.dumps(event, separators=(",", ":")))
-        return lines
+        return event_lines(sink)
     raise ValueError(f"unknown paper-loop case {case!r}")
 
 
@@ -288,9 +312,7 @@ def trace_sha256(traces) -> str:
 def config_sha256(config: Dict[str, Any]) -> str:
     if config.get("loop") == "experiment":
         return trace_sha256(run_experiment(config))
-    if config.get("loop") != "paper":
-        return trace_sha256(run_traces(config))
-    output = run_paper(config)
+    output = run_paper(config) if config.get("loop") == "paper" else run_traces(config)
     if output and isinstance(output[0], str):
         return hashlib.sha256("\n".join(output).encode()).hexdigest()
     return trace_sha256(output)

@@ -1,10 +1,13 @@
 """Integration tests: traced runs, manifests, strict failure handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import Twig, TwigConfig
 from repro.errors import ConfigurationError
+from repro.experiments import runner
 from repro.experiments.runner import run_experiments, run_manager
 from repro.obs import (
     NULL_SINK,
@@ -16,6 +19,7 @@ from repro.obs import (
     summarize_events,
     validate_event,
 )
+from repro.obs.manifest import git_sha
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
@@ -134,7 +138,8 @@ def test_run_experiments_writes_manifest_and_trace(tmp_path):
     assert len(runs) == 1 and runs[0].ok
     manifest = runs[0].manifest
     assert manifest.seed == config.seed
-    assert manifest.git_sha is not None
+    # The SHA of the code that ran: None outside a git checkout, by design.
+    assert manifest.git_sha == git_sha(Path(runner.__file__).resolve().parent)
     assert manifest.wall_time_s > 0
     assert (tmp_path / "fig07" / "manifest.json").exists()
     events = read_trace(tmp_path / "fig07" / "trace.jsonl")

@@ -95,10 +95,15 @@ def test_manifest_read_missing_file():
 
 
 def test_git_sha_of_this_repo():
-    sha = git_sha(Path(__file__).resolve().parent)
-    # The reproduction lives in a git repo, so this must resolve.
-    assert sha is not None
-    assert len(sha) == 40
+    root = Path(__file__).resolve().parents[1]
+    sha = git_sha(root)
+    if (root / ".git").exists():
+        # A git checkout: the SHA must resolve.
+        assert sha is not None
+        assert len(sha) == 40
+    else:
+        # An export without .git (git archive) has no commit to report.
+        assert sha is None
 
 
 def test_git_sha_outside_a_repo(tmp_path):

@@ -6,9 +6,11 @@ matches those patterns again, and checks that ``.gitignore`` keeps
 ignoring them. It also checks that every test module the Makefile names
 exists, so deleting a module cannot silently break a ``make`` target, and
 that every method the benchmark's span tracer wraps is still defined
-where the tracer looks for it.
+where the tracer looks for it, and that every ``repro`` name the
+benchmark imports still resolves.
 """
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -96,3 +98,25 @@ def test_bench_tracer_targets_exist():
         if attr not in vars(getattr(importlib.import_module(module), cls))
     ]
     assert not missing, f"traced names not defined on their own class: {missing}"
+
+
+def test_bench_repro_imports_resolve():
+    """``bench/*.py`` import ``repro`` names inside functions, which only
+    a benchmark run executes, so a refactor that moves one
+    (``run_fleet``, ``run_manager``, ``RunTrace``, ...) fails here first."""
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted((REPO_ROOT / "bench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and node.module is not None
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    ]
+    assert imports, "expected bench/ to import from repro"
+    missing = [
+        f"{source}: from {module} import {name}"
+        for source, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"bench imports that no longer resolve: {missing}"

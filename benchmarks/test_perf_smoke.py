@@ -13,8 +13,8 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
 - the vectorized rollout engine: the fleet agent's fused train step and
   batched act at 1, 2 and 4 colocated agents, its per-tick handoff
   (one batched replay insert and one ``act_batch``) at 256 nodes, and
-  the end-to-end experiment-suite throughput of ``--engine vector`` vs
-  the serial scalar loop;
+  the end-to-end throughput of the ``fleet`` experiment vs N serial
+  ``run_manager`` loops;
 - the cluster layer: whole-cluster step throughput (traffic model ->
   load balancer -> fused node physics) at 64 and 256 nodes with 4
   colocated services per node;
@@ -47,12 +47,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import TwigConfig
+from repro.core.twig import Twig
 from repro.engine.fleet import FleetBDQAgent
+from repro.engine.vector_env import ENV_SEED_STRIDE, make_sibling_environment
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
-from repro.experiments.runner import run_experiments
+from repro.experiments.runner import _available_cpus, run_experiments, run_manager
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq_reference import ReferenceBDQAgent
 from repro.rl.striped import StripedPrioritizedReplayBuffer
+from repro.services.profiles import get_profile
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_perf_smoke.json"
@@ -470,17 +474,18 @@ def test_fleet_agent_handoff():
 
 
 def test_experiment_suite_throughput(tmp_path):
-    """End-to-end: N lock-step experiments via --engine vector vs serial.
+    """End-to-end: the ``fleet`` experiment vs N serial scalar loops.
 
     The scalar side runs N independent ``run_manager`` loops (one Twig,
-    one environment each); the vector side steps all N through one fused
-    act/train path. Speedup is recorded, not asserted: it depends on the
-    benchmark machine (BLAS threading, cache sizes), and the cpu count
-    recorded alongside is what makes it interpretable across machines.
+    one sibling environment each, at the fleet's per-env seeds); the
+    fleet experiment steps all N through one fused act/train path.
+    Speedup is recorded, not asserted: it depends on the benchmark
+    machine (BLAS threading, cache sizes), and the cpu count recorded
+    alongside is what makes it interpretable across machines.
     """
     num_envs, steps = 8, 250
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    base = dict(
+    cpus = _available_cpus()
+    config = FleetConfig(
         num_envs=num_envs,
         steps=steps,
         epsilon_mid_steps=100,
@@ -489,14 +494,30 @@ def test_experiment_suite_throughput(tmp_path):
     )
 
     t0 = time.perf_counter()
-    vector = run_fleet_experiment(FleetConfig(engine="vector", **base))
+    vector = run_fleet_experiment(config)
     vector_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scalar = run_fleet_experiment(FleetConfig(engine="scalar", **base))
+    twig_config = TwigConfig.fast(
+        epsilon_mid_steps=config.epsilon_mid_steps,
+        epsilon_final_steps=config.epsilon_final_steps,
+    )
+    scalar = []
+    for e in range(num_envs):
+        env = make_sibling_environment(
+            list(config.services),
+            dict(zip(config.services, config.load_fractions)),
+            config.seed + e * ENV_SEED_STRIDE,
+        )
+        manager = Twig(
+            [get_profile(s) for s in config.services],
+            twig_config,
+            np.random.default_rng(config.seed + 1 + e),
+        )
+        scalar.append(run_manager(manager, env, steps))
     scalar_s = time.perf_counter() - t0
 
-    assert vector.num_envs == scalar.num_envs == num_envs
+    assert vector.num_envs == len(scalar) == num_envs
     assert all(np.isfinite(p) for p in vector.mean_power_w)
 
     speedup = scalar_s / vector_s
@@ -822,7 +843,7 @@ def test_ctrl_rpc_throughput():
 def test_parallel_runner_vs_serial(tmp_path):
     ids = ["tab03", "fig04", "tab02", "mem"]  # slowest first helps scheduling
     jobs = 4
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = _available_cpus()
 
     # Warm the experiment-module imports so neither timed run pays them.
     run_experiments(["mem"], out_dir=tmp_path / "warmup")
@@ -840,7 +861,7 @@ def test_parallel_runner_vs_serial(tmp_path):
         assert s.manifest.comparable_dict() == p.manifest.comparable_dict()
 
     speedup = serial_s / parallel_s
-    effective_jobs = min(jobs, os.cpu_count() or 1, len(ids))
+    effective_jobs = min(jobs, cpus, len(ids))
     print(
         f"\nrun_experiments({len(ids)} experiments): serial {serial_s:.2f}s, "
         f"--jobs {jobs} (effective {effective_jobs} on {cpus} cpus) "

@@ -173,7 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     experiments = args.experiment
     batch_flags = (
         args.trace or args.strict or args.out_dir or args.retries
-        or args.resume or args.checkpoint_every or args.engine != "auto"
+        or args.resume or args.checkpoint_every
     )
     if len(experiments) == 1 and not batch_flags:
         # Single untraced run: no manifest machinery, just the table.
@@ -197,7 +197,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         retries=args.retries,
         resume=args.resume,
         checkpoint_every=args.checkpoint_every,
-        engine=args.engine,
     )
     failed = 0
     for run in runs:
@@ -535,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="run experiments in up to N worker processes (clamped to the "
-             "machine's cpu count); results, manifests and traces are "
+             "CPUs this process may run on, os.sched_getaffinity; serial "
+             "when that leaves one); results, manifests and traces are "
              "identical to a serial run modulo timing fields",
     )
     run_parser.add_argument(
@@ -555,15 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a rolling full-state run checkpoint "
              "(<out-dir>/<id>/run.ckpt.npz) every N control intervals "
              "inside each experiment",
-    )
-    run_parser.add_argument(
-        "--engine", choices=("auto", "serial", "vector"),
-        default="auto",
-        help="batch execution engine: auto picks pool vs serial from the "
-             "usable CPU count; vector routes engine-aware experiments "
-             "(e.g. fleet, cluster) through the batched in-process rollout "
-             "engine, which runs a whole fleet in one process (see "
-             "docs/architecture.md)",
     )
     run_parser.add_argument(
         "--nodes", type=int, default=None, metavar="N",

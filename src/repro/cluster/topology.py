@@ -45,14 +45,6 @@ class ClusterTopology:
         """Number of named regions the nodes are striped over."""
         return len(self.regions)
 
-    def region_of(self, node: int) -> str:
-        """Region name hosting node ``node``."""
-        if not 0 <= node < self.num_nodes:
-            raise ConfigurationError(
-                f"node {node} out of range [0, {self.num_nodes})"
-            )
-        return self.regions[node % len(self.regions)]
-
     def region_index(self, region: str) -> int:
         """Position of ``region`` in the region tuple (raises if unknown)."""
         try:

@@ -128,9 +128,6 @@ class RpcMethodSpec:
     returns: str
     params: Tuple[RpcParamSpec, ...]
 
-    def param_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
 
 def method_spec(name: str, description: str, returns: str, *params) -> RpcMethodSpec:
     """Shorthand builder mirroring :func:`repro.obs.events._spec`."""

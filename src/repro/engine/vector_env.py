@@ -73,16 +73,14 @@ eager:
   later steps still reads its own interval;
 - the result of every env with an active fault or an enabled trace
   sink, built inside ``step`` (the fault injector consumes RNG and
-  replaces observations; the trace events read them), which also sets
-  that env's ``last_result``.
+  replaces observations; the trace events read them).
 
 What is built on read: ``batch[e]`` builds env ``e``'s ``StepResult``
 with its five scalar fields on first access; its ``observations``
 mapping builds the per-service ``ServiceObservation``,
 ``IntervalResult`` and pmcs objects from the arrays on the first read
-of a value, equal field for field to the scalar path's. Reading
-``batch[e]`` sets ``envs[e].last_result`` unless env ``e`` has stepped
-since. A result refers to the arrays, never back to its batch.
+of a value, equal field for field to the scalar path's. A result
+refers to the arrays, never back to its batch.
 """
 
 from __future__ import annotations
@@ -241,8 +239,7 @@ class StepBatch(Sequence):
     :class:`ServiceObservation`/:class:`IntervalResult`/pmcs objects are
     built from the arrays only when a value is first read, field for
     field equal to the scalar path's. A result holds the arrays, never
-    the batch. Reading ``batch[e]`` also sets the wrapped env's
-    ``last_result``, unless that env has stepped since.
+    the batch.
 
     Envs with an active fault or an enabled trace sink get their results
     built eagerly inside ``step`` (faults consume RNG and replace
@@ -255,7 +252,6 @@ class StepBatch(Sequence):
         names: Sequence[str],
         interval_s: float,
         arrays: Dict[str, np.ndarray],
-        envs: Sequence[ColocationEnvironment],
     ):
         self.names = list(names)
         self.interval_s = interval_s
@@ -263,7 +259,6 @@ class StepBatch(Sequence):
             array.setflags(write=False)
         #: The interval's matrices, read-only; see ``VectorEnvironment.step``.
         self.arrays = arrays
-        self._envs = envs
         self._results: List[Optional[StepResult]] = [None] * len(arrays["time"])
 
     def __len__(self) -> int:
@@ -292,18 +287,14 @@ class StepBatch(Sequence):
 
     def _materialize(self, e: int) -> StepResult:
         a = self.arrays
-        time = int(a["time"][e])
-        result = StepResult(
-            time=time,
+        return StepResult(
+            time=int(a["time"][e]),
             observations=_LazyObservations(self.names, self.interval_s, a, e),
             socket_power_w=float(a["power_w"][e]),
             true_power_w=float(a["true_power_w"][e]),
             membw_utilization=float(a["membw_utilization"][e]),
             energy_j=float(a["energy_j"][e]),
         )
-        if self._envs[e].time == time:
-            self._envs[e].last_result = result
-        return result
 
 
 class AssignmentRows:
@@ -986,11 +977,10 @@ class VectorEnvironment:
                 membw_utilization=float(bw_util[e]),
                 energy_j=env.rapl.energy_j,
             )
-            env.last_result = step_result
             eager[e] = step_result
             if env.trace.enabled:
                 env._emit_step_events(step_result, applied, **{self.index_tag: e})
-        batch = StepBatch(self.names, interval, arrays, envs=self.envs)
+        batch = StepBatch(self.names, interval, arrays)
         for e, step_result in eager.items():
             batch.set_result(e, step_result)
         self._post_step(batch, arrays)

@@ -8,12 +8,12 @@ it against flat per-node Twig (the PR-7 cluster configuration) and the
 rule-based Static/Heracles/PARTIES fleets on fleet QoS, cluster power,
 and total energy.
 
-The hierarchical stack requires the vector engine: the allocator's
-window aggregates and the leaves' budget masking both live inside the
-lock-step ``update_batch`` path, and the shared trunk only amortises
-when all nodes act through one fused forward. ``engine="scalar"`` is
-rejected up front rather than silently running N disconnected
-allocators.
+Every variant steps its nodes through one fused
+:class:`~repro.cluster.environment.ClusterEnvironment` under one fleet
+manager. The hierarchy needs that lock-step path: the allocator's window
+aggregates and the leaves' budget masking both live inside
+``update_batch``, and the shared trunk only amortises when all nodes act
+through one fused forward.
 
 ``--levels`` and ``--budget-period`` expose the allocator's two main
 knobs; ``provision_from`` seeds the leaf policy from a PR-5-era
@@ -55,12 +55,6 @@ class HierConfig:
     num_nodes: int = 10
     steps: int = 200
     seed: int = 7
-    #: Only "vector": the hierarchy needs the fused lock-step path (the
-    #: allocator and budget masking live inside ``update_batch``). The
-    #: field marks the experiment engine-aware for ``run_experiments``:
-    #: ``--engine vector`` runs it, ``--engine serial`` asks for the
-    #: scalar oracle, which this config refuses.
-    engine: str = "vector"
     balancer: str = "least_loaded"
     traffic: str = "diurnal"
     regions: Tuple[str, ...] = ("r0", "r1")
@@ -80,16 +74,12 @@ class HierConfig:
     def __post_init__(self) -> None:
         if not self.services:
             raise ConfigurationError("need at least one service")
-        if self.engine != "vector":
-            raise ConfigurationError(
-                "hierarchical control requires the fused lock-step 'vector' "
-                "engine (the allocator and budget masking live in "
-                f"update_batch); got engine={self.engine!r}"
-            )
         if self.num_nodes < 1:
             raise ConfigurationError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
+        if self.window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {self.window}")
         if self.balancer not in BALANCER_POLICIES:
             raise ConfigurationError(
                 f"unknown balancer {self.balancer!r}; known: "

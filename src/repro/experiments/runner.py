@@ -527,7 +527,6 @@ def run_experiments(
     retry_backoff_s: float = 0.5,
     resume: Optional[Union[str, Path]] = None,
     checkpoint_every: Optional[int] = None,
-    engine: str = "auto",
 ) -> List[ExperimentRun]:
     """Run a batch of registered experiments, writing one manifest each.
 
@@ -540,20 +539,21 @@ def run_experiments(
     and whose summary/timing histograms land in the manifest.
 
     ``jobs > 1`` dispatches the experiments to a pool of worker processes.
-    The effective worker count is ``min(jobs, usable CPUs,
-    len(experiment_ids))``, where the usable CPUs are those of the
-    scheduler affinity mask (``os.sched_getaffinity``). Asking for more
-    workers than cores only adds scheduling overhead (CPU-bound
-    experiments cannot overlap), so on a single-core box any ``jobs``
-    value degrades gracefully to the serial path. Each worker writes its own manifest and JSONL sink (no file is
-    ever shared between processes), the global RNGs are re-seeded per
-    experiment from a stable hash of ``(experiment_id, config)`` in both
-    the serial and parallel paths, and results come back in
-    ``experiment_ids`` order, so a parallel batch is equivalent to the
-    serial one modulo timing fields
-    (:meth:`repro.obs.manifest.RunManifest.comparable_dict`). Under
-    ``strict=True`` the first failure (in submission order) cancels any
-    not-yet-started experiments and re-raises after its manifest is
+    The effective worker count is ``min(jobs, usable CPUs, pending
+    experiments)``, where the usable CPUs are those of the scheduler
+    affinity mask (``os.sched_getaffinity``); when that count is one the
+    batch runs serially in-process. Asking for more workers than cores
+    only adds scheduling overhead (CPU-bound experiments cannot overlap;
+    the pool ran at 0.93x on 1-CPU boxes), so on a single-core box any
+    ``jobs`` value degrades gracefully to the serial path. Each worker
+    writes its own manifest and JSONL sink (no file is ever shared
+    between processes), the global RNGs are re-seeded per experiment
+    from a stable hash of ``(experiment_id, config)`` in both the serial
+    and parallel paths, and results come back in ``experiment_ids``
+    order, so a parallel batch is equivalent to the serial one modulo
+    timing fields (:meth:`repro.obs.manifest.RunManifest.comparable_dict`).
+    Under ``strict=True`` the first failure (in submission order) cancels
+    any not-yet-started experiments and re-raises after its manifest is
     written.
 
     Crash safety:
@@ -575,24 +575,6 @@ def run_experiments(
     - ``checkpoint_every=N`` asks every ``run_manager`` loop inside each
       experiment to write a rolling full-state checkpoint under
       ``out_dir/<id>/`` every N steps (see :func:`run_manager`).
-
-    Engine selection (``engine=``):
-
-    - ``"auto"`` (default): use the process pool only when it can win —
-      more than one *usable* CPU (scheduler affinity, not raw
-      ``os.cpu_count``) and more than one effective worker; otherwise run
-      serially. This fixes the silent 0.93x regression the pool showed on
-      1-CPU boxes, where pickling/IPC overhead bought no overlap.
-    - ``"serial"``: run in-process, one experiment after another, and
-      rewrite any config that has an ``engine`` field to
-      ``engine="scalar"`` — for engine-aware experiments (``fleet``) it
-      IS the scalar baseline, not just a scheduling choice.
-    - ``"vector"``: run serially and rewrite every config that has an
-      ``engine`` field to ``engine="vector"``, routing those experiments
-      through the batched in-process rollout engine
-      (:mod:`repro.engine`). Experiments without an ``engine`` field are
-      rejected — the caller asked for vectorized execution that those
-      experiments cannot honour.
     """
     if trace and out_dir is None:
         raise ConfigurationError("trace=True requires out_dir for the JSONL sinks")
@@ -609,41 +591,7 @@ def run_experiments(
             "strict=True re-raises the first failure; combining it with "
             "retries is contradictory — pick one"
         )
-    if engine not in ("auto", "serial", "vector"):
-        raise ConfigurationError(
-            f"engine must be auto, serial, or vector, got {engine!r}"
-        )
     configs = dict(configs or {})
-    if engine == "vector":
-        # Route every experiment through the batched rollout engine: its
-        # config must expose an ``engine`` field to honour the request.
-        import dataclasses
-
-        for experiment_id in experiment_ids:
-            config = configs.get(experiment_id)
-            if config is None or not (
-                dataclasses.is_dataclass(config)
-                and any(f.name == "engine" for f in dataclasses.fields(config))
-            ):
-                raise ConfigurationError(
-                    f"engine={engine!r} requires an experiment config with an "
-                    f"'engine' field; {experiment_id!r} has none "
-                    "(only fleet-style experiments support the vector engine)"
-                )
-            configs[experiment_id] = dataclasses.replace(config, engine=engine)
-    elif engine == "serial":
-        # For engine-aware experiments, "serial" means the scalar engine,
-        # not merely "no process pool".
-        import dataclasses
-
-        for experiment_id in experiment_ids:
-            config = configs.get(experiment_id)
-            if (
-                config is not None
-                and dataclasses.is_dataclass(config)
-                and any(f.name == "engine" for f in dataclasses.fields(config))
-            ):
-                configs[experiment_id] = dataclasses.replace(config, engine="scalar")
     out_path = Path(out_dir) if out_dir is not None else None
     # The SHA of the code being run, not of whatever directory the caller
     # happens to be in. Resolved once, here, so workers never shell out.
@@ -662,10 +610,9 @@ def run_experiments(
         return [results[experiment_id] for experiment_id in experiment_ids]
 
     # Capping at the *affinity-visible* CPU count (not os.cpu_count) is
-    # what auto-selects serial on 1-CPU boxes and containers.
-    effective_jobs = min(jobs, _available_cpus(), max(len(pending), 1))
-    use_pool = engine == "auto" and effective_jobs > 1 and len(pending) > 1
-    if not use_pool:
+    # what selects serial on 1-CPU boxes and containers.
+    effective_jobs = min(jobs, _available_cpus(), len(pending))
+    if effective_jobs <= 1:
         for experiment_id in pending:
             results[experiment_id] = _run_with_retries(
                 experiment_id, configs.get(experiment_id), sha, out_path,

@@ -19,7 +19,7 @@ The output per service is a multiplicative service-time ``inflation``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.errors import ConfigurationError
 from repro.services.profiles import ServiceProfile
@@ -134,14 +134,3 @@ class InterferenceModel:
         """Convenience for a service running alone on a socket."""
         demand = ServiceDemand(profile=profile, throughput_rps=throughput_rps)
         return self.resolve({profile.name: demand})[profile.name]
-
-
-def bandwidth_utilization(
-    demands: Mapping[str, Tuple[ServiceProfile, float]], capacity_gbps: float
-) -> float:
-    """Socket bandwidth utilisation for (profile, throughput) pairs."""
-    total = sum(
-        throughput * profile.membw_per_req_mb / 1024.0
-        for profile, throughput in demands.values()
-    )
-    return total / capacity_gbps

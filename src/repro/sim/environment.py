@@ -155,7 +155,6 @@ class ColocationEnvironment:
         }
         self.load_generators = dict(load_generators)
         self.time = 0
-        self.last_result: Optional[StepResult] = None
         # Trace sink: NULL_SINK unless a run injects one, so the disabled
         # path costs one attribute lookup and branch per step.
         self.trace = trace or NULL_SINK
@@ -259,7 +258,7 @@ class ColocationEnvironment:
             observations, applied = self.faults.apply(
                 self.time, observations, self.services
             )
-        self.last_result = StepResult(
+        step_result = StepResult(
             time=self.time,
             observations=observations,
             socket_power_w=readings[self.config.socket_index],
@@ -268,8 +267,8 @@ class ColocationEnvironment:
             energy_j=self.rapl.energy_j,
         )
         if self.trace.enabled:
-            self._emit_step_events(self.last_result, applied)
-        return self.last_result
+            self._emit_step_events(step_result, applied)
+        return step_result
 
     def _emit_step_events(
         self, result: StepResult, applied: Sequence[Any], **tag: int
@@ -491,7 +490,6 @@ class ColocationEnvironment:
             self.faults.load_state_dict(dict(faults_tree))
         self.time = time
         self._violation_streaks = streaks
-        self.last_result = None
 
     # ------------------------------------------------------------------ #
     # service swap (transfer-learning experiments)

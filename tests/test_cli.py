@@ -42,8 +42,12 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-@pytest.mark.parametrize("flags", [["--engine", "shard"], ["--workers", "2"]])
+@pytest.mark.parametrize("flags", [
+    ["--engine", "shard"], ["--workers", "2"],
+    ["--engine", "serial"], ["--engine", "vector"], ["--engine", "auto"],
+])
 def test_run_refuses_the_removed_shard_engine_flags(flags):
+    # The fleet engine is not selectable: argparse refuses every --engine.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "cluster", *flags])
 

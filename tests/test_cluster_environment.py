@@ -232,11 +232,6 @@ class TestExperiment:
         assert again.mean_cluster_power_w == result.mean_cluster_power_w
         assert again.total_energy_j == result.total_energy_j
 
-    def test_scalar_engine_runs(self):
-        result = run_cluster(self._config(engine="scalar", num_nodes=2))
-        assert result.engine == "scalar" and len(result.traces) == 2
-        assert "Cluster" in result.format_table()
-
     def test_registry_dispatch(self):
         from repro.experiments import run_experiment
 
@@ -248,11 +243,14 @@ class TestExperiment:
             self._config(balancer="nope")
         with pytest.raises(ConfigurationError):
             self._config(traffic="nope")
-        for engine in ("warp", "shard"):
-            with pytest.raises(ConfigurationError):
+        for engine in ("vector", "scalar", "shard"):
+            with pytest.raises(TypeError):
                 self._config(engine=engine)
         with pytest.raises(ConfigurationError):
             self._config(num_nodes=1)  # two regions need two nodes
+        for window in (0, -5):
+            with pytest.raises(ConfigurationError, match="window"):
+                self._config(window=window)
 
     def test_one_node_config_with_single_region(self):
         result = run_cluster(

@@ -249,18 +249,6 @@ class TestLazyEqualsEager:
                 for _, _, results in seen
             )
 
-    def test_last_result_is_set_on_read_until_the_env_steps(self):
-        venv = _cluster(SERVICES, 3)
-        assignments = make_rule_fleet("static", SERVICES, 3, SEED).initial_assignments()
-        kept = venv.step(assignments)
-        assert all(env.last_result is None for env in venv.envs)
-        first = kept[0]
-        assert venv.envs[0].last_result is first
-        venv.step(assignments)
-        # Reading an older batch does not overwrite a newer interval.
-        assert kept[1].time == 1
-        assert venv.envs[1].last_result is None
-
 
 class TestBatchArraysReadOnly:
     @pytest.mark.parametrize("engine", ["vector"])

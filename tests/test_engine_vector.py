@@ -30,7 +30,7 @@ from repro.engine.vector_env import (
     VectorEnvironment,
     make_sibling_environment,
 )
-from repro.errors import AllocationError, CheckpointError, ShapeError
+from repro.errors import AllocationError, CheckpointError, ConfigurationError, ShapeError
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
@@ -776,13 +776,11 @@ class TestFleetSmoke:
             load_fractions=(0.4, 0.5),
             num_envs=4,
             steps=30,
-            engine="vector",
             epsilon_mid_steps=10,
             epsilon_final_steps=20,
             window=10,
         )
         result = run_fleet_experiment(config)
-        assert result.engine == "vector"
         assert result.num_envs == 4
         assert len(result.qos_guarantee) == 4
         assert len(result.mean_power_w) == 4
@@ -794,3 +792,10 @@ class TestFleetSmoke:
             assert len(trace.power_w) == 30
             assert len(trace.services["masstree"].p99_ms) == 30
         assert result.format_table()
+
+    def test_config_validation(self):
+        with pytest.raises(TypeError):
+            FleetConfig(engine="scalar")
+        for window in (0, -5):
+            with pytest.raises(ConfigurationError, match="window"):
+                FleetConfig(window=window)

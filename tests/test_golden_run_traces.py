@@ -19,10 +19,9 @@ behaviour bit for bit.
   uniform replay, and the event stream of a short traced run (``events``
   hashes the JSON lines with ``run_end.wall_time_s`` dropped).
 - Experiment runs: ``repro.experiments.cluster.run`` at the CLI's quick
-  scale on the vector engine and the scalar oracle, and
-  ``repro.experiments.hier.run`` at quick scale, one hash per variant
-  (hier, flat, static, PARTIES), and a longer ``hier`` run with a
-  two-tick budget period, long enough for the budget allocator's own
+  scale, ``repro.experiments.hier.run`` at quick scale, one hash per
+  variant (hier, flat, static, PARTIES), and a longer ``hier`` run with
+  a two-tick budget period, long enough for the budget allocator's own
   agent to train (at quick scale it stores 15 transitions, below its
   ``min_buffer_size`` of 16, and never does).
 
@@ -119,13 +118,10 @@ _QUICK = {"num_nodes": 8, "steps": 80, "epsilon_mid_steps": 30,
           "epsilon_final_steps": 60, "window": 40}
 _HIER = {"loop": "experiment", "experiment": "hier", **_QUICK, "budget_period": 5}
 
-#: Experiment runs, with their test ids: the cluster experiment on each
-#: engine, and each variant of one hier experiment run.
+#: Experiment runs, with their test ids: the cluster experiment, and
+#: each variant of one hier experiment run.
 EXPERIMENT_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "cluster-vector": {"loop": "experiment", "experiment": "cluster",
-                       "engine": "vector", **_QUICK},
-    "cluster-scalar": {"loop": "experiment", "experiment": "cluster",
-                       "engine": "scalar", **_QUICK},
+    "cluster": {"loop": "experiment", "experiment": "cluster", **_QUICK},
     "hier-hier": {**_HIER, "variant": "hier"},
     "hier-flat": {**_HIER, "variant": "flat"},
     "hier-static": {**_HIER, "variant": "static"},
@@ -332,7 +328,7 @@ def test_golden_file_covers_every_config():
     assert sorted(golden) == sorted(config_key(c) for c in ALL_CONFIGS.values())
 
 
-@pytest.mark.parametrize("config_id", ["cluster-vector", "hier-hier"])
+@pytest.mark.parametrize("config_id", ["cluster", "hier-hier"])
 def test_experiment_configs_are_the_cli_quick_scale(config_id):
     config = EXPERIMENT_CONFIGS[config_id]
     assert _config_for(config["experiment"], "quick") == experiment_config(config)

@@ -490,9 +490,16 @@ class TestHierExperiment:
     def test_scalar_engine_rejected(self):
         from repro.experiments.hier import HierConfig
 
-        for engine in ("scalar", "shard"):
-            with pytest.raises(ConfigurationError):
+        for engine in ("vector", "scalar", "shard"):
+            with pytest.raises(TypeError):
                 HierConfig(engine=engine)
+
+    def test_non_positive_window_rejected(self):
+        from repro.experiments.hier import HierConfig
+
+        for window in (0, -5):
+            with pytest.raises(ConfigurationError, match="window"):
+                HierConfig(window=window)
 
     def test_heracles_with_colocation_rejected(self):
         from repro.experiments.hier import HierConfig

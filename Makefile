@@ -43,14 +43,16 @@ test-robust:
 trace-e2e:
 	$(PYTEST) -q -m trace_e2e
 
-## Fleet layer: vector-engine scalar equivalence, erlang_c_batch pinned
-## bit for bit to the scalar erlang_c, lazy step results and the static
-## fleet's hot path (no result built, rows written on the first tick
-## only), cluster traffic / balancer invariants, cluster environment +
-## experiment, and the docs/fleet.md schema diff.
+## Fleet layer: vector-engine scalar equivalence (each synced wrapped
+## env leaf for leaf), erlang_c_batch and the array bandwidth pressure
+## pinned bit for bit to their scalar formulas, lazy step results and the
+## static fleet's hot path (no result built, rows written on the first
+## tick only), cluster traffic / balancer invariants, cluster environment
+## + experiment, and the docs/fleet.md schema diff.
 test-fleet:
 	$(PYTEST) -q tests/test_engine_vector.py tests/test_engine_fleet_array.py \
-		tests/test_services_queueing.py tests/test_engine_lazy_results.py \
+		tests/test_services_queueing.py tests/test_services_interference.py \
+		tests/test_engine_lazy_results.py \
 		tests/test_cluster_traffic.py tests/test_cluster_balancer.py \
 		tests/test_cluster_environment.py tests/test_fleet_doc.py
 

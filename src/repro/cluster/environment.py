@@ -20,6 +20,8 @@ fidelity with the scalar path is preserved — a 1-node cluster stepped
 here is bit-identical to a hand-stepped scalar
 :class:`~repro.sim.environment.ColocationEnvironment` receiving the same
 ``set_rate`` calls (pinned in ``tests/test_cluster_environment.py``).
+The engine steps on the balancer's rate matrix itself; the generators
+receive it only when the nodes are synced (``state_dict``).
 
 Trace events from cluster runs carry a ``node`` envelope field instead
 of ``env``, and every interval additionally emits one fleet-level
@@ -42,6 +44,7 @@ from repro.cluster.traffic import (
     ScheduledLoad,
     TrafficModel,
     TrafficSpec,
+    check_rates,
     install_rates,
     make_traffic_spec,
 )
@@ -115,6 +118,11 @@ class ClusterEnvironment(VectorEnvironment):
         self.balancer = balancer
         self._last_loads: Optional[NodeLoads] = None
         self._pending_rates: Optional[np.ndarray] = None
+        # Every node's load generators in row-major (node, service) order,
+        # as the balancer's rate matrix is laid out.
+        self._generators = [
+            env.load_generators[name] for env in self.envs for name in self.names
+        ]
 
     @property
     def num_nodes(self) -> int:
@@ -186,12 +194,15 @@ class ClusterEnvironment(VectorEnvironment):
         layer reports two sub-sections of ``env.step``:
         ``cluster.control`` (traffic model + balancer) and
         ``cluster.step`` (the fused node simulation) — see
-        ``docs/observability.md``.
+        ``docs/observability.md``. A rate matrix with any rate that is not
+        finite and >= 0 raises before any node steps.
         """
         timings = self.timings
         t0 = perf_counter() if timings is not None else 0.0
         demand = self.traffic.demand(self.time)
-        self._pending_rates = self.balancer.assign(self.time, demand, self._last_loads)
+        rates = self.balancer.assign(self.time, demand, self._last_loads)
+        check_rates(rates, len(self._generators))
+        self._pending_rates = rates
         if timings is not None:
             timings.get("cluster.control").add(perf_counter() - t0)
             t0 = perf_counter()
@@ -205,13 +216,13 @@ class ClusterEnvironment(VectorEnvironment):
 
     def _gather_arrivals(self) -> np.ndarray:
         # Arrival rates come from the balancer, not the per-node
-        # generators; keep the generators in sync so scalar tooling that
-        # inspects them (or a swapped-out node) sees the assigned rate.
-        rates = self._pending_rates
-        if rates is None:  # stepped outside step(); fall back to generators
-            return super()._gather_arrivals()
-        install_rates(self._generators, rates)
-        return rates
+        # generators, which get them on sync().
+        return self._pending_rates
+
+    def _write_back(self) -> None:
+        super()._write_back()
+        # The last interval's arrivals are the balancer's rate matrix.
+        install_rates(self._generators, self._last_loads.arrival_rps)
 
     def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
         # A node whose telemetry came back non-finite (e.g. a
@@ -250,7 +261,7 @@ class ClusterEnvironment(VectorEnvironment):
                 qos_guarantee=float(qos_met.mean()),
                 power_w=float(arrays["power_w"].sum()),
                 true_power_w=float(arrays["true_power_w"].sum()),
-                energy_j=float(sum(env.rapl.energy_j for env in self.envs)),
+                energy_j=float(sum(arrays["energy_j"].tolist())),
             )
         )
 

@@ -276,12 +276,15 @@ class TrafficModel:
 class ScheduledLoad(LoadGenerator):
     """A load generator driven by the cluster balancer, not by a curve.
 
-    Each control interval the cluster layer calls :meth:`set_rate` with
-    the node's balancer-assigned share of the fleet demand; :meth:`rate`
-    then returns that value *exactly* (no jitter, no RNG draws). This is
-    what lets a 1-node cluster reproduce a hand-stepped scalar
-    environment bit-for-bit, and what keeps the vector engine's RNG
-    stream identical to the scalar oracle's.
+    :meth:`set_rate` installs the node's balancer-assigned share of the
+    fleet demand; :meth:`rate` then returns that value *exactly* (no
+    jitter, no RNG draws). This is what lets a 1-node cluster reproduce a
+    hand-stepped scalar environment bit-for-bit, and what keeps the
+    vector engine's RNG stream identical to the scalar oracle's. The
+    cluster engine steps on the balancer's rate matrix itself and writes
+    it into its nodes' generators only when it syncs them
+    (:func:`install_rates`), so between syncs a generator holds the rate
+    of the last synced interval.
     """
 
     def __init__(self, max_load_rps: float):
@@ -303,24 +306,34 @@ class ScheduledLoad(LoadGenerator):
         return self._scheduled_rate
 
 
-def install_rates(generators: Sequence[ScheduledLoad], rates: np.ndarray) -> None:
-    """Validate a whole rate matrix, then install it into ``generators``.
+def check_rates(rates: np.ndarray, count: int) -> np.ndarray:
+    """The rate matrix flattened, once every rate is checked.
 
-    ``generators`` holds one :class:`ScheduledLoad` per entry of
-    ``rates`` in row-major (node, service) order. Each generator ends up
-    where ``set_rate`` would put it, but a matrix with any rate that is
-    not finite and >= 0 raises ``set_rate``'s error (for the first such
-    rate in row-major order) before a single generator is written.
+    Raises ``set_rate``'s error for the first rate in row-major order that
+    is not finite and >= 0, and an error when the matrix does not hold
+    ``count`` rates.
     """
     flat = np.asarray(rates, dtype=np.float64).ravel()
     valid = np.isfinite(flat) & (flat >= 0)
     if not valid.all():
         bad = flat[np.argmin(valid)]
         raise ConfigurationError(f"scheduled rate must be finite >= 0: {bad}")
-    if len(flat) != len(generators):
-        raise ConfigurationError(
-            f"got {len(flat)} rates for {len(generators)} generators"
-        )
+    if len(flat) != count:
+        raise ConfigurationError(f"got {len(flat)} rates for {count} generators")
+    return flat
+
+
+def install_rates(generators: Sequence[ScheduledLoad], rates: np.ndarray) -> None:
+    """Validate a whole rate matrix, then install it into ``generators``.
+
+    ``generators`` holds one :class:`ScheduledLoad` per entry of
+    ``rates`` in row-major (node, service) order. Each generator ends up
+    where ``set_rate`` would put it, but a matrix that
+    :func:`check_rates` refuses raises before a single generator is
+    written. A cluster writes its last rate matrix into its nodes with it
+    when it syncs them.
+    """
+    flat = check_rates(rates, len(generators))
     for generator, rate in zip(generators, flat.tolist()):
         generator._scheduled_rate = rate
 

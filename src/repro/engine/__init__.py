@@ -13,9 +13,9 @@ Runs N experiments/environments in lock-step inside one process:
 - :mod:`repro.engine.rollout` — :func:`run_fleet`, the fleet entry
   point of the one run loop (:func:`repro.experiments.runner.run_loop`,
   which also drives ``run_manager``): its :class:`FleetRun` records the
-  per-env traces by column and reads and writes the ``vector_run``
-  checkpoint; the loop owns obs wiring, resume, run events, tick timings
-  and the checkpoint cadence.
+  per-env traces by column, one array row per series a tick, and reads
+  and writes the ``vector_run`` checkpoint; the loop owns obs wiring,
+  resume, run events, tick timings and the checkpoint cadence.
 
 :class:`repro.sim.environment.ColocationEnvironment`, stepped directly,
 is the equivalence oracle the vector physics is tested against, and it

@@ -11,10 +11,9 @@ resolution, telemetry synthesis, and the ground-truth power model, all as
 
 Draw-for-draw RNG fidelity
 --------------------------
-The wrapped environments remain the source of truth for service
-backlogs, RAPL energy and RNG streams, and the vector step consumes
-their RNG streams in exactly the order the scalar
-``ColocationEnvironment.step`` would:
+The wrapped environments remain the source of truth for their RNG
+streams, and the vector step consumes them in exactly the order the
+scalar ``ColocationEnvironment.step`` would:
 
 - each load generator's *private* RNG draws its jitter normal first
   (one per service, in service order);
@@ -36,32 +35,41 @@ equivalence oracle: stepping the same seeds through
 ``ColocationEnvironment.step`` reproduces the vector trajectories (see
 ``tests/test_engine_vector.py``).
 
-Machine state (core pins, per-core DVFS indices, migration counters)
-is owned by the engine as ``(E, S, C)`` / ``(E, C)`` / ``(E, S)``
-arrays. Assignments are installed without ``Machine.apply``, as pin,
-DVFS and way rows: an :class:`~repro.core.mapper.AssignmentBatch` hands
-them over as arrays, and its changed rows are picked by one array
-compare with the installed rows (so a static fleet's batch, equal
-every tick, writes no row after the first); per-env dicts (the PARTIES
-and Heracles fleets, a resumed run, tests) are converted into the same
-rows by :class:`AssignmentRows`,
+Engine-owned state
+------------------
+Everything else the step changes is owned by the engine as arrays:
+machine state (core pins, per-core DVFS indices, migration counters) as
+``(E, S, C)`` / ``(E, C)`` / ``(E, S)``, service backlogs as ``(E, S)``,
+and clocks and RAPL energy and last reading as ``(E,)`` (a
+:class:`~repro.cluster.environment.ClusterEnvironment` adds the
+balancer's ``(E, S)`` rate matrix). Assignments are installed without
+``Machine.apply``, as pin, DVFS and way rows: an
+:class:`~repro.core.mapper.AssignmentBatch` hands them over as arrays,
+and its changed rows are picked by one array compare with the installed
+rows (so a static fleet's batch, equal every tick, writes no row after
+the first); per-env dicts (the PARTIES and Heracles fleets, a resumed
+run, tests) are converted into the same rows by :class:`AssignmentRows`,
 each distinct core set validated once and cached as a boolean row, and
 an env whose dict equals the one it last installed is skipped. Every
 changed environment is then written in one indexing pass with
 ``Machine.apply``'s arbitration (a core runs at the highest DVFS index
 pinned to it, an unpinned core drops to 0, a service's migration counter
-grows by ``popcount(old XOR new)``). The wrapped ``Machine`` objects are
-read on construction and ``load_state_dict`` and written back only where
-they are read (:meth:`VectorEnvironment.sync_machines`, called by
-``state_dict`` and ``migration_counts``).
+grows by ``popcount(old XOR new)``).
+
+The wrapped environments are read on construction and
+``load_state_dict``. Besides their RNG streams, drawn in place, and the
+violation streaks a traced step counts in them, they are written only by
+:meth:`VectorEnvironment.sync`, which :meth:`~VectorEnvironment.state_dict`
+calls first. A step replaces the state arrays it hands to its
+:class:`StepBatch` and never writes into them afterwards.
 
 Every numeric formula on the hot path is evaluated once over the whole
 batch; the Erlang-C probabilities come from one unmasked Erlang-B table
-(:func:`~repro.services.queueing.erlang_c_batch`). What still touches
-the wrapped environments' Python objects is one flat pass each over
-their services and load generators (backlogs in and out, balancer rates
-in) and, per environment, one in-place RNG draw and the RAPL/clock
-update.
+(:func:`~repro.services.queueing.erlang_c_batch`), and the bandwidth
+pressure is one array compare that calls the scalar formula only past
+the knee. What still runs once per environment is the in-place RNG draw
+(each env's stream is its own, in order) and the check for an active
+fault or an enabled trace sink.
 
 Results: built only when read
 -----------------------------
@@ -86,7 +94,6 @@ refers to the arrays, never back to its batch.
 from __future__ import annotations
 
 import dataclasses
-from operator import attrgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -467,9 +474,11 @@ class VectorEnvironment:
 
     Subclass hooks: :meth:`_gather_arrivals` supplies the ``(E, S)``
     arrival-rate matrix for the interval (default: each wrapped
-    environment's own load generators), and :meth:`_post_step` observes
+    environment's own load generators), :meth:`_post_step` observes
     the interval's internal arrays after the batch has been stepped
-    (default: no-op). ``index_tag`` names the envelope field used to tag
+    (default: no-op), and :meth:`_write_back` writes the stepped state
+    into the wrapped environments on :meth:`sync` (extend it for state a
+    subclass keeps). ``index_tag`` names the envelope field used to tag
     emitted trace events with the environment index (``"env"`` here;
     :class:`repro.cluster.environment.ClusterEnvironment` retags as
     ``"node"``).
@@ -518,20 +527,16 @@ class VectorEnvironment:
             self.spec.dvfs.frequencies_ghz, dtype=np.float64
         )
         self._core_ids = base.socket_core_ids
-        # Every env's services and load generators in row-major
-        # (env, service) order, so per-(env, service) state moves to and
-        # from the (E, S) matrices in one flat pass.
+        # Every env's services in row-major (env, service) order, so the
+        # backlogs move to and from the (E, S) matrix in one flat pass.
         self._services = [env.services[name] for env in self.envs for name in self.names]
-        self._generators = [
-            env.load_generators[name] for env in self.envs for name in self.names
-        ]
 
         #: Optional :class:`~repro.obs.timing.TimingRegistry` wired in by
         #: the rollout loop; subclasses report timing sub-sections here.
         self.timings = None
         # Machine state, owned here as (env x service x socket core)
         # arrays: the wrapped Machine objects are read on construction and
-        # load, and written back only where they are read (sync_machines).
+        # load, and written back only by sync().
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
         self._m_membership = np.zeros((E, S, C), dtype=bool)
         self._m_online = np.zeros((E, C), dtype=bool)
@@ -549,12 +554,16 @@ class VectorEnvironment:
         self._inputs = AssignmentRows(
             self.names, self._core_ids, self.config.socket_index, len(self._ladder), E
         )
-        self._gather_machines()
+        self._gather()
 
-    def _gather_machines(self) -> None:
-        """Read pins, online flags and migration counters from every
-        wrapped Machine; the next step then installs every env in full,
-        which rewrites the DVFS, core-count, frequency and LLC rows."""
+    def _gather(self) -> None:
+        """Read the wrapped envs into the engine's arrays.
+
+        Pins, online flags and migration counters come from every
+        Machine, backlogs from every service, clocks and RAPL energy from
+        every env. The next step then installs every env in full, which
+        rewrites the DVFS, core-count, frequency and LLC rows.
+        """
         online, pins, migrations = [], [], []
         for env in self.envs:
             machine = env.machine
@@ -570,12 +579,25 @@ class VectorEnvironment:
         self._m_level[:] = -1
         self._inputs.forget()
         self._machine_stale[:] = False
+        # New arrays, never writes into the old ones: a step hands these
+        # to its batch, which may still be read.
+        self._backlog = np.array(
+            [service.backlog for service in self._services], dtype=np.float64
+        ).reshape(self.num_envs, len(self.names))
+        self._clock = np.array([env.time for env in self.envs], dtype=np.int64)
+        self._energy = np.array([env.rapl.energy_j for env in self.envs], dtype=np.float64)
+        # The last RAPL readings; set by a step.
+        self._reading: Optional[np.ndarray] = None
+        # Whether the wrapped envs' backlogs, clocks and RAPL sensors lag
+        # the arrays (every env steps, so one flag for all).
+        self._stepped = False
 
-    def sync_machines(self) -> None:
-        """Write the engine's machine state back into the wrapped envs.
+    def sync(self) -> None:
+        """Write the engine's state back into the wrapped envs.
 
-        ``venv.envs[e].machine`` is current only after this call;
-        :meth:`state_dict` and :meth:`migration_counts` make it first.
+        A wrapped env (its machine, service backlogs, clock and RAPL
+        sensor; in a cluster, its load generators' rates too) is current
+        only after this call, which :meth:`state_dict` makes first.
         """
         for e in np.flatnonzero(self._machine_stale).tolist():
             machine = self.envs[e].machine
@@ -590,6 +612,22 @@ class VectorEnvironment:
                 if count or name in counts:
                     counts[name] = count
         self._machine_stale[:] = False
+        if self._stepped:
+            self._write_back()
+            self._stepped = False
+
+    def _write_back(self) -> None:
+        """Every env's backlogs, clock and RAPL sensor from the arrays of
+        the last step; a subclass writes the rest of its stepped state."""
+        for service, backlog in zip(self._services, self._backlog.ravel().tolist()):
+            service.backlog = backlog
+        socket = self.config.socket_index
+        for env, time, energy, reading in zip(
+            self.envs, self._clock.tolist(), self._energy.tolist(), self._reading.tolist()
+        ):
+            env.time = time
+            env.rapl.energy_j = energy
+            env.rapl.last_reading_w = {socket: reading}
 
     def _install_assignments(
         self, assignments: Sequence[Mapping[str, CoreAssignment]]
@@ -687,7 +725,7 @@ class VectorEnvironment:
     @property
     def time(self) -> int:
         """Current control-interval index (all envs step in lock-step)."""
-        return self.envs[0].time
+        return int(self._clock[0])
 
     def max_power_w(self) -> float:
         """Socket power cap shared by every sibling environment."""
@@ -714,9 +752,19 @@ class VectorEnvironment:
         self.timings = timings
 
     def migration_counts(self) -> List[Dict[str, int]]:
-        """Per-env service migration counters (for final run traces)."""
-        self.sync_machines()
-        return [dict(env.machine.migration_counts) for env in self.envs]
+        """Per-env service migration counters (for final run traces).
+
+        Each env's machine counters with the engine's merged in as
+        :meth:`sync` merges them; nothing is written back.
+        """
+        merged = []
+        for env, row in zip(self.envs, self._migrations.tolist()):
+            counts = dict(env.machine.migration_counts)
+            for name, count in zip(self.names, row):
+                if count or name in counts:
+                    counts[name] = count
+            merged.append(counts)
+        return merged
 
     # ------------------------------------------------------------------ #
     # stepping
@@ -744,9 +792,7 @@ class VectorEnvironment:
         llc_quota = self._m_llc_quota
 
         arrivals = self._gather_arrivals()
-        backlog = np.fromiter(
-            map(attrgetter("backlog"), self._services), dtype=np.float64, count=E * S
-        ).reshape(E, S)
+        backlog = self._backlog
 
         # --- effective capacities (demand-aware timesharing) ------------ #
         freq_factor = self._alpha * (self.spec.dvfs.max_ghz / freq) + (1.0 - self._alpha)
@@ -764,9 +810,7 @@ class VectorEnvironment:
         interference = self.envs[0].interference
         membw_expected = expected * self._membw_per_req / 1024.0
         bw_util = membw_expected.sum(axis=1) / interference.membw_capacity_gbps
-        pressure = np.array(
-            list(map(interference._bandwidth_pressure, bw_util.tolist()))
-        )
+        pressure = interference.bandwidth_pressure_batch(bw_util)
         llc_cap = interference.llc_capacity_mb
         quota_total = np.minimum(
             np.minimum(llc_quota, llc_cap).sum(axis=1), llc_cap
@@ -901,22 +945,16 @@ class VectorEnvironment:
         rapl_noise = 1.0 + self.config.rapl_noise_std * z[:, -1]
         readings = np.maximum(true_power * rapl_noise, 0.0)
 
-        # --- scatter state back into the wrapped environments -------------- #
-        # Backlogs go back in one pass over the flat (env, service) list,
-        # RAPL energy and clocks per env. No result object is built here
-        # (see StepBatch) except for the faulted and traced envs below.
-        for service, value in zip(self._services, new_backlog.ravel().tolist()):
-            service.backlog = value
-        socket = self.config.socket_index
-        times: List[int] = []
-        energy: List[float] = []
-        for env, reading in zip(self.envs, readings.tolist()):
-            rapl = env.rapl
-            rapl.energy_j += reading * interval
-            rapl.last_reading_w = {socket: reading}
-            env.time += 1
-            times.append(env.time)
-            energy.append(rapl.energy_j)
+        # --- engine state ------------------------------------------------ #
+        # Replaced, never written in place: the batch below hands these
+        # arrays out read-only. The wrapped envs get them on sync().
+        # No result object is built here (see StepBatch) except for the
+        # faulted and traced envs below.
+        energy = self._energy + readings * interval
+        clock = self._clock + 1
+        self._backlog, self._energy, self._clock = new_backlog, energy, clock
+        self._reading = readings
+        self._stepped = True
 
         arrays = {
             "arrivals": arrivals,
@@ -938,14 +976,12 @@ class VectorEnvironment:
             "power_w": readings,
             "true_power_w": true_power,
             "membw_utilization": bw_util,
-            "energy_j": np.array(energy),
-            "time": np.array(times, dtype=np.int64),
+            "energy_j": energy,
+            "time": clock,
         }
         eager: Dict[int, StepResult] = {}
-        for e, env in enumerate(self.envs):
-            pending = (
-                env.faults is not None and env.faults.active_at(env.time)
-            )
+        for e, (env, time) in enumerate(zip(self.envs, clock.tolist())):
+            pending = env.faults is not None and env.faults.active_at(time)
             if not pending and not env.trace.enabled:
                 continue
             observations = _build_observations(self.names, interval, arrays, e)
@@ -954,10 +990,10 @@ class VectorEnvironment:
                 # Same ordering as the scalar path: injected after
                 # power/RAPL, so sensor faults corrupt what the manager
                 # *sees*, not what the machine drew. The per-env injector
-                # RNG is consumed here, draw-for-draw with the oracle.
-                observations, applied = env.faults.apply(
-                    env.time, observations, env.services
-                )
+                # RNG is consumed here, draw-for-draw with the oracle. No
+                # service objects are passed: a crash's cleared backlog
+                # reaches the engine's backlog array below.
+                observations, applied = env.faults.apply(time, observations, {})
                 # Refresh the fused arrays so downstream feedback
                 # (_post_step, cluster NodeLoads, the array control
                 # plane's monitor bank) sees the faulted view.
@@ -970,12 +1006,12 @@ class VectorEnvironment:
                     for c, counter in enumerate(_COUNTER_ORDER):
                         counters[e, i, c] = obs.pmcs[counter]
             step_result = StepResult(
-                time=env.time,
+                time=time,
                 observations=observations,
                 socket_power_w=float(readings[e]),
                 true_power_w=float(true_power[e]),
                 membw_utilization=float(bw_util[e]),
-                energy_j=env.rapl.energy_j,
+                energy_j=float(energy[e]),
             )
             eager[e] = step_result
             if env.trace.enabled:
@@ -996,9 +1032,9 @@ class VectorEnvironment:
         replacement preserves each environment's RNG-draw ordering.
         """
         arrivals = np.empty((self.num_envs, len(self.names)))
-        for e, env in enumerate(self.envs):
+        for e, (env, time) in enumerate(zip(self.envs, self._clock.tolist())):
             for i, name in enumerate(self.names):
-                arrivals[e, i] = env.load_generators[name].rate(env.time)
+                arrivals[e, i] = env.load_generators[name].rate(time)
         return arrivals
 
     def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
@@ -1031,8 +1067,8 @@ class VectorEnvironment:
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, Any]:
         """Per-env state trees, keyed by zero-padded env index, with every
-        wrapped env's machine synced first."""
-        self.sync_machines()
+        wrapped env synced first."""
+        self.sync()
         return {
             "num_envs": self.num_envs,
             "envs": {f"{e:04d}": env.state_dict() for e, env in enumerate(self.envs)},
@@ -1070,7 +1106,7 @@ class VectorEnvironment:
             )
         for e, env in enumerate(self.envs):
             env.load_state_dict(dict(env_trees[f"{e:04d}"]))
-        self._gather_machines()
+        self._gather()
 
 
 def make_sibling_environment(

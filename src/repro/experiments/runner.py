@@ -283,7 +283,7 @@ def run_loop(
     :class:`repro.engine.rollout.FleetRun`): ``kind``, its checkpoint
     kind; ``tags``, one index envelope per ``run_start``/``run_end``
     pair; ``update``, the manager call a tick makes; ``record``, which
-    appends a tick's results to its traces; ``tree``/``stage``, which
+    records a tick's results in its traces; ``tree``/``stage``, which
     write and read its checkpoint tree; and ``finish``, which returns its
     traces. Everything else is here, once: the step-count check, the
     ambient :class:`ObsContext` and checkpoint resolution, resume, run

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.services.profiles import ServiceProfile
 
@@ -81,6 +83,22 @@ class InterferenceModel:
             return 0.0
         over = (utilization - self.bandwidth_knee) / max(1.0 - self.bandwidth_knee, 1e-9)
         return over ** 3
+
+    def bandwidth_pressure_batch(self, utilization: np.ndarray) -> np.ndarray:
+        """:meth:`_bandwidth_pressure` of every element of a 1-D array,
+        bit for bit.
+
+        Elements at or below the knee are 0.0 by one array compare; only
+        the rest (NaN included) take the scalar formula, since numpy's
+        cube and Python's ``**`` round differently on some inputs.
+        """
+        pressure = np.zeros(len(utilization))
+        over = np.flatnonzero(~(utilization <= self.bandwidth_knee))
+        if over.size:
+            pressure[over] = [
+                self._bandwidth_pressure(u) for u in utilization[over].tolist()
+            ]
+        return pressure
 
     def resolve(
         self, demands: Mapping[str, ServiceDemand]

@@ -437,3 +437,23 @@ def test_refused_resume_leaves_manager_and_environment_as_they_were(entry, tmp_p
     assert _traces(run(manager, env, 5)) == _traces(run(twin_manager, twin_env, 5))
     _assert_tree_equal(manager.state_dict(), twin_manager.state_dict())
     _assert_tree_equal(env.state_dict(), twin_env.state_dict())
+
+
+@pytest.mark.parametrize("corruption", ["short_env_series", "short_service_series",
+                                        "service_order"])
+def test_vector_run_traces_that_do_not_fit_the_run_are_refused(corruption, tmp_path):
+    """A node's trace must record the engine's services, in its order,
+    with one value per series for every tick before the resume tick."""
+    run_fleet(*_fleet_pair(), 8, checkpoint_every=4, checkpoint_dir=tmp_path)
+    tree = load_state(tmp_path / RUN_CKPT_NAME, kind=VECTOR_RUN_CKPT_KIND)
+    trace = tree["traces"]["0001"]
+    if corruption == "short_env_series":
+        trace["power_w"] = trace["power_w"][:-1]
+    elif corruption == "short_service_series":
+        trace["services"]["xapian"]["p99_ms"] = trace["services"]["xapian"]["p99_ms"][:-1]
+    else:
+        trace["service_order"] = list(trace["service_order"])[::-1]
+    refused = tmp_path / "refused.ckpt.npz"
+    save_state(refused, VECTOR_RUN_CKPT_KIND, tree)
+    with pytest.raises(CheckpointError, match="vector-run trace 0001"):
+        run_fleet(*_fleet_pair(), 8, resume_from=refused)

@@ -15,7 +15,8 @@ its ``observations`` mapping is read. These tests pin:
   sink, on multi-node and 1-node clusters;
 - ownership: a batch's arrays are read-only;
 - rate installation: a balancer rate matrix with a NaN or negative rate
-  is refused before any generator is written, on both engines.
+  is refused before any generator is written, on both engines, and a
+  synced cluster's generators hold the last matrix it stepped on.
 """
 
 from __future__ import annotations
@@ -293,3 +294,18 @@ class TestRateInstall:
         _assert_tree_equal(venv.state_dict()["envs"], before)
         installed = [g.rate(0) for g in venv._generators]
         assert installed == good.ravel().tolist()
+
+    def test_synced_generators_hold_the_last_matrix(self):
+        nodes, ticks = 4, 3
+        venv = _cluster(SERVICES, nodes)
+        assignments = make_rule_fleet("static", SERVICES, nodes, SEED).initial_assignments()
+        first = venv.step(assignments).arrays["arrivals"]
+        for _ in range(ticks - 1):
+            last = venv.step(assignments).arrays["arrivals"]
+        assert not np.array_equal(first, last)
+        venv.state_dict()
+        installed = [
+            [env.load_generators[name].rate(0) for name in SERVICES] for env in venv.envs
+        ]
+        assert installed == last.tolist()
+        assert [env.time for env in venv.envs] == [ticks] * nodes

@@ -38,6 +38,7 @@ from repro.rl.sum_tree import SumTree
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
+from repro.sim.faults import Fault, FaultInjector
 from tests.helpers import _assert_tree_equal
 
 SERVICES = ["masstree", "xapian", "moses"]
@@ -119,6 +120,7 @@ class TestVectorMatchesScalar:
             assert (
                 venv.envs[e]._rng.bit_generator.state == oracle._rng.bit_generator.state
             )
+        _assert_envs_match(venv, oracles)
 
     def test_env_zero_matches_standard_recipe(self):
         # Environment 0 of a batch is seed-identical to a scalar run at
@@ -183,21 +185,43 @@ def _schedule4(spec, num_envs, steps):
     return schedule
 
 
-def _assert_machine_matches(venv, oracles):
-    """Migration counters and the machine subtree equal each oracle's."""
+def _assert_tree_close(got, expected, path):
+    """Every leaf of ``got`` equals ``expected``'s, of the same type;
+    floats up to vectorized-vs-scalar round-off."""
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and set(got) == set(expected), path
+        for key in expected:
+            _assert_tree_close(got[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray), path
+        assert got.dtype == expected.dtype and got.shape == expected.shape, path
+        if expected.dtype.kind == "f":
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0, equal_nan=True), path
+        else:
+            assert np.array_equal(got, expected), path
+    elif isinstance(expected, (list, tuple)):
+        assert type(got) is type(expected) and len(got) == len(expected), path
+        for i, (a, b) in enumerate(zip(got, expected)):
+            _assert_tree_close(a, b, f"{path}[{i}]")
+    else:
+        assert type(got) is type(expected), path
+        if isinstance(expected, float):
+            assert _ulp_close(got, expected), path
+        else:
+            assert got == expected, path
+
+
+def _assert_envs_match(venv, oracles):
+    """Migration counters, read without a write-back, then every leaf of
+    each synced wrapped env's state tree (clock, violation streaks, RNG
+    states, machine, RAPL energy and last reading, backlogs) equal each
+    oracle's."""
     assert venv.migration_counts() == [
         dict(oracle.machine.migration_counts) for oracle in oracles
     ]
     trees = venv.state_dict()["envs"]
     for e, oracle in enumerate(oracles):
-        got = trees[f"{e:04d}"]["machine"]
-        expected = oracle.machine.state_dict()
-        assert set(got) == set(expected)
-        assert got["freq_index"].dtype == expected["freq_index"].dtype
-        assert np.array_equal(got["freq_index"], expected["freq_index"]), e
-        assert np.array_equal(got["online"], expected["online"]), e
-        assert got["services"] == expected["services"], e
-        assert got["migration_counts"] == expected["migration_counts"], e
+        _assert_tree_close(trees[f"{e:04d}"], oracle.state_dict(), f"env {e}")
 
 
 def _step_and_compare(venv, oracles, assignments):
@@ -213,7 +237,7 @@ def _step_and_compare(venv, oracles, assignments):
                 assert _ulp_close(getattr(got, field), getattr(ref, field)), (
                     e, name, field,
                 )
-    _assert_machine_matches(venv, oracles)
+    _assert_envs_match(venv, oracles)
 
 
 def _four_service_batch(num_envs):
@@ -249,7 +273,7 @@ class TestArrayInstall:
         # the re-gathered machines carry the pins and counters on.
         resumed = VectorEnvironment.from_services(SERVICES4, FRACTIONS4, num_envs, 999)
         resumed.load_state_dict(venv.state_dict())
-        _assert_machine_matches(resumed, oracles)
+        _assert_envs_match(resumed, oracles)
         for t in range(mid, steps):
             _step_and_compare(
                 resumed, oracles, [schedule[e][t] for e in range(num_envs)]
@@ -266,6 +290,30 @@ class TestArrayInstall:
         _step_and_compare(venv, oracles, [shared, shared])
         shared["moses"] = CoreAssignment(cores=shared["masstree"].cores, freq_index=1)
         _step_and_compare(venv, oracles, [shared, shared])
+
+
+class TestEngineOwnedState:
+    """Backlogs, clocks and RAPL live in the engine's arrays; a synced
+    wrapped env equals its scalar oracle, a faulted one included."""
+
+    def test_crash_drops_the_engine_backlog_like_the_oracle(self):
+        venv, oracles = _four_service_batch(2)
+        for env in (venv.envs[1], oracles[1]):
+            env.faults = FaultInjector(
+                [
+                    Fault("pmc_nan", "xapian", start=2, duration=2, magnitude=3.0),
+                    Fault("service_crash", "moses", start=4, duration=1),
+                ],
+                rng=np.random.default_rng(5),
+            )
+        # One core each at the lowest DVFS state: every service backs up.
+        tight = _map4(Mapper(venv.spec), (1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0))
+        backlogs = []
+        for _ in range(6):
+            _step_and_compare(venv, oracles, [tight, tight])
+            backlogs.append(oracles[1].services["moses"].backlog)
+        # The crash at t=4 dropped a real backlog, which then grew again.
+        assert backlogs[2] > 0.0 and backlogs[3] == 0.0 and backlogs[4] > 0.0
 
 
 class TestKeptBatch:
@@ -421,7 +469,7 @@ class TestBatchInstall:
         assert venv._machine_stale.tolist() == [False, True, False]
         for e, oracle in enumerate(oracles):
             oracle.step(batch[e])
-        _assert_machine_matches(venv, oracles)
+        _assert_envs_match(venv, oracles)
 
     def test_load_reinstalls_every_env(self):
         """After a load only the pins are re-read from the machines, so

@@ -1,6 +1,10 @@
 """Unit tests for the memory-bandwidth + LLC interference model."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.services.interference import InterferenceModel, ServiceDemand
@@ -67,6 +71,43 @@ def test_pressure_curve_smooth_at_knee():
     just_above = model._bandwidth_pressure(model.bandwidth_knee + 1e-6)
     assert just_below == 0.0
     assert just_above < 1e-10  # continuous, starts at zero
+
+
+@st.composite
+def _utilization(draw):
+    """A socket bandwidth utilization below, at or just above the knee,
+    large, NaN or +-inf."""
+    knee = _model().bandwidth_knee
+    kind = draw(st.sampled_from(["below", "at", "just_above", "large", "nan", "inf"]))
+    if kind == "below":
+        return draw(st.floats(max_value=knee, allow_nan=False, allow_infinity=False))
+    if kind == "at":
+        return knee
+    if kind == "just_above":
+        return float(np.nextafter(knee, math.inf, dtype=np.float64)) + draw(
+            st.floats(min_value=0.0, max_value=1e-6)
+        )
+    if kind == "large":
+        return draw(st.floats(min_value=1.0, max_value=1e120))
+    if kind == "nan":
+        return math.nan
+    return draw(st.sampled_from([math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_utilization(), min_size=1, max_size=16))
+def test_pressure_batch_is_the_scalar_bit_for_bit(values):
+    """The engine's array pass equals ``_bandwidth_pressure`` by float64
+    bit pattern; where the scalar cube overflows, both raise."""
+    model = _model()
+    try:
+        scalar = np.array([model._bandwidth_pressure(u) for u in values])
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            model.bandwidth_pressure_batch(np.array(values))
+        return
+    batch = model.bandwidth_pressure_batch(np.array(values))
+    np.testing.assert_array_equal(batch.view(np.int64), scalar.view(np.int64))
 
 
 def test_validation():

@@ -24,19 +24,25 @@ test-matrix:
 ## Twig became a one-server FleetTwig, a vector_run checkpoint written
 ## before assignments became arrays, and a vector_run checkpoint whose
 ## manager subtree has the per-env-dict layout the dict-state reference
-## fleet writes (tests/test_dict_fleet_run_fixture.py).
+## fleet writes (tests/test_dict_fleet_run_fixture.py). `-m ""` also
+## runs the slow-marked hashes that tier-1 skips: Figures 5-13 at the
+## CLI's quick scale, about ten minutes on a 2-CPU box (fig08 and fig09
+## take several minutes each).
 test-golden:
-	$(PYTEST) -q tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py \
+	$(PYTEST) -q -m "" tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py \
 		tests/test_vector_run_fixture.py tests/test_dict_fleet_run_fixture.py
 
 ## Robustness suite: checkpoint container round-trips, torn-write
 ## recovery, save->load->continue-training resume equivalence, refused
 ## loads, pre-merge checkpoint formats, fault injection + degraded-mode
-## behaviour, and runner crash recovery.
+## behaviour, runner crash recovery, and the trace layout: float64
+## array series from both run loops, stacked vector_run traces, and the
+## per-node traces of a version-1 vector_run file.
 test-robust:
 	$(PYTEST) -q tests/test_ckpt_checkpoint.py tests/test_sim_faults.py \
 		tests/test_resume_equivalence.py tests/test_checkpoint_refusals.py \
-		tests/test_legacy_checkpoints.py
+		tests/test_legacy_checkpoints.py tests/test_trace_layout.py \
+		tests/test_vector_run_fixture.py
 
 ## One tiny end-to-end traced experiment; validates every emitted JSONL
 ## trace line against the repro.obs event schema and the run manifest.

@@ -8,7 +8,7 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
   ``StripedPrioritizedReplayBuffer.sample`` / ``SumTree.find_batch`` path
   on a one-stripe buffer, the replay of a plain ``BDQAgent``;
 - the fused head-bank ``BDQAgent.train_step`` / ``act`` vs the frozen
-  per-head loop implementation (:mod:`repro.rl.bdq_reference`), at 1, 2
+  per-head loop implementation (:mod:`tests.oracles.bdq_reference`), at 1, 2
   and 4 colocated agents;
 - the vectorized rollout engine: the fleet agent's fused train step and
   batched act at 1, 2 and 4 colocated agents, its per-tick handoff
@@ -49,14 +49,14 @@ import numpy as np
 
 from repro.core.config import TwigConfig
 from repro.core.twig import Twig
-from repro.engine.fleet import FleetBDQAgent
+from repro.engine.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.vector_env import ENV_SEED_STRIDE, make_sibling_environment
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.experiments.runner import _available_cpus, run_experiments, run_manager
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
-from repro.rl.bdq_reference import ReferenceBDQAgent
 from repro.rl.striped import StripedPrioritizedReplayBuffer
 from repro.services.profiles import get_profile
+from tests.oracles.bdq_reference import ReferenceBDQAgent
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_perf_smoke.json"
@@ -333,7 +333,99 @@ def test_checkpoint_roundtrip(tmp_path):
         )
         # The bar: both directions comfortably inside one control interval.
         assert save_s < 1.0 and load_s < 1.0, results
-    _record("checkpoint_roundtrip", results)
+    _record("checkpoint_roundtrip", {"cpus": _available_cpus(), **results})
+
+
+def _best_cpu_s(fn, rounds: int = 3) -> float:
+    """Least process CPU seconds of ``rounds`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.process_time()
+        fn()
+        best = min(best, time.process_time() - t0)
+    return best
+
+
+def test_vector_run_checkpoint(tmp_path):
+    """A ``vector_run`` checkpoint of a learning fleet: save, load, resume.
+
+    The ``fleet_learn`` recipe (4 services, ``diurnal`` traffic,
+    ``least_loaded`` balancer, ``TwigConfig.fast``) at 256 and 1024 nodes
+    runs 10 ticks under :class:`~repro.engine.rollout.FleetRun`, as
+    :func:`~repro.engine.rollout.run_fleet` does. Then, best of 3 in
+    process CPU time: ``tree`` builds the checkpoint tree
+    (``FleetRun.tree``, with the manager's and the nodes' ``state_dict``),
+    ``save`` writes it (``save_state``), ``load`` parses the file
+    (``load_state``), and ``resume`` stages the tree into a fresh run and
+    loads the manager and the nodes (``FleetRun.stage`` + both
+    ``load_state_dict``). Records the file's MB and npz member count, and
+    the CPU count.
+    """
+    from repro.ckpt.checkpoint import load_state, save_state
+    from repro.cluster import ClusterEnvironment
+    from repro.engine.rollout import FleetRun
+
+    services = ["masstree", "xapian", "moses", "img-dnn"]
+    ticks = 10
+
+    def fleet(num_nodes):
+        venv = ClusterEnvironment.from_services(
+            services, num_nodes=num_nodes, seed=7, traffic="diurnal",
+            balancer="least_loaded",
+        )
+        config = TwigConfig.fast(epsilon_mid_steps=4, epsilon_final_steps=8)
+        manager = FleetTwig(
+            [get_profile(s) for s in services], config, np.random.default_rng(8),
+            num_envs=num_nodes,
+        )
+        manager.index_tag = "node"
+        return manager, venv, FleetRun(manager, venv, ticks + 1)
+
+    results = {"cpus": _available_cpus(), "services": len(services), "ticks": ticks}
+    for num_nodes in (256, 1024):
+        manager, venv, side = fleet(num_nodes)
+        assignments = manager.initial_assignments()
+        for _ in range(ticks):
+            batch = venv.step(assignments)
+            side.record(batch)
+            assignments = side.update(batch)
+        loop = {"next_t": ticks, "steps": ticks + 1, "manager_name": manager.name}
+        path = tmp_path / f"vector_run_{num_nodes}.ckpt.npz"
+
+        tree_s = _best_cpu_s(lambda: side.tree(manager, venv, dict(loop), assignments))
+        tree = side.tree(manager, venv, dict(loop), assignments)
+        save_s = _best_cpu_s(lambda: save_state(path, side.kind, tree))
+        load_s = _best_cpu_s(lambda: load_state(path, kind=side.kind))
+        tree = load_state(path, kind=side.kind)
+        fresh_manager, fresh_venv, fresh_side = fleet(num_nodes)
+
+        def resume():
+            _, manager_tree, env_tree = fresh_side.stage(
+                tree, dict(tree["loop"]), fresh_manager.name
+            )
+            fresh_manager.load_state_dict(manager_tree)
+            fresh_venv.load_state_dict(env_tree)
+
+        resume_s = _best_cpu_s(resume)
+        with np.load(path) as data:
+            members = len(data.files)
+        size_mb = path.stat().st_size / 1e6
+        results[f"nodes_{num_nodes}"] = {
+            "tree_s": round(tree_s, 3),
+            "save_s": round(save_s, 3),
+            "load_s": round(load_s, 3),
+            "resume_s": round(resume_s, 3),
+            "file_mb": round(size_mb, 2),
+            "npz_members": members,
+        }
+        print(
+            f"\nvector_run checkpoint ({num_nodes} nodes, {results['cpus']} cpus): "
+            f"tree {tree_s:.3f}s, save {save_s:.3f}s, load {load_s:.3f}s, "
+            f"resume {resume_s:.3f}s, "
+            f"{size_mb:.1f} MB, {members} npz members"
+        )
+        del manager, venv, side, fresh_manager, fresh_venv, fresh_side, tree
+    _record("vector_run_checkpoint", results)
 
 
 def _fleet_agent(num_agents: int, num_envs: int = 8, seed: int = 0) -> FleetBDQAgent:

@@ -45,7 +45,12 @@ CKPT_FORMAT = "repro.ckpt"
 #: 2: an agent tree (``bdq_agent``, and wherever one is nested) lost its
 #: scalar replay ``buffer``; every agent keeps ``num_envs`` and
 #: ``striped``. Version-1 files still load: their ring becomes stripe 0.
-CKPT_VERSION = 2
+#: 3: a ``vector_run`` tree's ``traces`` subtree is one ``header`` and
+#: seven stacked arrays, ``(nodes, services, ticks)`` for the service
+#: series and ``(nodes, ticks)`` for the node series, instead of one
+#: subtree per node. Version-1 and -2 files, with per-node traces, still
+#: load.
+CKPT_VERSION = 3
 
 #: Reserved npz member holding the JSON envelope (format/version/kind/scalars).
 META_KEY = "__meta__"

@@ -194,24 +194,30 @@ class ClusterEnvironment(VectorEnvironment):
         layer reports two sub-sections of ``env.step``:
         ``cluster.control`` (traffic model + balancer) and
         ``cluster.step`` (the fused node simulation) — see
-        ``docs/observability.md``. A rate matrix with any rate that is not
-        finite and >= 0 raises before any node steps.
+        ``docs/observability.md``. The assignments are validated and
+        installed first, so a refused assignment leaves the traffic
+        model's and the balancer's RNG streams where they were. A rate
+        matrix with any rate that is not finite and >= 0 raises before
+        any node steps.
         """
         timings = self.timings
         t0 = perf_counter() if timings is not None else 0.0
+        self._install_assignments(assignments)
+        t1 = perf_counter() if timings is not None else 0.0
         demand = self.traffic.demand(self.time)
         rates = self.balancer.assign(self.time, demand, self._last_loads)
         check_rates(rates, len(self._generators))
         self._pending_rates = rates
         if timings is not None:
-            timings.get("cluster.control").add(perf_counter() - t0)
-            t0 = perf_counter()
+            t2 = perf_counter()
+            timings.get("cluster.control").add(t2 - t1)
         try:
-            batch = super().step(assignments)
+            batch = self._advance()
         finally:
             self._pending_rates = None
         if timings is not None:
-            timings.get("cluster.step").add(perf_counter() - t0)
+            # The install and the node simulation, without the control.
+            timings.get("cluster.step").add(perf_counter() - t2 + (t1 - t0))
         return batch
 
     def _gather_arrivals(self) -> np.ndarray:

@@ -199,7 +199,7 @@ class FleetTwig:
 
     Trajectories, RNG streams, and agent state are bit-identical to the
     frozen dict-state reference
-    (:class:`repro.engine.fleet_reference.DictFleetTwig`); the
+    (``DictFleetTwig`` in ``tests/oracles/fleet_reference.py``); the
     equivalence is pinned by ``tests/test_engine_fleet_array.py``. The
     paper loop (``num_envs=1``) is pinned by run-trace hashes in
     ``tests/test_golden_run_traces.py``.
@@ -497,7 +497,7 @@ class FleetTwig:
 
         Every operation mirrors the per-allocation estimate of the
         dict-state reference
-        (:meth:`repro.engine.fleet_reference.DictFleetTwig._allocation_power`)
+        (``DictFleetTwig._allocation_power`` in ``tests/oracles/fleet_reference.py``)
         element-wise, with the same expressions in the same association
         order, so each entry is bit-identical to it.
         """
@@ -669,7 +669,7 @@ class FleetTwig:
         Accepts both the array format written by this class and the
         legacy per-env-dict format (``monitors``/``envs`` subtrees)
         written before the array control plane / by
-        :class:`repro.engine.fleet_reference.DictFleetTwig`. A legacy
+        ``DictFleetTwig`` (``tests/oracles/fleet_reference.py``). A legacy
         tree is converted to the array format first, so one validation
         covers both; nothing is mutated until all of it passed.
         """

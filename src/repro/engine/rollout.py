@@ -10,19 +10,19 @@ core that drives one manager against one scalar environment
         results = venv.step(assignments)                 # one fused step
         assignments = manager.update_batch(results)      # one fused tick
 
-Only :class:`FleetRun` is its own: per environment it records the same
-:class:`RunTrace` the scalar loop records, one whole column per series a
-tick from the batch's matrices, and builds the per-environment lists
-once, at the end; run events carry the environment index (the ``env``
-or ``node`` envelope field); and its rolling checkpoint is one
-``vector_run`` container holding the fleet manager, all N environments,
-the pending assignments, and all N traces, so a vector run resumes
+Only :class:`FleetRun` is its own: it records every environment's
+series by column, one ``(steps, E, S)`` or ``(steps, E)`` array per
+series with one row a tick from the batch's matrices, and hands each
+environment a :class:`RunTrace` whose series are views of those columns;
+run events carry the environment index (the ``env`` or ``node`` envelope
+field); and its rolling checkpoint is one ``vector_run`` container
+holding the fleet manager, all N environments, the pending assignments,
+and the traces as seven stacked arrays, so a vector run resumes
 mid-flight bit-identically.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import mmap
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -33,12 +33,13 @@ from repro.core.fleet import FleetTwig
 from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.runner import (
+    RUN_SERIES,
+    SERVICE_SERIES,
     RunTrace,
     ServiceTrace,
     _deserialize_assignments,
     _deserialize_trace,
     _serialize_assignments,
-    _serialize_trace,
     run_loop,
 )
 from repro.obs.context import ObsContext
@@ -47,11 +48,10 @@ from repro.obs.context import ObsContext
 #: not a container-format change).
 VECTOR_RUN_CKPT_KIND = "vector_run"
 
-#: Batch matrices recorded per (env, service) and per env, each with the
-#: :class:`RunTrace` series it fills.
-_SERVICE_SERIES = (("p99", "p99_ms"), ("arrivals", "arrival_rps"),
-                   ("cores", "cores"), ("frequency_ghz", "frequency_ghz"))
-_ENV_SERIES = ("power_w", "true_power_w", "membw_utilization")
+#: Batch matrices recorded per (env, service), in the order of the
+#: :class:`RunTrace` series they fill (``SERVICE_SERIES``); the per-env
+#: matrices carry the names of theirs (``RUN_SERIES``).
+_SERVICE_COLUMNS = ("p99", "arrivals", "cores", "frequency_ghz")
 
 
 def _column(shape) -> np.ndarray:
@@ -59,10 +59,9 @@ def _column(shape) -> np.ndarray:
 
     Dropping it unmaps its pages at once. A malloc'd block of this size
     can sit inside the heap (glibc raises its mmap threshold as a run
-    frees large arrays), where it stays resident after it is freed, beside
-    the trace lists :meth:`FleetRun.finish` builds from it: measured as
-    1.2 MB more peak RSS on a 256-node, 40-tick learning fleet (Linux,
-    glibc, 2-CPU box).
+    frees large arrays), where it stays resident after it is freed:
+    measured as 1.2 MB more peak RSS on a 256-node, 40-tick learning
+    fleet (Linux, glibc, 2-CPU box).
     """
     count = int(np.prod(shape))
     buffer = mmap.mmap(-1, max(count, 1) * 8)
@@ -85,9 +84,10 @@ class FleetRun:
     recorded by column, and the ``vector_run`` checkpoint tree.
 
     A tick writes each series' ``(E, S)`` or ``(E,)`` matrix into row
-    ``t`` of one ``(steps, E, S)`` or ``(steps, E)`` array. The traces'
-    lists are built from those arrays once, by :meth:`finish`; a
-    checkpoint tree copies each environment's series out of them.
+    ``t`` of one ``(steps, E, S)`` or ``(steps, E)`` array. Nothing is
+    copied out of them: :meth:`finish` hands each environment views of
+    its slices, and a checkpoint tree stores each column's recorded rows
+    as one ``(E, S, t)`` or ``(E, t)`` array.
     """
 
     kind = VECTOR_RUN_CKPT_KIND
@@ -103,11 +103,12 @@ class FleetRun:
         self.keys = [f"{e:04d}" for e in range(E)]
         self.tags = [{venv.index_tag: e} for e in range(E)]
         self._names = venv.service_names
-        # Each trace without its series; finish() fills them in.
-        self.traces = [RunTrace.for_env(manager.name, venv) for _ in self.keys]
+        # Every environment's trace without its series: services, QoS
+        # targets and interval.
+        self._header = RunTrace.for_env(manager.name, venv)
         shape = (max(steps, 0), E, len(self._names))  # run_loop refuses steps <= 0
-        self._columns = {key: _column(shape) for key, _ in _SERVICE_SERIES}
-        self._columns.update((key, _column(shape[:2])) for key in _ENV_SERIES)
+        self._columns = {key: _column(shape) for key in _SERVICE_COLUMNS}
+        self._columns.update((key, _column(shape[:2])) for key in RUN_SERIES)
         self._t = 0
 
     def record(self, results) -> None:
@@ -118,28 +119,28 @@ class FleetRun:
             column[t] = arrays[key]
         self._t = t + 1
 
-    def _trace_so_far(self, e: int) -> RunTrace:
-        """Env ``e``'s trace up to now, each series a copy of its column."""
-        t, header = self._t, self.traces[e]
-        columns = self._columns
-        services = {
-            name: ServiceTrace(
-                qos_target_ms=s.qos_target_ms,
-                **{series: columns[key][:t, e, i].copy() for key, series in _SERVICE_SERIES},
-            )
-            for i, (name, s) in enumerate(header.services.items())
-        }
-        return dataclasses.replace(
-            header, services=services,
-            **{key: columns[key][:t, e].copy() for key in _ENV_SERIES},
-        )
+    def _stacked(self):
+        """Each series' recorded rows, ``(E, S, t)`` or ``(E, t)`` views."""
+        t, columns = self._t, self._columns
+        stacked = {series: columns[key][:t].transpose(1, 2, 0)
+                   for key, series in zip(_SERVICE_COLUMNS, SERVICE_SERIES)}
+        stacked.update((key, columns[key][:t].T) for key in RUN_SERIES)
+        return stacked
 
     def tree(self, manager, venv, loop, assignments) -> Dict[str, Any]:
         loop["num_envs"] = len(self.keys)
         loop["assignments"] = {
             key: _serialize_assignments(a) for key, a in zip(self.keys, assignments)
         }
-        traces = {key: _serialize_trace(self._trace_so_far(e)) for e, key in enumerate(self.keys)}
+        header = self._header
+        traces = {
+            "header": {
+                "service_order": list(header.services),
+                "qos_target_ms": [s.qos_target_ms for s in header.services.values()],
+                "interval_s": header.interval_s,
+            },
+            **self._stacked(),
+        }
         return {"manager": manager.state_dict(), "envs": venv.state_dict(), "loop": loop,
                 "traces": traces}
 
@@ -152,51 +153,100 @@ class FleetRun:
             raise CheckpointError(
                 f"checkpoint has {num_envs} environments, batch has {len(self.keys)}"
             )
-        if set(assignments_tree) != set(self.keys) or set(traces_tree) != set(self.keys):
+        if set(assignments_tree) != set(self.keys):
             raise CheckpointError("vector-run checkpoint env keys do not match num_envs")
         assignments = [_deserialize_assignments(dict(assignments_tree[k])) for k in self.keys]
-        traces = [_deserialize_trace(dict(traces_tree[k]), manager_name) for k in self.keys]
-        for env_key, trace in zip(self.keys, traces):
+        if "header" in traces_tree:
+            header, stacked = self._stage_stacked(traces_tree, next_t, manager_name)
+        else:
+            header, stacked = self._stage_per_node(traces_tree, next_t, manager_name)
+        columns = self._columns
+        for key, series in zip(_SERVICE_COLUMNS, SERVICE_SERIES):
+            columns[key][:next_t] = stacked[series].transpose(2, 0, 1)
+        for key in RUN_SERIES:
+            columns[key][:next_t] = stacked[key].T
+        self._header = header
+        self._t = next_t
+        return assignments, dict(tree["manager"]), dict(tree["envs"])
+
+    def _stage_stacked(self, traces: Dict[str, Any], next_t: int, manager_name: str):
+        """The header and the seven ``(E, S, t)``/``(E, t)`` arrays of a
+        stacked ``traces`` subtree, checked against the run."""
+        header = dict(traces["header"])
+        order = [str(name) for name in header["service_order"]]
+        if order != self._names:
+            raise CheckpointError(
+                f"vector-run traces record services {order}, the batch runs {self._names}"
+            )
+        targets = [float(q) for q in header["qos_target_ms"]]
+        if len(targets) != len(order):
+            raise CheckpointError(
+                f"vector-run traces hold {len(targets)} QoS targets for {len(order)} services"
+            )
+        E, S = len(self.keys), len(order)
+        stacked = {}
+        for series in SERVICE_SERIES + RUN_SERIES:
+            values = np.asarray(traces[series], dtype=np.float64)
+            shape = (E, S, next_t) if series in SERVICE_SERIES else (E, next_t)
+            if values.shape != shape:
+                raise CheckpointError(
+                    f"vector-run traces {series} have shape {values.shape}, "
+                    f"{E} nodes x {S} services resuming at tick {next_t} need {shape}"
+                )
+            stacked[series] = values
+        services = {name: ServiceTrace(qos_target_ms=q) for name, q in zip(order, targets)}
+        return RunTrace(manager_name, services, interval_s=float(header["interval_s"])), stacked
+
+    def _stage_per_node(self, traces: Dict[str, Any], next_t: int, manager_name: str):
+        """The header and stacked arrays of a ``traces`` subtree with one
+        trace per node (checkpoint versions 1 and 2)."""
+        if set(traces) != set(self.keys):
+            raise CheckpointError("vector-run checkpoint env keys do not match num_envs")
+        per_node = [_deserialize_trace(dict(traces[k]), manager_name) for k in self.keys]
+        for env_key, trace in zip(self.keys, per_node):
             if list(trace.services) != self._names:
                 raise CheckpointError(
                     f"vector-run trace {env_key} records services {list(trace.services)}, "
                     f"the batch runs {self._names}"
                 )
             lengths = {len(getattr(s, series)) for s in trace.services.values()
-                       for _, series in _SERVICE_SERIES}
-            lengths |= {len(getattr(trace, key)) for key in _ENV_SERIES}
+                       for series in SERVICE_SERIES}
+            lengths |= {len(getattr(trace, key)) for key in RUN_SERIES}
             if lengths != {next_t}:
                 raise CheckpointError(
                     f"vector-run trace {env_key} has series of {sorted(lengths)} ticks, "
                     f"the run resumes at tick {next_t}"
                 )
-        columns = self._columns
-        for e, trace in enumerate(traces):
-            for i, s in enumerate(trace.services.values()):
-                for key, series in _SERVICE_SERIES:
-                    columns[key][:next_t, e, i] = getattr(s, series)
-            for key in _ENV_SERIES:
-                columns[key][:next_t, e] = getattr(trace, key)
-        self.traces = [_header(trace) for trace in traces]
-        self._t = next_t
-        return assignments, dict(tree["manager"]), dict(tree["envs"])
+        header = _header(per_node[0])
+        for env_key, trace in zip(self.keys, per_node):
+            if _header(trace) != header:
+                raise CheckpointError(
+                    f"vector-run trace {env_key} has other QoS targets or interval "
+                    f"than trace {self.keys[0]}"
+                )
+        stacked = {
+            series: np.array([[getattr(s, series) for s in trace.services.values()]
+                              for trace in per_node])
+            for series in SERVICE_SERIES
+        }
+        stacked.update((key, np.array([getattr(trace, key) for trace in per_node]))
+                       for key in RUN_SERIES)
+        return header, stacked
 
     def finish(self, venv: VectorEnvironment) -> List[RunTrace]:
-        # Each column is released as soon as its lists are built, so the
-        # lists never sit beside every column at once.
-        t = self._t
-        for key, series in _SERVICE_SERIES:
-            rows = self._columns.pop(key)[:t].transpose(1, 2, 0).tolist()
-            for trace, row in zip(self.traces, rows):
-                for s, values in zip(trace.services.values(), row):
-                    setattr(s, series, values)
-        for key in _ENV_SERIES:
-            rows = self._columns.pop(key)[:t].T.tolist()
-            for trace, values in zip(self.traces, rows):
-                setattr(trace, key, values)
-        for trace, counts in zip(self.traces, venv.migration_counts()):
-            trace.migrations = counts
-        return self.traces
+        header, stacked = self._header, self._stacked()
+        traces = []
+        for e, counts in enumerate(venv.migration_counts()):
+            services = {
+                name: ServiceTrace(qos_target_ms=s.qos_target_ms,
+                                   **{key: stacked[key][e, i] for key in SERVICE_SERIES})
+                for i, (name, s) in enumerate(header.services.items())
+            }
+            traces.append(RunTrace(
+                header.manager_name, services, migrations=counts,
+                interval_s=header.interval_s, **{key: stacked[key][e] for key in RUN_SERIES},
+            ))
+        return traces
 
 
 def run_fleet(

@@ -642,6 +642,11 @@ class VectorEnvironment:
         migration counter grows by the cores entering or leaving its set.
         Nothing is written unless every env validates.
         """
+        if len(assignments) != self.num_envs:
+            raise ConfigurationError(
+                f"got assignments for {len(assignments)} environments, "
+                f"batch has {self.num_envs}"
+            )
         changed, pins, level, ways = self._inputs.changes(
             assignments, self._m_membership, self._m_level, self._m_ways
         )
@@ -773,17 +778,13 @@ class VectorEnvironment:
         self, assignments: Sequence[Mapping[str, CoreAssignment]]
     ) -> StepBatch:
         """Install per-env assignments and advance every env one interval."""
-        if len(assignments) != self.num_envs:
-            raise ConfigurationError(
-                f"got assignments for {len(assignments)} environments, "
-                f"batch has {self.num_envs}"
-            )
+        self._install_assignments(assignments)
+        return self._advance()
+
+    def _advance(self) -> StepBatch:
+        """Advance every env one interval on the installed assignments."""
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
         interval = self.config.interval_s
-
-        # Control plane: validate and install every changed placement in
-        # one array pass (unchanged assignments are skipped).
-        self._install_assignments(assignments)
         membership = self._m_membership
         online = self._m_online
         freq_index = self._m_freq_index

@@ -113,7 +113,7 @@ class BDQAgent:
     uniform sampling over it.
 
     ``network_cls`` is an override hook for the Q-network implementation;
-    :class:`repro.rl.bdq_reference.ReferenceBDQAgent` uses it to run the
+    ``ReferenceBDQAgent`` (``tests/oracles/bdq_reference.py``) uses it to run the
     frozen pre-fusion per-head loop for equivalence tests and benchmarks.
     """
 
@@ -359,7 +359,7 @@ class BDQAgent:
         total_branches, out_max)`` stacks produced by
         :meth:`BDQNetwork.forward_stacked`.
         The math matches the per-branch reference loop
-        (:class:`repro.rl.bdq_reference.ReferenceBDQAgent`) to float
+        (``ReferenceBDQAgent`` in ``tests/oracles/bdq_reference.py``) to float
         round-off.
         """
         config = self.config

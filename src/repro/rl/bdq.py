@@ -32,7 +32,7 @@ and every head gradient without a per-head Python loop. The per-head ``Sequentia
 ``value_heads``/``adv_heads`` remain live views into the stacked storage,
 so parameter ordering, the ``save``/``load`` checkpoint format and
 per-head introspection are unchanged from the loop implementation (kept in
-:mod:`repro.rl.bdq_reference` and asserted equivalent by
+``tests/oracles/bdq_reference.py`` and asserted equivalent by
 ``tests/test_rl_bdq_fused.py``).
 
 Acting has one forward, :meth:`BDQNetwork.greedy_actions_batch`: the

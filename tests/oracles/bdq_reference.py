@@ -15,7 +15,7 @@ reasons:
   train-step/act speedup against this loop implementation.
 
 Do not "optimise" this module — its value is being the slow, obviously
-correct baseline. It is not exported from :mod:`repro.rl`.
+correct baseline. It lives with the tests, outside the package.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ verbatim as the equivalence oracle for the array control plane: the
 production :class:`FleetTwig` must produce bit-identical trajectories,
 RNG streams, and agent state from the same inputs
 (``tests/test_engine_fleet_array.py``), exactly the way
-``repro.rl.bdq_reference`` pins the vectorized BDQ network.
+``tests/oracles/bdq_reference.py`` pins the vectorized BDQ network.
 
 It also still writes the legacy ``monitors``/``envs`` per-env-dict
 checkpoint subtrees, which the array manager's ``load_state_dict`` must

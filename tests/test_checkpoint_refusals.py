@@ -17,7 +17,7 @@ from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetBDQAgent, FleetTwig
-from repro.engine.fleet_reference import DictFleetTwig
+from tests.oracles.fleet_reference import DictFleetTwig
 from repro.engine.rollout import VECTOR_RUN_CKPT_KIND, run_fleet
 from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError
@@ -27,9 +27,12 @@ from repro.hier import BudgetConfig, HierFleetTwig
 from repro.hier.baselines import make_rule_fleet
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.services.profiles import get_profile
-from tests.helpers import _assert_tree_equal
+from tests.helpers import _assert_traces_equal, _assert_tree_equal
 from tests.test_legacy_checkpoints import DATA, scalar_agent_config
 from tests.test_legacy_checkpoints import _twig as _legacy_twig
+from tests.test_vector_run_fixture import FIXTURE
+from tests.test_vector_run_fixture import STEPS as FIXTURE_STEPS
+from tests.test_vector_run_fixture import _fleet as _fixture_fleet
 
 PENDING_SERVICES = ["masstree", "moses"]
 
@@ -409,10 +412,6 @@ RESUME_ENTRY_POINTS = {
 }
 
 
-def _traces(output):
-    return output if isinstance(output, list) else [output]
-
-
 @pytest.mark.parametrize("entry", list(RESUME_ENTRY_POINTS))
 def test_refused_resume_leaves_manager_and_environment_as_they_were(entry, tmp_path):
     """The manager used to load before the environment refused its
@@ -434,26 +433,41 @@ def test_refused_resume_leaves_manager_and_environment_as_they_were(entry, tmp_p
     # It runs on exactly like a pair that never saw the checkpoint.
     twin_manager, twin_env = make_pair()
     run(twin_manager, twin_env, 3)
-    assert _traces(run(manager, env, 5)) == _traces(run(twin_manager, twin_env, 5))
+    _assert_traces_equal(run(manager, env, 5), run(twin_manager, twin_env, 5))
     _assert_tree_equal(manager.state_dict(), twin_manager.state_dict())
     _assert_tree_equal(env.state_dict(), twin_env.state_dict())
 
 
+@pytest.mark.parametrize("layout", ["stacked", "per_node"])
 @pytest.mark.parametrize("corruption", ["short_env_series", "short_service_series",
                                         "service_order"])
-def test_vector_run_traces_that_do_not_fit_the_run_are_refused(corruption, tmp_path):
-    """A node's trace must record the engine's services, in its order,
-    with one value per series for every tick before the resume tick."""
-    run_fleet(*_fleet_pair(), 8, checkpoint_every=4, checkpoint_dir=tmp_path)
-    tree = load_state(tmp_path / RUN_CKPT_NAME, kind=VECTOR_RUN_CKPT_KIND)
-    trace = tree["traces"]["0001"]
-    if corruption == "short_env_series":
-        trace["power_w"] = trace["power_w"][:-1]
-    elif corruption == "short_service_series":
-        trace["services"]["xapian"]["p99_ms"] = trace["services"]["xapian"]["p99_ms"][:-1]
+def test_vector_run_traces_that_do_not_fit_the_run_are_refused(layout, corruption, tmp_path):
+    """The traces must record the engine's services, in its order, with
+    one value per series for every tick before the resume tick: in the
+    stacked layout (format version 3) and in the per-node layout of
+    versions 1 and 2 (the checked-in ``vector_run`` fixture)."""
+    if layout == "stacked":
+        make_pair, steps = _fleet_pair, 8
+        run_fleet(*make_pair(), steps, checkpoint_every=4, checkpoint_dir=tmp_path)
+        tree = load_state(tmp_path / RUN_CKPT_NAME, kind=VECTOR_RUN_CKPT_KIND)
+        traces, match = tree["traces"], "vector-run traces"
+        if corruption == "short_env_series":
+            traces["power_w"] = traces["power_w"][:, :-1]
+        elif corruption == "short_service_series":
+            traces["p99_ms"] = traces["p99_ms"][:, :, :-1]
+        else:
+            traces["header"]["service_order"] = list(traces["header"]["service_order"])[::-1]
     else:
-        trace["service_order"] = list(trace["service_order"])[::-1]
+        make_pair, steps = _fixture_fleet, FIXTURE_STEPS
+        tree = load_state(FIXTURE, kind=VECTOR_RUN_CKPT_KIND)
+        trace, match = tree["traces"]["0001"], "vector-run trace 0001"
+        if corruption == "short_env_series":
+            trace["power_w"] = trace["power_w"][:-1]
+        elif corruption == "short_service_series":
+            trace["services"]["xapian"]["p99_ms"] = trace["services"]["xapian"]["p99_ms"][:-1]
+        else:
+            trace["service_order"] = list(trace["service_order"])[::-1]
     refused = tmp_path / "refused.ckpt.npz"
     save_state(refused, VECTOR_RUN_CKPT_KIND, tree)
-    with pytest.raises(CheckpointError, match="vector-run trace 0001"):
-        run_fleet(*_fleet_pair(), 8, resume_from=refused)
+    with pytest.raises(CheckpointError, match=match):
+        run_fleet(*make_pair(), steps, resume_from=refused)

@@ -19,10 +19,11 @@ from repro.core.config import TwigConfig
 from repro.core.mapper import Mapper
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
-from repro.errors import ConfigurationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.experiments.cluster import ClusterConfig, run as run_cluster
 from repro.obs.sink import MemorySink
 from repro.services.profiles import get_profile
+from tests.helpers import _assert_traces_equal, _assert_tree_equal
 
 SERVICES = ["masstree", "xapian"]
 
@@ -127,6 +128,34 @@ class TestDeterminism:
         assert any(x.socket_power_w != y.socket_power_w for x, y in zip(ra, rb))
 
 
+class TestRefusedStep:
+    def test_refused_step_draws_no_traffic_or_balancer_randomness(self):
+        """A step refused for a bad assignment changes nothing, the
+        traffic model's and the balancer's RNG streams included, so the
+        retried step equals the step of a twin that was never refused."""
+
+        def cluster():
+            return ClusterEnvironment.from_services(
+                SERVICES, num_nodes=4, seed=3, balancer="power_of_two"
+            )
+
+        venv, twin = cluster(), cluster()
+        assignments = _static_assignments(venv)
+        venv.step(assignments)
+        twin.step(assignments)
+        bad = [dict(a) for a in assignments]
+        bad[0]["masstree"] = dataclasses.replace(bad[0]["masstree"], cores=())
+        before = venv.state_dict()
+        with pytest.raises(AllocationError, match="zero cores"):
+            venv.step(bad)
+        assert venv.time == 1
+        _assert_tree_equal(venv.state_dict(), before)
+        retried, stepped = venv.step(assignments), twin.step(assignments)
+        for key in ("arrivals", "p99", "power_w", "true_power_w"):
+            assert retried.arrays[key].tobytes() == stepped.arrays[key].tobytes(), key
+        _assert_tree_equal(venv.state_dict(), twin.state_dict())
+
+
 class TestEvents:
     def test_events_node_tagged_and_schema_valid(self):
         venv = ClusterEnvironment.from_services(SERVICES, 3, seed=5)
@@ -191,11 +220,7 @@ class TestCheckpointResume:
         resumed_manager, resumed_venv = _build_cluster(2)
         resumed = run_fleet(resumed_manager, resumed_venv, steps,
                             resume_from=tmp_path)
-        for a, b in zip(plain, resumed):
-            assert a.power_w == b.power_w
-            for name in SERVICES:
-                assert a.services[name].p99_ms == b.services[name].p99_ms
-                assert a.services[name].arrival_rps == b.services[name].arrival_rps
+        _assert_traces_equal(resumed, plain)
 
     def test_state_roundtrip_restores_cluster_layer(self):
         venv = ClusterEnvironment.from_services(SERVICES, 2, seed=9,

@@ -4,7 +4,7 @@ The array control plane (:class:`repro.engine.fleet.FleetTwig` holding
 ``(num_envs, num_services)`` matrices plus one
 :class:`~repro.pmc.monitor.MonitorBank`) must be *bit-identical* to the
 original per-env-dict implementation, preserved verbatim as
-:class:`repro.engine.fleet_reference.DictFleetTwig`: same trajectories,
+:class:`tests.oracles.fleet_reference.DictFleetTwig`: same trajectories,
 same RNG streams, same agent state, and a loadable legacy checkpoint
 format. These tests are the pin.
 """
@@ -19,7 +19,7 @@ from repro.core.actions import Allocation
 from repro.core.config import TwigConfig
 from repro.core.reward import RewardBreakdown
 from repro.engine.fleet import FleetTwig
-from repro.engine.fleet_reference import DictFleetTwig
+from tests.oracles.fleet_reference import DictFleetTwig
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
@@ -28,6 +28,7 @@ from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import MonitorBank, SystemMonitor
 from repro.services.profiles import get_profile
 from repro.sim.environment import StepResult
+from tests.helpers import _assert_traces_equal
 
 SERVICES = ["masstree", "xapian"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5}
@@ -66,20 +67,6 @@ def _assert_tree_equal(a, b, path="root"):
             _assert_tree_equal(x, y, f"{path}[{i}]")
     else:
         assert a == b, path
-
-
-def _assert_traces_equal(a, b):
-    assert len(a) == len(b)
-    for e, (ta, tb) in enumerate(zip(a, b)):
-        assert ta.power_w == tb.power_w, e
-        assert ta.true_power_w == tb.true_power_w, e
-        assert dict(ta.migrations) == dict(tb.migrations), e
-        for name in SERVICES:
-            sa, sb = ta.services[name], tb.services[name]
-            assert sa.p99_ms == sb.p99_ms, (e, name)
-            assert sa.arrival_rps == sb.arrival_rps, (e, name)
-            assert sa.cores == sb.cores, (e, name)
-            assert sa.frequency_ghz == sb.frequency_ghz, (e, name)
 
 
 def _assert_managers_equivalent(array_mgr, dict_mgr):

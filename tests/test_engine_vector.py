@@ -39,7 +39,7 @@ from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
 from repro.sim.faults import Fault, FaultInjector
-from tests.helpers import _assert_tree_equal
+from tests.helpers import _assert_traces_equal, _assert_tree_equal
 
 SERVICES = ["masstree", "xapian", "moses"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5, "moses": 0.3}
@@ -802,12 +802,7 @@ class TestVectorResume:
         resumed_manager, resumed_venv = _build_fleet(num_envs)
         resumed = run_fleet(resumed_manager, resumed_venv, steps, resume_from=tmp_path)
 
-        for e in range(num_envs):
-            assert resumed[e].power_w == plain[e].power_w
-            assert resumed[e].true_power_w == plain[e].true_power_w
-            for name in ("masstree", "xapian"):
-                assert resumed[e].services[name].p99_ms == plain[e].services[name].p99_ms
-                assert resumed[e].services[name].cores == plain[e].services[name].cores
+        _assert_traces_equal(resumed, plain)
 
     def test_resume_rejects_wrong_num_envs(self, tmp_path):
         manager, venv = _build_fleet(2)

@@ -17,13 +17,22 @@ behaviour bit for bit.
   kind, Twig-C with the LLC branch, a mid-run service swap with
   ``transfer_to``, Twig-S with a fitted Equation-2 model, Twig-S with
   uniform replay, and the event stream of a short traced run (``events``
-  hashes the JSON lines with ``run_end.wall_time_s`` dropped).
+  hashes the JSON lines with ``run_end.wall_time_s`` dropped); and one
+  ``PartiesManager`` on the Figure 12/13 colocated recipe, with a
+  ``service_crash`` that makes some p99 samples NaN (``parties-crash``).
 - Experiment runs: ``repro.experiments.cluster.run`` at the CLI's quick
   scale, ``repro.experiments.hier.run`` at quick scale, one hash per
   variant (hier, flat, static, PARTIES), and a longer ``hier`` run with
   a two-tick budget period, long enough for the budget allocator's own
   agent to train (at quick scale it stores 15 transitions, below its
   ``min_buffer_size`` of 16, and never does).
+
+- Harness experiments: Figures 5-13 at the CLI's quick scale
+  (``repro run figNN``), each hashed over its result object's fields
+  (names, keys and every number by its float64 bit pattern, never the
+  rounded table). They take from a few seconds (fig06) to several
+  minutes (fig08, fig09) each, so they are marked ``slow``: tier-1 skips
+  them and ``make test-golden`` runs them.
 
 A change that moves a trajectory on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_run_traces.py --write`` and
@@ -32,6 +41,7 @@ says why in CHANGES.md.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -43,6 +53,7 @@ from typing import Any, Dict
 import numpy as np
 import pytest
 
+from repro.baselines import PartiesManager
 from repro.cli import _config_for
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
@@ -52,6 +63,7 @@ from repro.engine.rollout import run_fleet
 from repro.experiments import cluster, hier
 from repro.experiments.common import HarnessConfig, build_twig, make_environment
 from repro.experiments.profiling import fit_service_power_model
+from repro.experiments.registry import run_experiment as run_registered
 from repro.experiments.runner import run_manager
 from repro.hier.baselines import make_rule_fleet
 from repro.obs.context import ObsContext
@@ -111,6 +123,10 @@ PAPER_CONFIGS: Dict[str, Dict[str, Any]] = {
                        "loads": [0.5], "seed": 7, "steps": 200},
     "twig-s-events": {"loop": "paper", "case": "events", "services": ["masstree"],
                       "loads": [0.4], "seed": 3, "steps": 80},
+    # Figures 12/13: PARTIES on the colocated recipe at its quick-scale
+    # step budget, with moses crashed for three intervals (NaN p99).
+    "parties-crash": {"loop": "paper", "case": "parties", "services": ["masstree", "moses"],
+                      "loads": [0.2, 0.6], "seed": 7, "steps": 400},
 }
 
 #: The CLI's quick scale for ``repro run cluster`` and ``repro run hier``.
@@ -131,6 +147,15 @@ EXPERIMENT_CONFIGS: Dict[str, Dict[str, Any]] = {
     "hier-allocator-trains": {**_HIER, "budget_period": 2, "steps": 160,
                               "baselines": [], "variant": "hier"},
 }
+
+#: Harness experiments at the CLI's quick scale, with their test ids.
+HARNESS_CONFIGS: Dict[str, Dict[str, Any]] = {
+    f"fig{n:02d}": {"loop": "harness", "experiment": f"fig{n:02d}", "scale": "quick"}
+    for n in range(5, 14)
+}
+
+#: The ``parties-crash`` fault: moses down for three intervals.
+PARTIES_CRASH = Fault("service_crash", "moses", start=150, duration=3)
 
 #: Twig-C fault windows: every kind, each on its own interval window.
 FAULTS = (
@@ -257,6 +282,12 @@ def run_paper(config: Dict[str, Any]):
                     np.random.default_rng(42), spec=spec, power_models={"masstree": model})
         env = make_environment(["masstree"], config["loads"], seed, spec)
         return [run_manager(twig, env, steps)]
+    if case == "parties":
+        # repro.experiments.common.run_colocated_comparison's PARTIES run.
+        manager = PartiesManager([get_profile(name) for name in config["services"]],
+                                 np.random.default_rng(3), spec=ServerSpec())
+        env = _paper_env(config, faults=FaultInjector([PARTIES_CRASH]))
+        return [run_manager(manager, env, steps)]
     if case == "events":
         sink = MemorySink(validate=True)
         env = _paper_env(config, faults=FaultInjector(
@@ -305,7 +336,41 @@ def trace_sha256(traces) -> str:
     return digest.hexdigest()
 
 
+def result_sha256(result) -> str:
+    """sha256 over a result object: field names, mapping keys, strings,
+    and every number as float64 bits. A sequence of numbers hashes the
+    same as a list or as an array."""
+    digest = hashlib.sha256()
+
+    def feed(value) -> None:
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                digest.update(f.name.encode())
+                feed(getattr(value, f.name))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                digest.update(repr(key).encode())
+                feed(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                feed(item)
+        elif isinstance(value, str):
+            digest.update(value.encode())
+        elif value is None:
+            digest.update(b"None")
+        else:
+            digest.update(np.asarray(value, dtype=np.float64).tobytes())
+
+    feed(result)
+    return digest.hexdigest()
+
+
 def config_sha256(config: Dict[str, Any]) -> str:
+    if config.get("loop") == "harness":
+        experiment = config["experiment"]
+        return result_sha256(
+            run_registered(experiment, _config_for(experiment, config["scale"]))
+        )
     if config.get("loop") == "experiment":
         return trace_sha256(run_experiment(config))
     output = run_paper(config) if config.get("loop") == "paper" else run_traces(config)
@@ -315,7 +380,7 @@ def config_sha256(config: Dict[str, Any]) -> str:
 
 
 ALL_CONFIGS: Dict[str, Dict[str, Any]] = {
-    **FLEET_CONFIGS, **PAPER_CONFIGS, **EXPERIMENT_CONFIGS,
+    **FLEET_CONFIGS, **PAPER_CONFIGS, **EXPERIMENT_CONFIGS, **HARNESS_CONFIGS,
 }
 
 
@@ -334,10 +399,25 @@ def test_experiment_configs_are_the_cli_quick_scale(config_id):
     assert _config_for(config["experiment"], "quick") == experiment_config(config)
 
 
-@pytest.mark.parametrize("config", list(ALL_CONFIGS.values()), ids=list(ALL_CONFIGS))
+@pytest.mark.parametrize("config", [
+    pytest.param(c, marks=pytest.mark.slow) if c.get("loop") == "harness" else c
+    for c in ALL_CONFIGS.values()
+], ids=list(ALL_CONFIGS))
 def test_run_trace_hash_unchanged(config):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert config_sha256(config) == golden[config_key(config)]
+
+
+#: sha256 of ``RunTrace.to_csv`` for the ``parties-crash`` run (NaN p99
+#: rows included), written when trace series were Python lists.
+TO_CSV_SHA256 = "8882da7d17b902a81a894bb1f947bcb6a720ebb25bc39679bba16221aec09b99"
+
+
+def test_to_csv_bytes_unchanged(tmp_path):
+    [trace] = run_paper(PAPER_CONFIGS["parties-crash"])
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TO_CSV_SHA256
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from repro.obs.context import ObsContext
 from repro.obs.sink import MemorySink
 from repro.services.profiles import get_profile
 from repro.sim.faults import Fault, FaultInjector
-from tests.helpers import _assert_tree_equal
+from tests.helpers import _assert_traces_equal, _assert_tree_equal
 
 SERVICES = ["masstree", "xapian"]
 
@@ -232,11 +232,7 @@ class TestHierResume:
         resumed_manager, resumed_venv = _build_hier(2, period=3)
         resumed = run_fleet(resumed_manager, resumed_venv, steps,
                             resume_from=tmp_path)
-        for a, b in zip(plain, resumed):
-            assert a.power_w == b.power_w
-            for name in SERVICES:
-                assert a.services[name].p99_ms == b.services[name].p99_ms
-                assert a.services[name].arrival_rps == b.services[name].arrival_rps
+        _assert_traces_equal(resumed, plain)
         np.testing.assert_array_equal(
             resumed_manager.budgets, plain_manager.budgets
         )

@@ -19,6 +19,7 @@ from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad, StepwiseVaryingLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from tests.helpers import _assert_traces_equal
 
 
 def test_full_loop_twig_s_with_fitted_power_model(rng):
@@ -158,9 +159,7 @@ def test_determinism_same_seeds_same_trace():
         env = make_environment(["masstree"], [0.4], 7, spec)
         return run_manager(twig, env, 120)
 
-    a, b = one_run(), one_run()
-    assert a.services["masstree"].p99_ms == b.services["masstree"].p99_ms
-    assert a.true_power_w == b.true_power_w
+    _assert_traces_equal(one_run(), one_run())
 
 
 @pytest.mark.slow

@@ -22,7 +22,7 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.runner import RUN_CKPT_NAME, run_manager
 from repro.hier import BudgetConfig, HierFleetTwig
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
-from repro.rl.bdq_reference import ReferenceBDQAgent
+from tests.oracles.bdq_reference import ReferenceBDQAgent
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile

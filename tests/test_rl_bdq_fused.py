@@ -5,7 +5,7 @@ change: same RNG draw order at init, identical eval-mode Q-values,
 identical gradients with dropout = 0, identical greedy actions, and an
 unchanged checkpoint format (fused and reference checkpoints are
 interchangeable). These tests pin that contract against
-:mod:`repro.rl.bdq_reference` across 1-, 2- and 3-agent configurations
+:mod:`tests.oracles.bdq_reference` across 1-, 2- and 3-agent configurations
 with ragged branch sizes, and guard the hot path against reintroducing a
 per-head Python loop.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.nn.layers import Dense
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq import BDQNetwork
-from repro.rl.bdq_reference import ReferenceBDQAgent, ReferenceBDQNetwork
+from tests.oracles.bdq_reference import ReferenceBDQAgent, ReferenceBDQNetwork
 
 # Ragged branch widths on purpose: padding correctness only shows when
 # branches disagree within and across agents.

@@ -49,9 +49,10 @@ test-robust:
 trace-e2e:
 	$(PYTEST) -q -m trace_e2e
 
-## Fleet layer: vector-engine scalar equivalence (each synced wrapped
-## env leaf for leaf), erlang_c_batch and the array bandwidth pressure
-## pinned bit for bit to their scalar formulas, lazy step results and the
+## Fleet layer: vector-engine scalar equivalence (each node's state tree
+## and trace events leaf for leaf), erlang_c_batch and the array
+## bandwidth pressure pinned bit for bit to their scalar formulas, lazy
+## step results, a faulted node's arrays, no per-node objects built, and the
 ## static fleet's hot path (no result built, rows written on the first
 ## tick only), cluster traffic / balancer invariants, cluster environment
 ## + experiment, and the docs/fleet.md schema diff.

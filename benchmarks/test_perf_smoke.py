@@ -15,9 +15,10 @@ Unlike the paper-artifact benchmarks, these measure the *harness itself*:
   (one batched replay insert and one ``act_batch``) at 256 nodes, and
   the end-to-end throughput of the ``fleet`` experiment vs N serial
   ``run_manager`` loops;
-- the cluster layer: whole-cluster step throughput (traffic model ->
-  load balancer -> fused node physics) at 64 and 256 nodes with 4
-  colocated services per node;
+- the cluster layer: building a cluster (CPU time and the GC-tracked
+  objects it adds) at 256, 512 and 1024 nodes, and whole-cluster step
+  throughput (traffic model -> load balancer -> fused node physics) at
+  64 and 256 nodes with 4 colocated services per node;
 - the learning fleet tick (physics, install, monitor, reward, act,
   train and placement) at 64, 256 and 1024 nodes, and the fused node
   step's share of it;
@@ -628,6 +629,51 @@ def test_experiment_suite_throughput(tmp_path):
             "speedup": round(speedup, 2),
         },
     )
+
+
+def cluster_build_results(sizes=(256, 512, 1024), rounds=3):
+    """What building a cluster costs: ``ClusterEnvironment.from_services``
+    with the 4 ``fleet_learn`` services, ``diurnal`` traffic and the
+    ``least_loaded`` balancer. Per size, the least process CPU time of
+    ``rounds`` builds, and the GC-tracked objects one build adds (counted
+    after a collection, with the cluster alive)."""
+    import gc
+
+    from repro.cluster import ClusterEnvironment
+
+    services = ["masstree", "xapian", "moses", "img-dnn"]
+    results = {"cpus": _available_cpus(), "services": len(services)}
+    for num_nodes in sizes:
+        def build():
+            return ClusterEnvironment.from_services(
+                services, num_nodes=num_nodes, seed=7, traffic="diurnal",
+                balancer="least_loaded",
+            )
+
+        cpu_s = _best_cpu_s(build, rounds)
+        gc.collect()
+        before = len(gc.get_objects())
+        venv = build()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        results[f"nodes_{num_nodes}"] = {"cpu_s": round(cpu_s, 4), "gc_objects": added}
+        print(
+            f"\ncluster build ({num_nodes} nodes, {results['cpus']} cpus): "
+            f"{1e3 * cpu_s:.1f} ms CPU, {added} GC-tracked objects"
+        )
+        del venv
+    return results
+
+
+def test_cluster_build():
+    """Building a cluster; see :func:`cluster_build_results`."""
+    results = cluster_build_results()
+    _record("cluster_build", results)
+    # No object graph per node: a few objects each (its RNG stream), where
+    # a wrapped ColocationEnvironment per node added about 113.
+    for key, entry in results.items():
+        if key.startswith("nodes_"):
+            assert entry["gc_objects"] < 8 * int(key[len("nodes_"):]), results
 
 
 def test_cluster_step(tmp_path):

@@ -74,6 +74,17 @@ def _config_for(
         from repro.experiments.fig06_mapping_single import Fig06Config
 
         return Fig06Config(harness=harness)
+    if experiment_id == "fig08" and scale == "quick":
+        from repro.experiments.fig08_transfer_s import Fig08Config
+
+        return Fig08Config(
+            target_services=("xapian",), pretrain_steps=2_500, adapt_steps=1_500,
+            bucket=250, qos_threshold=80.0,
+        )
+    if experiment_id == "fig09" and scale == "quick":
+        from repro.experiments.fig09_transfer_c import Fig09Config
+
+        return Fig09Config(pretrain_steps=2_500, adapt_steps=1_500, bucket=250)
     if experiment_id == "fig10":
         from repro.experiments.fig10_varying_s import Fig10Config
 

@@ -14,14 +14,12 @@ the per-node simulation:
    demand over its nodes every interval, fed back last interval's
    per-node utilization and backlog.
 
-Each node's services use :class:`~repro.cluster.traffic.ScheduledLoad`
-generators (zero RNG draws), so the vector engine's draw-for-draw RNG
-fidelity with the scalar path is preserved — a 1-node cluster stepped
-here is bit-identical to a hand-stepped scalar
-:class:`~repro.sim.environment.ColocationEnvironment` receiving the same
-``set_rate`` calls (pinned in ``tests/test_cluster_environment.py``).
-The engine steps on the balancer's rate matrix itself; the generators
-receive it only when the nodes are synced (``state_dict``).
+A node has no load stream: the engine steps on the balancer's rate
+matrix, which draws nothing from the node's RNG, so the draw-for-draw
+fidelity with the scalar path holds. A 1-node cluster stepped here is
+bit-identical to the scalar node :func:`make_cluster_node` builds, stepped
+by hand with :class:`~repro.cluster.traffic.ScheduledLoad` generators set
+to the same rates (pinned in ``tests/test_cluster_environment.py``).
 
 Trace events from cluster runs carry a ``node`` envelope field instead
 of ``env``, and every interval additionally emits one fleet-level
@@ -45,10 +43,9 @@ from repro.cluster.traffic import (
     TrafficModel,
     TrafficSpec,
     check_rates,
-    install_rates,
     make_traffic_spec,
 )
-from repro.engine.vector_env import ENV_SEED_STRIDE, StepBatch, VectorEnvironment
+from repro.engine.vector_env import StepBatch, VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.events import make_event
 from repro.server.machine import CoreAssignment
@@ -67,11 +64,14 @@ def make_cluster_node(
     config: Optional[EnvironmentConfig] = None,
     qos_targets: Optional[Dict[str, float]] = None,
 ) -> ColocationEnvironment:
-    """One node: a scalar environment with balancer-driven load generators.
+    """One cluster node as a scalar environment, for the paths that step a
+    node on its own: the ``ctrl_serve`` bench episode and the oracles in
+    the tests. :class:`ClusterEnvironment` builds no such object.
 
     Follows the sibling-seeding recipe (env RNG at ``seed``) but installs
     :class:`~repro.cluster.traffic.ScheduledLoad` generators, so arrival
-    rates come from the cluster balancer instead of per-node curves.
+    rates are set from outside (the balancer's share, via ``set_rate``)
+    instead of drawn from per-node curves.
     """
     if not services:
         raise ConfigurationError("need at least one service")
@@ -94,11 +94,16 @@ class ClusterEnvironment(VectorEnvironment):
 
     def __init__(
         self,
-        envs: Sequence[ColocationEnvironment],
+        services: Sequence[str],
+        num_nodes: int,
+        seed: int,
         traffic: TrafficModel,
         balancer: LoadBalancer,
+        config: Optional[EnvironmentConfig] = None,
+        qos_targets: Optional[Dict[str, float]] = None,
     ):
-        super().__init__(envs)
+        # No load streams: the balancer supplies every node's arrivals.
+        super().__init__(services, None, num_nodes, seed, config, qos_targets)
         if traffic.topology.num_nodes != self.num_envs:
             raise ConfigurationError(
                 f"traffic topology covers {traffic.topology.num_nodes} nodes, "
@@ -118,11 +123,6 @@ class ClusterEnvironment(VectorEnvironment):
         self.balancer = balancer
         self._last_loads: Optional[NodeLoads] = None
         self._pending_rates: Optional[np.ndarray] = None
-        # Every node's load generators in row-major (node, service) order,
-        # as the balancer's rate matrix is laid out.
-        self._generators = [
-            env.load_generators[name] for env in self.envs for name in self.names
-        ]
 
     @property
     def num_nodes(self) -> int:
@@ -174,13 +174,7 @@ class ClusterEnvironment(VectorEnvironment):
             spec, topology, np.random.default_rng(seed + TRAFFIC_SEED_OFFSET)
         )
         policy = make_balancer(balancer, topology, seed=seed + BALANCER_SEED_OFFSET)
-        envs = [
-            make_cluster_node(
-                services, seed + e * ENV_SEED_STRIDE, config, qos_targets
-            )
-            for e in range(num_nodes)
-        ]
-        return cls(envs, model, policy)
+        return cls(services, num_nodes, seed, model, policy, config, qos_targets)
 
     # ------------------------------------------------------------------ #
     # stepping
@@ -206,7 +200,7 @@ class ClusterEnvironment(VectorEnvironment):
         t1 = perf_counter() if timings is not None else 0.0
         demand = self.traffic.demand(self.time)
         rates = self.balancer.assign(self.time, demand, self._last_loads)
-        check_rates(rates, len(self._generators))
+        check_rates(rates, self.num_envs * len(self.names))
         self._pending_rates = rates
         if timings is not None:
             t2 = perf_counter()
@@ -221,14 +215,8 @@ class ClusterEnvironment(VectorEnvironment):
         return batch
 
     def _gather_arrivals(self) -> np.ndarray:
-        # Arrival rates come from the balancer, not the per-node
-        # generators, which get them on sync().
+        # Arrival rates come from the balancer: a node has no load stream.
         return self._pending_rates
-
-    def _write_back(self) -> None:
-        super()._write_back()
-        # The last interval's arrivals are the balancer's rate matrix.
-        install_rates(self._generators, self._last_loads.arrival_rps)
 
     def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
         # A node whose telemetry came back non-finite (e.g. a
@@ -242,7 +230,7 @@ class ClusterEnvironment(VectorEnvironment):
             backlog=arrays["backlog"],
             degraded=degraded,
         )
-        if self.envs[0].trace.enabled:
+        if self.trace.enabled:
             self._emit_cluster_interval(arrays)
 
     def _emit_cluster_interval(self, arrays: Dict[str, np.ndarray]) -> None:
@@ -258,7 +246,7 @@ class ClusterEnvironment(VectorEnvironment):
                 "worst_p99_ms": float(p99[:, i].max()),
                 "mean_p99_ms": float(p99[:, i].mean()),
             }
-        self.envs[0].trace.emit(
+        self.trace.emit(
             make_event(
                 "cluster_interval",
                 int(arrays["time"][0]),

@@ -278,13 +278,11 @@ class ScheduledLoad(LoadGenerator):
 
     :meth:`set_rate` installs the node's balancer-assigned share of the
     fleet demand; :meth:`rate` then returns that value *exactly* (no
-    jitter, no RNG draws). This is what lets a 1-node cluster reproduce a
-    hand-stepped scalar environment bit-for-bit, and what keeps the
-    vector engine's RNG stream identical to the scalar oracle's. The
-    cluster engine steps on the balancer's rate matrix itself and writes
-    it into its nodes' generators only when it syncs them
-    (:func:`install_rates`), so between syncs a generator holds the rate
-    of the last synced interval.
+    jitter, no RNG draws). A node stepped on its own
+    (:func:`~repro.cluster.environment.make_cluster_node`: the
+    ``ctrl_serve`` bench episode, the test oracles) takes its rates
+    through it; :class:`~repro.cluster.environment.ClusterEnvironment`
+    steps on the balancer's rate matrix and builds no generator.
     """
 
     def __init__(self, max_load_rps: float):
@@ -321,21 +319,6 @@ def check_rates(rates: np.ndarray, count: int) -> np.ndarray:
     if len(flat) != count:
         raise ConfigurationError(f"got {len(flat)} rates for {count} generators")
     return flat
-
-
-def install_rates(generators: Sequence[ScheduledLoad], rates: np.ndarray) -> None:
-    """Validate a whole rate matrix, then install it into ``generators``.
-
-    ``generators`` holds one :class:`ScheduledLoad` per entry of
-    ``rates`` in row-major (node, service) order. Each generator ends up
-    where ``set_rate`` would put it, but a matrix that
-    :func:`check_rates` refuses raises before a single generator is
-    written. A cluster writes its last rate matrix into its nodes with it
-    when it syncs them.
-    """
-    flat = check_rates(rates, len(generators))
-    for generator, rate in zip(generators, flat.tolist()):
-        generator._scheduled_rate = rate
 
 
 # ---------------------------------------------------------------------- #

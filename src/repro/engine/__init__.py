@@ -2,9 +2,11 @@
 
 Runs N experiments/environments in lock-step inside one process:
 
-- :mod:`repro.engine.vector_env` — :class:`VectorEnvironment` steps every
-  environment's queueing, interference, telemetry, and power math as
-  array-shaped NumPy over an (env, service) grid;
+- :mod:`repro.engine.vector_env` — :class:`VectorEnvironment` owns every
+  node's state as arrays (built from the profiles and the seed recipe,
+  with no environment object per node) and steps every node's queueing,
+  interference, telemetry, and power math as array-shaped NumPy over an
+  (env, service) grid;
 - :mod:`repro.engine.fleet` — re-exports the control runtime from
   :mod:`repro.core.fleet`: :class:`FleetBDQAgent` routes all envs'
   observations through one fused HeadBank forward and trains at most once
@@ -18,9 +20,9 @@ Runs N experiments/environments in lock-step inside one process:
   resume, run events, tick timings and the checkpoint cadence.
 
 :class:`repro.sim.environment.ColocationEnvironment`, stepped directly,
-is the equivalence oracle the vector physics is tested against, and it
-emits every environment's ``interval``/``qos_violation``/``fault``
-events, with the index tag, for the vector step too.
+is the N = 1 paper loop and the equivalence oracle the vector physics is
+tested against; the two share the step events and the checkpoint layout
+of one server.
 
 The cluster layer (:mod:`repro.cluster`) builds on these same pieces to
 simulate a load-balanced multi-node datacenter: its

@@ -1,106 +1,92 @@
-"""Batched lock-step simulation of N colocation environments.
+"""Batched lock-step simulation of N one-socket servers.
 
-:class:`VectorEnvironment` wraps N homogeneous
-:class:`~repro.sim.environment.ColocationEnvironment` instances and
-advances all of them through one control interval per :meth:`step` call
-with array-shaped math: per-(env x service) arrival/backlog/queueing
-state, the batched Erlang-C kernel
-(:func:`repro.services.queueing.erlang_c_batch`), vectorized interference
-resolution, telemetry synthesis, and the ground-truth power model, all as
-``(E, S)`` / ``(E, C)`` NumPy operations.
+:class:`VectorEnvironment` holds N homogeneous nodes, each the server of
+a :class:`~repro.sim.environment.ColocationEnvironment`, and advances all
+of them through one control interval per :meth:`step` call with
+array-shaped math: per-(node x service) arrival/backlog/queueing state,
+the batched Erlang-C kernel (:func:`repro.services.queueing.erlang_c_batch`),
+vectorized interference resolution, telemetry synthesis, and the
+ground-truth power model, all as ``(E, S)`` / ``(E, C)`` NumPy
+operations. It builds its nodes from the service profiles and the seed
+recipe and is their only owner: no environment, machine, service or
+sensor object is built per node.
 
 Draw-for-draw RNG fidelity
 --------------------------
-The wrapped environments remain the source of truth for their RNG
-streams, and the vector step consumes them in exactly the order the
-scalar ``ColocationEnvironment.step`` would:
+Each node has the RNG streams of the scalar recipe
+(:func:`make_sibling_environment`): a server stream at ``seed + e *
+ENV_SEED_STRIDE`` and, for a batch built from load fractions, one
+:class:`~repro.services.loadgen.ConstantLoad` per service with its own
+stream at ``base + 101 + i`` (a cluster node has no load stream; the
+balancer sets its rates). The vector step consumes them in exactly the
+order the scalar ``ColocationEnvironment.step`` would:
 
 - each load generator's *private* RNG draws its jitter normal first
   (one per service, in service order);
-- the environment's *shared* RNG then draws, per service in service
-  order, one latency normal (iff ``latency_noise_std > 0``) followed by
-  eleven telemetry normals (iff ``telemetry_noise_std > 0``), and
-  finally one RAPL normal (always).
+- the node's *shared* RNG then draws, per service in service order, one
+  latency normal (iff ``latency_noise_std > 0``) followed by eleven
+  telemetry normals (iff ``telemetry_noise_std > 0``), and finally one
+  RAPL normal (always).
 
 The shared draws are taken as a single ``standard_normal`` block per
-environment, drawn in place into that environment's row of one
-``(E, total)`` matrix (``out=row``: no temporary, no copy), and
-scattered; ``Generator.normal(0, s)`` equals ``s * standard_normal()``
-bitwise, and array draws continue the same stream as repeated scalar
-draws, so a wrapped environment's RNG state after a vector step is
-identical to the state after a scalar step.
+node, drawn in place into that node's row of one ``(E, total)`` matrix
+(``out=row``: no temporary, no copy), and scattered;
+``Generator.normal(0, s)`` equals ``s * standard_normal()`` bitwise, and
+array draws continue the same stream as repeated scalar draws, so a
+node's RNG state after a vector step is identical to the state after a
+scalar step.
 
-The scalar per-environment path is retained untouched as the
-equivalence oracle: stepping the same seeds through
-``ColocationEnvironment.step`` reproduces the vector trajectories (see
-``tests/test_engine_vector.py``).
+``ColocationEnvironment`` stepped on its own is the equivalence oracle:
+stepping the same seeds through it reproduces the vector trajectories,
+events and checkpoint trees (see ``tests/test_engine_vector.py``).
 
 Engine-owned state
 ------------------
-Everything else the step changes is owned by the engine as arrays:
-machine state (core pins, per-core DVFS indices, migration counters) as
-``(E, S, C)`` / ``(E, C)`` / ``(E, S)``, service backlogs as ``(E, S)``,
-and clocks and RAPL energy and last reading as ``(E,)`` (a
-:class:`~repro.cluster.environment.ClusterEnvironment` adds the
-balancer's ``(E, S)`` rate matrix). Assignments are installed without
-``Machine.apply``, as pin, DVFS and way rows: an
-:class:`~repro.core.mapper.AssignmentBatch` hands them over as arrays,
-and its changed rows are picked by one array compare with the installed
-rows (so a static fleet's batch, equal every tick, writes no row after
-the first); per-env dicts (the PARTIES and Heracles fleets, a resumed
-run, tests) are converted into the same rows by :class:`AssignmentRows`,
-each distinct core set validated once and cached as a boolean row, and
-an env whose dict equals the one it last installed is skipped. Every
-changed environment is then written in one indexing pass with
-``Machine.apply``'s arbitration (a core runs at the highest DVFS index
-pinned to it, an unpinned core drops to 0, a service's migration counter
-grows by ``popcount(old XOR new)``).
-
-The wrapped environments are read on construction and
-``load_state_dict``. Besides their RNG streams, drawn in place, and the
-violation streaks a traced step counts in them, they are written only by
-:meth:`VectorEnvironment.sync`, which :meth:`~VectorEnvironment.state_dict`
-calls first. A step replaces the state arrays it hands to its
-:class:`StepBatch` and never writes into them afterwards.
+Everything a step changes is held as arrays: machine state (core pins,
+per-core DVFS indices, online flags, migration counters) as ``(E, S, C)``
+/ ``(E, C)`` / ``(E, S)`` over the server socket's cores, service
+backlogs as ``(E, S)``, and clocks and RAPL energy and last reading as
+``(E,)`` (a :class:`~repro.cluster.environment.ClusterEnvironment` adds
+the balancer's ``(E, S)`` rate matrix). Each node's fault injector sits
+in :attr:`VectorEnvironment.faults`, and its violation streaks, counted
+on traced steps, in a dict. A node's checkpoint tree has the scalar
+environment's layout (:class:`~repro.sim.environment.NodeState`). A step
+replaces the state arrays it hands to its :class:`StepBatch` and never
+writes into them afterwards. Assignments are installed without
+``Machine.apply``, as pin, DVFS and way rows (:class:`AssignmentRows`),
+with its arbitration: a core runs at the highest DVFS index pinned to
+it, an unpinned core drops to 0, a service's migration counter grows by
+``popcount(old XOR new)``.
 
 Every numeric formula on the hot path is evaluated once over the whole
 batch; the Erlang-C probabilities come from one unmasked Erlang-B table
 (:func:`~repro.services.queueing.erlang_c_batch`), and the bandwidth
 pressure is one array compare that calls the scalar formula only past
-the knee. What still runs once per environment is the in-place RNG draw
-(each env's stream is its own, in order) and the check for an active
-fault or an enabled trace sink.
+the knee. What still runs once per node is the in-place RNG draw (each
+node's stream is its own, in order) and, for a node with a fault
+injector (every node when the trace sink is enabled), the check for an
+active fault.
 
-Results: built only when read
------------------------------
-:meth:`VectorEnvironment.step` returns a :class:`StepBatch`. What is
-eager:
-
-- the interval's ``(E, S)`` / ``(E,)`` matrices in ``batch.arrays``,
-  which the batch owns and which are read-only, so a batch kept across
-  later steps still reads its own interval;
-- the result of every env with an active fault or an enabled trace
-  sink, built inside ``step`` (the fault injector consumes RNG and
-  replaces observations; the trace events read them).
-
-What is built on read: ``batch[e]`` builds env ``e``'s ``StepResult``
-with its five scalar fields on first access; its ``observations``
-mapping builds the per-service ``ServiceObservation``,
-``IntervalResult`` and pmcs objects from the arrays on the first read
-of a value, equal field for field to the scalar path's. A result
-refers to the arrays, never back to its batch.
+:meth:`VectorEnvironment.step` returns a :class:`StepBatch`: the
+interval's arrays now, result objects only when read.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
+import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ckpt.checkpoint import rng_state, set_rng_state
 from repro.core.mapper import AssignmentBatch
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
+from repro.obs.sink import NULL_SINK, TraceSink
 from repro.server.machine import CoreAssignment
+from repro.services.interference import InterferenceModel
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.services.queueing import erlang_c_batch
@@ -108,10 +94,15 @@ from repro.services.service import IntervalResult
 from repro.sim.environment import (
     ColocationEnvironment,
     EnvironmentConfig,
+    NodeState,
     ServiceObservation,
     StepResult,
     effective_capacity_matrix,
+    emit_step_events,
+    node_state_tree,
+    parse_node_state,
 )
+from repro.sim.faults import FaultInjector
 
 #: Seed stride between sibling environments created by
 #: :meth:`VectorEnvironment.from_services`; large and prime so the
@@ -161,6 +152,13 @@ _FIELD_ARRAYS = {
 _INTERVAL_ARRAYS = tuple(
     _FIELD_ARRAYS[f.name] for f in dataclasses.fields(IntervalResult)[2:-1]
 )
+
+
+@functools.lru_cache(maxsize=1)
+def _never_drawn() -> Dict[str, Any]:
+    """A never-drawn ``default_rng(0)`` state, what a node without load
+    streams writes as each generator's stream; built on first use."""
+    return np.random.default_rng(0).bit_generator.state
 
 
 def _build_observations(
@@ -250,8 +248,8 @@ class StepBatch(Sequence):
 
     Envs with an active fault or an enabled trace sink get their results
     built eagerly inside ``step`` (faults consume RNG and replace
-    observations; trace events read them) and installed with
-    :meth:`set_result`.
+    observations, whose every field is copied back into the arrays;
+    trace events read them) and installed with :meth:`set_result`.
     """
 
     def __init__(
@@ -470,16 +468,15 @@ class AssignmentRows:
 
 
 class VectorEnvironment:
-    """N homogeneous colocation environments stepped in lock-step.
+    """N homogeneous one-socket servers stepped in lock-step; see the
+    module docstring for the state the engine owns.
 
     Subclass hooks: :meth:`_gather_arrivals` supplies the ``(E, S)``
-    arrival-rate matrix for the interval (default: each wrapped
-    environment's own load generators), :meth:`_post_step` observes
-    the interval's internal arrays after the batch has been stepped
-    (default: no-op), and :meth:`_write_back` writes the stepped state
-    into the wrapped environments on :meth:`sync` (extend it for state a
-    subclass keeps). ``index_tag`` names the envelope field used to tag
-    emitted trace events with the environment index (``"env"`` here;
+    arrival-rate matrix for the interval (default: the nodes' load
+    generators), and :meth:`_post_step` observes the interval's arrays
+    after the batch has been stepped (default: no-op). ``index_tag``
+    names the envelope field used to tag emitted trace events with the
+    node index (``"env"`` here;
     :class:`repro.cluster.environment.ClusterEnvironment` retags as
     ``"node"``).
     """
@@ -487,18 +484,30 @@ class VectorEnvironment:
     #: Envelope field used when tagging per-environment trace events.
     index_tag = "env"
 
-    def __init__(self, envs: Sequence[ColocationEnvironment]):
-        if not envs:
-            raise ConfigurationError("VectorEnvironment needs at least one environment")
-        self.envs: List[ColocationEnvironment] = list(envs)
-        self.num_envs = len(self.envs)
-        base = self.envs[0]
-        self.names: List[str] = list(base.services)
-        self.config = base.config
-        self.spec = base.spec
-        self._validate_homogeneous()
+    def __init__(
+        self,
+        services: Sequence[str],
+        load_fractions: Optional[Mapping[str, float]],
+        num_envs: int,
+        seed: int,
+        config: Optional[EnvironmentConfig] = None,
+        qos_targets: Optional[Mapping[str, float]] = None,
+    ):
+        """Build ``num_envs`` nodes (see :meth:`from_services`); a subclass
+        that supplies its own arrival rates passes ``load_fractions=None``
+        and its nodes get no load streams."""
+        if num_envs <= 0:
+            raise ConfigurationError(f"num_envs must be positive, got {num_envs}")
+        if not services:
+            raise ConfigurationError("need at least one service")
+        profiles = [get_profile(name) for name in services]
+        self.names: List[str] = [p.name for p in profiles]
+        if len(set(self.names)) != len(self.names):
+            raise ConfigurationError(f"duplicate service names: {self.names}")
+        self.num_envs = num_envs
+        self.config = config or EnvironmentConfig()
+        self.spec = self.config.spec
 
-        profiles = [base.services[name].profile for name in self.names]
         as_array = lambda attr: np.array(  # noqa: E731 - tiny stacking helper
             [getattr(p, attr) for p in profiles], dtype=np.float64
         )
@@ -519,115 +528,67 @@ class VectorEnvironment:
         self._bmr = as_array("branch_miss_rate")
         self._uops = as_array("uops_per_instr")
         self._aiu = as_array("active_idle_util")
-        self._qos_target = np.array(
-            [base.services[name].qos_target_ms for name in self.names], dtype=np.float64
-        )
+        targets = {k: v for k, v in (qos_targets or {}).items() if v is not None}
+        self._qos_targets = {p.name: targets.get(p.name, p.qos_target_ms) for p in profiles}
+        self._qos_target = np.array(list(self._qos_targets.values()), dtype=np.float64)
         self._qos_target.setflags(write=False)  # handed to every StepBatch
-        self._ladder = np.array(
-            self.spec.dvfs.frequencies_ghz, dtype=np.float64
+        self._ladder = np.array(self.spec.dvfs.frequencies_ghz, dtype=np.float64)
+        self._interference = InterferenceModel(
+            membw_capacity_gbps=self.spec.socket.membw_gbps,
+            llc_capacity_mb=self.spec.socket.llc_mb,
         )
-        self._core_ids = base.socket_core_ids
-        # Every env's services in row-major (env, service) order, so the
-        # backlogs move to and from the (E, S) matrix in one flat pass.
-        self._services = [env.services[name] for env in self.envs for name in self.names]
+        self._core_ids = self.spec.socket_core_ids(self.config.socket_index)
+        on_socket = set(self._core_ids)
+        self._off_socket = [c for c in range(self.spec.total_cores) if c not in on_socket]
 
+        # Per-node streams and state that is not an array.
+        bases = [seed + e * ENV_SEED_STRIDE for e in range(num_envs)]
+        self._rngs = [np.random.default_rng(base) for base in bases]
+        self._loads: Optional[List[ConstantLoad]] = None
+        if load_fractions is not None:
+            # Node, then service, order: the order they are drawn in.
+            self._loads = [
+                ConstantLoad(
+                    p.max_load_rps, load_fractions.get(p.name, 0.5),
+                    rng=np.random.default_rng(base + 101 + i),
+                )
+                for base in bases
+                for i, p in enumerate(profiles)
+            ]
+        #: Each node's fault injector, or None; assign an entry to attach one.
+        self.faults: List[Optional[FaultInjector]] = [None] * num_envs
+        self._streaks: List[Dict[str, int]] = [{} for _ in range(num_envs)]
+        #: The trace sink every node emits into; set by :meth:`attach_obs`.
+        self.trace: TraceSink = NULL_SINK
         #: Optional :class:`~repro.obs.timing.TimingRegistry` wired in by
         #: the rollout loop; subclasses report timing sub-sections here.
         self.timings = None
-        # Machine state, owned here as (env x service x socket core)
-        # arrays: the wrapped Machine objects are read on construction and
-        # load, and written back only by sync().
-        E, S, C = self.num_envs, len(self.names), len(self._core_ids)
+
+        # Machine state as (node x service x socket core) arrays, for a
+        # fresh socket: every core online, idle at DVFS index 0.
+        E, S, C = num_envs, len(self.names), len(self._core_ids)
         self._m_membership = np.zeros((E, S, C), dtype=bool)
-        self._m_online = np.zeros((E, C), dtype=bool)
+        self._m_online = np.ones((E, C), dtype=bool)
         self._m_freq_index = np.zeros((E, C), dtype=np.int64)
         self._m_n_cores = np.zeros((E, S))
         self._m_freq = np.zeros((E, S))
         self._m_llc_quota = np.zeros((E, S))
         self._migrations = np.zeros((E, S), dtype=np.int64)
         # The installed rows a batch is compared with: each service's DVFS
-        # index and LLC ways, next to its pins in ``_m_membership``.
-        self._m_level = np.zeros((E, S), dtype=np.int64)
+        # index and LLC ways, next to its pins in ``_m_membership``. No
+        # batch carries level -1, so the first step installs every node.
+        self._m_level = np.full((E, S), -1, dtype=np.int64)
         self._m_ways = np.zeros((E, S), dtype=np.int64)
-        # Per env, whether its Machine lags the arrays.
-        self._machine_stale = np.zeros(E, dtype=bool)
         self._inputs = AssignmentRows(
             self.names, self._core_ids, self.config.socket_index, len(self._ladder), E
         )
-        self._gather()
-
-    def _gather(self) -> None:
-        """Read the wrapped envs into the engine's arrays.
-
-        Pins, online flags and migration counters come from every
-        Machine, backlogs from every service, clocks and RAPL energy from
-        every env. The next step then installs every env in full, which
-        rewrites the DVFS, core-count, frequency and LLC rows.
-        """
-        online, pins, migrations = [], [], []
-        for env in self.envs:
-            machine = env.machine
-            cores = [machine.cores[cid] for cid in self._core_ids]
-            online.append([core.online for core in cores])
-            pins.append([[name in core.services for core in cores] for name in self.names])
-            migrations.append([machine.migration_counts.get(name, 0) for name in self.names])
-        self._m_online[:] = online
-        self._m_membership[:] = pins
-        self._migrations[:] = migrations
-        # A Machine holds no per-service DVFS or way rows: mark them with
-        # a level no batch carries, so the next install writes every env.
-        self._m_level[:] = -1
-        self._inputs.forget()
-        self._machine_stale[:] = False
-        # New arrays, never writes into the old ones: a step hands these
+        # Replaced by a step, never written in place: a step hands these
         # to its batch, which may still be read.
-        self._backlog = np.array(
-            [service.backlog for service in self._services], dtype=np.float64
-        ).reshape(self.num_envs, len(self.names))
-        self._clock = np.array([env.time for env in self.envs], dtype=np.int64)
-        self._energy = np.array([env.rapl.energy_j for env in self.envs], dtype=np.float64)
-        # The last RAPL readings; set by a step.
-        self._reading: Optional[np.ndarray] = None
-        # Whether the wrapped envs' backlogs, clocks and RAPL sensors lag
-        # the arrays (every env steps, so one flag for all).
-        self._stepped = False
-
-    def sync(self) -> None:
-        """Write the engine's state back into the wrapped envs.
-
-        A wrapped env (its machine, service backlogs, clock and RAPL
-        sensor; in a cluster, its load generators' rates too) is current
-        only after this call, which :meth:`state_dict` makes first.
-        """
-        for e in np.flatnonzero(self._machine_stale).tolist():
-            machine = self.envs[e].machine
-            pins = self._m_membership[e].T.tolist()
-            levels = self._m_freq_index[e].tolist()
-            for cid, pinned, level in zip(self._core_ids, pins, levels):
-                core = machine.cores[cid]
-                core.services = {name for name, on in zip(self.names, pinned) if on}
-                core.freq_index = level
-            counts = machine.migration_counts
-            for name, count in zip(self.names, self._migrations[e].tolist()):
-                if count or name in counts:
-                    counts[name] = count
-        self._machine_stale[:] = False
-        if self._stepped:
-            self._write_back()
-            self._stepped = False
-
-    def _write_back(self) -> None:
-        """Every env's backlogs, clock and RAPL sensor from the arrays of
-        the last step; a subclass writes the rest of its stepped state."""
-        for service, backlog in zip(self._services, self._backlog.ravel().tolist()):
-            service.backlog = backlog
-        socket = self.config.socket_index
-        for env, time, energy, reading in zip(
-            self.envs, self._clock.tolist(), self._energy.tolist(), self._reading.tolist()
-        ):
-            env.time = time
-            env.rapl.energy_j = energy
-            env.rapl.last_reading_w = {socket: reading}
+        self._backlog = np.zeros((E, S))
+        self._clock = np.zeros(E, dtype=np.int64)
+        self._energy = np.zeros(E)
+        # The last RAPL reading per node; NaN before the first poll.
+        self._reading = np.full(E, np.nan)
 
     def _install_assignments(
         self, assignments: Sequence[Mapping[str, CoreAssignment]]
@@ -662,7 +623,6 @@ class VectorEnvironment:
         core_ghz = self._ladder[core_level][:, None, :]
         self._m_freq[changed] = np.where(pins, core_ghz, -np.inf).max(axis=2)
         self._m_llc_quota[changed] = ways * self.spec.socket.mb_per_way
-        self._machine_stale[changed] = True
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -677,47 +637,11 @@ class VectorEnvironment:
         config: Optional[EnvironmentConfig] = None,
         qos_targets: Optional[Mapping[str, float]] = None,
     ) -> "VectorEnvironment":
-        """Build N sibling environments with deterministic per-env seeding.
-
-        Environment ``e`` uses base seed ``seed + e * ENV_SEED_STRIDE``
-        and then follows the same recipe as
-        :func:`repro.experiments.common.make_environment` (env RNG at the
-        base seed, load generator ``i`` at ``base + 101 + i``), so
-        environment 0 of a vector run is seed-for-seed identical to a
-        scalar run at ``seed``.
-        """
-        if num_envs <= 0:
-            raise ConfigurationError(f"num_envs must be positive, got {num_envs}")
-        envs = [
-            make_sibling_environment(
-                services, load_fractions, seed + e * ENV_SEED_STRIDE, config, qos_targets
-            )
-            for e in range(num_envs)
-        ]
-        return cls(envs)
-
-    def _validate_homogeneous(self) -> None:
-        base = self.envs[0]
-        for e, env in enumerate(self.envs):
-            if list(env.services) != self.names:
-                raise ConfigurationError(
-                    f"environment {e} hosts services {list(env.services)}, "
-                    f"environment 0 hosts {self.names}"
-                )
-            if env.config != base.config:
-                raise ConfigurationError(
-                    f"environment {e} config differs from environment 0; "
-                    "vector batches must be homogeneous"
-                )
-            for name in self.names:
-                if env.services[name].profile != base.services[name].profile:
-                    raise ConfigurationError(
-                        f"environment {e} profile for {name!r} differs from environment 0"
-                    )
-                if env.services[name].qos_target_ms != base.services[name].qos_target_ms:
-                    raise ConfigurationError(
-                        f"environment {e} QoS target for {name!r} differs from environment 0"
-                    )
+        """Build N sibling nodes with deterministic per-node seeding: node
+        ``e`` follows :func:`make_sibling_environment` at base seed ``seed +
+        e * ENV_SEED_STRIDE``, so node 0 is seed-for-seed a scalar run at
+        ``seed``."""
+        return cls(services, load_fractions, num_envs, seed, config, qos_targets)
 
     # ------------------------------------------------------------------ #
     # properties
@@ -732,44 +656,24 @@ class VectorEnvironment:
         """Current control-interval index (all envs step in lock-step)."""
         return int(self._clock[0])
 
-    def max_power_w(self) -> float:
-        """Socket power cap shared by every sibling environment."""
-        return self.envs[0].max_power_w()
-
     def qos_target_of(self, name: str) -> float:
-        """p99 QoS target (ms) for ``name`` — validated equal across envs."""
-        return self.envs[0].qos_target_of(name)
-
-    def profile_of(self, name: str):
-        """The :class:`ServiceProfile` for ``name`` (same in every env)."""
-        return self.envs[0].profile_of(name)
-
-    @property
-    def trace(self):
-        """The trace sink the wrapped environments emit into."""
-        return self.envs[0].trace
+        """p99 QoS target (ms) for ``name``, the same on every node."""
+        return self._qos_targets[name]
 
     def attach_obs(self, trace, timings) -> None:
-        """Point every wrapped environment at ``trace``, and keep
+        """Emit every node's trace events into ``trace``, and keep
         ``timings`` for the sections a subclass reports."""
-        for env in self.envs:
-            env.trace = trace
+        self.trace = trace
         self.timings = timings
 
     def migration_counts(self) -> List[Dict[str, int]]:
-        """Per-env service migration counters (for final run traces).
-
-        Each env's machine counters with the engine's merged in as
-        :meth:`sync` merges them; nothing is written back.
-        """
-        merged = []
-        for env, row in zip(self.envs, self._migrations.tolist()):
-            counts = dict(env.machine.migration_counts)
-            for name, count in zip(self.names, row):
-                if count or name in counts:
-                    counts[name] = count
-            merged.append(counts)
-        return merged
+        """Per-node service migration counters (for final run traces): a
+        service that never migrated has no entry, as ``Machine.apply``
+        counts them."""
+        return [
+            {name: count for name, count in zip(self.names, row) if count}
+            for row in self._migrations.tolist()
+        ]
 
     # ------------------------------------------------------------------ #
     # stepping
@@ -808,7 +712,7 @@ class VectorEnvironment:
         eff_servers = capacities / (1.0 + self._serial_fraction * (capacities - 1.0))
         capacity_uncontended = eff_servers * 1000.0 / service_ms_base
         expected = np.minimum(offered, capacity_uncontended)
-        interference = self.envs[0].interference
+        interference = self._interference
         membw_expected = expected * self._membw_per_req / 1024.0
         bw_util = membw_expected.sum(axis=1) / interference.membw_capacity_gbps
         pressure = interference.bandwidth_pressure_batch(bw_util)
@@ -869,8 +773,8 @@ class VectorEnvironment:
         block = lat_draws + tel_draws
         total_draws = S * block + 1
         z = np.empty((E, total_draws))
-        for env, row in zip(self.envs, z):
-            env._rng.standard_normal(out=row)
+        for rng, row in zip(self._rngs, z):
+            rng.standard_normal(out=row)
         per_service = z[:, : S * block].reshape(E, S, block)
         if lat_draws:
             p99 = p99 * np.exp(self.config.latency_noise_std * per_service[:, :, 0])
@@ -948,14 +852,12 @@ class VectorEnvironment:
 
         # --- engine state ------------------------------------------------ #
         # Replaced, never written in place: the batch below hands these
-        # arrays out read-only. The wrapped envs get them on sync().
-        # No result object is built here (see StepBatch) except for the
-        # faulted and traced envs below.
+        # arrays out read-only. No result object is built here (see
+        # StepBatch) except for the faulted and traced nodes below.
         energy = self._energy + readings * interval
         clock = self._clock + 1
         self._backlog, self._energy, self._clock = new_backlog, energy, clock
         self._reading = readings
-        self._stepped = True
 
         arrays = {
             "arrivals": arrivals,
@@ -981,31 +883,35 @@ class VectorEnvironment:
             "time": clock,
         }
         eager: Dict[int, StepResult] = {}
-        for e, (env, time) in enumerate(zip(self.envs, clock.tolist())):
-            pending = env.faults is not None and env.faults.active_at(time)
-            if not pending and not env.trace.enabled:
+        traced = self.trace.enabled
+        visit = (
+            range(E) if traced
+            else [e for e, injector in enumerate(self.faults) if injector is not None]
+        )
+        for e in visit:
+            injector, time = self.faults[e], int(clock[e])
+            pending = injector is not None and injector.active_at(time)
+            if not pending and not traced:
                 continue
             observations = _build_observations(self.names, interval, arrays, e)
             applied = []
             if pending:
                 # Same ordering as the scalar path: injected after
                 # power/RAPL, so sensor faults corrupt what the manager
-                # *sees*, not what the machine drew. The per-env injector
+                # *sees*, not what the machine drew. The node's injector
                 # RNG is consumed here, draw-for-draw with the oracle. No
                 # service objects are passed: a crash's cleared backlog
                 # reaches the engine's backlog array below.
-                observations, applied = env.faults.apply(time, observations, {})
-                # Refresh the fused arrays so downstream feedback
-                # (_post_step, cluster NodeLoads, the array control
-                # plane's monitor bank) sees the faulted view.
+                observations, applied = injector.apply(time, observations, {})
+                # Copy the faulted interval into the fused arrays, so
+                # downstream feedback (_post_step, cluster NodeLoads, the
+                # array control plane's monitor bank) and ``batch.arrays``
+                # read what ``batch[e]`` reads.
                 for i, name in enumerate(self.names):
                     obs = observations[name]
-                    throughput[e, i] = obs.interval.throughput_rps
-                    p99[e, i] = obs.p99_ms
-                    utilization[e, i] = obs.interval.utilization
-                    new_backlog[e, i] = obs.interval.backlog
-                    for c, counter in enumerate(_COUNTER_ORDER):
-                        counters[e, i, c] = obs.pmcs[counter]
+                    for field, key in _FIELD_ARRAYS.items():
+                        arrays[key][e, i] = getattr(obs.interval, field)
+                    counters[e, i] = [obs.pmcs[counter] for counter in _COUNTER_ORDER]
             step_result = StepResult(
                 time=time,
                 observations=observations,
@@ -1015,8 +921,11 @@ class VectorEnvironment:
                 energy_j=float(energy[e]),
             )
             eager[e] = step_result
-            if env.trace.enabled:
-                env._emit_step_events(step_result, applied, **{self.index_tag: e})
+            if traced:
+                emit_step_events(
+                    self.trace, self._streaks[e], step_result, applied,
+                    **{self.index_tag: e},
+                )
         batch = StepBatch(self.names, interval, arrays)
         for e, step_result in eager.items():
             batch.set_result(e, step_result)
@@ -1028,15 +937,13 @@ class VectorEnvironment:
 
         The default consumes each load generator's private RNG stream
         exactly as the scalar path does (one jitter normal per generator,
-        in service order). Subclasses may override to inject externally
-        computed rates — e.g. the cluster load balancer — as long as the
-        replacement preserves each environment's RNG-draw ordering.
+        in node, then service, order). Subclasses override it to inject
+        externally computed rates, e.g. the cluster load balancer's.
         """
-        arrivals = np.empty((self.num_envs, len(self.names)))
-        for e, (env, time) in enumerate(zip(self.envs, self._clock.tolist())):
-            for i, name in enumerate(self.names):
-                arrivals[e, i] = env.load_generators[name].rate(time)
-        return arrivals
+        S = len(self.names)
+        times = np.repeat(self._clock, S).tolist()
+        rates = [load.rate(time) for load, time in zip(self._loads, times)]
+        return np.array(rates, dtype=np.float64).reshape(self.num_envs, S)
 
     def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
         """Hook called once per :meth:`step` with the finished batch.
@@ -1067,16 +974,56 @@ class VectorEnvironment:
     # checkpointing
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, Any]:
-        """Per-env state trees, keyed by zero-padded env index, with every
-        wrapped env synced first."""
-        self.sync()
-        return {
-            "num_envs": self.num_envs,
-            "envs": {f"{e:04d}": env.state_dict() for e, env in enumerate(self.envs)},
-        }
+        """Per-node trees in the :class:`~repro.sim.environment.NodeState`
+        layout, keyed by zero-padded node index. Cores off the server
+        socket, which no step pins, are written idle; a node without load
+        streams writes each generator's stream as :func:`_never_drawn`."""
+        E, S, total = self.num_envs, len(self.names), self.spec.total_cores
+        socket = self.config.socket_index
+        freq_index = np.zeros((E, total), dtype=np.int64)
+        freq_index[:, self._core_ids] = self._m_freq_index
+        online = np.ones((E, total), dtype=bool)
+        online[:, self._core_ids] = self._m_online
+        # Each socket core's pinned services, in sorted-name order.
+        order = sorted(range(S), key=self.names.__getitem__)
+        ordered = [self.names[i] for i in order]
+        pins = self._m_membership[:, order, :].transpose(0, 2, 1).tolist()
+        trees = {}
+        for e, (time, migrations, energy, reading, backlogs) in enumerate(zip(
+            self._clock.tolist(), self._migrations.tolist(), self._energy.tolist(),
+            self._reading.tolist(), self._backlog.tolist(),
+        )):
+            pinned: List[List[str]] = [[] for _ in range(total)]
+            for cid, row in zip(self._core_ids, pins[e]):
+                pinned[cid] = [name for name, on in zip(ordered, row) if on]
+            if self._loads is None:
+                loadgen = {name: copy.deepcopy(_never_drawn()) for name in self.names}
+            else:
+                loadgen = {
+                    name: rng_state(load._rng)
+                    for name, load in zip(self.names, self._loads[e * S:(e + 1) * S])
+                }
+            injector = self.faults[e]
+            trees[f"{e:04d}"] = node_state_tree(NodeState(
+                time=time,
+                violation_streaks=self._streaks[e],
+                rng=rng_state(self._rngs[e]),
+                freq_index=freq_index[e],
+                online=online[e],
+                pinned=pinned,
+                migration_counts={
+                    name: count for name, count in zip(self.names, migrations) if count
+                },
+                energy_j=energy,
+                last_reading_w=None if math.isnan(reading) else {socket: reading},
+                backlogs=dict(zip(self.names, backlogs)),
+                loadgen_rng=loadgen,
+                faults=None if injector is None else injector.state_dict(),
+            ))
+        return {"num_envs": E, "envs": trees}
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
-        """Restore every sibling environment from a ``state_dict`` tree.
+        """Restore every node from a ``state_dict`` tree.
 
         All or nothing: a tree that fails to load anywhere raises
         ``CheckpointError`` once the state from before the call has been
@@ -1092,7 +1039,8 @@ class VectorEnvironment:
             raise CheckpointError(f"malformed vector environment checkpoint: {exc}") from exc
 
     def _load_state(self, tree: Mapping[str, Any]) -> None:
-        """Restore from ``tree``; a bad tree can raise after a partial write."""
+        """Restore from ``tree``; every node is checked before any is
+        written, but a bad RNG state raises as it is set."""
         num_envs = int(tree["num_envs"])
         env_trees = dict(tree["envs"])
         if num_envs != self.num_envs:
@@ -1105,9 +1053,64 @@ class VectorEnvironment:
                 f"vector checkpoint env keys {sorted(env_trees)} do not match "
                 f"batch size {self.num_envs}"
             )
-        for e, env in enumerate(self.envs):
-            env.load_state_dict(dict(env_trees[f"{e:04d}"]))
-        self._gather()
+        states = [self._node_state(e, env_trees[f"{e:04d}"]) for e in range(self.num_envs)]
+        S = len(self.names)
+        for e, state in enumerate(states):
+            set_rng_state(self._rngs[e], state.rng)
+            if self._loads is not None:
+                for name, load in zip(self.names, self._loads[e * S:(e + 1) * S]):
+                    set_rng_state(load._rng, state.loadgen_rng[name])
+            if state.faults is not None:
+                self.faults[e].load_state_dict(dict(state.faults))
+        cores = self._core_ids
+        self._m_membership[:] = [
+            [[name in state.pinned[c] for c in cores] for name in self.names]
+            for state in states
+        ]
+        self._m_online[:] = [state.online[cores] for state in states]
+        self._m_freq_index[:] = [state.freq_index[cores] for state in states]
+        self._migrations[:] = [
+            [state.migration_counts.get(name, 0) for name in self.names] for state in states
+        ]
+        # Trees hold no per-service DVFS or way rows: the next step
+        # installs every node in full.
+        self._m_level[:] = -1
+        self._inputs.forget()
+        socket = self.config.socket_index
+        self._backlog = np.array(
+            [[state.backlogs[name] for name in self.names] for state in states]
+        )
+        self._clock = np.array([state.time for state in states], dtype=np.int64)
+        self._energy = np.array([state.energy_j for state in states])
+        self._reading = np.array([
+            np.nan if state.last_reading_w is None else state.last_reading_w[socket]
+            for state in states
+        ])
+        self._streaks = [state.violation_streaks for state in states]
+
+    def _node_state(self, e: int, tree: Mapping[str, Any]) -> NodeState:
+        """Node ``e``'s tree, checked and read. The engine has no state for
+        a core off the server socket, a service it does not run or a drawn
+        stream of a node without load streams, so it refuses a tree that
+        gives any (a reading of another RAPL socket fails as a KeyError)."""
+        state = parse_node_state(
+            tree, self.names, self.names, self.spec.total_cores, len(self._ladder),
+            self.faults[e] is not None,
+        )
+        off = self._off_socket
+        if (
+            state.freq_index[off].any() or not state.online[off].all()
+            or any(state.pinned[c] for c in off)
+            or not set(state.migration_counts).union(*state.pinned) <= set(self.names)
+            or (self._loads is None
+                and any(rng != _never_drawn() for rng in state.loadgen_rng.values()))
+        ):
+            raise CheckpointError(
+                f"node {e} checkpoint pins, clocks up or takes offline a core off "
+                f"server socket {self.config.socket_index}, names services other "
+                f"than {self.names}, or draws from a load stream the node lacks"
+            )
+        return state
 
 
 def make_sibling_environment(

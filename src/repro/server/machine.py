@@ -12,11 +12,9 @@ single frequency for such cores).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Set
+from typing import Dict, Iterable, List, Mapping, Set
 
-import numpy as np
-
-from repro.errors import AllocationError, CheckpointError
+from repro.errors import AllocationError
 from repro.server.spec import ServerSpec
 
 
@@ -137,39 +135,3 @@ class Machine:
     def set_hotplug(self, core_ids: Iterable[int], online: bool) -> None:
         for core_id in core_ids:
             self.cores[core_id].online = online
-
-    # ------------------------------------------------------------------ #
-    # checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, Any]:
-        """Mutable core state and migration counters (spec is config)."""
-        return {
-            "freq_index": np.array([core.freq_index for core in self.cores], dtype=np.int64),
-            "online": np.array([core.online for core in self.cores], dtype=bool),
-            "services": [sorted(core.services) for core in self.cores],
-            "migration_counts": dict(self.migration_counts),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a snapshot from :meth:`state_dict` (stage-then-commit)."""
-        try:
-            freq_index = np.asarray(state["freq_index"], dtype=np.int64)
-            online = np.asarray(state["online"], dtype=bool)
-            services = [set(map(str, names)) for names in list(state["services"])]
-            migrations = {str(k): int(v) for k, v in dict(state["migration_counts"]).items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed machine state: {exc}") from exc
-        count = len(self.cores)
-        if not (len(freq_index) == len(online) == len(services) == count):
-            raise CheckpointError(
-                f"machine checkpoint describes {len(freq_index)} cores, machine has {count}"
-            )
-        if freq_index.size and not (
-            0 <= freq_index.min() and freq_index.max() < len(self.spec.dvfs)
-        ):
-            raise CheckpointError("machine checkpoint has out-of-range DVFS indices")
-        for core, freq, is_online, pinned in zip(self.cores, freq_index, online, services):
-            core.freq_index = int(freq)
-            core.online = bool(is_online)
-            core.services = pinned
-        self.migration_counts = migrations

@@ -15,11 +15,11 @@ way the paper polls the RAPL MSR at the control interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.server.spec import ServerSpec
 
 
@@ -126,30 +126,3 @@ class RaplSensor:
         self.energy_j += sum(readings.values()) * interval_s
         self.last_reading_w = readings
         return readings
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Energy accumulator and last reading (RNG is owned by the env)."""
-        return {
-            "energy_j": self.energy_j,
-            "last_reading_w": (
-                None
-                if self.last_reading_w is None
-                # Socket indices become JSON object keys, which must be str.
-                else {str(socket): float(w) for socket, w in self.last_reading_w.items()}
-            ),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a snapshot from :meth:`state_dict` (stage-then-commit)."""
-        try:
-            energy = float(state["energy_j"])
-            raw = state["last_reading_w"]
-            last = (
-                None if raw is None else {int(socket): float(w) for socket, w in dict(raw).items()}
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed RAPL state: {exc}") from exc
-        if not (np.isfinite(energy) and energy >= 0):
-            raise CheckpointError(f"energy_j must be finite and >= 0, got {energy}")
-        self.energy_j = energy
-        self.last_reading_w = last

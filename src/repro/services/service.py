@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.services.interference import SocketContention
 from repro.services.profiles import ServiceProfile
 from repro.services.queueing import erlang_c
@@ -94,19 +94,6 @@ class LCService:
 
     def reset(self) -> None:
         self.backlog = 0.0
-
-    def state_dict(self) -> dict:
-        """The service's only mutable state (its RNG is owned by the env)."""
-        return {"backlog": float(self.backlog)}
-
-    def load_state_dict(self, state: dict) -> None:
-        try:
-            backlog = float(state["backlog"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed service state: {exc}") from exc
-        if not (math.isfinite(backlog) and backlog >= 0):
-            raise CheckpointError(f"backlog must be finite and >= 0, got {backlog}")
-        self.backlog = backlog
 
     # ------------------------------------------------------------------ #
     # dynamics

@@ -6,13 +6,16 @@ clients to the other). Each call to :meth:`ColocationEnvironment.step`
 installs the managers' core/DVFS assignments, advances one control
 interval, and returns per-service observations (tail latency, raw PMCs)
 plus the socket power reading — exactly the information Twig and the
-baseline controllers consume on real hardware.
+baseline controllers consume on real hardware. The vector engine
+(:mod:`repro.engine.vector_env`) shares its step events
+(:func:`emit_step_events`) and its checkpoint layout (:class:`NodeState`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +79,9 @@ class EnvironmentConfig:
             raise ConfigurationError(f"interval_s must be positive: {self.interval_s}")
         if not 0 <= self.socket_index < self.spec.sockets:
             raise ConfigurationError(f"socket_index out of range: {self.socket_index}")
+        for name in ("telemetry_noise_std", "rapl_noise_std"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,190 @@ class StepResult:
     true_power_w: float
     membw_utilization: float
     energy_j: float                # cumulative server-socket energy
+
+
+def emit_step_events(
+    sink: TraceSink,
+    streaks: Dict[str, int],
+    result: StepResult,
+    applied: Sequence[Any],
+    **tag: int,
+) -> None:
+    """Emit a ``fault`` event per applied fault, any ``qos_violation``
+    events, then the ``interval`` event of one stepped server, counting
+    its consecutive violations in ``streaks``. ``tag`` is the index
+    envelope (``env=e`` or ``node=e``) the vector engine adds."""
+    for fault in applied:
+        sink.emit(
+            make_event(
+                "fault",
+                result.time,
+                service=fault.service,
+                kind=fault.kind,
+                magnitude=float(fault.magnitude),
+                start=fault.start,
+                duration=fault.duration,
+                **tag,
+            )
+        )
+    per_service = {}
+    for name, obs in result.observations.items():
+        per_service[name] = {
+            "p99_ms": obs.p99_ms,
+            "qos_target_ms": obs.interval.qos_target_ms,
+            "qos_met": obs.qos_met,
+            "arrival_rps": obs.interval.arrival_rate,
+            "cores": obs.interval.cores,
+            "frequency_ghz": obs.interval.frequency_ghz,
+        }
+        if obs.qos_met:
+            streaks[name] = 0
+        else:
+            streak = streaks.get(name, 0) + 1
+            streaks[name] = streak
+            sink.emit(
+                make_event(
+                    "qos_violation",
+                    result.time,
+                    service=name,
+                    p99_ms=obs.p99_ms,
+                    qos_target_ms=obs.interval.qos_target_ms,
+                    tardiness=obs.tardiness,
+                    consecutive=streak,
+                    **tag,
+                )
+            )
+    sink.emit(
+        make_event(
+            "interval",
+            result.time,
+            services=per_service,
+            power_w=result.socket_power_w,
+            true_power_w=result.true_power_w,
+            membw_utilization=result.membw_utilization,
+            energy_j=result.energy_j,
+            **tag,
+        )
+    )
+
+
+class NodeState(NamedTuple):
+    """One server's mutable state as plain values: what its checkpoint
+    tree holds, in the layout :func:`node_state_tree` writes and
+    :func:`parse_node_state` reads. ``freq_index``, ``online`` and
+    ``pinned`` (sorted service names) run over every machine core;
+    ``last_reading_w`` maps socket to watts, None before the first poll."""
+
+    time: int
+    violation_streaks: Dict[str, int]
+    rng: Dict[str, Any]
+    freq_index: np.ndarray
+    online: np.ndarray
+    pinned: List[List[str]]
+    migration_counts: Dict[str, int]
+    energy_j: float
+    last_reading_w: Optional[Dict[int, float]]
+    backlogs: Dict[str, float]
+    loadgen_rng: Dict[str, Dict[str, Any]]
+    faults: Optional[Dict[str, Any]] = None
+
+
+def node_state_tree(state: NodeState) -> Dict[str, Any]:
+    """One server's checkpoint tree, in its fixed leaf order."""
+    last = state.last_reading_w
+    if last is not None:
+        # Socket indices become JSON object keys, which must be str.
+        last = {str(socket): float(w) for socket, w in last.items()}
+    tree: Dict[str, Any] = {
+        "time": state.time,
+        "violation_streaks": {name: int(n) for name, n in state.violation_streaks.items()},
+        "rng": state.rng,
+        "machine": {
+            "freq_index": state.freq_index, "online": state.online,
+            "services": state.pinned, "migration_counts": state.migration_counts,
+        },
+        "rapl": {"energy_j": state.energy_j, "last_reading_w": last},
+        "services": {name: {"backlog": float(b)} for name, b in state.backlogs.items()},
+        "loadgen_rng": state.loadgen_rng,
+    }
+    if state.faults is not None:
+        tree["faults"] = state.faults
+    return tree
+
+
+def parse_node_state(
+    tree: Mapping[str, Any],
+    services: Sequence[str],
+    load_generators: Sequence[str],
+    num_cores: int,
+    num_levels: int,
+    has_faults: bool,
+) -> NodeState:
+    """Check a :func:`node_state_tree` tree against the server it is for
+    and read it back; a malformed tree raises ``CheckpointError``. RNG
+    states are checked when they are set."""
+    try:
+        time = int(tree["time"])
+        streaks = {str(k): int(v) for k, v in dict(tree["violation_streaks"]).items()}
+        rng_tree = dict(tree["rng"])
+        machine = dict(tree["machine"])
+        rapl = dict(tree["rapl"])
+        service_trees = {str(k): dict(v) for k, v in dict(tree["services"]).items()}
+        loadgen_trees = {str(k): dict(v) for k, v in dict(tree["loadgen_rng"]).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed environment checkpoint: {exc}") from exc
+    if time < 0:
+        raise CheckpointError(f"environment time must be >= 0, got {time}")
+    if set(service_trees) != set(services):
+        raise CheckpointError(
+            f"checkpoint has services {sorted(service_trees)}, "
+            f"environment has {sorted(services)}"
+        )
+    if set(loadgen_trees) != set(load_generators):
+        raise CheckpointError(
+            f"checkpoint has load generators {sorted(loadgen_trees)}, "
+            f"environment has {sorted(load_generators)}"
+        )
+    faults_tree = tree.get("faults")
+    if faults_tree is not None and not has_faults:
+        raise CheckpointError(
+            "checkpoint carries fault-injector state but this environment "
+            "has no injector attached"
+        )
+    try:
+        freq_index = np.asarray(machine["freq_index"], dtype=np.int64)
+        online = np.asarray(machine["online"], dtype=bool)
+        pinned = [sorted(set(map(str, names))) for names in list(machine["services"])]
+        migrations = {str(k): int(v) for k, v in dict(machine["migration_counts"]).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed machine state: {exc}") from exc
+    if not (len(freq_index) == len(online) == len(pinned) == num_cores):
+        raise CheckpointError(
+            f"machine checkpoint describes {len(freq_index)} cores, machine has {num_cores}"
+        )
+    if freq_index.size and not (0 <= freq_index.min() and freq_index.max() < num_levels):
+        raise CheckpointError("machine checkpoint has out-of-range DVFS indices")
+    try:
+        energy = float(rapl["energy_j"])
+        raw = rapl["last_reading_w"]
+        last = None if raw is None else {int(s): float(w) for s, w in dict(raw).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed RAPL state: {exc}") from exc
+    if not (math.isfinite(energy) and energy >= 0):
+        raise CheckpointError(f"energy_j must be finite and >= 0, got {energy}")
+    backlogs = {}
+    for name, service_tree in service_trees.items():
+        try:
+            backlog = float(service_tree["backlog"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed service state: {exc}") from exc
+        if not (math.isfinite(backlog) and backlog >= 0):
+            raise CheckpointError(f"backlog must be finite and >= 0, got {backlog}")
+        backlogs[name] = backlog
+    return NodeState(
+        time, streaks, rng_tree, freq_index, online, pinned, migrations, energy,
+        last, backlogs, loadgen_trees, faults_tree,
+    )
 
 
 class ColocationEnvironment:
@@ -178,13 +368,6 @@ class ColocationEnvironment:
     @property
     def energy_j(self) -> float:
         return self.rapl.energy_j
-
-    def max_power_w(self) -> float:
-        """Stress-microbenchmark socket power (reward normalisation)."""
-        return self.power_model.max_power_w()
-
-    def profile_of(self, name: str) -> ServiceProfile:
-        return self.services[name].profile
 
     def qos_target_of(self, name: str) -> float:
         return self.services[name].qos_target_ms
@@ -267,71 +450,8 @@ class ColocationEnvironment:
             energy_j=self.rapl.energy_j,
         )
         if self.trace.enabled:
-            self._emit_step_events(step_result, applied)
+            emit_step_events(self.trace, self._violation_streaks, step_result, applied)
         return step_result
-
-    def _emit_step_events(
-        self, result: StepResult, applied: Sequence[Any], **tag: int
-    ) -> None:
-        """Emit a ``fault`` event per applied fault, any ``qos_violation``
-        events, then the ``interval`` event.
-
-        ``tag`` is the index envelope (``env=e`` or ``node=e``) a vector
-        engine adds for the wrapped environment it steps; a standalone
-        environment emits untagged events.
-        """
-        for fault in applied:
-            self.trace.emit(
-                make_event(
-                    "fault",
-                    result.time,
-                    service=fault.service,
-                    kind=fault.kind,
-                    magnitude=float(fault.magnitude),
-                    start=fault.start,
-                    duration=fault.duration,
-                    **tag,
-                )
-            )
-        per_service = {}
-        for name, obs in result.observations.items():
-            per_service[name] = {
-                "p99_ms": obs.p99_ms,
-                "qos_target_ms": obs.interval.qos_target_ms,
-                "qos_met": obs.qos_met,
-                "arrival_rps": obs.interval.arrival_rate,
-                "cores": obs.interval.cores,
-                "frequency_ghz": obs.interval.frequency_ghz,
-            }
-            if obs.qos_met:
-                self._violation_streaks[name] = 0
-            else:
-                streak = self._violation_streaks.get(name, 0) + 1
-                self._violation_streaks[name] = streak
-                self.trace.emit(
-                    make_event(
-                        "qos_violation",
-                        result.time,
-                        service=name,
-                        p99_ms=obs.p99_ms,
-                        qos_target_ms=obs.interval.qos_target_ms,
-                        tardiness=obs.tardiness,
-                        consecutive=streak,
-                        **tag,
-                    )
-                )
-        self.trace.emit(
-            make_event(
-                "interval",
-                result.time,
-                services=per_service,
-                power_w=result.socket_power_w,
-                true_power_w=result.true_power_w,
-                membw_utilization=result.membw_utilization,
-                energy_j=result.energy_j,
-                **tag,
-            )
-        )
 
     def _effective_capacities(self, arrivals: Mapping[str, float]) -> Dict[str, float]:
         """Core-equivalents per service with demand-aware timesharing.
@@ -417,79 +537,49 @@ class ColocationEnvironment:
     # checkpointing
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, Any]:
-        """Every mutable piece of simulator state, for bit-exact resume.
-
-        Covers the clock, violation streaks, machine core state, service
-        backlogs, the RAPL energy accumulator, the environment RNG stream
-        (shared by services/telemetry/RAPL), each load generator's private
-        RNG stream, and the fault injector's RNG when one is attached.
-        Configuration (profiles, spec, generators' schedules) is not
-        stored: a resume reconstructs the environment from the same config
-        and then restores this state into it.
-        """
-        tree: Dict[str, Any] = {
-            "time": self.time,
-            "violation_streaks": {
-                name: int(streak) for name, streak in self._violation_streaks.items()
-            },
-            "rng": rng_state(self._rng),
-            "machine": self.machine.state_dict(),
-            "rapl": self.rapl.state_dict(),
-            "services": {
-                name: service.state_dict() for name, service in self.services.items()
-            },
-            "loadgen_rng": {
+        """Every mutable piece of simulator state, for bit-exact resume."""
+        cores = self.machine.cores
+        return node_state_tree(NodeState(
+            time=self.time,
+            violation_streaks=self._violation_streaks,
+            rng=rng_state(self._rng),
+            freq_index=np.array([core.freq_index for core in cores], dtype=np.int64),
+            online=np.array([core.online for core in cores], dtype=bool),
+            pinned=[sorted(core.services) for core in cores],
+            migration_counts=dict(self.machine.migration_counts),
+            energy_j=self.rapl.energy_j,
+            last_reading_w=self.rapl.last_reading_w,
+            backlogs={name: service.backlog for name, service in self.services.items()},
+            loadgen_rng={
                 name: rng_state(generator._rng)
                 for name, generator in self.load_generators.items()
             },
-        }
-        if self.faults is not None:
-            tree["faults"] = self.faults.state_dict()
-        return tree
+            faults=None if self.faults is None else self.faults.state_dict(),
+        ))
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
-        """Restore a snapshot from :meth:`state_dict` (stage-then-commit)."""
-        try:
-            time = int(tree["time"])
-            streaks = {str(k): int(v) for k, v in dict(tree["violation_streaks"]).items()}
-            rng_tree = dict(tree["rng"])
-            machine_tree = dict(tree["machine"])
-            rapl_tree = dict(tree["rapl"])
-            service_trees = {str(k): dict(v) for k, v in dict(tree["services"]).items()}
-            loadgen_trees = {str(k): dict(v) for k, v in dict(tree["loadgen_rng"]).items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed environment checkpoint: {exc}") from exc
-        if time < 0:
-            raise CheckpointError(f"environment time must be >= 0, got {time}")
-        if set(service_trees) != set(self.services):
-            raise CheckpointError(
-                f"checkpoint has services {sorted(service_trees)}, "
-                f"environment has {sorted(self.services)}"
-            )
-        if set(loadgen_trees) != set(self.load_generators):
-            raise CheckpointError(
-                f"checkpoint has load generators {sorted(loadgen_trees)}, "
-                f"environment has {sorted(self.load_generators)}"
-            )
-        faults_tree = tree.get("faults")
-        if faults_tree is not None and self.faults is None:
-            raise CheckpointError(
-                "checkpoint carries fault-injector state but this environment "
-                "has no injector attached"
-            )
-        # Sub-component loads validate before mutating; order them so the
-        # most-validated (machine) commits first.
-        self.machine.load_state_dict(machine_tree)
-        self.rapl.load_state_dict(rapl_tree)
-        for name, service_tree in service_trees.items():
-            self.services[name].load_state_dict(service_tree)
-        set_rng_state(self._rng, rng_tree)
-        for name, generator_tree in loadgen_trees.items():
+        """Restore a snapshot from :meth:`state_dict` (parse, then commit)."""
+        state = parse_node_state(
+            tree, list(self.services), list(self.load_generators),
+            len(self.machine.cores), len(self.spec.dvfs), self.faults is not None,
+        )
+        for core, level, is_online, names in zip(
+            self.machine.cores, state.freq_index.tolist(), state.online.tolist(),
+            state.pinned,
+        ):
+            core.freq_index, core.online, core.services = level, is_online, set(names)
+        self.machine.migration_counts = state.migration_counts
+        self.rapl.energy_j = state.energy_j
+        self.rapl.last_reading_w = state.last_reading_w
+        for name, backlog in state.backlogs.items():
+            self.services[name].backlog = backlog
+        set_rng_state(self._rng, state.rng)
+        for name, generator_tree in state.loadgen_rng.items():
             set_rng_state(self.load_generators[name]._rng, generator_tree)
-        if faults_tree is not None and self.faults is not None:
-            self.faults.load_state_dict(dict(faults_tree))
-        self.time = time
-        self._violation_streaks = streaks
+        if state.faults is not None:
+            self.faults.load_state_dict(dict(state.faults))
+        self.time = state.time
+        self._violation_streaks = state.violation_streaks
 
     # ------------------------------------------------------------------ #
     # service swap (transfer-learning experiments)

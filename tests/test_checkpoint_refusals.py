@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt.checkpoint import load_state, save_state
+from repro.ckpt.checkpoint import load_state, rng_state, save_state
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
 from repro.core.config import TwigConfig
@@ -306,7 +306,11 @@ def _three_nodes(tree):
 
 #: Trees a cluster cannot continue from. The first four used to raise
 #: only after some part of the fleet was restored: the last node after
-#: nodes 0-2, the cluster subtrees after every node.
+#: nodes 0-2, the cluster subtrees after every node. The last four give
+#: node state the engine does not hold: a pinned or clocked-up core off
+#: the server socket (socket 1; core 0 is on socket 0), a service the
+#: node does not run, and a drawn stream for a node's balancer-driven
+#: load generator.
 CLUSTER_CORRUPTIONS = {
     "last_node": _drop("envs", "0003", "rapl"),
     "traffic": _drop("cluster", "traffic", "rng"),
@@ -314,6 +318,11 @@ CLUSTER_CORRUPTIONS = {
     "loads": _set(np.zeros((3, 2)), "cluster", "loads", "backlog"),
     "no_cluster": _drop("cluster"),
     "node_count": _three_nodes,
+    "off_socket_pin": _set(["masstree"], "envs", "0001", "machine", "services", 0),
+    "off_socket_dvfs": _set(2, "envs", "0002", "machine", "freq_index", 0),
+    "unknown_service": _set(3, "envs", "0000", "machine", "migration_counts", "moses"),
+    "drawn_load_stream": _set(rng_state(np.random.default_rng(5)), "envs", "0003",
+                              "loadgen_rng", "xapian"),
 }
 
 

@@ -160,8 +160,7 @@ class TestEvents:
     def test_events_node_tagged_and_schema_valid(self):
         venv = ClusterEnvironment.from_services(SERVICES, 3, seed=5)
         sink = MemorySink(validate=True)
-        for env in venv.envs:
-            env.trace = sink
+        venv.attach_obs(sink, None)
         assignments = _static_assignments(venv, cores=2)  # force violations
         for _ in range(4):
             venv.step(assignments)
@@ -175,8 +174,7 @@ class TestEvents:
     def test_cluster_interval_aggregates(self):
         venv = ClusterEnvironment.from_services(SERVICES, 3, seed=5)
         sink = MemorySink(validate=True)
-        for env in venv.envs:
-            env.trace = sink
+        venv.attach_obs(sink, None)
         assignments = _static_assignments(venv)
         results = venv.step(assignments)
         (event,) = sink.of_type("cluster_interval")
@@ -289,5 +287,5 @@ class TestValidation:
         venv = ClusterEnvironment.from_services(SERVICES, 2, seed=1)
         wrong = ClusterTopology(3, ("r0",))
         with pytest.raises(ConfigurationError):
-            ClusterEnvironment(venv.envs, venv.traffic,
+            ClusterEnvironment(SERVICES, 2, 1, venv.traffic,
                                make_balancer("round_robin", wrong))

@@ -14,9 +14,12 @@ its ``observations`` mapping is read. These tests pin:
   scalar oracle to the last ulp, with a faulted node and with a trace
   sink, on multi-node and 1-node clusters;
 - ownership: a batch's arrays are read-only;
-- rate installation: a balancer rate matrix with a NaN or negative rate
-  is refused before any generator is written, on both engines, and a
-  synced cluster's generators hold the last matrix it stepped on.
+- a faulted node: every ``batch.arrays`` entry of the node equals the
+  result its injector returned, for each fault kind;
+- rates: a balancer rate matrix with a NaN, infinite or negative rate,
+  or of the wrong size, is refused before any node steps;
+- ownership of the nodes: building an engine builds no per-node object
+  graph (no environment, machine, service or scheduled load).
 """
 
 from __future__ import annotations
@@ -26,16 +29,24 @@ import pytest
 
 from repro.baselines.static import StaticManager
 from repro.cluster.environment import ClusterEnvironment, make_cluster_node
-from repro.cluster.traffic import ScheduledLoad, install_rates
+from repro.cluster.traffic import ScheduledLoad, check_rates
+from repro.core.actions import Allocation
+from repro.core.mapper import Mapper
 from repro.engine.rollout import run_fleet
-from repro.engine.vector_env import ENV_SEED_STRIDE
+from repro.engine.vector_env import (
+    _COUNTER_ORDER,
+    _FIELD_ARRAYS,
+    ENV_SEED_STRIDE,
+    VectorEnvironment,
+)
 from repro.errors import ConfigurationError, ShapeError
 from repro.hier.baselines import make_rule_fleet
 from repro.obs.context import ObsContext
 from repro.obs.sink import MemorySink
-from repro.services.service import IntervalResult
-from repro.sim.environment import ServiceObservation, StepResult
-from repro.sim.faults import Fault, FaultInjector
+from repro.server.machine import Machine
+from repro.services.service import IntervalResult, LCService
+from repro.sim.environment import ColocationEnvironment, ServiceObservation, StepResult
+from repro.sim.faults import FAULT_KINDS, Fault, FaultInjector
 from tests.helpers import _assert_tree_equal
 
 SERVICES = ["masstree", "xapian"]
@@ -66,7 +77,7 @@ def _cluster(services, nodes, faulted=False):
         services, num_nodes=nodes, seed=SEED, balancer="least_loaded"
     )
     if faulted:
-        venv.envs[FAULTED].faults = _faults(services)
+        venv.faults[FAULTED] = _faults(services)
     return venv
 
 
@@ -238,7 +249,7 @@ class TestLazyEqualsEager:
         for batch, _, results in seen:
             assert len(results) == nodes
             for e, result in enumerate(results):
-                if faulted and e == FAULTED and venv.envs[e].faults.active_at(result.time):
+                if faulted and e == FAULTED and venv.faults[e].active_at(result.time):
                     continue  # the injector replaced these observations
                 assert result == _eager(batch, e), (e, result.time)
         _assert_matches_oracles(services, seen, faulted)
@@ -246,14 +257,13 @@ class TestLazyEqualsEager:
             assert len(sink.of_type("interval")) == 6 * nodes
         if faulted:
             assert any(
-                venv.envs[FAULTED].faults.active_at(results[0].time)
+                venv.faults[FAULTED].active_at(results[0].time)
                 for _, _, results in seen
             )
 
 
 class TestBatchArraysReadOnly:
-    @pytest.mark.parametrize("engine", ["vector"])
-    def test_writing_into_batch_arrays_raises(self, engine):
+    def test_writing_into_batch_arrays_raises(self):
         venv = _cluster(SERVICES, 4)
         assignments = make_rule_fleet("static", SERVICES, 4, SEED).initial_assignments()
         batch = venv.step(assignments)
@@ -263,22 +273,55 @@ class TestBatchArraysReadOnly:
             assert not array.flags.writeable, key
 
 
-class TestRateInstall:
-    def test_helper_validates_whole_matrix_before_writing(self):
-        generators = [ScheduledLoad(100.0) for _ in range(6)]
-        install_rates(generators, np.arange(6.0).reshape(3, 2))
-        for bad in (float("nan"), -1.0, float("inf")):
-            rates = np.arange(6.0).reshape(3, 2) + 10.0
-            rates[2, 1] = bad
-            with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
-                install_rates(generators, rates)
-            assert [g.rate(0) for g in generators] == list(np.arange(6.0))
-        with pytest.raises(ConfigurationError):
-            install_rates(generators, np.ones((2, 2)))
+def _same(a: float, b: float) -> bool:
+    """Equal, or both NaN."""
+    return a == b or (a != a and b != b)
+
+
+class TestFaultedArrays:
+    """``batch.arrays`` of a faulted node read what its result reads."""
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_every_array_of_the_faulted_node_is_the_faulted_value(self, kind):
+        venv = VectorEnvironment.from_services(
+            SERVICES, {"masstree": 0.4, "xapian": 0.4}, 2, SEED
+        )
+        magnitude = 5.0 if kind == "latency_spike" else 3.0
+        venv.faults[1] = FaultInjector(
+            [Fault(kind, "xapian", start=1, duration=1, magnitude=magnitude)],
+            rng=np.random.default_rng(5),
+        )
+        allocation = Mapper(venv.spec).map(
+            {name: Allocation(num_cores=4, freq_index=3) for name in SERVICES}
+        )
+        batch = venv.step([allocation, allocation])
+        faulted = batch[1].observations
+        rebuilt = batch.build_observations(1)
+        for i, name in enumerate(SERVICES):
+            interval, pmcs = faulted[name].interval, faulted[name].pmcs
+            for field, key in _FIELD_ARRAYS.items():
+                assert _same(batch.arrays[key][1, i], getattr(interval, field)), (name, key)
+                assert _same(getattr(rebuilt[name].interval, field), getattr(interval, field))
+            for c, counter in enumerate(_COUNTER_ORDER):
+                assert _same(batch.arrays["counters"][1, i, c], pmcs[counter]), (name, counter)
+
+
+class TestRates:
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")],
+                             ids=["nan", "negative", "inf"])
+    def test_check_rates_refuses_a_bad_rate(self, bad):
+        rates = np.arange(6.0).reshape(3, 2) + 10.0
+        rates[2, 1] = bad
+        with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
+            check_rates(rates, 6)
+
+    def test_check_rates_refuses_the_wrong_count(self):
+        assert check_rates(np.arange(6.0).reshape(3, 2), 6).tolist() == list(np.arange(6.0))
+        with pytest.raises(ConfigurationError, match="got 4 rates for 6 generators"):
+            check_rates(np.ones((2, 2)), 6)
 
     @pytest.mark.parametrize("bad", [float("nan"), -3.0], ids=["nan", "negative"])
-    @pytest.mark.parametrize("engine", ["vector"])
-    def test_engine_refuses_bad_balancer_rates(self, monkeypatch, engine, bad):
+    def test_engine_refuses_bad_balancer_rates(self, monkeypatch, bad):
         nodes = 4
         venv = _cluster(SERVICES, nodes)
         assignments = make_rule_fleet("static", SERVICES, nodes, SEED).initial_assignments()
@@ -289,23 +332,23 @@ class TestRateInstall:
         before = venv.state_dict()["envs"]
         with pytest.raises(ConfigurationError, match="scheduled rate must be finite >= 0"):
             venv.step(assignments)
-        # No node stepped, and no generator took a rate of the matrix.
+        # No node stepped, and the balancer feedback still holds the
+        # matrix of the last interval.
         assert venv.time == 1
         _assert_tree_equal(venv.state_dict()["envs"], before)
-        installed = [g.rate(0) for g in venv._generators]
-        assert installed == good.ravel().tolist()
+        assert np.array_equal(venv.state_dict()["cluster"]["loads"]["arrival_rps"], good)
 
-    def test_synced_generators_hold_the_last_matrix(self):
-        nodes, ticks = 4, 3
-        venv = _cluster(SERVICES, nodes)
-        assignments = make_rule_fleet("static", SERVICES, nodes, SEED).initial_assignments()
-        first = venv.step(assignments).arrays["arrivals"]
-        for _ in range(ticks - 1):
-            last = venv.step(assignments).arrays["arrivals"]
-        assert not np.array_equal(first, last)
-        venv.state_dict()
-        installed = [
-            [env.load_generators[name].rate(0) for name in SERVICES] for env in venv.envs
+
+class TestNodeOwnership:
+    @pytest.mark.parametrize("build", ["vector", "cluster"])
+    def test_building_64_nodes_builds_no_node_objects(self, monkeypatch, build):
+        counters = [
+            _Counter(monkeypatch, cls)
+            for cls in (ColocationEnvironment, Machine, LCService, ScheduledLoad)
         ]
-        assert installed == last.tolist()
-        assert [env.time for env in venv.envs] == [ticks] * nodes
+        if build == "vector":
+            venv = VectorEnvironment.from_services(SERVICES, {"masstree": 0.4}, 64, SEED)
+        else:
+            venv = _cluster(SERVICES, 64)
+        assert venv.num_envs == 64
+        assert [counter.count for counter in counters] == [0, 0, 0, 0]

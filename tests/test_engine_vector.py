@@ -38,6 +38,7 @@ from repro.rl.sum_tree import SumTree
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
+from repro.obs.sink import MemorySink
 from repro.sim.faults import Fault, FaultInjector
 from tests.helpers import _assert_traces_equal, _assert_tree_equal
 
@@ -116,10 +117,9 @@ class TestVectorMatchesScalar:
         # The RNG streams must end in the same state too — equality of the
         # outputs above could in principle survive a draw-order swap, the
         # bit generator state cannot.
+        trees = venv.state_dict()["envs"]
         for e, oracle in enumerate(oracles):
-            assert (
-                venv.envs[e]._rng.bit_generator.state == oracle._rng.bit_generator.state
-            )
+            assert trees[f"{e:04d}"]["rng"] == oracle._rng.bit_generator.state
         _assert_envs_match(venv, oracles)
 
     def test_env_zero_matches_standard_recipe(self):
@@ -212,10 +212,9 @@ def _assert_tree_close(got, expected, path):
 
 
 def _assert_envs_match(venv, oracles):
-    """Migration counters, read without a write-back, then every leaf of
-    each synced wrapped env's state tree (clock, violation streaks, RNG
-    states, machine, RAPL energy and last reading, backlogs) equal each
-    oracle's."""
+    """Migration counters, then every leaf of each node's state tree
+    (clock, violation streaks, RNG states, machine, RAPL energy and last
+    reading, backlogs, fault RNG) equal each oracle's."""
     assert venv.migration_counts() == [
         dict(oracle.machine.migration_counts) for oracle in oracles
     ]
@@ -292,20 +291,23 @@ class TestArrayInstall:
         _step_and_compare(venv, oracles, [shared, shared])
 
 
+def _crash_faults():
+    return FaultInjector(
+        [
+            Fault("pmc_nan", "xapian", start=2, duration=2, magnitude=3.0),
+            Fault("service_crash", "moses", start=4, duration=1),
+        ],
+        rng=np.random.default_rng(5),
+    )
+
+
 class TestEngineOwnedState:
-    """Backlogs, clocks and RAPL live in the engine's arrays; a synced
-    wrapped env equals its scalar oracle, a faulted one included."""
+    """The engine owns every node's state; each node's tree equals its
+    scalar oracle's, a faulted and a traced one included."""
 
     def test_crash_drops_the_engine_backlog_like_the_oracle(self):
         venv, oracles = _four_service_batch(2)
-        for env in (venv.envs[1], oracles[1]):
-            env.faults = FaultInjector(
-                [
-                    Fault("pmc_nan", "xapian", start=2, duration=2, magnitude=3.0),
-                    Fault("service_crash", "moses", start=4, duration=1),
-                ],
-                rng=np.random.default_rng(5),
-            )
+        venv.faults[1], oracles[1].faults = _crash_faults(), _crash_faults()
         # One core each at the lowest DVFS state: every service backs up.
         tight = _map4(Mapper(venv.spec), (1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0))
         backlogs = []
@@ -314,6 +316,36 @@ class TestEngineOwnedState:
             backlogs.append(oracles[1].services["moses"].backlog)
         # The crash at t=4 dropped a real backlog, which then grew again.
         assert backlogs[2] > 0.0 and backlogs[3] == 0.0 and backlogs[4] > 0.0
+
+    def test_traced_lockstep_events_and_state_match_the_oracles(self):
+        """Each node's events, with their ``env`` tag, equal its traced
+        oracle's on every step, and so does its state tree: streaks, the
+        crash's backlog and the fault RNG included."""
+        venv, oracles = _four_service_batch(3)
+        venv.faults[1], oracles[1].faults = _crash_faults(), _crash_faults()
+        sink = MemorySink(validate=True)
+        venv.attach_obs(sink, None)
+        oracle_sinks = [MemorySink(validate=True) for _ in oracles]
+        for oracle, oracle_sink in zip(oracles, oracle_sinks):
+            oracle.attach_obs(oracle_sink, None)
+        # One core each at the lowest DVFS state: every service violates.
+        tight = _map4(Mapper(venv.spec), (1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 0, 0))
+        kinds = set()
+        for t in range(6):
+            del sink.events[:]
+            for oracle_sink in oracle_sinks:
+                del oracle_sink.events[:]
+            _step_and_compare(venv, oracles, [tight] * 3)
+            for e, oracle_sink in enumerate(oracle_sinks):
+                got = [event for event in sink.events if event["env"] == e]
+                expected = [{**event, "env": e} for event in oracle_sink.events]
+                assert [event["ev"] for event in got] == [event["ev"] for event in expected]
+                for i, (a, b) in enumerate(zip(got, expected)):
+                    _assert_tree_close(a, b, f"step {t} env {e} event {i}")
+                kinds.update(event["ev"] for event in got)
+        assert kinds == {"fault", "qos_violation", "interval"}
+        streaks = venv.state_dict()["envs"]["0001"]["violation_streaks"]
+        assert streaks and max(streaks.values()) > 1
 
 
 class TestKeptBatch:
@@ -460,20 +492,28 @@ class TestBatchInstall:
         _step_and_compare(venv, oracles, batch)
         _step_and_compare(venv, oracles, batch)
 
-    def test_only_changed_rows_are_written(self):
+    def test_only_changed_rows_are_written(self, monkeypatch):
         venv, oracles = _four_service_batch(3)
         mapper = Mapper(venv.spec)
         _step_and_compare(venv, oracles, _rows4(mapper, [self.GOOD] * 3))
         batch = _rows4(mapper, [self.GOOD, self.OVER, self.GOOD])
+        written, changes = [], venv._inputs.changes
+
+        def recording_changes(*args):
+            found = changes(*args)
+            written.append(found[0].tolist())
+            return found
+
+        monkeypatch.setattr(venv._inputs, "changes", recording_changes)
         venv.step(batch)
-        assert venv._machine_stale.tolist() == [False, True, False]
+        assert written == [[1]]
         for e, oracle in enumerate(oracles):
             oracle.step(batch[e])
         _assert_envs_match(venv, oracles)
 
     def test_load_reinstalls_every_env(self):
-        """After a load only the pins are re-read from the machines, so
-        the next batch is written in full even where it matches them."""
+        """A tree holds pins but no per-service DVFS or way rows, so after
+        a load the next batch is written in full even where it matches."""
         venv, oracles = _four_service_batch(2)
         mapper = Mapper(venv.spec)
         first = _rows4(mapper, [self.GOOD, self.GOOD])

@@ -25,7 +25,18 @@ behaviour bit for bit.
   variant (hier, flat, static, PARTIES), and a longer ``hier`` run with
   a two-tick budget period, long enough for the budget allocator's own
   agent to train (at quick scale it stores 15 transitions, below its
-  ``min_buffer_size`` of 16, and never does).
+  ``min_buffer_size`` of 16, and never does); and
+  ``repro.experiments.fleet.run`` at the CLI's quick scale, the one run
+  that steps the non-cluster engine and its ``ConstantLoad`` jitter
+  streams.
+- Engine states: the ``state_dict`` tree of a fresh 8-node cluster, of
+  that cluster after a traced 20-tick learning run with faults on node 2
+  (violation streaks and a ``faults`` subtree present), of a fresh
+  4-environment ``VectorEnvironment.from_services`` fleet and of that
+  fleet after 20 ticks. Each is hashed byte for byte as ``save_state``
+  flattens it (every array leaf's path, dtype, shape and bytes in walk
+  order, then the scalar leaves' JSON), so leaf order, dict key order
+  and exact floats are pinned.
 
 - Harness experiments: Figures 5-13 at the CLI's quick scale
   (``repro run figNN``), each hashed over its result object's fields
@@ -54,13 +65,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import PartiesManager
+from repro.ckpt.checkpoint import _flatten, _json_default
 from repro.cli import _config_for
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
-from repro.experiments import cluster, hier
+from repro.engine.vector_env import VectorEnvironment
+from repro.experiments import cluster, fleet, hier
 from repro.experiments.common import HarnessConfig, build_twig, make_environment
 from repro.experiments.profiling import fit_service_power_model
 from repro.experiments.registry import run_experiment as run_registered
@@ -146,6 +159,26 @@ EXPERIMENT_CONFIGS: Dict[str, Dict[str, Any]] = {
     # train steps. No comparison fleets, so only the hier variant runs.
     "hier-allocator-trains": {**_HIER, "budget_period": 2, "steps": 160,
                               "baselines": [], "variant": "hier"},
+    # ``repro run fleet`` at the CLI's quick scale.
+    "fleet-quick": {"loop": "experiment", "experiment": "fleet", "num_envs": 4,
+                    "steps": 150, "epsilon_mid_steps": 60, "epsilon_final_steps": 120,
+                    "window": 60},
+}
+
+#: The non-cluster fleet of the engine-state hashes.
+_VECTOR = {"kind": "vector", "services": ["masstree", "xapian"], "loads": [0.4, 0.5],
+           "nodes": 4, "seed": 7}
+
+#: Engine ``state_dict`` trees, with their test ids: a fresh cluster, the
+#: ``fleet-events`` cluster after its traced run, a fresh non-cluster
+#: fleet and that fleet after 20 learning ticks.
+STATE_CONFIGS: Dict[str, Dict[str, Any]] = {
+    "state-cluster-fresh": {"loop": "state", "kind": "cluster", "manager": "twig",
+                            **_FLEET, "ticks": 0},
+    "state-cluster-traced": {"loop": "state", "kind": "cluster",
+                             **FLEET_CONFIGS["fleet-events"]},
+    "state-vector-fresh": {"loop": "state", **_VECTOR, "ticks": 0},
+    "state-vector": {"loop": "state", **_VECTOR, "ticks": 20},
 }
 
 #: Harness experiments at the CLI's quick scale, with their test ids.
@@ -181,31 +214,74 @@ def event_lines(sink: MemorySink):
     return lines
 
 
-def run_traces(config: Dict[str, Any]):
-    """Run one golden fleet config: one RunTrace per node, or the event lines."""
+def _fleet_twig(config: Dict[str, Any]) -> FleetTwig:
+    twig_config = TwigConfig.fast(epsilon_mid_steps=8, epsilon_final_steps=16)
+    return FleetTwig(
+        [get_profile(s) for s in config["services"]],
+        twig_config.scaled(**config.get("agent", {})),
+        np.random.default_rng(config["seed"] + 1),
+        num_envs=config["nodes"],
+    )
+
+
+def _fleet(config: Dict[str, Any]):
+    """The cluster and the manager of one golden fleet config."""
     services, nodes, seed = config["services"], config["nodes"], config["seed"]
     venv = ClusterEnvironment.from_services(
         services, num_nodes=nodes, seed=seed, traffic=config["traffic"],
         balancer=config["balancer"],
     )
     if "fault_node" in config:
-        venv.envs[config["fault_node"]].faults = FaultInjector(list(FLEET_FAULTS))
+        venv.faults[config["fault_node"]] = FaultInjector(list(FLEET_FAULTS))
     if config["manager"] == "twig":
-        twig_config = TwigConfig.fast(epsilon_mid_steps=8, epsilon_final_steps=16)
-        manager = FleetTwig(
-            [get_profile(s) for s in services],
-            twig_config.scaled(**config.get("agent", {})),
-            np.random.default_rng(seed + 1),
-            num_envs=nodes,
-        )
+        manager = _fleet_twig(config)
         manager.index_tag = "node"
     else:
         manager = make_rule_fleet(config["manager"], services, nodes, seed)
+    return venv, manager
+
+
+def run_traces(config: Dict[str, Any]):
+    """Run one golden fleet config: one RunTrace per node, or the event lines."""
+    venv, manager = _fleet(config)
     if config.get("events"):
         sink = MemorySink(validate=True)
         run_fleet(manager, venv, config["ticks"], obs=ObsContext(sink=sink))
         return event_lines(sink)
     return run_fleet(manager, venv, config["ticks"])
+
+
+def _engine(config: Dict[str, Any]):
+    """The engine and the manager of one golden engine-state config."""
+    if config["kind"] == "cluster":
+        return _fleet(config)
+    services = config["services"]
+    venv = VectorEnvironment.from_services(
+        services, dict(zip(services, config["loads"])), config["nodes"], config["seed"],
+    )
+    return venv, _fleet_twig(config)
+
+
+def run_state(config: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``state_dict`` of a golden engine config after its ticks."""
+    venv, manager = _engine(config)
+    if config["ticks"]:
+        obs = ObsContext(sink=MemorySink(validate=True)) if config.get("events") else None
+        run_fleet(manager, venv, config["ticks"], obs=obs)
+    return venv.state_dict()
+
+
+def state_sha256(tree: Dict[str, Any]) -> str:
+    """sha256 over a state tree flattened as ``save_state`` flattens it:
+    each array leaf's path, dtype, shape and bytes in walk order, then
+    the scalar leaves' JSON."""
+    arrays, scalars = _flatten(tree)
+    digest = hashlib.sha256()
+    for path, array in arrays.items():
+        digest.update(f"{path}|{array.dtype.str}|{array.shape}|".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(json.dumps(scalars, default=_json_default).encode())
+    return digest.hexdigest()
 
 
 def _paper_env(config: Dict[str, Any], faults=None) -> ColocationEnvironment:
@@ -299,11 +375,14 @@ def run_paper(config: Dict[str, Any]):
 
 
 def experiment_config(config: Dict[str, Any]):
-    """The ``ClusterConfig`` or ``HierConfig`` a golden experiment config names."""
+    """The ``ClusterConfig``, ``FleetConfig`` or ``HierConfig`` a golden
+    experiment config names."""
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in config.items()
               if k not in ("loop", "experiment", "variant")}
     if config["experiment"] == "cluster":
         return cluster.ClusterConfig(**kwargs)
+    if config["experiment"] == "fleet":
+        return fleet.FleetConfig(**kwargs)
     return hier.HierConfig(**kwargs)
 
 
@@ -317,6 +396,8 @@ def run_experiment(config: Dict[str, Any]):
     """Run one golden experiment config; one RunTrace per node."""
     if config["experiment"] == "cluster":
         return cluster.run(experiment_config(config)).traces
+    if config["experiment"] == "fleet":
+        return fleet.run(experiment_config(config)).traces
     return _hier_traces(experiment_config(config))[config["variant"]]
 
 
@@ -373,6 +454,8 @@ def config_sha256(config: Dict[str, Any]) -> str:
         )
     if config.get("loop") == "experiment":
         return trace_sha256(run_experiment(config))
+    if config.get("loop") == "state":
+        return state_sha256(run_state(config))
     output = run_paper(config) if config.get("loop") == "paper" else run_traces(config)
     if output and isinstance(output[0], str):
         return hashlib.sha256("\n".join(output).encode()).hexdigest()
@@ -380,7 +463,8 @@ def config_sha256(config: Dict[str, Any]) -> str:
 
 
 ALL_CONFIGS: Dict[str, Dict[str, Any]] = {
-    **FLEET_CONFIGS, **PAPER_CONFIGS, **EXPERIMENT_CONFIGS, **HARNESS_CONFIGS,
+    **FLEET_CONFIGS, **PAPER_CONFIGS, **EXPERIMENT_CONFIGS, **STATE_CONFIGS,
+    **HARNESS_CONFIGS,
 }
 
 
@@ -393,7 +477,7 @@ def test_golden_file_covers_every_config():
     assert sorted(golden) == sorted(config_key(c) for c in ALL_CONFIGS.values())
 
 
-@pytest.mark.parametrize("config_id", ["cluster", "hier-hier"])
+@pytest.mark.parametrize("config_id", ["cluster", "hier-hier", "fleet-quick"])
 def test_experiment_configs_are_the_cli_quick_scale(config_id):
     config = EXPERIMENT_CONFIGS[config_id]
     assert _config_for(config["experiment"], "quick") == experiment_config(config)
@@ -406,6 +490,15 @@ def test_experiment_configs_are_the_cli_quick_scale(config_id):
 def test_run_trace_hash_unchanged(config):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert config_sha256(config) == golden[config_key(config)]
+
+
+@pytest.mark.parametrize("config", list(STATE_CONFIGS.values()), ids=list(STATE_CONFIGS))
+def test_state_tree_loads_back_byte_for_byte(config):
+    """A fresh engine that loads a golden state writes it back unchanged."""
+    tree = run_state(config)
+    fresh, _ = _engine(config)
+    fresh.load_state_dict(tree)
+    assert state_sha256(fresh.state_dict()) == state_sha256(tree)
 
 
 #: sha256 of ``RunTrace.to_csv`` for the ``parties-crash`` run (NaN p99

@@ -387,7 +387,7 @@ class TestDegradedShedding:
             SERVICES, num_nodes=8, seed=7, regions=("r0",),
             balancer="least_loaded",
         )
-        venv.envs[3].faults = FaultInjector(
+        venv.faults[3] = FaultInjector(
             [Fault("service_crash", "masstree", start=2, duration=3)]
         )
         manager = FleetTwig(
@@ -419,7 +419,7 @@ class TestDegradedShedding:
             SERVICES, num_nodes=4, seed=7, regions=("r0",),
             balancer="least_loaded",
         )
-        venv.envs[1].faults = FaultInjector(
+        venv.faults[1] = FaultInjector(
             [Fault("service_crash", "masstree", start=1, duration=5)]
         )
         manager = FleetTwig(
@@ -436,7 +436,7 @@ class TestDegradedShedding:
             SERVICES, num_nodes=4, seed=9, regions=("r0",),
             balancer="least_loaded",
         )
-        clone.envs[1].faults = FaultInjector(
+        clone.faults[1] = FaultInjector(
             [Fault("service_crash", "masstree", start=1, duration=5)]
         )
         clone.load_state_dict(venv.state_dict())

@@ -25,9 +25,10 @@ test-matrix:
 ## before assignments became arrays, and a vector_run checkpoint whose
 ## manager subtree has the per-env-dict layout the dict-state reference
 ## fleet writes (tests/test_dict_fleet_run_fixture.py). `-m ""` also
-## runs the slow-marked hashes that tier-1 skips: Figures 5-13 at the
-## CLI's quick scale, about ten minutes on a 2-CPU box (fig08 and fig09
-## take several minutes each).
+## runs the slow-marked hashes that tier-1 skips: Figures 5-13 at quick
+## scale (repro.experiments.registry.config_for), fig09 the longest at
+## about 45 s. The whole target took 147 s on a 2-CPU box before the CLI
+## and the benchmarks shared one scale table, and 137 s after.
 test-golden:
 	$(PYTEST) -q -m "" tests/test_golden_run_traces.py tests/test_legacy_checkpoints.py \
 		tests/test_vector_run_fixture.py tests/test_dict_fleet_run_fixture.py

@@ -6,7 +6,10 @@ the same rows/series the paper reports, so `pytest benchmarks/
 run of an experiment can take seconds to minutes, benchmarks execute
 exactly one round via ``benchmark.pedantic``.
 
-Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable:
+Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable.
+It names the same configs as ``repro run --scale``: each experiment's
+config at that scale, :func:`repro.experiments.registry.config_for`, and
+the harness budgets :data:`repro.experiments.common.HARNESS`:
 
 - ``quick``  — smoke-scale budgets (CI-friendly, minutes total);
 - ``default``— scaled-down but meaningful learning schedules (the
@@ -18,37 +21,21 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.experiments.common import HarnessConfig
+from repro.experiments.registry import config_for, run_experiment
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick")
-
-
-def harness_for_scale() -> HarnessConfig:
-    if SCALE == "paper":
-        return HarnessConfig.paper()
-    if SCALE == "default":
-        return HarnessConfig(
-            twig_steps=8_000,
-            twig_epsilon_mid=3_000,
-            twig_epsilon_final=6_000,
-            hipster_steps=4_000,
-            hipster_learning_phase=2_500,
-        )
-    return HarnessConfig.quick()
-
-
-@pytest.fixture
-def harness() -> HarnessConfig:
-    return harness_for_scale()
-
-
-@pytest.fixture
-def scale() -> str:
-    return SCALE
 
 
 def run_once(benchmark, func):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+def run_artifact(benchmark, experiment_id: str):
+    """Run a registered experiment once at ``SCALE``, print its table and
+    return its result."""
+    config = config_for(experiment_id, SCALE)
+    result = run_once(benchmark, lambda: run_experiment(experiment_id, config))
+    print()
+    print(result.format_table())
+    return result

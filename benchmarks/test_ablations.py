@@ -15,12 +15,12 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from conftest import harness_for_scale, run_once
+from conftest import SCALE, run_once
 
 from repro.baselines import StaticManager
 from repro.core import Twig, TwigConfig
 from repro.core.reward import RewardParams
-from repro.experiments.common import make_environment
+from repro.experiments.common import HARNESS, make_environment
 from repro.experiments.runner import run_manager
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
@@ -48,7 +48,7 @@ def _run_variant(config: TwigConfig, steps: int, seed: int = 7) -> Dict[str, flo
 
 
 def test_ablations(benchmark):
-    harness = harness_for_scale()
+    harness = HARNESS[SCALE]
     steps = harness.twig_steps
     base = TwigConfig.fast(
         epsilon_mid_steps=harness.twig_epsilon_mid,

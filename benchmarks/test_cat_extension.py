@@ -9,17 +9,17 @@ bench reports QoS and energy for both.
 """
 
 import numpy as np
-from conftest import harness_for_scale, run_once
+from conftest import SCALE, run_once
 
 from repro.core import Twig, TwigConfig
-from repro.experiments.common import make_environment
+from repro.experiments.common import HARNESS, make_environment
 from repro.experiments.runner import run_manager
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
 
 
 def test_cat_extension(benchmark):
-    harness = harness_for_scale()
+    harness = HARNESS[SCALE]
     spec = ServerSpec()
     services = ["moses", "xapian"]
     fractions = [0.5, 0.5]

@@ -1,20 +1,10 @@
 """Benchmark: regenerate Figure 1 (PMC vs IPC latency prediction)."""
 
-from conftest import SCALE, run_once
-
-from repro.experiments.fig01_pmc_prediction import Fig01Config, run
+from conftest import run_artifact
 
 
 def test_fig01_pmc_prediction(benchmark):
-    if SCALE == "paper":
-        config = Fig01Config(samples=30_000, epochs=2_000)
-    elif SCALE == "default":
-        config = Fig01Config(samples=4_000, epochs=800)
-    else:
-        config = Fig01Config(samples=1_200, epochs=300)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig01")
     # Shape assertions: PMCs beat IPC on error spread for every service.
     for service, stats in result.per_service.items():
         assert stats["pmc"].std_error_ms < stats["ipc"].std_error_ms, service

@@ -1,20 +1,10 @@
 """Benchmark: regenerate Figure 4 (Equation-2 power model PAAE)."""
 
-from conftest import SCALE, run_once
-
-from repro.experiments.fig04_power_paae import Fig04Config, run
+from conftest import run_artifact
 
 
 def test_fig04_power_paae(benchmark):
-    if SCALE == "paper":
-        config = Fig04Config(seconds_per_point=20, n_candidates=8000)
-    elif SCALE == "default":
-        config = Fig04Config(seconds_per_point=8)
-    else:
-        config = Fig04Config(seconds_per_point=3, n_candidates=1500)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig04")
     # Shape: the first-order model is accurate enough to drive the reward
     # (paper: mean PAAE 5.46%, max 7%; we allow a looser bound since the
     # simulated power surface has stronger cores x DVFS interaction).

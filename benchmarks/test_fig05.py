@@ -1,28 +1,15 @@
 """Benchmark: regenerate Figure 5 (Twig-S vs Hipster/Heracles/Static)."""
 
-from conftest import SCALE, harness_for_scale, run_once
+from conftest import SCALE, run_artifact
 
-from repro.experiments.fig05_twig_s_fixed import Fig05Config, run
+from repro.experiments.common import HARNESS
 
 
 def test_fig05_twig_s_fixed(benchmark):
-    harness = harness_for_scale()
-    if SCALE == "paper":
-        config = Fig05Config(harness=harness)
-    elif SCALE == "default":
-        config = Fig05Config(harness=harness)
-    else:
-        config = Fig05Config(
-            services=("masstree", "moses"),
-            load_fractions=(0.2, 0.5),
-            harness=harness,
-        )
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig05")
     # Shape: every manager keeps a high QoS guarantee, Twig-S undercuts
     # Heracles on energy (the paper's strongest margin, 38%).
-    qos_floor = 80.0 if harness.twig_steps < 4000 else 90.0
+    qos_floor = 80.0 if HARNESS[SCALE].twig_steps < 4000 else 90.0
     assert result.average_qos("twig-s") > qos_floor
     assert result.average_normalized_energy("twig-s") < result.average_normalized_energy(
         "heracles"

@@ -1,15 +1,10 @@
 """Benchmark: regenerate Figure 6 (mapping decisions + tardiness, masstree@50%)."""
 
-from conftest import harness_for_scale, run_once
-
-from repro.experiments.fig06_mapping_single import Fig06Config, run
+from conftest import run_artifact
 
 
 def test_fig06_mapping_single(benchmark):
-    config = Fig06Config(harness=harness_for_scale())
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig06")
     # Shape: Heracles over-allocates relative to Twig-S (the paper shows it
     # oscillating at 12-13 of 18 cores while cheaper allocations suffice).
     heracles_cores = result.summaries["heracles"].mean_cores["masstree"]

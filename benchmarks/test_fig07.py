@@ -1,22 +1,10 @@
 """Benchmark: regenerate Figure 7 (QoS guarantee over learning time)."""
 
-from conftest import SCALE, run_once
-
-from repro.experiments.fig07_learning_curve import Fig07Config, run
+from conftest import SCALE, run_artifact
 
 
 def test_fig07_learning_curve(benchmark):
-    if SCALE == "paper":
-        config = Fig07Config(total_steps=10_000, twig_epsilon_mid=5_000,
-                             hipster_learning_phase=5_000)
-    elif SCALE == "default":
-        config = Fig07Config()
-    else:
-        config = Fig07Config(total_steps=2_500, bucket=250,
-                             twig_epsilon_mid=1_200, hipster_learning_phase=1_200)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig07")
     # Shape: both learn; Twig ends the run with a high QoS guarantee
     # without any prior knowledge of the platform.
     assert result.twig_qos[-1] > (70.0 if SCALE == "quick" else 80.0)

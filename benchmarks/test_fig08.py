@@ -1,27 +1,11 @@
 """Benchmark: regenerate Figure 8 (Twig-S transfer learning)."""
 
 import numpy as np
-from conftest import SCALE, run_once
-
-from repro.experiments.fig08_transfer_s import Fig08Config, run
+from conftest import SCALE, run_artifact
 
 
 def test_fig08_transfer_s(benchmark):
-    if SCALE == "paper":
-        config = Fig08Config(pretrain_steps=10_000, adapt_steps=6_000)
-    elif SCALE == "default":
-        config = Fig08Config()
-    else:
-        config = Fig08Config(
-            target_services=("xapian",),
-            pretrain_steps=2_500,
-            adapt_steps=1_500,
-            bucket=250,
-            qos_threshold=80.0,
-        )
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig08")
     # Shape: with a transferred representation the agent reaches the QoS
     # threshold at least as fast as learning from scratch.
     for service, curve in result.curves.items():

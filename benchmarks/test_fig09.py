@@ -1,21 +1,11 @@
 """Benchmark: regenerate Figure 9 (Twig-C transfer learning)."""
 
 import numpy as np
-from conftest import SCALE, run_once
-
-from repro.experiments.fig09_transfer_c import Fig09Config, run
+from conftest import SCALE, run_artifact
 
 
 def test_fig09_transfer_c(benchmark):
-    if SCALE == "paper":
-        config = Fig09Config(pretrain_steps=10_000, adapt_steps=6_000)
-    elif SCALE == "default":
-        config = Fig09Config()
-    else:
-        config = Fig09Config(pretrain_steps=2_500, adapt_steps=1_500, bucket=250)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig09")
     # Shape: after the swap, the transferred agent recovers a decent QoS
     # guarantee for the new service by the end of the adaptation window.
     new_floor, kept_floor = (40.0, 50.0) if SCALE == "quick" else (65.0, 75.0)

@@ -1,19 +1,10 @@
 """Benchmark: regenerate Figure 10 (varying load, img-dnn)."""
 
-from conftest import SCALE, harness_for_scale, run_once
-
-from repro.experiments.fig10_varying_s import Fig10Config, run
+from conftest import SCALE, run_artifact
 
 
 def test_fig10_varying_s(benchmark):
-    harness = harness_for_scale()
-    if SCALE == "quick":
-        config = Fig10Config(harness=harness, measure_steps=800, step_every=80)
-    else:
-        config = Fig10Config(harness=harness)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig10")
     twig = result.summaries["twig-s"]
     heracles = result.summaries["heracles"]
     # Shape (paper): Heracles holds QoS by brute force but burns more

@@ -1,19 +1,10 @@
 """Benchmark: regenerate Figure 11 (varying load, colocated)."""
 
-from conftest import SCALE, harness_for_scale, run_once
-
-from repro.experiments.fig11_varying_c import Fig11Config, run
+from conftest import run_artifact
 
 
 def test_fig11_varying_c(benchmark):
-    harness = harness_for_scale()
-    if SCALE == "quick":
-        config = Fig11Config(harness=harness, measure_steps=800, step_every=80)
-    else:
-        config = Fig11Config(harness=harness)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig11")
     # Shape: Twig-C's core allocation tracks the ramp monotonically —
     # higher load levels never get fewer cores (allowing small noise).
     levels = result.levels

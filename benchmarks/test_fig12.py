@@ -1,24 +1,15 @@
 """Benchmark: regenerate Figure 12 (core mapping distributions, colocated)."""
 
-from conftest import harness_for_scale, run_once
-
-from repro.experiments.fig12_mapping_coloc import Fig12Config, run
+from conftest import SCALE, run_artifact
 
 
 def test_fig12_mapping_coloc(benchmark):
-    config = Fig12Config(harness=harness_for_scale())
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
-    from conftest import SCALE
+    result = run_artifact(benchmark, "fig12")
     # Shape (paper): PARTIES keeps nudging its mapping (wider allocation
     # distribution) while Twig-C holds a stable one. At quick scale the
     # undertrained agent still wanders, so the slack is wider.
     slack = 2.5 if SCALE == "quick" else 1.5
-    for service in config.services:
-        assert (
-            result.allocation_spread["twig-c"][service]
-            <= result.allocation_spread["parties"][service] + slack
-        ), service
+    for service, spread in result.allocation_spread["twig-c"].items():
+        assert spread <= result.allocation_spread["parties"][service] + slack, service
     qos = result.summaries["twig-c"].qos_guarantee
     assert min(qos.values()) > (50.0 if SCALE == "quick" else 75.0)

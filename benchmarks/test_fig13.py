@@ -1,30 +1,17 @@
 """Benchmark: regenerate Figure 13 (Twig-C vs PARTIES vs Static, all pairs)."""
 
-from conftest import SCALE, harness_for_scale, run_once
-
-from repro.experiments.fig13_twig_c_fixed import Fig13Config, run
+import numpy as np
+from conftest import SCALE, run_artifact
 
 
 def test_fig13_twig_c_fixed(benchmark):
-    harness = harness_for_scale()
-    if SCALE == "paper":
-        config = Fig13Config(harness=harness)
-    elif SCALE == "default":
-        config = Fig13Config(harness=harness, levels=(0.2, 0.5, 0.8))
-    else:
-        config = Fig13Config(
-            harness=harness, levels=(0.2, 0.5), pairs_limit=2, sweep_seconds=6
-        )
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "fig13")
     # Shape: both managers save energy relative to static colocation, and
     # each pair's colocated maximum is below the solo maximum.
     assert result.average_normalized_energy("twig-c") < 1.0
     assert result.average_normalized_energy("parties") < 1.0
     assert all(0.1 <= m <= 1.0 for m in result.colocated_max.values())
     # QoS stays high for Twig-C across the cells.
-    import numpy as np
     qos = [
         np.mean(list(cell["twig-c"].qos_guarantee.values()))
         for cell in result.cells.values()

@@ -1,14 +1,10 @@
 """Benchmark: regenerate the Section V-B1 memory-complexity comparison."""
 
-from conftest import run_once
-
-from repro.experiments.mem_complexity import MemComplexityConfig, run
+from conftest import run_artifact
 
 
 def test_mem_complexity(benchmark):
-    result = run_once(benchmark, lambda: run(MemComplexityConfig()))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "mem")
     # Paper's claims: the hypothetical Hipster table is in the terabytes,
     # Twig's network stays under 5 MB.
     assert result.hipster_hypothetical_bytes > 1e12

@@ -8,18 +8,18 @@ learner limitations from substrate limitations.
 """
 
 import numpy as np
-from conftest import harness_for_scale, run_once
+from conftest import SCALE, run_once
 
 from repro.baselines import OracleManager, StaticManager
 from repro.core import Twig, TwigConfig
-from repro.experiments.common import make_environment
+from repro.experiments.common import HARNESS, make_environment
 from repro.experiments.runner import run_manager
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
 
 
 def test_oracle_gap(benchmark):
-    harness = harness_for_scale()
+    harness = HARNESS[SCALE]
     spec = ServerSpec()
     profile = get_profile("masstree")
 

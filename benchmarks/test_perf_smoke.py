@@ -51,10 +51,11 @@ import numpy as np
 from repro.core.config import TwigConfig
 from repro.core.twig import Twig
 from repro.engine.fleet import FleetBDQAgent, FleetTwig
-from repro.engine.vector_env import ENV_SEED_STRIDE, make_sibling_environment
+from repro.engine.vector_env import ENV_SEED_STRIDE
+from repro.experiments.common import make_environment
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.experiments.runner import _available_cpus, run_experiments, run_manager
-from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
+from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
 from repro.services.profiles import get_profile
 from tests.oracles.bdq_reference import ReferenceBDQAgent
@@ -597,10 +598,8 @@ def test_experiment_suite_throughput(tmp_path):
     )
     scalar = []
     for e in range(num_envs):
-        env = make_sibling_environment(
-            list(config.services),
-            dict(zip(config.services, config.load_fractions)),
-            config.seed + e * ENV_SEED_STRIDE,
+        env = make_environment(
+            config.services, config.load_fractions, config.seed + e * ENV_SEED_STRIDE
         )
         manager = Twig(
             [get_profile(s) for s in config.services],

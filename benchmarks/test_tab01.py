@@ -1,21 +1,12 @@
 """Benchmark: regenerate Table I (PMC selection & importance ranking)."""
 
-from conftest import SCALE, run_once
+from conftest import run_artifact
 
-from repro.experiments.tab01_pmc_selection import Tab01Config, run
 from repro.pmc.counters import COUNTER_NAMES
 
 
 def test_tab01_pmc_selection(benchmark):
-    if SCALE == "paper":
-        config = Tab01Config(seconds_per_point=100)
-    elif SCALE == "default":
-        config = Tab01Config(seconds_per_point=30)
-    else:
-        config = Tab01Config(seconds_per_point=8, services=("masstree", "moses"))
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "tab01")
     assert sorted(result.selection.importance_rank.values()) == list(range(1, 12))
     # A small number of components explains 95% of the covariance (the
     # counters are heavily correlated, which is the paper's premise).

@@ -1,20 +1,10 @@
 """Benchmark: regenerate Table II (max load and QoS target per service)."""
 
-from conftest import SCALE, run_once
-
-from repro.experiments.tab02_capacity import Tab02Config, run
+from conftest import run_artifact
 
 
 def test_tab02_capacity(benchmark):
-    if SCALE == "paper":
-        config = Tab02Config(seconds_per_level=60, step_fraction=0.025)
-    elif SCALE == "default":
-        config = Tab02Config(seconds_per_level=20)
-    else:
-        config = Tab02Config(seconds_per_level=8)
-    result = run_once(benchmark, lambda: run(config))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "tab02")
     # The measured knees must land near the calibrated Table II loads.
     for name, cap in result.per_service.items():
         ratio = cap.max_load_rps / cap.paper_max_load_rps

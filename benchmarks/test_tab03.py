@@ -1,14 +1,10 @@
 """Benchmark: regenerate Table III (Twig runtime overhead)."""
 
-from conftest import run_once
-
-from repro.experiments.tab03_overhead import Tab03Config, run
+from conftest import run_artifact
 
 
 def test_tab03_overhead(benchmark):
-    result = run_once(benchmark, lambda: run(Tab03Config()))
-    print()
-    print(result.format_table())
+    result = run_artifact(benchmark, "tab03")
     # The paper's overhead bound: well under one 1-second control interval.
     assert result.total_ms < 200.0
     assert result.pmc_bytes_per_service == 352  # matches the paper exactly

@@ -276,3 +276,9 @@ def set_rng_state(generator: np.random.Generator, state: Dict[str, Any]) -> None
         generator.bit_generator.state = copy.deepcopy(dict(state))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid RNG state in checkpoint: {exc}") from exc
+
+
+def check_rng_state(generator: np.random.Generator, state: Dict[str, Any]) -> None:
+    """Raise ``CheckpointError`` unless :func:`set_rng_state` would take
+    ``state``; ``generator`` itself is left as it is."""
+    set_rng_state(copy.deepcopy(generator), state)

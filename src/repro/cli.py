@@ -4,14 +4,16 @@ Subcommands
 -----------
 - ``list``               — show every reproducible paper artifact.
 - ``run <id>...``        — run one or more experiments and print their
-  tables (``--scale quick|default|paper`` picks the step budget;
+  tables (``--scale quick|default|paper`` picks the experiment's config
+  at that scale, :func:`repro.experiments.registry.config_for`, the one
+  the benchmarks' ``REPRO_BENCH_SCALE`` names;
   ``--jobs N`` dispatches the batch to N worker processes;
   ``--trace`` records a JSONL trace + manifest per experiment under
   ``--out-dir``; ``--strict`` re-raises the first failure instead of
   recording it and continuing).
 - ``capacity``           — print the simulated platform and Table-II view.
 - ``compare``            — one-cell Twig-S vs baselines comparison with a
-  terminal bar chart.
+  terminal bar chart (``--scale`` picks the harness budgets).
 - ``trace``              — inspect a recorded JSONL trace:
   ``summarize`` (run-level aggregates), ``tail`` (last events),
   ``export-csv`` (flatten one event type), ``report`` (learning curve +
@@ -30,147 +32,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Any, Optional
 
 from repro.analysis.textplot import bar_chart
 from repro.errors import ReproError
-from repro.experiments import REGISTRY, run_experiment
-from repro.experiments.common import HarnessConfig
+from repro.experiments.registry import REGISTRY, SCALES, config_for, run_experiment
 
 
-def _harness(scale: str) -> HarnessConfig:
-    if scale == "paper":
-        return HarnessConfig.paper()
-    if scale == "default":
-        return HarnessConfig(
-            twig_steps=8_000,
-            twig_epsilon_mid=3_000,
-            twig_epsilon_final=6_000,
-            hipster_steps=4_000,
-            hipster_learning_phase=2_500,
-        )
-    return HarnessConfig.quick()
-
-
-def _config_for(
-    experiment_id: str, scale: str, overrides: Optional[argparse.Namespace] = None
-) -> Optional[Any]:
-    """Scale-appropriate config for experiments that take a harness.
-
-    ``overrides`` is the parsed ``run`` namespace; cluster-specific flags
-    (``--nodes``, ``--seed``, ``--balancer``, ``--traffic``) are read from
-    it when present.
-    """
-    harness = _harness(scale)
-    if experiment_id == "fig05":
-        from repro.experiments.fig05_twig_s_fixed import Fig05Config
-
-        if scale == "quick":
-            return Fig05Config(
-                services=("masstree", "moses"), load_fractions=(0.2, 0.5), harness=harness
-            )
-        return Fig05Config(harness=harness)
-    if experiment_id == "fig06":
-        from repro.experiments.fig06_mapping_single import Fig06Config
-
-        return Fig06Config(harness=harness)
-    if experiment_id == "fig08" and scale == "quick":
-        from repro.experiments.fig08_transfer_s import Fig08Config
-
-        return Fig08Config(
-            target_services=("xapian",), pretrain_steps=2_500, adapt_steps=1_500,
-            bucket=250, qos_threshold=80.0,
-        )
-    if experiment_id == "fig09" and scale == "quick":
-        from repro.experiments.fig09_transfer_c import Fig09Config
-
-        return Fig09Config(pretrain_steps=2_500, adapt_steps=1_500, bucket=250)
-    if experiment_id == "fig10":
-        from repro.experiments.fig10_varying_s import Fig10Config
-
-        return Fig10Config(harness=harness)
-    if experiment_id == "fig11":
-        from repro.experiments.fig11_varying_c import Fig11Config
-
-        return Fig11Config(harness=harness)
-    if experiment_id == "fig12":
-        from repro.experiments.fig12_mapping_coloc import Fig12Config
-
-        return Fig12Config(harness=harness)
-    if experiment_id == "fig13":
-        from repro.experiments.fig13_twig_c_fixed import Fig13Config
-
-        if scale == "quick":
-            return Fig13Config(harness=harness, levels=(0.2, 0.5), pairs_limit=2)
-        return Fig13Config(harness=harness)
-    if experiment_id == "fig07" and scale == "quick":
-        from repro.experiments.fig07_learning_curve import Fig07Config
-
-        return Fig07Config(
-            total_steps=2_000,
-            bucket=250,
-            twig_epsilon_mid=800,
-            hipster_learning_phase=800,
-        )
-    if experiment_id == "fig01" and scale == "quick":
-        from repro.experiments.fig01_pmc_prediction import Fig01Config
-
-        return Fig01Config(samples=1_200, epochs=300)
-    if experiment_id == "tab01" and scale == "quick":
-        from repro.experiments.tab01_pmc_selection import Tab01Config
-
-        return Tab01Config(seconds_per_point=8)
-    if experiment_id == "fleet":
-        from repro.experiments.fleet import FleetConfig
-
-        if scale == "quick":
-            return FleetConfig(
-                num_envs=4, steps=150, epsilon_mid_steps=60,
-                epsilon_final_steps=120, window=60,
-            )
-        return FleetConfig()
-    if experiment_id == "cluster":
-        from repro.experiments.cluster import ClusterConfig
-
-        kwargs = {}
-        if scale == "quick":
-            kwargs.update(
-                num_nodes=8, steps=80, epsilon_mid_steps=30,
-                epsilon_final_steps=60, window=40,
-            )
-        if overrides is not None:
-            for flag, key in (
-                ("nodes", "num_nodes"), ("seed", "seed"),
-                ("balancer", "balancer"), ("traffic_preset", "traffic"),
-            ):
-                value = getattr(overrides, flag, None)
-                if value is not None:
-                    kwargs[key] = value
-        if kwargs.get("num_nodes", ClusterConfig.num_nodes) == 1:
-            kwargs.setdefault("regions", ("r0",))
-        return ClusterConfig(**kwargs)
+def _config_for(experiment_id: str, scale: str, args: argparse.Namespace) -> Optional[Any]:
+    """The registry's config for ``experiment_id`` at ``scale``, with the
+    ``cluster``/``hier`` flags of the parsed ``run`` namespace ``args``
+    (``--nodes``, ``--seed``, ``--balancer``, ``--traffic``; for ``hier``
+    also ``--levels`` and ``--budget-period``) applied."""
+    config = config_for(experiment_id, scale)
+    if experiment_id not in ("cluster", "hier"):
+        return config
+    flags = {"nodes": "num_nodes", "seed": "seed", "balancer": "balancer",
+             "traffic_preset": "traffic"}
     if experiment_id == "hier":
-        from repro.experiments.hier import HierConfig
-
-        kwargs = {}
-        if scale == "quick":
-            kwargs.update(
-                num_nodes=8, steps=80, epsilon_mid_steps=30,
-                epsilon_final_steps=60, window=40, budget_period=5,
-            )
-        if overrides is not None:
-            for flag, key in (
-                ("nodes", "num_nodes"), ("seed", "seed"),
-                ("balancer", "balancer"), ("traffic_preset", "traffic"),
-                ("levels", "levels"), ("budget_period", "budget_period"),
-            ):
-                value = getattr(overrides, flag, None)
-                if value is not None:
-                    kwargs[key] = value
-        if kwargs.get("num_nodes", HierConfig.num_nodes) == 1:
-            kwargs.setdefault("regions", ("r0",))
-        return HierConfig(**kwargs)
-    return None
+        flags.update(levels="levels", budget_period="budget_period")
+    overrides = {key: getattr(args, flag) for flag, key in flags.items()
+                 if getattr(args, flag) is not None}
+    if overrides.get("num_nodes", config.num_nodes) == 1:
+        overrides["regions"] = ("r0",)
+    return replace(config, **overrides)
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -254,10 +140,9 @@ def cmd_capacity(_args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_single_service_comparison
+    from repro.experiments.common import HARNESS, run_single_service_comparison
 
-    harness = _harness(args.scale)
-    summaries = run_single_service_comparison(args.service, args.load, harness)
+    summaries = run_single_service_comparison(args.service, args.load, HARNESS[args.scale])
     print(f"{args.service} @ {args.load * 100:.0f}% load — normalised energy (static = 1.0):")
     print(
         bar_chart(
@@ -524,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one or more experiments")
     run_parser.add_argument("experiment", nargs="+", choices=sorted(REGISTRY))
-    run_parser.add_argument("--scale", choices=("quick", "default", "paper"), default="quick")
+    run_parser.add_argument("--scale", choices=SCALES, default="quick")
     run_parser.add_argument(
         "--strict", action="store_true",
         help="re-raise the first experiment failure instead of recording it "
@@ -605,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser = sub.add_parser("compare", help="Twig-S vs baselines on one cell")
     compare_parser.add_argument("--service", default="masstree")
     compare_parser.add_argument("--load", type=float, default=0.5)
-    compare_parser.add_argument("--scale", choices=("quick", "default", "paper"), default="quick")
+    compare_parser.add_argument("--scale", choices=SCALES, default="quick")
     compare_parser.set_defaults(func=cmd_compare)
 
     trace_parser = sub.add_parser("trace", help="inspect a recorded JSONL trace")

@@ -33,17 +33,12 @@ the same :func:`run_fleet` loop — see ``docs/fleet.md``.
 
 from repro.core.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.rollout import run_fleet
-from repro.engine.vector_env import (
-    ENV_SEED_STRIDE,
-    VectorEnvironment,
-    make_sibling_environment,
-)
+from repro.engine.vector_env import ENV_SEED_STRIDE, VectorEnvironment
 
 __all__ = [
     "ENV_SEED_STRIDE",
     "FleetBDQAgent",
     "FleetTwig",
     "VectorEnvironment",
-    "make_sibling_environment",
     "run_fleet",
 ]

@@ -14,11 +14,11 @@ sensor object is built per node.
 Draw-for-draw RNG fidelity
 --------------------------
 Each node has the RNG streams of the scalar recipe
-(:func:`make_sibling_environment`): a server stream at ``seed + e *
-ENV_SEED_STRIDE`` and, for a batch built from load fractions, one
-:class:`~repro.services.loadgen.ConstantLoad` per service with its own
-stream at ``base + 101 + i`` (a cluster node has no load stream; the
-balancer sets its rates). The vector step consumes them in exactly the
+(:func:`repro.experiments.common.make_environment`): a server stream at
+``seed + e * ENV_SEED_STRIDE`` and, for a batch built from load
+fractions, one :class:`~repro.services.loadgen.ConstantLoad` per service
+with its own stream at ``base + 101 + i`` (a cluster node has no load
+stream; the balancer sets its rates). The vector step consumes them in exactly the
 order the scalar ``ColocationEnvironment.step`` would:
 
 - each load generator's *private* RNG draws its jitter normal first
@@ -92,7 +92,6 @@ from repro.services.profiles import get_profile
 from repro.services.queueing import erlang_c_batch
 from repro.services.service import IntervalResult
 from repro.sim.environment import (
-    ColocationEnvironment,
     EnvironmentConfig,
     NodeState,
     ServiceObservation,
@@ -638,9 +637,9 @@ class VectorEnvironment:
         qos_targets: Optional[Mapping[str, float]] = None,
     ) -> "VectorEnvironment":
         """Build N sibling nodes with deterministic per-node seeding: node
-        ``e`` follows :func:`make_sibling_environment` at base seed ``seed +
-        e * ENV_SEED_STRIDE``, so node 0 is seed-for-seed a scalar run at
-        ``seed``."""
+        ``e`` follows :func:`repro.experiments.common.make_environment` at
+        base seed ``seed + e * ENV_SEED_STRIDE``, so node 0 is seed-for-seed
+        a scalar run at ``seed``."""
         return cls(services, load_fractions, num_envs, seed, config, qos_targets)
 
     # ------------------------------------------------------------------ #
@@ -1111,37 +1110,3 @@ class VectorEnvironment:
                 f"than {self.names}, or draws from a load stream the node lacks"
             )
         return state
-
-
-def make_sibling_environment(
-    services: Sequence[str],
-    load_fractions: Mapping[str, float],
-    seed: int,
-    config: Optional[EnvironmentConfig] = None,
-    qos_targets: Optional[Mapping[str, float]] = None,
-) -> ColocationEnvironment:
-    """One scalar environment following the standard experiment recipe.
-
-    Mirrors :func:`repro.experiments.common.make_environment`: the env RNG
-    sits at ``seed`` and load generator ``i`` at ``seed + 101 + i``, so
-    the same seed produces the same trajectory whether the environment is
-    stepped standalone (the oracle) or inside a vector batch.
-    """
-    if not services:
-        raise ConfigurationError("need at least one service")
-    profiles = [get_profile(name) for name in services]
-    generators = {}
-    for i, profile in enumerate(profiles):
-        fraction = load_fractions.get(profile.name, 0.5)
-        generators[profile.name] = ConstantLoad(
-            profile.max_load_rps,
-            fraction,
-            rng=np.random.default_rng(seed + 101 + i),
-        )
-    return ColocationEnvironment(
-        config or EnvironmentConfig(),
-        profiles,
-        generators,
-        np.random.default_rng(seed),
-        qos_targets=qos_targets,
-    )

@@ -77,6 +77,16 @@ class ClusterConfig:
             )
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": ClusterConfig(
+        num_nodes=8, steps=80, epsilon_mid_steps=30, epsilon_final_steps=60, window=40
+    ),
+    "default": ClusterConfig(),
+    "paper": ClusterConfig(),
+}
+
+
 @dataclass
 class ClusterResult:
     num_nodes: int

@@ -5,7 +5,8 @@ environment for a service mix at given loads, build each task manager,
 train/run it, and summarise QoS guarantee + energy over the paper's
 measurement window. The scaled-down step counts here preserve the paper's
 methodology (learning phase, then summarise over the last 300 s / 600 s)
-at a tractable runtime; paper-scale settings are a config away.
+at a tractable runtime; :data:`HARNESS` holds the budgets of each scale,
+the paper's among them.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class HarnessConfig:
             window=300,
             parties_window=600,
         )
+
+
+#: The harness budgets of each scale (:data:`repro.experiments.registry.SCALES`).
+HARNESS: Dict[str, HarnessConfig] = {
+    "quick": HarnessConfig.quick(),
+    "default": HarnessConfig(),
+    "paper": HarnessConfig.paper(),
+}
 
 
 @dataclass

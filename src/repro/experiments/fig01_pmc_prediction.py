@@ -56,6 +56,14 @@ class Fig01Config:
             raise ConfigurationError("train_fraction out of range")
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig01Config(samples=1_200, epochs=300),
+    "default": Fig01Config(samples=4_000, epochs=800),
+    "paper": Fig01Config(samples=30_000, epochs=2_000),
+}
+
+
 @dataclass
 class PredictorStats:
     """Error statistics for one (service, estimator) pair."""

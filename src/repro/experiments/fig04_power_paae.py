@@ -31,6 +31,14 @@ class Fig04Config:
     seed: int = 4
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig04Config(seconds_per_point=3, n_candidates=1_500),
+    "default": Fig04Config(seconds_per_point=8),
+    "paper": Fig04Config(seconds_per_point=20, n_candidates=8_000),
+}
+
+
 @dataclass
 class Fig04Result:
     paae_by_service_load: Dict[str, Dict[float, float]]

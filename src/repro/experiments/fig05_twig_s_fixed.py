@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.experiments.common import HarnessConfig, ManagerSummary, run_single_service_comparison
+from repro.experiments.common import HARNESS, HarnessConfig, ManagerSummary, run_single_service_comparison
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,16 @@ class Fig05Config:
     services: Tuple[str, ...] = ("masstree", "xapian", "moses", "img-dnn")
     load_fractions: Tuple[float, ...] = (0.2, 0.5, 0.8)
     harness: HarnessConfig = field(default_factory=HarnessConfig)
+
+
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig05Config(
+        services=("masstree", "moses"), load_fractions=(0.2, 0.5), harness=HARNESS["quick"]
+    ),
+    "default": Fig05Config(),
+    "paper": Fig05Config(harness=HARNESS["paper"]),
+}
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.experiments.common import HarnessConfig, ManagerSummary, run_single_service_comparison
+from repro.experiments.common import HARNESS, HarnessConfig, ManagerSummary, run_single_service_comparison
 from repro.server.spec import ServerSpec
 
 
@@ -26,6 +26,10 @@ class Fig06Config:
     load_fraction: float = 0.5
     tardiness_bins: int = 10
     harness: HarnessConfig = field(default_factory=HarnessConfig)
+
+
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {scale: Fig06Config(harness=harness) for scale, harness in HARNESS.items()}
 
 
 @dataclass

@@ -32,6 +32,18 @@ class Fig07Config:
     seed: int = 7
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig07Config(
+        total_steps=2_500, bucket=250, twig_epsilon_mid=1_200, hipster_learning_phase=1_200
+    ),
+    "default": Fig07Config(),
+    "paper": Fig07Config(
+        total_steps=10_000, twig_epsilon_mid=5_000, hipster_learning_phase=5_000
+    ),
+}
+
+
 @dataclass
 class Fig07Result:
     bucket_steps: List[int]

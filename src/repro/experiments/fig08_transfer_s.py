@@ -31,6 +31,17 @@ class Fig08Config:
     seed: int = 7
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig08Config(
+        target_services=("xapian",), pretrain_steps=2_500, adapt_steps=1_500, bucket=250,
+        qos_threshold=80.0,
+    ),
+    "default": Fig08Config(),
+    "paper": Fig08Config(pretrain_steps=10_000, adapt_steps=6_000),
+}
+
+
 @dataclass
 class TransferCurve:
     bucket_steps: List[int]

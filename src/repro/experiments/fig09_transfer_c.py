@@ -34,6 +34,14 @@ class Fig09Config:
     seed: int = 7
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig09Config(pretrain_steps=2_500, adapt_steps=1_500, bucket=250),
+    "default": Fig09Config(),
+    "paper": Fig09Config(pretrain_steps=10_000, adapt_steps=6_000),
+}
+
+
 @dataclass
 class Fig09Result:
     bucket_steps: List[int]

@@ -17,7 +17,7 @@ from typing import Dict
 import numpy as np
 
 from repro.baselines import HeraclesManager, HipsterManager, StaticManager
-from repro.experiments.common import HarnessConfig, ManagerSummary, build_twig, summarize
+from repro.experiments.common import HARNESS, HarnessConfig, ManagerSummary, build_twig, summarize
 from repro.experiments.runner import run_manager
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import StepwiseVaryingLoad
@@ -34,6 +34,14 @@ class Fig10Config:
     step_every: int = 100            # paper: 200 s
     measure_steps: int = 2_000       # window after the learning phase
     harness: HarnessConfig = field(default_factory=HarnessConfig)
+
+
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig10Config(step_every=80, measure_steps=800, harness=HARNESS["quick"]),
+    "default": Fig10Config(),
+    "paper": Fig10Config(harness=HARNESS["paper"]),
+}
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.baselines import PartiesManager
-from repro.experiments.common import HarnessConfig, build_twig
+from repro.experiments.common import HARNESS, HarnessConfig, build_twig
 from repro.experiments.runner import RunTrace, run_manager
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad, StepwiseVaryingLoad
@@ -35,6 +35,14 @@ class Fig11Config:
     step_every: int = 100
     measure_steps: int = 2_000
     harness: HarnessConfig = field(default_factory=HarnessConfig)
+
+
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig11Config(step_every=80, measure_steps=800, harness=HARNESS["quick"]),
+    "default": Fig11Config(),
+    "paper": Fig11Config(harness=HARNESS["paper"]),
+}
 
 
 @dataclass

@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.experiments.common import HarnessConfig, ManagerSummary, run_colocated_comparison
+from repro.experiments.common import HARNESS, HarnessConfig, ManagerSummary, run_colocated_comparison
 from repro.server.spec import ServerSpec
 
 
@@ -22,6 +22,10 @@ class Fig12Config:
     services: tuple = ("masstree", "moses")
     load_fractions: tuple = (0.2, 0.6)   # paper: 20% and 80% of *colocated* max
     harness: HarnessConfig = field(default_factory=HarnessConfig)
+
+
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {scale: Fig12Config(harness=harness) for scale, harness in HARNESS.items()}
 
 
 @dataclass

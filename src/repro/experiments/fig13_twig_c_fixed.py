@@ -20,6 +20,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.experiments.common import (
+    HARNESS,
     HarnessConfig,
     ManagerSummary,
     make_environment,
@@ -37,6 +38,16 @@ class Fig13Config:
     sweep_seconds: int = 10
     harness: HarnessConfig = field(default_factory=HarnessConfig)
     pairs_limit: int = 0               # 0 = all C(4,2) pairs
+
+
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Fig13Config(
+        levels=(0.2, 0.5), sweep_seconds=6, harness=HARNESS["quick"], pairs_limit=2
+    ),
+    "default": Fig13Config(),
+    "paper": Fig13Config(harness=HARNESS["paper"]),
+}
 
 
 def colocated_max_sweep(

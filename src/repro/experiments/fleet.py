@@ -51,6 +51,16 @@ class FleetConfig:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": FleetConfig(
+        num_envs=4, steps=150, epsilon_mid_steps=60, epsilon_final_steps=120, window=60
+    ),
+    "default": FleetConfig(),
+    "paper": FleetConfig(),
+}
+
+
 @dataclass
 class FleetResult:
     num_envs: int

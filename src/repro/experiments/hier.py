@@ -111,6 +111,17 @@ class HierConfig:
         BudgetConfig(period=self.budget_period, levels=self.levels, tilts=self.tilts)
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": HierConfig(
+        num_nodes=8, steps=80, budget_period=5, epsilon_mid_steps=30,
+        epsilon_final_steps=60, window=40,
+    ),
+    "default": HierConfig(),
+    "paper": HierConfig(),
+}
+
+
 @dataclass
 class VariantSummary:
     """One control stack's fleet-level scorecard."""

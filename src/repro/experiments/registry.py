@@ -2,9 +2,15 @@
 
 Keeps the per-experiment index of DESIGN.md executable: each entry names
 the paper table/figure, the module that reproduces it, and a one-line
-description. ``run_experiment`` dispatches by id with optional config
-overrides; the benchmarks call through this registry so every artifact has
-exactly one entry point.
+description. ``run_experiment`` dispatches by id with an optional config.
+
+Each experiment module with step budgets defines its config at each scale
+once, in a ``CONFIGS`` mapping from ``quick``/``default``/``paper``;
+:func:`config_for` reads it. ``repro run --scale``, the benchmarks'
+``REPRO_BENCH_SCALE`` and the golden hashes all take their configs from
+here, and the benchmarks run through :func:`run_experiment`, so every
+artifact has one entry point and one config per scale. No experiment
+module is imported until an entry is run or its config is read.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ _ENTRIES = [
 
 REGISTRY: Dict[str, ExperimentEntry] = {e.experiment_id: e for e in _ENTRIES}
 
+#: The step-budget scales, smallest first: ``quick`` (smoke budgets, the
+#: CLI's default), ``default`` (the numbers EXPERIMENTS.md reports) and
+#: ``paper`` (the paper's own schedules).
+SCALES = ("quick", "default", "paper")
+
 
 def get_entry(experiment_id: str) -> ExperimentEntry:
     try:
@@ -72,6 +83,17 @@ def get_entry(experiment_id: str) -> ExperimentEntry:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; available: {sorted(REGISTRY)}"
         ) from None
+
+
+def config_for(experiment_id: str, scale: str) -> Optional[Any]:
+    """The config ``experiment_id`` runs at ``scale``; None for an
+    experiment without step budgets (``tab03``, ``mem``), which runs its
+    module default."""
+    entry = get_entry(experiment_id)
+    if scale not in SCALES:
+        raise ConfigurationError(f"unknown scale {scale!r}; available: {list(SCALES)}")
+    configs = getattr(importlib.import_module(entry.module), "CONFIGS", None)
+    return None if configs is None else configs[scale]
 
 
 def run_experiment(experiment_id: str, config: Optional[Any] = None) -> Any:

@@ -66,6 +66,12 @@ class ServiceTrace:
     array, one value per interval; a fleet trace's series are views of the
     run's ``(steps, nodes, services)`` columns. The list defaults serve
     :meth:`RunTrace.record`, which appends.
+
+    ``start`` is the step of the first sample: 0, or the step at which
+    :meth:`RunTrace.record` created the series of a service swapped in
+    mid-run. It is a class attribute, not a field, so result hashes and
+    the checkpoint layout do not see it (a trace read back from a run
+    checkpoint starts every series at 0).
     """
 
     p99_ms: Sequence[float] = field(default_factory=list)
@@ -73,6 +79,8 @@ class ServiceTrace:
     cores: Sequence[float] = field(default_factory=list)
     frequency_ghz: Sequence[float] = field(default_factory=list)
     qos_target_ms: float = 0.0
+
+    start = 0
 
 
 @dataclass
@@ -114,6 +122,7 @@ class RunTrace:
             series = self.services.get(name)
             if series is None:
                 series = self.services[name] = ServiceTrace()
+                series.start = len(self.power_w)
             series.p99_ms.append(interval.p99_ms)
             series.arrival_rps.append(interval.arrival_rate)
             series.cores.append(interval.cores)
@@ -172,26 +181,31 @@ class RunTrace:
 
     def to_csv(self, path) -> None:
         """Dump the full trace as CSV (one row per step) for external
-        analysis — columns are the per-service series plus socket power."""
+        analysis — columns are the per-service series plus socket power.
+        Each sample sits on the step it was recorded; a service swapped in
+        or out mid-run has empty cells on the steps it did not run."""
         import csv  # here, not at module level: 0.17 MB RSS in every process
 
-        names = list(self.services)
+        steps = self.steps()
         header = ["step"]
         columns = []
-        for name in names:
+        # Python floats: the csv module writes a numpy scalar by its repr.
+        for name, series in self.services.items():
             header.extend(
                 [f"{name}.p99_ms", f"{name}.arrival_rps", f"{name}.cores", f"{name}.freq_ghz"]
             )
-            columns.extend(getattr(self.services[name], key) for key in SERVICE_SERIES)
+            for key in SERVICE_SERIES:
+                column = [""] * series.start + np.asarray(
+                    getattr(series, key), dtype=np.float64).tolist()
+                columns.append(column + [""] * (steps - len(column)))
         header.extend(["power_w", "true_power_w", "membw_util"])
-        columns.extend(getattr(self, key) for key in RUN_SERIES)
-        # Python floats: the csv module writes a numpy scalar by its repr.
-        columns = [np.asarray(values, dtype=np.float64).tolist() for values in columns]
+        columns.extend(
+            np.asarray(getattr(self, key), dtype=np.float64).tolist() for key in RUN_SERIES
+        )
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for step in range(self.steps()):
-                writer.writerow([step] + [values[step] for values in columns])
+            writer.writerows(zip(range(steps), *columns))
 
 
 def _serialize_assignments(

@@ -36,6 +36,14 @@ class Tab01Config:
     seed: int = 7
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Tab01Config(services=("masstree", "moses"), seconds_per_point=8),
+    "default": Tab01Config(seconds_per_point=30),
+    "paper": Tab01Config(seconds_per_point=100),
+}
+
+
 @dataclass
 class Tab01Result:
     selection: CounterSelection

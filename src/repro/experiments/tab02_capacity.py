@@ -36,6 +36,14 @@ class Tab02Config:
     seed: int = 11
 
 
+#: The config of each scale (:func:`repro.experiments.registry.config_for`).
+CONFIGS = {
+    "quick": Tab02Config(seconds_per_level=8),
+    "default": Tab02Config(seconds_per_level=20),
+    "paper": Tab02Config(step_fraction=0.025, seconds_per_level=60),
+}
+
+
 @dataclass
 class ServiceCapacity:
     max_load_rps: float

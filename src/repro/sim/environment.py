@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.ckpt.checkpoint import rng_state, set_rng_state
+from repro.ckpt.checkpoint import check_rng_state, rng_state, set_rng_state
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.obs.events import make_event
 from repro.obs.sink import NULL_SINK, TraceSink
@@ -558,11 +558,21 @@ class ColocationEnvironment:
         ))
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
-        """Restore a snapshot from :meth:`state_dict` (parse, then commit)."""
+        """Restore a snapshot from :meth:`state_dict`. All or nothing: the
+        tree is parsed and every RNG state checked before anything is
+        written, so a refused tree leaves the environment as it was."""
         state = parse_node_state(
             tree, list(self.services), list(self.load_generators),
             len(self.machine.cores), len(self.spec.dvfs), self.faults is not None,
         )
+        rngs = [(self._rng, state.rng)] + [
+            (self.load_generators[name]._rng, generator_tree)
+            for name, generator_tree in state.loadgen_rng.items()
+        ]
+        if state.faults is not None:
+            rngs.append((self.faults._rng, dict(state.faults).get("rng")))
+        for generator, generator_tree in rngs:
+            check_rng_state(generator, generator_tree)
         for core, level, is_online, names in zip(
             self.machine.cores, state.freq_index.tolist(), state.online.tolist(),
             state.pinned,
@@ -573,11 +583,8 @@ class ColocationEnvironment:
         self.rapl.last_reading_w = state.last_reading_w
         for name, backlog in state.backlogs.items():
             self.services[name].backlog = backlog
-        set_rng_state(self._rng, state.rng)
-        for name, generator_tree in state.loadgen_rng.items():
-            set_rng_state(self.load_generators[name]._rng, generator_tree)
-        if state.faults is not None:
-            self.faults.load_state_dict(dict(state.faults))
+        for generator, generator_tree in rngs:
+            set_rng_state(generator, generator_tree)
         self.time = state.time
         self._violation_streaks = state.violation_streaks
 

@@ -26,7 +26,9 @@ from repro.experiments.runner import RUN_CKPT_KIND, RUN_CKPT_NAME, run_manager
 from repro.hier import BudgetConfig, HierFleetTwig
 from repro.hier.baselines import make_rule_fleet
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
+from repro.baselines import StaticManager
 from repro.services.profiles import get_profile
+from repro.sim.faults import Fault, FaultInjector
 from tests.helpers import _assert_traces_equal, _assert_tree_equal
 from tests.test_legacy_checkpoints import DATA, scalar_agent_config
 from tests.test_legacy_checkpoints import _twig as _legacy_twig
@@ -480,3 +482,26 @@ def test_vector_run_traces_that_do_not_fit_the_run_are_refused(layout, corruptio
     save_state(refused, VECTOR_RUN_CKPT_KIND, tree)
     with pytest.raises(CheckpointError, match=match):
         run_fleet(*make_pair(), steps, resume_from=refused)
+
+
+@pytest.mark.parametrize("path", [("rng",), ("loadgen_rng", "xapian"), ("faults", "rng")],
+                         ids=["rng", "loadgen_rng", "faults"])
+def test_environment_refuses_a_bad_rng_state_before_writing(path):
+    """A bad RNG state used to raise after the machine, the RAPL energy and
+    the backlogs were written, so a refused load left the environment
+    half restored."""
+    services = ["masstree", "xapian"]
+    env = make_environment(services, [0.4, 0.4], 7)
+    env.faults = FaultInjector([Fault("pmc_nan", "masstree", start=50, duration=2)])
+    run_manager(StaticManager(services), env, 3)
+    tree = env.state_dict()
+    run_manager(StaticManager(services), env, 2)
+    before = env.state_dict()
+    node = tree
+    for key in path:
+        node = node[key]
+    node["state"] = "nonsense"
+    with pytest.raises(CheckpointError, match="invalid RNG state"):
+        env.load_state_dict(tree)
+    _assert_tree_equal(env.state_dict(), before)
+

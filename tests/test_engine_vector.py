@@ -25,12 +25,9 @@ from repro.core.config import TwigConfig
 from repro.core.mapper import AssignmentBatch, Mapper
 from repro.engine.fleet import FleetBDQAgent, FleetTwig
 from repro.engine.rollout import run_fleet
-from repro.engine.vector_env import (
-    ENV_SEED_STRIDE,
-    VectorEnvironment,
-    make_sibling_environment,
-)
+from repro.engine.vector_env import ENV_SEED_STRIDE, VectorEnvironment
 from repro.errors import AllocationError, CheckpointError, ConfigurationError, ShapeError
+from repro.experiments.common import make_environment
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
 from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
@@ -89,7 +86,8 @@ class TestVectorMatchesScalar:
         num_envs, steps = 3, 25
         venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, num_envs, SEED)
         oracles = [
-            make_sibling_environment(SERVICES, FRACTIONS, SEED + e * ENV_SEED_STRIDE)
+            make_environment(SERVICES, [FRACTIONS[s] for s in SERVICES],
+                             SEED + e * ENV_SEED_STRIDE)
             for e in range(num_envs)
         ]
         for t in range(steps):
@@ -127,7 +125,7 @@ class TestVectorMatchesScalar:
         # the batch seed, so single-experiment results are reproducible
         # inside a fleet.
         venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, 2, SEED)
-        solo = make_sibling_environment(SERVICES, FRACTIONS, SEED)
+        solo = make_environment(SERVICES, [FRACTIONS[s] for s in SERVICES], SEED)
         assignment = _assignments(venv.spec, 0)
         results = venv.step([assignment, assignment])
         expected = solo.step(assignment)
@@ -242,7 +240,8 @@ def _step_and_compare(venv, oracles, assignments):
 def _four_service_batch(num_envs):
     venv = VectorEnvironment.from_services(SERVICES4, FRACTIONS4, num_envs, SEED)
     oracles = [
-        make_sibling_environment(SERVICES4, FRACTIONS4, SEED + e * ENV_SEED_STRIDE)
+        make_environment(SERVICES4, [FRACTIONS4[s] for s in SERVICES4],
+                         SEED + e * ENV_SEED_STRIDE)
         for e in range(num_envs)
     ]
     return venv, oracles

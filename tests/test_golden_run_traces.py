@@ -38,12 +38,15 @@ behaviour bit for bit.
   order, then the scalar leaves' JSON), so leaf order, dict key order
   and exact floats are pinned.
 
-- Harness experiments: Figures 5-13 at the CLI's quick scale
-  (``repro run figNN``), each hashed over its result object's fields
-  (names, keys and every number by its float64 bit pattern, never the
-  rounded table). They take from a few seconds (fig06) to several
-  minutes (fig08, fig09) each, so they are marked ``slow``: tier-1 skips
-  them and ``make test-golden`` runs them.
+- Registered experiments at quick scale, each with the config
+  ``repro.experiments.registry.config_for(id, "quick")`` that
+  ``repro run <id>`` and the quick-scale benchmarks run, hashed over its
+  result object's fields (names, keys and every number by its float64
+  bit pattern, never the rounded table): Figures 1 and 4, Tables I and
+  II, and Figures 5-13. Figures 5-13 take from a few seconds (fig06) to
+  under a minute (fig09) each, so they are marked ``slow``: tier-1 skips
+  them and ``make test-golden`` runs them. Table III is not hashed: its
+  result is wall-clock timings.
 
 A change that moves a trajectory on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_run_traces.py --write`` and
@@ -66,7 +69,6 @@ import pytest
 
 from repro.baselines import PartiesManager
 from repro.ckpt.checkpoint import _flatten, _json_default
-from repro.cli import _config_for
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
 from repro.core.config import TwigConfig
@@ -76,7 +78,7 @@ from repro.engine.vector_env import VectorEnvironment
 from repro.experiments import cluster, fleet, hier
 from repro.experiments.common import HarnessConfig, build_twig, make_environment
 from repro.experiments.profiling import fit_service_power_model
-from repro.experiments.registry import run_experiment as run_registered
+from repro.experiments.registry import config_for, run_experiment as run_registered
 from repro.experiments.runner import run_manager
 from repro.hier.baselines import make_rule_fleet
 from repro.obs.context import ObsContext
@@ -181,10 +183,12 @@ STATE_CONFIGS: Dict[str, Dict[str, Any]] = {
     "state-vector": {"loop": "state", **_VECTOR, "ticks": 20},
 }
 
-#: Harness experiments at the CLI's quick scale, with their test ids.
+#: Registered experiments at quick scale, with their test ids; Figures
+#: 5-13 are slow.
+SLOW_HARNESS = [f"fig{n:02d}" for n in range(5, 14)]
 HARNESS_CONFIGS: Dict[str, Dict[str, Any]] = {
-    f"fig{n:02d}": {"loop": "harness", "experiment": f"fig{n:02d}", "scale": "quick"}
-    for n in range(5, 14)
+    experiment: {"loop": "harness", "experiment": experiment, "scale": "quick"}
+    for experiment in ["fig01", "fig04", "tab01", "tab02", *SLOW_HARNESS]
 }
 
 #: The ``parties-crash`` fault: moses down for three intervals.
@@ -450,7 +454,7 @@ def config_sha256(config: Dict[str, Any]) -> str:
     if config.get("loop") == "harness":
         experiment = config["experiment"]
         return result_sha256(
-            run_registered(experiment, _config_for(experiment, config["scale"]))
+            run_registered(experiment, config_for(experiment, config["scale"]))
         )
     if config.get("loop") == "experiment":
         return trace_sha256(run_experiment(config))
@@ -480,11 +484,11 @@ def test_golden_file_covers_every_config():
 @pytest.mark.parametrize("config_id", ["cluster", "hier-hier", "fleet-quick"])
 def test_experiment_configs_are_the_cli_quick_scale(config_id):
     config = EXPERIMENT_CONFIGS[config_id]
-    assert _config_for(config["experiment"], "quick") == experiment_config(config)
+    assert config_for(config["experiment"], "quick") == experiment_config(config)
 
 
 @pytest.mark.parametrize("config", [
-    pytest.param(c, marks=pytest.mark.slow) if c.get("loop") == "harness" else c
+    pytest.param(c, marks=pytest.mark.slow) if c.get("experiment") in SLOW_HARNESS else c
     for c in ALL_CONFIGS.values()
 ], ids=list(ALL_CONFIGS))
 def test_run_trace_hash_unchanged(config):
@@ -506,11 +510,29 @@ def test_state_tree_loads_back_byte_for_byte(config):
 TO_CSV_SHA256 = "8882da7d17b902a81a894bb1f947bcb6a720ebb25bc39679bba16221aec09b99"
 
 
+#: sha256 of ``RunTrace.to_csv`` for the ``twig-c-transfer`` run: 240
+#: rows, moses's cells empty from step 121 on and img-dnn's before it.
+TRANSFER_CSV_SHA256 = "bad17c3beff06a8d455064e0d9bd2fcef3bb97d66011e90bf0be8bf84c0c6d2c"
+
+
 def test_to_csv_bytes_unchanged(tmp_path):
     [trace] = run_paper(PAPER_CONFIGS["parties-crash"])
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TO_CSV_SHA256
+
+
+def test_to_csv_puts_a_swapped_service_on_its_steps(tmp_path):
+    [trace] = run_paper(PAPER_CONFIGS["twig-c-transfer"])
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert len(rows) == trace.steps() == 240
+    moses, img_dnn = header.index("moses.p99_ms"), header.index("img-dnn.p99_ms")
+    assert [row[moses] != "" for row in rows] == [t <= 120 for t in range(240)]
+    assert [row[img_dnn] != "" for row in rows] == [t > 120 for t in range(240)]
+    assert float(rows[121][img_dnn]) == trace.services["img-dnn"].p99_ms[0]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSFER_CSV_SHA256
 
 
 if __name__ == "__main__":

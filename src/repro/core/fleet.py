@@ -64,8 +64,8 @@ class FleetBDQAgent(BDQAgent):
     - **Batched acting.** :meth:`act_batch` runs one fused forward for
       all environments and returns the ``(M, total_branches)`` int64
       action matrix, with the per-branch epsilon noise applied to it in
-      place, env-major, by the base agent's own loop
-      (:meth:`~BDQAgent._explore`) — the RNG draw sequence for M stacked
+      place, env-major, by the base agent's own
+      :meth:`~BDQAgent._explore` — the RNG draw sequence for M stacked
       states is identical to M consecutive scalar :meth:`~BDQAgent.act`
       calls.
     - **One tick, one insert, one train round.** :meth:`observe_batch`
@@ -99,9 +99,10 @@ class FleetBDQAgent(BDQAgent):
 
         ``states`` is ``(M, state_dim)``; returns the ``(M,
         total_branches)`` int64 action matrix, each row agent-major like
-        the flattened :meth:`~BDQAgent.act` result. With the same RNG
-        state, row ``i`` equals the flattened ``act(states[i])`` after
-        acting on rows ``0..i-1``.
+        the flattened :meth:`~BDQAgent.act` result. The noise is
+        :meth:`~BDQAgent._explore` over all M rows at once, which draws
+        row after row: with the same RNG state, row ``i`` equals the
+        flattened ``act(states[i])`` after acting on rows ``0..i-1``.
         """
         if self.timings is not None:
             with self.timings.measure("agent.act"):
@@ -116,7 +117,7 @@ class FleetBDQAgent(BDQAgent):
             )
         actions = self.online.greedy_actions_batch(states)      # (M, B)
         if not greedy:
-            # Env-major noise through act's own loop, so batched
+            # Env-major noise through act's own _explore, so batched
             # and per-state acting are stream-compatible by construction.
             self._explore(actions.reshape(-1), self.epsilon())
         return actions
@@ -384,13 +385,14 @@ class FleetTwig:
         violation = ~ok
         punish = violation & ~env_degraded[:, None]
         if punish.any():
-            # The violation penalty must use Python scalar pow: numpy's
-            # float64 pow is not bit-identical to the scalar path's
-            # ``qos_rew ** phi`` for non-integer-safe bases.
+            # The power stays Python's ``**``, as in reward_components:
+            # numpy's ``power`` can differ from it in the last bit (SIMD
+            # builds), and an overflow must still raise OverflowError.
+            # ``np.maximum(-p, cap)`` is ``max(-p, cap)`` for any non-NaN
+            # ``p``, and a non-finite p99 marks its env degraded.
             phi = self.config.reward.phi
-            cap = self.config.reward.cap
-            for e, i in zip(*(idx.tolist() for idx in np.nonzero(punish))):
-                totals[e, i] = max(-(float(qos_rew[e, i]) ** phi), cap)
+            penalty = np.array([q ** phi for q in qos_rew[punish].tolist()])
+            totals[punish] = np.maximum(-penalty, self.config.reward.cap)
         self._est_power[healthy_idx] = est[healthy_idx]
         self._has_est[healthy_idx] = True
         totals = self._shape_reward_rows(healthy_idx, totals, qos_rew, power_rew, violation)
@@ -515,12 +517,13 @@ class FleetTwig:
             model = self.power_models[name]
             if not model.fitted:
                 continue
-            max_load = self.profiles[name].max_load_rps
-            for r in range(est.shape[0]):
-                load_pct = 100.0 * float(arrival[r, i]) / max_load
-                est[r, i] = model.predict(
-                    load_pct, int(cores[r, i]), float(freq[r, i])
-                )
+            # ServicePowerModel.predict's expression over the column,
+            # ``omega ** 2`` taken as a Python scalar as predict takes it.
+            load_pct = 100.0 * arrival[:, i] / self.profiles[name].max_load_rps
+            value = (
+                model.kappa * load_pct + model.sigma * cores[:, i] + model.omega ** 2 * freq[:, i]
+            )
+            est[:, i] = np.maximum(value, 0.5)
         return est
 
     def _node_power_rows(self, power: np.ndarray) -> np.ndarray:

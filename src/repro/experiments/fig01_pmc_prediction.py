@@ -37,10 +37,10 @@ from repro.sim.telemetry import TelemetrySynthesizer
 @dataclass(frozen=True)
 class Fig01Config:
     services: Tuple[str, ...] = ("memcached", "web-search")
-    samples: int = 3000            # paper: 30 000; scaled for runtime
+    samples: int = 4000            # paper: 30 000; scaled for runtime
     train_fraction: float = 0.7
     hidden: Tuple[int, ...] = (64, 32)
-    epochs: int = 600
+    epochs: int = 800
     learning_rate: float = 5e-3
     latency_buckets: int = 5
     load_low: float = 0.05
@@ -59,7 +59,7 @@ class Fig01Config:
 #: The config of each scale (:func:`repro.experiments.registry.config_for`).
 CONFIGS = {
     "quick": Fig01Config(samples=1_200, epochs=300),
-    "default": Fig01Config(samples=4_000, epochs=800),
+    "default": Fig01Config(),
     "paper": Fig01Config(samples=30_000, epochs=2_000),
 }
 

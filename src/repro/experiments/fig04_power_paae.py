@@ -27,14 +27,14 @@ class Fig04Config:
     services: Tuple[str, ...] = ("xapian", "masstree")
     loads: Tuple[float, ...] = (0.2, 0.5, 0.8)
     n_candidates: int = 3000
-    seconds_per_point: int = 5
+    seconds_per_point: int = 8
     seed: int = 4
 
 
 #: The config of each scale (:func:`repro.experiments.registry.config_for`).
 CONFIGS = {
     "quick": Fig04Config(seconds_per_point=3, n_candidates=1_500),
-    "default": Fig04Config(seconds_per_point=8),
+    "default": Fig04Config(),
     "paper": Fig04Config(seconds_per_point=20, n_candidates=8_000),
 }
 

@@ -31,7 +31,7 @@ class Tab01Config:
     core_counts: Tuple[int, ...] = (4, 8, 12, 18)
     dvfs_indices: Tuple[int, ...] = (0, 4, 8)
     load_fractions: Tuple[float, ...] = (0.2, 0.5, 0.8)
-    seconds_per_point: int = 20      # paper: 1000 s per combination
+    seconds_per_point: int = 30      # paper: 1000 s per combination
     covariance_threshold: float = 0.95
     seed: int = 7
 
@@ -39,7 +39,7 @@ class Tab01Config:
 #: The config of each scale (:func:`repro.experiments.registry.config_for`).
 CONFIGS = {
     "quick": Tab01Config(services=("masstree", "moses"), seconds_per_point=8),
-    "default": Tab01Config(seconds_per_point=30),
+    "default": Tab01Config(),
     "paper": Tab01Config(seconds_per_point=100),
 }
 

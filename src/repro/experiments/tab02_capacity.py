@@ -30,7 +30,7 @@ class Tab02Config:
     start_fraction: float = 0.1
     step_fraction: float = 0.05
     max_fraction: float = 1.4
-    seconds_per_level: int = 15
+    seconds_per_level: int = 20
     knee_ratio: float = 1.8       # knee = p99 jumps this much between levels
     target_margin: float = 1.25
     seed: int = 11
@@ -39,7 +39,7 @@ class Tab02Config:
 #: The config of each scale (:func:`repro.experiments.registry.config_for`).
 CONFIGS = {
     "quick": Tab02Config(seconds_per_level=8),
-    "default": Tab02Config(seconds_per_level=20),
+    "default": Tab02Config(),
     "paper": Tab02Config(step_fraction=0.025, seconds_per_level=60),
 }
 

@@ -18,6 +18,7 @@ per fleet node), and every greedy action comes from
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +42,12 @@ from repro.obs.timing import TimingRegistry
 from repro.rl.bdq import BDQNetwork
 from repro.rl.schedules import LinearSchedule, PiecewiseSchedule
 from repro.rl.striped import StripedPrioritizedReplayBuffer, one_stripe_state
+
+#: ``Generator.random()`` of a PCG64 word ``w`` is ``(w >> 11) * _DOUBLE_UNIT``.
+_DOUBLE_UNIT = 2.0**-53
+#: ``random() < 0.5`` exactly when the word is below this.
+_TOP_BIT = 1 << 63
+_LOW32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -115,6 +122,13 @@ class BDQAgent:
     ``network_cls`` is an override hook for the Q-network implementation;
     ``ReferenceBDQAgent`` (``tests/oracles/bdq_reference.py``) uses it to run the
     frozen pre-fusion per-head loop for equivalence tests and benchmarks.
+
+    ``rng`` must be a ``Generator`` over a ``PCG64`` bit generator
+    (``np.random.default_rng``): exploration reproduces its draws from
+    raw PCG64 words (:meth:`_explore`), and any other bit generator is
+    refused with :class:`~repro.errors.ConfigurationError`, because it
+    would explore differently without an error (MT19937, for one, builds
+    a double from two 32-bit draws).
     """
 
     network_cls: ClassVar[type] = BDQNetwork
@@ -128,6 +142,12 @@ class BDQAgent:
         trace: Optional[TraceSink] = None,
         timings: Optional[TimingRegistry] = None,
     ):
+        bit_generator = getattr(rng, "bit_generator", None)
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise ConfigurationError(
+                "BDQAgent needs a Generator over PCG64 (np.random.default_rng), got "
+                f"{type(rng).__name__} over {type(bit_generator).__name__}"
+            )
         self.config = config
         self._rng = rng
         self.trace = trace or NULL_SINK
@@ -198,7 +218,10 @@ class BDQAgent:
         (frequently catastrophic) core count, so the DVFS branch would only
         ever associate low frequencies with violations; per-branch noise
         explores in the neighbourhood of the current policy instead, which
-        is what lets the branches coordinate.
+        is what lets the branches coordinate. The noise comes from
+        :meth:`_explore`, which ``FleetBDQAgent.act_batch`` shares, so
+        acting on M states one by one draws what acting on them stacked
+        draws.
         """
         if self.timings is not None:
             with self.timings.measure("agent.act"):
@@ -225,25 +248,105 @@ class BDQAgent:
         """Apply per-branch epsilon noise to a flat action array, in place.
 
         ``actions`` is a mutable 1-D int array of whole rows of
-        agent-major branch actions, row after row. Each entry draws in
-        order, so M stacked rows consume the RNG exactly like M
-        consecutive single-state calls; both act paths share this loop.
+        agent-major branch actions, row after row. Each entry draws, in
+        order: one ``random()``, and explores if it is below ``epsilon``;
+        then a ``random()`` coin, below 0.5 for the global move
+        ``integers(0, n)``, else the local move ``integers(1, 5)`` and a
+        ``random()`` sign. M stacked rows thus draw exactly like M
+        consecutive single-state calls; both act paths share this method.
+
+        The draws are reproduced from the PCG64 stream's raw 64-bit
+        words, bit for bit and with the same generator state afterwards
+        (``tests/oracles/explore_reference.py`` keeps the per-entry loop
+        this replaces):
+
+        - ``random()`` is ``(w >> 11) * 2**-53`` of one word ``w``, so
+          the explore tests of a block of words are one array compare;
+        - ``integers(0, n)`` is Lemire's method over 32-bit draws. A
+          32-bit draw takes the low half of a fresh word and leaves the
+          high half buffered in the bit generator (``has_uint32``,
+          ``uinteger``) for the next one; ``random()`` never touches
+          that buffer. ``integers(1, 5)`` is ``1 +`` Lemire over 4,
+          which never rejects.
+
+        Words are drawn in blocks, lazily and never past need: a block is
+        drawn only once every earlier word is consumed, and holds one
+        word for the current entry and one for each entry after it, each
+        of which consumes at least one. So the words drawn are exactly
+        the words consumed, and nothing is rewound. The buffered half is
+        read on the first 32-bit draw and written back once at the end.
         """
-        random = self._rng.random
-        integers = self._rng.integers
-        sizes = self._branch_sizes_flat * (len(actions) // len(self._branch_sizes_flat))
-        for i, n in enumerate(sizes):
-            if random() >= epsilon:
+        bitgen = self._rng.bit_generator
+        sizes = self._branch_sizes_flat
+        width = len(sizes)
+        total = len(actions)
+        block = np.empty(0, dtype=np.uint64)  # the last block drawn
+        hits: List[int] = []  # positions in ``block`` whose random() < epsilon
+        pos = 0  # the next word of ``block`` to consume
+        half: Optional[List[int]] = None  # [has_uint32, uinteger] once read
+
+        def draw(entry: int) -> None:
+            # One word for ``entry`` and one for each entry after it.
+            nonlocal block, hits, pos
+            block = bitgen.random_raw(total - entry)
+            hits = ((block >> 11) * _DOUBLE_UNIT < epsilon).nonzero()[0].tolist()
+            pos = 0
+
+        def word(entry: int) -> int:
+            nonlocal pos
+            if pos == len(block):
+                draw(entry)
+            pos += 1
+            return block.item(pos - 1)
+
+        def uint32(entry: int) -> int:
+            nonlocal half
+            if half is None:
+                state = bitgen.state
+                half = [state["has_uint32"], state["uinteger"]]
+            if half[0]:
+                # numpy leaves the handed-out half in ``uinteger``.
+                half[0] = 0
+                return half[1]
+            w = word(entry)
+            half[0], half[1] = 1, w >> 32
+            return w & _LOW32
+
+        entry = 0
+        while entry < total:
+            if pos == len(block):
+                draw(entry)
+            h = bisect_left(hits, pos)
+            if h == len(hits):
+                # No word left in the block explores: each is one entry's test.
+                entry += len(block) - pos
+                pos = len(block)
                 continue
-            if random() < 0.5:
-                # Global: uniform over the branch's actions.
-                actions[i] = int(integers(0, n))
+            entry += hits[h] - pos
+            pos = hits[h] + 1
+            n = sizes[entry % width]
+            if word(entry) < _TOP_BIT:  # the coin's random() < 0.5
+                # Global: uniform over the branch's n >= 2 actions (for
+                # n = 1, integers(0, 1) would draw nothing).
+                m = uint32(entry) * n
+                if m & _LOW32 < n:
+                    threshold = (_LOW32 + 1 - n) % n
+                    while m & _LOW32 < threshold:
+                        m = uint32(entry) * n
+                actions[entry] = m >> 32
             else:
                 # Local: a +-1..4 step from the greedy action, which lets
                 # the policy walk across shallow reward valleys (e.g.
                 # "add cores now, drop DVFS next") one branch at a time.
-                step = int(integers(1, 5)) * (1 if random() < 0.5 else -1)
-                actions[i] = min(max(int(actions[i]) + step, 0), n - 1)
+                step = 1 + (uint32(entry) >> 30)
+                if word(entry) >= _TOP_BIT:
+                    step = -step
+                actions[entry] = min(max(int(actions[entry]) + step, 0), n - 1)
+            entry += 1
+        if half is not None:
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = half
+            bitgen.state = state
 
     # ------------------------------------------------------------------ #
     # learning

@@ -14,18 +14,21 @@ from typing import Dict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import Allocation
 from repro.core.config import TwigConfig
-from repro.core.reward import RewardBreakdown
+from repro.core.reward import RewardBreakdown, RewardParams, reward_components
 from repro.engine.fleet import FleetTwig
 from tests.oracles.fleet_reference import DictFleetTwig
 from repro.engine.rollout import run_fleet
-from repro.engine.vector_env import VectorEnvironment
+from repro.engine.vector_env import StepBatch, VectorEnvironment
+from repro.experiments.profiling import fit_service_power_model
 from repro.errors import CheckpointError, ConfigurationError
 from repro.hier import BudgetConfig, HierFleetTwig
 from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import MonitorBank, SystemMonitor
+from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
 from repro.sim.environment import StepResult
 from tests.helpers import _assert_traces_equal
@@ -122,6 +125,103 @@ class TestArrayDictEquivalence:
         _assert_managers_equivalent(array_mgr, dict_mgr)
         # The environments saw identical action streams.
         _assert_tree_equal(array_venv.state_dict(), dict_venv.state_dict())
+
+    def test_bit_identical_with_fitted_power_models(self):
+        # Equation 2 from a fitted model on both services, where the
+        # reference calls ``ServicePowerModel.predict`` once per row.
+        models = {
+            name: fit_service_power_model(
+                get_profile(name), ServerSpec(), np.random.default_rng(1234),
+                loads=(0.3, 0.6), core_counts=(6, 12, 18), dvfs_indices=(0, 4, 8),
+                seconds_per_point=2, n_candidates=400,
+            )
+            for name in SERVICES
+        }
+        array_mgr, array_venv = _build(FleetTwig, 4, power_models=models)
+        dict_mgr, dict_venv = _build(DictFleetTwig, 4, power_models=models)
+        assert len(array_mgr._model_cols) == len(SERVICES)
+        array_traces = run_fleet(array_mgr, array_venv, 20)
+        dict_traces = run_fleet(dict_mgr, dict_venv, 20)
+        _assert_traces_equal(array_traces, dict_traces)
+        _assert_managers_equivalent(array_mgr, dict_mgr)
+        _assert_tree_equal(array_venv.state_dict(), dict_venv.state_dict())
+
+
+@st.composite
+def _penalty_case(draw):
+    """Reward constants and an ``(envs, services)`` matrix of p99/target
+    ratios: met rows, ratios just above 1, ratios around the one where
+    the penalty reaches the cap, and large ratios."""
+    phi = draw(st.sampled_from([3.0, 2.5, 1.0]))
+    cap = draw(st.sampled_from([-100.0, -1e6]))
+    knee = (-cap) ** (1.0 / phi)
+    ratio = st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 1.0 + 1e-9, exclude_min=True),
+        st.floats(knee * (1 - 1e-12), knee * (1 + 1e-12)),
+        st.sampled_from([knee, float(np.nextafter(knee, 0)), float(np.nextafter(knee, np.inf))]),
+        st.floats(1.0, 1e6, exclude_min=True),
+    )
+    ratios = draw(st.lists(ratio, min_size=8, max_size=8))
+    return phi, cap, np.array(ratios).reshape(4, 2)
+
+
+class TestViolationPenalty:
+    """Equation 1 over a tick's (env, service) rows equals the scalar
+    :func:`~repro.core.reward.reward_components` bit for bit, on the
+    violation branch above all, whose power is Python's ``**``."""
+
+    @pytest.fixture(scope="class")
+    def fleets(self):
+        """One fleet per (phi, cap), kept across examples."""
+        return {}
+
+    @staticmethod
+    def _fleet(phi, cap):
+        """A 4-env fleet with tiny networks, and one real tick to edit."""
+        config = _twig_config().scaled(
+            reward=RewardParams(phi=phi, cap=cap), shared_hidden=(8,), branch_hidden=4
+        )
+        manager = FleetTwig(
+            [get_profile(s) for s in SERVICES], config, np.random.default_rng(SEED),
+            num_envs=4,
+        )
+        venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, 4, SEED)
+        return manager, venv.step(manager.initial_assignments())
+
+    @staticmethod
+    def _tick(batch, p99):
+        arrays = {key: value.copy() for key, value in batch.arrays.items()}
+        arrays["p99"] = p99
+        return StepBatch(batch.names, batch.interval_s, arrays)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_penalty_case())
+    def test_totals_match_reward_components(self, fleets, case):
+        phi, cap, ratios = case
+        if (phi, cap) not in fleets:
+            fleets[phi, cap] = self._fleet(phi, cap)
+        manager, batch = fleets[phi, cap]
+        p99 = ratios * manager._qos_row
+        manager.update_batch(self._tick(batch, p99))
+        assert manager._has_reward.all()
+        params = manager.config.reward
+        for e, i in np.ndindex(*p99.shape):
+            expected = reward_components(
+                float(p99[e, i]), float(manager._qos_row[i]), manager.max_power_w,
+                float(manager._est_power[e, i]), params,
+            ).total
+            got = manager._reward_totals[e, i]
+            assert np.array([got]).view(np.int64) == np.array([expected]).view(np.int64), (
+                e, i, float(ratios[e, i]), got, expected,
+            )
+
+    def test_overflowing_penalty_still_raises(self):
+        manager, batch = self._fleet(3.0, -100.0)
+        p99 = np.full((4, 2), 0.5) * manager._qos_row
+        p99[2, 1] = 1e200 * manager._qos_row[1]
+        with pytest.raises(OverflowError):
+            manager.update_batch(self._tick(batch, p99))
 
 
 class _DictHierFleetTwig(DictFleetTwig):
@@ -245,8 +345,6 @@ class TestHierOracle:
 
 class TestMonitorBank:
     def _max_values(self):
-        from repro.server.spec import ServerSpec
-
         return CounterCatalogue(ServerSpec()).max_values()
 
     def _random_readings(self, rng, max_values, counters):

@@ -5,6 +5,8 @@ Result with a printable table, and satisfies basic sanity invariants. The
 full-shape assertions live in benchmarks/ where the budgets are larger.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,20 @@ def test_registry_covers_every_artifact():
         "fleet", "cluster", "hier",
     }
     assert set(REGISTRY) == expected
+
+
+def test_default_scale_is_the_config_dataclass_default():
+    # run_experiment(id) without a config runs the config class defaults;
+    # they must be the ``default`` scale, the numbers EXPERIMENTS.md reports.
+    with_tables = 0
+    for experiment_id, entry in REGISTRY.items():
+        configs = getattr(importlib.import_module(entry.module), "CONFIGS", None)
+        if configs is None:
+            continue
+        with_tables += 1
+        default = configs["default"]
+        assert default == type(default)(), experiment_id
+    assert with_tables == len(REGISTRY) - 2  # all but tab03 and mem
 
 
 def test_registry_unknown_id():

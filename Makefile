@@ -69,12 +69,14 @@ test-fleet:
 		tests/test_cluster_environment.py tests/test_fleet_doc.py
 
 ## Hierarchical control: budget allocator + HierFleetTwig masking/reward
-## shaping, provisioning transfer, degraded-node shedding, rule fleets,
-## hier checkpoint resume bit-identity, and HierFleetTwig's array hooks
-## against their dict-state oracle.
+## shaping, provisioning transfer, degraded-node shedding, rule fleets
+## (the PARTIES and Heracles array fleets against N one-node managers
+## and their frozen scalar oracle), hier checkpoint resume bit-identity,
+## and HierFleetTwig's array hooks against their dict-state oracle.
 test-hier:
 	$(PYTEST) -q tests/test_hier.py tests/test_cluster_balancer.py \
 		tests/test_cluster_traffic.py tests/test_fleet_doc.py \
+		tests/test_baselines_rule_fleets.py \
 		tests/test_engine_fleet_array.py::TestHierOracle
 
 ## Control plane: RPC framing/correlation/timeouts, lifecycle state

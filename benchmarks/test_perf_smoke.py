@@ -698,7 +698,6 @@ def test_cluster_step(tmp_path):
     ``BENCH_perf_smoke.json``.
     """
     from repro.cluster import ClusterEnvironment
-    from repro.core.actions import Allocation
     from repro.core.mapper import Mapper
 
     services = ["masstree", "xapian", "moses", "img-dnn"]
@@ -714,20 +713,19 @@ def test_cluster_step(tmp_path):
         )
         mapper = Mapper(venv.spec, socket_index=venv.config.socket_index)
         top = len(venv.spec.dvfs) - 1
-        static = mapper.map(
-            {name: Allocation(num_cores=4, freq_index=top) for name in services}
-        )
-        if case == "static":
-            placements = [[static] * num_nodes]
-        else:
-            # Over the socket's 18 cores, so some cores are timeshared.
-            other = mapper.map(
-                {
-                    name: Allocation(num_cores=3 + 2 * i, freq_index=top - i)
-                    for i, name in enumerate(services)
-                }
+        shape = (num_nodes, len(services))
+
+        def placement(cores, freq):
+            """Every node's services at ``cores`` cores and DVFS ``freq``."""
+            return mapper.map_rows(
+                services, np.broadcast_to(cores, shape), np.broadcast_to(freq, shape),
+                np.zeros(shape),
             )
-            placements = [[static] * num_nodes, [other] * num_nodes]
+
+        placements = [placement(4, top)]
+        if case == "alternating":
+            # Over the socket's 18 cores, so some cores are timeshared.
+            placements.append(placement([3, 5, 7, 9], [top, top - 1, top - 2, top - 3]))
         schedule = itertools.cycle(placements)
 
         def step():
@@ -892,9 +890,10 @@ def test_rule_fleet_tick(tmp_path):
     A static fleet hands back one fixed ``AssignmentBatch`` without
     reading a result, and the engine finds its rows unchanged after the
     first tick, so it pays for the cluster step alone; a PARTIES fleet
-    reads every service's observation of every node, so it also pays for
-    the full per-service object build and a per-node install. Records the
-    per-tick cost of both and the CPU count into
+    reads the interval's ``p99`` matrix, and every second tick polls: a
+    few array passes, one draw from each adjusting node's generator, one
+    ``Mapper.map_rows`` placement and the install of the changed rows.
+    Records the per-tick cost of both and the CPU count into
     ``BENCH_perf_smoke.json``.
     """
     from repro.cluster import ClusterEnvironment

@@ -15,30 +15,38 @@ Intel CAT is part of the original system but, like the paper, we do not
 model it. The behaviours the paper attributes to Heracles — over-allocation
 of cores despite QoS slack, long full-allocation lockouts, DVFS pinned
 high until the power cap — follow directly from these rules.
+
+:class:`HeraclesFleet` runs them on ``num_envs`` servers in lock-step,
+as ``(N,)`` arrays, and places them all into one
+:class:`~repro.core.mapper.AssignmentBatch`; :class:`HeraclesManager` is
+its one-server case, for the paper loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
-from repro.core.actions import Allocation
+import numpy as np
+
 from repro.core.manager import TaskManager
-from repro.core.mapper import Mapper
-from repro.errors import ConfigurationError
+from repro.core.mapper import AssignmentBatch, Mapper
+from repro.errors import ConfigurationError, ShapeError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
 from repro.sim.environment import StepResult
 
 
-class HeraclesManager(TaskManager):
-    """Three-level feedback controller for one LC service."""
+class HeraclesFleet:
+    """Three-level feedback controller for one LC service on each of
+    ``num_envs`` servers."""
 
     name = "heracles"
 
     def __init__(
         self,
         profile: ServiceProfile,
+        num_envs: int,
         spec: Optional[ServerSpec] = None,
         socket_index: int = 1,
         qos_target_ms: Optional[float] = None,
@@ -61,61 +69,107 @@ class HeraclesManager(TaskManager):
         self.latency_grow_threshold = latency_grow_threshold
         self.power_cap_fraction = power_cap_fraction
         self.mapper = Mapper(self.spec, socket_index=socket_index)
+        self.num_envs = num_envs
 
-        self.cores = self.spec.cores_per_socket
-        self.freq_index = len(self.spec.dvfs) - 1
+        self.cores = np.full(num_envs, self.spec.cores_per_socket, dtype=np.int64)
+        self.freq_index = np.full(num_envs, len(self.spec.dvfs) - 1, dtype=np.int64)
         self.step_count = 0
-        self._lockout_until = 0
-        self._last_membw = 0.0
+        self._lockout_until = np.zeros(num_envs, dtype=np.int64)
+        self._last_membw = np.zeros(num_envs)
+        self._batch: Optional[AssignmentBatch] = None
 
-    # ------------------------------------------------------------------ #
-    # TaskManager interface
-    # ------------------------------------------------------------------ #
-    def initial_assignments(self) -> Dict[str, CoreAssignment]:
-        return self._assign()
+    def initial_assignments(self) -> AssignmentBatch:
+        return self._placement()
 
-    def update(self, result: StepResult) -> Dict[str, CoreAssignment]:
-        observation = result.observations[self.profile.name]
-        p99 = observation.p99_ms
-        load_fraction = observation.interval.arrival_rate / self.profile.max_load_rps
-        membw = observation.interval.membw_gbps
+    def update_batch(self, results: Sequence[StepResult]) -> AssignmentBatch:
+        """One tick of every controller; every server's placement."""
+        if len(results) != self.num_envs:
+            raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
+        p99, arrivals, membw, power = self._read(results)
         self.step_count += 1
+        step, most, top = self.step_count, self.spec.cores_per_socket, len(self.spec.dvfs) - 1
 
-        if self.step_count % self.main_poll_every == 0:
-            if p99 > self.qos_target_ms or load_fraction > self.load_threshold:
-                # Disallow sharing: everything to the LC service for 5 min.
-                self._lockout_until = self.step_count + self.lockout_steps
-                self.cores = self.spec.cores_per_socket
-                self.freq_index = len(self.spec.dvfs) - 1
+        if step % self.main_poll_every == 0:
+            # Disallow sharing: everything to the LC service for 5 min.
+            lock = (p99 > self.qos_target_ms) | (
+                arrivals / self.profile.max_load_rps > self.load_threshold
+            )
+            self._lockout_until[lock] = step + self.lockout_steps
+            self.cores[lock] = most
+            self.freq_index[lock] = top
+            self._batch = None
 
-        in_lockout = self.step_count < self._lockout_until
-        if not in_lockout and self.step_count % self.controller_poll_every == 0:
-            self._core_controller(p99, membw)
-            self._power_controller(result.socket_power_w)
+        if step % self.controller_poll_every == 0:
+            free = step >= self._lockout_until
+            # Core & memory controller: 5% hysteresis so ordinary arrival
+            # jitter does not read as bandwidth growth.
+            grow = (p99 >= self.latency_grow_threshold * self.qos_target_ms) | (
+                membw > self._last_membw * 1.05
+            )
+            cores = np.where(grow, np.minimum(self.cores + 1, most), np.maximum(self.cores - 1, 1))
+            # Power controller: Heracles keeps the LC service's frequency as
+            # high as the power budget allows.
+            hot = power >= self.power_cap_fraction * self.spec.tdp_w
+            freq = np.where(hot, np.maximum(self.freq_index - 1, 0),
+                            np.minimum(self.freq_index + 1, top))
+            self.cores = np.where(free, cores, self.cores)
+            self.freq_index = np.where(free, freq, self.freq_index)
+            self._batch = None
 
         self._last_membw = membw
-        return self._assign()
+        return self._placement()
 
-    # ------------------------------------------------------------------ #
-    # controllers
-    # ------------------------------------------------------------------ #
-    def _core_controller(self, p99_ms: float, membw_gbps: float) -> None:
-        latency_high = p99_ms >= self.latency_grow_threshold * self.qos_target_ms
-        # 5% hysteresis so ordinary arrival jitter does not read as growth.
-        membw_grew = membw_gbps > self._last_membw * 1.05
-        if latency_high or membw_grew:
-            self.cores = min(self.cores + 1, self.spec.cores_per_socket)
-        else:
-            self.cores = max(self.cores - 1, 1)
+    def _read(self, results: Sequence[StepResult]):
+        """Each server's p99, arrival rate, memory bandwidth and socket
+        power: a :class:`~repro.engine.vector_env.StepBatch`'s arrays, or
+        gathered from each result's observation."""
+        arrays = getattr(results, "arrays", None)
+        if arrays is not None:
+            return (arrays["p99"][:, 0], arrays["arrivals"][:, 0],
+                    arrays["membw_gbps"][:, 0], arrays["power_w"])
+        observations = [result.observations[self.profile.name] for result in results]
+        return tuple(np.array(values, dtype=np.float64) for values in (
+            [o.p99_ms for o in observations],
+            [o.interval.arrival_rate for o in observations],
+            [o.interval.membw_gbps for o in observations],
+            [result.socket_power_w for result in results],
+        ))
 
-    def _power_controller(self, socket_power_w: float) -> None:
-        if socket_power_w >= self.power_cap_fraction * self.spec.tdp_w:
-            self.freq_index = max(self.freq_index - 1, 0)
-        else:
-            # Heracles keeps the LC service's frequency as high as the power
-            # budget allows.
-            self.freq_index = min(self.freq_index + 1, len(self.spec.dvfs) - 1)
+    def _placement(self) -> AssignmentBatch:
+        """Every server's allocation placed, kept until a controller polls."""
+        if self._batch is None:
+            cores = self.cores[:, None]
+            self._batch = self.mapper.map_rows(
+                [self.profile.name], cores, self.freq_index[:, None], np.zeros_like(cores)
+            )
+        return self._batch
 
-    def _assign(self) -> Dict[str, CoreAssignment]:
-        allocation = Allocation(num_cores=self.cores, freq_index=self.freq_index)
-        return self.mapper.map({self.profile.name: allocation})
+
+class HeraclesManager(HeraclesFleet, TaskManager):
+    """Three-level feedback controller for one LC service: the one-server
+    :class:`HeraclesFleet`."""
+
+    def __init__(
+        self,
+        profile: ServiceProfile,
+        spec: Optional[ServerSpec] = None,
+        socket_index: int = 1,
+        qos_target_ms: Optional[float] = None,
+        main_poll_every: int = 15,
+        controller_poll_every: int = 2,
+        lockout_steps: int = 300,
+        load_threshold: float = 0.85,
+        latency_grow_threshold: float = 0.80,
+        power_cap_fraction: float = 0.90,
+    ):
+        super().__init__(
+            profile, 1, spec, socket_index, qos_target_ms, main_poll_every,
+            controller_poll_every, lockout_steps, load_threshold,
+            latency_grow_threshold, power_cap_fraction,
+        )
+
+    def initial_assignments(self) -> Dict[str, CoreAssignment]:
+        return super().initial_assignments()[0]
+
+    def update(self, result: StepResult) -> Dict[str, CoreAssignment]:
+        return self.update_batch((result,))[0]

@@ -45,10 +45,10 @@ from repro.cluster.traffic import (
     check_rates,
     make_traffic_spec,
 )
+from repro.core.mapper import AssignmentBatch
 from repro.engine.vector_env import StepBatch, VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.events import make_event
-from repro.server.machine import CoreAssignment
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 
@@ -179,9 +179,7 @@ class ClusterEnvironment(VectorEnvironment):
     # ------------------------------------------------------------------ #
     # stepping
     # ------------------------------------------------------------------ #
-    def step(
-        self, assignments: Sequence[Dict[str, CoreAssignment]]
-    ) -> StepBatch:
+    def step(self, assignments: AssignmentBatch) -> StepBatch:
         """Balance this interval's fleet demand, then step every node.
 
         When a timing registry is attached (traced runs), the cluster

@@ -14,11 +14,11 @@ Three responsibilities:
    max-DVFS rule for shared cores).
 
 :meth:`Mapper.map` places one server's requests and returns a
-``name -> CoreAssignment`` dict; the rule managers use it, and it is the
-reference the batched path is tested against. :meth:`Mapper.map_rows`
-places N servers at once from ``(N, S)`` core, DVFS and way matrices and
-returns an :class:`AssignmentBatch`: ``(N, S, C)`` pin rows, built with a
-few array passes per service and no per-server Python.
+``name -> CoreAssignment`` dict; it is the reference the batched path is
+tested against. :meth:`Mapper.map_rows` places N servers at once from
+``(N, S)`` core, DVFS and way matrices and returns an
+:class:`AssignmentBatch`: ``(N, S, C)`` pin rows, built with a few array
+passes per service and no per-server Python.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.actions import Allocation
 from repro.errors import AllocationError, ShapeError
-from repro.server.machine import CoreAssignment
+from repro.server.machine import CoreAssignment, Machine
 from repro.server.spec import ServerSpec
 
 
@@ -45,7 +45,7 @@ class AssignmentBatch(Sequence):
     ``batch[e]`` builds server ``e``'s ``name -> CoreAssignment`` dict
     (a new one on every read), equal to :meth:`Mapper.map`'s for the same
     requests. The vector engine reads the arrays and never builds a
-    dict.
+    dict; :meth:`from_dicts` turns per-server dicts into a batch.
     """
 
     def __init__(
@@ -74,6 +74,49 @@ class AssignmentBatch(Sequence):
             )
         for array in (self.core_ids, self.pins, self.freq, self.ways):
             array.setflags(write=False)
+
+    @classmethod
+    def from_dicts(
+        cls,
+        names: Sequence[str],
+        assignments: Sequence[Mapping[str, CoreAssignment]],
+        spec: ServerSpec,
+        socket_index: int = 1,
+    ) -> "AssignmentBatch":
+        """Per-server ``name -> CoreAssignment`` dicts for the services
+        ``names`` on socket ``socket_index``, as one batch.
+
+        Each dict is checked as ``ColocationEnvironment.step`` checks it,
+        and refused with the ``AllocationError`` it raises: other
+        services, a core off the socket, then ``Machine.apply``'s checks
+        (zero cores, a DVFS index off the ladder, a repeated core).
+        """
+        core_ids = spec.socket_core_ids(socket_index)
+        column = {core: j for j, core in enumerate(core_ids)}
+        machine = Machine(spec)
+        shape = (len(assignments), len(names))
+        pins = np.zeros(shape + (len(core_ids),), dtype=bool)
+        freq = np.zeros(shape, dtype=np.int64)
+        ways = np.zeros(shape, dtype=np.int64)
+        for e, assignment in enumerate(assignments):
+            if set(assignment) != set(names):
+                raise AllocationError(
+                    f"assignments for {sorted(assignment)} but services are "
+                    f"{sorted(names)}"
+                )
+            for name, a in assignment.items():
+                outside = [c for c in a.cores if c not in column]
+                if outside:
+                    raise AllocationError(
+                        f"service {name!r} assigned cores {outside} outside server "
+                        f"socket {socket_index}"
+                    )
+            machine._validate(assignment)
+            for i, name in enumerate(names):
+                a = assignment[name]
+                pins[e, i, [column[c] for c in a.cores]] = True
+                freq[e, i], ways[e, i] = a.freq_index, a.llc_ways
+        return cls(names, core_ids, pins, freq, ways)
 
     def __len__(self) -> int:
         return self.pins.shape[0]

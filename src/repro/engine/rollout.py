@@ -5,7 +5,7 @@ Drives a :class:`~repro.core.fleet.FleetTwig` against a
 core that drives one manager against one scalar environment
 (:func:`repro.experiments.runner.run_loop`):
 
-    assignments = manager.initial_assignments()          # per env
+    assignments = manager.initial_assignments()          # one AssignmentBatch
     loop:
         results = venv.step(assignments)                 # one fused step
         assignments = manager.update_batch(results)      # one fused tick
@@ -16,9 +16,11 @@ series with one row a tick from the batch's matrices, and hands each
 environment a :class:`RunTrace` whose series are views of those columns;
 run events carry the environment index (the ``env`` or ``node`` envelope
 field); and its rolling checkpoint is one ``vector_run`` container
-holding the fleet manager, all N environments, the pending assignments,
-and the traces as seven stacked arrays, so a vector run resumes
-mid-flight bit-identically.
+holding the fleet manager, all N environments, the pending assignments
+(one ``name -> assignment`` tree per environment, converted back into
+one :class:`~repro.core.mapper.AssignmentBatch` and checked when a
+resume stages it), and the traces as seven stacked arrays, so a vector
+run resumes mid-flight bit-identically.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from repro.core.fleet import FleetTwig
+from repro.core.mapper import AssignmentBatch
 from repro.engine.vector_env import VectorEnvironment
 from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.runner import (
@@ -103,6 +106,7 @@ class FleetRun:
         self.keys = [f"{e:04d}" for e in range(E)]
         self.tags = [{venv.index_tag: e} for e in range(E)]
         self._names = venv.service_names
+        self._socket = venv.spec, venv.config.socket_index
         # Every environment's trace without its series: services, QoS
         # targets and interval.
         self._header = RunTrace.for_env(manager.name, venv)
@@ -155,7 +159,11 @@ class FleetRun:
             )
         if set(assignments_tree) != set(self.keys):
             raise CheckpointError("vector-run checkpoint env keys do not match num_envs")
-        assignments = [_deserialize_assignments(dict(assignments_tree[k])) for k in self.keys]
+        assignments = AssignmentBatch.from_dicts(
+            self._names,
+            [_deserialize_assignments(dict(assignments_tree[k])) for k in self.keys],
+            *self._socket,
+        )
         if "header" in traces_tree:
             header, stacked = self._stage_stacked(traces_tree, next_t, manager_name)
         else:

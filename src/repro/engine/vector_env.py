@@ -52,10 +52,11 @@ in :attr:`VectorEnvironment.faults`, and its violation streaks, counted
 on traced steps, in a dict. A node's checkpoint tree has the scalar
 environment's layout (:class:`~repro.sim.environment.NodeState`). A step
 replaces the state arrays it hands to its :class:`StepBatch` and never
-writes into them afterwards. Assignments are installed without
-``Machine.apply``, as pin, DVFS and way rows (:class:`AssignmentRows`),
-with its arbitration: a core runs at the highest DVFS index pinned to
-it, an unpinned core drops to 0, a service's migration counter grows by
+writes into them afterwards. Assignments arrive as one
+:class:`~repro.core.mapper.AssignmentBatch`, whose changed rows are
+installed in one pass without ``Machine.apply`` but with its
+arbitration: a core runs at the highest DVFS index pinned to it, an
+unpinned core drops to 0, a service's migration counter grows by
 ``popcount(old XOR new)``.
 
 Every numeric formula on the hot path is evaluated once over the whole
@@ -77,7 +78,7 @@ import copy
 import dataclasses
 import functools
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +86,6 @@ from repro.ckpt.checkpoint import rng_state, set_rng_state
 from repro.core.mapper import AssignmentBatch
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.obs.sink import NULL_SINK, TraceSink
-from repro.server.machine import CoreAssignment
 from repro.services.interference import InterferenceModel
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
@@ -107,10 +107,6 @@ from repro.sim.faults import FaultInjector
 #: :meth:`VectorEnvironment.from_services`; large and prime so the
 #: derived per-generator seeds of different environments never collide.
 ENV_SEED_STRIDE = 100003
-
-#: Validated core sets the dict conversion keeps as pin rows before it
-#: starts over; a 256-node learning fleet used about 340 in 150 ticks.
-_ROW_CACHE_LIMIT = 4096
 
 #: Raw counter names in the exact order ``TelemetrySynthesizer.synthesize``
 #: builds (and therefore noises) them.
@@ -301,171 +297,6 @@ class StepBatch(Sequence):
         )
 
 
-class AssignmentRows:
-    """Checks assignment input and turns it into pin, DVFS and way rows.
-
-    The engine installs from ``(E, S, C)`` pin rows over the socket's
-    cores ``core_ids`` and ``(E, S)`` DVFS and way rows of the services
-    ``names``; :meth:`changes` hands it the rows of the envs whose
-    assignment changed. An :class:`~repro.core.mapper.AssignmentBatch`
-    already is rows, compared with the current ones in one array pass.
-    Per-env ``name -> CoreAssignment`` dicts are converted: each distinct
-    core set is validated once and kept as a boolean row, and an env
-    whose dict equals the one it last converted is skipped until
-    :meth:`forget` (its rows changed some other way). Bad input raises
-    the ``AllocationError`` the scalar path raises for it, before
-    anything is recorded.
-    """
-
-    def __init__(
-        self, names: Sequence[str], core_ids: Sequence[int], socket_index: int,
-        num_levels: int, num_envs: int,
-    ):
-        self.names = list(names)
-        self.core_ids = list(core_ids)
-        self.socket_index = socket_index
-        self.num_levels = num_levels
-        self._column = {cid: j for j, cid in enumerate(self.core_ids)}
-        self._applied: List[Optional[Dict[str, CoreAssignment]]] = [None] * num_envs
-        # Validated core sets: core-id tuple -> index of its pin row in
-        # the boolean (rows, C) table ``_rows``.
-        self._row_ids: Dict[tuple, int] = {}
-        self._rows = np.zeros((16, len(self.core_ids)), dtype=bool)
-
-    def forget(self) -> None:
-        """Convert every env's next dict, equal to its last one or not."""
-        self._applied = [None] * len(self._applied)
-
-    def changes(
-        self,
-        assignments: Sequence[Mapping[str, CoreAssignment]],
-        pins: np.ndarray,
-        level: np.ndarray,
-        ways: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The envs whose assignment changed, with their new pin, DVFS and
-        way rows; ``pins``, ``level`` and ``ways`` are the current rows."""
-        if not isinstance(assignments, AssignmentBatch):
-            return self._convert(assignments)
-        self._check_batch(assignments)
-        changed = np.flatnonzero(
-            (assignments.pins != pins).any(axis=(1, 2))
-            | (assignments.freq != level).any(axis=1)
-            | (assignments.ways != ways).any(axis=1)
-        )
-        if changed.size:
-            # The changed rows no longer hold the dicts last converted.
-            self.forget()
-        return (
-            changed, assignments.pins[changed], assignments.freq[changed],
-            assignments.ways[changed],
-        )
-
-    def _check_batch(self, batch: AssignmentBatch) -> None:
-        """Refuse a batch for other services (or in another column order)
-        or another socket, a service pinned to no core, or a DVFS index
-        off the ladder."""
-        if list(batch.names) != self.names:
-            raise AllocationError(
-                f"assignments for services {list(batch.names)} but the engine "
-                f"runs {self.names}, in that order"
-            )
-        if batch.core_ids.tolist() != self.core_ids:
-            raise AllocationError(
-                f"assignments pin cores {batch.core_ids.tolist()}, server socket "
-                f"{self.socket_index} has cores {self.core_ids}"
-            )
-        empty = ~batch.pins.any(axis=2)
-        if empty.any():
-            i = int(np.argwhere(empty)[0, 1])
-            raise AllocationError(f"service {self.names[i]!r} assigned zero cores")
-        self._check_levels(batch.freq)
-
-    def _convert(
-        self, assignments: Sequence[Mapping[str, CoreAssignment]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The envs whose dict changed, with their pin, DVFS and way rows."""
-        names = self.names
-        S = len(names)
-        if len(self._row_ids) > _ROW_CACHE_LIMIT:
-            self._row_ids.clear()
-        row_ids = self._row_ids
-        changed: List[int] = []
-        snapshots: List[Dict[str, CoreAssignment]] = []
-        rows: List[int] = []
-        levels: List[int] = []
-        ways: List[int] = []
-        for e, assignment in enumerate(assignments):
-            if assignment == self._applied[e]:
-                continue
-            try:
-                values = [assignment[name] for name in names]
-            except KeyError:
-                values = None
-            if values is None or len(assignment) != S:
-                raise AllocationError(
-                    f"assignments for {sorted(assignment)} but services are "
-                    f"{sorted(names)}"
-                )
-            for name, a in zip(names, values):
-                try:
-                    rows.append(row_ids[a.cores])
-                except (KeyError, TypeError):  # unseen or unhashable core set
-                    rows.append(self._core_row(name, a.cores))
-                levels.append(a.freq_index)
-                ways.append(a.llc_ways)
-            changed.append(e)
-            snapshots.append(dict(assignment))
-        K = len(changed)
-        level = np.array(levels, dtype=np.int64).reshape(K, S)
-        self._check_levels(level)
-        for e, snapshot in zip(changed, snapshots):
-            self._applied[e] = snapshot
-        return (
-            np.array(changed, dtype=np.int64),
-            self._rows[rows].reshape(K, S, len(self.core_ids)),
-            level,
-            np.array(ways, dtype=np.int64).reshape(K, S),
-        )
-
-    def _check_levels(self, level: np.ndarray) -> None:
-        out_of_range = (level < 0) | (level >= self.num_levels)
-        if out_of_range.any():
-            k, i = np.argwhere(out_of_range)[0].tolist()
-            raise AllocationError(
-                f"service {self.names[i]!r} freq index {level[k, i]} out of "
-                f"range [0, {self.num_levels})"
-            )
-
-    def _core_row(self, name: str, cores) -> int:
-        """Index of ``cores``' pin row, validating a core set not seen yet.
-
-        Raises the ``AllocationError`` the scalar path raises for the same
-        set: a core outside the server socket, zero cores, a repeated core.
-        """
-        key = tuple(cores)
-        row = self._row_ids.get(key)
-        if row is not None:
-            return row
-        outside = [c for c in key if c not in self._column]
-        if outside:
-            raise AllocationError(
-                f"service {name!r} assigned cores {outside} outside server "
-                f"socket {self.socket_index}"
-            )
-        if not key:
-            raise AllocationError(f"service {name!r} assigned zero cores")
-        if len(set(key)) != len(key):
-            raise AllocationError(f"service {name!r} repeats cores: {cores}")
-        row = len(self._row_ids)
-        if row == len(self._rows):
-            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
-        self._rows[row] = False
-        self._rows[row, [self._column[c] for c in key]] = True
-        self._row_ids[key] = row
-        return row
-
-
 class VectorEnvironment:
     """N homogeneous one-socket servers stepped in lock-step; see the
     module docstring for the state the engine owns.
@@ -578,9 +409,6 @@ class VectorEnvironment:
         # batch carries level -1, so the first step installs every node.
         self._m_level = np.full((E, S), -1, dtype=np.int64)
         self._m_ways = np.zeros((E, S), dtype=np.int64)
-        self._inputs = AssignmentRows(
-            self.names, self._core_ids, self.config.socket_index, len(self._ladder), E
-        )
         # Replaced by a step, never written in place: a step hands these
         # to its batch, which may still be read.
         self._backlog = np.zeros((E, S))
@@ -589,29 +417,48 @@ class VectorEnvironment:
         # The last RAPL reading per node; NaN before the first poll.
         self._reading = np.full(E, np.nan)
 
-    def _install_assignments(
-        self, assignments: Sequence[Mapping[str, CoreAssignment]]
-    ) -> None:
-        """Validate every changed assignment, then write them in one pass.
-
-        A batch's changed rows are those whose pins, DVFS indices or ways
-        differ from the installed ones; a dict equal to the one its env
-        last installed is skipped. The changed envs are written together,
-        as ``Machine.apply`` would: a core runs at the highest DVFS index
-        pinned to it, an unpinned core drops to 0, and each service's
-        migration counter grows by the cores entering or leaving its set.
-        Nothing is written unless every env validates.
-        """
-        if len(assignments) != self.num_envs:
+    def _install_assignments(self, batch: AssignmentBatch) -> None:
+        """Check the batch, then write its changed rows in one pass, as
+        ``Machine.apply`` would. Nothing is written unless the whole batch
+        passes: one for other services (or in another column order),
+        another socket or node count, a service on no core or a DVFS
+        index off the ladder is refused, with the scalar path's message
+        where it has one."""
+        if not isinstance(batch, AssignmentBatch):
+            raise AllocationError(
+                f"the engine installs an AssignmentBatch, got {type(batch).__name__}; "
+                "AssignmentBatch.from_dicts converts per-node dicts"
+            )
+        if len(batch) != self.num_envs:
             raise ConfigurationError(
-                f"got assignments for {len(assignments)} environments, "
+                f"got assignments for {len(batch)} environments, "
                 f"batch has {self.num_envs}"
             )
-        changed, pins, level, ways = self._inputs.changes(
-            assignments, self._m_membership, self._m_level, self._m_ways
-        )
+        if list(batch.names) != self.names:
+            raise AllocationError(
+                f"assignments for services {list(batch.names)} but the engine "
+                f"runs {self.names}, in that order"
+            )
+        if batch.core_ids.tolist() != self._core_ids:
+            raise AllocationError(
+                f"assignments pin cores {batch.core_ids.tolist()}, server socket "
+                f"{self.config.socket_index} has cores {self._core_ids}"
+            )
+        empty = ~batch.pins.any(axis=2)
+        if empty.any():
+            i = int(np.argwhere(empty)[0, 1])
+            raise AllocationError(f"service {self.names[i]!r} assigned zero cores")
+        off_ladder = (batch.freq < 0) | (batch.freq >= len(self._ladder))
+        if off_ladder.any():
+            e, i = np.argwhere(off_ladder)[0].tolist()
+            raise AllocationError(
+                f"service {self.names[i]!r} freq index {batch.freq[e, i]} out of "
+                f"range [0, {len(self._ladder)})"
+            )
+        changed = self._changed_rows(batch)
         if not changed.size:
             return
+        pins, level, ways = batch.pins[changed], batch.freq[changed], batch.ways[changed]
         self._migrations[changed] += (pins != self._m_membership[changed]).sum(axis=2)
         self._m_membership[changed] = pins
         self._m_level[changed] = level
@@ -622,6 +469,15 @@ class VectorEnvironment:
         core_ghz = self._ladder[core_level][:, None, :]
         self._m_freq[changed] = np.where(pins, core_ghz, -np.inf).max(axis=2)
         self._m_llc_quota[changed] = ways * self.spec.socket.mb_per_way
+
+    def _changed_rows(self, batch: AssignmentBatch) -> np.ndarray:
+        """The nodes whose row of ``batch`` differs from the installed one,
+        in one array pass."""
+        return np.flatnonzero(
+            (batch.pins != self._m_membership).any(axis=(1, 2))
+            | (batch.freq != self._m_level).any(axis=1)
+            | (batch.ways != self._m_ways).any(axis=1)
+        )
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -677,10 +533,9 @@ class VectorEnvironment:
     # ------------------------------------------------------------------ #
     # stepping
     # ------------------------------------------------------------------ #
-    def step(
-        self, assignments: Sequence[Mapping[str, CoreAssignment]]
-    ) -> StepBatch:
-        """Install per-env assignments and advance every env one interval."""
+    def step(self, assignments: AssignmentBatch) -> StepBatch:
+        """Install every node's assignment and advance every node one
+        interval."""
         self._install_assignments(assignments)
         return self._advance()
 
@@ -1074,7 +929,6 @@ class VectorEnvironment:
         # Trees hold no per-service DVFS or way rows: the next step
         # installs every node in full.
         self._m_level[:] = -1
-        self._inputs.forget()
         socket = self.config.socket_index
         self._backlog = np.array(
             [[state.backlogs[name] for name in self.names] for state in states]

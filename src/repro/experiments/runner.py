@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.ckpt.checkpoint import load_state, save_state
 from repro.core.manager import TaskManager
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.metrics.qos import qos_guarantee_pct
 from repro.obs.context import ObsContext, activate, current
 from repro.obs.events import make_event
@@ -425,7 +425,7 @@ def _resume(manager: Any, env: Any, steps: int, side: Any, resume_from) -> Tuple
     _require_checkpointable(manager)
     try:
         assignments, manager_tree, env_tree = side.stage(tree, loop, manager.name)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AllocationError) as exc:
         raise CheckpointError(f"malformed {side.kind} checkpoint: {exc}") from exc
     snapshot = manager.state_dict(), env.state_dict()
     try:

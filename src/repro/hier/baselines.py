@@ -2,14 +2,15 @@
 
 The hierarchical experiment compares the allocator + Twig-leaf stack
 against the paper's rule-based managers at fleet scale. PARTIES and
-Heracles are scalar (one node each), so :class:`RuleFleet` wraps N
-independent instances behind the same lock-step manager interface
-:func:`~repro.engine.rollout.run_fleet` drives — each node's manager
-sees only its own :class:`~repro.sim.environment.StepResult`, exactly as
-N real nodes running N independent controllers would. The static
-baseline never reads an observation and never changes its placement, so
-a static fleet is that one placement as an N-row
-:class:`~repro.core.mapper.AssignmentBatch`: it reads no result, and the
+Heracles are array fleets (:class:`~repro.baselines.parties.PartiesFleet`,
+:class:`~repro.baselines.heracles.HeraclesFleet`) whose one-node case is
+the paper-loop manager: each node's controller reads only its own row of
+the interval's matrices and PARTIES draws from its own generator, exactly
+as N real nodes running N independent controllers would, and a tick
+returns every node's placement as one
+:class:`~repro.core.mapper.AssignmentBatch`. The static baseline never
+reads an observation and never changes its placement, so a static fleet
+is that one placement as an N-row batch: it reads no result, and the
 engine installs it once and then finds every row unchanged.
 
 Rule managers carry no learned state worth checkpointing mid-run (their
@@ -20,18 +21,17 @@ deterministic initial state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.baselines.heracles import HeraclesManager
-from repro.baselines.parties import PartiesManager
+from repro.baselines.heracles import HeraclesFleet
+from repro.baselines.parties import PartiesFleet
 from repro.baselines.static import StaticManager
 from repro.core.mapper import AssignmentBatch
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
-from repro.obs.sink import NULL_SINK, TraceSink
+from repro.obs.sink import TraceSink
 from repro.obs.timing import TimingRegistry
-from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
 from repro.sim.environment import StepResult
@@ -41,7 +41,7 @@ RULE_BASELINES = ("static", "heracles", "parties")
 
 
 class RuleFleet:
-    """N independent scalar rule managers, or one fixed placement for N
+    """One rule-based controller fleet, or one fixed placement for N
     nodes, behind the fleet interface."""
 
     CKPT_KIND = "rule_fleet"
@@ -49,44 +49,38 @@ class RuleFleet:
     def __init__(
         self,
         name: str,
-        managers: Sequence[Any] = (),
+        controller: Optional[Union[PartiesFleet, HeraclesFleet]] = None,
         fixed: Optional[AssignmentBatch] = None,
     ):
-        if (fixed is None) == (not managers):
+        if (fixed is None) == (controller is None):
             raise ConfigurationError(
-                "RuleFleet needs either at least one manager or a fixed placement"
+                "RuleFleet needs either a controller or a fixed placement"
             )
         self.name = name
-        self.managers = list(managers)
+        #: The PARTIES or Heracles fleet that places every node, else None.
+        self.controller = controller
         #: The placement of a fleet that never changes it (static), else None.
         self.fixed = fixed
-        self.num_envs = len(fixed) if fixed is not None else len(self.managers)
-        self.index_tag = "env"
-        self.trace: TraceSink = NULL_SINK
+        self.num_envs = len(fixed) if fixed is not None else controller.num_envs
 
-    def initial_assignments(
-        self,
-    ) -> Union[AssignmentBatch, List[Dict[str, CoreAssignment]]]:
+    def initial_assignments(self) -> AssignmentBatch:
         if self.fixed is not None:
             return self.fixed
-        return [m.initial_assignments() for m in self.managers]
+        return self.controller.initial_assignments()
 
-    def update_batch(
-        self, results: Sequence[StepResult]
-    ) -> Union[AssignmentBatch, List[Dict[str, CoreAssignment]]]:
+    def update_batch(self, results: Sequence[StepResult]) -> AssignmentBatch:
         """The next placements: the fixed batch itself, whose results are
-        never read, or each manager's update on its own node's result."""
+        never read, or the controller's tick on every node's results."""
         if len(results) != self.num_envs:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
         if self.fixed is not None:
             return self.fixed
-        return [m.update(r) for m, r in zip(self.managers, results)]
+        return self.controller.update_batch(results)
 
     def attach_obs(
         self, trace: Optional[TraceSink], timings: Optional[TimingRegistry]
     ) -> None:
-        if trace is not None:
-            self.trace = trace
+        """Rule managers emit no events and time no sections."""
 
     def exploit(self) -> None:
         """Rule managers have no exploration to freeze."""
@@ -118,7 +112,7 @@ def make_rule_fleet(
 
     Heracles is the paper's single-service controller; asking for it with
     a colocation is a configuration error rather than a silent partial
-    assignment. A static fleet's batch names ``services`` in the order
+    assignment. Every fleet's batch names ``services`` in the order
     given, which the engine requires to be its own order.
     """
     if name not in RULE_BASELINES:
@@ -138,17 +132,14 @@ def make_rule_fleet(
                 "heracles manages exactly one LC service per node; got "
                 f"{services}"
             )
-        managers = [
-            HeraclesManager(get_profile(services[0]), spec=spec)
-            for _ in range(num_envs)
-        ]
+        controller = HeraclesFleet(get_profile(services[0]), num_envs, spec=spec)
     else:
-        profiles = [get_profile(s) for s in services]
-        managers = [
-            PartiesManager(profiles, np.random.default_rng(seed + 1 + e), spec=spec)
-            for e in range(num_envs)
-        ]
-    return RuleFleet(name, managers)
+        controller = PartiesFleet(
+            [get_profile(s) for s in services],
+            [np.random.default_rng(seed + 1 + e) for e in range(num_envs)],
+            spec=spec,
+        )
+    return RuleFleet(name, controller)
 
 
 def _static_placement(
@@ -157,16 +148,9 @@ def _static_placement(
     """:class:`StaticManager`'s placement, built once, as ``num_envs``
     equal rows."""
     manager = StaticManager(services, spec=spec)
-    placement = manager.initial_assignments()
-    cores = manager.mapper.socket_cores
-    shape = (num_envs, len(services))
-    return AssignmentBatch(
-        services,
-        cores,
-        np.broadcast_to(
-            [[core in placement[s].cores for core in cores] for s in services],
-            shape + (len(cores),),
-        ),
-        np.broadcast_to([placement[s].freq_index for s in services], shape),
-        np.broadcast_to([placement[s].llc_ways for s in services], shape),
+    row = AssignmentBatch.from_dicts(
+        services, [manager.initial_assignments()], manager.spec, manager.mapper.socket_index
     )
+    return AssignmentBatch(services, row.core_ids, *(
+        np.broadcast_to(a, (num_envs,) + a.shape[1:]) for a in (row.pins, row.freq, row.ways)
+    ))

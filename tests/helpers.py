@@ -2,7 +2,16 @@
 
 import numpy as np
 
+from repro.core.mapper import AssignmentBatch
 from repro.experiments.runner import RUN_SERIES, SERVICE_SERIES
+
+
+def as_batch(engine, assignments):
+    """Per-node ``name -> CoreAssignment`` dicts as the ``AssignmentBatch``
+    a vector or cluster ``engine`` installs."""
+    return AssignmentBatch.from_dicts(
+        engine.names, assignments, engine.spec, engine.config.socket_index
+    )
 
 
 def _assert_tree_equal(a, b, path="root"):

@@ -4,8 +4,9 @@
 :class:`~repro.core.fleet.FleetTwig`: one :class:`SystemMonitor` per
 environment, per-env ``_last_allocations`` / ``_last_estimated_power`` /
 ``last_rewards`` dicts, per-row ``action_space.decode`` / ``encode``
-calls, and one ``mapper.map`` per environment per tick. It is kept
-verbatim as the equivalence oracle for the array control plane: the
+calls, and one ``mapper.map`` per environment per tick (its per-env
+dicts are handed to the engine as one ``AssignmentBatch``, the one form
+the engine installs). It is kept verbatim as the equivalence oracle for the array control plane: the
 production :class:`FleetTwig` must produce bit-identical trajectories,
 RNG streams, and agent state from the same inputs
 (``tests/test_engine_fleet_array.py``), exactly the way
@@ -28,7 +29,7 @@ import numpy as np
 from repro.ckpt.checkpoint import load_state, save_state
 from repro.core.actions import ActionSpace, Allocation
 from repro.core.config import TwigConfig
-from repro.core.mapper import Mapper
+from repro.core.mapper import AssignmentBatch, Mapper
 from repro.core.power_model import ServicePowerModel
 from repro.core.reward import RewardBreakdown, reward_components
 from repro.core.fleet import FleetBDQAgent
@@ -135,15 +136,21 @@ class DictFleetTwig:
             for name in self.service_order
         }
 
-    def initial_assignments(self) -> List[Dict[str, CoreAssignment]]:
+    def initial_assignments(self) -> AssignmentBatch:
         assignments = []
         for e in range(self.num_envs):
             allocations = self._initial_allocations()
             self._last_allocations[e] = allocations
             assignments.append(self.mapper.map(allocations))
-        return assignments
+        return self._batch(assignments)
 
-    def update_batch(self, results: Sequence[StepResult]) -> List[Dict[str, CoreAssignment]]:
+    def _batch(self, assignments: List[Dict[str, CoreAssignment]]) -> AssignmentBatch:
+        """The per-env dicts as the one batch the engine installs."""
+        return AssignmentBatch.from_dicts(
+            self.service_order, assignments, self.spec, self.config.socket_index
+        )
+
+    def update_batch(self, results: Sequence[StepResult]) -> AssignmentBatch:
         if len(results) != self.num_envs:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
         assignments: List[Optional[Dict[str, CoreAssignment]]] = [None] * self.num_envs
@@ -211,7 +218,7 @@ class DictFleetTwig:
                 self._prev_actions[e] = actions
                 self._last_allocations[e] = allocations
                 assignments[e] = self.mapper.map(allocations)
-        return [a for a in assignments if a is not None]
+        return self._batch([a for a in assignments if a is not None])
 
     def attach_obs(self, trace: Optional[TraceSink], timings: Optional[TimingRegistry]) -> None:
         if trace is not None:

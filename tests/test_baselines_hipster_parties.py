@@ -99,28 +99,27 @@ def test_parties_adjusts_one_resource_per_poll(rng):
     manager = PartiesManager(profiles, np.random.default_rng(3), poll_every=2)
     env = _env(["masstree", "moses"], [0.2, 0.5])
     assignments = manager.initial_assignments()
-    previous = {n: (a.num_cores, a.freq_index) for n, a in manager.allocations.items()}
+    previous = manager.cores[0].copy(), manager.freq[0].copy()
     changes = []
     for _ in range(40):
         result = env.step(assignments)
         assignments = manager.update(result)
-        current = {n: (a.num_cores, a.freq_index) for n, a in manager.allocations.items()}
-        delta = sum(
-            abs(current[n][0] - previous[n][0]) + abs(current[n][1] - previous[n][1])
-            for n in current
-        )
+        current = manager.cores[0].copy(), manager.freq[0].copy()
+        delta = sum(np.abs(now - before).sum() for now, before in zip(current, previous))
         changes.append(delta)
         previous = current
     assert max(changes) <= 1  # single-resource, single-service adjustments
 
 
 def test_parties_reverts_downsize_on_violation(rng):
-    from repro.core.actions import Allocation
+    from repro.baselines.parties import CORES
 
     profiles = [get_profile("masstree"), get_profile("moses")]
     manager = PartiesManager(profiles, np.random.default_rng(0), poll_every=1)
-    manager.allocations["masstree"] = Allocation(6, 8)
-    manager._last_downsize = ("masstree", "cores", Allocation(7, 8))
+    # masstree at (6 cores, DVFS 8), one core taken from (7, 8).
+    manager.cores[0, 0], manager.freq[0, 0] = 6, 8
+    manager._down_service[0], manager._down_resource[0] = 0, CORES
+    manager._down_cores[0], manager._down_freq[0] = 7, 8
 
     class FakeObs:
         def __init__(self, p99):
@@ -133,8 +132,8 @@ def test_parties_reverts_downsize_on_violation(rng):
         }
 
     manager.update(FakeResult())
-    assert manager.allocations["masstree"].num_cores == 7  # reverted
-    assert manager._avoid_resource["masstree"] == "cores"
+    assert manager.cores[0, 0] == 7  # reverted
+    assert manager._avoid[0, 0] == CORES
 
 
 def test_parties_keeps_qos_with_more_oscillation(rng):

@@ -74,9 +74,9 @@ def test_heracles_lockout_on_violation():
     for _ in range(manager.main_poll_every + 1):
         result = env.step(assignments)
         assignments = manager.update(result)
-    assert manager.cores == 18
-    assert manager.freq_index == len(ServerSpec().dvfs) - 1
-    assert manager._lockout_until > manager.step_count
+    assert manager.cores[0] == 18
+    assert manager.freq_index[0] == len(ServerSpec().dvfs) - 1
+    assert manager._lockout_until[0] > manager.step_count
 
 
 def test_heracles_keeps_dvfs_high_until_power_cap():

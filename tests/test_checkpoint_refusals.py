@@ -449,6 +449,46 @@ def test_refused_resume_leaves_manager_and_environment_as_they_were(entry, tmp_p
     _assert_tree_equal(env.state_dict(), twin_env.state_dict())
 
 
+def _parties_pair():
+    """A 3-node PARTIES fleet and its vector environment."""
+    venv = VectorEnvironment.from_services(
+        CLUSTER_SERVICES, {"masstree": 0.4, "xapian": 0.5}, 3, 21
+    )
+    return make_rule_fleet("parties", CLUSTER_SERVICES, 3, 21), venv
+
+
+#: Pending assignments for node 1 that the engine cannot install: a core
+#: off the server socket (socket 1; cores 0 and 1 are on socket 0), no
+#: core, a service the node does not run, a DVFS index off the ladder.
+PENDING_CORRUPTIONS = {
+    "off_socket_core": _set([0, 1], "loop", "assignments", "0001", "masstree", "cores"),
+    "zero_cores": _set([], "loop", "assignments", "0001", "masstree", "cores"),
+    "unknown_service": _set({"cores": [20], "freq_index": 3, "llc_ways": 0},
+                            "loop", "assignments", "0001", "moses"),
+    "dvfs_off_ladder": _set(9, "loop", "assignments", "0001", "xapian", "freq_index"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(PENDING_CORRUPTIONS))
+def test_malformed_pending_assignments_are_refused_at_stage(corruption, tmp_path):
+    """They used to load the manager and the engine, then fail the first
+    resumed step with an ``AllocationError``: node time went 3 -> 4."""
+    run_fleet(*_parties_pair(), 8, checkpoint_every=4, checkpoint_dir=tmp_path)
+    tree = load_state(tmp_path / RUN_CKPT_NAME, kind=VECTOR_RUN_CKPT_KIND)
+    PENDING_CORRUPTIONS[corruption](tree)
+    refused = tmp_path / "refused.ckpt.npz"
+    save_state(refused, VECTOR_RUN_CKPT_KIND, tree)
+
+    manager, venv = _parties_pair()
+    run_fleet(manager, venv, 3)
+    before = manager.state_dict(), venv.state_dict()
+    with pytest.raises(CheckpointError, match="malformed vector_run checkpoint"):
+        run_fleet(manager, venv, 8, resume_from=refused)
+    assert venv.time == 3
+    _assert_tree_equal(manager.state_dict(), before[0])
+    _assert_tree_equal(venv.state_dict(), before[1])
+
+
 @pytest.mark.parametrize("layout", ["stacked", "per_node"])
 @pytest.mark.parametrize("corruption", ["short_env_series", "short_service_series",
                                         "service_order"])

@@ -1,7 +1,5 @@
 """ClusterEnvironment: scalar equivalence, events, checkpoints, experiment."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,9 +12,8 @@ from repro.cluster.environment import (
 )
 from repro.cluster.topology import ClusterTopology
 from repro.cluster.traffic import TrafficModel, make_traffic_spec
-from repro.core.actions import Allocation
 from repro.core.config import TwigConfig
-from repro.core.mapper import Mapper
+from repro.core.mapper import AssignmentBatch, Mapper
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.errors import AllocationError, ConfigurationError
@@ -35,12 +32,13 @@ def _ulp_close(a: float, b: float) -> bool:
 
 
 def _static_assignments(venv, cores=6):
+    """Every node's services on ``cores`` cores each at the top DVFS index."""
     mapper = Mapper(venv.spec, socket_index=venv.config.socket_index)
-    top = len(venv.spec.dvfs) - 1
-    allocation = {
-        name: Allocation(num_cores=cores, freq_index=top) for name in venv.names
-    }
-    return [mapper.map(allocation) for _ in range(venv.num_envs)]
+    shape = (venv.num_envs, len(venv.names))
+    return mapper.map_rows(
+        venv.names, np.full(shape, cores), np.full(shape, len(venv.spec.dvfs) - 1),
+        np.zeros(shape),
+    )
 
 
 def _build_cluster(num_nodes, seed=7, traffic="diurnal", balancer="least_loaded"):
@@ -143,8 +141,11 @@ class TestRefusedStep:
         assignments = _static_assignments(venv)
         venv.step(assignments)
         twin.step(assignments)
-        bad = [dict(a) for a in assignments]
-        bad[0]["masstree"] = dataclasses.replace(bad[0]["masstree"], cores=())
+        pins = assignments.pins.copy()
+        pins[0, 0] = False  # node 0's masstree on no core
+        bad = AssignmentBatch(
+            venv.names, assignments.core_ids, pins, assignments.freq, assignments.ways
+        )
         before = venv.state_dict()
         with pytest.raises(AllocationError, match="zero cores"):
             venv.step(bad)

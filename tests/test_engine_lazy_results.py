@@ -30,7 +30,6 @@ import pytest
 from repro.baselines.static import StaticManager
 from repro.cluster.environment import ClusterEnvironment, make_cluster_node
 from repro.cluster.traffic import ScheduledLoad, check_rates
-from repro.core.actions import Allocation
 from repro.core.mapper import Mapper
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import (
@@ -189,18 +188,18 @@ class TestHotPath:
         fleet = make_rule_fleet("static", SERVICES, nodes, SEED)
         oracle = StaticManager(SERVICES)
         installed, handed = [], []
-        changes, update = venv._inputs.changes, fleet.update_batch
+        changed_rows, update = venv._changed_rows, fleet.update_batch
 
-        def recording_changes(*args):
-            found = changes(*args)
-            installed.append(found[0].tolist())
+        def recording_changed_rows(batch):
+            found = changed_rows(batch)
+            installed.append(found.tolist())
             return found
 
         def recording_update(results):
             handed.append((results, update(results)))
             return handed[-1][1]
 
-        monkeypatch.setattr(venv._inputs, "changes", recording_changes)
+        monkeypatch.setattr(venv, "_changed_rows", recording_changed_rows)
         monkeypatch.setattr(fleet, "update_batch", recording_update)
         run_fleet(fleet, venv, ticks)
         assert installed == [list(range(nodes))] + [[]] * (ticks - 1)
@@ -291,10 +290,10 @@ class TestFaultedArrays:
             [Fault(kind, "xapian", start=1, duration=1, magnitude=magnitude)],
             rng=np.random.default_rng(5),
         )
-        allocation = Mapper(venv.spec).map(
-            {name: Allocation(num_cores=4, freq_index=3) for name in SERVICES}
+        allocation = Mapper(venv.spec).map_rows(
+            SERVICES, np.full((2, 2), 4), np.full((2, 2), 3), np.zeros((2, 2))
         )
-        batch = venv.step([allocation, allocation])
+        batch = venv.step(allocation)
         faulted = batch[1].observations
         rebuilt = batch.build_observations(1)
         for i, name in enumerate(SERVICES):

@@ -37,7 +37,7 @@ from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
 from repro.obs.sink import MemorySink
 from repro.sim.faults import Fault, FaultInjector
-from tests.helpers import _assert_traces_equal, _assert_tree_equal
+from tests.helpers import _assert_traces_equal, _assert_tree_equal, as_batch
 
 SERVICES = ["masstree", "xapian", "moses"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5, "moses": 0.3}
@@ -92,7 +92,7 @@ class TestVectorMatchesScalar:
         ]
         for t in range(steps):
             assignment = _assignments(venv.spec, t)
-            results = venv.step([assignment] * num_envs)
+            results = venv.step(as_batch(venv, [assignment] * num_envs))
             for e, oracle in enumerate(oracles):
                 expected = oracle.step(assignment)
                 got = results[e]
@@ -127,7 +127,7 @@ class TestVectorMatchesScalar:
         venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, 2, SEED)
         solo = make_environment(SERVICES, [FRACTIONS[s] for s in SERVICES], SEED)
         assignment = _assignments(venv.spec, 0)
-        results = venv.step([assignment, assignment])
+        results = venv.step(as_batch(venv, [assignment, assignment]))
         expected = solo.step(assignment)
         assert _ulp_close(results[0].socket_power_w, expected.socket_power_w)
         assert not _ulp_close(results[1].socket_power_w, expected.socket_power_w)
@@ -222,6 +222,10 @@ def _assert_envs_match(venv, oracles):
 
 
 def _step_and_compare(venv, oracles, assignments):
+    """Step ``venv`` on a batch, or on per-env dicts converted to one,
+    and each oracle on its row."""
+    if not isinstance(assignments, AssignmentBatch):
+        assignments = as_batch(venv, assignments)
     results = venv.step(assignments)
     for e, oracle in enumerate(oracles):
         expected = oracle.step(assignments[e])
@@ -250,13 +254,7 @@ def _four_service_batch(num_envs):
 class TestArrayInstall:
     """The array install pinned to ``Machine.apply`` on the scalar oracle."""
 
-    @pytest.mark.parametrize("row_cache_limit", [None, 8])
-    def test_install_matches_scalar_machine(self, monkeypatch, row_cache_limit):
-        if row_cache_limit is not None:
-            # The schedule uses ~50 core sets: a tiny cache restarts often.
-            monkeypatch.setattr(
-                "repro.engine.vector_env._ROW_CACHE_LIMIT", row_cache_limit
-            )
+    def test_install_matches_scalar_machine(self):
         num_envs, steps, mid = 3, 24, 11
         venv, oracles = _four_service_batch(num_envs)
         schedule = _schedule4(venv.spec, num_envs, steps)
@@ -276,18 +274,6 @@ class TestArrayInstall:
             _step_and_compare(
                 resumed, oracles, [schedule[e][t] for e in range(num_envs)]
             )
-
-    def test_in_place_mutation_is_installed(self):
-        venv, oracles = _four_service_batch(2)
-        shared = _map4(Mapper(venv.spec), (4, 4, 4, 4), (8, 2, 5, 0), (0, 0, 0, 0))
-        _step_and_compare(venv, oracles, [shared, shared])
-        # A manager reusing one dict and replacing an entry in place.
-        shared["xapian"] = CoreAssignment(
-            cores=shared["xapian"].cores[:2], freq_index=7, llc_ways=3
-        )
-        _step_and_compare(venv, oracles, [shared, shared])
-        shared["moses"] = CoreAssignment(cores=shared["masstree"].cores, freq_index=1)
-        _step_and_compare(venv, oracles, [shared, shared])
 
 
 def _crash_faults():
@@ -356,11 +342,11 @@ class TestKeptBatch:
         top = len(venv.spec.dvfs) - 1
         fast = _map4(mapper, (3, 4, 5, 2), (top, top, top, top), (0, 0, 0, 0))
         slow = _map4(mapper, (5, 2, 3, 4), (0, 0, 0, 0), (0, 0, 0, 0))
-        kept = venv.step([fast, fast])
+        kept = venv.step(as_batch(venv, [fast, fast]))
         expected = [oracle.step(fast) for oracle in oracles]
         # Step t+1 installs another placement (every service at DVFS 0)
         # before anything reads batch t.
-        venv.step([slow, slow])
+        venv.step(as_batch(venv, [slow, slow]))
         for oracle in oracles:
             oracle.step(slow)
         columns = {
@@ -418,8 +404,9 @@ def _invalid(label, good, spec):
 
 
 class TestInstallValidation:
-    """``VectorEnvironment.step`` rejects what ``ColocationEnvironment.step``
-    rejects, with the same message, and a rejected step changes nothing."""
+    """``AssignmentBatch.from_dicts`` rejects what ``ColocationEnvironment.step``
+    rejects, with the same message, and ``VectorEnvironment.step`` refuses
+    anything but a batch and changes nothing."""
 
     @pytest.mark.parametrize("label", INVALID)
     def test_rejects_like_scalar_and_changes_nothing(self, label):
@@ -431,16 +418,18 @@ class TestInstallValidation:
         bad = _invalid(label, good, venv.spec)
         with pytest.raises(AllocationError) as scalar:
             oracles[1].step(bad)
-        before = venv.state_dict()
-        # Env 0 would install a valid new placement; env 1 is rejected,
-        # so neither may change.
         with pytest.raises(AllocationError) as vector:
-            venv.step([changed, bad])
+            as_batch(venv, [changed, bad])
         assert str(vector.value) == str(scalar.value)
+        before = venv.state_dict()
+        with pytest.raises(AllocationError, match="installs an AssignmentBatch"):
+            venv.step([changed, good])
         _assert_tree_equal(venv.state_dict(), before)
         _step_and_compare(venv, oracles, [changed, good])
 
     def test_freq_checked_for_cached_core_set(self):
+        """A DVFS index is checked where the core set is one already
+        installed."""
         venv, oracles = _four_service_batch(1)
         good = _map4(Mapper(venv.spec), (3, 4, 5, 2), (2, 6, 1, 8), (0, 0, 0, 0))
         _step_and_compare(venv, oracles, [good])
@@ -452,7 +441,7 @@ class TestInstallValidation:
             with pytest.raises(AllocationError) as scalar:
                 oracles[0].step(bad)
             with pytest.raises(AllocationError) as vector:
-                venv.step([bad])
+                as_batch(venv, [bad])
             assert str(vector.value) == str(scalar.value)
         _step_and_compare(venv, oracles, [good])
 
@@ -478,32 +467,19 @@ class TestBatchInstall:
     GOOD = ((3, 4, 5, 2), (2, 6, 1, 8), (0, 2, 0, 0))
     OVER = ((8, 6, 5, 4), (1, 3, 5, 7), (4, 0, 6, 20))
 
-    def test_batches_and_dicts_interleave_like_the_scalar_machine(self):
-        venv, oracles = _four_service_batch(2)
-        mapper = Mapper(venv.spec)
-        good = _map4(mapper, *self.GOOD)
-        batch = _rows4(mapper, [self.OVER, self.GOOD])
-        _step_and_compare(venv, oracles, [good, good])
-        _step_and_compare(venv, oracles, batch)
-        # The same dicts as two steps ago: env 0's machine now holds the
-        # batch's row, so the dict must be installed again, not skipped.
-        _step_and_compare(venv, oracles, [good, good])
-        _step_and_compare(venv, oracles, batch)
-        _step_and_compare(venv, oracles, batch)
-
     def test_only_changed_rows_are_written(self, monkeypatch):
         venv, oracles = _four_service_batch(3)
         mapper = Mapper(venv.spec)
         _step_and_compare(venv, oracles, _rows4(mapper, [self.GOOD] * 3))
         batch = _rows4(mapper, [self.GOOD, self.OVER, self.GOOD])
-        written, changes = [], venv._inputs.changes
+        written, changed_rows = [], venv._changed_rows
 
-        def recording_changes(*args):
-            found = changes(*args)
-            written.append(found[0].tolist())
+        def recording_changed_rows(batch):
+            found = changed_rows(batch)
+            written.append(found.tolist())
             return found
 
-        monkeypatch.setattr(venv._inputs, "changes", recording_changes)
+        monkeypatch.setattr(venv, "_changed_rows", recording_changed_rows)
         venv.step(batch)
         assert written == [[1]]
         for e, oracle in enumerate(oracles):

@@ -11,15 +11,21 @@ behaviour bit for bit.
   network and wrap its replay stripes within 20 ticks, and the event
   stream of a traced learning fleet with faults on one node
   (``fleet-events``: per-node ``run_start``/``run_end`` and node-tagged
-  ``interval``/``qos_violation``/``fault``/``degraded`` events).
+  ``interval``/``qos_violation``/``fault``/``degraded`` events); a
+  PARTIES fleet whose node 2 has its first service crashed across three
+  polls, so rows whose leading latency ratio is NaN
+  (``parties-crash-first``); and a Heracles fleet run past two
+  main-controller polls (``heracles-fleet``).
 - Paper-loop runs: one ``Twig`` on one ``ColocationEnvironment`` under
   ``run_manager`` — the bench ``twig_c`` recipe, Twig-C with every fault
   kind, Twig-C with the LLC branch, a mid-run service swap with
   ``transfer_to``, Twig-S with a fitted Equation-2 model, Twig-S with
   uniform replay, and the event stream of a short traced run (``events``
-  hashes the JSON lines with ``run_end.wall_time_s`` dropped); and one
+  hashes the JSON lines with ``run_end.wall_time_s`` dropped); one
   ``PartiesManager`` on the Figure 12/13 colocated recipe, with a
-  ``service_crash`` that makes some p99 samples NaN (``parties-crash``).
+  ``service_crash`` that makes some p99 samples NaN (``parties-crash``);
+  and ``run_single_service_comparison``'s ``HeraclesManager`` run on
+  masstree at half load (``heracles``).
 - Experiment runs: ``repro.experiments.cluster.run`` at the CLI's quick
   scale, ``repro.experiments.hier.run`` at quick scale, one hash per
   variant (hier, flat, static, PARTIES), and a longer ``hier`` run with
@@ -67,7 +73,7 @@ from typing import Any, Dict
 import numpy as np
 import pytest
 
-from repro.baselines import PartiesManager
+from repro.baselines import HeraclesManager, PartiesManager
 from repro.ckpt.checkpoint import _flatten, _json_default
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
@@ -110,6 +116,15 @@ FLEET_CONFIGS: Dict[str, Dict[str, Any]] = {
     },
     # The traced event stream of the learning fleet, with faults on node 2.
     "fleet-events": {"manager": "twig", **_FLEET, "events": True, "fault_node": 2},
+    # PARTIES with node 2's first service down across three polls: rows
+    # whose leading p99 ratio is NaN.
+    "parties-crash-first": {
+        "manager": "parties", **_FLEET, "fault_node": 2,
+        "crash": {"service": "masstree", "start": 6, "duration": 5},
+    },
+    # A Heracles fleet past two main-controller polls (every 15 ticks).
+    "heracles-fleet": {"manager": "heracles", **_FLEET, "services": ["masstree"],
+                       "ticks": 40},
 }
 
 #: Fault windows of the ``fleet-events`` node: a PMC dropout (the node's
@@ -142,6 +157,10 @@ PAPER_CONFIGS: Dict[str, Dict[str, Any]] = {
     # step budget, with moses crashed for three intervals (NaN p99).
     "parties-crash": {"loop": "paper", "case": "parties", "services": ["masstree", "moses"],
                       "loads": [0.2, 0.6], "seed": 7, "steps": 400},
+    # run_single_service_comparison's Heracles run: masstree at half
+    # load, the quick harness's seed and step budget.
+    "heracles": {"loop": "paper", "case": "heracles", "services": ["masstree"],
+                 "loads": [0.5], "seed": 7, "steps": 300},
 }
 
 #: The CLI's quick scale for ``repro run cluster`` and ``repro run hier``.
@@ -235,7 +254,10 @@ def _fleet(config: Dict[str, Any]):
         services, num_nodes=nodes, seed=seed, traffic=config["traffic"],
         balancer=config["balancer"],
     )
-    if "fault_node" in config:
+    if "crash" in config:
+        faults = [Fault("service_crash", **config["crash"])]
+        venv.faults[config["fault_node"]] = FaultInjector(faults)
+    elif "fault_node" in config:
         venv.faults[config["fault_node"]] = FaultInjector(list(FLEET_FAULTS))
     if config["manager"] == "twig":
         manager = _fleet_twig(config)
@@ -367,6 +389,10 @@ def run_paper(config: Dict[str, Any]):
         manager = PartiesManager([get_profile(name) for name in config["services"]],
                                  np.random.default_rng(3), spec=ServerSpec())
         env = _paper_env(config, faults=FaultInjector([PARTIES_CRASH]))
+        return [run_manager(manager, env, steps)]
+    if case == "heracles":
+        env = make_environment(config["services"], config["loads"], seed, ServerSpec())
+        manager = HeraclesManager(get_profile(config["services"][0]), spec=ServerSpec())
         return [run_manager(manager, env, steps)]
     if case == "events":
         sink = MemorySink(validate=True)

@@ -455,8 +455,8 @@ class TestRuleFleets:
 
     def test_parties_fleet_has_distinct_rngs(self):
         fleet = make_rule_fleet("parties", SERVICES, num_envs=2, seed=7)
-        a, b = fleet.managers
-        assert a._rng.bit_generator.state != b._rng.bit_generator.state
+        a, b = fleet.controller._rngs
+        assert a.bit_generator.state != b.bit_generator.state
 
     def test_heracles_multi_service_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,9 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 ## Tier-1: the full unit/property/integration suite (excludes -m slow).
 ## Includes tests/test_repo_hygiene.py, which fails if bytecode, caches,
-## or build artifacts are ever tracked by git again.
+## or build artifacts are ever tracked by git again, and
+## tests/test_bench_hooks.py, which fails if a class attribute
+## bench/tracer.py wraps, or a repro name bench/ imports, moves.
 test:
 	$(PYTEST) -x -q
 
@@ -35,7 +37,8 @@ test-golden:
 
 ## Robustness suite: checkpoint container round-trips, torn-write
 ## recovery, save->load->continue-training resume equivalence, refused
-## loads, pre-merge checkpoint formats, fault injection + degraded-mode
+## loads (a scalar run's pending assignment and a rule fleet's controller
+## state among them), pre-merge checkpoint formats, fault injection + degraded-mode
 ## behaviour, runner crash recovery, and the trace layout: float64
 ## array series from both run loops, stacked vector_run traces, and the
 ## per-node traces of a version-1 vector_run file.
@@ -71,7 +74,8 @@ test-fleet:
 ## Hierarchical control: budget allocator + HierFleetTwig masking/reward
 ## shaping, provisioning transfer, degraded-node shedding, rule fleets
 ## (the PARTIES and Heracles array fleets against N one-node managers
-## and their frozen scalar oracle), hier checkpoint resume bit-identity,
+## and their frozen scalar oracle, and resumed mid-run bit for bit),
+## hier checkpoint resume bit-identity,
 ## and HierFleetTwig's array hooks against their dict-state oracle.
 test-hier:
 	$(PYTEST) -q tests/test_hier.py tests/test_cluster_balancer.py \

@@ -17,24 +17,29 @@ of cores despite QoS slack, long full-allocation lockouts, DVFS pinned
 high until the power cap — follow directly from these rules.
 
 :class:`HeraclesFleet` runs them on ``num_envs`` servers in lock-step,
-as ``(N,)`` arrays, and places them all into one
-:class:`~repro.core.mapper.AssignmentBatch`; :class:`HeraclesManager` is
+as ``(N,)`` arrays, reads each tick through
+:func:`~repro.sim.environment.result_arrays`, and places them all into
+one :class:`~repro.core.mapper.AssignmentBatch`; its controller state
+(lockouts included) is written and read by
+:meth:`HeraclesFleet.controller_state` and
+:meth:`HeraclesFleet.load_controller_state`. :class:`HeraclesManager` is
 its one-server case, for the paper loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.ckpt.checkpoint import checked_array
 from repro.core.manager import TaskManager
 from repro.core.mapper import AssignmentBatch, Mapper
 from repro.errors import ConfigurationError, ShapeError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult
+from repro.sim.environment import StepResult, result_arrays
 
 
 class HeraclesFleet:
@@ -85,7 +90,9 @@ class HeraclesFleet:
         """One tick of every controller; every server's placement."""
         if len(results) != self.num_envs:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
-        p99, arrivals, membw, power = self._read(results)
+        arrays = result_arrays(results, [self.profile.name])
+        p99, arrivals, membw = (arrays[key][:, 0] for key in ("p99", "arrivals", "membw_gbps"))
+        power = arrays["power_w"]
         self.step_count += 1
         step, most, top = self.step_count, self.spec.cores_per_socket, len(self.spec.dvfs) - 1
 
@@ -119,21 +126,32 @@ class HeraclesFleet:
         self._last_membw = membw
         return self._placement()
 
-    def _read(self, results: Sequence[StepResult]):
-        """Each server's p99, arrival rate, memory bandwidth and socket
-        power: a :class:`~repro.engine.vector_env.StepBatch`'s arrays, or
-        gathered from each result's observation."""
-        arrays = getattr(results, "arrays", None)
-        if arrays is not None:
-            return (arrays["p99"][:, 0], arrays["arrivals"][:, 0],
-                    arrays["membw_gbps"][:, 0], arrays["power_w"])
-        observations = [result.observations[self.profile.name] for result in results]
-        return tuple(np.array(values, dtype=np.float64) for values in (
-            [o.p99_ms for o in observations],
-            [o.interval.arrival_rate for o in observations],
-            [o.interval.membw_gbps for o in observations],
-            [result.socket_power_w for result in results],
-        ))
+    def controller_state(self) -> Dict[str, Any]:
+        """Every server's controllers mid-run: the allocation, the tick
+        count, when each lockout ends and the last memory bandwidth."""
+        return {
+            "cores": self.cores.copy(),
+            "freq_index": self.freq_index.copy(),
+            "step_count": self.step_count,
+            "lockout_until": self._lockout_until.copy(),
+            "last_membw": np.array(self._last_membw, dtype=np.float64),
+        }
+
+    def load_controller_state(self, tree: Mapping[str, Any]) -> None:
+        """Continue from :meth:`controller_state`; a tree of the wrong
+        shape or with a value out of range is refused with
+        ``CheckpointError`` before anything is written."""
+        E, most, top = self.num_envs, self.spec.cores_per_socket, len(self.spec.dvfs) - 1
+        staged = {
+            "cores": checked_array(tree, "cores", (E,), low=1, high=most),
+            "freq_index": checked_array(tree, "freq_index", (E,), low=0, high=top),
+            "step_count": int(checked_array(tree, "step_count", (), low=0)),
+            "_lockout_until": checked_array(tree, "lockout_until", (E,), low=0),
+            "_last_membw": checked_array(tree, "last_membw", (E,), np.float64, low=0.0),
+        }
+        for name, value in staged.items():
+            setattr(self, name, value)
+        self._batch = None
 
     def _placement(self) -> AssignmentBatch:
         """Every server's allocation placed, kept until a controller polls."""

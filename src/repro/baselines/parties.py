@@ -17,24 +17,30 @@ ping-ponging mapping decisions, and no anticipation of violations — follow
 from these rules.
 
 :class:`PartiesFleet` runs it on N servers in lock-step, as ``(N, S)``
-arrays and one draw from each adjusting server's own generator, and
-places them all into one :class:`~repro.core.mapper.AssignmentBatch`;
-:class:`PartiesManager` is its one-server case, for the paper loop.
+arrays and one draw from each adjusting server's own generator, reads a
+polling tick's latencies through
+:func:`~repro.sim.environment.result_arrays`, and places them all into
+one :class:`~repro.core.mapper.AssignmentBatch`; its controller state
+(generators included) is written and read by
+:meth:`PartiesFleet.controller_state` and
+:meth:`PartiesFleet.load_controller_state`. :class:`PartiesManager` is its
+one-server case, for the paper loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.ckpt.checkpoint import check_rng_state, checked_array, rng_state, set_rng_state
 from repro.core.manager import TaskManager
 from repro.core.mapper import AssignmentBatch, Mapper
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult
+from repro.sim.environment import StepResult, result_arrays
 
 #: Resource indices (-1: none).
 CORES, DVFS = 0, 1
@@ -107,28 +113,19 @@ class PartiesFleet:
     def update_batch(self, results: Sequence[StepResult]) -> AssignmentBatch:
         """Poll every ``poll_every`` ticks; return every server's placement.
 
-        A :class:`~repro.engine.vector_env.StepBatch` is read through its
-        ``p99`` matrix, any other result sequence through each result's
-        observations, and only on a polling tick.
+        The results are read (:func:`~repro.sim.environment.result_arrays`)
+        only on a polling tick, for their ``p99`` matrix. The engine
+        refuses a batch whose columns are not its services in its order,
+        so a StepBatch's columns are this fleet's.
         """
         if len(results) != self.num_envs:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
         self.step_count += 1
         if self.step_count % self.poll_every == 0:
-            self._poll(self._p99(results) / self._qos)
+            p99 = result_arrays(results, self.service_order)["p99"]
+            self._poll(p99 / self._qos)
             self._batch = None
         return self._placement()
-
-    def _p99(self, results: Sequence[StepResult]) -> np.ndarray:
-        # The engine refuses a batch whose columns are not its services in
-        # its order, so a StepBatch's columns are this fleet's.
-        arrays = getattr(results, "arrays", None)
-        if arrays is not None:
-            return arrays["p99"]
-        return np.array([
-            [result.observations[name].p99_ms for name in self.service_order]
-            for result in results
-        ], dtype=np.float64)
 
     def _poll(self, ratios: np.ndarray) -> None:
         """One PARTIES poll on every server's ``(N, S)`` latency ratios."""
@@ -176,6 +173,53 @@ class PartiesFleet:
         self._down_resource[servers] = np.where(shrink_cores[downsized], CORES, DVFS)
         self._down_cores[servers] = cores[downsized]
         self._down_freq[servers] = freq[downsized]
+
+    def controller_state(self) -> Dict[str, Any]:
+        """Every server's controller mid-run: the allocation, the last
+        downsizing and the resources avoided, the tick count and each
+        server's generator."""
+        return {
+            "cores": self.cores.copy(),
+            "freq": self.freq.copy(),
+            "step_count": self.step_count,
+            "down_service": self._down_service.copy(),
+            "down_resource": self._down_resource.copy(),
+            "down_cores": self._down_cores.copy(),
+            "down_freq": self._down_freq.copy(),
+            "avoid": self._avoid.copy(),
+            "rngs": {f"{e:04d}": rng_state(rng) for e, rng in enumerate(self._rngs)},
+        }
+
+    def load_controller_state(self, tree: Mapping[str, Any]) -> None:
+        """Continue from :meth:`controller_state`; a tree of the wrong
+        shape, with a value out of range or a bad generator state is
+        refused with ``CheckpointError`` before anything is written."""
+        E, S = self.cores.shape
+        most, top = self.spec.cores_per_socket, len(self.spec.dvfs) - 1
+        try:
+            rngs = dict(tree["rngs"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed PARTIES state: {exc}") from exc
+        keys = [f"{e:04d}" for e in range(E)]
+        if sorted(rngs) != keys:
+            raise CheckpointError(f"PARTIES state holds generators {sorted(rngs)}, expected {keys}")
+        for rng, key in zip(self._rngs, keys):
+            check_rng_state(rng, rngs[key])
+        staged = {
+            "cores": checked_array(tree, "cores", (E, S), low=1, high=most),
+            "freq": checked_array(tree, "freq", (E, S), low=0, high=top),
+            "step_count": int(checked_array(tree, "step_count", (), low=0)),
+            "_down_service": checked_array(tree, "down_service", (E,), low=-1, high=S - 1),
+            "_down_resource": checked_array(tree, "down_resource", (E,), low=CORES, high=DVFS),
+            "_down_cores": checked_array(tree, "down_cores", (E,), low=0, high=most),
+            "_down_freq": checked_array(tree, "down_freq", (E,), low=0, high=top),
+            "_avoid": checked_array(tree, "avoid", (E, S), low=-1, high=DVFS),
+        }
+        for rng, key in zip(self._rngs, keys):
+            set_rng_state(rng, rngs[key])
+        for name, value in staged.items():
+            setattr(self, name, value)
+        self._batch = None
 
     def _placement(self) -> AssignmentBatch:
         """Every server's allocation placed, kept until the next poll."""

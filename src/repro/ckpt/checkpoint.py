@@ -35,7 +35,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -282,3 +282,32 @@ def check_rng_state(generator: np.random.Generator, state: Dict[str, Any]) -> No
     """Raise ``CheckpointError`` unless :func:`set_rng_state` would take
     ``state``; ``generator`` itself is left as it is."""
     set_rng_state(copy.deepcopy(generator), state)
+
+
+def checked_array(
+    tree: Mapping[str, Any],
+    key: str,
+    shape: Sequence[int],
+    dtype: Any = np.int64,
+    low: Optional[float] = None,
+    high: Optional[float] = None,
+) -> np.ndarray:
+    """``tree[key]`` as a new ``dtype`` array, or ``CheckpointError``.
+
+    The leaf must have ``shape`` and every value must lie in ``[low,
+    high]`` (a bound left ``None`` is open; NaN passes a float range). An
+    integer ``dtype`` also refuses values its cast would change.
+    """
+    try:
+        stored = np.asarray(tree[key])
+        with np.errstate(invalid="ignore"):
+            value = np.array(stored, dtype=dtype)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed {key!r} leaf: {exc}") from exc
+    if value.shape != tuple(shape):
+        raise CheckpointError(f"{key!r} has shape {value.shape}, expected {tuple(shape)}")
+    if np.issubdtype(value.dtype, np.integer) and not np.array_equal(value, stored):
+        raise CheckpointError(f"{key!r} holds values that are not integers")
+    if (low is not None and (value < low).any()) or (high is not None and (value > high).any()):
+        raise CheckpointError(f"{key!r} out of range [{low}, {high}]")
+    return value

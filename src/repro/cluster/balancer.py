@@ -31,6 +31,8 @@ Policies (registered in :data:`BALANCER_POLICIES`, selectable as
     shards exist. Assignment ignores load feedback entirely, modelling
     stateful services that cannot move keys.
 
+Every policy runs the same per-region loop in :meth:`LoadBalancer.assign`:
+its ``_shares`` for each region's nodes, then degraded-node shedding.
 Policies with mutable state (cursor, RNG) round-trip it through
 ``state_dict`` / ``load_state_dict`` so cluster runs are resumable
 bit-for-bit.
@@ -112,28 +114,7 @@ class LoadBalancer:
             raise ConfigurationError("demand must be finite and non-negative")
         pressure = loads.pressure() if loads is not None else None
         degraded = loads.degraded_mask() if loads is not None else None
-        S = demand.shape[1]
-        if N % R == 0:
-            # Batch fast path: one (R, nodes-per-region) share matrix for
-            # every region at once, bit-identical to the per-region loop
-            # (pinned in tests/test_cluster_balancer.py). Policies without
-            # a batch implementation return None and take the loop below.
-            shares = self._shares_batch(t, demand, pressure)
-            if shares is not None:
-                m = N // R
-                shares3 = np.broadcast_to(shares[:, :, None], (R, m, S)).copy()
-                if degraded is not None:
-                    # Region r's nodes are the stride-R columns of the
-                    # node axis; a contiguous transpose keeps the shed
-                    # sums bitwise equal to the gathered per-region sums.
-                    by_region = np.ascontiguousarray(degraded.reshape(m, R).T)
-                    shares3 = _shed_degraded_batch(shares3, by_region)
-                rates = np.empty((N, S))
-                rates.reshape(m, R, S)[:] = (
-                    shares3 * demand[:, None, :]
-                ).transpose(1, 0, 2)
-                return rates
-        rates = np.zeros((N, S))
+        rates = np.zeros((N, demand.shape[1]))
         for r in range(R):
             nodes = self.topology.region_nodes(r)
             node_pressure = pressure[nodes] if pressure is not None else None
@@ -153,20 +134,6 @@ class LoadBalancer:
     ) -> np.ndarray:
         """Per-node share matrix ``(n, S)``; each column must sum to 1."""
         raise NotImplementedError
-
-    def _shares_batch(
-        self, t: int, demand: np.ndarray, pressure: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """All regions' shares at once as ``(R, N // R)``, or ``None``.
-
-        Only called when every region hosts the same node count (``N``
-        divisible by ``R``); column order within a region is ascending
-        node index, exactly like :meth:`ClusterTopology.region_nodes`.
-        Implementations must be bitwise identical to R :meth:`_shares`
-        calls; policies with sequential per-region state (cursors, RNG
-        draws) keep the loop and return the default ``None``.
-        """
-        return None
 
     def state_dict(self) -> Dict[str, Any]:
         """Mutable policy state (cursors, RNG); empty for stateless policies."""
@@ -196,31 +163,6 @@ def _shed_degraded(shares: np.ndarray, degraded: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = shed / column_total[None, :]
     return np.where(column_total[None, :] > 0.0, scaled, uniform_live[:, None])
-
-
-def _shed_degraded_batch(shares: np.ndarray, degraded: np.ndarray) -> np.ndarray:
-    """:func:`_shed_degraded` over all regions at once.
-
-    ``shares`` is ``(R, m, S)`` (m nodes per region), ``degraded`` is
-    ``(R, m)``. Regions where no node — or every node — is degraded keep
-    their original shares, exactly like the per-region helper.
-    """
-    touched = degraded.any(axis=1) & ~degraded.all(axis=1)
-    if not touched.any():
-        return shares
-    shed = shares.copy()
-    shed[degraded] = 0.0
-    live = ~degraded
-    column_total = shed.sum(axis=1)  # (R, S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # All-degraded regions divide 0/0 here; the final where() masks
-        # those rows out (touched excludes them), so the NaNs never leak.
-        uniform_live = live.astype(np.float64) / live.sum(axis=1)[:, None]
-        scaled = shed / column_total[:, None, :]
-    shed = np.where(
-        column_total[:, None, :] > 0.0, scaled, uniform_live[:, :, None]
-    )
-    return np.where(touched[:, None, None], shed, shares)
 
 
 class RoundRobinBalancer(LoadBalancer):
@@ -288,23 +230,6 @@ class LeastLoadedBalancer(LoadBalancer):
         else:
             shares = headroom / total
         return np.broadcast_to(shares[:, None], (n, len(demand))).copy()
-
-    def _shares_batch(self, t, demand, pressure):
-        """All regions at once: headroom is elementwise per node and the
-        per-region totals come from a contiguous transpose, so every
-        value is bitwise equal to the per-region :meth:`_shares` path."""
-        R, N = self.topology.num_regions, self.topology.num_nodes
-        m = N // R
-        if pressure is None:
-            headroom = np.ones(N)
-        else:
-            headroom = np.maximum(1.0 - pressure, self.floor)
-        by_region = np.ascontiguousarray(headroom.reshape(m, R).T)  # (R, m)
-        totals = by_region.sum(axis=1)
-        good = np.isfinite(totals) & (totals > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = by_region / totals[:, None]
-        return np.where(good[:, None], scaled, np.full(m, 1.0 / m))
 
 
 class PowerOfTwoBalancer(LoadBalancer):

@@ -45,7 +45,7 @@ from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult
+from repro.sim.environment import StepResult, result_arrays
 
 
 class FleetBDQAgent(BDQAgent):
@@ -350,9 +350,10 @@ class FleetTwig:
         ``MonitorBank.observe_rows`` for all (env, service) rows, one
         vectorized Equation-2/Equation-1 evaluation, one fused agent
         forward, and one decode-by-arithmetic over the action matrix.
-        When ``results`` is a :class:`~repro.engine.vector_env.StepBatch`
-        the raw matrices are consumed directly; a plain result sequence
-        is gathered into matrices first. Returns every env's next
+        The raw matrices come from
+        :func:`~repro.sim.environment.result_arrays`: a
+        :class:`~repro.engine.vector_env.StepBatch`'s own, or read from a
+        plain result sequence. Returns every env's next
         placement as one :class:`~repro.core.mapper.AssignmentBatch`
         (a degraded env holds its allocation).
         """
@@ -360,14 +361,11 @@ class FleetTwig:
             raise ShapeError(f"expected {self.num_envs} results, got {len(results)}")
         E = self.num_envs
         k = len(self.service_order)
-        arrays = getattr(results, "arrays", None)
-        if arrays is not None:
-            counters = arrays["counters"]
-            p99 = arrays["p99"]
-            arrival = arrays["arrivals"]
-            times = arrays["time"]
-        else:
-            counters, p99, arrival, times = self._gather_result_arrays(results)
+        arrays = result_arrays(results, self.service_order)
+        counters = arrays["counters"]
+        p99 = arrays["p99"]
+        arrival = arrays["arrivals"]
+        times = arrays["time"]
 
         states = self.monitor_bank.observe_rows(counters.reshape(E * k, -1))
         states = states.reshape(E, k * self.monitor_bank.state_dim)
@@ -469,29 +467,6 @@ class FleetTwig:
     # ------------------------------------------------------------------ #
     # array internals
     # ------------------------------------------------------------------ #
-    def _gather_result_arrays(self, results: Sequence[StepResult]):
-        """Matrix views of a plain result sequence (non-StepBatch input)."""
-        E = self.num_envs
-        k = len(self.service_order)
-        names = self.monitor_bank.counters
-        counters = np.empty((E, k, len(names)))
-        p99 = np.empty((E, k))
-        arrival = np.empty((E, k))
-        times = np.empty(E, dtype=np.int64)
-        for e, result in enumerate(results):
-            times[e] = result.time
-            for i, name in enumerate(self.service_order):
-                observation = result.observations[name]
-                pmcs = observation.pmcs
-                missing = [c for c in names if c not in pmcs]
-                if missing:
-                    raise ShapeError(f"readings missing counters: {missing}")
-                for c, counter in enumerate(names):
-                    counters[e, i, c] = float(pmcs[counter])
-                p99[e, i] = observation.p99_ms
-                arrival[e, i] = observation.interval.arrival_rate
-        return counters, p99, arrival, times
-
     def _power_for(
         self, cores: np.ndarray, freq_index: np.ndarray, arrival: np.ndarray
     ) -> np.ndarray:

@@ -13,12 +13,13 @@ Three responsibilities:
    DVFS state among their requests (the machine model enforces the
    max-DVFS rule for shared cores).
 
-:meth:`Mapper.map` places one server's requests and returns a
-``name -> CoreAssignment`` dict; it is the reference the batched path is
-tested against. :meth:`Mapper.map_rows` places N servers at once from
-``(N, S)`` core, DVFS and way matrices and returns an
-:class:`AssignmentBatch`: ``(N, S, C)`` pin rows, built with a few array
-passes per service and no per-server Python.
+:meth:`Mapper.map_rows` places N servers at once from ``(N, S)`` core,
+DVFS and way matrices and returns an :class:`AssignmentBatch`: ``(N, S,
+C)`` pin rows, built with a few array passes per service and no
+per-server Python. :meth:`Mapper.map` is its one-row case: one server's
+requests in, a ``name -> CoreAssignment`` dict out. The placement is
+pinned to a frozen copy of the original per-server mapper
+(``tests/oracles/mapper_reference.py``).
 """
 
 from __future__ import annotations
@@ -158,35 +159,13 @@ class Mapper:
     # public API
     # ------------------------------------------------------------------ #
     def map(self, requests: Mapping[str, Allocation]) -> Dict[str, CoreAssignment]:
-        """Resolve all requests into concrete core assignments."""
-        if not requests:
-            raise AllocationError("mapper received no requests")
-        n = len(self.socket_cores)
-        for name, request in requests.items():
-            if request.num_cores > n:
-                raise AllocationError(
-                    f"service {name!r} requested {request.num_cores} cores, socket "
-                    f"has {n}"
-                )
-            if request.freq_index >= len(self.spec.dvfs):
-                raise AllocationError(
-                    f"service {name!r} requested DVFS index {request.freq_index}, "
-                    f"ladder has {len(self.spec.dvfs)}"
-                )
-        total = sum(r.num_cores for r in requests.values())
-        if total <= n:
-            local = self._place_disjoint(requests)
-        else:
-            local = self._place_with_overlap(requests)
-        ways = self._arbitrate_ways(requests)
-        return {
-            name: CoreAssignment(
-                cores=tuple(self.socket_cores[i] for i in sorted(ids)),
-                freq_index=requests[name].freq_index,
-                llc_ways=ways[name],
-            )
-            for name, ids in local.items()
-        }
+        """Resolve one server's requests into concrete core assignments:
+        :meth:`map_rows` of the one row they make."""
+        rows = [
+            [[getattr(r, field) for r in requests.values()]]
+            for field in ("num_cores", "freq_index", "llc_ways")
+        ]
+        return self.map_rows(list(requests), *rows)[0]
 
     def map_rows(
         self,
@@ -195,10 +174,8 @@ class Mapper:
         freq: np.ndarray,
         ways: np.ndarray,
     ) -> AssignmentBatch:
-        """:meth:`map` for N servers at once: row ``e`` of the ``(N, S)``
-        matrices is server ``e``'s requests, column ``i`` service
-        ``names[i]``. Row ``e`` of the batch equals ``map`` of that row.
-        """
+        """Place N servers at once: row ``e`` of the ``(N, S)`` matrices
+        is server ``e``'s requests, column ``i`` service ``names[i]``."""
         cores, freq, ways = (np.asarray(a, dtype=np.int64) for a in (cores, freq, ways))
         self._check_rows(names, cores, freq, ways)
         return AssignmentBatch(
@@ -212,13 +189,13 @@ class Mapper:
         freq: np.ndarray,
         ways: np.ndarray,
     ) -> None:
-        """Refuse ``(N, S)`` request matrices :meth:`map` would refuse.
+        """Refuse ``(N, S)`` request matrices that cannot be placed.
 
-        The first row holding a bad request is handed to ``Allocation``
-        and :meth:`map`, so it raises the error the scalar path raises
-        for it: ``ConfigurationError`` for fewer than one core, a negative
-        DVFS index or negative ways, ``AllocationError`` for more cores
-        than the socket or a DVFS index past the ladder.
+        The first row holding a bad request is refused as one server's
+        requests: ``ConfigurationError`` from ``Allocation`` for the first
+        service with fewer than one core, a negative DVFS index or
+        negative ways, else ``AllocationError`` for the first with more
+        cores than the socket or a DVFS index past the ladder.
         """
         if not names:
             raise AllocationError("mapper received no requests")
@@ -227,20 +204,24 @@ class Mapper:
                 f"request matrices for {len(names)} services have shapes "
                 f"{cores.shape}, {freq.shape}, {ways.shape}"
             )
-        bad = (
-            (cores < 1) | (cores > len(self.socket_cores))
-            | (freq < 0) | (freq >= len(self.spec.dvfs)) | (ways < 0)
-        )
-        if bad.any():
-            e = int(np.flatnonzero(bad.any(axis=1))[0])
-            self.map({
-                name: Allocation(
-                    num_cores=int(cores[e, i]),
-                    freq_index=int(freq[e, i]),
-                    llc_ways=int(ways[e, i]),
+        n, levels = len(self.socket_cores), len(self.spec.dvfs)
+        bad = (cores < 1) | (cores > n) | (freq < 0) | (freq >= levels) | (ways < 0)
+        if not bad.any():
+            return
+        e = int(np.flatnonzero(bad.any(axis=1))[0])
+        row = list(zip(names, cores[e].tolist(), freq[e].tolist(), ways[e].tolist()))
+        for _, count, level, llc in row:
+            # Raises ConfigurationError for a field below its minimum.
+            Allocation(num_cores=count, freq_index=level, llc_ways=llc)
+        for name, count, level, _ in row:
+            if count > n:
+                raise AllocationError(
+                    f"service {name!r} requested {count} cores, socket has {n}"
                 )
-                for i, name in enumerate(names)
-            })
+            if level >= levels:
+                raise AllocationError(
+                    f"service {name!r} requested DVFS index {level}, ladder has {levels}"
+                )
 
     def _pin_rows(self, cores: np.ndarray) -> np.ndarray:
         """``(N, S, C)`` pins, over the socket's cores, for ``(N, S)`` core
@@ -263,9 +244,10 @@ class Mapper:
         return pins
 
     def _way_rows(self, ways: np.ndarray) -> np.ndarray:
-        """:meth:`_arbitrate_ways` for every row of an ``(N, S)`` matrix:
-        each request is capped at the socket's ways, and a row whose
-        requests still exceed them is scaled by ``ways / total``, floored."""
+        """Scale conflicting CAT way requests to fit the socket's ways, in
+        every row of an ``(N, S)`` matrix: each request is capped at the
+        socket's ways, and a row whose requests still exceed them is
+        scaled by ``ways / total``, floored, so the combined quota fits."""
         available = self.spec.socket.llc_ways
         requested = np.minimum(ways, available)
         total = requested.sum(axis=1)
@@ -275,21 +257,6 @@ class Mapper:
         factor = available / np.maximum(total, 1)
         scaled = (requested * factor[:, None]).astype(np.int64)
         return np.where(over[:, None], scaled, requested)
-
-    def _arbitrate_ways(self, requests: Mapping[str, Allocation]) -> Dict[str, int]:
-        """Scale conflicting CAT way requests to fit the socket's ways.
-
-        Mirrors the core arbitration policy: when the sum of requested
-        partitions exceeds the cache, every request is shrunk
-        proportionally (floor), so the combined quota always fits.
-        """
-        available = self.spec.socket.llc_ways
-        requested = {name: min(r.llc_ways, available) for name, r in requests.items()}
-        total = sum(requested.values())
-        if total <= available:
-            return requested
-        factor = available / total
-        return {name: int(ways * factor) for name, ways in requested.items()}
 
     # ------------------------------------------------------------------ #
     # placement strategies (local core indices 0..n-1)
@@ -303,32 +270,8 @@ class Mapper:
         odds_desc = [i for i in range(n - 1, -1, -1) if i % 2 == 1]
         return evens_desc + odds_desc
 
-    def _place_disjoint(
-        self, requests: Mapping[str, Allocation]
-    ) -> Dict[str, List[int]]:
-        """Locality-aware placement when everything fits."""
-        n = len(self.socket_cores)
-        free = set(range(n))
-        placement: Dict[str, List[int]] = {}
-        for index, (name, request) in enumerate(requests.items()):
-            order = self._preference(index % 2, n)
-            picked: List[int] = []
-            for core in order:
-                if len(picked) == request.num_cores:
-                    break
-                if core in free:
-                    picked.append(core)
-                    free.discard(core)
-            if len(picked) < request.num_cores:
-                raise AllocationError(
-                    f"internal error: could not place {request.num_cores} cores "
-                    f"for {name!r}"
-                )
-            placement[name] = picked
-        return placement
-
     def _disjoint_rows(self, cores: np.ndarray) -> np.ndarray:
-        """:meth:`_place_disjoint` for rows that fit the socket: service
+        """Locality-aware placement of rows that fit the socket: service
         ``i`` takes the first ``cores[:, i]`` still-free cores in its
         side's pick order."""
         rows, services = cores.shape
@@ -342,39 +285,12 @@ class Mapper:
             free[:, order] = available ^ take
         return pins
 
-    def _place_with_overlap(
-        self, requests: Mapping[str, Allocation]
-    ) -> Dict[str, List[int]]:
-        """Arbitrated placement when requests exceed the socket.
-
-        Services are laid out as contiguous windows from alternating ends;
-        windows that intersect are the timeshared cores (Section IV's
-        arbitration example). For more than two services the windows tile
-        the socket in proportion-preserving order, wrapping as needed.
-        """
-        n = len(self.socket_cores)
-        names = list(requests)
-        placement: Dict[str, List[int]] = {}
-        if len(names) == 2:
-            first, second = names
-            a = requests[first].num_cores
-            b = requests[second].num_cores
-            placement[first] = list(range(0, a))
-            placement[second] = list(range(n - b, n))
-            return placement
-        # General case: contiguous windows starting where the previous one
-        # ended, wrapping modulo the socket size.
-        offset = 0
-        for name in names:
-            count = requests[name].num_cores
-            placement[name] = [(offset + i) % n for i in range(count)]
-            offset = (offset + count) % n
-        return placement
-
     def _overlap_rows(self, cores: np.ndarray) -> np.ndarray:
-        """:meth:`_place_with_overlap` for oversubscribed rows: service
-        ``i`` holds the window of ``cores[:, i]`` cores starting at its
-        offset, modulo the socket (two services: from opposite ends)."""
+        """Arbitrated placement of oversubscribed rows: service ``i``
+        holds the contiguous window of ``cores[:, i]`` cores starting
+        where the previous one ended, modulo the socket; two services
+        start from opposite ends. Windows that intersect are the
+        timeshared cores (Section IV's arbitration example)."""
         n = len(self.socket_cores)
         local = np.arange(n)
         if cores.shape[1] == 2:

@@ -86,6 +86,7 @@ from repro.ckpt.checkpoint import rng_state, set_rng_state
 from repro.core.mapper import AssignmentBatch
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.obs.sink import NULL_SINK, TraceSink
+from repro.pmc.counters import COUNTER_NAMES
 from repro.services.interference import InterferenceModel
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
@@ -107,23 +108,6 @@ from repro.sim.faults import FaultInjector
 #: :meth:`VectorEnvironment.from_services`; large and prime so the
 #: derived per-generator seeds of different environments never collide.
 ENV_SEED_STRIDE = 100003
-
-#: Raw counter names in the exact order ``TelemetrySynthesizer.synthesize``
-#: builds (and therefore noises) them.
-_COUNTER_ORDER = (
-    "UNHALTED_CORE_CYCLES",
-    "INSTRUCTION_RETIRED",
-    "PERF_COUNT_HW_CPU_CYCLES",
-    "UNHALTED_REFERENCE_CYCLES",
-    "UOPS_RETIRED",
-    "BRANCH_INSTRUCTIONS_RETIRED",
-    "MISPREDICTED_BRANCH_RETIRED",
-    "PERF_COUNT_HW_BRANCH_MISSES",
-    "LLC_MISSES",
-    "PERF_COUNT_HW_CACHE_L1D",
-    "PERF_COUNT_HW_CACHE_L1I",
-)
-
 
 #: The batch array behind each ``IntervalResult`` field.
 _FIELD_ARRAYS = {
@@ -171,7 +155,7 @@ def _build_observations(
     ):
         observations[name] = ServiceObservation(
             interval=IntervalResult(name, interval_s, *row, qos_target),
-            pmcs=dict(zip(_COUNTER_ORDER, counters)),
+            pmcs=dict(zip(COUNTER_NAMES, counters)),
         )
     return observations
 
@@ -623,7 +607,7 @@ class VectorEnvironment:
 
         # --- shared-RNG noise block -------------------------------------- #
         lat_draws = 1 if self.config.latency_noise_std > 0 else 0
-        tel_draws = len(_COUNTER_ORDER) if self.config.telemetry_noise_std > 0 else 0
+        tel_draws = len(COUNTER_NAMES) if self.config.telemetry_noise_std > 0 else 0
         block = lat_draws + tel_draws
         total_draws = S * block + 1
         z = np.empty((E, total_draws))
@@ -672,7 +656,8 @@ class VectorEnvironment:
                 kilo_instr * self._l1i_mpki,
             ],
             axis=-1,
-        )  # (E, S, 11)
+        )  # (E, S, 11) in COUNTER_NAMES order, the order the scalar
+        # TelemetrySynthesizer builds, and so noises, them.
         if tel_draws:
             tel_z = per_service[:, :, lat_draws:]
             counters = counters * (1.0 + self.config.telemetry_noise_std * tel_z)
@@ -765,7 +750,7 @@ class VectorEnvironment:
                     obs = observations[name]
                     for field, key in _FIELD_ARRAYS.items():
                         arrays[key][e, i] = getattr(obs.interval, field)
-                    counters[e, i] = [obs.pmcs[counter] for counter in _COUNTER_ORDER]
+                    counters[e, i] = [obs.pmcs[counter] for counter in COUNTER_NAMES]
             step_result = StepResult(
                 time=time,
                 observations=observations,

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.ckpt.checkpoint import load_state, save_state
 from repro.core.manager import TaskManager
+from repro.core.mapper import AssignmentBatch
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.metrics.qos import qos_guarantee_pct
 from repro.obs.context import ObsContext, activate, current
@@ -453,6 +454,7 @@ class ScalarRun:
     def __init__(self, manager: TaskManager, env: ColocationEnvironment) -> None:
         self.update = manager.update
         self.trace = RunTrace.for_env(manager.name, env)
+        self._env = env
 
     def record(self, result) -> None:
         self.trace.record(result)
@@ -464,6 +466,12 @@ class ScalarRun:
 
     def stage(self, tree, loop, manager_name: str):
         assignments = _deserialize_assignments(loop["assignments"])
+        # What the machine could not install is refused before anything
+        # loads, as the vector side refuses its batch.
+        env = self._env
+        AssignmentBatch.from_dicts(
+            env.service_names, [assignments], env.spec, env.config.socket_index
+        )
         trace = _deserialize_trace(dict(tree["trace"]), manager_name)
         trace.convert_series(np.ndarray.tolist)
         self.trace = trace

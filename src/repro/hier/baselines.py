@@ -13,10 +13,15 @@ reads an observation and never changes its placement, so a static fleet
 is that one placement as an N-row batch: it reads no result, and the
 engine installs it once and then finds every row unchanged.
 
-Rule managers carry no learned state worth checkpointing mid-run (their
-controllers are cheap to re-run), so :meth:`RuleFleet.state_dict` is
-identity-only; resuming a rule fleet restarts its controllers from their
-deterministic initial state.
+PARTIES and Heracles read a tick's results through
+:func:`~repro.sim.environment.result_arrays`. :meth:`RuleFleet.state_dict`
+holds the fleet's identity and, for PARTIES and Heracles, every node's
+controller state (allocations, tick count, PARTIES's pending downsizings
+and generators, Heracles's lockouts and last memory bandwidth), so a
+resumed fleet continues its controllers where the checkpoint left them.
+The paper-loop ``PartiesManager`` and ``HeraclesManager`` stay without
+``state_dict``: the runner's ambient checkpointing does not checkpoint
+paper-loop baselines.
 """
 
 from __future__ import annotations
@@ -86,12 +91,21 @@ class RuleFleet:
         """Rule managers have no exploration to freeze."""
 
     def state_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "num_envs": self.num_envs}
+        """The fleet's identity and, for PARTIES and Heracles, every
+        node's controller state; a static fleet has no state."""
+        tree: Dict[str, Any] = {"name": self.name, "num_envs": self.num_envs}
+        if self.controller is not None:
+            tree["controller"] = self.controller.controller_state()
+        return tree
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
+        """Continue from :meth:`state_dict`: the controllers pick up where
+        the checkpoint left them (stage-then-commit). A PARTIES or
+        Heracles tree without controller state is refused."""
         try:
             name = str(tree["name"])
             num_envs = int(tree["num_envs"])
+            controller = None if self.controller is None else dict(tree["controller"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed rule-fleet checkpoint: {exc}") from exc
         if name != self.name or num_envs != self.num_envs:
@@ -99,6 +113,8 @@ class RuleFleet:
                 f"checkpoint is for {name!r} x {num_envs}, this fleet is "
                 f"{self.name!r} x {self.num_envs}"
             )
+        if controller is not None:
+            self.controller.load_controller_state(controller)
 
 
 def make_rule_fleet(

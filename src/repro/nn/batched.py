@@ -13,6 +13,12 @@ summed-over-heads input gradient are each one ``@``), with a broadcast
 ``np.matmul`` fallback for stacked per-head inputs. Stacked activations
 are batch-major ``(batch, H, out)`` so the flattened views are contiguous.
 
+A :class:`HeadBank` has one eval forward (:meth:`HeadBank.forward`, of
+every head or a suffix of them), one training forward
+(:meth:`HeadBank.forward_train`) and one backward, which *assigns* every
+gradient: one backward per optimizer step writes each exactly once, so
+no ``zero_grad`` pass is needed.
+
 Compatibility contract
 ----------------------
 :class:`BatchedDense` *adopts* existing :class:`~repro.nn.layers.Dense`
@@ -128,76 +134,40 @@ class BatchedDense(Layer):
         self._input: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    def forward(
-        self,
-        x: np.ndarray,
-        training: bool = False,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Evaluate every head.
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate every head on its own input and record ``x`` for
+        :meth:`backward`: ``(batch, H, in) -> (batch, H, out_max)``, one
+        batched matmul.
 
-        ``x`` is either a shared ``(batch, in)`` input (broadcast to all
-        heads; one fused GEMM) or an already-stacked ``(batch, H, in)``
-        activation (one batched matmul). Returns ``(batch, H, out_max)``.
-
-        ``out`` may be a preallocated C-contiguous result buffer (reused
-        across steps to avoid page-faulting fresh allocations): shaped
-        ``(batch, H, out_max)`` for a 2-D input, ``(H, batch, out_max)``
-        for a 3-D input — the batch-major result is then a transposed view
-        of it.
+        A shared ``(batch, in)`` input (the bank's hidden layer) is
+        evaluated by :class:`HeadBank` as one GEMM over the flattened
+        ``(in, H*out)`` weights, which sets ``_input`` itself.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            if x.shape[1] != self.in_features:
-                raise ShapeError(
-                    f"{self.name} expected (batch, {self.in_features}), got {x.shape}"
-                )
-            self._input = x
-            shape = (x.shape[0], self.num_heads, self.out_max)
-            if out is None:
-                out = np.empty(shape)
-            elif out.shape != shape or not out.flags.c_contiguous:
-                raise ShapeError(
-                    f"{self.name} out buffer must be C-contiguous {shape}, "
-                    f"got {out.shape}"
-                )
-            np.matmul(x, self.weight_2d, out=out.reshape(x.shape[0], -1))
-            result = out
-        elif x.ndim == 3:
-            if x.shape[1] != self.num_heads or x.shape[2] != self.in_features:
-                raise ShapeError(
-                    f"{self.name} expected (batch, {self.num_heads}, "
-                    f"{self.in_features}), got {x.shape}"
-                )
-            self._input = x
-            shape = (self.num_heads, x.shape[0], self.out_max)
-            if out is None:
-                out = np.empty(shape)
-            elif out.shape != shape or not out.flags.c_contiguous:
-                raise ShapeError(
-                    f"{self.name} out buffer must be C-contiguous {shape}, "
-                    f"got {out.shape}"
-                )
-            # (H, batch, in) @ (H, in, out) -> (H, batch, out), batch-major out.
-            np.matmul(x.transpose(1, 0, 2), self.weight.transpose(1, 0, 2), out=out)
-            result = out.transpose(1, 0, 2)
-        else:
-            raise ShapeError(f"{self.name} expected a 2-D or 3-D input, got {x.shape}")
+        if x.ndim != 3 or x.shape[1] != self.num_heads or x.shape[2] != self.in_features:
+            raise ShapeError(
+                f"{self.name} expected (batch, {self.num_heads}, "
+                f"{self.in_features}), got {x.shape}"
+            )
+        self._input = x
+        # (H, batch, in) @ (H, in, out) -> (H, batch, out), batch-major out.
+        result = np.matmul(
+            x.transpose(1, 0, 2), self.weight.transpose(1, 0, 2)
+        ).transpose(1, 0, 2)
         result += self.bias
         return result
 
     def backward(
-        self,
-        grad: np.ndarray,
-        accumulate: bool = True,
-        input_grad_out: Optional[np.ndarray] = None,
+        self, grad: np.ndarray, input_grad_out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Accumulate parameter gradients and return the input gradient.
+        """Write the parameter gradients and return the input gradient.
 
-        ``grad`` is ``(batch, H, out_max)`` and may be modified in place
-        (ragged masking); entries in a ragged head's padded columns are
-        ignored (masked to zero) so padded weights never receive gradient.
-        For a shared 2-D input the returned gradient is
+        The gradients are *assigned*, not added: one backward per
+        optimizer step writes each exactly once, so no ``zero_grad`` pass
+        is needed. ``grad`` is ``(batch, H, out_max)`` and may be modified
+        in place (ragged masking); entries in a ragged head's padded
+        columns are ignored (masked to zero) so padded weights never
+        receive gradient. For a shared 2-D input the returned gradient is
         the ``(batch, in)`` sum over every head's contribution (the true
         gradient w.r.t. the shared input, computed as one GEMM); for a
         stacked 3-D input it is per head, ``(batch, H, in)``.
@@ -207,13 +177,6 @@ class BatchedDense(Layer):
         matmul — typically a transposed view of a caller-pooled
         contiguous ``(batch, H, in)`` buffer, which makes the returned
         batch-major gradient contiguous without an extra copy.
-
-        With ``accumulate=False`` the parameter gradients are *assigned*
-        instead of added — values are identical to accumulating into
-        freshly zeroed gradients, but the zero-fill and the read-modify-
-        write pass over the stacks are skipped. Only valid when the caller
-        runs exactly one backward per optimizer step (as the train step
-        does).
         """
         if self._input is None:
             raise ShapeError(f"{self.name}.backward called before forward")
@@ -226,23 +189,13 @@ class BatchedDense(Layer):
             )
         if self._valid is not None:
             np.multiply(grad, self._valid, out=grad)
-        if accumulate:
-            self.bias_grad += grad.sum(axis=0)
-        else:
-            np.sum(grad, axis=0, out=self.bias_grad)
+        np.sum(grad, axis=0, out=self.bias_grad)
         if x.ndim == 2:
             grad_2d = grad.reshape(grad.shape[0], -1)
-            if accumulate:
-                self.weight_grad_2d += x.T @ grad_2d
-            else:
-                np.matmul(x.T, grad_2d, out=self.weight_grad_2d)
+            np.matmul(x.T, grad_2d, out=self.weight_grad_2d)
             return grad_2d @ self.weight_2d.T
         grad_hm = grad.transpose(1, 0, 2)                    # (H, batch, out)
-        wgrad_hm = self.weight_grad.transpose(1, 0, 2)
-        if accumulate:
-            wgrad_hm[...] += np.matmul(x.transpose(1, 2, 0), grad_hm)
-        else:
-            np.matmul(x.transpose(1, 2, 0), grad_hm, out=wgrad_hm)
+        np.matmul(x.transpose(1, 2, 0), grad_hm, out=self.weight_grad.transpose(1, 0, 2))
         return np.matmul(
             grad_hm, self.weight.transpose(1, 2, 0), out=input_grad_out
         ).transpose(1, 0, 2)
@@ -339,59 +292,47 @@ class HeadBank:
             )
         self.num_heads = self.hidden.num_heads
         self.out_max = self.out.out_max
-        self._relu_mask: Optional[np.ndarray] = None
+        # What the training forward keeps for backward: the rectified
+        # hidden activation without dropout, else the combined relu&drop
+        # mask.
         self._relu_act: Optional[np.ndarray] = None
         self._drop_mask: Optional[np.ndarray] = None
         # Pooled (batch, H, hidden) destination for the output layer's
         # input gradient (lazily sized on first backward).
         self._hidden_grad_buf: Optional[np.ndarray] = None
 
-    def forward(self, shared: np.ndarray, training: bool = False) -> np.ndarray:
-        """All heads at once: ``(batch, in) -> (batch, H, out_max)``.
+    def forward(self, shared: np.ndarray, start: int = 0) -> np.ndarray:
+        """Eval forward of heads ``start..H-1``: ``(batch, in) -> (batch,
+        H - start, out_max)``.
 
-        The hidden pre-activation is rectified (and dropout-scaled) in
-        place — it is owned by this bank — so the whole bank forward
-        allocates only the two matmul outputs plus the masks it keeps for
-        backward.
+        Callers that only need a suffix of the head outputs (BDQ
+        greedy-action selection needs just the advantage branches) skip
+        the leading heads' share of both GEMMs. Records nothing for
+        backward and leaves the bank's saved activations untouched, so it
+        may be interleaved with training forwards.
         """
-        pre = self.hidden.forward(shared, training=training)
-        if training and self.dropout > 0.0:
-            # Dropout overwrites the rectified activation below, so the
-            # ReLU mask must be captured eagerly here. Inverted dropout
-            # keeps the boolean mask (an 8x smaller array than a float
-            # scale) and applies mask-then-divide, the same op order as the
-            # Dropout layer, so values match the loop path bitwise.
-            relu_mask = pre > 0
-            self._relu_mask = None
-            self._relu_act = None
-            np.maximum(pre, 0.0, out=pre)
-            keep = 1.0 - self.dropout
-            mask = self._rng.random(pre.shape) < keep
-            pre *= mask
-            if self._inv_keep is not None:
-                pre *= self._inv_keep
-            else:
-                pre /= keep
-            # Backward applies relu-then-dropout masking as ONE combined
-            # 0/1 mask: multiplying by the masks in either order (or at
-            # once) is exact, so the combined pass is bitwise identical.
-            mask &= relu_mask
-            self._drop_mask = mask
-        else:
-            # The rectified activation itself encodes the mask (act > 0
-            # exactly where pre > 0), so defer mask materialisation to
-            # backward — most eval forwards are never backpropagated.
-            self._relu_mask = None
-            self._relu_act = pre
-            self._drop_mask = None
-            np.maximum(pre, 0.0, out=pre)
-        return self.out.forward(pre, training=training)
+        if not 0 <= start < self.num_heads:
+            raise ShapeError(
+                f"{self.name}.forward start {start} out of range "
+                f"[0, {self.num_heads})"
+            )
+        width = self.hidden.out_max
+        h = (shared @ self.hidden.weight_2d[:, start * width:]).reshape(
+            shared.shape[0], self.num_heads - start, width
+        )
+        h += self.hidden.bias[start:]
+        np.maximum(h, 0.0, out=h)
+        out = np.matmul(
+            h.transpose(1, 0, 2), self.out.weight[:, start:, :].transpose(1, 0, 2)
+        ).transpose(1, 0, 2)
+        out += self.out.bias[start:]
+        return out
 
-    def backward(self, grad: np.ndarray, accumulate: bool = True) -> np.ndarray:
-        """Backprop all heads; returns the summed ``(batch, in)`` input grad.
-
-        ``grad`` may be modified in place (ragged masking). See
-        :meth:`BatchedDense.backward` for ``accumulate``.
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        """Backprop all heads through the last :meth:`forward_train`'s
+        training rows, assigning every bank gradient (see
+        :meth:`BatchedDense.backward`); returns the summed ``(batch, in)``
+        input grad. ``grad`` may be modified in place (ragged masking).
         """
         # Route the output layer's input-grad matmul through a transposed
         # view of a pooled batch-major buffer: the result comes back as
@@ -402,9 +343,7 @@ class HeadBank:
         buf = self._hidden_grad_buf
         if buf is None or buf.shape != shape:
             buf = self._hidden_grad_buf = np.empty(shape)
-        g = self.out.backward(
-            grad, accumulate=accumulate, input_grad_out=buf.transpose(1, 0, 2)
-        )
+        g = self.out.backward(grad, input_grad_out=buf.transpose(1, 0, 2))
         if not g.flags.c_contiguous:
             g = np.ascontiguousarray(g)
         if self._drop_mask is not None:
@@ -414,27 +353,27 @@ class HeadBank:
                 g *= self._inv_keep
             else:
                 g /= 1.0 - self.dropout
-        elif self._relu_mask is not None:
-            g *= self._relu_mask
         elif self._relu_act is not None:
             g *= self._relu_act > 0
         else:
             raise ShapeError(f"{self.name}.backward called before forward")
-        return self.hidden.backward(g, accumulate=accumulate)
+        return self.hidden.backward(g)
 
     def forward_train(
         self, shared: np.ndarray, batch: int, tail_start: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merged training + eval-tail forward over row-concatenated input.
+        """The bank's one training forward, merged with an eval forward
+        over row-concatenated input.
 
-        Rows ``[:batch]`` of ``shared`` get a full training-mode
-        :meth:`forward` (dropout drawn and recorded for :meth:`backward`);
-        rows ``[batch:]`` get an eval-mode :meth:`forward_tail` of heads
-        ``tail_start..H-1``. Both halves share the hidden layer's single
-        GEMM over the union of rows — rows are independent through every
-        op, so each half matches its separate-call result (and the RNG
-        draw, covering the training rows only, matches :meth:`forward`).
-        Returns ``(train_out, tail_out)``.
+        Rows ``[:batch]`` of ``shared`` get every head in training mode:
+        inverted dropout drawn (one ``rng.random`` of the hidden
+        activation's shape) and applied mask-then-divide, the
+        ``Dropout`` layer's op order, and what :meth:`backward` needs
+        recorded. Rows ``[batch:]`` get the eval :meth:`forward` of heads
+        ``tail_start..H-1``. Both halves share the hidden layer's GEMM
+        over the union of rows — rows are independent through every op,
+        so each half matches its separate-call result. Returns
+        ``(train_out, tail_out)``.
         """
         rows = shared.shape[0]
         width = self.hidden.out_max
@@ -461,9 +400,10 @@ class HeadBank:
         train += self.hidden.bias
         tail += self.hidden.bias[tail_start:]
         if self.dropout > 0.0:
+            # Dropout overwrites the rectified activation, so the ReLU
+            # mask is captured eagerly. The mask stays boolean (an 8x
+            # smaller array than a float scale).
             relu_mask = train > 0
-            self._relu_mask = None
-            self._relu_act = None
             np.maximum(train, 0.0, out=train)
             keep = 1.0 - self.dropout
             mask = self._rng.random(train.shape) < keep
@@ -472,48 +412,24 @@ class HeadBank:
                 train *= self._inv_keep
             else:
                 train /= keep
-            # Combined relu&drop mask for backward (see forward()).
+            # Backward applies relu-then-dropout masking as ONE combined
+            # 0/1 mask: multiplying by the masks in either order (or at
+            # once) is exact, so the combined pass is bitwise identical.
             mask &= relu_mask
             self._drop_mask = mask
         else:
-            self._relu_mask = None
-            self._relu_act = train
-            self._drop_mask = None
+            # The rectified activation itself encodes the mask (act > 0
+            # exactly where pre > 0); backward derives it.
             np.maximum(train, 0.0, out=train)
+            self._relu_act = train
         np.maximum(tail, 0.0, out=tail)
-        train_out = self.out.forward(train, training=True)
+        train_out = self.out.forward(train)
         tail_out = np.matmul(
             tail.transpose(1, 0, 2),
             self.out.weight[:, tail_start:, :].transpose(1, 0, 2),
         ).transpose(1, 0, 2)
         tail_out += self.out.bias[tail_start:]
         return train_out, tail_out
-
-    def forward_tail(self, shared: np.ndarray, start: int) -> np.ndarray:
-        """Eval-only forward of heads ``start..H-1``: ``(batch, H-start, out_max)``.
-
-        Lets callers that only need a suffix of the head outputs (BDQ
-        greedy-action selection needs just the advantage branches) skip
-        the leading heads' share of both GEMMs. Does not record any state
-        for backward and leaves the bank's saved activations untouched, so
-        it may be interleaved with training forwards.
-        """
-        if not 0 <= start < self.num_heads:
-            raise ShapeError(
-                f"{self.name}.forward_tail start {start} out of range "
-                f"[0, {self.num_heads})"
-            )
-        width = self.hidden.out_max
-        h = (shared @ self.hidden.weight_2d[:, start * width:]).reshape(
-            shared.shape[0], self.num_heads - start, width
-        )
-        h += self.hidden.bias[start:]
-        np.maximum(h, 0.0, out=h)
-        out = np.matmul(
-            h.transpose(1, 0, 2), self.out.weight[:, start:, :].transpose(1, 0, 2)
-        ).transpose(1, 0, 2)
-        out += self.out.bias[start:]
-        return out
 
     def rebind_storage(self) -> None:
         """Refresh both layers' views after their stack Parameters moved."""

@@ -460,6 +460,7 @@ class BDQAgent:
         action gather, TD-error/priority accumulation, gradient scatter)
         happens as array ops on the padded, batch-major ``(batch,
         total_branches, out_max)`` stacks produced by
+        :meth:`BDQNetwork.forward_train` and
         :meth:`BDQNetwork.forward_stacked`.
         The math matches the per-branch reference loop
         (``ReferenceBDQAgent`` in ``tests/oracles/bdq_reference.py``) to float
@@ -491,9 +492,7 @@ class BDQAgent:
             # training rows draw dropout masks, so the RNG stream matches
             # separate calls.
             predictions, online_next = net.forward_train(states, next_states)
-            target_next = self.target.forward_stacked(
-                next_states, training=False, mask_padding=False
-            )
+            target_next = self.target.forward_stacked(next_states)
             best = np.argmax(online_next, axis=2)                   # (batch, B)
             branch_values = np.take_along_axis(
                 target_next, best[:, :, None], axis=2
@@ -530,11 +529,11 @@ class BDQAgent:
             )
             td_error_accum = np.abs(diff).sum(axis=1)
 
-            # Assign-mode backward replaces zero_grad + accumulate: one
-            # backward per step writes every gradient exactly once.
-            net.backward_stacked(q_grad_stack, accumulate=False)
+            # The backward assigns: one backward per step writes every
+            # gradient exactly once, so there is no zero_grad.
+            net.backward_stacked(q_grad_stack)
         with self._measure("agent.train.optim"):
-            # The assign-mode backward just computed the global gradient
+            # The backward just computed the global gradient
             # sq-norm while the gradients were cache-hot; reuse it for the
             # clip instead of re-streaming the arena.
             self.optimizer.step(grad_sq_sum=net.last_grad_sq_sum)

@@ -24,21 +24,28 @@ All K value heads and B advantage branches share the same single-hidden-
 layer shape, so they are evaluated together by one
 :class:`~repro.nn.batched.HeadBank`: head order ``[value_0..value_{K-1},
 branch_0..branch_{B-1}]`` (branches in agent-major, flattened order), with
-ragged branch widths zero-padded to ``out_max``. ``forward_stacked``
-returns the padded, batch-major ``(batch, B, out_max)`` branch-Q tensor
-(padded entries are ``-inf`` so argmax works directly);
-``backward_stacked`` produces the trunk gradient, both paper rescalings,
-and every head gradient without a per-head Python loop. The per-head ``Sequential`` objects in
-``value_heads``/``adv_heads`` remain live views into the stacked storage,
-so parameter ordering, the ``save``/``load`` checkpoint format and
-per-head introspection are unchanged from the loop implementation (kept in
-``tests/oracles/bdq_reference.py`` and asserted equivalent by
-``tests/test_rl_bdq_fused.py``).
+ragged branch widths zero-padded to ``out_max``. The per-head
+``Sequential`` objects in ``value_heads``/``adv_heads`` remain live views
+into the stacked storage, so parameter ordering, the ``save``/``load``
+checkpoint format and per-head introspection are unchanged from the loop
+implementation (kept in ``tests/oracles/bdq_reference.py`` and asserted
+equivalent by ``tests/test_rl_bdq_fused.py``).
 
-Acting has one forward, :meth:`BDQNetwork.greedy_actions_batch`: the
-eval-mode trunk and the bank's advantage tail over a batch of states, one
-row for a plain agent's ``act`` and one per environment for a fleet's
-``act_batch``.
+The network has one eval forward, one training forward and one backward,
+each without a per-head Python loop:
+
+- :meth:`BDQNetwork.forward_stacked`, the eval forward: padded,
+  batch-major ``(batch, B, out_max)`` branch Q-values (what the train
+  step's target network evaluates); it records nothing for backward.
+  :meth:`BDQNetwork.greedy_actions_batch` acts through the same eval
+  trunk and the bank's advantage heads only, one row for a plain agent's
+  ``act`` and one per environment for a fleet's ``act_batch``;
+- :meth:`BDQNetwork.forward_train`, the training forward: dropout drawn
+  for the training rows, whose activations it records, merged with the
+  eval advantage forward of the next states;
+- :meth:`BDQNetwork.backward_stacked`: both paper rescalings and every
+  parameter gradient, assigned rather than accumulated (one backward per
+  optimizer step writes each gradient exactly once).
 """
 
 from __future__ import annotations
@@ -184,15 +191,15 @@ class BDQNetwork:
         self._trunk_denses = [
             layer for layer in self.trunk.layers if isinstance(layer, Dense)
         ]
-        # Per-layer activations/masks recorded by the fused trunk forward.
+        # Per-layer inputs, activations and masks recorded by the training
+        # trunk forward.
         self._trunk_inputs: List[np.ndarray] = []
         self._trunk_acts: List[np.ndarray] = []
-        self._trunk_relu_masks: List[Optional[np.ndarray]] = []
         self._trunk_drop_masks: List[Optional[np.ndarray]] = []
         self._head_grads_buf: Optional[np.ndarray] = None
         self._flat_param = self._build_parameter_arena()
-        # Cache-hot global gradient sq-norm, refreshed by each assign-mode
-        # backward (None until then); consumed by the optimizer's clip.
+        # Cache-hot global gradient sq-norm, refreshed by each backward
+        # (None until then); consumed by the optimizer's clip.
         self.last_grad_sq_sum: Optional[float] = None
 
     def _build_parameter_arena(self) -> Parameter:
@@ -230,51 +237,54 @@ class BDQNetwork:
     # ------------------------------------------------------------------ #
     # forward / backward
     # ------------------------------------------------------------------ #
+    def _checked(self, states: np.ndarray) -> np.ndarray:
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        if states.shape[1] != self.state_dim:
+            raise ShapeError(f"expected state dim {self.state_dim}, got {states.shape[1]}")
+        return states
+
     def _trunk_forward(
-        self,
-        states: np.ndarray,
-        training: bool,
-        train_rows: Optional[int] = None,
+        self, states: np.ndarray, train_rows: Optional[int] = None
     ) -> np.ndarray:
         """Allocation-lean trunk forward (same math as ``trunk.forward``).
 
-        Each hidden layer is ``x @ W + b`` rectified in place, with
-        inverted dropout applied as one 0-or-1/keep scale array. Records
-        the per-layer inputs and masks for :meth:`_trunk_backward`. The
-        dropout mask draw order matches the trunk's ``Dropout`` layers
-        (one ``rng.random`` of the activation shape per hidden layer).
+        Each hidden layer is ``x @ W + b`` rectified in place. Without
+        ``train_rows`` this is the eval forward and records nothing.
 
         With ``train_rows = r`` (the merged train-step pass), ``states``
         holds ``r`` training rows followed by eval rows: every layer's GEMM
-        runs once over the union, but dropout — and everything recorded for
-        backward — applies to / covers rows ``[:r]`` only. Rows are
-        independent through ``x @ W + b``, ReLU and row-sliced dropout, so
-        each half matches its separate-call result.
+        runs once over the union, but inverted dropout (one 0-or-1/keep
+        scale) applies to rows ``[:r]`` only, and the per-layer inputs and
+        masks recorded for :meth:`_trunk_backward` cover those rows only.
+        Rows are independent through ``x @ W + b``, ReLU and row-sliced
+        dropout, so each half matches its separate-call result. The
+        dropout mask draw order matches the trunk's ``Dropout`` layers
+        (one ``rng.random`` of the training activation shape per hidden
+        layer).
         """
-        self._trunk_inputs = []
-        self._trunk_acts = []
-        self._trunk_relu_masks = []
-        self._trunk_drop_masks = []
+        if train_rows is not None:
+            self._trunk_inputs = []
+            self._trunk_acts = []
+            self._trunk_drop_masks = []
         keep = 1.0 - self.dropout
         inv_keep = exact_inverse(keep) if self.dropout > 0.0 else None
         x = states
         for dense in self._trunk_denses:
-            self._trunk_inputs.append(x if train_rows is None else x[:train_rows])
             pre = x @ dense.weight.value
             pre += dense.bias.value
-            train = pre if train_rows is None else pre[:train_rows]
-            if training and self.dropout > 0.0:
-                # Dropout overwrites the activation, so capture the ReLU
-                # mask eagerly; otherwise derive it lazily in backward from
-                # the rectified activation (act > 0 exactly where pre > 0)
-                # — eval forwards are usually never backpropagated. The
-                # dropout mask stays boolean and is applied mask-then-
-                # divide, the Dropout layer's op order (bitwise match).
-                relu_mask = train > 0
-                self._trunk_relu_masks.append(None)
+            if train_rows is None or self.dropout == 0.0:
                 np.maximum(pre, 0.0, out=pre)
-                mask = self._rng.random(train.shape) < keep
-                train *= mask
+                drop_mask = None
+            else:
+                # Dropout overwrites the activation, so capture the ReLU
+                # mask eagerly. The dropout mask stays boolean and is
+                # applied mask-then-divide, the Dropout layer's op order
+                # (bitwise match).
+                train = pre[:train_rows]
+                relu_mask = train > 0
+                np.maximum(pre, 0.0, out=pre)
+                drop_mask = self._rng.random(train.shape) < keep
+                train *= drop_mask
                 if inv_keep is not None:
                     # keep is a power of two: multiplying by 1/keep is
                     # bitwise identical to the division, and faster.
@@ -283,22 +293,21 @@ class BDQNetwork:
                     train /= keep
                 # Store the combined relu&drop mask: backward then masks
                 # in a single 0/1 pass (exact — 0/1 masking commutes).
-                mask &= relu_mask
-                self._trunk_drop_masks.append(mask)
-            else:
-                self._trunk_relu_masks.append(None)
-                np.maximum(pre, 0.0, out=pre)
-                self._trunk_drop_masks.append(None)
-            self._trunk_acts.append(train)
+                drop_mask &= relu_mask
+            if train_rows is not None:
+                # Without dropout, backward derives the ReLU mask from the
+                # rectified activation (act > 0 exactly where pre > 0).
+                self._trunk_inputs.append(x[:train_rows])
+                self._trunk_acts.append(pre[:train_rows])
+                self._trunk_drop_masks.append(drop_mask)
             x = pre
         return x
 
-    def _trunk_backward(self, grad: np.ndarray, accumulate: bool = True) -> None:
-        """Backward through the fused trunk; ``grad`` must be owned by the
-        caller (it is reused in place). The input gradient of the first
-        layer is never needed and is not computed. With
-        ``accumulate=False`` the parameter gradients are assigned rather
-        than added (see :meth:`BatchedDense.backward`).
+    def _trunk_backward(self, grad: np.ndarray) -> None:
+        """Backward through the fused trunk, assigning every trunk
+        parameter gradient; ``grad`` must be owned by the caller (it is
+        reused in place). The input gradient of the first layer is never
+        needed and is not computed.
         """
         keep = 1.0 - self.dropout
         inv_keep = exact_inverse(keep) if self.dropout > 0.0 else None
@@ -313,41 +322,16 @@ class BDQNetwork:
                 else:
                     grad /= keep
             else:
-                mask = self._trunk_relu_masks[index]
-                if mask is not None:
-                    grad *= mask
-                else:
-                    grad *= self._trunk_acts[index] > 0
-            if accumulate:
-                dense.weight.grad += self._trunk_inputs[index].T @ grad
-                dense.bias.grad += grad.sum(axis=0)
-            else:
-                np.matmul(self._trunk_inputs[index].T, grad, out=dense.weight.grad)
-                np.sum(grad, axis=0, out=dense.bias.grad)
+                grad *= self._trunk_acts[index] > 0
+            np.matmul(self._trunk_inputs[index].T, grad, out=dense.weight.grad)
+            np.sum(grad, axis=0, out=dense.bias.grad)
             if index:
                 grad = grad @ dense.weight.value.T
 
-    def forward_stacked(
-        self,
-        states: np.ndarray,
-        training: bool = False,
-        mask_padding: bool = True,
-    ) -> np.ndarray:
-        """Compute Q-values for every branch as one padded tensor.
-
-        Returns batch-major ``(batch, total_branches, out_max)``; branch
-        ``b``'s valid entries are ``[..., b, :branch_sizes_flat[b]]`` and
-        padded entries are ``-inf`` (so per-branch argmax needs no
-        masking). Callers that only gather the result at known-valid
-        action indices may pass ``mask_padding=False`` to skip the
-        ``-inf`` fill (padded entries then hold meaningless finite values).
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if states.shape[1] != self.state_dim:
-            raise ShapeError(f"expected state dim {self.state_dim}, got {states.shape[1]}")
-        shared = self._trunk_forward(states, training=training)
-        self._last_batch = states.shape[0]
-        heads = self.head_bank.forward(shared, training=training)
+    def _q_values(self, heads: np.ndarray) -> np.ndarray:
+        """Dueling aggregation of the bank's ``(batch, K + B, out_max)``
+        outputs into ``(batch, B, out_max)`` branch Q-values, padded
+        columns left finite and meaningless."""
         K = self.num_agents
         value = heads[:, :K, 0]                     # (batch, K)
         adv = heads[:, K:, :]                       # (batch, B, out_max)
@@ -356,9 +340,19 @@ class BDQNetwork:
         adv_mean = adv.sum(axis=2) / self.branch_sizes_flat
         q = value[:, self.branch_agent_index][:, :, None] + adv
         q -= adv_mean[:, :, None]
-        if mask_padding and self._pad_rows.size:
-            q[:, self._pad_rows, self._pad_cols] = -np.inf
         return q
+
+    def forward_stacked(self, states: np.ndarray) -> np.ndarray:
+        """Eval-mode Q-values for every branch as one padded tensor.
+
+        Returns batch-major ``(batch, total_branches, out_max)``; branch
+        ``b``'s valid entries are ``[..., b, :branch_sizes_flat[b]]``. The
+        padded entries hold meaningless finite values, so callers gather
+        the result at valid action indices only (the train step's target
+        network does). Records nothing for :meth:`backward_stacked`.
+        """
+        shared = self._trunk_forward(self._checked(states))
+        return self._q_values(self.head_bank.forward(shared))
 
     def advantages_stacked(self, states: np.ndarray) -> np.ndarray:
         """Eval-mode raw advantage outputs: ``(batch, total_branches, out_max)``.
@@ -370,11 +364,8 @@ class BDQNetwork:
         whole dueling aggregation. Padded entries are ``-inf``; does not
         record activations for backward.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if states.shape[1] != self.state_dim:
-            raise ShapeError(f"expected state dim {self.state_dim}, got {states.shape[1]}")
-        shared = self._trunk_forward(states, training=False)
-        adv = self.head_bank.forward_tail(shared, self.num_agents)
+        shared = self._trunk_forward(self._checked(states))
+        adv = self.head_bank.forward(shared, self.num_agents)
         if self._pad_rows.size:
             adv[:, self._pad_rows, self._pad_cols] = -np.inf
         return adv
@@ -384,67 +375,38 @@ class BDQNetwork:
     ) -> tuple:
         """The train step's two online-network forwards as one merged pass.
 
-        Returns ``(predictions, next_advantages)`` — exactly what
-        ``forward_stacked(states, training=True, mask_padding=False)`` and
-        ``advantages_stacked(next_states)`` would return separately, but
-        with both batches concatenated row-wise so every trunk/bank layer
-        runs one GEMM over the union instead of two half-sized ones (BLAS
-        throughput grows with row count at these shapes, and per-layer
-        dispatch overhead halves). Rows are independent through every
-        layer, dropout is drawn for (and applied to) the training rows
-        only — the RNG stream is identical to the separate calls — and the
-        activations recorded for :meth:`backward_stacked` cover the
-        training rows only.
+        Returns ``(predictions, next_advantages)``: training-mode Q-values
+        of ``states`` as :meth:`forward_stacked` lays them out (padding
+        unmasked), and what :meth:`advantages_stacked` returns for
+        ``next_states``. Both batches are concatenated row-wise so every
+        trunk/bank layer runs one GEMM over the union instead of two
+        half-sized ones (BLAS throughput grows with row count at these
+        shapes, and per-layer dispatch overhead halves). Rows are
+        independent through every layer, dropout is drawn for (and
+        applied to) the training rows only, and the activations recorded
+        for :meth:`backward_stacked` cover the training rows only.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-        if states.shape[1] != self.state_dim or next_states.shape[1] != self.state_dim:
-            raise ShapeError(
-                f"expected state dim {self.state_dim}, got "
-                f"{states.shape[1]} / {next_states.shape[1]}"
-            )
+        states = self._checked(states)
+        next_states = self._checked(next_states)
         batch = states.shape[0]
         combined = np.concatenate((states, next_states), axis=0)
-        shared = self._trunk_forward(combined, training=True, train_rows=batch)
+        shared = self._trunk_forward(combined, train_rows=batch)
         self._last_batch = batch
         heads, next_adv = self.head_bank.forward_train(shared, batch, self.num_agents)
-        K = self.num_agents
-        value = heads[:, :K, 0]
-        adv = heads[:, K:, :]
-        adv_mean = adv.sum(axis=2) / self.branch_sizes_flat
-        q = value[:, self.branch_agent_index][:, :, None] + adv
-        q -= adv_mean[:, :, None]
         if self._pad_rows.size:
             next_adv[:, self._pad_rows, self._pad_cols] = -np.inf
-        return q, next_adv
+        return self._q_values(heads), next_adv
 
-    def forward(self, states: np.ndarray, training: bool = False) -> List[List[np.ndarray]]:
-        """Compute Q-values.
-
-        Returns ``q[k][d]`` of shape ``(batch, branch_sizes[k][d])``.
-        """
-        stack = self.forward_stacked(states, training=training)
-        q_values: List[List[np.ndarray]] = []
-        b = 0
-        for agent in self.branch_sizes:
-            agent_q: List[np.ndarray] = []
-            for n in agent:
-                agent_q.append(stack[:, b, :n])
-                b += 1
-            q_values.append(agent_q)
-        return q_values
-
-    def backward_stacked(self, q_grad_stack: np.ndarray, accumulate: bool = True) -> None:
+    def backward_stacked(self, q_grad_stack: np.ndarray) -> None:
         """Backpropagate a padded ``(batch, total_branches, out_max)`` gradient.
 
-        Padded columns must be zero. Must be called directly after the
-        ``forward``/``forward_stacked`` whose activations should be
-        differentiated. Applies the paper's rescalings (``1/K`` into each
-        advantage branch, ``1/total_branches`` into the trunk) and
-        accumulates every head gradient through the fused bank. With
-        ``accumulate=False`` gradients are assigned instead of added —
-        identical values without a preceding ``zero_grad`` (single-backward
-        callers only; see :meth:`BatchedDense.backward`).
+        Padded columns must be zero. Differentiates the training rows of
+        the last :meth:`forward_train`. Applies the paper's rescalings
+        (``1/K`` into each advantage branch, ``1/total_branches`` into the
+        trunk) and *assigns* every parameter gradient, through the fused
+        bank and the trunk: one backward per optimizer step writes each
+        gradient exactly once, so no ``zero_grad`` is needed. Also sets
+        :attr:`last_grad_sq_sum`.
         """
         if self._last_batch is None:
             raise ShapeError("backward called before forward")
@@ -476,55 +438,31 @@ class BDQNetwork:
             out=adv_grads,
         )
         adv_grads /= K
-        trunk_grad = self.head_bank.backward(buf, accumulate=accumulate)
+        trunk_grad = self.head_bank.backward(buf)
         # Paper: rescale the combined shared-representation gradient by one
         # over the number of action dimensions. trunk_grad is owned here
         # (freshly produced by the bank), so the in-place rescale is safe.
         trunk_grad /= self.total_branches
-        self._trunk_backward(trunk_grad, accumulate=accumulate)
-        if not accumulate:
-            # Assign-mode backward just wrote every gradient in the arena
-            # exactly once, so summing per-piece dot products here equals
-            # the arena-wide dot — but reads (mostly) cache-resident
-            # memory instead of re-streaming the whole gradient arena
-            # inside the optimizer's grad-norm pass.
-            bank = self.head_bank
-            sq = 0.0
-            for grad in (
-                bank.hidden.weight_grad_2d,
-                bank.hidden.bias_grad,
-                bank.out.weight_grad_2d,
-                bank.out.bias_grad,
-            ):
+        self._trunk_backward(trunk_grad)
+        # Every gradient in the arena was just written exactly once, so
+        # summing per-piece dot products here equals the arena-wide dot —
+        # but reads (mostly) cache-resident memory instead of re-streaming
+        # the whole gradient arena inside the optimizer's grad-norm pass.
+        bank = self.head_bank
+        sq = 0.0
+        for grad in (
+            bank.hidden.weight_grad_2d,
+            bank.hidden.bias_grad,
+            bank.out.weight_grad_2d,
+            bank.out.bias_grad,
+        ):
+            flat = grad.reshape(-1)
+            sq += float(np.dot(flat, flat))
+        for dense in self._trunk_denses:
+            for grad in (dense.weight.grad, dense.bias.grad):
                 flat = grad.reshape(-1)
                 sq += float(np.dot(flat, flat))
-            for dense in self._trunk_denses:
-                for grad in (dense.weight.grad, dense.bias.grad):
-                    flat = grad.reshape(-1)
-                    sq += float(np.dot(flat, flat))
-            self.last_grad_sq_sum = sq
-
-    def backward(self, q_grads: Sequence[Sequence[np.ndarray]]) -> None:
-        """Backpropagate gradients w.r.t. every Q output.
-
-        ``q_grads`` mirrors the structure returned by :meth:`forward`. Must
-        be called directly after the ``forward`` whose activations should be
-        differentiated.
-        """
-        if self._last_batch is None:
-            raise ShapeError("backward called before forward")
-        stack = np.zeros((self._last_batch, self.total_branches, self.out_max))
-        b = 0
-        for k in range(self.num_agents):
-            for d, n in enumerate(self.branch_sizes[k]):
-                grad = np.asarray(q_grads[k][d], dtype=np.float64)
-                if grad.shape != (self._last_batch, n):
-                    raise ShapeError(
-                        f"q_grads[{k}][{d}] shape {grad.shape} != {(self._last_batch, n)}"
-                    )
-                stack[:, b, :n] = grad
-                b += 1
-        self.backward_stacked(stack)
+        self.last_grad_sq_sum = sq
 
     # ------------------------------------------------------------------ #
     # acting

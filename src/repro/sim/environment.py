@@ -14,15 +14,17 @@ baseline controllers consume on real hardware. The vector engine
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.ckpt.checkpoint import check_rng_state, rng_state, set_rng_state
-from repro.errors import AllocationError, CheckpointError, ConfigurationError
+from repro.errors import AllocationError, CheckpointError, ConfigurationError, ShapeError
 from repro.obs.events import make_event
 from repro.obs.sink import NULL_SINK, TraceSink
+from repro.pmc.counters import COUNTER_NAMES
 from repro.server.machine import CoreAssignment, Machine
 from repro.server.power import PowerModel, RaplSensor
 from repro.server.spec import ServerSpec
@@ -114,6 +116,52 @@ class StepResult:
     true_power_w: float
     membw_utilization: float
     energy_j: float                # cumulative server-socket energy
+
+
+#: One observation's raw counters, in ``COUNTER_NAMES`` order.
+_read_counters = operator.itemgetter(*COUNTER_NAMES)
+
+
+def result_arrays(
+    results: Sequence[StepResult], services: Sequence[str]
+) -> Mapping[str, np.ndarray]:
+    """The matrices a fleet controller reads from one tick's results.
+
+    A :class:`~repro.engine.vector_env.StepBatch` already carries them:
+    its ``arrays`` are returned as they are. Any other result sequence
+    (the paper loop's or a node agent's one result) is read into the same
+    keys, one row per result and one column per name in ``services``:
+    ``time`` ``(E,)``, ``p99``, ``arrivals`` and ``membw_gbps`` ``(E,
+    S)``, ``power_w`` ``(E,)`` (the RAPL reading) and ``counters`` ``(E,
+    S, C)`` in :data:`~repro.pmc.counters.COUNTER_NAMES` order. A reading
+    without one of those counters raises ``ShapeError``.
+    """
+    arrays = getattr(results, "arrays", None)
+    if arrays is not None:
+        return arrays
+    rows = []
+    for result in results:
+        for name in services:
+            observation = result.observations[name]
+            interval = observation.interval
+            try:
+                counters = _read_counters(observation.pmcs)
+            except KeyError:
+                missing = [c for c in COUNTER_NAMES if c not in observation.pmcs]
+                raise ShapeError(f"readings missing counters: {missing}") from None
+            rows.append(
+                (observation.p99_ms, interval.arrival_rate, interval.membw_gbps) + counters
+            )
+    # One (E, S, 3 + C) table, one conversion; the keys are views of it.
+    table = np.array(rows, dtype=np.float64).reshape(len(results), len(services), -1)
+    return {
+        "time": np.array([result.time for result in results], dtype=np.int64),
+        "p99": table[..., 0],
+        "arrivals": table[..., 1],
+        "membw_gbps": table[..., 2],
+        "power_w": np.array([result.socket_power_w for result in results], dtype=np.float64),
+        "counters": table[..., 3:],
+    }
 
 
 def emit_step_events(

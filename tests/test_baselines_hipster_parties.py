@@ -1,5 +1,7 @@
 """Unit and behavioural tests for the Hipster and PARTIES baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,17 +123,14 @@ def test_parties_reverts_downsize_on_violation(rng):
     manager._down_service[0], manager._down_resource[0] = 0, CORES
     manager._down_cores[0], manager._down_freq[0] = 7, 8
 
-    class FakeObs:
-        def __init__(self, p99):
-            self.p99_ms = p99
-
-    class FakeResult:
-        observations = {
-            "masstree": FakeObs(p99=manager.qos_targets["masstree"] * 1.5),
-            "moses": FakeObs(p99=1.0),
-        }
-
-    manager.update(FakeResult())
+    # A real interval's result with the two p99s set: masstree violates.
+    result = _env(["masstree", "moses"], [0.2, 0.5]).step(manager.initial_assignments())
+    p99 = {"masstree": manager.qos_targets["masstree"] * 1.5, "moses": 1.0}
+    observations = {
+        name: replace(obs, interval=replace(obs.interval, p99_ms=p99[name]))
+        for name, obs in result.observations.items()
+    }
+    manager.update(replace(result, observations=observations))
     assert manager.cores[0, 0] == 7  # reverted
     assert manager._avoid[0, 0] == CORES
 

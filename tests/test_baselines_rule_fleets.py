@@ -10,7 +10,10 @@
   (``tests/oracles/rule_reference.py``), return for the same rows, and
   leaves every generator in the same state;
 - an untraced fleet tick on the engine calls no ``Mapper.map`` and
-  builds no result or observation object.
+  builds no result or observation object;
+- a PARTIES fleet and a Heracles fleet resumed mid-run (the Heracles one
+  inside a lockout) record the uninterrupted run's traces bit for bit and
+  end in its controller state.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ import pytest
 from repro.baselines import HeraclesManager, PartiesManager
 from repro.baselines.heracles import HeraclesFleet
 from repro.baselines.parties import DVFS, PartiesFleet, first_extremes
+from repro.ckpt.checkpoint import load_state
 from repro.cluster.environment import ClusterEnvironment
 from repro.core.mapper import Mapper
-from repro.engine.rollout import run_fleet
-from repro.hier.baselines import make_rule_fleet
+from repro.engine.rollout import VECTOR_RUN_CKPT_KIND, run_fleet
+from repro.engine.vector_env import VectorEnvironment
+from repro.experiments.runner import RUN_CKPT_NAME
+from repro.hier.baselines import RuleFleet, make_rule_fleet
+from repro.pmc.counters import COUNTER_NAMES
 from repro.services.profiles import get_profile
 from repro.sim.environment import ServiceObservation, StepResult
+from tests.helpers import _assert_traces_equal, _assert_tree_equal
 from tests.oracles.rule_reference import ScalarHeracles, ScalarParties
 
 SERVICES = ["masstree", "xapian", "moses"]
@@ -51,6 +59,7 @@ class _Rows(Sequence):
     def __getitem__(self, e):
         a = self.arrays
         return SimpleNamespace(
+            time=e,
             observations={
                 name: SimpleNamespace(
                     p99_ms=float(a["p99"][e, i]),
@@ -58,6 +67,7 @@ class _Rows(Sequence):
                         arrival_rate=float(a["arrivals"][e, i]),
                         membw_gbps=float(a["membw_gbps"][e, i]),
                     ),
+                    pmcs=dict.fromkeys(COUNTER_NAMES, 0.0),
                 )
                 for i, name in enumerate(self.names)
             },
@@ -212,3 +222,58 @@ def test_untraced_fleet_tick_maps_and_builds_nothing(monkeypatch, name, services
     # The controllers moved: not every tick placed every node alike.
     cores = np.array([t.services[services[0]].cores for t in traces])
     assert len(np.unique(cores)) > 1
+
+
+def _resumed_matches_uninterrupted(make_pair, steps, every, tmp_path):
+    """Traces of a run resumed from its last rolling checkpoint, and its
+    controllers at the end (PARTIES's generators included), equal the
+    uninterrupted run's, bit for bit; returns the checkpoint tree."""
+    fleet, venv = make_pair()
+    expected = run_fleet(fleet, venv, steps)
+    run_fleet(*make_pair(), steps, checkpoint_every=every, checkpoint_dir=tmp_path)
+    resumed_fleet, resumed_venv = make_pair()
+    resumed = run_fleet(resumed_fleet, resumed_venv, steps, resume_from=tmp_path)
+    for a, b in zip(expected, resumed):
+        _assert_traces_equal(a, b)
+    _assert_tree_equal(resumed_fleet.state_dict(), fleet.state_dict())
+    return load_state(tmp_path / RUN_CKPT_NAME, kind=VECTOR_RUN_CKPT_KIND)
+
+
+def test_resumed_parties_fleet_continues_its_controllers(tmp_path):
+    """A resumed PARTIES fleet used to restart its controllers (even
+    split, step 0, each generator at its seed) while the engine resumed
+    at tick 8: it recorded other cores on every tick from 9 on."""
+    services = ["masstree", "xapian"]
+
+    def make_pair():
+        venv = VectorEnvironment.from_services(
+            services, {"masstree": 0.4, "xapian": 0.5}, 3, 21
+        )
+        return make_rule_fleet("parties", services, 3, 21), venv
+
+    tree = _resumed_matches_uninterrupted(make_pair, 16, 8, tmp_path)
+    state = tree["manager"]["controller"]
+    assert tree["loop"]["next_t"] == state["step_count"] == 8
+    # The controllers had moved by the checkpoint: a restart would not
+    # reproduce them.
+    fresh = make_rule_fleet("parties", services, 3, 21).controller
+    assert not np.array_equal(state["cores"], fresh.cores)
+
+
+def test_resumed_heracles_fleet_continues_a_lockout(tmp_path):
+    """Checkpointed while node 0 is locked out, resumed, and run past the
+    lockout's end: the resumed controllers keep the lockout, the tick
+    count and the last memory bandwidth."""
+
+    def make_pair():
+        venv = VectorEnvironment.from_services(["masstree"], {"masstree": 0.7}, 3, 5)
+        controller = HeraclesFleet(get_profile("masstree"), 3, main_poll_every=5,
+                                   lockout_steps=8)
+        return RuleFleet("heracles", controller), venv
+
+    steps = 40
+    tree = _resumed_matches_uninterrupted(make_pair, steps, 15, tmp_path)
+    next_t = tree["loop"]["next_t"]
+    lockout = tree["manager"]["controller"]["lockout_until"]
+    assert next_t == 30
+    assert ((lockout > next_t) & (lockout < steps)).any()

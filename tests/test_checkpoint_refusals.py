@@ -397,6 +397,58 @@ def test_malformed_hier_tree_is_refused(corruption):
     _assert_tree_equal(fleet.state_dict(), before)
 
 
+def _stepped_rule_fleet(name, ticks, seed=21):
+    """A 3-node PARTIES (masstree, xapian) or Heracles (masstree) fleet
+    after ``ticks`` ticks."""
+    services = CLUSTER_SERVICES if name == "parties" else ["masstree"]
+    venv = VectorEnvironment.from_services(services, {"masstree": 0.7, "xapian": 0.5},
+                                           3, seed)
+    fleet = make_rule_fleet(name, services, 3, seed)
+    run_fleet(fleet, venv, ticks)
+    return fleet
+
+
+#: PARTIES and Heracles fleet trees a fleet cannot continue from: no
+#: controller state (a tree written before rule fleets kept it), a wrong
+#: shape, a value off its range, a fractional count, a bad generator.
+RULE_FLEET_CORRUPTIONS = {
+    "parties_no_controller": ("parties", _drop("controller")),
+    "parties_short_cores": ("parties", _set(np.ones((2, 2), np.int64), "controller", "cores")),
+    "parties_zero_cores": ("parties", _set(np.zeros((3, 2), np.int64), "controller", "cores")),
+    "parties_dvfs_off_ladder": ("parties", _set(np.full((3, 2), 9), "controller", "freq")),
+    "parties_bad_avoid": ("parties", _set(np.full((3, 2), 2), "controller", "avoid")),
+    "parties_down_service": ("parties", _set(np.full(3, 2), "controller", "down_service")),
+    "parties_negative_step": ("parties", _set(-1, "controller", "step_count")),
+    "parties_missing_rng": ("parties", _drop("controller", "rngs", "0002")),
+    "parties_bad_rng": ("parties", _set({"bit_generator": "MT0"}, "controller", "rngs",
+                                        "0001")),
+    "heracles_no_controller": ("heracles", _drop("controller")),
+    "heracles_fractional_cores": ("heracles", _set(np.full(3, 2.5), "controller", "cores")),
+    "heracles_negative_lockout": ("heracles", _set(np.full(3, -4), "controller",
+                                                   "lockout_until")),
+    "heracles_short_membw": ("heracles", _set(np.ones(2), "controller", "last_membw")),
+    "heracles_missing_freq": ("heracles", _drop("controller", "freq_index")),
+}
+
+
+@pytest.mark.parametrize("corruption", list(RULE_FLEET_CORRUPTIONS))
+def test_malformed_rule_fleet_tree_is_refused(corruption):
+    name, corrupt = RULE_FLEET_CORRUPTIONS[corruption]
+    tree = _stepped_rule_fleet(name, 7).state_dict()
+    corrupt(tree)
+    fleet = _stepped_rule_fleet(name, 4, seed=22)
+    before = fleet.state_dict()
+    with pytest.raises(CheckpointError):
+        fleet.load_state_dict(tree)
+    _assert_tree_equal(fleet.state_dict(), before)
+
+
+def test_static_fleet_tree_has_no_controller_state():
+    fleet = make_rule_fleet("static", CLUSTER_SERVICES, 3, 21)
+    assert fleet.state_dict() == {"name": "static", "num_envs": 3}
+    fleet.load_state_dict({"name": "static", "num_envs": 3})
+
+
 def _twig_c_pair():
     """Twig-C (one learning Twig, two services) and its environment."""
     twig = Twig([get_profile(s) for s in CLUSTER_SERVICES], TwigConfig.fast(),
@@ -487,6 +539,36 @@ def test_malformed_pending_assignments_are_refused_at_stage(corruption, tmp_path
     assert venv.time == 3
     _assert_tree_equal(manager.state_dict(), before[0])
     _assert_tree_equal(venv.state_dict(), before[1])
+
+
+#: The same four for a scalar ``run`` checkpoint's one pending dict.
+SCALAR_PENDING_CORRUPTIONS = {
+    "off_socket_core": _set([0, 1], "loop", "assignments", "masstree", "cores"),
+    "zero_cores": _set([], "loop", "assignments", "masstree", "cores"),
+    "unknown_service": _set({"cores": [20], "freq_index": 3, "llc_ways": 0},
+                            "loop", "assignments", "moses"),
+    "dvfs_off_ladder": _set(9, "loop", "assignments", "xapian", "freq_index"),
+}
+
+
+@pytest.mark.parametrize("corruption", list(SCALAR_PENDING_CORRUPTIONS))
+def test_malformed_scalar_pending_assignment_is_refused_at_stage(corruption, tmp_path):
+    """It used to load the manager and the environment, then fail the
+    first resumed step with an ``AllocationError``: time went 3 -> 4."""
+    run_manager(*_twig_c_pair(), 8, checkpoint_every=4, checkpoint_dir=tmp_path)
+    tree = load_state(tmp_path / RUN_CKPT_NAME, kind=RUN_CKPT_KIND)
+    SCALAR_PENDING_CORRUPTIONS[corruption](tree)
+    refused = tmp_path / "refused.ckpt.npz"
+    save_state(refused, RUN_CKPT_KIND, tree)
+
+    manager, env = _twig_c_pair()
+    run_manager(manager, env, 3)
+    before = manager.state_dict(), env.state_dict()
+    with pytest.raises(CheckpointError, match="malformed run checkpoint"):
+        run_manager(manager, env, 8, resume_from=refused)
+    assert env.time == 3
+    _assert_tree_equal(manager.state_dict(), before[0])
+    _assert_tree_equal(env.state_dict(), before[1])
 
 
 @pytest.mark.parametrize("layout", ["stacked", "per_node"])

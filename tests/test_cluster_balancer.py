@@ -320,9 +320,10 @@ class TestInterface:
 
 
 class TestVectorizedEquivalence:
-    """The batched assign paths are *bitwise* identical to the per-region
-    reference loop they replaced (the shard/vector engines rely on this:
-    switching balancer internals must not perturb trajectories)."""
+    """``assign`` is *bitwise* identical to the per-region reference loop
+    below, with its own degraded-node shedding, for every policy on even
+    and uneven regions (a golden cluster trajectory reads every rate, so
+    balancer internals must not perturb them)."""
 
     @staticmethod
     def _reference_shed(shares, degraded):
@@ -382,9 +383,9 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize(
         "num_nodes,regions",
         [
-            (64, ("r0", "r1")),  # batch fast path: N % R == 0
+            (64, ("r0", "r1")),
             (1024, ("a", "b", "c", "d")),
-            (7, ("r0", "r1")),  # uneven regions: loop fallback
+            (7, ("r0", "r1")),  # uneven regions
             (1, ("r0",)),
         ],
     )
@@ -395,29 +396,12 @@ class TestVectorizedEquivalence:
         topology = ClusterTopology(num_nodes, regions)
         demand = _demand(topology)
         loads = self._loads_case(topology, case)
-        batched = make_balancer(policy, topology, seed=5)
+        balancer = make_balancer(policy, topology, seed=5)
         reference = make_balancer(policy, topology, seed=5)
         for t in range(3):
-            got = batched.assign(t, demand, loads)
+            got = balancer.assign(t, demand, loads)
             want = self._reference_assign(reference, t, demand, loads)
             assert np.array_equal(got, want), (policy, t)
-
-    def test_shed_batch_matches_per_region(self):
-        from repro.cluster.balancer import _shed_degraded, _shed_degraded_batch
-
-        rng = np.random.default_rng(9)
-        R, m, S = 5, 8, 3
-        shares = rng.random((R, m, S))
-        shares /= shares.sum(axis=1, keepdims=True)
-        degraded = rng.random((R, m)) < 0.4
-        degraded[1] = False  # untouched region
-        degraded[2] = True  # fully-degraded region
-        degraded[3] = False
-        degraded[3, :7] = True  # one survivor; zero-share columns possible
-        got = _shed_degraded_batch(shares.copy(), degraded)
-        for r in range(R):
-            want = _shed_degraded(shares[r].copy(), degraded[r])
-            assert np.array_equal(got[r], want), r
 
     def test_sharded_by_key_matches_per_service_hashing(self):
         from repro.cluster.balancer import _mix_hash
@@ -436,26 +420,3 @@ class TestVectorizedEquivalence:
             nodes = (_mix_hash(shards + salt) % np.uint64(n)).astype(np.int64)
             want = np.bincount(nodes, weights=policy._shard_weights, minlength=n)
             assert np.array_equal(shares[:, s], want), s
-
-    def test_batch_path_actually_engages(self):
-        # Guard against the fast path silently never firing: a policy with
-        # a batch hook must not call the per-region _shares when N % R == 0.
-        topology = ClusterTopology(8, ("r0", "r1"))
-        balancer = make_balancer("least_loaded", topology, seed=3)
-        calls = []
-        original = balancer._shares
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        balancer._shares = spy
-        loads = self._loads_case(topology, "loads")
-        balancer.assign(0, _demand(topology), loads)
-        assert calls == []
-        # ... and the loop fallback does use it when regions are uneven.
-        topology = ClusterTopology(7, ("r0", "r1"))
-        balancer = make_balancer("least_loaded", topology, seed=3)
-        balancer._shares = spy
-        balancer.assign(0, _demand(topology), self._loads_case(topology, "loads"))
-        assert len(calls) == 2

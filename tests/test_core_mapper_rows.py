@@ -1,10 +1,12 @@
-"""The batched placement (``Mapper.map_rows``) pinned to ``Mapper.map``.
+"""The placement (``Mapper.map_rows``) pinned to the frozen scalar mapper.
 
 Every core-count row of one and two services, and a few thousand random
 rows of three and four services (fitting and oversubscribed sockets,
 fitting and oversubscribed LLC ways), must give the pins, DVFS indices and
-ways ``Mapper.map`` gives, on both sockets; ``AssignmentBatch[e]`` must
-equal ``Mapper.map``'s dict. Bad rows raise what the scalar path raises.
+ways the original per-server mapper (``tests/oracles/mapper_reference.py``)
+gives, on both sockets; ``AssignmentBatch[e]`` and ``Mapper.map`` of the
+row alone must equal its dict. Bad rows raise the type and message it
+raises.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.errors import AllocationError, ConfigurationError, ShapeError
 from repro.experiments.common import make_environment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
+from tests.oracles.mapper_reference import ReferenceMapper
 
 SPEC = ServerSpec()
 CORES = SPEC.cores_per_socket
@@ -33,15 +36,18 @@ def _names(count):
     return [f"sv-{i}" for i in range(count)]
 
 
-def _assert_rows_match_map(mapper, cores, freq, ways):
+def _assert_rows_match_reference(socket, cores, freq, ways):
+    mapper = Mapper(SPEC, socket_index=socket)
+    reference = ReferenceMapper(SPEC, socket_index=socket)
     names = _names(cores.shape[1])
     batch = mapper.map_rows(names, cores, freq, ways)
     assert len(batch) == len(cores)
     for e in range(len(cores)):
-        expected = mapper.map({
+        requests = {
             name: Allocation(int(cores[e, i]), int(freq[e, i]), int(ways[e, i]))
             for i, name in enumerate(names)
-        })
+        }
+        expected = reference.map(requests)
         for i, name in enumerate(names):
             pinned = batch.core_ids[batch.pins[e, i]].tolist()
             assert pinned == list(expected[name].cores), (e, name)
@@ -49,24 +55,23 @@ def _assert_rows_match_map(mapper, cores, freq, ways):
             assert batch.ways[e, i] == expected[name].llc_ways, (e, name)
         assert batch[e] == expected, e
         assert list(batch[e]) == names
+        assert mapper.map(requests) == expected, e
 
 
 @pytest.mark.parametrize("socket", [0, 1])
 @pytest.mark.parametrize("services", [1, 2])
 def test_every_core_count_row_matches_map(socket, services):
-    mapper = Mapper(SPEC, socket_index=socket)
     cores = np.array(list(itertools.product(range(1, CORES + 1), repeat=services)))
     assert len(cores) == CORES ** services  # 18 and 324 rows
     rng = np.random.default_rng(services)
     freq = rng.integers(0, LEVELS, size=cores.shape)
     ways = rng.integers(0, WAYS + 3, size=cores.shape)  # past the cache too
-    _assert_rows_match_map(mapper, cores, freq, ways)
+    _assert_rows_match_reference(socket, cores, freq, ways)
 
 
 @pytest.mark.parametrize("socket", [0, 1])
 @pytest.mark.parametrize("services", [3, 4])
 def test_random_rows_match_map(socket, services):
-    mapper = Mapper(SPEC, socket_index=socket)
     rng = np.random.default_rng(10 * services + socket)
     rows = 1500
     # Half the rows drawn small enough to fit the socket mostly, half
@@ -82,7 +87,7 @@ def test_random_rows_match_map(socket, services):
     over_cores = cores.sum(axis=1) > CORES
     over_ways = np.minimum(ways, WAYS).sum(axis=1) > WAYS
     assert 0.2 < over_cores.mean() < 0.9 and 0.2 < over_ways.mean() < 0.9
-    _assert_rows_match_map(mapper, cores, freq, ways)
+    _assert_rows_match_reference(socket, cores, freq, ways)
 
 
 def _bad_row(label):
@@ -112,19 +117,33 @@ BAD_ROWS = {
 
 @pytest.mark.parametrize("label", sorted(BAD_ROWS))
 def test_bad_rows_raise_what_map_raises(label):
-    mapper = Mapper(SPEC)
+    mapper, reference = Mapper(SPEC), ReferenceMapper(SPEC)
     names = _names(2)
     cores, freq, ways = _bad_row(label)
-    with pytest.raises(BAD_ROWS[label]) as scalar:
-        mapper.map({
-            name: Allocation(c, f, w) for name, c, f, w in zip(names, cores, freq, ways)
-        })
+
+    def requests():
+        return {name: Allocation(c, f, w) for name, c, f, w in zip(names, cores, freq, ways)}
+
+    with pytest.raises(BAD_ROWS[label]) as frozen:
+        reference.map(requests())
     good = [[2, 2], [1, 1], [0, 0]]
     # The bad row is the second of three: the first bad row is reported.
     matrices = [np.array([g, b, g]) for g, b in zip(good, (cores, freq, ways))]
     with pytest.raises(BAD_ROWS[label]) as batched:
         mapper.map_rows(names, *matrices)
-    assert str(batched.value) == str(scalar.value)
+    assert str(batched.value) == str(frozen.value)
+    if BAD_ROWS[label] is AllocationError:  # the requests themselves build
+        with pytest.raises(AllocationError) as scalar:
+            mapper.map(requests())
+        assert str(scalar.value) == str(frozen.value)
+
+
+def test_no_requests_are_refused():
+    with pytest.raises(AllocationError, match="mapper received no requests") as frozen:
+        ReferenceMapper(SPEC).map({})
+    with pytest.raises(AllocationError) as scalar:
+        Mapper(SPEC).map({})
+    assert str(scalar.value) == str(frozen.value)
 
 
 class _ZeroCoreRepair(FleetTwig):

@@ -14,6 +14,8 @@ its ``observations`` mapping is read. These tests pin:
   scalar oracle to the last ulp, with a faulted node and with a trace
   sink, on multi-node and 1-node clusters;
 - ownership: a batch's arrays are read-only;
+- the one result reader: a plain result list reads into the keys, dtypes
+  and values a batch carries, and a reading without a counter is refused;
 - a faulted node: every ``batch.arrays`` entry of the node equals the
   result its injector returned, for each fault kind;
 - rates: a balancer rate matrix with a NaN, infinite or negative rate,
@@ -33,7 +35,6 @@ from repro.cluster.traffic import ScheduledLoad, check_rates
 from repro.core.mapper import Mapper
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import (
-    _COUNTER_ORDER,
     _FIELD_ARRAYS,
     ENV_SEED_STRIDE,
     VectorEnvironment,
@@ -42,9 +43,15 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.hier.baselines import make_rule_fleet
 from repro.obs.context import ObsContext
 from repro.obs.sink import MemorySink
+from repro.pmc.counters import COUNTER_NAMES
 from repro.server.machine import Machine
 from repro.services.service import IntervalResult, LCService
-from repro.sim.environment import ColocationEnvironment, ServiceObservation, StepResult
+from repro.sim.environment import (
+    ColocationEnvironment,
+    ServiceObservation,
+    StepResult,
+    result_arrays,
+)
 from repro.sim.faults import FAULT_KINDS, Fault, FaultInjector
 from tests.helpers import _assert_tree_equal
 
@@ -272,6 +279,36 @@ class TestBatchArraysReadOnly:
             assert not array.flags.writeable, key
 
 
+class TestResultArrays:
+    """``result_arrays``, the one reader of a tick's results, reads a plain
+    result list into what a ``StepBatch`` carries."""
+
+    KEYS = ["arrivals", "counters", "membw_gbps", "p99", "power_w", "time"]
+
+    def test_a_plain_result_list_reads_as_the_batch_arrays(self):
+        venv = _cluster(SERVICES, 3)
+        batch = venv.step(make_rule_fleet("static", SERVICES, 3, SEED).initial_assignments())
+        assert result_arrays(batch, SERVICES) is batch.arrays
+        plain = result_arrays([batch[e] for e in range(3)], SERVICES)
+        assert sorted(plain) == self.KEYS
+        for key, array in plain.items():
+            assert array.dtype == batch.arrays[key].dtype, key
+            assert np.array_equal(array, batch.arrays[key]), key
+
+    def test_a_reading_without_a_counter_is_refused(self):
+        venv = _cluster(SERVICES, 1)
+        batch = venv.step(make_rule_fleet("static", SERVICES, 1, SEED).initial_assignments())
+        result = batch[0]
+        observations = dict(result.observations.items())
+        xapian = observations["xapian"]
+        pmcs = {k: v for k, v in xapian.pmcs.items() if k != "LLC_MISSES"}
+        observations["xapian"] = ServiceObservation(xapian.interval, pmcs)
+        short = StepResult(result.time, observations, result.socket_power_w,
+                           result.true_power_w, result.membw_utilization, result.energy_j)
+        with pytest.raises(ShapeError, match=r"readings missing counters: \['LLC_MISSES'\]"):
+            result_arrays([short], SERVICES)
+
+
 def _same(a: float, b: float) -> bool:
     """Equal, or both NaN."""
     return a == b or (a != a and b != b)
@@ -301,7 +338,7 @@ class TestFaultedArrays:
             for field, key in _FIELD_ARRAYS.items():
                 assert _same(batch.arrays[key][1, i], getattr(interval, field)), (name, key)
                 assert _same(getattr(rebuilt[name].interval, field), getattr(interval, field))
-            for c, counter in enumerate(_COUNTER_ORDER):
+            for c, counter in enumerate(COUNTER_NAMES):
                 assert _same(batch.arrays["counters"][1, i, c], pmcs[counter]), (name, counter)
 
 

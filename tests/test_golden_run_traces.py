@@ -24,8 +24,10 @@ behaviour bit for bit.
   hashes the JSON lines with ``run_end.wall_time_s`` dropped); one
   ``PartiesManager`` on the Figure 12/13 colocated recipe, with a
   ``service_crash`` that makes some p99 samples NaN (``parties-crash``);
-  and ``run_single_service_comparison``'s ``HeraclesManager`` run on
-  masstree at half load (``heracles``).
+  and ``run_single_service_comparison``'s ``HeraclesManager`` and
+  ``HipsterManager`` runs on masstree at half load (``heracles``,
+  ``hipster``), and an ``OracleManager`` run on the same recipe
+  (``oracle``). Hipster and the Oracle place through ``Mapper.map``.
 - Experiment runs: ``repro.experiments.cluster.run`` at the CLI's quick
   scale, ``repro.experiments.hier.run`` at quick scale, one hash per
   variant (hier, flat, static, PARTIES), and a longer ``hier`` run with
@@ -73,7 +75,7 @@ from typing import Any, Dict
 import numpy as np
 import pytest
 
-from repro.baselines import HeraclesManager, PartiesManager
+from repro.baselines import HeraclesManager, HipsterManager, OracleManager, PartiesManager
 from repro.ckpt.checkpoint import _flatten, _json_default
 from repro.cluster.environment import ClusterEnvironment
 from repro.core import Twig
@@ -161,6 +163,13 @@ PAPER_CONFIGS: Dict[str, Dict[str, Any]] = {
     # load, the quick harness's seed and step budget.
     "heracles": {"loop": "paper", "case": "heracles", "services": ["masstree"],
                  "loads": [0.5], "seed": 7, "steps": 300},
+    # Its Hipster run at the quick harness's budget: the heuristic walk,
+    # then the tabular Q-function after the learning phase.
+    "hipster": {"loop": "paper", "case": "hipster", "services": ["masstree"],
+                "loads": [0.5], "seed": 7, "steps": 800, "learning_phase": 500},
+    # The offline-optimal table replayed on the same recipe.
+    "oracle": {"loop": "paper", "case": "oracle", "services": ["masstree"],
+               "loads": [0.5], "seed": 7, "steps": 300},
 }
 
 #: The CLI's quick scale for ``repro run cluster`` and ``repro run hier``.
@@ -393,6 +402,16 @@ def run_paper(config: Dict[str, Any]):
     if case == "heracles":
         env = make_environment(config["services"], config["loads"], seed, ServerSpec())
         manager = HeraclesManager(get_profile(config["services"][0]), spec=ServerSpec())
+        return [run_manager(manager, env, steps)]
+    if case == "hipster":
+        env = make_environment(config["services"], config["loads"], seed, ServerSpec())
+        manager = HipsterManager(get_profile(config["services"][0]), np.random.default_rng(3),
+                                 spec=ServerSpec(),
+                                 learning_phase_steps=config["learning_phase"])
+        return [run_manager(manager, env, steps)]
+    if case == "oracle":
+        env = make_environment(config["services"], config["loads"], seed, ServerSpec())
+        manager = OracleManager(get_profile(config["services"][0]), spec=ServerSpec())
         return [run_manager(manager, env, steps)]
     if case == "events":
         sink = MemorySink(validate=True)

@@ -8,6 +8,29 @@ from repro.nn.network import numerical_gradient
 from repro.rl.bdq import BDQNetwork
 
 
+def _branches(net, stack):
+    """A padded ``(batch, B, out_max)`` stack as ``q[k][d]`` of shape
+    ``(batch, branch_sizes[k][d])``."""
+    q, b = [], 0
+    for agent in net.branch_sizes:
+        q.append([stack[:, b + d, :n] for d, n in enumerate(agent)])
+        b += len(agent)
+    return q
+
+
+def _stack(net, q_grads):
+    """``q_grads[k][d]`` as the padded stack ``backward_stacked`` takes."""
+    flat = [g for agent in q_grads for g in agent]
+    stack = np.zeros((len(flat[0]), net.total_branches, net.out_max))
+    for b, grad in enumerate(flat):
+        stack[:, b, :grad.shape[1]] = grad
+    return stack
+
+
+def _q(net, x):
+    return _branches(net, net.forward_stacked(x))
+
+
 def _net(rng, agents=2, dropout=0.0):
     return BDQNetwork(
         state_dim=6,
@@ -21,7 +44,9 @@ def _net(rng, agents=2, dropout=0.0):
 
 def test_forward_structure(rng):
     net = _net(rng)
-    q = net.forward(rng.normal(size=(7, 6)))
+    stack = net.forward_stacked(rng.normal(size=(7, 6)))
+    assert stack.shape == (7, 4, 5)  # two agents x (cores, dvfs), widest 5
+    q = _branches(net, stack)
     assert len(q) == 2
     assert q[0][0].shape == (7, 5)
     assert q[0][1].shape == (7, 3)
@@ -32,7 +57,7 @@ def test_dueling_identity_mean_advantage_is_value(rng):
     net = _net(rng)
     x = rng.normal(size=(4, 6))
     shared = net.trunk.forward(x)
-    q = net.forward(x)
+    q = _q(net, x)
     for k in range(2):
         value = net.value_heads[k].forward(shared)
         for d in range(2):
@@ -51,13 +76,21 @@ def test_invalid_configs(rng):
 def test_forward_rejects_wrong_state_dim(rng):
     net = _net(rng)
     with pytest.raises(ShapeError):
-        net.forward(np.ones((2, 5)))
+        net.forward_stacked(np.ones((2, 5)))
+    with pytest.raises(ShapeError):
+        net.forward_train(np.ones((2, 6)), np.ones((2, 5)))
 
 
 def test_backward_before_forward_raises(rng):
+    """The backward differentiates a training forward; an eval forward
+    records nothing for it."""
     net = _net(rng)
+    grad = np.ones((1, net.total_branches, net.out_max))
     with pytest.raises(ShapeError):
-        net.backward([[np.ones((1, 5)), np.ones((1, 3))]] * 2)
+        net.backward_stacked(grad)
+    net.forward_stacked(np.ones((1, 6)))
+    with pytest.raises(ShapeError):
+        net.backward_stacked(grad)
 
 
 def test_gradient_check_full_network(rng):
@@ -76,18 +109,16 @@ def test_gradient_check_full_network(rng):
     ]
 
     def loss():
-        q = net.forward(x)
+        q = _q(net, x)
         return 0.5 * sum(
             float(np.sum((q[k][d] - targets[k][d]) ** 2))
             for k in range(2)
             for d in range(2)
         )
 
-    q = net.forward(x)
+    q = _branches(net, net.forward_train(x, x)[0])
     grads = [[q[k][d] - targets[k][d] for d in range(2)] for k in range(2)]
-    for p in net.parameters():
-        p.zero_grad()
-    net.backward(grads)
+    net.backward_stacked(_stack(net, grads))
 
     # Advantage-branch parameters: scaled by 1/K = 1/2.
     adv_param = net.adv_heads[0][0].parameters()[0]
@@ -110,11 +141,9 @@ def test_trunk_gradient_scaling(rng):
     for agents in (1, 2):
         gen = np.random.default_rng(7)
         net = _net(gen, agents=agents)
-        q = net.forward(x)
+        q = _branches(net, net.forward_train(x, x)[0])
         grads = [[np.ones_like(q[k][d]) for d in range(2)] for k in range(agents)]
-        for p in net.parameters():
-            p.zero_grad()
-        net.backward(grads)
+        net.backward_stacked(_stack(net, grads))
         trunk_grads[agents] = np.linalg.norm(net.trunk.parameters()[0].grad)
     # More agents -> more branches -> per-branch trunk contribution shrinks;
     # both nets share identical trunk init (same seed), so the 2-agent trunk
@@ -126,14 +155,14 @@ def test_clone_and_copy_from(rng):
     net = _net(rng)
     clone = net.clone(np.random.default_rng(9))
     x = rng.normal(size=(2, 6))
-    qa, qb = net.forward(x), clone.forward(x)
+    qa, qb = _q(net, x), _q(clone, x)
     for k in range(2):
         for d in range(2):
             assert np.allclose(qa[k][d], qb[k][d])
     # diverge then resync
     net.parameters()[0].value += 1.0
     clone.copy_from(net)
-    qa, qb = net.forward(x), clone.forward(x)
+    qa, qb = _q(net, x), _q(clone, x)
     assert np.allclose(qa[0][0], qb[0][0])
 
 

@@ -17,6 +17,7 @@ from repro.nn.layers import Dense
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq import BDQNetwork
 from tests.oracles.bdq_reference import ReferenceBDQAgent, ReferenceBDQNetwork
+from tests.test_rl_bdq import _q, _stack
 
 # Ragged branch widths on purpose: padding correctness only shows when
 # branches disagree within and across agents.
@@ -62,7 +63,7 @@ def test_same_seed_same_parameters(branch_sizes):
 def test_eval_q_values_match(branch_sizes, rng):
     fused, ref = _pair(branch_sizes)
     states = rng.normal(size=(9, STATE_DIM))
-    _assert_q_equal(fused.forward(states), ref.forward(states))
+    _assert_q_equal(_q(fused, states), ref.forward(states))
 
 
 @pytest.mark.parametrize("branch_sizes", CONFIGS)
@@ -72,11 +73,15 @@ def test_backward_gradients_match_with_zero_dropout(branch_sizes, rng):
     grads = [
         [rng.normal(size=(6, n)) for n in agent] for agent in branch_sizes
     ]
-    for net in (fused, ref):
-        net.forward(states, training=True)
-        for p in net.parameters():
-            p.zero_grad()
-        net.backward([[g.copy() for g in agent] for agent in grads])
+    # The fused backward assigns its gradients: stale ones are overwritten.
+    for p in fused.parameters():
+        p.grad[...] = 7.0
+    fused.forward_train(states, states)
+    fused.backward_stacked(_stack(fused, grads))
+    ref.forward(states, training=True)
+    for p in ref.parameters():
+        p.zero_grad()
+    ref.backward([[g.copy() for g in agent] for agent in grads])
     for f, r in zip(fused.parameters(), ref.parameters()):
         assert np.max(np.abs(f.grad - r.grad)) <= TOL, f.name
 
@@ -105,11 +110,11 @@ def test_checkpoints_interchangeable(branch_sizes, tmp_path, rng):
     # fused -> reference and reference -> fused, through the same .npz format.
     save_weights(fused.parameters(), tmp_path / "fused.npz")
     load_weights(ref2.parameters(), tmp_path / "fused.npz")
-    _assert_q_equal(fused.forward(states), ref2.forward(states))
+    _assert_q_equal(_q(fused, states), ref2.forward(states))
 
     save_weights(ref.parameters(), tmp_path / "ref.npz")
     load_weights(fused2.parameters(), tmp_path / "ref.npz")
-    _assert_q_equal(ref.forward(states), fused2.forward(states))
+    _assert_q_equal(ref.forward(states), _q(fused2, states))
     # Loading into the fused net must hit the stacked storage the hot path
     # reads, not just the view parameters.
     assert np.array_equal(
@@ -127,7 +132,7 @@ def test_dueling_aggregation_with_training_dropout(rng):
     """
     net, _ = _pair([[18, 9], [12, 9]], dropout=0.5)
     states = rng.normal(size=(5, STATE_DIM))
-    q = net.forward_stacked(states, training=True, mask_padding=False)
+    q, _ = net.forward_train(states, states)
     for b, n in enumerate(net.branch_sizes_flat):
         k = net.branch_agent_index[b]
         # V is recoverable as the valid-entry mean of Q for the branch.
@@ -232,8 +237,9 @@ def test_hot_path_never_calls_per_head_dense(monkeypatch, rng):
     net = fused_agent.online
     states = rng.normal(size=(8, STATE_DIM))
 
-    q = net.forward_stacked(states, training=True, mask_padding=False)
-    net.backward_stacked(np.zeros_like(q), accumulate=False)
+    q, _ = net.forward_train(states, states)
+    net.backward_stacked(np.zeros_like(q))
+    net.forward_stacked(states)
     net.greedy_actions_batch(states)
     assert calls == {"forward": 0, "backward": 0}
 
@@ -253,17 +259,19 @@ def test_hot_path_never_calls_per_head_dense(monkeypatch, rng):
 
 
 def test_head_bank_is_engaged(monkeypatch, rng):
-    """Every batched network forward goes through HeadBank exactly once."""
+    """Every batched eval forward goes through HeadBank exactly once."""
     from repro.nn.batched import HeadBank
 
     bank_calls = {"n": 0}
     bank_forward = HeadBank.forward
 
-    def counting(self, shared, training=False):
+    def counting(self, shared, start=0):
         bank_calls["n"] += 1
-        return bank_forward(self, shared, training=training)
+        return bank_forward(self, shared, start)
 
     monkeypatch.setattr(HeadBank, "forward", counting)
     net, _ = _pair([[18, 9], [12, 9]])
-    net.forward(rng.normal(size=(4, STATE_DIM)))
+    net.forward_stacked(rng.normal(size=(4, STATE_DIM)))
     assert bank_calls["n"] == 1
+    net.greedy_actions_batch(rng.normal(size=(4, STATE_DIM)))
+    assert bank_calls["n"] == 2

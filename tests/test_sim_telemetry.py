@@ -26,6 +26,22 @@ def test_all_counters_present(rng):
     assert all(v >= 0 for v in readings.values())
 
 
+def test_counters_are_built_in_counter_names_order():
+    """The vector engine draws one telemetry normal per counter in
+    ``COUNTER_NAMES`` order and lays its counter matrices out that way;
+    the scalar synthesiser must build (and so noise) them in that order."""
+    readings = TelemetrySynthesizer(np.random.default_rng(3), noise_std=0.015).synthesize(
+        get_profile("masstree"), _result()
+    )
+    assert tuple(readings) == COUNTER_NAMES
+    clean = TelemetrySynthesizer(np.random.default_rng(3), noise_std=0.0).synthesize(
+        get_profile("masstree"), _result()
+    )
+    z = np.random.default_rng(3).normal(size=len(COUNTER_NAMES))
+    for name, draw in zip(COUNTER_NAMES, z):
+        assert readings[name] == pytest.approx(clean[name] * (1.0 + 0.015 * draw), rel=1e-12)
+
+
 def test_instructions_scale_with_throughput(rng):
     """Request instructions scale with throughput; spin instructions from
     allocated-but-idle cores shrink as the cores get busier, so the total

@@ -59,13 +59,15 @@ trace-e2e:
 ## step results, a faulted node's arrays, no per-node objects built, and the
 ## static fleet's hot path (no result built, rows written on the first
 ## tick only), the agent's raw-word exploration pinned draw for draw to
-## the per-branch loop it replaced, the array violation penalty and
+## the per-branch loop it replaced, the agent's gradient step (1 and 256
+## replay stripes) and the sum tree's batched walks pinned byte for byte
+## to their frozen predecessors, the array violation penalty and
 ## fitted Equation-2 estimate pinned bit for bit to their scalar
 ## formulas, cluster traffic / balancer invariants, cluster environment
 ## + experiment, and the docs/fleet.md schema diff.
 test-fleet:
 	$(PYTEST) -q tests/test_engine_vector.py tests/test_engine_fleet_array.py \
-		tests/test_rl_explore.py \
+		tests/test_rl_explore.py tests/test_rl_train_reference.py \
 		tests/test_services_queueing.py tests/test_services_interference.py \
 		tests/test_engine_lazy_results.py \
 		tests/test_cluster_traffic.py tests/test_cluster_balancer.py \

@@ -198,14 +198,27 @@ def test_batched_per_sampling_vs_loop():
     assert speedup > 1.0, f"batched sampling slower than the loop ({speedup:.2f}x)"
 
 
-def _bdq_agent(cls, num_agents: int, seed: int = 0) -> BDQAgent:
-    """A paper-shaped agent (512-256 trunk, 128-wide heads, dropout 0.5)."""
+#: The network and buffer every bench workload and experiment trains
+#: (``TwigConfig.fast``: 128-64 trunk, 32-wide heads, dropout 0.1,
+#: 4,000-slot buffer).
+FAST_SHAPE = {
+    "shared_hidden": TwigConfig.fast().shared_hidden,
+    "branch_hidden": TwigConfig.fast().branch_hidden,
+    "dropout": TwigConfig.fast().dropout,
+    "buffer_capacity": TwigConfig.fast().buffer_capacity,
+}
+
+
+def _bdq_agent(cls, num_agents: int, seed: int = 0, **shape) -> BDQAgent:
+    """An agent holding 256 transitions: paper-shaped (512-256 trunk,
+    128-wide heads, dropout 0.5, 4,096-slot buffer) unless ``shape``
+    overrides those fields."""
     config = BDQAgentConfig(
         state_dim=11 * num_agents,
         branch_sizes=[[18, 9]] * num_agents,
         batch_size=64,
         min_buffer_size=64,
-        buffer_capacity=4_096,
+        **{"buffer_capacity": 4_096, **shape},
     )
     agent = cls(config, np.random.default_rng(seed))
     feeder = np.random.default_rng(seed + 1)
@@ -232,12 +245,18 @@ def _bdq_agent(cls, num_agents: int, seed: int = 0) -> BDQAgent:
 
 
 def test_bdq_train_step_fused_vs_loop():
-    rounds = {1: 40, 2: 30, 4: 20}
+    """Paper shape at 1, 2 and 4 agents; the ``TwigConfig.fast`` shape
+    (``fast_agents_*``) at 2 and 4."""
+    rounds = {
+        ("agents", 1): 40, ("agents", 2): 30, ("agents", 4): 20,
+        ("fast_agents", 2): 200, ("fast_agents", 4): 150,
+    }
     results = {}
-    for num_agents, n in rounds.items():
+    for (row, num_agents), n in rounds.items():
+        shape = FAST_SHAPE if row == "fast_agents" else {}
         agents = {}
         for key, cls in (("loop", ReferenceBDQAgent), ("fused", BDQAgent)):
-            agents[key] = agent = _bdq_agent(cls, num_agents)
+            agents[key] = agent = _bdq_agent(cls, num_agents, **shape)
             for _ in range(3):  # warm up buffers / optimizer state
                 agent.train_step()
         loop_s, fused_s = _best_block_interleaved_s(
@@ -245,7 +264,7 @@ def test_bdq_train_step_fused_vs_loop():
         )
         timings = {"loop": loop_s, "fused": fused_s}
         speedup = timings["loop"] / timings["fused"]
-        results[f"agents_{num_agents}"] = {
+        results[f"{row}_{num_agents}"] = {
             "batch_size": 64,
             "rounds": n,
             "loop_ms": round(timings["loop"] * 1e3, 3),
@@ -253,7 +272,7 @@ def test_bdq_train_step_fused_vs_loop():
             "speedup": round(speedup, 2),
         }
         print(
-            f"\nbdq train_step ({num_agents} agents, batch 64): "
+            f"\nbdq train_step ({row} {num_agents}, batch 64): "
             f"loop {timings['loop'] * 1e3:.2f}ms, fused {timings['fused'] * 1e3:.2f}ms, "
             f"{speedup:.1f}x"
         )

@@ -24,8 +24,16 @@ never leave behind a half-loaded agent.
 
 Version policy (mirrors the trace-event schema in :mod:`repro.obs.events`):
 ``CKPT_VERSION`` is bumped when the state tree for an existing kind gains,
-loses, or retypes an entry; adding a new *kind* is additive and keeps the
-version. Loaders reject versions newer than they understand.
+loses, or retypes an entry that an older or newer reader would misread;
+adding a new *kind* is additive and keeps the version. An entry whose
+absence the loader refuses needs no bump: a tree without it fails with
+:class:`repro.errors.CheckpointError` as malformed, which is what a
+version check would say. One such entry is the ``controller`` subtree of
+a PARTIES or Heracles rule fleet's manager tree in a ``vector_run`` file,
+added at version 3: the version-3 files written before rule fleets kept
+their controllers' state lack it and are refused by
+``RuleFleet.load_state_dict``, while a static fleet's tree never has
+one. Loaders reject versions newer than they understand.
 """
 
 from __future__ import annotations

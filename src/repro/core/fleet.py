@@ -166,6 +166,13 @@ class FleetBDQAgent(BDQAgent):
                 raise ShapeError(
                     f"{key} rows have shape {np.shape(value)}, expected {(count, widths[key])}"
                 )
+        # A train step reads each stored action's Q-value by flat offset,
+        # so an action outside its branch would read another column.
+        sizes = self._branch_sizes_flat
+        actions = np.asarray(actions)
+        if count and not np.all((0 <= actions) & (actions < np.asarray(sizes))):
+            raise ShapeError(f"actions out of range for branch sizes {sizes}")
+        fields["actions"] = actions
         fields["done"] = np.zeros(count)
         self.striped.add_batch(env_indices, fields)
         if count == 0:

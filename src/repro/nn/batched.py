@@ -65,6 +65,48 @@ def exact_inverse(scale: float) -> Optional[float]:
     return 1.0 / scale if math.frexp(scale)[0] == 0.5 else None
 
 
+class ReluDropout:
+    """Inverted dropout after a ReLU, and the backward through both.
+
+    The fused training layers (the BDQ trunk's hidden layers and a
+    :class:`HeadBank`'s hidden layer) rectify in place, then
+    :meth:`drop` the training rows: one ``rng.random`` draw of their
+    shape, mask then divide by ``keep``, the ``Dropout`` layer's op
+    order. Nothing else is kept for backward: the recorded activation is
+    positive exactly where the unit was rectified positive and kept
+    (``act > 0`` equals ``relu & kept`` for every input: a dropped unit
+    is 0, and NaN, or a dropped infinity, fails the compare), so
+    :meth:`backward` reads its 0/1 mask back from it.
+    """
+
+    def __init__(self, rate: float, rng: np.random.Generator):
+        self.rate = rate
+        self.keep = 1.0 - rate
+        # Multiply by 1/keep instead of dividing when that is bitwise
+        # exact (keep a power of two, e.g. the paper's dropout 0.5);
+        # float64 division is several times slower than multiplication.
+        self.inv_keep = exact_inverse(self.keep) if rate > 0.0 else None
+        self._rng = rng
+
+    def _scale(self, x: np.ndarray) -> None:
+        if self.inv_keep is not None:
+            x *= self.inv_keep
+        else:
+            x /= self.keep
+
+    def drop(self, act: np.ndarray) -> None:
+        """Drop units of the rectified training activation ``act`` in place."""
+        if self.rate > 0.0:
+            act *= self._rng.random(act.shape) < self.keep
+            self._scale(act)
+
+    def backward(self, grad: np.ndarray, act: np.ndarray) -> None:
+        """Mask and scale ``grad`` in place, ``act`` being what :meth:`drop` left."""
+        grad *= act > 0
+        if self.rate > 0.0:
+            self._scale(grad)
+
+
 def _stack_param(name: str, value: np.ndarray, grad: np.ndarray) -> Parameter:
     """A Parameter aliasing stacked storage (value/grad are not copied)."""
     param = Parameter(name, value)
@@ -278,11 +320,7 @@ class HeadBank:
             out_denses.append(layers[-1])
         self.name = name
         self.dropout = dropout
-        # Multiply by 1/keep instead of dividing when that is bitwise
-        # exact (keep a power of two, e.g. the paper's dropout 0.5);
-        # float64 division is several times slower than multiplication.
-        self._inv_keep = exact_inverse(1.0 - dropout) if dropout > 0.0 else None
-        self._rng = rng
+        self._dropout = ReluDropout(dropout, rng)
         self.hidden = BatchedDense(hidden_denses, name=f"{name}.hidden")
         self.out = BatchedDense(out_denses, name=f"{name}.out")
         if self.hidden.ragged or self.hidden.out_max != self.out.in_features:
@@ -292,11 +330,9 @@ class HeadBank:
             )
         self.num_heads = self.hidden.num_heads
         self.out_max = self.out.out_max
-        # What the training forward keeps for backward: the rectified
-        # hidden activation without dropout, else the combined relu&drop
-        # mask.
-        self._relu_act: Optional[np.ndarray] = None
-        self._drop_mask: Optional[np.ndarray] = None
+        # The training rows' hidden activation, after ReLU and dropout:
+        # backward reads its mask back from it.
+        self._act: Optional[np.ndarray] = None
         # Pooled (batch, H, hidden) destination for the output layer's
         # input gradient (lazily sized on first backward).
         self._hidden_grad_buf: Optional[np.ndarray] = None
@@ -334,6 +370,8 @@ class HeadBank:
         :meth:`BatchedDense.backward`); returns the summed ``(batch, in)``
         input grad. ``grad`` may be modified in place (ragged masking).
         """
+        if self._act is None:
+            raise ShapeError(f"{self.name}.backward called before forward")
         # Route the output layer's input-grad matmul through a transposed
         # view of a pooled batch-major buffer: the result comes back as
         # contiguous (batch, H, hidden) memory, so every following
@@ -346,17 +384,7 @@ class HeadBank:
         g = self.out.backward(grad, input_grad_out=buf.transpose(1, 0, 2))
         if not g.flags.c_contiguous:
             g = np.ascontiguousarray(g)
-        if self._drop_mask is not None:
-            # The stored mask is the combined relu&drop mask; one pass.
-            g *= self._drop_mask
-            if self._inv_keep is not None:
-                g *= self._inv_keep
-            else:
-                g /= 1.0 - self.dropout
-        elif self._relu_act is not None:
-            g *= self._relu_act > 0
-        else:
-            raise ShapeError(f"{self.name}.backward called before forward")
+        self._dropout.backward(g, self._act)
         return self.hidden.backward(g)
 
     def forward_train(
@@ -399,29 +427,9 @@ class HeadBank:
         tail = pre[batch:, tail_start:, :]
         train += self.hidden.bias
         tail += self.hidden.bias[tail_start:]
-        if self.dropout > 0.0:
-            # Dropout overwrites the rectified activation, so the ReLU
-            # mask is captured eagerly. The mask stays boolean (an 8x
-            # smaller array than a float scale).
-            relu_mask = train > 0
-            np.maximum(train, 0.0, out=train)
-            keep = 1.0 - self.dropout
-            mask = self._rng.random(train.shape) < keep
-            train *= mask
-            if self._inv_keep is not None:
-                train *= self._inv_keep
-            else:
-                train /= keep
-            # Backward applies relu-then-dropout masking as ONE combined
-            # 0/1 mask: multiplying by the masks in either order (or at
-            # once) is exact, so the combined pass is bitwise identical.
-            mask &= relu_mask
-            self._drop_mask = mask
-        else:
-            # The rectified activation itself encodes the mask (act > 0
-            # exactly where pre > 0); backward derives it.
-            np.maximum(train, 0.0, out=train)
-            self._relu_act = train
+        np.maximum(train, 0.0, out=train)
+        self._dropout.drop(train)
+        self._act = train
         np.maximum(tail, 0.0, out=tail)
         train_out = self.out.forward(train)
         tail_out = np.matmul(

@@ -17,6 +17,7 @@ per fleet node), and every greedy action comes from
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_left
 from contextlib import nullcontext
@@ -48,6 +49,9 @@ _DOUBLE_UNIT = 2.0**-53
 #: ``random() < 0.5`` exactly when the word is below this.
 _TOP_BIT = 1 << 63
 _LOW32 = 0xFFFFFFFF
+#: The most words an explored entry draws besides its test word, short of
+#: a Lemire rejection: the coin, one 32-bit draw and the sign.
+_EXPLORE_WORDS = 3
 
 
 @dataclass
@@ -180,9 +184,12 @@ class BDQAgent:
         )
         self.beta_schedule = LinearSchedule(config.per_beta_start, 1.0, config.per_beta_steps)
         self._branch_sizes_flat = [int(n) for agent in config.branch_sizes for n in agent]
+        # Float divisor of each agent's branch-value sum.
+        self._branches_per_agent = np.array(
+            [len(agent) for agent in config.branch_sizes], dtype=np.float64
+        )
         self.step_count = 0
         self.train_count = 0
-        self._q_grad_buf: Optional[np.ndarray] = None
         self.last_loss: Optional[float] = None
         self.last_td_error: Optional[float] = None
         self.exploring_frozen = False
@@ -269,26 +276,38 @@ class BDQAgent:
           that buffer. ``integers(1, 5)`` is ``1 +`` Lemire over 4,
           which never rejects.
 
-        Words are drawn in blocks, lazily and never past need: a block is
-        drawn only once every earlier word is consumed, and holds one
-        word for the current entry and one for each entry after it, each
-        of which consumes at least one. So the words drawn are exactly
-        the words consumed, and nothing is rewound. The buffered half is
-        read on the first 32-bit draw and written back once at the end.
+        The words of a call are drawn in one block, as many as its entries
+        can consume: one test word each, and up to three more (the coin,
+        a 32-bit draw and the sign) for each explored entry, short of a
+        Lemire rejection. The block counts on the expected share of
+        explored entries plus four, and on no more entries than there
+        are; only a call that explores more, or a run of rejections,
+        uses it up, and another block is then drawn for the entries
+        left. The words not consumed are handed back by rewinding the
+        stream (``advance`` with a negative count, exact for PCG64). A
+        rewind clears the buffered half, so the half is read before
+        anything is drawn and written back at the end.
         """
+        total = len(actions)
+        if total == 0:
+            return
         bitgen = self._rng.bit_generator
         sizes = self._branch_sizes_flat
         width = len(sizes)
-        total = len(actions)
+        state = bitgen.state
+        half = [state["has_uint32"], state["uinteger"]]
         block = np.empty(0, dtype=np.uint64)  # the last block drawn
         hits: List[int] = []  # positions in ``block`` whose random() < epsilon
         pos = 0  # the next word of ``block`` to consume
-        half: Optional[List[int]] = None  # [has_uint32, uinteger] once read
 
         def draw(entry: int) -> None:
-            # One word for ``entry`` and one for each entry after it.
+            # Words for ``entry`` and every entry after it: one test each,
+            # and the most the explored ones can take, counting at most
+            # the expected share of them plus four.
             nonlocal block, hits, pos
-            block = bitgen.random_raw(total - entry)
+            left = total - entry
+            explored = min(left, math.ceil(epsilon * left) + 4)
+            block = bitgen.random_raw(left + _EXPLORE_WORDS * explored)
             hits = ((block >> 11) * _DOUBLE_UNIT < epsilon).nonzero()[0].tolist()
             pos = 0
 
@@ -300,10 +319,6 @@ class BDQAgent:
             return block.item(pos - 1)
 
         def uint32(entry: int) -> int:
-            nonlocal half
-            if half is None:
-                state = bitgen.state
-                half = [state["has_uint32"], state["uinteger"]]
             if half[0]:
                 # numpy leaves the handed-out half in ``uinteger``.
                 half[0] = 0
@@ -312,17 +327,25 @@ class BDQAgent:
             half[0], half[1] = 1, w >> 32
             return w & _LOW32
 
+        draw(0)
         entry = 0
         while entry < total:
-            if pos == len(block):
-                draw(entry)
             h = bisect_left(hits, pos)
             if h == len(hits):
                 # No word left in the block explores: each is one entry's test.
-                entry += len(block) - pos
-                pos = len(block)
+                left = len(block) - pos
+                if left >= total - entry:
+                    pos += total - entry
+                    break
+                entry += left
+                draw(entry)
                 continue
             entry += hits[h] - pos
+            if entry >= total:
+                # The entries left stay greedy; the words from the hit on
+                # are surplus.
+                pos = hits[h] - (entry - total)
+                break
             pos = hits[h] + 1
             n = sizes[entry % width]
             if word(entry) < _TOP_BIT:  # the coin's random() < 0.5
@@ -343,10 +366,12 @@ class BDQAgent:
                     step = -step
                 actions[entry] = min(max(int(actions[entry]) + step, 0), n - 1)
             entry += 1
-        if half is not None:
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = half
-            bitgen.state = state
+        surplus = len(block) - pos
+        if surplus:
+            bitgen.advance(-surplus)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = half
+        bitgen.state = state
 
     # ------------------------------------------------------------------ #
     # learning
@@ -410,6 +435,13 @@ class BDQAgent:
                     f"agent {k} supplied {len(agent)} branch actions, expected {expected}"
                 )
             flat.extend(int(a) for a in agent)
+        # A train step reads each stored action's Q-value by flat offset,
+        # so an action outside its branch would read another column.
+        for a, n in zip(flat, self._branch_sizes_flat):
+            if not 0 <= a < n:
+                raise ShapeError(
+                    f"actions {flat} out of range for branch sizes {self._branch_sizes_flat}"
+                )
         return flat
 
     def _unflatten_actions(self, flat: np.ndarray) -> List[np.ndarray]:
@@ -456,15 +488,17 @@ class BDQAgent:
     def _train_step(self) -> float:
         """Vectorized over a flat branch axis — no per-agent/per-branch loops.
 
-        All per-branch bookkeeping (double-Q target construction, chosen-
-        action gather, TD-error/priority accumulation, gradient scatter)
-        happens as array ops on the padded, batch-major ``(batch,
-        total_branches, out_max)`` stacks produced by
-        :meth:`BDQNetwork.forward_train` and
-        :meth:`BDQNetwork.forward_stacked`.
-        The math matches the per-branch reference loop
-        (``ReferenceBDQAgent`` in ``tests/oracles/bdq_reference.py``) to float
-        round-off.
+        All per-branch bookkeeping (double-Q target construction, TD-error
+        and priority accumulation) happens as array ops on ``(batch,
+        total_branches)`` Q-values at one action per branch:
+        :meth:`BDQNetwork.forward_train` returns the online network's at
+        the replayed actions, :meth:`BDQNetwork.forward_stacked` the
+        target network's at the online argmax, and
+        :meth:`BDQNetwork.backward_stacked` takes the loss gradient at the
+        replayed actions. No full ``(batch, total_branches, out_max)``
+        Q tensor is built. The math matches the per-branch reference loop
+        (``ReferenceBDQAgent`` in ``tests/oracles/bdq_reference.py``) to
+        float round-off.
         """
         config = self.config
         net = self.online
@@ -483,31 +517,24 @@ class BDQAgent:
             # branch argmax of Q and of A coincide — V and mean-A are
             # branch constants), skipping the online net's value heads and
             # dueling aggregation for next_states. Padded entries are
-            # -inf, so argmax needs no mask. The target forward is only
-            # gathered at those (always-valid) best actions, so its
-            # padding is left unmasked.
+            # -inf, so argmax needs no mask, and the best actions are
+            # always valid ones for the target to be read at.
             # Both online-net forwards (training predictions on states,
             # advantage tail on next_states) run as ONE row-concatenated
             # pass — each layer's GEMM covers the union of rows; only the
             # training rows draw dropout masks, so the RNG stream matches
             # separate calls.
-            predictions, online_next = net.forward_train(states, next_states)
-            target_next = self.target.forward_stacked(next_states)
+            selected, online_next = net.forward_train(states, next_states, chosen)
             best = np.argmax(online_next, axis=2)                   # (batch, B)
-            branch_values = np.take_along_axis(
-                target_next, best[:, :, None], axis=2
-            )[:, :, 0]
+            branch_values = self.target.forward_stacked(next_states, best)
             # Per-agent mean over its (contiguous) branch span.
             mean_next = (
                 np.add.reduceat(branch_values, net.agent_branch_starts, axis=1)
-                / net.branches_per_agent
+                / self._branches_per_agent
             )
             targets = rewards + config.discount * (1.0 - done)[:, None] * mean_next
 
         with self._measure("agent.train.backward"):
-            selected = np.take_along_axis(
-                predictions, chosen[:, :, None], axis=2
-            )[:, :, 0]                                              # (batch, B)
             branch_targets = targets[:, net.branch_agent_index]
             diff = selected - branch_targets
             # Paper: loss is the mean squared error across each branch per
@@ -518,20 +545,11 @@ class BDQAgent:
                 ((weighted_diff * diff).sum(axis=0) / batch_size).sum() * scale
             )
             grad_selected = (2.0 * scale / batch_size) * weighted_diff
-            # Reused scatter buffer: only the chosen-action entries are
-            # written each step, so it must be cleared first.
-            q_grad_stack = self._q_grad_buf
-            if q_grad_stack is None or q_grad_stack.shape != predictions.shape:
-                q_grad_stack = self._q_grad_buf = np.empty(predictions.shape)
-            q_grad_stack.fill(0.0)
-            np.put_along_axis(
-                q_grad_stack, chosen[:, :, None], grad_selected[:, :, None], axis=2
-            )
             td_error_accum = np.abs(diff).sum(axis=1)
 
             # The backward assigns: one backward per step writes every
             # gradient exactly once, so there is no zero_grad.
-            net.backward_stacked(q_grad_stack)
+            net.backward_stacked(grad_selected)
         with self._measure("agent.train.optim"):
             # The backward just computed the global gradient
             # sq-norm while the gradients were cache-hot; reuse it for the

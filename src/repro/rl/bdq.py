@@ -34,28 +34,37 @@ equivalent by ``tests/test_rl_bdq_fused.py``).
 The network has one eval forward, one training forward and one backward,
 each without a per-head Python loop:
 
-- :meth:`BDQNetwork.forward_stacked`, the eval forward: padded,
-  batch-major ``(batch, B, out_max)`` branch Q-values (what the train
-  step's target network evaluates); it records nothing for backward.
-  :meth:`BDQNetwork.greedy_actions_batch` acts through the same eval
-  trunk and the bank's advantage heads only, one row for a plain agent's
-  ``act`` and one per environment for a fleet's ``act_batch``;
-- :meth:`BDQNetwork.forward_train`, the training forward: dropout drawn
-  for the training rows, whose activations it records, merged with the
-  eval advantage forward of the next states;
-- :meth:`BDQNetwork.backward_stacked`: both paper rescalings and every
-  parameter gradient, assigned rather than accumulated (one backward per
-  optimizer step writes each gradient exactly once).
+- :meth:`BDQNetwork.forward_stacked`, the eval forward: batch-major
+  ``(batch, B)`` Q-values at one given action per branch (what the
+  train step's target network evaluates at the online argmax); it
+  records nothing for backward. :meth:`BDQNetwork.greedy_actions_batch`
+  acts through the same eval trunk and the bank's advantage heads only,
+  one row for a plain agent's ``act`` and one per environment for a
+  fleet's ``act_batch``;
+- :meth:`BDQNetwork.forward_train`, the training forward: the Q-values
+  at the replayed actions, dropout drawn for the training rows, whose
+  activations it records, merged with the eval advantage forward of the
+  next states;
+- :meth:`BDQNetwork.backward_stacked`: the loss gradient at those
+  actions through both paper rescalings into every parameter gradient,
+  assigned rather than accumulated (one backward per optimizer step
+  writes each gradient exactly once).
+
+No forward builds the full ``(batch, B, out_max)`` dueling tensor: Q is
+gathered where it is read, ``V + A[a] - mean(A)`` on the gathered
+entries, the same roundings per entry as aggregating the whole tensor.
+Action columns are addressed by flat offsets computed once per batch
+size, and dropout masks are read back from the recorded activations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.batched import HeadBank, exact_inverse
+from repro.nn.batched import HeadBank, ReluDropout
 from repro.nn.initializers import glorot_uniform
 from repro.nn.layers import Dense, Dropout, Parameter, ReLU, Sequential
 from repro.nn.network import copy_parameters
@@ -186,16 +195,18 @@ class BDQNetwork:
         valid = np.arange(self.out_max)[None, :] < self.branch_sizes_flat[:, None]
         # Padded (branch, column) coordinates, for -inf masking of padded Q.
         self._pad_rows, self._pad_cols = np.nonzero(~valid)
-        self._last_batch: Optional[int] = None
-        self._rng = rng
+        # Float divisor of each branch's advantage sum.
+        self._branch_widths = self.branch_sizes_flat.astype(np.float64)
+        self._offsets_by_batch: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._dropout = ReluDropout(dropout, rng)
         self._trunk_denses = [
             layer for layer in self.trunk.layers if isinstance(layer, Dense)
         ]
-        # Per-layer inputs, activations and masks recorded by the training
-        # trunk forward.
+        # Per-layer inputs and activations recorded by the training trunk
+        # forward, and the flat head-gradient offsets of its actions.
         self._trunk_inputs: List[np.ndarray] = []
         self._trunk_acts: List[np.ndarray] = []
-        self._trunk_drop_masks: List[Optional[np.ndarray]] = []
+        self._grad_at: Optional[np.ndarray] = None
         self._head_grads_buf: Optional[np.ndarray] = None
         self._flat_param = self._build_parameter_arena()
         # Cache-hot global gradient sq-norm, refreshed by each backward
@@ -243,6 +254,14 @@ class BDQNetwork:
             raise ShapeError(f"expected state dim {self.state_dim}, got {states.shape[1]}")
         return states
 
+    def _checked_actions(self, actions: np.ndarray, batch: int) -> np.ndarray:
+        actions = np.asarray(actions, dtype=np.int64)
+        if actions.shape != (batch, self.total_branches):
+            raise ShapeError(
+                f"actions shape {actions.shape} != {(batch, self.total_branches)}"
+            )
+        return actions
+
     def _trunk_forward(
         self, states: np.ndarray, train_rows: Optional[int] = None
     ) -> np.ndarray:
@@ -253,53 +272,27 @@ class BDQNetwork:
 
         With ``train_rows = r`` (the merged train-step pass), ``states``
         holds ``r`` training rows followed by eval rows: every layer's GEMM
-        runs once over the union, but inverted dropout (one 0-or-1/keep
-        scale) applies to rows ``[:r]`` only, and the per-layer inputs and
-        masks recorded for :meth:`_trunk_backward` cover those rows only.
-        Rows are independent through ``x @ W + b``, ReLU and row-sliced
-        dropout, so each half matches its separate-call result. The
-        dropout mask draw order matches the trunk's ``Dropout`` layers
-        (one ``rng.random`` of the training activation shape per hidden
-        layer).
+        runs once over the union, but inverted dropout applies to rows
+        ``[:r]`` only, and the per-layer inputs and activations recorded
+        for :meth:`_trunk_backward` cover those rows only. Rows are
+        independent through ``x @ W + b``, ReLU and row-sliced dropout, so
+        each half matches its separate-call result. The dropout mask draw
+        order matches the trunk's ``Dropout`` layers (one ``rng.random``
+        of the training activation shape per hidden layer).
         """
         if train_rows is not None:
             self._trunk_inputs = []
             self._trunk_acts = []
-            self._trunk_drop_masks = []
-        keep = 1.0 - self.dropout
-        inv_keep = exact_inverse(keep) if self.dropout > 0.0 else None
         x = states
         for dense in self._trunk_denses:
             pre = x @ dense.weight.value
             pre += dense.bias.value
-            if train_rows is None or self.dropout == 0.0:
-                np.maximum(pre, 0.0, out=pre)
-                drop_mask = None
-            else:
-                # Dropout overwrites the activation, so capture the ReLU
-                # mask eagerly. The dropout mask stays boolean and is
-                # applied mask-then-divide, the Dropout layer's op order
-                # (bitwise match).
-                train = pre[:train_rows]
-                relu_mask = train > 0
-                np.maximum(pre, 0.0, out=pre)
-                drop_mask = self._rng.random(train.shape) < keep
-                train *= drop_mask
-                if inv_keep is not None:
-                    # keep is a power of two: multiplying by 1/keep is
-                    # bitwise identical to the division, and faster.
-                    train *= inv_keep
-                else:
-                    train /= keep
-                # Store the combined relu&drop mask: backward then masks
-                # in a single 0/1 pass (exact — 0/1 masking commutes).
-                drop_mask &= relu_mask
+            np.maximum(pre, 0.0, out=pre)
             if train_rows is not None:
-                # Without dropout, backward derives the ReLU mask from the
-                # rectified activation (act > 0 exactly where pre > 0).
+                train = pre[:train_rows]
+                self._dropout.drop(train)
                 self._trunk_inputs.append(x[:train_rows])
-                self._trunk_acts.append(pre[:train_rows])
-                self._trunk_drop_masks.append(drop_mask)
+                self._trunk_acts.append(train)
             x = pre
         return x
 
@@ -309,50 +302,68 @@ class BDQNetwork:
         reused in place). The input gradient of the first layer is never
         needed and is not computed.
         """
-        keep = 1.0 - self.dropout
-        inv_keep = exact_inverse(keep) if self.dropout > 0.0 else None
         for index in range(len(self._trunk_denses) - 1, -1, -1):
             dense = self._trunk_denses[index]
-            drop_mask = self._trunk_drop_masks[index]
-            if drop_mask is not None:
-                # Combined relu&drop mask from the forward pass: one pass.
-                grad *= drop_mask
-                if inv_keep is not None:
-                    grad *= inv_keep
-                else:
-                    grad /= keep
-            else:
-                grad *= self._trunk_acts[index] > 0
+            self._dropout.backward(grad, self._trunk_acts[index])
             np.matmul(self._trunk_inputs[index].T, grad, out=dense.weight.grad)
             np.sum(grad, axis=0, out=dense.bias.grad)
             if index:
                 grad = grad @ dense.weight.value.T
 
-    def _q_values(self, heads: np.ndarray) -> np.ndarray:
-        """Dueling aggregation of the bank's ``(batch, K + B, out_max)``
-        outputs into ``(batch, B, out_max)`` branch Q-values, padded
-        columns left finite and meaningless."""
-        K = self.num_agents
-        value = heads[:, :K, 0]                     # (batch, K)
-        adv = heads[:, K:, :]                       # (batch, B, out_max)
-        # Padded adv columns are exactly zero (zero weights/bias), so the
-        # full-width sum equals the per-branch sum over valid actions.
-        adv_mean = adv.sum(axis=2) / self.branch_sizes_flat
-        q = value[:, self.branch_agent_index][:, :, None] + adv
-        q -= adv_mean[:, :, None]
+    def _offsets(self, batch: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(batch, B)`` offsets ``(value, advantage, gradient)`` of
+        each row's branch entries, built once per batch size.
+
+        The bank's outputs lie head-major in memory, ``(K + B, batch,
+        out_max)`` (the batch-major arrays it returns are transposed
+        views): row ``i`` of branch ``b`` finds its agent's value at
+        ``value[i, b]`` and its advantage for action ``a`` at
+        ``advantage[i, b] + a``. The backward's head-gradient buffer is
+        batch-major, ``(batch, K + B, out_max)``: that advantage's
+        gradient goes to ``gradient[i, b] + a``.
+        """
+        offsets = self._offsets_by_batch.get(batch)
+        if offsets is None:
+            K, width = self.num_agents, self.out_max
+            rows = np.arange(batch)[:, None]
+            heads = K + np.arange(self.total_branches)[None, :]
+            offsets = self._offsets_by_batch[batch] = (
+                (self.branch_agent_index[None, :] * batch + rows) * width,
+                (heads * batch + rows) * width,
+                (rows * (K + self.total_branches) + heads) * width,
+            )
+        return offsets
+
+    def _q_at(self, heads: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Dueling Q-values at one action per branch, ``(batch, B)``, from
+        the bank's ``(batch, K + B, out_max)`` outputs.
+
+        ``V + A[a]``, then ``- mean(A)``, on the gathered entries only:
+        the same two roundings per entry as aggregating the whole padded
+        tensor and gathering from it. Padded adv columns are exactly zero
+        (zero weights/bias), so the full-width sum equals the per-branch
+        sum over valid actions.
+        """
+        value, advantage, _ = self._offsets(heads.shape[0])
+        flat = heads.transpose(1, 0, 2).reshape(-1)
+        q = flat[value]
+        q += flat[advantage + actions]
+        q -= heads[:, self.num_agents:, :].sum(axis=2) / self._branch_widths
         return q
 
-    def forward_stacked(self, states: np.ndarray) -> np.ndarray:
-        """Eval-mode Q-values for every branch as one padded tensor.
+    def forward_stacked(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Eval-mode Q-values of ``states`` at ``actions``, one per branch.
 
-        Returns batch-major ``(batch, total_branches, out_max)``; branch
-        ``b``'s valid entries are ``[..., b, :branch_sizes_flat[b]]``. The
-        padded entries hold meaningless finite values, so callers gather
-        the result at valid action indices only (the train step's target
-        network does). Records nothing for :meth:`backward_stacked`.
+        ``actions`` is ``(batch, total_branches)`` int, flat agent-major
+        like :meth:`greedy_actions_batch` returns; the result has that
+        shape too. Only the shape is checked: an action outside its
+        branch reads a padded or another head's column. Records nothing
+        for :meth:`backward_stacked`.
         """
-        shared = self._trunk_forward(self._checked(states))
-        return self._q_values(self.head_bank.forward(shared))
+        states = self._checked(states)
+        actions = self._checked_actions(actions, states.shape[0])
+        shared = self._trunk_forward(states)
+        return self._q_at(self.head_bank.forward(shared), actions)
 
     def advantages_stacked(self, states: np.ndarray) -> np.ndarray:
         """Eval-mode raw advantage outputs: ``(batch, total_branches, out_max)``.
@@ -371,73 +382,80 @@ class BDQNetwork:
         return adv
 
     def forward_train(
-        self, states: np.ndarray, next_states: np.ndarray
+        self, states: np.ndarray, next_states: np.ndarray, actions: np.ndarray
     ) -> tuple:
         """The train step's two online-network forwards as one merged pass.
 
         Returns ``(predictions, next_advantages)``: training-mode Q-values
-        of ``states`` as :meth:`forward_stacked` lays them out (padding
-        unmasked), and what :meth:`advantages_stacked` returns for
+        of ``states`` at ``actions``, laid out as :meth:`forward_stacked`
+        returns them, and what :meth:`advantages_stacked` returns for
         ``next_states``. Both batches are concatenated row-wise so every
         trunk/bank layer runs one GEMM over the union instead of two
         half-sized ones (BLAS throughput grows with row count at these
         shapes, and per-layer dispatch overhead halves). Rows are
         independent through every layer, dropout is drawn for (and
         applied to) the training rows only, and the activations recorded
-        for :meth:`backward_stacked` cover the training rows only.
+        for :meth:`backward_stacked` cover the training rows only, as do
+        the actions it differentiates at.
         """
         states = self._checked(states)
         next_states = self._checked(next_states)
         batch = states.shape[0]
+        actions = self._checked_actions(actions, batch)
         combined = np.concatenate((states, next_states), axis=0)
         shared = self._trunk_forward(combined, train_rows=batch)
-        self._last_batch = batch
         heads, next_adv = self.head_bank.forward_train(shared, batch, self.num_agents)
         if self._pad_rows.size:
             next_adv[:, self._pad_rows, self._pad_cols] = -np.inf
-        return self._q_values(heads), next_adv
+        predictions = self._q_at(heads, actions)
+        self._grad_at = self._offsets(batch)[2] + actions
+        return predictions, next_adv
 
-    def backward_stacked(self, q_grad_stack: np.ndarray) -> None:
-        """Backpropagate a padded ``(batch, total_branches, out_max)`` gradient.
+    def backward_stacked(self, q_grad: np.ndarray) -> None:
+        """Backpropagate the ``(batch, total_branches)`` gradient of the
+        loss with respect to the last :meth:`forward_train`'s predictions.
 
-        Padded columns must be zero. Differentiates the training rows of
-        the last :meth:`forward_train`. Applies the paper's rescalings
+        Every other action's Q-value has zero gradient. Differentiates the
+        training rows of that forward. Applies the paper's rescalings
         (``1/K`` into each advantage branch, ``1/total_branches`` into the
         trunk) and *assigns* every parameter gradient, through the fused
         bank and the trunk: one backward per optimizer step writes each
         gradient exactly once, so no ``zero_grad`` is needed. Also sets
         :attr:`last_grad_sq_sum`.
         """
-        if self._last_batch is None:
+        grad_at = self._grad_at
+        if grad_at is None:
             raise ShapeError("backward called before forward")
-        q_grad_stack = np.asarray(q_grad_stack, dtype=np.float64)
-        expected = (self._last_batch, self.total_branches, self.out_max)
-        if q_grad_stack.shape != expected:
-            raise ShapeError(
-                f"q_grad_stack shape {q_grad_stack.shape} != {expected}"
-            )
+        q_grad = np.asarray(q_grad, dtype=np.float64)
+        if q_grad.shape != grad_at.shape:
+            raise ShapeError(f"q_grad shape {q_grad.shape} != {grad_at.shape}")
         K = self.num_agents
+        batch = grad_at.shape[0]
+        # A branch's gradient sum over its actions is the taken action's
+        # entry plus zeros: adding 0.0 gives that sum's +0.0 for a -0.0.
+        grad_sums = q_grad + 0.0
         # dQ/dV is 1 for every action output of a branch: each agent's value
         # head receives the sum over its branches' per-row gradient sums.
-        grad_sums = q_grad_stack.sum(axis=2)                       # (batch, B)
         value_grads = np.add.reduceat(grad_sums, self.agent_branch_starts, axis=1)
         # Reused head-gradient buffer. The value-head columns beyond 0 are
         # zeroed at allocation and never written afterwards (the bank's
         # ragged masking only ever multiplies them by 0 or 1).
         buf = self._head_grads_buf
-        if buf is None or buf.shape[0] != self._last_batch:
+        if buf is None or buf.shape[0] != batch:
             buf = self._head_grads_buf = np.zeros(
-                (self._last_batch, K + self.total_branches, self.out_max)
+                (batch, K + self.total_branches, self.out_max)
             )
         buf[:, :K, 0] = value_grads
-        # dQ/dA through the dueling mean-subtraction, then the paper's 1/K.
-        adv_grads = buf[:, K:]
-        np.subtract(
-            q_grad_stack,
-            (grad_sums / self.branch_sizes_flat)[:, :, None],
-            out=adv_grads,
-        )
-        adv_grads /= K
+        # dQ/dA through the dueling mean-subtraction, then the paper's 1/K:
+        # (0 - share) / K for every action, (grad - share) / K for the one
+        # taken.
+        share = grad_sums / self._branch_widths
+        rest = np.subtract(0.0, share)
+        rest /= K
+        buf[:, K:] = rest[:, :, None]
+        taken = q_grad - share
+        taken /= K
+        buf.reshape(-1)[grad_at] = taken
         trunk_grad = self.head_bank.backward(buf)
         # Paper: rescale the combined shared-representation gradient by one
         # over the number of action dimensions. trunk_grad is owned here

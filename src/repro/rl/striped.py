@@ -178,7 +178,8 @@ class StripedPrioritizedReplayBuffer:
         only ever scaled down. Empty slots hold zero priority, so
         ``find_batch`` never returns one.
         """
-        if len(self) == 0:
+        stored = len(self)
+        if stored == 0:
             raise ConfigurationError("cannot sample from an empty replay buffer")
         if not 0.0 <= beta <= 1.0:
             raise ConfigurationError(f"beta must be in [0, 1], got {beta}")
@@ -189,7 +190,7 @@ class StripedPrioritizedReplayBuffer:
         masses = (np.arange(batch_size) + self._rng.random(batch_size)) * segment
         indices = self._tree.find_batch(masses)
         probabilities = self._tree.priorities(indices) / total
-        weights = (len(self) * probabilities) ** (-beta)
+        weights = (stored * probabilities) ** (-beta)
         weights /= weights.max()
         assert self._storage is not None
         batch = {key: store[indices] for key, store in self._storage.items()}

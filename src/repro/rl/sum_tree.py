@@ -21,6 +21,11 @@ import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
 
+# 0-d operands for the batched walks: numpy converts a Python scalar
+# operand on every call, which costs more than the op on a minibatch.
+_ZERO = np.zeros(())
+_ONE = np.ones((), dtype=np.int64)
+
 
 class SumTree:
     """A complete binary tree over ``capacity`` leaf priorities."""
@@ -147,7 +152,8 @@ class SumTree:
             raise ConfigurationError(
                 f"got {leaves.size} leaves but {priorities.size} priorities"
             )
-        if priorities.size and (not np.all(np.isfinite(priorities)) or priorities.min() < 0):
+        # min() and max() propagate NaN, which fails both compares.
+        if priorities.size and not (priorities.min() >= 0 and priorities.max() < np.inf):
             raise ConfigurationError(
                 "priorities must be finite and >= 0, got "
                 f"{priorities[~(np.isfinite(priorities) & (priorities >= 0))]}"
@@ -165,8 +171,10 @@ class SumTree:
         leaves, priorities = self._check_batch(leaves, priorities)
         if priorities.size == 0:
             return
+        tree = self._tree
+        right = tree[1:]  # right[n] is tree[n + 1], the right sibling of left child n
         nodes = self._leaf_count + leaves
-        self._tree[nodes] = priorities
+        tree[nodes] = priorities
         # No dedup needed while climbing: duplicate parents all recompute
         # the same sum from the same (already-final) children, so repeated
         # fancy-index writes are idempotent — and skipping the per-level
@@ -175,9 +183,11 @@ class SumTree:
         # the root.
         parents = nodes >> 1
         for _ in range(self._depth):
-            children = parents << 1
-            self._tree[parents] = self._tree[children] + self._tree[children + 1]
-            parents = parents >> 1
+            children = parents + parents
+            sums = tree[children]
+            sums += right[children]
+            tree[parents] = sums
+            np.right_shift(parents, _ONE, out=parents)
 
     def update_distinct(self, leaves: np.ndarray, priorities: np.ndarray) -> None:
         """Set the priorities of distinct leaves, bitwise like scalar updates.
@@ -219,16 +229,31 @@ class SumTree:
         """
         if self.total <= 0:
             raise ConfigurationError("cannot sample from an all-zero sum tree")
-        masses = np.clip(np.asarray(masses, dtype=np.float64).reshape(-1), 0.0, self.total)
-        nodes = np.ones(masses.shape, dtype=np.int64)
+        # Clamped into [0, total] (np.clip's result, for far less call
+        # overhead); a NaN mass stays NaN.
+        masses = np.maximum(np.asarray(masses, dtype=np.float64).reshape(-1), _ZERO)
+        np.minimum(masses, self.total, out=masses)
+        tree = self._tree
+        right = tree[1:]  # right[n] is tree[n + 1], the right sibling of left child n
+        count = masses.size
+        nodes = np.ones(count, dtype=np.int64)
+        go_left = np.empty(count, dtype=bool)
+        scratch = np.empty(count, dtype=bool)
         for _ in range(self._depth):
-            left = nodes << 1
-            left_sum = self._tree[left]
-            right_sum = self._tree[left + 1]
+            nodes += nodes  # the left child
+            left_sum = tree[nodes]
+            right_sum = right[nodes]
             # Mirror the scalar descent: an empty left subtree forces right,
             # an empty right subtree (zero-padded tail) forces left, else
             # split on the left subtree's mass.
-            go_left = (left_sum > 0.0) & ((right_sum <= 0.0) | (masses <= left_sum))
-            masses = np.where(go_left | (left_sum <= 0.0), masses, masses - left_sum)
-            nodes = np.where(go_left, left, left + 1)
+            np.less_equal(masses, left_sum, out=go_left)
+            np.less_equal(right_sum, _ZERO, out=scratch)
+            go_left |= scratch
+            np.greater(left_sum, _ZERO, out=scratch)
+            go_left &= scratch
+            # Right past a non-empty left subtree: its mass is passed.
+            scratch ^= go_left
+            np.subtract(masses, left_sum, out=masses, where=scratch)
+            np.logical_not(go_left, out=go_left)
+            nodes += go_left  # the right child where not going left
         return nodes - self._leaf_count

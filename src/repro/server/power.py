@@ -70,7 +70,7 @@ class PowerModel:
         """
         if online_cores is None:
             online_cores = self.spec.cores_per_socket
-        membw_utilization = float(np.clip(membw_utilization, 0.0, 1.0))
+        membw_utilization = float(min(max(membw_utilization, 0.0), 1.0))
         dynamic = sum(self.core_dynamic_w(freq, util) for freq, util in core_activity)
         # Idle cores still clock-gate but leak; their frequency matters less,
         # so static power is per-online-core and frequency independent.

@@ -132,7 +132,7 @@ class LCService:
             throughput = capacity
             new_backlog = self.backlog + (arrival_rate - capacity) * interval_s
             new_backlog = float(
-                np.clip(new_backlog, 0.0, self.MAX_BACKLOG_SECONDS * capacity)
+                min(max(new_backlog, 0.0), self.MAX_BACKLOG_SECONDS * capacity)
             )
             # Every queued request waits roughly backlog/capacity seconds; a
             # system saturated with little backlog still has (at least) the
@@ -150,7 +150,7 @@ class LCService:
         self.backlog = new_backlog
 
         busy = min(demand, capacity) * service_ms / 1000.0 * interval_s  # core-seconds
-        utilization = float(np.clip(busy / (cores * interval_s), 0.0, 1.0))
+        utilization = float(min(max(busy / (cores * interval_s), 0.0), 1.0))
         instructions = throughput * interval_s * profile.instr_per_req_m * 1e6
         membw = throughput * profile.membw_per_req_mb / 1024.0
 

@@ -572,7 +572,7 @@ class ColocationEnvironment:
             online += 1
             if allocated:
                 activity.append(
-                    (core_freq[core_id], float(np.clip(core_util[core_id], 0.0, 1.0)))
+                    (core_freq[core_id], min(max(core_util[core_id], 0.0), 1.0))
                 )
             else:
                 activity.append((self.spec.dvfs[core.freq_index], 0.0))

@@ -638,6 +638,19 @@ class TestObserveBatch:
         assert (agent.step_count, len(agent.striped)) == (0, 0)
         assert agent.striped._storage is None
 
+    @pytest.mark.parametrize("column,value", [(0, 3), (1, 2), (3, -1)])
+    def test_actions_outside_their_branch_are_refused(self, column, value):
+        """A train step reads stored actions by flat offset: an action at
+        or past its branch size, or below zero, is refused unstored."""
+        agent = self._agent()
+        rows = list(self._rows(2))
+        rows[2] = rows[2].copy()
+        rows[2][1, column] = value
+        with pytest.raises(ShapeError, match="out of range"):
+            agent.observe_batch(*rows)
+        assert (agent.step_count, len(agent.striped)) == (0, 0)
+        assert agent.striped._storage is None
+
 
 class TestStripedReplay:
     def _transition(self, rng):

@@ -75,8 +75,11 @@ def test_observe_rejects_wrong_reward_count(rng):
         ("next_state", np.ones(3)),
         ("next_state", np.ones((4, 1))),
         ("actions", []),
+        ("actions", [[4, 0]]),
+        ("actions", [[0, -1]]),
     ],
-    ids=["state-wide", "state-2d", "next-narrow", "next-2d", "no-actions"],
+    ids=["state-wide", "state-2d", "next-narrow", "next-2d", "no-actions",
+         "cores-past-branch", "negative-dvfs"],
 )
 def test_observe_refuses_a_wrong_width_before_storing(rng, field, bad):
     """The first stored row fixes the replay widths, so a wrong-width

@@ -18,17 +18,19 @@ def _branches(net, stack):
     return q
 
 
-def _stack(net, q_grads):
-    """``q_grads[k][d]`` as the padded stack ``backward_stacked`` takes."""
-    flat = [g for agent in q_grads for g in agent]
-    stack = np.zeros((len(flat[0]), net.total_branches, net.out_max))
-    for b, grad in enumerate(flat):
-        stack[:, b, :grad.shape[1]] = grad
-    return stack
+def _full_q(net, x):
+    """Eval Q-values of every action column as a padded ``(batch, B,
+    out_max)`` stack: one ``forward_stacked`` per column, so a narrow
+    branch's padded columns hold meaningless values."""
+    columns = [
+        net.forward_stacked(x, np.full((len(x), net.total_branches), a))
+        for a in range(net.out_max)
+    ]
+    return np.stack(columns, axis=2)
 
 
 def _q(net, x):
-    return _branches(net, net.forward_stacked(x))
+    return _branches(net, _full_q(net, x))
 
 
 def _net(rng, agents=2, dropout=0.0):
@@ -44,8 +46,11 @@ def _net(rng, agents=2, dropout=0.0):
 
 def test_forward_structure(rng):
     net = _net(rng)
-    stack = net.forward_stacked(rng.normal(size=(7, 6)))
-    assert stack.shape == (7, 4, 5)  # two agents x (cores, dvfs), widest 5
+    x = rng.normal(size=(7, 6))
+    # One Q-value per branch at the given actions: two agents x (cores, dvfs).
+    assert net.forward_stacked(x, np.zeros((7, 4), dtype=np.int64)).shape == (7, 4)
+    stack = _full_q(net, x)
+    assert stack.shape == (7, 4, 5)  # widest branch 5
     q = _branches(net, stack)
     assert len(q) == 2
     assert q[0][0].shape == (7, 5)
@@ -75,22 +80,39 @@ def test_invalid_configs(rng):
 
 def test_forward_rejects_wrong_state_dim(rng):
     net = _net(rng)
+    actions = np.zeros((2, 4), dtype=np.int64)
     with pytest.raises(ShapeError):
-        net.forward_stacked(np.ones((2, 5)))
+        net.forward_stacked(np.ones((2, 5)), actions)
     with pytest.raises(ShapeError):
-        net.forward_train(np.ones((2, 6)), np.ones((2, 5)))
+        net.forward_train(np.ones((2, 6)), np.ones((2, 5)), actions)
+
+
+def test_forward_rejects_wrong_action_shape(rng):
+    """One action per branch per row, checked before anything is drawn."""
+    net = _net(rng, dropout=0.5)
+    x = np.ones((2, 6))
+    state = rng.bit_generator.state
+    for actions in (np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(8)):
+        with pytest.raises(ShapeError):
+            net.forward_stacked(x, actions)
+        with pytest.raises(ShapeError):
+            net.forward_train(x, x, actions)
+    assert rng.bit_generator.state == state
 
 
 def test_backward_before_forward_raises(rng):
     """The backward differentiates a training forward; an eval forward
     records nothing for it."""
     net = _net(rng)
-    grad = np.ones((1, net.total_branches, net.out_max))
+    grad = np.ones((1, net.total_branches))
     with pytest.raises(ShapeError):
         net.backward_stacked(grad)
-    net.forward_stacked(np.ones((1, 6)))
+    net.forward_stacked(np.ones((1, 6)), np.zeros((1, 4), dtype=np.int64))
     with pytest.raises(ShapeError):
         net.backward_stacked(grad)
+    net.forward_train(np.ones((1, 6)), np.ones((1, 6)), np.zeros((1, 4), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        net.backward_stacked(np.ones((2, net.total_branches)))
 
 
 def test_gradient_check_full_network(rng):
@@ -103,22 +125,15 @@ def test_gradient_check_full_network(rng):
     """
     net = _net(rng, agents=2, dropout=0.0)
     x = rng.normal(size=(3, 6))
-    targets = [
-        [rng.normal(size=(3, 5)), rng.normal(size=(3, 3))],
-        [rng.normal(size=(3, 5)), rng.normal(size=(3, 3))],
-    ]
+    # One taken action per branch and row (branch sizes 5, 3, 5, 3).
+    actions = np.array([[4, 2, 0, 1], [0, 0, 3, 2], [2, 1, 4, 0]])
+    targets = rng.normal(size=(3, 4))
 
     def loss():
-        q = _q(net, x)
-        return 0.5 * sum(
-            float(np.sum((q[k][d] - targets[k][d]) ** 2))
-            for k in range(2)
-            for d in range(2)
-        )
+        return 0.5 * float(np.sum((net.forward_stacked(x, actions) - targets) ** 2))
 
-    q = _branches(net, net.forward_train(x, x)[0])
-    grads = [[q[k][d] - targets[k][d] for d in range(2)] for k in range(2)]
-    net.backward_stacked(_stack(net, grads))
+    q, _ = net.forward_train(x, x, actions)
+    net.backward_stacked(q - targets)
 
     # Advantage-branch parameters: scaled by 1/K = 1/2.
     adv_param = net.adv_heads[0][0].parameters()[0]
@@ -136,14 +151,12 @@ def test_gradient_check_full_network(rng):
 def test_trunk_gradient_scaling(rng):
     """Trunk gradients shrink by 1/total_branches (advantage part also 1/K)."""
     x = np.random.default_rng(0).normal(size=(2, 6))
-    grads_template = None
     trunk_grads = {}
     for agents in (1, 2):
         gen = np.random.default_rng(7)
         net = _net(gen, agents=agents)
-        q = _branches(net, net.forward_train(x, x)[0])
-        grads = [[np.ones_like(q[k][d]) for d in range(2)] for k in range(agents)]
-        net.backward_stacked(_stack(net, grads))
+        q, _ = net.forward_train(x, x, np.zeros((2, net.total_branches), dtype=np.int64))
+        net.backward_stacked(np.ones_like(q))
         trunk_grads[agents] = np.linalg.norm(net.trunk.parameters()[0].grad)
     # More agents -> more branches -> per-branch trunk contribution shrinks;
     # both nets share identical trunk init (same seed), so the 2-agent trunk

@@ -17,7 +17,7 @@ from repro.nn.layers import Dense
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq import BDQNetwork
 from tests.oracles.bdq_reference import ReferenceBDQAgent, ReferenceBDQNetwork
-from tests.test_rl_bdq import _q, _stack
+from tests.test_rl_bdq import _q
 
 # Ragged branch widths on purpose: padding correctness only shows when
 # branches disagree within and across agents.
@@ -70,18 +70,28 @@ def test_eval_q_values_match(branch_sizes, rng):
 def test_backward_gradients_match_with_zero_dropout(branch_sizes, rng):
     fused, ref = _pair(branch_sizes, dropout=0.0)
     states = rng.normal(size=(6, STATE_DIM))
-    grads = [
-        [rng.normal(size=(6, n)) for n in agent] for agent in branch_sizes
-    ]
+    sizes = [n for agent in branch_sizes for n in agent]
+    actions = rng.integers(0, sizes, size=(6, len(sizes)))
+    grads = rng.normal(size=(6, len(sizes)))
     # The fused backward assigns its gradients: stale ones are overwritten.
     for p in fused.parameters():
         p.grad[...] = 7.0
-    fused.forward_train(states, states)
-    fused.backward_stacked(_stack(fused, grads))
+    fused.forward_train(states, states, actions)
+    fused.backward_stacked(grads)
     ref.forward(states, training=True)
     for p in ref.parameters():
         p.zero_grad()
-    ref.backward([[g.copy() for g in agent] for agent in grads])
+    # The reference takes every action's gradient: the taken one's, and
+    # zero for the others.
+    ref_grads, b = [], 0
+    for agent in branch_sizes:
+        ref_grads.append([])
+        for n in agent:
+            grad = np.zeros((6, n))
+            grad[np.arange(6), actions[:, b]] = grads[:, b]
+            ref_grads[-1].append(grad)
+            b += 1
+    ref.backward(ref_grads)
     for f, r in zip(fused.parameters(), ref.parameters()):
         assert np.max(np.abs(f.grad - r.grad)) <= TOL, f.name
 
@@ -128,11 +138,22 @@ def test_dueling_aggregation_with_training_dropout(rng):
     Fused and reference draw different dropout masks (one stacked draw vs
     one draw per head), so values are not comparable across
     implementations; the invariant mean_a Q = V must still hold within the
-    fused one.
+    fused one. The training forward returns one action's Q per branch, so
+    each column comes from its own forward with the same dropout draw.
     """
-    net, _ = _pair([[18, 9], [12, 9]], dropout=0.5)
+    generator = np.random.default_rng(5)
+    net = BDQNetwork(
+        STATE_DIM, [[18, 9], [12, 9]], generator,
+        shared_hidden=(24, 12), branch_hidden=8, dropout=0.5,
+    )
     states = rng.normal(size=(5, STATE_DIM))
-    q, _ = net.forward_train(states, states)
+    start = generator.bit_generator.state
+    columns = []
+    for a in range(net.out_max):
+        generator.bit_generator.state = start
+        actions = np.full((5, net.total_branches), a)
+        columns.append(net.forward_train(states, states, actions)[0])
+    q = np.stack(columns, axis=2)
     for b, n in enumerate(net.branch_sizes_flat):
         k = net.branch_agent_index[b]
         # V is recoverable as the valid-entry mean of Q for the branch.
@@ -237,9 +258,10 @@ def test_hot_path_never_calls_per_head_dense(monkeypatch, rng):
     net = fused_agent.online
     states = rng.normal(size=(8, STATE_DIM))
 
-    q, _ = net.forward_train(states, states)
+    actions = np.zeros((8, net.total_branches), dtype=np.int64)
+    q, _ = net.forward_train(states, states, actions)
     net.backward_stacked(np.zeros_like(q))
-    net.forward_stacked(states)
+    net.forward_stacked(states, actions)
     net.greedy_actions_batch(states)
     assert calls == {"forward": 0, "backward": 0}
 
@@ -271,7 +293,9 @@ def test_head_bank_is_engaged(monkeypatch, rng):
 
     monkeypatch.setattr(HeadBank, "forward", counting)
     net, _ = _pair([[18, 9], [12, 9]])
-    net.forward_stacked(rng.normal(size=(4, STATE_DIM)))
+    net.forward_stacked(
+        rng.normal(size=(4, STATE_DIM)), np.zeros((4, net.total_branches), dtype=np.int64)
+    )
     assert bank_calls["n"] == 1
     net.greedy_actions_batch(rng.normal(size=(4, STATE_DIM)))
     assert bank_calls["n"] == 2

@@ -41,10 +41,15 @@ behaviour bit for bit.
   that cluster after a traced 20-tick learning run with faults on node 2
   (violation streaks and a ``faults`` subtree present), of a fresh
   4-environment ``VectorEnvironment.from_services`` fleet and of that
-  fleet after 20 ticks. Each is hashed byte for byte as ``save_state``
-  flattens it (every array leaf's path, dtype, shape and bytes in walk
-  order, then the scalar leaves' JSON), so leaf order, dict key order
-  and exact floats are pinned.
+  fleet after 20 ticks; and the manager ``state_dict`` tree of the
+  ``twig`` and ``twig-sync-wrap`` learning fleets after their 20 ticks
+  (online and target weights in ``parameters()`` order and names, the
+  Adam step and per-parameter moments, the striped replay and its sum
+  tree, the monitor bank and the fleet arrays; ``twig-sync-wrap``
+  syncs its target every 5 steps). Each is hashed byte for byte as
+  ``save_state`` flattens it (every array leaf's path, dtype, shape and
+  bytes in walk order, then the scalar leaves' JSON), so leaf order,
+  dict key order and exact floats are pinned.
 
 - Registered experiments at quick scale, each with the config
   ``repro.experiments.registry.config_for(id, "quick")`` that
@@ -199,9 +204,11 @@ EXPERIMENT_CONFIGS: Dict[str, Dict[str, Any]] = {
 _VECTOR = {"kind": "vector", "services": ["masstree", "xapian"], "loads": [0.4, 0.5],
            "nodes": 4, "seed": 7}
 
-#: Engine ``state_dict`` trees, with their test ids: a fresh cluster, the
-#: ``fleet-events`` cluster after its traced run, a fresh non-cluster
-#: fleet and that fleet after 20 learning ticks.
+#: ``state_dict`` trees, with their test ids: of the engine (a fresh
+#: cluster, the ``fleet-events`` cluster after its traced run, a fresh
+#: non-cluster fleet and that fleet after 20 learning ticks) and, where
+#: ``tree`` says so, of the manager (the ``twig`` and ``twig-sync-wrap``
+#: learning fleets after their runs).
 STATE_CONFIGS: Dict[str, Dict[str, Any]] = {
     "state-cluster-fresh": {"loop": "state", "kind": "cluster", "manager": "twig",
                             **_FLEET, "ticks": 0},
@@ -209,6 +216,10 @@ STATE_CONFIGS: Dict[str, Dict[str, Any]] = {
                              **FLEET_CONFIGS["fleet-events"]},
     "state-vector-fresh": {"loop": "state", **_VECTOR, "ticks": 0},
     "state-vector": {"loop": "state", **_VECTOR, "ticks": 20},
+    "state-manager-twig": {"loop": "state", "kind": "cluster", "tree": "manager",
+                           **FLEET_CONFIGS["twig"]},
+    "state-manager-sync-wrap": {"loop": "state", "kind": "cluster", "tree": "manager",
+                                **FLEET_CONFIGS["twig-sync-wrap"]},
 }
 
 #: Registered experiments at quick scale, with their test ids; Figures
@@ -297,13 +308,18 @@ def _engine(config: Dict[str, Any]):
     return venv, _fleet_twig(config)
 
 
+def _stateful(config: Dict[str, Any], venv, manager):
+    """The engine, or the manager where the config's ``tree`` names it."""
+    return manager if config.get("tree") == "manager" else venv
+
+
 def run_state(config: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``state_dict`` of a golden engine config after its ticks."""
+    """The ``state_dict`` of a golden state config after its ticks."""
     venv, manager = _engine(config)
     if config["ticks"]:
         obs = ObsContext(sink=MemorySink(validate=True)) if config.get("events") else None
         run_fleet(manager, venv, config["ticks"], obs=obs)
-    return venv.state_dict()
+    return _stateful(config, venv, manager).state_dict()
 
 
 def state_sha256(tree: Dict[str, Any]) -> str:
@@ -543,9 +559,10 @@ def test_run_trace_hash_unchanged(config):
 
 @pytest.mark.parametrize("config", list(STATE_CONFIGS.values()), ids=list(STATE_CONFIGS))
 def test_state_tree_loads_back_byte_for_byte(config):
-    """A fresh engine that loads a golden state writes it back unchanged."""
+    """A fresh engine or manager that loads a golden state writes it back
+    unchanged."""
     tree = run_state(config)
-    fresh, _ = _engine(config)
+    fresh = _stateful(config, *_engine(config))
     fresh.load_state_dict(tree)
     assert state_sha256(fresh.state_dict()) == state_sha256(tree)
 

@@ -69,14 +69,28 @@ class SumTree:
         return self._tree[self._leaf_count + self._check_leaves(leaves)]
 
     def update(self, leaf: int, priority: float) -> None:
-        """Set the priority of a leaf and propagate sums to the root."""
+        """Set the priority of a leaf and propagate sums to the root.
+
+        A positive priority adds its delta to every ancestor. A zero one
+        recomputes each ancestor from its children instead: a delta can
+        leave a rounding residue behind, and a subtree whose leaves are
+        all zero must sum to exactly 0.0, or a descent would walk into it.
+        """
         self._check_leaf(leaf)
         if priority < 0 or not np.isfinite(priority):
             raise ConfigurationError(f"priority must be finite and >= 0, got {priority}")
+        tree = self._tree
         node = self._leaf_count + leaf
-        delta = priority - self._tree[node]
+        if priority == 0.0:
+            tree[node] = 0.0
+            node //= 2
+            while node >= 1:
+                tree[node] = tree[2 * node] + tree[2 * node + 1]
+                node //= 2
+            return
+        delta = priority - tree[node]
         while node >= 1:
-            self._tree[node] += delta
+            tree[node] += delta
             node //= 2
 
     def find(self, mass: float) -> int:
@@ -203,7 +217,9 @@ class SumTree:
 
         Leaves must be distinct (a repeated leaf's second delta would be
         taken against its stale value); everything is validated before
-        the tree is touched.
+        the tree is touched. A batch with a zero priority in it runs the
+        :meth:`update` loop itself, since a zero write recomputes its
+        ancestors rather than adding a delta.
         """
         leaves, priorities = self._check_batch(leaves, priorities)
         if priorities.size == 0:
@@ -214,6 +230,10 @@ class SumTree:
                 f"leaves must be distinct, got repeats of "
                 f"{ordered[1:][ordered[1:] == ordered[:-1]]}"
             )
+        if not priorities.all():
+            for leaf, priority in zip(leaves.tolist(), priorities.tolist()):
+                self.update(leaf, priority)
+            return
         nodes = self._leaf_count + leaves
         deltas = priorities - self._tree[nodes]
         # depth + 1 levels: the leaves themselves, then every ancestor up

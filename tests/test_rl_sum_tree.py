@@ -201,3 +201,61 @@ def test_find_respects_cumulative_intervals(priorities, fraction):
     # cumulative interval.
     assert cumulative[leaf] <= mass + 1e-6
     assert mass <= cumulative[leaf + 1] + 1e-6
+
+
+# ---------------------------------------------------------------------- #
+# zero priorities leave no residue
+# ---------------------------------------------------------------------- #
+def test_zeroed_leaves_are_never_found():
+    """Zeroing leaves through ``update_distinct`` empties their ancestors
+    exactly: a delta update left 2.8e-17 above two zeroed leaves, and
+    both descents then returned leaf 1, of priority 0."""
+    tree = SumTree(2)
+    tree.update_distinct(np.array([0, 1]), np.array([0.1, 0.2]))
+    tree.update_distinct(np.array([0, 1]), np.array([0.0, 0.0]))
+    assert tree.total == 0.0
+    with pytest.raises(ConfigurationError):
+        tree.find(0.0)
+    with pytest.raises(ConfigurationError):
+        tree.find_batch(np.array([0.0]))
+    # Beside a live leaf, the descents walk past the zeroed pair.
+    tree = SumTree(4)
+    tree.update_distinct(np.array([0, 1, 2]), np.array([0.1, 0.2, 0.3]))
+    tree.update_distinct(np.array([0, 1]), np.array([0.0, 0.0]))
+    assert tree._tree[2] == 0.0
+    assert tree.find(0.0) == 2
+    assert tree.find_batch(np.array([0.0, tree.total])).tolist() == [2, 2]
+
+
+def test_zeroing_leaves_one_at_a_time_empties_the_root():
+    """``[1.0, 2**-53]`` zeroed leaf by leaf used to leave the root at
+    -1.1e-16."""
+    tree = SumTree(2)
+    tree.update_distinct(np.array([0, 1]), np.array([1.0, 2.0**-53]))
+    for leaf in (0, 1):
+        tree.update_distinct(np.array([leaf]), np.array([0.0]))
+    assert tree.total == 0.0
+    assert not np.signbit(tree.total)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_update_distinct_with_zeros_matches_scalar_updates(seed):
+    """Batches with zeros in them still match the ``update`` loop bit for
+    bit, and every node over only zero leaves reads exactly 0.0."""
+    rng = np.random.default_rng(seed)
+    capacity = int(rng.integers(1, 40))
+    scalar, batched = SumTree(capacity), SumTree(capacity)
+    for _ in range(12):
+        leaves = rng.permutation(capacity)[: rng.integers(1, capacity + 1)]
+        priorities = rng.random(leaves.size) * 10.0 ** rng.integers(-3, 4, size=leaves.size)
+        priorities[rng.random(leaves.size) < 0.4] = 0.0
+        _scalar_updates(scalar, leaves, priorities)
+        batched.update_distinct(leaves, priorities)
+        assert np.array_equal(batched._tree, scalar._tree)
+        tree = batched._tree
+        first = tree.size // 2
+        empty = tree[first:] == 0.0
+        while first > 1:
+            empty = empty[0::2] & empty[1::2]
+            first //= 2
+            assert np.all(tree[first:2 * first][empty] == 0.0)

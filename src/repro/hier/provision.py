@@ -83,23 +83,9 @@ def provision_fleet(
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path} agent has no online weights: {exc}") from exc
 
-    params = manager.agent.online.parameters()
-    expected = {f"{i:04d}" for i in range(len(params))}
-    if set(online_tree) != expected:
-        raise CheckpointError(
-            f"{path} agent has {len(online_tree)} weight arrays, this fleet's "
-            f"agent has {len(params)} — architectures do not match"
-        )
-    staged = []
-    for i, param in enumerate(params):
-        value = np.asarray(online_tree[f"{i:04d}"], dtype=np.float64)
-        if value.shape != param.value.shape:
-            raise CheckpointError(
-                f"{path} weight {i:04d} has shape {value.shape}, this fleet's "
-                f"agent expects {param.value.shape}"
-            )
-        staged.append(value)
-    for param, value in zip(params, staged):
+    network = manager.agent.online
+    staged = network.stage_weights(online_tree, f"{path} online")
+    for param, value in zip(network.parameters(), staged):
         param.value[...] = value
     # Section-IV transfer: keep the trunk, re-randomise output layers,
     # resync the target, rewind the exploration schedules.

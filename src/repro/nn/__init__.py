@@ -2,8 +2,11 @@
 
 The paper trains its branching dueling Q-network with TensorFlow; no deep
 learning framework is available offline, so this subpackage provides the
-small set of pieces the BDQ topology needs: dense layers, ReLU, dropout,
-MSE/Huber losses, SGD/Adam optimisers, and weight (de)serialisation.
+small set of pieces the models need: weight initialisers, the BDQ's fused
+:class:`HeadBank` (``repro.rl.bdq`` cuts its stacks out of one parameter
+arena), composable ``Dense``/``ReLU``/``Dropout`` layers and the
+:class:`MLP` built from them (the Figure-1 PMC predictor), MSE/Huber
+losses, SGD/Adam optimisers, and weight (de)serialisation.
 
 Example
 -------
@@ -22,8 +25,8 @@ Example
 ...     opt.zero_grad()
 """
 
-from repro.nn.batched import BatchedDense, HeadBank
-from repro.nn.initializers import glorot_uniform, he_uniform, init_stack, zeros
+from repro.nn.batched import HeadBank
+from repro.nn.initializers import glorot_uniform, he_uniform
 from repro.nn.layers import Dense, Dropout, Layer, Parameter, ReLU, Sequential
 from repro.nn.losses import huber_loss, mse_loss
 from repro.nn.network import MLP, load_weights, save_weights
@@ -31,7 +34,6 @@ from repro.nn.optim import SGD, Adam, Optimizer
 
 __all__ = [
     "Adam",
-    "BatchedDense",
     "Dense",
     "Dropout",
     "HeadBank",
@@ -45,9 +47,7 @@ __all__ = [
     "glorot_uniform",
     "he_uniform",
     "huber_loss",
-    "init_stack",
     "load_weights",
     "mse_loss",
     "save_weights",
-    "zeros",
 ]

@@ -1,15 +1,10 @@
 """Weight initialisers.
 
 All initialisers take an explicit :class:`numpy.random.Generator` so that
-every run of the library is reproducible from a single seed. The stacked
-helper :func:`init_stack` draws one matrix per head *in head order*, so a
-fused head bank initialised from the same generator state is bit-identical
-to the per-head layers it replaces.
+every run of the library is reproducible from a single seed.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,30 +31,3 @@ def he_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarra
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-
-def zeros(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """All-zeros initialisation (used for biases)."""
-    _check_fan(fan_in, fan_out)
-    return np.zeros((fan_in, fan_out))
-
-
-def init_stack(
-    init: Callable[[int, int, np.random.Generator], np.ndarray],
-    fan_in: int,
-    fan_outs: Sequence[int],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Stacked per-head initialisation: ``(H, fan_in, max(fan_outs))``.
-
-    Each head ``h`` is drawn with ``init(fan_in, fan_outs[h], rng)`` in
-    order — the same draws a loop over per-head layers would make — and
-    ragged heads are zero-padded to the widest output width.
-    """
-    fan_outs = [int(n) for n in fan_outs]
-    if not fan_outs:
-        raise ConfigurationError("init_stack needs at least one head")
-    out_max = max(fan_outs)
-    stack = np.zeros((len(fan_outs), fan_in, out_max))
-    for h, fan_out in enumerate(fan_outs):
-        stack[h, :, :fan_out] = init(fan_in, fan_out, rng)
-    return stack

@@ -92,11 +92,11 @@ def copy_parameters(src: Sequence[Parameter], dst: Sequence[Parameter]) -> None:
 def save_weights(parameters: Sequence[Parameter], path: Union[str, Path]) -> None:
     """Save a parameter list to an ``.npz`` file keyed by position and name.
 
-    Parameters may be views into fused stacked storage (see
-    :class:`repro.nn.batched.BatchedDense`): ``np.savez`` materialises each
-    view, so the on-disk format is identical to per-head layers and
-    checkpoints remain interchangeable between the fused and the loop
-    (reference) implementations.
+    Parameters may be views into a flat parameter arena (a
+    :class:`~repro.rl.bdq.BDQNetwork`'s per-head weights are column blocks
+    of its stacks): ``np.savez`` materialises each view, so the file holds
+    one array per parameter, the format the per-head reference network
+    writes too, and either loads the other's files.
     """
     arrays = {f"{i:04d}:{p.name}": p.value for i, p in enumerate(parameters)}
     # resolve_checkpoint_path applies np.savez's ".npz"-appending rule up
@@ -145,8 +145,8 @@ def numerical_gradient(
         indices = rng.choice(value.size, size=sample, replace=False)
     for index in indices:
         # Index through the original array, not a flattened alias: for
-        # non-contiguous parameters (per-head views into fused stacked
-        # storage) reshape(-1) would silently copy and the perturbation
+        # non-contiguous parameters (a BDQ head's column block of a
+        # stack) reshape(-1) would silently copy and the perturbation
         # would never reach the network.
         idx = np.unravel_index(index, value.shape)
         original = value[idx]

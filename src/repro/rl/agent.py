@@ -165,12 +165,8 @@ class BDQAgent:
             dropout=config.dropout,
         )
         self.target = self.online.clone(rng)
-        # Networks with fused head storage expose a coarser optimizer
-        # grouping (whole stacks instead of per-head views) — elementwise
-        # identical updates with far fewer Python-level parameter visits.
-        optim_params = getattr(self.online, "optim_parameters", self.online.parameters)()
         self.optimizer = Adam(
-            optim_params,
+            self.online.optim_parameters(),
             learning_rate=config.learning_rate,
             max_grad_norm=config.max_grad_norm,
         )
@@ -610,43 +606,43 @@ class BDQAgent:
     #: Checkpoint kind tag for full agent state (see :mod:`repro.ckpt`).
     CKPT_KIND: ClassVar[str] = "bdq_agent"
 
-    def _fused_optimizer(self) -> bool:
-        """True when the optimizer steps the network's single flat arena."""
-        flat = getattr(self.online, "_flat_param", None)
-        return (
-            flat is not None
-            and len(self.optimizer.parameters) == 1
-            and self.optimizer.parameters[0] is flat
-        )
-
     def _optimizer_state(self) -> Dict[str, Any]:
-        """Optimizer state in the canonical per-``parameters()`` layout.
+        """Optimizer state in the per-``parameters()`` layout.
 
-        The fused implementation keeps one (m, v) pair for the whole
-        parameter arena; it is exported here as one entry per parameter
-        (via :meth:`BDQNetwork.arena_views`) so checkpoints stay
-        interchangeable with the reference per-parameter implementation.
-        Padded stack entries carry provably-zero moments (their gradients
-        are always zero), so the translation is lossless both ways.
+        Adam keeps one (m, v) pair for the network's whole flat arena
+        (:meth:`BDQNetwork.optim_parameters`); each is exported as one
+        entry per parameter (:meth:`BDQNetwork.arena_views`), the layout
+        checkpoints store. Padded stack entries carry zero moments (their
+        gradients are always zero), so the translation is lossless both
+        ways. Before the first step there are no moments.
         """
         opt = self.optimizer
         state: Dict[str, Any] = {"step_count": opt._step_count}
-        first: Dict[str, np.ndarray] = {}
-        second: Dict[str, np.ndarray] = {}
-        if self._fused_optimizer():
-            flat_m = opt._first_moment.get(0)
-            flat_v = opt._second_moment.get(0)
-            if flat_m is not None and flat_v is not None:
-                views_m = self.online.arena_views(flat_m)
-                views_v = self.online.arena_views(flat_v)
-                first = {f"{i:04d}": view.copy() for i, view in enumerate(views_m)}
-                second = {f"{i:04d}": view.copy() for i, view in enumerate(views_v)}
-        else:
-            first = {f"{i:04d}": m.copy() for i, m in opt._first_moment.items()}
-            second = {f"{i:04d}": v.copy() for i, v in opt._second_moment.items()}
-        state["first_moment"] = first
-        state["second_moment"] = second
+        for name, moments in (
+            ("first_moment", opt._first_moment),
+            ("second_moment", opt._second_moment),
+        ):
+            flat = moments.get(0)
+            views = [] if flat is None else self.online.arena_views(flat)
+            state[name] = {f"{i:04d}": view.copy() for i, view in enumerate(views)}
         return state
+
+    def _load_moments(
+        self, first: Dict[int, np.ndarray], second: Dict[int, np.ndarray]
+    ) -> None:
+        """Commit staged per-parameter moments (keyed by ``parameters()``
+        index) into the optimizer's flat arena moments; a parameter
+        without an entry, or a padded stack entry, gets zero."""
+        opt = self.optimizer
+        opt._first_moment, opt._second_moment = {}, {}
+        if not first:
+            return
+        for moments, staged in ((opt._first_moment, first), (opt._second_moment, second)):
+            flat = np.zeros_like(opt.parameters[0].value)
+            views = self.online.arena_views(flat)
+            for index, value in staged.items():
+                views[index][...] = value
+            moments[0] = flat
 
     def state_dict(self) -> Dict[str, Any]:
         """The complete training state as a checkpointable tree.
@@ -743,25 +739,8 @@ class BDQAgent:
         replay = self._make_replay()
         replay.load_state_dict(striped_tree)
 
-        def stage_weights(name: str, stored: Dict[str, Any], model_params) -> List[np.ndarray]:
-            if len(stored) != len(model_params):
-                raise CheckpointError(
-                    f"checkpoint {name} has {len(stored)} arrays, "
-                    f"model has {len(model_params)} parameters"
-                )
-            staged = []
-            for index, param in enumerate(model_params):
-                value = np.asarray(stored.get(f"{index:04d}"))
-                if value.shape != param.value.shape:
-                    raise CheckpointError(
-                        f"checkpoint {name}[{index}] shape {value.shape} != "
-                        f"parameter shape {param.value.shape}"
-                    )
-                staged.append(value)
-            return staged
-
-        online_values = stage_weights("online", online_tree, params)
-        target_values = stage_weights("target", target_tree, target_params)
+        online_values = self.online.stage_weights(online_tree, "checkpoint online")
+        target_values = self.target.stage_weights(target_tree, "checkpoint target")
 
         def stage_moments(name: str) -> Dict[int, np.ndarray]:
             staged: Dict[int, np.ndarray] = {}
@@ -797,25 +776,8 @@ class BDQAgent:
             param.value[...] = value
         for param, value in zip(target_params, target_values):
             param.value[...] = value
-        opt = self.optimizer
-        opt._step_count = optim_steps
-        if self._fused_optimizer():
-            flat_param = opt.parameters[0]
-            if first:
-                flat_m = np.zeros_like(flat_param.value)
-                flat_v = np.zeros_like(flat_param.value)
-                for index, view in enumerate(self.online.arena_views(flat_m)):
-                    view[...] = first[index] if index in first else 0.0
-                for index, view in enumerate(self.online.arena_views(flat_v)):
-                    view[...] = second[index] if index in second else 0.0
-                opt._first_moment = {0: flat_m}
-                opt._second_moment = {0: flat_v}
-            else:
-                opt._first_moment = {}
-                opt._second_moment = {}
-        else:
-            opt._first_moment = {i: m.copy() for i, m in first.items()}
-            opt._second_moment = {i: v.copy() for i, v in second.items()}
+        self.optimizer._step_count = optim_steps
+        self._load_moments(first, second)
         self.step_count = step_count
         self.train_count = train_count
         self.exploring_frozen = exploring_frozen

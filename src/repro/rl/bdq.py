@@ -24,12 +24,23 @@ All K value heads and B advantage branches share the same single-hidden-
 layer shape, so they are evaluated together by one
 :class:`~repro.nn.batched.HeadBank`: head order ``[value_0..value_{K-1},
 branch_0..branch_{B-1}]`` (branches in agent-major, flattened order), with
-ragged branch widths zero-padded to ``out_max``. The per-head
-``Sequential`` objects in ``value_heads``/``adv_heads`` remain live views
-into the stacked storage, so parameter ordering, the ``save``/``load``
-checkpoint format and per-head introspection are unchanged from the loop
-implementation (kept in ``tests/oracles/bdq_reference.py`` and asserted
-equivalent by ``tests/test_rl_bdq_fused.py``).
+ragged branch widths zero-padded to ``out_max``.
+
+Every weight lives in one flat value arena, and every gradient in a flat
+gradient arena of the same layout. One layout function cuts each arena
+into the trunk layers' ``W``/``b``, the bank's four stacks, and the
+per-parameter views that :meth:`BDQNetwork.parameters` returns, with the
+names, order and shapes of the per-head loop implementation (kept in
+``tests/oracles/bdq_reference.py`` and asserted equivalent by
+``tests/test_rl_bdq_fused.py``): ``trunk.0.W``, ``trunk.0.b``, ..., then
+per head ``<head>.hidden.W``, ``<head>.hidden.b``, ``<head>.out.W``,
+``<head>.out.b``, where ``<head>`` is ``value<k>`` or ``adv<k>.<d>``. The
+initial weights are drawn straight into those views in that loop's order,
+so checkpoints and ``save_weights`` files keep their format. The optimizer
+steps the whole arena as one flat parameter
+(:meth:`BDQNetwork.optim_parameters`), and the same layout function,
+applied to a moment buffer, gives its per-parameter moments
+(:meth:`BDQNetwork.arena_views`).
 
 The network has one eval forward, one training forward and one backward,
 each without a per-head Python loop:
@@ -59,52 +70,15 @@ size, and dropout masks are read back from the recorded activations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.nn.batched import HeadBank, ReluDropout
-from repro.nn.initializers import glorot_uniform
-from repro.nn.layers import Dense, Dropout, Parameter, ReLU, Sequential
-from repro.nn.network import copy_parameters
-
-
-def _hidden_stack(
-    sizes: Sequence[int],
-    rng: np.random.Generator,
-    dropout: float,
-    name: str,
-) -> Sequential:
-    """Dense→ReLU(→Dropout) stack without an output layer."""
-    layers = []
-    for index in range(len(sizes) - 1):
-        layers.append(Dense(sizes[index], sizes[index + 1], rng, name=f"{name}.{index}"))
-        layers.append(ReLU())
-        if dropout > 0:
-            layers.append(Dropout(dropout, rng))
-    return Sequential(layers)
-
-
-def _head(
-    in_features: int,
-    hidden: int,
-    out_features: int,
-    rng: np.random.Generator,
-    dropout: float,
-    name: str,
-) -> Sequential:
-    """A branch/value head: one hidden layer then a linear output."""
-    layers = [
-        Dense(in_features, hidden, rng, name=f"{name}.hidden"),
-        ReLU(),
-    ]
-    if dropout > 0:
-        layers.append(Dropout(dropout, rng))
-    layers.append(
-        Dense(hidden, out_features, rng, weight_init=glorot_uniform, name=f"{name}.out")
-    )
-    return Sequential(layers)
+from repro.nn.initializers import glorot_uniform, he_uniform
+from repro.nn.layers import Parameter
 
 
 class BDQNetwork:
@@ -145,6 +119,13 @@ class BDQNetwork:
                     raise ConfigurationError(
                         f"each action dimension needs >= 2 actions, got {branch_sizes}"
                     )
+        if not shared_hidden or min(shared_hidden) <= 0 or branch_hidden <= 0:
+            raise ConfigurationError(
+                f"layer widths must be positive, with at least one trunk layer: "
+                f"shared_hidden {shared_hidden}, branch_hidden {branch_hidden}"
+            )
+        if not 0.0 <= dropout < 1.0:
+            raise ConfigurationError(f"dropout rate must be in [0, 1), got {dropout}")
         self.state_dim = state_dim
         self.branch_sizes = [list(agent) for agent in branch_sizes]
         self.num_agents = len(self.branch_sizes)
@@ -153,27 +134,53 @@ class BDQNetwork:
         self.branch_hidden = branch_hidden
         self.dropout = dropout
 
-        # Per-head layers are constructed exactly as the loop implementation
-        # did (same RNG draw order, same Parameter names/ordering)...
-        self.trunk = _hidden_stack([state_dim, *shared_hidden], rng, dropout, "trunk")
-        trunk_out = self.shared_hidden[-1]
-        self.value_heads: List[Sequential] = [
-            _head(trunk_out, branch_hidden, 1, rng, dropout, f"value{k}")
-            for k in range(self.num_agents)
+        widths = [state_dim, *self.shared_hidden]
+        trunk_out = widths[-1]
+        head_sizes = [1] * self.num_agents + [n for agent in self.branch_sizes for n in agent]
+        heads = [f"value{k}" for k in range(self.num_agents)] + [
+            f"adv{k}.{d}" for k, agent in enumerate(self.branch_sizes) for d in range(len(agent))
         ]
-        self.adv_heads: List[List[Sequential]] = [
-            [
-                _head(trunk_out, branch_hidden, n, rng, dropout, f"adv{k}.{d}")
-                for d, n in enumerate(agent)
-            ]
-            for k, agent in enumerate(self.branch_sizes)
+        out_max = max(head_sizes)
+        self._head_sizes = head_sizes
+        # The arena's pieces, in order: each trunk layer's W and b, then
+        # the bank's hidden W, hidden b, output W and output b stacks.
+        self._pieces: List[Tuple[int, ...]] = []
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            self._pieces += [(fan_in, fan_out), (fan_out,)]
+        H = len(head_sizes)
+        self._pieces += [
+            (trunk_out, H, branch_hidden), (H, branch_hidden),
+            (branch_hidden, H, out_max), (H, out_max),
         ]
-        # ...then adopted into one fused bank (value heads first, branches in
-        # flattened agent-major order). Adoption rebinds every head Parameter
-        # to a view into the bank's stacked storage.
-        flat_adv = [head for agent in self.adv_heads for head in agent]
+        size = sum(math.prod(shape) for shape in self._pieces)
+        # Zeroed, so a ragged head's padded output columns start at zero.
+        values, grads = np.zeros(size), np.zeros(size)
+        value_pieces, value_views = self._layout(values)
+        grad_pieces, grad_views = self._layout(grads)
+        names = [f"trunk.{i}.{p}" for i in range(len(widths) - 1) for p in "Wb"] + [
+            f"{head}.{layer}.{p}" for head in heads for layer in ("hidden", "out") for p in "Wb"
+        ]
+        self._params: List[Parameter] = []
+        for name, value, grad in zip(names, value_views, grad_views):
+            param = Parameter(name, value)
+            param.grad = grad
+            self._params.append(param)
+        self._flat_param = Parameter("bdq.flat", values)
+        self._flat_param.grad = grads
+        self._trunk = list(zip(value_pieces[:-4:2], value_pieces[1:-4:2]))
+        self._trunk_grads = list(zip(grad_pieces[:-4:2], grad_pieces[1:-4:2]))
+
+        # Initial weights, drawn as the per-head loop drew them: each trunk
+        # layer's He-uniform, then head by head the hidden layer's
+        # He-uniform and the output layer's Glorot-uniform. Biases are 0.
+        for weight, _ in self._trunk:
+            weight[...] = he_uniform(*weight.shape, rng)
+        hidden_w, _, out_w, _ = value_pieces[-4:]
+        for h, n in enumerate(head_sizes):
+            hidden_w[:, h] = he_uniform(trunk_out, branch_hidden, rng)
+            out_w[:, h, :n] = glorot_uniform(branch_hidden, n, rng)
         self.head_bank = HeadBank(
-            self.value_heads + flat_adv, rng, dropout=dropout, name="head_bank"
+            value_pieces[-4:], grad_pieces[-4:], head_sizes, rng, dropout=dropout
         )
 
         # Flat branch-axis metadata used by the stacked forward/backward and
@@ -199,51 +206,35 @@ class BDQNetwork:
         self._branch_widths = self.branch_sizes_flat.astype(np.float64)
         self._offsets_by_batch: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._dropout = ReluDropout(dropout, rng)
-        self._trunk_denses = [
-            layer for layer in self.trunk.layers if isinstance(layer, Dense)
-        ]
         # Per-layer inputs and activations recorded by the training trunk
         # forward, and the flat head-gradient offsets of its actions.
         self._trunk_inputs: List[np.ndarray] = []
         self._trunk_acts: List[np.ndarray] = []
         self._grad_at: Optional[np.ndarray] = None
         self._head_grads_buf: Optional[np.ndarray] = None
-        self._flat_param = self._build_parameter_arena()
         # Cache-hot global gradient sq-norm, refreshed by each backward
         # (None until then); consumed by the optimizer's clip.
         self.last_grad_sq_sum: Optional[float] = None
 
-    def _build_parameter_arena(self) -> Parameter:
-        """Move every trainable array into one contiguous flat buffer.
+    def _layout(self, flat: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Cut a flat arena-sized buffer into ``(pieces, parameter_views)``.
 
-        All trunk parameters and the bank's four stacks are copied into a
-        single value arena (and a matching gradient arena) and rebound to
-        contiguous views of it; the per-head views are then re-derived so
-        every existing aliasing invariant holds against the arena. The
-        returned Parameter exposes the whole network as ONE flat value/
-        gradient pair, so elementwise optimizer updates and the global
-        grad-norm dot product each run as a single large array op with no
-        per-parameter dispatch. Elementwise updates over the concatenation
-        are identical to updating the pieces separately.
+        ``pieces`` are the trunk layers' ``W``/``b`` and the bank's four
+        stacks, contiguous and in that order; ``parameter_views`` are the
+        :meth:`parameters` views into them: the trunk's pieces, then per
+        head its hidden-layer column block and the valid columns of its
+        output layer.
         """
-        params = list(self.trunk.parameters()) + self.head_bank.stack_parameters()
-        total = sum(p.value.size for p in params)
-        values = np.empty(total)
-        grads = np.zeros(total)
-        offset = 0
-        for param in params:
-            size = param.value.size
-            value_view = values[offset:offset + size].reshape(param.value.shape)
-            grad_view = grads[offset:offset + size].reshape(param.value.shape)
-            value_view[...] = param.value
-            grad_view[...] = param.grad
-            param.value = value_view
-            param.grad = grad_view
+        pieces, offset = [], 0
+        for shape in self._pieces:
+            size = math.prod(shape)
+            pieces.append(flat[offset:offset + size].reshape(shape))
             offset += size
-        self.head_bank.rebind_storage()
-        flat = Parameter("bdq.flat", values)
-        flat.grad = grads
-        return flat
+        hidden_w, hidden_b, out_w, out_b = pieces[-4:]
+        views = pieces[:-4]
+        for h, n in enumerate(self._head_sizes):
+            views += [hidden_w[:, h], hidden_b[h], out_w[:, h, :n], out_b[h, :n]]
+        return pieces, views
 
     # ------------------------------------------------------------------ #
     # forward / backward
@@ -265,9 +256,8 @@ class BDQNetwork:
     def _trunk_forward(
         self, states: np.ndarray, train_rows: Optional[int] = None
     ) -> np.ndarray:
-        """Allocation-lean trunk forward (same math as ``trunk.forward``).
-
-        Each hidden layer is ``x @ W + b`` rectified in place. Without
+        """The trunk forward: each hidden layer is ``x @ W + b`` rectified
+        in place. Without
         ``train_rows`` this is the eval forward and records nothing.
 
         With ``train_rows = r`` (the merged train-step pass), ``states``
@@ -276,17 +266,16 @@ class BDQNetwork:
         ``[:r]`` only, and the per-layer inputs and activations recorded
         for :meth:`_trunk_backward` cover those rows only. Rows are
         independent through ``x @ W + b``, ReLU and row-sliced dropout, so
-        each half matches its separate-call result. The dropout mask draw
-        order matches the trunk's ``Dropout`` layers (one ``rng.random``
-        of the training activation shape per hidden layer).
+        each half matches its separate-call result. Dropout draws one
+        ``rng.random`` of the training activation's shape per hidden layer.
         """
         if train_rows is not None:
             self._trunk_inputs = []
             self._trunk_acts = []
         x = states
-        for dense in self._trunk_denses:
-            pre = x @ dense.weight.value
-            pre += dense.bias.value
+        for weight, bias in self._trunk:
+            pre = x @ weight
+            pre += bias
             np.maximum(pre, 0.0, out=pre)
             if train_rows is not None:
                 train = pre[:train_rows]
@@ -302,13 +291,13 @@ class BDQNetwork:
         reused in place). The input gradient of the first layer is never
         needed and is not computed.
         """
-        for index in range(len(self._trunk_denses) - 1, -1, -1):
-            dense = self._trunk_denses[index]
+        for index in range(len(self._trunk) - 1, -1, -1):
+            weight_grad, bias_grad = self._trunk_grads[index]
             self._dropout.backward(grad, self._trunk_acts[index])
-            np.matmul(self._trunk_inputs[index].T, grad, out=dense.weight.grad)
-            np.sum(grad, axis=0, out=dense.bias.grad)
+            np.matmul(self._trunk_inputs[index].T, grad, out=weight_grad)
+            np.sum(grad, axis=0, out=bias_grad)
             if index:
-                grad = grad @ dense.weight.value.T
+                grad = grad @ self._trunk[index][0].T
 
     def _offsets(self, batch: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat ``(batch, B)`` offsets ``(value, advantage, gradient)`` of
@@ -466,20 +455,10 @@ class BDQNetwork:
         # summing per-piece dot products here equals the arena-wide dot —
         # but reads (mostly) cache-resident memory instead of re-streaming
         # the whole gradient arena inside the optimizer's grad-norm pass.
-        bank = self.head_bank
         sq = 0.0
-        for grad in (
-            bank.hidden.weight_grad_2d,
-            bank.hidden.bias_grad,
-            bank.out.weight_grad_2d,
-            bank.out.bias_grad,
-        ):
+        for grad in (*self.head_bank.grads, *(g for pair in self._trunk_grads for g in pair)):
             flat = grad.reshape(-1)
             sq += float(np.dot(flat, flat))
-        for dense in self._trunk_denses:
-            for grad in (dense.weight.grad, dense.bias.grad):
-                flat = grad.reshape(-1)
-                sq += float(np.dot(flat, flat))
         self.last_grad_sq_sum = sq
 
     # ------------------------------------------------------------------ #
@@ -503,24 +482,19 @@ class BDQNetwork:
     # parameters & utilities
     # ------------------------------------------------------------------ #
     def parameters(self) -> List[Parameter]:
-        params = list(self.trunk.parameters())
-        for head in self.value_heads:
-            params.extend(head.parameters())
-        for agent in self.adv_heads:
-            for head in agent:
-                params.extend(head.parameters())
-        return params
+        """Every weight as a named view into the arena, in the per-head
+        loop implementation's order: the checkpoint and ``save_weights``
+        layout."""
+        return list(self._params)
 
     def arena_views(self, flat: np.ndarray) -> List[np.ndarray]:
         """Per-:meth:`parameters` views into ``flat`` laid out like the arena.
 
         ``flat`` must be a contiguous float64 buffer shaped like the value
-        arena (``self._flat_param.value``). Each returned view addresses the
-        same offset/strides inside ``flat`` that the corresponding parameter
-        occupies inside the arena, which is what lets checkpoints translate
-        between the canonical per-parameter layout and the fused flat layout
-        (e.g. Adam moments stored per parameter, restored into one flat
-        moment array) without any index bookkeeping.
+        arena (``self._flat_param.value``), e.g. an Adam moment of
+        :meth:`optim_parameters`. This is how checkpoints translate between
+        the per-parameter layout they store and the one flat moment array
+        the optimizer keeps.
         """
         flat = np.asarray(flat)
         base = self._flat_param.value
@@ -529,32 +503,16 @@ class BDQNetwork:
                 f"arena buffer must be contiguous {base.dtype}{base.shape}, "
                 f"got {flat.dtype}{flat.shape}"
             )
-        base_addr = base.__array_interface__["data"][0]
-        views = []
-        for param in self.parameters():
-            offset = param.value.__array_interface__["data"][0] - base_addr
-            views.append(
-                np.ndarray(
-                    param.value.shape,
-                    dtype=base.dtype,
-                    buffer=flat,
-                    offset=offset,
-                    strides=param.value.strides,
-                )
-            )
-        return views
+        return self._layout(flat)[1]
 
     def optim_parameters(self) -> List[Parameter]:
         """Parameter grouping for the optimizer: the whole network, flat.
 
-        Every trainable array lives in one contiguous arena (see
-        :meth:`_build_parameter_arena`), exposed here as a single flat
-        Parameter: elementwise optimizer updates run as one large array op
-        per update step instead of one small op per layer parameter, and
-        grad-norm clipping is a single dot product. Elementwise-identical
-        to optimising the per-head views individually: padded stack
-        entries always have zero gradient and therefore take a zero
-        update, and the views alias the arena.
+        Elementwise optimizer updates run as one large array op per update
+        step instead of one small op per parameter, and grad-norm clipping
+        is a single dot product. Elementwise-identical to optimising the
+        :meth:`parameters` one by one: padded stack entries always have
+        zero gradient and therefore take a zero update.
         """
         return [self._flat_param]
 
@@ -564,8 +522,40 @@ class BDQNetwork:
     def parameter_bytes(self) -> int:
         return sum(p.nbytes for p in self.parameters())
 
+    def stage_weights(self, stored: Mapping[str, Any], source: str) -> List[np.ndarray]:
+        """Check a stored weight tree against this network; write nothing.
+
+        ``stored`` maps ``"0000"``, ``"0001"``, ... to one array per
+        :meth:`parameters` entry, as ``BDQAgent.state_dict`` writes its
+        ``online`` and ``target`` trees. Returns those arrays as float64
+        in parameter order, or raises
+        :class:`~repro.errors.CheckpointError` (naming ``source``) when the
+        keys are not exactly those or an array does not fit its parameter.
+        """
+        params = self.parameters()
+        keys = [f"{i:04d}" for i in range(len(params))]
+        if set(stored) != set(keys):
+            raise CheckpointError(
+                f"{source} has {len(stored)} weight arrays, the network has "
+                f"{len(params)} parameters: architectures do not match"
+            )
+        staged = []
+        for key, param in zip(keys, params):
+            try:
+                value = np.asarray(stored[key], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"{source}[{key}] is not an array: {exc}") from exc
+            if value.shape != param.value.shape:
+                raise CheckpointError(
+                    f"{source}[{key}] has shape {value.shape}, parameter "
+                    f"{param.name} has {param.value.shape}"
+                )
+            staged.append(value)
+        return staged
+
     def clone(self, rng: np.random.Generator) -> "BDQNetwork":
-        """A structurally identical network with copied weights."""
+        """A structurally identical network with copied weights (its own
+        initial weights are drawn from ``rng`` first)."""
         other = BDQNetwork(
             self.state_dim,
             self.branch_sizes,
@@ -574,26 +564,29 @@ class BDQNetwork:
             branch_hidden=self.branch_hidden,
             dropout=self.dropout,
         )
-        copy_parameters(self.parameters(), other.parameters())
+        other.copy_from(self)
         return other
 
     def copy_from(self, other: "BDQNetwork") -> None:
-        """Overwrite this network's weights with another's (target sync)."""
-        copy_parameters(other.parameters(), self.parameters())
+        """Overwrite this network's weights with another's (target sync):
+        one copy of the value arena."""
+        shapes = [p.value.shape for p in self.parameters()]
+        other_shapes = [p.value.shape for p in other.parameters()]
+        if other_shapes != shapes:
+            raise ShapeError(
+                f"cannot copy a network of parameter shapes {other_shapes} "
+                f"into one of {shapes}"
+            )
+        np.copyto(self._flat_param.value, other._flat_param.value)
 
     def reinitialize_output_layers(self, rng: np.random.Generator) -> None:
         """Transfer learning (Section IV): re-randomise every head's last layer.
 
         The shared representation and hidden layers are kept; only the
         specialised output layers are replaced so the network re-learns the
-        problem-specific mapping quickly. Writes are in place so the bank's
-        stacked storage and the per-head views stay aliased.
+        problem-specific mapping quickly. Heads are redrawn in bank order.
         """
-        heads = list(self.value_heads)
-        for agent in self.adv_heads:
-            heads.extend(agent)
-        for head in heads:
-            out = head.layers[-1]
-            assert isinstance(out, Dense)
-            out.weight.value[...] = glorot_uniform(out.in_features, out.out_features, rng)
-            out.bias.value[...] = 0.0
+        out_w, out_b = self.head_bank.out_w, self.head_bank.out_b
+        for h, n in enumerate(self._head_sizes):
+            out_w[:, h, :n] = glorot_uniform(self.branch_hidden, n, rng)
+            out_b[h, :n] = 0.0

@@ -14,6 +14,13 @@ def as_batch(engine, assignments):
     )
 
 
+def parameter(network, name):
+    """The parameter of ``network`` called ``name``: ``"trunk.0.W"``,
+    ``"value1.hidden.b"``, ``"adv0.0.out.W"`` and so on."""
+    [param] = [p for p in network.parameters() if p.name == name]
+    return param
+
+
 def _assert_tree_equal(a, b, path="root"):
     """Exact (bitwise for arrays) equality of two checkpoint trees."""
     if isinstance(a, dict):

@@ -20,18 +20,55 @@ correct baseline. It lives with the tests, outside the package.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.initializers import glorot_uniform
-from repro.nn.layers import Dense, Parameter, Sequential
+from repro.nn.layers import Dense, Dropout, Parameter, ReLU, Sequential
 from repro.nn.losses import mse_loss
 from repro.nn.network import copy_parameters
 from repro.nn.optim import Optimizer
 from repro.rl.agent import BDQAgent
-from repro.rl.bdq import _head, _hidden_stack
+from repro.rl.bdq import BDQNetwork
+
+
+def _hidden_stack(
+    sizes: Sequence[int],
+    rng: np.random.Generator,
+    dropout: float,
+    name: str,
+) -> Sequential:
+    """Dense→ReLU(→Dropout) stack without an output layer."""
+    layers = []
+    for index in range(len(sizes) - 1):
+        layers.append(Dense(sizes[index], sizes[index + 1], rng, name=f"{name}.{index}"))
+        layers.append(ReLU())
+        if dropout > 0:
+            layers.append(Dropout(dropout, rng))
+    return Sequential(layers)
+
+
+def _head(
+    in_features: int,
+    hidden: int,
+    out_features: int,
+    rng: np.random.Generator,
+    dropout: float,
+    name: str,
+) -> Sequential:
+    """A branch/value head: one hidden layer then a linear output."""
+    layers = [
+        Dense(in_features, hidden, rng, name=f"{name}.hidden"),
+        ReLU(),
+    ]
+    if dropout > 0:
+        layers.append(Dropout(dropout, rng))
+    layers.append(
+        Dense(hidden, out_features, rng, weight_init=glorot_uniform, name=f"{name}.out")
+    )
+    return Sequential(layers)
 
 
 class ReferenceAdam(Optimizer):
@@ -188,6 +225,13 @@ class ReferenceBDQNetwork:
                 params.extend(head.parameters())
         return params
 
+    def optim_parameters(self) -> List[Parameter]:
+        """What ``BDQAgent`` hands its optimizer: every parameter."""
+        return self.parameters()
+
+    # Checkpoint staging is the package's: it reads parameters() only.
+    stage_weights = BDQNetwork.stage_weights
+
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -238,7 +282,9 @@ class ReferenceBDQAgent(BDQAgent):
     optimises with the frozen :class:`ReferenceAdam`, and overrides
     ``_train_step`` with the original nested ``for k / for d``
     implementation (double-Q target loop, per-branch ``mse_loss``,
-    scatter into dense gradient arrays).
+    scatter into dense gradient arrays). Its Adam moments are per
+    parameter, so it exports and loads them as they are: checkpoints
+    store that layout, and cross-load with the package's agent.
     """
 
     network_cls = ReferenceBDQNetwork
@@ -250,6 +296,20 @@ class ReferenceBDQAgent(BDQAgent):
             learning_rate=self.config.learning_rate,
             max_grad_norm=self.config.max_grad_norm,
         )
+
+    def _optimizer_state(self) -> Dict[str, Any]:
+        opt = self.optimizer
+        return {
+            "step_count": opt._step_count,
+            "first_moment": {f"{i:04d}": m.copy() for i, m in opt._first_moment.items()},
+            "second_moment": {f"{i:04d}": v.copy() for i, v in opt._second_moment.items()},
+        }
+
+    def _load_moments(
+        self, first: Dict[int, np.ndarray], second: Dict[int, np.ndarray]
+    ) -> None:
+        self.optimizer._first_moment = {i: m.copy() for i, m in first.items()}
+        self.optimizer._second_moment = {i: v.copy() for i, v in second.items()}
 
     def _train_step(self) -> float:
         config = self.config

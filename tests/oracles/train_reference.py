@@ -11,14 +11,19 @@ trimmed to the array work its result depends on:
   ``_trunk_forward``, ``_trunk_backward``, ``backward_stacked``), its
   eval forward (``forward_stacked``) and the head bank's
   ``forward_train``/``backward``: eager ReLU masks, combined with each
-  dropout mask by ``&=`` and stored;
+  dropout mask by ``&=`` and stored; the bank's two dense layers ran
+  through a stacked-layer class whose forward and backward are kept
+  here as ``_stacked_forward`` and ``_dense_backward``;
 - the replay's ``sample``/``update_priorities`` and the sum tree's
   ``find_batch``/``update_batch``: fancy indexing and one ``np.where``
   pair per tree level.
 
 ``tests/test_rl_train_reference.py`` runs :class:`ReferenceTrainAgent`
 beside the package's agent and compares weights, Adam moments, sum-tree
-nodes, RNG state and losses byte for byte.
+nodes, RNG state and losses byte for byte. The frozen passes read and
+write the package network's arrays (its trunk's ``W``/``b`` pairs and the
+head bank's four stacks and gradients) and call none of its passes but
+the bank's eval forward.
 
 Do not "optimise" this module — its value is being the slow, obviously
 correct baseline. It lives with the tests, outside the package.
@@ -26,13 +31,13 @@ correct baseline. It lives with the tests, outside the package.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.fleet import FleetBDQAgent
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.batched import HeadBank, exact_inverse
 from repro.rl.bdq import BDQNetwork
 from repro.rl.striped import StripedPrioritizedReplayBuffer
 from repro.rl.sum_tree import SumTree
@@ -108,6 +113,61 @@ class ReferenceReplay(StripedPrioritizedReplayBuffer):
 
 
 # ---------------------------------------------------------------------- #
+# the head bank's dense layers: (in, H, out) weight stacks
+# ---------------------------------------------------------------------- #
+def exact_inverse(scale: float) -> Optional[float]:
+    """``1/scale`` when dividing by ``scale`` is exactly multiplying by it."""
+    if scale <= 0.0 or not np.isfinite(scale):
+        return None
+    return 1.0 / scale if math.frexp(scale)[0] == 0.5 else None
+
+
+def _valid(net: BDQNetwork) -> Optional[np.ndarray]:
+    """The output layer's 0/1 mask of real (unpadded) head columns."""
+    sizes = np.array([1] * net.num_agents + list(net.branch_sizes_flat), dtype=np.int64)
+    out_max = int(sizes.max())
+    if not (sizes != out_max).any():
+        return None
+    return (np.arange(out_max)[None, :] < sizes[:, None]).astype(np.float64)
+
+
+def _stacked_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every head on its own input: ``(batch, H, in) -> (batch, H, out)``."""
+    x = np.asarray(x, dtype=np.float64)
+    result = np.matmul(
+        x.transpose(1, 0, 2), weight.transpose(1, 0, 2)
+    ).transpose(1, 0, 2)
+    result += bias
+    return result
+
+
+def _dense_backward(
+    weight: np.ndarray,
+    weight_grad: np.ndarray,
+    bias_grad: np.ndarray,
+    valid: Optional[np.ndarray],
+    x: np.ndarray,
+    grad: np.ndarray,
+    input_grad_out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Assign a stacked layer's gradients from its input ``x`` (shared
+    2-D or per-head 3-D) and return the input gradient."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if valid is not None:
+        np.multiply(grad, valid, out=grad)
+    np.sum(grad, axis=0, out=bias_grad)
+    if x.ndim == 2:
+        grad_2d = grad.reshape(grad.shape[0], -1)
+        np.matmul(x.T, grad_2d, out=weight_grad.reshape(weight.shape[0], -1))
+        return grad_2d @ weight.reshape(weight.shape[0], -1).T
+    grad_hm = grad.transpose(1, 0, 2)
+    np.matmul(x.transpose(1, 2, 0), grad_hm, out=weight_grad.transpose(1, 0, 2))
+    return np.matmul(
+        grad_hm, weight.transpose(1, 2, 0), out=input_grad_out
+    ).transpose(1, 0, 2)
+
+
+# ---------------------------------------------------------------------- #
 # network: the bank's and the trunk's training passes, the eval forward
 # ---------------------------------------------------------------------- #
 class _Records:
@@ -118,6 +178,8 @@ class _Records:
         self.trunk_inputs: List[np.ndarray] = []
         self.trunk_acts: List[np.ndarray] = []
         self.trunk_drop_masks: List[Optional[np.ndarray]] = []
+        self.bank_input: Optional[np.ndarray] = None
+        self.bank_out_input: Optional[np.ndarray] = None
         self.bank_relu_act: Optional[np.ndarray] = None
         self.bank_drop_mask: Optional[np.ndarray] = None
         self.head_grads_buf: Optional[np.ndarray] = None
@@ -145,9 +207,9 @@ def _trunk_forward(
     keep = 1.0 - net.dropout
     inv_keep = exact_inverse(keep) if net.dropout > 0.0 else None
     x = states
-    for dense in net._trunk_denses:
-        pre = x @ dense.weight.value
-        pre += dense.bias.value
+    for weight, bias in net._trunk:
+        pre = x @ weight
+        pre += bias
         if train_rows is None or net.dropout == 0.0:
             np.maximum(pre, 0.0, out=pre)
             drop_mask = None
@@ -173,8 +235,9 @@ def _trunk_forward(
 def _trunk_backward(net: BDQNetwork, records: _Records, grad: np.ndarray) -> None:
     keep = 1.0 - net.dropout
     inv_keep = exact_inverse(keep) if net.dropout > 0.0 else None
-    for index in range(len(net._trunk_denses) - 1, -1, -1):
-        dense = net._trunk_denses[index]
+    for index in range(len(net._trunk) - 1, -1, -1):
+        weight = net._trunk[index][0]
+        weight_grad, bias_grad = net._trunk_grads[index]
         drop_mask = records.trunk_drop_masks[index]
         if drop_mask is not None:
             grad *= drop_mask
@@ -184,39 +247,40 @@ def _trunk_backward(net: BDQNetwork, records: _Records, grad: np.ndarray) -> Non
                 grad /= keep
         else:
             grad *= records.trunk_acts[index] > 0
-        np.matmul(records.trunk_inputs[index].T, grad, out=dense.weight.grad)
-        np.sum(grad, axis=0, out=dense.bias.grad)
+        np.matmul(records.trunk_inputs[index].T, grad, out=weight_grad)
+        np.sum(grad, axis=0, out=bias_grad)
         if index:
-            grad = grad @ dense.weight.value.T
+            grad = grad @ weight.T
 
 
 def _bank_forward_train(
-    bank: HeadBank,
+    net: BDQNetwork,
     rng: np.random.Generator,
     records: _Records,
     shared: np.ndarray,
     batch: int,
     tail_start: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    bank, dropout = net.head_bank, net.dropout
     rows = shared.shape[0]
-    width = bank.hidden.out_max
+    width = bank.width
     split = tail_start * width
     pre2d = np.empty((rows, bank.num_heads * width))
-    np.matmul(shared, bank.hidden.weight_2d[:, split:], out=pre2d[:, split:])
+    np.matmul(shared, bank.hidden_w_2d[:, split:], out=pre2d[:, split:])
     np.matmul(
-        shared[:batch], bank.hidden.weight_2d[:, :split], out=pre2d[:batch, :split]
+        shared[:batch], bank.hidden_w_2d[:, :split], out=pre2d[:batch, :split]
     )
     pre = pre2d.reshape(rows, bank.num_heads, width)
-    bank.hidden._input = shared[:batch]
+    records.bank_input = shared[:batch]
     train = pre[:batch]
     tail = pre[batch:, tail_start:, :]
-    train += bank.hidden.bias
-    tail += bank.hidden.bias[tail_start:]
-    inv_keep = exact_inverse(1.0 - bank.dropout) if bank.dropout > 0.0 else None
-    if bank.dropout > 0.0:
+    train += bank.hidden_b
+    tail += bank.hidden_b[tail_start:]
+    inv_keep = exact_inverse(1.0 - dropout) if dropout > 0.0 else None
+    if dropout > 0.0:
         relu_mask = train > 0
         np.maximum(train, 0.0, out=train)
-        keep = 1.0 - bank.dropout
+        keep = 1.0 - dropout
         mask = rng.random(train.shape) < keep
         train *= mask
         if inv_keep is not None:
@@ -231,35 +295,43 @@ def _bank_forward_train(
         records.bank_relu_act = train
         records.bank_drop_mask = None
     np.maximum(tail, 0.0, out=tail)
-    train_out = bank.out.forward(train)
+    records.bank_out_input = train
+    train_out = _stacked_forward(bank.out_w, bank.out_b, train)
     tail_out = np.matmul(
         tail.transpose(1, 0, 2),
-        bank.out.weight[:, tail_start:, :].transpose(1, 0, 2),
+        bank.out_w[:, tail_start:, :].transpose(1, 0, 2),
     ).transpose(1, 0, 2)
-    tail_out += bank.out.bias[tail_start:]
+    tail_out += bank.out_b[tail_start:]
     return train_out, tail_out
 
 
-def _bank_backward(bank: HeadBank, records: _Records, grad: np.ndarray) -> np.ndarray:
-    shape = (grad.shape[0], bank.num_heads, bank.hidden.out_max)
+def _bank_backward(net: BDQNetwork, records: _Records, grad: np.ndarray) -> np.ndarray:
+    bank, dropout = net.head_bank, net.dropout
+    hidden_w_grad, hidden_b_grad, out_w_grad, out_b_grad = bank.grads
+    shape = (grad.shape[0], bank.num_heads, bank.width)
     buf = records.hidden_grad_buf
     if buf is None or buf.shape != shape:
         buf = records.hidden_grad_buf = np.empty(shape)
-    g = bank.out.backward(grad, input_grad_out=buf.transpose(1, 0, 2))
+    g = _dense_backward(
+        bank.out_w, out_w_grad, out_b_grad, _valid(net), records.bank_out_input, grad,
+        input_grad_out=buf.transpose(1, 0, 2),
+    )
     if not g.flags.c_contiguous:
         g = np.ascontiguousarray(g)
-    inv_keep = exact_inverse(1.0 - bank.dropout) if bank.dropout > 0.0 else None
+    inv_keep = exact_inverse(1.0 - dropout) if dropout > 0.0 else None
     if records.bank_drop_mask is not None:
         g *= records.bank_drop_mask
         if inv_keep is not None:
             g *= inv_keep
         else:
-            g /= 1.0 - bank.dropout
+            g /= 1.0 - dropout
     elif records.bank_relu_act is not None:
         g *= records.bank_relu_act > 0
     else:
-        raise ShapeError(f"{bank.name}.backward called before forward")
-    return bank.hidden.backward(g)
+        raise ShapeError("head_bank.backward called before forward")
+    return _dense_backward(
+        bank.hidden_w, hidden_w_grad, hidden_b_grad, None, records.bank_input, g
+    )
 
 
 def _q_values(net: BDQNetwork, heads: np.ndarray) -> np.ndarray:
@@ -293,7 +365,7 @@ def forward_train(
     shared = _trunk_forward(net, combined, rng, records, train_rows=batch)
     records.last_batch = batch
     heads, next_adv = _bank_forward_train(
-        net.head_bank, rng, records, shared, batch, net.num_agents
+        net, rng, records, shared, batch, net.num_agents
     )
     if net._pad_rows.size:
         next_adv[:, net._pad_rows, net._pad_cols] = -np.inf
@@ -324,21 +396,15 @@ def backward_stacked(net: BDQNetwork, records: _Records, q_grad_stack: np.ndarra
         out=adv_grads,
     )
     adv_grads /= K
-    trunk_grad = _bank_backward(net.head_bank, records, buf)
+    trunk_grad = _bank_backward(net, records, buf)
     trunk_grad /= net.total_branches
     _trunk_backward(net, records, trunk_grad)
-    bank = net.head_bank
     sq = 0.0
-    for grad in (
-        bank.hidden.weight_grad_2d,
-        bank.hidden.bias_grad,
-        bank.out.weight_grad_2d,
-        bank.out.bias_grad,
-    ):
+    for grad in net.head_bank.grads:
         flat = grad.reshape(-1)
         sq += float(np.dot(flat, flat))
-    for dense in net._trunk_denses:
-        for grad in (dense.weight.grad, dense.bias.grad):
+    for pair in net._trunk_grads:
+        for grad in pair:
             flat = grad.reshape(-1)
             sq += float(np.dot(flat, flat))
     net.last_grad_sq_sum = sq

@@ -13,6 +13,7 @@ from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 from repro.sim.faults import Fault, FaultInjector
+from tests.helpers import parameter
 
 
 def _make(names=("masstree",), config=None, seed=5):
@@ -88,14 +89,12 @@ def test_exploit_freezes_exploration():
 
 def test_transfer_to_swaps_service_and_resets_heads():
     twig, _ = _make(("masstree", "moses"))
-    out_before = twig.agent.online.adv_heads[0][0].layers[-1].weight.value.copy()
+    out_before = parameter(twig.agent.online, "adv0.0.out.W").value.copy()
     twig.transfer_to("moses", get_profile("xapian"))
     assert twig.service_order == ["masstree", "xapian"]
     assert "xapian" in twig.profiles
     assert "moses" not in twig.profiles
-    assert not np.array_equal(
-        twig.agent.online.adv_heads[0][0].layers[-1].weight.value, out_before
-    )
+    assert not np.array_equal(parameter(twig.agent.online, "adv0.0.out.W").value, out_before)
 
 
 

@@ -271,21 +271,25 @@ class TestHierResume:
             manager.load_state_dict(flat.state_dict())
 
 
+def _named(network, test):
+    """Copies of the values of ``network``'s parameters whose names pass
+    ``test``, in parameter order (never none)."""
+    values = [p.value.copy() for p in network.parameters() if test(p.name)]
+    assert values
+    return values
+
+
+def _trunk(network):
+    return _named(network, lambda name: name.startswith("trunk."))
+
+
 class TestTransfer:
-    """BDQAgent.transfer composed with the fused head bank (satellite 4)."""
+    """BDQAgent.transfer composed with the fused head bank."""
 
     def _snapshot(self, network):
-        trunk = [p.value.copy() for p in network.trunk.parameters()]
-        heads = list(network.value_heads)
-        for agent_heads in network.adv_heads:
-            heads.extend(agent_heads)
-        outs = [h.layers[-1].weight.value.copy() for h in heads]
-        hidden = [
-            layer.weight.value.copy()
-            for h in heads
-            for layer in h.layers[:-1]
-            if hasattr(layer, "weight")
-        ]
+        trunk = _trunk(network)
+        outs = _named(network, lambda name: name.endswith(".out.W"))
+        hidden = _named(network, lambda name: name.endswith(".hidden.W"))
         return trunk, outs, hidden
 
     def test_transfer_keeps_trunk_rerandomizes_heads(self):
@@ -330,8 +334,8 @@ class TestProvisioning:
         provision_fleet(manager, path, rng=np.random.default_rng(5), time=0)
 
         # Trunk carried over from the source policy.
-        source_trunk = [p.value for p in source_manager.agent.online.trunk.parameters()]
-        new_trunk = [p.value for p in manager.agent.online.trunk.parameters()]
+        source_trunk = _trunk(source_manager.agent.online)
+        new_trunk = _trunk(manager.agent.online)
         for a, b in zip(source_trunk, new_trunk):
             np.testing.assert_array_equal(a, b)
         assert manager.agent.step_count == 0
@@ -355,8 +359,8 @@ class TestProvisioning:
         assert ckpt.exists()
         manager, _ = _build_hier(2, seed=23)
         provision_fleet(manager, ckpt)
-        source_trunk = [p.value for p in source_manager.agent.online.trunk.parameters()]
-        new_trunk = [p.value for p in manager.agent.online.trunk.parameters()]
+        source_trunk = _trunk(source_manager.agent.online)
+        new_trunk = _trunk(manager.agent.online)
         for a, b in zip(source_trunk, new_trunk):
             np.testing.assert_array_equal(a, b)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
-from repro.nn.initializers import glorot_uniform, he_uniform, zeros
+from repro.nn.initializers import glorot_uniform, he_uniform
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
@@ -32,7 +32,6 @@ def test_initializer_shapes_and_bounds(rng):
         weights = init(64, 32, rng)
         assert weights.shape == (64, 32)
         assert np.abs(weights).max() <= np.sqrt(6.0 / 32)  # loosest bound
-    assert np.all(zeros(4, 2, rng) == 0.0)
 
 
 def test_initializer_validation(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
-from tests.helpers import _assert_tree_equal
+from tests.helpers import _assert_tree_equal, parameter
 
 
 def _config(**overrides):
@@ -171,17 +171,15 @@ def test_multi_agent_rewards_are_per_agent(rng):
 
 def test_transfer_reinitialises_heads_and_targets(rng):
     agent = BDQAgent(_config(), rng)
-    out_before = agent.online.adv_heads[0][0].layers[-1].weight.value.copy()
-    trunk_before = agent.online.trunk.parameters()[0].value.copy()
+    out_before = parameter(agent.online, "adv0.0.out.W").value.copy()
+    trunk_before = parameter(agent.online, "trunk.0.W").value.copy()
     agent.transfer(np.random.default_rng(11))
-    assert not np.array_equal(
-        agent.online.adv_heads[0][0].layers[-1].weight.value, out_before
-    )
-    assert np.array_equal(agent.online.trunk.parameters()[0].value, trunk_before)
+    assert not np.array_equal(parameter(agent.online, "adv0.0.out.W").value, out_before)
+    assert np.array_equal(parameter(agent.online, "trunk.0.W").value, trunk_before)
     # target resynced to the online network
     assert np.allclose(
-        agent.target.adv_heads[0][0].layers[-1].weight.value,
-        agent.online.adv_heads[0][0].layers[-1].weight.value,
+        parameter(agent.target, "adv0.0.out.W").value,
+        parameter(agent.online, "adv0.0.out.W").value,
     )
 
 

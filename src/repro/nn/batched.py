@@ -103,7 +103,8 @@ class HeadBank:
     Parameters
     ----------
     stacks:
-        The four weight stacks, as views the caller owns: the hidden
+        The four weight stacks, as C-contiguous views the caller owns
+        (the bank's flattened views must alias them): the hidden
         layer's ``(in, H, hidden)`` weights and ``(H, hidden)`` biases,
         and the output layer's ``(hidden, H, out_max)`` weights and
         ``(H, out_max)`` biases. Padded output columns must be zero.
@@ -123,9 +124,8 @@ class HeadBank:
         name: str = "head_bank",
     ):
         self.name = name
-        self.stacks = tuple(stacks)
+        self.hidden_w, self.hidden_b, self.out_w, self.out_b = stacks
         self.grads = tuple(grads)
-        self.hidden_w, self.hidden_b, self.out_w, self.out_b = self.stacks
         _, self.hidden_b_grad, self.out_w_grad, self.out_b_grad = self.grads
         in_features, self.num_heads, self.width = self.hidden_w.shape
         self.out_max = self.out_w.shape[2]

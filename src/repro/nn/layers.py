@@ -2,8 +2,10 @@
 
 Each layer implements ``forward(x, training)`` and ``backward(grad)``;
 ``backward`` accumulates parameter gradients into ``Parameter.grad`` and
-returns the gradient with respect to the layer input, so arbitrary DAGs
-(such as the BDQ trunk/branch topology) can be composed by hand.
+returns the gradient with respect to the layer input, so networks can be
+composed by hand: the Figure-1 :class:`~repro.nn.network.MLP` is one.
+The BDQ network keeps its weights in one arena instead
+(:mod:`repro.rl.bdq`) and uses only :class:`Parameter` from here.
 """
 
 from __future__ import annotations

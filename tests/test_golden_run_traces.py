@@ -49,7 +49,10 @@ behaviour bit for bit.
   syncs its target every 5 steps). Each is hashed byte for byte as
   ``save_state`` flattens it (every array leaf's path, dtype, shape and
   bytes in walk order, then the scalar leaves' JSON), so leaf order,
-  dict key order and exact floats are pinned.
+  dict key order and exact floats are pinned. A manager tree's hash is
+  computed in a fresh process whose BLAS runs one thread: trained
+  weights differ in their last bits between BLAS thread counts, so the
+  hash would otherwise depend on the machine's CPU count.
 
 - Registered experiments at quick scale, each with the config
   ``repro.experiments.registry.config_for(id, "quick")`` that
@@ -72,6 +75,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +108,7 @@ from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 from repro.sim.faults import Fault, FaultInjector
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_run_traces.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 SERVICES = ["masstree", "xapian", "moses", "img-dnn"]
 
@@ -511,6 +517,21 @@ def result_sha256(result) -> str:
     return digest.hexdigest()
 
 
+def one_blas_thread_state_sha256(config: Dict[str, Any]) -> str:
+    """``state_sha256(run_state(config))``, computed in a fresh process
+    with one BLAS thread, so the same on any CPU count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = ("import json, sys; from tests.test_golden_run_traces import run_state, "
+            "state_sha256; print(state_sha256(run_state(json.loads(sys.argv[1]))))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(config)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.split()[-1]
+
+
 def config_sha256(config: Dict[str, Any]) -> str:
     if config.get("loop") == "harness":
         experiment = config["experiment"]
@@ -520,6 +541,8 @@ def config_sha256(config: Dict[str, Any]) -> str:
     if config.get("loop") == "experiment":
         return trace_sha256(run_experiment(config))
     if config.get("loop") == "state":
+        if config.get("tree") == "manager":
+            return one_blas_thread_state_sha256(config)
         return state_sha256(run_state(config))
     output = run_paper(config) if config.get("loop") == "paper" else run_traces(config)
     if output and isinstance(output[0], str):

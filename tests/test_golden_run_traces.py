@@ -14,8 +14,14 @@ behaviour bit for bit.
   ``interval``/``qos_violation``/``fault``/``degraded`` events); a
   PARTIES fleet whose node 2 has its first service crashed across three
   polls, so rows whose leading latency ratio is NaN
-  (``parties-crash-first``); and a Heracles fleet run past two
-  main-controller polls (``heracles-fleet``).
+  (``parties-crash-first``); a Heracles fleet run past two
+  main-controller polls (``heracles-fleet``); and a static, a learning
+  and an LLC-managing learning fleet on the bench fleets' traffic, the
+  diurnal curves scaled by 0.3 (``*-bench-traffic``). The full-scale
+  curves leave almost every (node, service, tick) sample past the
+  queue's stability edge; on the scaled ones the static fleet runs
+  every sample below it and the learning fleets run both regimes in one
+  tick, and the LLC fleet installs rows that carry CAT ways.
 - Paper-loop runs: one ``Twig`` on one ``ColocationEnvironment`` under
   ``run_manager`` — the bench ``twig_c`` recipe, Twig-C with every fault
   kind, Twig-C with the LLC branch, a mid-run service swap with
@@ -88,6 +94,7 @@ import pytest
 from repro.baselines import HeraclesManager, HipsterManager, OracleManager, PartiesManager
 from repro.ckpt.checkpoint import _flatten, _json_default
 from repro.cluster.environment import ClusterEnvironment
+from repro.cluster.traffic import make_traffic_spec
 from repro.core import Twig
 from repro.core.config import TwigConfig
 from repro.engine.fleet import FleetTwig
@@ -138,6 +145,15 @@ FLEET_CONFIGS: Dict[str, Dict[str, Any]] = {
     # A Heracles fleet past two main-controller polls (every 15 ticks).
     "heracles-fleet": {"manager": "heracles", **_FLEET, "services": ["masstree"],
                        "ticks": 40},
+    # The bench fleets' traffic: the diurnal curves scaled by 0.3. Every
+    # sample of the static fleet is stable; the learning fleets have
+    # samples on both sides of the queue's stability edge in 19 of their
+    # 20 ticks.
+    "static-bench-traffic": {"manager": "static", **_FLEET, "traffic_scale": 0.3},
+    "twig-bench-traffic": {"manager": "twig", **_FLEET, "traffic_scale": 0.3},
+    # The same learning fleet with the LLC branch: installed rows carry ways.
+    "twig-llc-bench-traffic": {"manager": "twig", **_FLEET, "traffic_scale": 0.3,
+                               "agent": {"manage_llc": True}},
 }
 
 #: Fault windows of the ``fleet-events`` node: a PMC dropout (the node's
@@ -273,11 +289,27 @@ def _fleet_twig(config: Dict[str, Any]) -> FleetTwig:
     )
 
 
+def _traffic(config: Dict[str, Any]):
+    """The config's traffic preset, with its curves scaled by
+    ``traffic_scale`` where it gives one, as ``bench/episode.py`` scales
+    the bench fleets' traffic."""
+    if "traffic_scale" not in config:
+        return config["traffic"]
+    scale = config["traffic_scale"]
+    spec = make_traffic_spec(config["traffic"], config["services"])
+    curves = tuple(
+        replace(s, base_fraction=scale * s.base_fraction,
+                diurnal_amplitude=scale * s.diurnal_amplitude)
+        for s in spec.services
+    )
+    return replace(spec, services=curves)
+
+
 def _fleet(config: Dict[str, Any]):
     """The cluster and the manager of one golden fleet config."""
     services, nodes, seed = config["services"], config["nodes"], config["seed"]
     venv = ClusterEnvironment.from_services(
-        services, num_nodes=nodes, seed=seed, traffic=config["traffic"],
+        services, num_nodes=nodes, seed=seed, traffic=_traffic(config),
         balancer=config["balancer"],
     )
     if "crash" in config:

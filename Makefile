@@ -54,7 +54,8 @@ trace-e2e:
 	$(PYTEST) -q -m trace_e2e
 
 ## Fleet layer: vector-engine scalar equivalence (each node's state tree
-## and trace events leaf for leaf), erlang_c_batch and the array
+## and trace events leaf for leaf), the node step byte for byte against
+## its frozen form from before install-time arrays, erlang_c_batch and the array
 ## bandwidth pressure pinned bit for bit to their scalar formulas, lazy
 ## step results, a faulted node's arrays, no per-node objects built, and the
 ## static fleet's hot path (no result built, rows written on the first
@@ -66,8 +67,8 @@ trace-e2e:
 ## formulas, cluster traffic / balancer invariants, cluster environment
 ## + experiment, and the docs/fleet.md schema diff.
 test-fleet:
-	$(PYTEST) -q tests/test_engine_vector.py tests/test_engine_fleet_array.py \
-		tests/test_rl_explore.py tests/test_rl_train_reference.py \
+	$(PYTEST) -q tests/test_engine_vector.py tests/test_engine_reference.py \
+		tests/test_engine_fleet_array.py tests/test_rl_explore.py tests/test_rl_train_reference.py \
 		tests/test_services_queueing.py tests/test_services_interference.py \
 		tests/test_engine_lazy_results.py \
 		tests/test_cluster_traffic.py tests/test_cluster_balancer.py \

@@ -246,21 +246,24 @@ class PowerOfTwoBalancer(LoadBalancer):
 
     def _shares(self, region, t, n, demand, pressure):
         if pressure is None:
-            running = np.zeros(n)
+            running = [0.0] * n
         else:
             # Non-finite pressure (a faulted node) must lose every
             # two-choice comparison, not win ties via NaN semantics.
             running = np.where(
                 np.isfinite(pressure), pressure.astype(np.float64), np.inf
-            )
-        counts = np.zeros(n)
-        choices = self._rng.integers(0, n, size=(self.granularity, 2))
+            ).tolist()
+        # The picks run over Python floats and ints, which round and
+        # compare as the float64 arrays would, without a numpy scalar per
+        # read.
+        counts = [0] * n
+        choices = self._rng.integers(0, n, size=(self.granularity, 2)).tolist()
         chunk_load = 1.0 / self.granularity
         for a, b in choices:
             pick = a if running[a] <= running[b] else b
             counts[pick] += 1
             running[pick] += chunk_load
-        shares = counts / self.granularity
+        shares = np.array(counts, dtype=np.float64) / self.granularity
         return np.broadcast_to(shares[:, None], (n, len(demand))).copy()
 
     def state_dict(self):

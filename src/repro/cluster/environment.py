@@ -183,8 +183,9 @@ class ClusterEnvironment(VectorEnvironment):
         """Balance this interval's fleet demand, then step every node.
 
         When a timing registry is attached (traced runs), the cluster
-        layer reports two sub-sections of ``env.step``:
-        ``cluster.control`` (traffic model + balancer) and
+        layer reports three sub-sections of ``env.step``:
+        ``cluster.install`` (checking the assignments and installing the
+        changed rows), ``cluster.control`` (traffic model + balancer) and
         ``cluster.step`` (the fused node simulation) — see
         ``docs/observability.md``. The assignments are validated and
         installed first, so a refused assignment leaves the traffic
@@ -202,14 +203,14 @@ class ClusterEnvironment(VectorEnvironment):
         self._pending_rates = rates
         if timings is not None:
             t2 = perf_counter()
+            timings.get("cluster.install").add(t1 - t0)
             timings.get("cluster.control").add(t2 - t1)
         try:
             batch = self._advance()
         finally:
             self._pending_rates = None
         if timings is not None:
-            # The install and the node simulation, without the control.
-            timings.get("cluster.step").add(perf_counter() - t2 + (t1 - t0))
+            timings.get("cluster.step").add(perf_counter() - t2)
         return batch
 
     def _gather_arrivals(self) -> np.ndarray:

@@ -29,8 +29,10 @@ order the scalar ``ColocationEnvironment.step`` would:
   RAPL normal (always).
 
 The shared draws are taken as a single ``standard_normal`` block per
-node, drawn in place into that node's row of one ``(E, total)`` matrix
-(``out=row``: no temporary, no copy), and scattered;
+node, drawn through the generator's bound method in place into that
+node's row of one persistent ``(E, total)`` buffer (``out=row``: no
+temporary, no copy), and scattered; no view of the buffer reaches a
+batch;
 ``Generator.normal(0, s)`` equals ``s * standard_normal()`` bitwise, and
 array draws continue the same stream as repeated scalar draws, so a
 node's RNG state after a vector step is identical to the state after a
@@ -59,14 +61,30 @@ arbitration: a core runs at the highest DVFS index pinned to it, an
 unpinned core drops to 0, a service's migration counter grows by
 ``popcount(old XOR new)``.
 
-Every numeric formula on the hot path is evaluated once over the whole
-batch; the Erlang-C probabilities come from one unmasked Erlang-B table
-(:func:`~repro.services.queueing.erlang_c_batch`), and the bandwidth
-pressure is one array compare that calls the scalar formula only past
-the knee. What still runs once per node is the in-place RNG draw (each
-node's stream is its own, in order) and, for a node with a fault
-injector (every node when the trace sink is enabled), the check for an
-active fault.
+Work at install, work per tick
+------------------------------
+Everything the physics reads of a placement is computed when a row is
+installed, for the changed rows only (:meth:`VectorEnvironment._derive`):
+each core's DVFS index and each service's cores and clock, the capacity
+kernel's :class:`~repro.sim.environment.PinTerms` (float pins, each
+core's share floor, the cores a service cannot use), the allocated
+cores and their ``C*V^2*f``, the frequency-scaled service time and
+latency floor, and the LLC miss and latency inflation. A load marks
+every row unknown, so the next install rebuilds them all; no checkpoint
+holds them. A static fleet rebuilds nothing after its first tick.
+
+Per tick, every numeric formula is evaluated once over the whole batch,
+in contiguous passes that give the bytes of the plainer forms: service
+sums as sequential adds (:func:`~repro.sim.environment.service_sum`),
+masked zeros by ``np.copyto``, clips as ``np.minimum``/``np.maximum`` in
+``np.clip``'s operand order. The Erlang-C probabilities come from one
+unmasked Erlang-B table (:func:`~repro.services.queueing.erlang_c_batch`),
+evaluated once per (node, service): at the offered load below the
+stability edge, at the edge past it. The bandwidth pressure is one array
+compare that calls the scalar formula only past the knee. What still
+runs once per node is the in-place RNG draw (each node's stream is its
+own, in order) and, for a node with a fault injector (every node when
+the trace sink is enabled), the check for an active fault.
 
 :meth:`VectorEnvironment.step` returns a :class:`StepBatch`: the
 interval's arrays now, result objects only when read.
@@ -95,12 +113,15 @@ from repro.services.service import IntervalResult
 from repro.sim.environment import (
     EnvironmentConfig,
     NodeState,
+    PinTerms,
     ServiceObservation,
     StepResult,
     effective_capacity_matrix,
     emit_step_events,
     node_state_tree,
     parse_node_state,
+    pin_terms,
+    service_sum,
 )
 from repro.sim.faults import FaultInjector
 
@@ -384,15 +405,36 @@ class VectorEnvironment:
         self._m_membership = np.zeros((E, S, C), dtype=bool)
         self._m_online = np.ones((E, C), dtype=bool)
         self._m_freq_index = np.zeros((E, C), dtype=np.int64)
-        self._m_n_cores = np.zeros((E, S))
-        self._m_freq = np.zeros((E, S))
-        self._m_llc_quota = np.zeros((E, S))
         self._migrations = np.zeros((E, S), dtype=np.int64)
         # The installed rows a batch is compared with: each service's DVFS
         # index and LLC ways, next to its pins in ``_m_membership``. No
         # batch carries level -1, so the first step installs every node.
         self._m_level = np.full((E, S), -1, dtype=np.int64)
         self._m_ways = np.zeros((E, S), dtype=np.int64)
+        # What the physics reads of the installed rows and online flags,
+        # rebuilt by ``_derive`` for the rows an install changes: cores and
+        # clock per service, the capacity kernel's pin terms, the
+        # allocated cores and their C*V^2*f, the frequency-scaled service
+        # time and latency floor, and the LLC miss and latency inflation.
+        self._m_n_cores = np.zeros((E, S))
+        self._m_freq = np.zeros((E, S))
+        self._m_terms = PinTerms(
+            np.zeros((E, S, C)), np.ones((E, C)), np.ones((E, S, C), dtype=bool)
+        )
+        self._m_allocated = np.zeros((E, C), dtype=bool)
+        self._m_dynamic_coeff = np.zeros((E, C))
+        self._m_service_ms = np.zeros((E, S))
+        self._m_floor_ms = np.zeros((E, S))
+        self._m_miss_inflation = np.ones((E, S))
+        self._m_llc_term = np.zeros((E, S))
+        # Each node's shared-RNG block, drawn in place every step and read
+        # only inside it: no view of it reaches a batch.
+        lat_draws = 1 if self.config.latency_noise_std > 0 else 0
+        tel_draws = len(COUNTER_NAMES) if self.config.telemetry_noise_std > 0 else 0
+        self._noise_split = (lat_draws, tel_draws)
+        self._noise = np.empty((E, S * (lat_draws + tel_draws) + 1))
+        self._noise_rows = list(self._noise)
+        self._draws = [rng.standard_normal for rng in self._rngs]
         # Replaced by a step, never written in place: a step hands these
         # to its batch, which may still be read.
         self._backlog = np.zeros((E, S))
@@ -442,17 +484,66 @@ class VectorEnvironment:
         changed = self._changed_rows(batch)
         if not changed.size:
             return
-        pins, level, ways = batch.pins[changed], batch.freq[changed], batch.ways[changed]
-        self._migrations[changed] += (pins != self._m_membership[changed]).sum(axis=2)
-        self._m_membership[changed] = pins
-        self._m_level[changed] = level
-        self._m_ways[changed] = ways
-        core_level = np.where(pins, level[:, :, None], 0).max(axis=1)
-        self._m_freq_index[changed] = core_level
-        self._m_n_cores[changed] = pins.sum(axis=2)
-        core_ghz = self._ladder[core_level][:, None, :]
-        self._m_freq[changed] = np.where(pins, core_ghz, -np.inf).max(axis=2)
-        self._m_llc_quota[changed] = ways * self.spec.socket.mb_per_way
+        rows = changed if changed.size < self.num_envs else slice(None)
+        pins = batch.pins[rows]
+        self._migrations[rows] += (pins != self._m_membership[rows]).sum(axis=2)
+        self._m_membership[rows] = pins
+        self._m_level[rows] = batch.freq[rows]
+        self._m_ways[rows] = batch.ways[rows]
+        self._derive(rows)
+
+    def _derive(self, rows) -> None:
+        """Rebuild every array the physics reads of the installed pins,
+        DVFS levels, LLC ways and online flags, for ``rows`` (an index
+        array or a slice) only."""
+        pins, level = self._m_membership[rows], self._m_level[rows]
+        # A core runs at the highest DVFS index pinned to it (an unpinned
+        # one at 0), a service at its fastest core's clock: the ladder
+        # rises, so that is the clock of its highest core index.
+        core_level = (pins * level[:, :, None]).max(axis=1)
+        self._m_freq_index[rows] = core_level
+        self._m_n_cores[rows] = pins.sum(axis=2)
+        freq = self._ladder[(pins * core_level[:, None, :]).max(axis=2)]
+        self._m_freq[rows] = freq
+        for derived, row in zip(self._m_terms, pin_terms(pins, self._m_online[rows])):
+            derived[rows] = row
+        self._m_allocated[rows] = pins.any(axis=1)
+        spec = self.spec
+        core_ghz = self._ladder[core_level]
+        voltage = spec.voltage_base_v + spec.voltage_slope * core_ghz
+        self._m_dynamic_coeff[rows] = spec.dynamic_coeff * voltage * voltage * core_ghz
+        freq_factor = self._alpha * (spec.dvfs.max_ghz / freq) + (1.0 - self._alpha)
+        self._m_service_ms[rows] = self._cpu_ms * freq_factor
+        self._m_floor_ms[rows] = self._floor_ms * freq_factor
+
+        # LLC: CAT quotas carve exclusive ways; the unpartitioned services
+        # share what is left in proportion to their working sets.
+        interference = self._interference
+        llc_quota = self._m_ways[rows] * spec.socket.mb_per_way
+        llc_cap = interference.llc_capacity_mb
+        quota_total = np.minimum(
+            np.minimum(llc_quota, llc_cap).sum(axis=1), llc_cap
+        )
+        shared_capacity = np.maximum(llc_cap - quota_total, 1e-9)
+        working_set = self._working_set * 1.0  # llc_demand_mb at full load
+        shared_ws = np.where(llc_quota <= 0, working_set, 0.0).sum(axis=1)
+        has_quota = llc_quota > 0
+        ws_positive = working_set > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            evicted_isolated = np.maximum(0.0, 1.0 - llc_quota / working_set)
+            share = shared_capacity[:, None] * working_set / shared_ws[:, None]
+            evicted_shared = np.maximum(0.0, 1.0 - share / working_set)
+        evicted = np.where(
+            has_quota,
+            np.where(ws_positive, evicted_isolated, 0.0),
+            np.where(
+                (shared_ws > shared_capacity)[:, None] & ws_positive,
+                evicted_shared,
+                0.0,
+            ),
+        )
+        self._m_miss_inflation[rows] = 1.0 + evicted
+        self._m_llc_term[rows] = self._llc_sens * interference.llc_strength * evicted
 
     def _changed_rows(self, batch: AssignmentBatch) -> np.ndarray:
         """The nodes whose row of ``batch`` differs from the installed one,
@@ -527,24 +618,18 @@ class VectorEnvironment:
         """Advance every env one interval on the installed assignments."""
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
         interval = self.config.interval_s
-        membership = self._m_membership
-        online = self._m_online
-        freq_index = self._m_freq_index
-        n_cores = self._m_n_cores
         freq = self._m_freq
-        llc_quota = self._m_llc_quota
+        service_ms_base = self._m_service_ms
 
         arrivals = self._gather_arrivals()
         backlog = self._backlog
 
         # --- effective capacities (demand-aware timesharing) ------------ #
-        freq_factor = self._alpha * (self.spec.dvfs.max_ghz / freq) + (1.0 - self._alpha)
-        service_ms_base = self._cpu_ms * freq_factor
         offered = arrivals + backlog / interval
         per_core_demand = np.minimum(
-            offered * service_ms_base / 1000.0 / np.maximum(n_cores, 1.0), 1.5
+            offered * service_ms_base / 1000.0 / self._m_n_cores, 1.5
         )
-        capacities = effective_capacity_matrix(membership, online, per_core_demand)
+        capacities = effective_capacity_matrix(self._m_terms, per_core_demand)
 
         # --- interference ----------------------------------------------- #
         eff_servers = capacities / (1.0 + self._serial_fraction * (capacities - 1.0))
@@ -554,68 +639,40 @@ class VectorEnvironment:
         membw_expected = expected * self._membw_per_req / 1024.0
         bw_util = membw_expected.sum(axis=1) / interference.membw_capacity_gbps
         pressure = interference.bandwidth_pressure_batch(bw_util)
-        llc_cap = interference.llc_capacity_mb
-        quota_total = np.minimum(
-            np.minimum(llc_quota, llc_cap).sum(axis=1), llc_cap
-        )
-        shared_capacity = np.maximum(llc_cap - quota_total, 1e-9)
-        working_set = self._working_set * 1.0  # llc_demand_mb at full load
-        shared_ws = np.where(llc_quota <= 0, working_set, 0.0).sum(axis=1)
-        has_quota = llc_quota > 0
-        ws_positive = working_set > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            evicted_isolated = np.maximum(0.0, 1.0 - llc_quota / working_set)
-            share = shared_capacity[:, None] * working_set / shared_ws[:, None]
-            evicted_shared = np.maximum(0.0, 1.0 - share / working_set)
-        evicted = np.where(
-            has_quota,
-            np.where(ws_positive, evicted_isolated, 0.0),
-            np.where(
-                (shared_ws > shared_capacity)[:, None] & ws_positive,
-                evicted_shared,
-                0.0,
-            ),
-        )
-        miss_inflation = 1.0 + evicted
         bw_term = self._membw_sens * interference.bandwidth_strength * pressure[:, None]
-        llc_term = self._llc_sens * interference.llc_strength * evicted
-        inflation = 1.0 + bw_term + llc_term
+        inflation = 1.0 + bw_term + self._m_llc_term
 
-        # --- service dynamics (both regimes, then select) ---------------- #
+        # --- service dynamics -------------------------------------------- #
         service_ms = service_ms_base * inflation
-        floor_ms = self._floor_ms * freq_factor * inflation
+        floor_ms = self._m_floor_ms * inflation
         mu = 1000.0 / service_ms
         capacity = eff_servers * mu
-        stable = offered < 0.995 * capacity
-
-        wait_stable = self._wait_q99_ms(offered, mu, eff_servers)
-        overload_backlog = np.clip(
-            backlog + (arrivals - capacity) * interval, 0.0, 2.0 * capacity
+        edge = 0.995 * capacity
+        stable = offered < edge
+        # One Erlang-C evaluation per (node, service), as the scalar
+        # LCService.step makes: at the offered load below the stability
+        # edge, at the edge itself past it.
+        wait = self._wait_q99_ms(np.where(stable, offered, edge), mu, eff_servers)
+        # np.clip with an array bound is minimum(maximum(x, lo), hi).
+        overload_backlog = np.minimum(
+            np.maximum(backlog + (arrivals - capacity) * interval, 0.0), 2.0 * capacity
         )
         with np.errstate(divide="ignore", invalid="ignore"):
-            queueing_ms = np.where(
-                capacity > 0, 1000.0 * (overload_backlog / capacity), 0.0
-            )
-        edge_wait = self._wait_q99_ms(0.995 * capacity, mu, eff_servers)
-        p99 = np.where(
-            stable,
-            floor_ms + wait_stable,
-            floor_ms + service_ms + np.maximum(queueing_ms, edge_wait),
-        )
-        new_backlog = np.where(stable, 0.0, overload_backlog)
+            queueing_ms = 1000.0 * (overload_backlog / capacity)
+        np.copyto(queueing_ms, 0.0, where=~(capacity > 0))
+        p99 = floor_ms + service_ms + np.maximum(queueing_ms, wait)
+        np.add(floor_ms, wait, out=p99, where=stable)
+        new_backlog = overload_backlog
+        np.copyto(new_backlog, 0.0, where=stable)
         throughput = np.where(stable, offered, capacity)
 
         # --- shared-RNG noise block -------------------------------------- #
-        lat_draws = 1 if self.config.latency_noise_std > 0 else 0
-        tel_draws = len(COUNTER_NAMES) if self.config.telemetry_noise_std > 0 else 0
-        block = lat_draws + tel_draws
-        total_draws = S * block + 1
-        z = np.empty((E, total_draws))
-        for rng, row in zip(self._rngs, z):
-            rng.standard_normal(out=row)
-        per_service = z[:, : S * block].reshape(E, S, block)
+        for draw, row in zip(self._draws, self._noise_rows):
+            draw(out=row)
+        lat_draws, tel_draws = self._noise_split
+        per_service = self._noise[:, :-1].reshape(E, S, lat_draws + tel_draws)
         if lat_draws:
-            p99 = p99 * np.exp(self.config.latency_noise_std * per_service[:, :, 0])
+            p99 *= np.exp(self.config.latency_noise_std * per_service[:, :, 0])
 
         mean_ms = (
             floor_ms / 3.0
@@ -623,7 +680,10 @@ class VectorEnvironment:
             + service_ms / np.maximum(eff_servers, 1.0)
         )
         busy = np.minimum(offered, capacity) * service_ms / 1000.0 * interval
-        utilization = np.clip(busy / (capacities * interval), 0.0, 1.0)
+        # np.clip with scalar bounds is minimum(hi, maximum(lo, x)).
+        utilization = busy / (capacities * interval)
+        np.maximum(0.0, utilization, out=utilization)
+        np.minimum(1.0, utilization, out=utilization)
         instructions = throughput * interval * self._instr_per_req * 1e6
         membw_out = throughput * self._membw_per_req / 1024.0
 
@@ -651,7 +711,7 @@ class VectorEnvironment:
                 branch_instr,
                 branch_misses,
                 branch_misses,
-                kilo_instr * self._llc_mpki * miss_inflation,
+                kilo_instr * self._llc_mpki * self._m_miss_inflation,
                 kilo_instr * self._l1d_mpki,
                 kilo_instr * self._l1i_mpki,
             ],
@@ -659,34 +719,27 @@ class VectorEnvironment:
         )  # (E, S, 11) in COUNTER_NAMES order, the order the scalar
         # TelemetrySynthesizer builds, and so noises, them.
         if tel_draws:
-            tel_z = per_service[:, :, lat_draws:]
-            counters = counters * (1.0 + self.config.telemetry_noise_std * tel_z)
-        counters = np.maximum(counters, 0.0)
+            counters *= 1.0 + self.config.telemetry_noise_std * per_service[:, :, lat_draws:]
+        np.maximum(counters, 0.0, out=counters)
 
         # --- ground-truth power and RAPL ---------------------------------- #
         effective_util = utilization + self._aiu * (1.0 - utilization)
-        core_util = np.clip(
-            (membership * effective_util[:, :, None]).sum(axis=1), 0.0, 1.0
-        )
-        allocated = membership.any(axis=1)
-        core_freq = self._ladder[freq_index]
-        voltage = self.spec.voltage_base_v + self.spec.voltage_slope * core_freq
-        dynamic_per_core = np.where(
-            allocated,
-            self.spec.dynamic_coeff * voltage * voltage * core_freq * core_util,
-            0.0,
-        )
+        core_util = service_sum(self._m_terms.pins * effective_util[:, :, None])
+        np.maximum(0.0, core_util, out=core_util)
+        np.minimum(1.0, core_util, out=core_util)
+        dynamic_per_core = self._m_dynamic_coeff * core_util
+        np.copyto(dynamic_per_core, 0.0, where=~self._m_allocated)
         if self.config.hotplug_unused:
-            online_count = allocated.sum(axis=1)
+            online_count = self._m_allocated.sum(axis=1)
         else:
-            online_count = np.full(E, C)
+            online_count = C
         true_power = (
             self.spec.idle_power_w
             + self.spec.core_static_w * online_count
             + dynamic_per_core.sum(axis=1)
-            + self.spec.uncore_bw_w * np.clip(bw_util, 0.0, 1.0)
+            + self.spec.uncore_bw_w * np.minimum(1.0, np.maximum(0.0, bw_util))
         )
-        rapl_noise = 1.0 + self.config.rapl_noise_std * z[:, -1]
+        rapl_noise = 1.0 + self.config.rapl_noise_std * self._noise[:, -1]
         readings = np.maximum(true_power * rapl_noise, 0.0)
 
         # --- engine state ------------------------------------------------ #
@@ -709,7 +762,7 @@ class VectorEnvironment:
             "cores": capacities,
             "frequency_ghz": freq.copy(),
             "inflation": inflation,
-            "miss_inflation": miss_inflation,
+            "miss_inflation": self._m_miss_inflation.copy(),
             "membw_gbps": membw_out,
             "busy_core_seconds": busy,
             "instructions": instructions,
@@ -805,9 +858,10 @@ class VectorEnvironment:
         theta = servers * mu - arrival
         with np.errstate(divide="ignore", invalid="ignore"):
             wait = 1000.0 * np.log(p_wait / 0.01) / theta
-        wait = np.where(theta <= 0, np.inf, wait)
-        wait = np.where(p_wait <= 0.01, 0.0, wait)
-        return np.where(arrival <= 0, 0.0, wait)
+        np.copyto(wait, np.inf, where=theta <= 0)
+        np.copyto(wait, 0.0, where=p_wait <= 0.01)
+        np.copyto(wait, 0.0, where=arrival <= 0)
+        return wait
 
     # ------------------------------------------------------------------ #
     # checkpointing
@@ -912,7 +966,8 @@ class VectorEnvironment:
             [state.migration_counts.get(name, 0) for name in self.names] for state in states
         ]
         # Trees hold no per-service DVFS or way rows: the next step
-        # installs every node in full.
+        # installs every node in full, and so rebuilds every row of the
+        # arrays derived from the installed rows and online flags.
         self._m_level[:] = -1
         socket = self.config.socket_index
         self._backlog = np.array(

@@ -36,32 +36,71 @@ from repro.sim.faults import FaultInjector
 from repro.sim.telemetry import TelemetrySynthesizer
 
 
-def effective_capacity_matrix(
-    membership: np.ndarray, online: np.ndarray, per_core_demand: np.ndarray
-) -> np.ndarray:
+class PinTerms(NamedTuple):
+    """What :func:`effective_capacity_matrix` reads of a placement.
+
+    They change only when pins or online flags do, so the vector engine
+    keeps them per node and rebuilds a node's rows at install; the
+    scalar environment builds them every step.
+    """
+
+    #: ``(..., S, C)`` float64: 1.0 where service s is pinned to core c.
+    pins: np.ndarray
+    #: ``(..., C)``: each core's share floor ``1/max(k, 1)``, k its pinned services.
+    floor: np.ndarray
+    #: ``(..., S, C)`` bool: core c gives service s nothing (unpinned or offline).
+    idle: np.ndarray
+
+
+def pin_terms(membership: np.ndarray, online: np.ndarray) -> PinTerms:
+    """The :class:`PinTerms` of a boolean ``(..., S, C)`` pin matrix and a
+    boolean ``(..., C)`` core-online mask."""
+    membership = np.asarray(membership, dtype=bool)
+    online = np.asarray(online, dtype=bool)
+    return PinTerms(
+        pins=membership.astype(np.float64),
+        floor=1.0 / np.maximum(membership.sum(axis=-2), 1),
+        idle=~(membership & online[..., None, :]),
+    )
+
+
+def service_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-2)`` over a ``(..., S, C)`` array, bit for bit.
+
+    numpy reduces that axis by adding the service rows one after another
+    onto 0.0; these are the same adds, without the strided reduction's
+    overhead.
+    """
+    total = np.add(0.0, terms[..., 0, :])
+    for s in range(1, terms.shape[-2]):
+        total += terms[..., s, :]
+    return total
+
+
+def effective_capacity_matrix(terms: PinTerms, per_core_demand: np.ndarray) -> np.ndarray:
     """Demand-aware timeshared core-equivalents, fully vectorized.
 
-    ``membership`` is a boolean ``(..., S, C)`` pin matrix (service s uses
-    core c), ``online`` a boolean ``(..., C)`` core-online mask, and
-    ``per_core_demand`` the ``(..., S)`` per-core busy demand of each
-    service. Per shared core, service i's usable share is
+    ``terms`` describe a ``(..., S, C)`` placement (:func:`pin_terms`)
+    and ``per_core_demand`` is the ``(..., S)`` per-core busy demand of
+    each service. Per shared core, service i's usable share is
     ``clip(1 - sum of co-runners' demand, 1/k, 1)`` where k is the number
     of services pinned to the core; offline or unpinned cores contribute
     nothing. Returns the ``(..., S)`` core-equivalents, floored at 1e-6.
 
     Both :class:`ColocationEnvironment` and the vector engine route their
     capacity math through this one function, so the scalar and batched
-    paths stay bitwise-aligned.
+    paths stay bitwise-aligned. Only the demand changes from tick to
+    tick; the engine keeps each node's ``terms`` from its install. The
+    clip is ``minimum(maximum(x, floor), 1)``, the order ``np.clip``
+    takes with an array bound.
     """
-    membership = np.asarray(membership, dtype=bool)
-    online = np.asarray(online, dtype=bool)
-    demand = np.asarray(per_core_demand, dtype=np.float64)
-    k = membership.sum(axis=-2)                                   # (..., C)
-    demand_total = (membership * demand[..., :, None]).sum(axis=-2)
-    others = demand_total[..., None, :] - demand[..., :, None]    # (..., S, C)
-    share = np.clip(1.0 - others, 1.0 / np.maximum(k, 1)[..., None, :], 1.0)
-    usable = np.where(membership & online[..., None, :], share, 0.0)
-    return np.maximum(usable.sum(axis=-1), 1e-6)
+    demand = np.asarray(per_core_demand, dtype=np.float64)[..., :, None]
+    share = service_sum(terms.pins * demand)[..., None, :] - demand   # others' demand
+    np.subtract(1.0, share, out=share)
+    np.maximum(share, terms.floor[..., None, :], out=share)
+    np.minimum(share, 1.0, out=share)
+    np.copyto(share, 0.0, where=terms.idle)
+    return np.maximum(share.sum(axis=-1), 1e-6)
 
 
 @dataclass(frozen=True)
@@ -530,7 +569,7 @@ class ColocationEnvironment:
             demand[i] = min(busy_cores / max(len(cores), 1), 1.5)
             for core in cores:
                 membership[i, column[core.core_id]] = True
-        capacities = effective_capacity_matrix(membership, online, demand)
+        capacities = effective_capacity_matrix(pin_terms(membership, online), demand)
         return {name: float(capacities[i]) for i, name in enumerate(names)}
 
     def _check_socket(self, assignments: Mapping[str, CoreAssignment]) -> None:

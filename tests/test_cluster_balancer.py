@@ -174,6 +174,43 @@ class TestPowerOfTwo:
         np.testing.assert_array_equal(a.assign(1, demand), b.assign(1, demand))
 
 
+def _array_shares(rng, n, granularity, pressure, services):
+    """The two-choice picks as they ran over float64 arrays and numpy
+    scalars, before they ran over Python lists."""
+    if pressure is None:
+        running = np.zeros(n)
+    else:
+        running = np.where(np.isfinite(pressure), pressure.astype(np.float64), np.inf)
+    counts = np.zeros(n)
+    chunk_load = 1.0 / granularity
+    for a, b in rng.integers(0, n, size=(granularity, 2)):
+        pick = a if running[a] <= running[b] else b
+        counts[pick] += 1
+        running[pick] += chunk_load
+    return np.broadcast_to((counts / granularity)[:, None], (n, services)).copy()
+
+
+class TestPowerOfTwoPicks:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_list_picks_match_the_array_loop_bit_for_bit(self, seed):
+        """Ties, faulted (NaN and inf) nodes and no feedback included."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        granularity = int(rng.integers(1, 200))
+        pressure = None
+        if seed % 4:
+            pressure = rng.choice([0.0, 0.25, 0.5, 1.0], size=n) + rng.random(n) * (seed % 2)
+            pressure[rng.random(n) < 0.2] = rng.choice([np.nan, np.inf])
+        balancer = PowerOfTwoBalancer(_topology(n, ("r0",)), seed=seed,
+                                      granularity=granularity)
+        reference = np.random.default_rng(seed)
+        for t in range(3):
+            got = balancer._shares(0, t, n, np.ones(3), pressure)
+            expected = _array_shares(reference, n, granularity, pressure, 3)
+            assert got.tobytes() == expected.tobytes()
+        assert balancer._rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestShardedByKey:
     def test_assignment_ignores_time_and_load(self):
         topology = _topology()

@@ -205,6 +205,24 @@ class TestEvents:
         assert all("node" in e for e in sink.of_type("reward"))
 
 
+class TestTimings:
+    def test_timed_run_records_install_control_and_step_once_per_tick(self):
+        """The install, the control plane and the node simulation are
+        three sections, one sample each per tick, inside ``env.step``."""
+        from repro.obs.context import ObsContext
+
+        manager, venv = _build_cluster(4)
+        obs = ObsContext()
+        run_fleet(manager, venv, 6, obs=obs)
+        timings = obs.timings
+        sections = [timings.get(label) for label in
+                    ("cluster.install", "cluster.control", "cluster.step")]
+        assert [section.count for section in sections] == [6, 6, 6]
+        env_step = timings.get("env.step")
+        assert env_step.count == 6
+        assert sum(section.total_s for section in sections) <= env_step.total_s
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         steps = 16

@@ -535,6 +535,45 @@ class TestBatchInstall:
         _step_and_compare(venv, oracles, batch)
 
 
+class TestInstallTimeWork:
+    """What a node step no longer does every tick."""
+
+    def test_static_fleet_rebuilds_no_rows_after_its_first_tick(self, monkeypatch):
+        from repro.cluster.environment import ClusterEnvironment
+        from repro.hier.baselines import make_rule_fleet
+
+        venv = ClusterEnvironment.from_services(SERVICES4, 6, seed=3,
+                                                balancer="power_of_two")
+        fleet = make_rule_fleet("static", SERVICES4, 6, 3)
+        rebuilt, derive = [], venv._derive
+
+        def recording_derive(rows):
+            rebuilt.append(np.arange(venv.num_envs)[rows].tolist())
+            derive(rows)
+
+        monkeypatch.setattr(venv, "_derive", recording_derive)
+        assignments = fleet.initial_assignments()
+        for _ in range(8):
+            assignments = fleet.update_batch(venv.step(assignments))
+        assert rebuilt == [list(range(6))]
+
+    def test_one_erlang_c_evaluation_per_tick(self, monkeypatch):
+        import repro.engine.vector_env as vector_env
+
+        calls, erlang_c_batch = [], vector_env.erlang_c_batch
+
+        def counting(servers, offered):
+            calls.append(np.shape(servers))
+            return erlang_c_batch(servers, offered)
+
+        monkeypatch.setattr(vector_env, "erlang_c_batch", counting)
+        venv, _ = _four_service_batch(3)
+        batch = _rows4(Mapper(venv.spec), [TestBatchInstall.GOOD] * 3)
+        for _ in range(5):
+            venv.step(batch)
+        assert calls == [(3, 4)] * 5
+
+
 class TestBatchedAct:
     def _agent_config(self) -> BDQAgentConfig:
         return BDQAgentConfig(

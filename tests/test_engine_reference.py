@@ -224,8 +224,8 @@ def test_loaded_then_stepped_equals_uninterrupted():
     pins; the tree brings the batch's pins, so only the load tells it
     that its derived arrays are stale."""
     rng = np.random.default_rng(8)
-    steady, _ = vector_pair(SERVICES4, [0.4, 0.3, 0.5, 0.3], 5, 19)
-    loaded, _ = vector_pair(SERVICES4, [0.4, 0.3, 0.5, 0.3], 5, 19)
+    load = dict(zip(SERVICES4, [0.4, 0.3, 0.5, 0.3]))
+    steady, loaded = (VectorEnvironment.from_services(SERVICES4, load, 5, 19) for _ in range(2))
     batches = schedule(rng, steady, 14, 0.3)
     for batch in batches[:7]:
         steady.step(batch)

@@ -585,7 +585,12 @@ class ColocationEnvironment:
     def _socket_power(
         self, observations: Mapping[str, ServiceObservation], membw_util: float
     ) -> float:
-        """Ground-truth server-socket power for the interval."""
+        """Ground-truth server-socket power for the interval.
+
+        Per-core dynamic power is summed as the vector engine sums it: one
+        vector over the socket's cores in core order, 0.0 at unallocated
+        (and so at hotplugged-off) cores, reduced by numpy.
+        """
         core_util: Dict[int, float] = {}
         core_freq: Dict[int, float] = {}
         for name, obs in observations.items():
@@ -601,24 +606,19 @@ class ColocationEnvironment:
                 # 1 below) — a core shared by two spinning services is hot.
                 core_util[core.core_id] = core_util.get(core.core_id, 0.0) + effective
                 core_freq[core.core_id] = self.spec.dvfs[core.freq_index]
-        activity = []
-        online = 0
-        for core_id in self.socket_core_ids:
-            core = self.machine.cores[core_id]
-            allocated = core_id in core_util
-            if self.config.hotplug_unused and not allocated:
-                continue
-            online += 1
-            if allocated:
-                activity.append(
-                    (core_freq[core_id], min(max(core_util[core_id], 0.0), 1.0))
+        dynamic = np.zeros(len(self.socket_core_ids))
+        for j, core_id in enumerate(self.socket_core_ids):
+            if core_id in core_util:
+                dynamic[j] = self.power_model.core_dynamic_w(
+                    core_freq[core_id], min(max(core_util[core_id], 0.0), 1.0)
                 )
-            else:
-                activity.append((self.spec.dvfs[core.freq_index], 0.0))
-        breakdown = self.power_model.socket_power(
-            activity, membw_utilization=membw_util, online_cores=online
+        online = len(core_util) if self.config.hotplug_unused else len(dynamic)
+        return float(
+            self.spec.idle_power_w
+            + self.spec.core_static_w * online
+            + dynamic.sum()
+            + self.spec.uncore_bw_w * min(max(membw_util, 0.0), 1.0)
         )
-        return breakdown.total_w
 
     # ------------------------------------------------------------------ #
     # checkpointing

@@ -11,7 +11,7 @@ its ``observations`` mapping is read. These tests pin:
   has its rows written on the first tick only;
 - equality: what the PARTIES and Heracles fleets read equals the eager
   ``build_observations`` build field for field, and the hand-stepped
-  scalar oracle to the last ulp, with a faulted node and with a trace
+  scalar oracle byte for byte, with a faulted node and with a trace
   sink, on multi-node and 1-node clusters;
 - ownership: a batch's arrays are read-only;
 - the one result reader: a plain result list reads into the keys, dtypes
@@ -121,24 +121,25 @@ def _eager(batch, e):
     )
 
 
-def _ulp_close(a: float, b: float) -> bool:
-    return bool(np.isclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True))
+def _same_bytes(a: float, b: float) -> bool:
+    """Equal as float64 bytes: the engine adds in the scalar oracle's order."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def _assert_matches_scalar(got: StepResult, expected: StepResult, where) -> None:
     assert got.time == expected.time, where
     for field in ("socket_power_w", "true_power_w", "membw_utilization", "energy_j"):
-        assert _ulp_close(getattr(got, field), getattr(expected, field)), (where, field)
+        assert _same_bytes(getattr(got, field), getattr(expected, field)), (where, field)
     assert list(got.observations) == list(expected.observations), where
     for name, ref in expected.observations.items():
         obs = got.observations[name]
         for field in _INTERVAL_FIELDS:
-            assert _ulp_close(
+            assert _same_bytes(
                 getattr(obs.interval, field), getattr(ref.interval, field)
             ), (where, name, field)
         assert list(obs.pmcs) == list(ref.pmcs), where
         for counter, value in ref.pmcs.items():
-            assert _ulp_close(obs.pmcs[counter], value), (where, name, counter)
+            assert _same_bytes(obs.pmcs[counter], value), (where, name, counter)
 
 
 def _assert_matches_oracles(services, seen, faulted):

@@ -6,9 +6,8 @@ scalar path:
 - a :class:`~repro.engine.vector_env.VectorEnvironment` stepped in
   lock-step produces, per environment, the trajectory the equivalent
   standalone :class:`ColocationEnvironment` produces at the same
-  per-env seed — to the last ulp (vectorized sums may associate
-  differently than scalar accumulation, nothing more), with the RNG
-  streams consumed draw-for-draw identically;
+  per-env seed, byte for byte, with the RNG streams consumed
+  draw-for-draw identically;
 - :meth:`FleetBDQAgent.act_batch` consumes the exploration RNG exactly
   like N consecutive scalar ``act`` calls;
 - a checkpointed/resumed vector run replays bit-identically to an
@@ -62,9 +61,9 @@ _INTERVAL_FIELDS = [
 ]
 
 
-def _ulp_close(a: float, b: float) -> bool:
-    """Equal up to vectorized-vs-scalar summation-order round-off."""
-    return bool(np.isclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True))
+def _same_bytes(a: float, b: float) -> bool:
+    """Equal as float64 bytes: the engine adds in the scalar oracle's order."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def _assignments(spec: ServerSpec, t: int):
@@ -97,21 +96,21 @@ class TestVectorMatchesScalar:
                 expected = oracle.step(assignment)
                 got = results[e]
                 assert got.time == expected.time
-                assert _ulp_close(got.socket_power_w, expected.socket_power_w)
-                assert _ulp_close(got.true_power_w, expected.true_power_w)
-                assert _ulp_close(got.membw_utilization, expected.membw_utilization)
-                assert _ulp_close(got.energy_j, expected.energy_j)
+                assert _same_bytes(got.socket_power_w, expected.socket_power_w)
+                assert _same_bytes(got.true_power_w, expected.true_power_w)
+                assert _same_bytes(got.membw_utilization, expected.membw_utilization)
+                assert _same_bytes(got.energy_j, expected.energy_j)
                 for name in SERVICES:
                     interval = got.observations[name].interval
                     ref = expected.observations[name].interval
                     for field in _INTERVAL_FIELDS:
-                        assert _ulp_close(
+                        assert _same_bytes(
                             getattr(interval, field), getattr(ref, field)
                         ), (name, field, t)
                     pmcs, ref_pmcs = got.observations[name].pmcs, expected.observations[name].pmcs
                     assert set(pmcs) == set(ref_pmcs)
                     for counter in pmcs:
-                        assert _ulp_close(pmcs[counter], ref_pmcs[counter]), (name, counter, t)
+                        assert _same_bytes(pmcs[counter], ref_pmcs[counter]), (name, counter, t)
         # The RNG streams must end in the same state too — equality of the
         # outputs above could in principle survive a draw-order swap, the
         # bit generator state cannot.
@@ -129,8 +128,8 @@ class TestVectorMatchesScalar:
         assignment = _assignments(venv.spec, 0)
         results = venv.step(as_batch(venv, [assignment, assignment]))
         expected = solo.step(assignment)
-        assert _ulp_close(results[0].socket_power_w, expected.socket_power_w)
-        assert not _ulp_close(results[1].socket_power_w, expected.socket_power_w)
+        assert _same_bytes(results[0].socket_power_w, expected.socket_power_w)
+        assert not _same_bytes(results[1].socket_power_w, expected.socket_power_w)
 
 
 SERVICES4 = ["masstree", "xapian", "moses", "img-dnn"]
@@ -183,28 +182,25 @@ def _schedule4(spec, num_envs, steps):
     return schedule
 
 
-def _assert_tree_close(got, expected, path):
+def _assert_tree_bytes(got, expected, path):
     """Every leaf of ``got`` equals ``expected``'s, of the same type;
-    floats up to vectorized-vs-scalar round-off."""
+    floats as float64 bytes."""
     if isinstance(expected, dict):
         assert isinstance(got, dict) and set(got) == set(expected), path
         for key in expected:
-            _assert_tree_close(got[key], expected[key], f"{path}.{key}")
+            _assert_tree_bytes(got[key], expected[key], f"{path}.{key}")
     elif isinstance(expected, np.ndarray):
         assert isinstance(got, np.ndarray), path
         assert got.dtype == expected.dtype and got.shape == expected.shape, path
-        if expected.dtype.kind == "f":
-            assert np.allclose(got, expected, rtol=1e-12, atol=0.0, equal_nan=True), path
-        else:
-            assert np.array_equal(got, expected), path
+        assert got.tobytes() == expected.tobytes(), path
     elif isinstance(expected, (list, tuple)):
         assert type(got) is type(expected) and len(got) == len(expected), path
         for i, (a, b) in enumerate(zip(got, expected)):
-            _assert_tree_close(a, b, f"{path}[{i}]")
+            _assert_tree_bytes(a, b, f"{path}[{i}]")
     else:
         assert type(got) is type(expected), path
         if isinstance(expected, float):
-            assert _ulp_close(got, expected), path
+            assert _same_bytes(got, expected), path
         else:
             assert got == expected, path
 
@@ -218,7 +214,7 @@ def _assert_envs_match(venv, oracles):
     ]
     trees = venv.state_dict()["envs"]
     for e, oracle in enumerate(oracles):
-        _assert_tree_close(trees[f"{e:04d}"], oracle.state_dict(), f"env {e}")
+        _assert_tree_bytes(trees[f"{e:04d}"], oracle.state_dict(), f"env {e}")
 
 
 def _step_and_compare(venv, oracles, assignments):
@@ -230,12 +226,12 @@ def _step_and_compare(venv, oracles, assignments):
     for e, oracle in enumerate(oracles):
         expected = oracle.step(assignments[e])
         assert results[e].time == expected.time
-        assert _ulp_close(results[e].socket_power_w, expected.socket_power_w)
+        assert _same_bytes(results[e].socket_power_w, expected.socket_power_w)
         for name in SERVICES4:
             got = results[e].observations[name].interval
             ref = expected.observations[name].interval
             for field in ("p99_ms", "cores", "frequency_ghz", "miss_inflation"):
-                assert _ulp_close(getattr(got, field), getattr(ref, field)), (
+                assert _same_bytes(getattr(got, field), getattr(ref, field)), (
                     e, name, field,
                 )
     _assert_envs_match(venv, oracles)
@@ -326,7 +322,7 @@ class TestEngineOwnedState:
                 expected = [{**event, "env": e} for event in oracle_sink.events]
                 assert [event["ev"] for event in got] == [event["ev"] for event in expected]
                 for i, (a, b) in enumerate(zip(got, expected)):
-                    _assert_tree_close(a, b, f"step {t} env {e} event {i}")
+                    _assert_tree_bytes(a, b, f"step {t} env {e} event {i}")
                 kinds.update(event["ev"] for event in got)
         assert kinds == {"fault", "qos_violation", "interval"}
         streaks = venv.state_dict()["envs"]["0001"]["violation_streaks"]
@@ -357,16 +353,16 @@ class TestKeptBatch:
             for i, name in enumerate(SERVICES4):
                 interval = ref.observations[name].interval
                 for key, field in columns.items():
-                    assert _ulp_close(
+                    assert _same_bytes(
                         kept.arrays[key][e, i], getattr(interval, field)
                     ), (e, name, key)
             got = kept[e]
             assert got.time == ref.time
-            assert _ulp_close(got.socket_power_w, ref.socket_power_w)
-            assert _ulp_close(got.energy_j, ref.energy_j)
+            assert _same_bytes(got.socket_power_w, ref.socket_power_w)
+            assert _same_bytes(got.energy_j, ref.energy_j)
             for name in SERVICES4:
                 for field in _INTERVAL_FIELDS:
-                    assert _ulp_close(
+                    assert _same_bytes(
                         getattr(got.observations[name].interval, field),
                         getattr(ref.observations[name].interval, field),
                     ), (e, name, field)

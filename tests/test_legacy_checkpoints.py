@@ -50,10 +50,10 @@ SERVICES = ["masstree", "xapian"]
 #: file -> (run-trace sha256 of the resumed 20 intervals, agent step count after).
 RESUMED = {
     "legacy_twig.ckpt.npz": (
-        "ebc6da7d0e5b44021271ec90b8ee89ee6d6caec0dbcbad2bfabaa80f68ec9c69", 119
+        "99b49f46eb7f440b427d85991687789c3c53572a97b250e3e183c5a944df4d48", 119
     ),
     "legacy_bdq_agent.ckpt.npz": (
-        "b2d629999a9bae015817d06a244a86cb877f5f3ca752b9b4223a118a732954f9", 118
+        "76cd2866600f6b94758382d343c0e6401a194a16cd8945a078e8132af0fd9d5b", 118
     ),
 }
 

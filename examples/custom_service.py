@@ -19,7 +19,7 @@ from repro.core import Twig, TwigConfig
 from repro.experiments import run_manager
 from repro.server import CoreAssignment, ServerSpec
 from repro.services import ConstantLoad, ServiceProfile
-from repro.sim import ColocationEnvironment, EnvironmentConfig
+from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 
 RPC_GATEWAY = ServiceProfile(
     name="rpc-gateway",

@@ -21,7 +21,7 @@ from repro.core import Twig, TwigConfig
 from repro.experiments import run_manager
 from repro.server import ServerSpec
 from repro.services import DiurnalLoad, get_profile
-from repro.sim import ColocationEnvironment, EnvironmentConfig
+from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 
 
 def make_env(seed: int, spec: ServerSpec, period: int):

@@ -22,7 +22,7 @@ from repro.core import Twig, TwigConfig
 from repro.experiments import run_manager
 from repro.server import ServerSpec
 from repro.services import ConstantLoad, get_profile
-from repro.sim import ColocationEnvironment, EnvironmentConfig
+from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
 
 
 def make_env(service: str, load: float, seed: int, spec: ServerSpec):

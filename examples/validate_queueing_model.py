@@ -15,9 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.textplot import sparkline
+from repro.cluster.environment import make_cluster_node
+from repro.server.machine import CoreAssignment
 from repro.services.profiles import get_profile
-from repro.services.service import LCService
 from repro.sim.discrete_event import simulate_service_point
+from repro.sim.node import EnvironmentConfig
 
 
 def main() -> None:
@@ -30,8 +32,13 @@ def main() -> None:
     analytic_series, des_series = [], []
     for fraction in fractions:
         arrival = fraction * profile.max_load_rps
-        service = LCService(profile, freq, np.random.default_rng(3), latency_noise_std=0.0)
-        analytic = service.step(arrival, cores=cores, frequency_ghz=freq).p99_ms
+        # One interval of masstree alone on the whole socket at the top
+        # DVFS state, at exactly ``arrival`` and without latency noise.
+        env = make_cluster_node(["masstree"], 3, EnvironmentConfig(latency_noise_std=0.0))
+        env.load_generators["masstree"].set_rate(arrival)
+        top = len(env.spec.dvfs) - 1
+        full = {"masstree": CoreAssignment(tuple(env.socket_core_ids), freq_index=top)}
+        analytic = env.step(full).observations["masstree"].p99_ms
         stats = simulate_service_point(
             profile, arrival, cores=cores, frequency_ghz=freq, max_frequency_ghz=freq,
             rng=np.random.default_rng(5), duration_s=120.0, warmup_s=15.0,

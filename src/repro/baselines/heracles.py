@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult, result_arrays
+from repro.sim.node import StepResult, result_arrays
 
 
 class HeraclesFleet:

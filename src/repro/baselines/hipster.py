@@ -32,7 +32,7 @@ from repro.server.machine import CoreAssignment
 from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult
+from repro.sim.node import StepResult
 
 
 class HipsterManager(TaskManager):

@@ -26,7 +26,7 @@ from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
 from repro.services.queueing import erlang_c
-from repro.sim.environment import StepResult
+from repro.sim.node import StepResult
 
 
 class OracleManager(TaskManager):

@@ -40,7 +40,7 @@ from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult, result_arrays
+from repro.sim.node import StepResult, result_arrays
 
 #: Resource indices (-1: none).
 CORES, DVFS = 0, 1

@@ -14,7 +14,7 @@ from repro.core.mapper import Mapper
 from repro.errors import ConfigurationError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
-from repro.sim.environment import StepResult
+from repro.sim.node import StepResult
 
 
 class StaticManager(TaskManager):

@@ -16,10 +16,11 @@ the per-node simulation:
 
 A node has no load stream: the engine steps on the balancer's rate
 matrix, which draws nothing from the node's RNG, so the draw-for-draw
-fidelity with the scalar path holds. A 1-node cluster stepped here is
-bit-identical to the scalar node :func:`make_cluster_node` builds, stepped
-by hand with :class:`~repro.cluster.traffic.ScheduledLoad` generators set
-to the same rates (pinned in ``tests/test_cluster_environment.py``).
+fidelity with a server stepped on its own holds. A 1-node cluster stepped
+here is bit-identical to the node :func:`make_cluster_node` builds,
+stepped by hand with :class:`~repro.cluster.traffic.ScheduledLoad`
+generators set to the same rates (pinned in
+``tests/test_cluster_environment.py``).
 
 Trace events from cluster runs carry a ``node`` envelope field instead
 of ``env``, and every interval additionally emits one fleet-level
@@ -64,9 +65,10 @@ def make_cluster_node(
     config: Optional[EnvironmentConfig] = None,
     qos_targets: Optional[Dict[str, float]] = None,
 ) -> ColocationEnvironment:
-    """One cluster node as a scalar environment, for the paths that step a
-    node on its own: the ``ctrl_serve`` bench episode and the oracles in
-    the tests. :class:`ClusterEnvironment` builds no such object.
+    """One cluster node as a :class:`ColocationEnvironment` (a one-node
+    engine), for the paths that step a node on its own, such as the
+    ``ctrl_serve`` bench episode. :class:`ClusterEnvironment` builds no
+    such object.
 
     Follows the sibling-seeding recipe (env RNG at ``seed``) but installs
     :class:`~repro.cluster.traffic.ScheduledLoad` generators, so arrival

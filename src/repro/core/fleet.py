@@ -45,7 +45,7 @@ from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult, result_arrays
+from repro.sim.node import StepResult, result_arrays
 
 
 class FleetBDQAgent(BDQAgent):

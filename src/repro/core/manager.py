@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from typing import Dict
 
 from repro.server.machine import CoreAssignment
-from repro.sim.environment import StepResult
+from repro.sim.node import StepResult
 
 
 class TaskManager(ABC):

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.actions import Allocation
 from repro.errors import AllocationError, ShapeError
-from repro.server.machine import CoreAssignment, Machine
+from repro.server.machine import CoreAssignment, check_assignments
 from repro.server.spec import ServerSpec
 
 
@@ -87,14 +87,13 @@ class AssignmentBatch(Sequence):
         """Per-server ``name -> CoreAssignment`` dicts for the services
         ``names`` on socket ``socket_index``, as one batch.
 
-        Each dict is checked as ``ColocationEnvironment.step`` checks it,
-        and refused with the ``AllocationError`` it raises: other
+        Each dict is checked and refused with an ``AllocationError``: other
         services, a core off the socket, then ``Machine.apply``'s checks
-        (zero cores, a DVFS index off the ladder, a repeated core).
+        (:func:`~repro.server.machine.check_assignments`: zero cores, a
+        DVFS index off the ladder, a repeated core).
         """
         core_ids = spec.socket_core_ids(socket_index)
         column = {core: j for j, core in enumerate(core_ids)}
-        machine = Machine(spec)
         shape = (len(assignments), len(names))
         pins = np.zeros(shape + (len(core_ids),), dtype=bool)
         freq = np.zeros(shape, dtype=np.int64)
@@ -112,7 +111,7 @@ class AssignmentBatch(Sequence):
                         f"service {name!r} assigned cores {outside} outside server "
                         f"socket {socket_index}"
                     )
-            machine._validate(assignment)
+            check_assignments(spec, assignment)
             for i, name in enumerate(names):
                 a = assignment[name]
                 pins[e, i, [column[c] for c in a.cores]] = True

@@ -38,7 +38,7 @@ from repro.rl.agent import BDQAgent
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.profiles import ServiceProfile
-from repro.sim.environment import StepResult
+from repro.sim.node import StepResult
 
 
 class Twig(FleetTwig, TaskManager):

@@ -53,7 +53,7 @@ from repro.obs.sink import NULL_SINK, TraceSink
 from repro.server.machine import CoreAssignment
 from repro.services.profiles import get_profile
 from repro.services.service import IntervalResult
-from repro.sim.environment import ServiceObservation, StepResult
+from repro.sim.node import ServiceObservation, StepResult
 
 __all__ = [
     "NODE_METHODS",

@@ -1,25 +1,28 @@
 """Batched lock-step simulation of N one-socket servers.
 
-:class:`VectorEnvironment` holds N homogeneous nodes, each the server of
-a :class:`~repro.sim.environment.ColocationEnvironment`, and advances all
-of them through one control interval per :meth:`step` call with
+:class:`VectorEnvironment` holds N homogeneous nodes and advances all of
+them through one control interval per :meth:`step` call with
 array-shaped math: per-(node x service) arrival/backlog/queueing state,
 the batched Erlang-C kernel (:func:`repro.services.queueing.erlang_c_batch`),
 vectorized interference resolution, telemetry synthesis, and the
 ground-truth power model, all as ``(E, S)`` / ``(E, C)`` NumPy
 operations. It builds its nodes from the service profiles and the seed
 recipe and is their only owner: no environment, machine, service or
-sensor object is built per node.
+sensor object is built per node. It is the only server physics in the
+package: the paper loop's
+:class:`~repro.sim.environment.ColocationEnvironment` is its one-node
+case, built on the caller's profiles, load generators and RNG.
 
 Draw-for-draw RNG fidelity
 --------------------------
-Each node has the RNG streams of the scalar recipe
+Each node has the RNG streams of the paper loop's recipe
 (:func:`repro.experiments.common.make_environment`): a server stream at
 ``seed + e * ENV_SEED_STRIDE`` and, for a batch built from load
 fractions, one :class:`~repro.services.loadgen.ConstantLoad` per service
 with its own stream at ``base + 101 + i`` (a cluster node has no load
-stream; the balancer sets its rates). The vector step consumes them in exactly the
-order the scalar ``ColocationEnvironment.step`` would:
+stream; the balancer sets its rates). The step consumes them in exactly
+the order the frozen scalar server (``tests/oracles/colocation_reference.py``)
+does:
 
 - each load generator's *private* RNG draws its jitter normal first
   (one per service, in service order);
@@ -38,9 +41,9 @@ array draws continue the same stream as repeated scalar draws, so a
 node's RNG state after a vector step is identical to the state after a
 scalar step.
 
-``ColocationEnvironment`` stepped on its own is the equivalence oracle:
-stepping the same seeds through it reproduces the vector trajectories,
-events and checkpoint trees (see ``tests/test_engine_vector.py``).
+That frozen scalar server is the equivalence oracle: stepping the same
+seeds through it reproduces the vector trajectories, events and
+checkpoint trees byte for byte (see ``tests/test_engine_vector.py``).
 
 Engine-owned state
 ------------------
@@ -51,8 +54,8 @@ backlogs as ``(E, S)``, and clocks and RAPL energy and last reading as
 ``(E,)`` (a :class:`~repro.cluster.environment.ClusterEnvironment` adds
 the balancer's ``(E, S)`` rate matrix). Each node's fault injector sits
 in :attr:`VectorEnvironment.faults`, and its violation streaks, counted
-on traced steps, in a dict. A node's checkpoint tree has the scalar
-environment's layout (:class:`~repro.sim.environment.NodeState`). A step
+on traced steps, in a dict. A node's checkpoint tree has the one-server
+layout (:class:`~repro.sim.node.NodeState`). A step
 replaces the state arrays it hands to its :class:`StepBatch` and never
 writes into them afterwards. Assignments arrive as one
 :class:`~repro.core.mapper.AssignmentBatch`, whose changed rows are
@@ -66,7 +69,7 @@ Work at install, work per tick
 Everything the physics reads of a placement is computed when a row is
 installed, for the changed rows only (:meth:`VectorEnvironment._derive`):
 each core's DVFS index and each service's cores and clock, the capacity
-kernel's :class:`~repro.sim.environment.PinTerms` (float pins, each
+kernel's :class:`~repro.sim.node.PinTerms` (float pins, each
 core's share floor, the cores a service cannot use), the allocated
 cores and their ``C*V^2*f``, the frequency-scaled service time and
 latency floor, and the LLC miss and latency inflation. A load marks
@@ -75,7 +78,7 @@ holds them. A static fleet rebuilds nothing after its first tick.
 
 Per tick, every numeric formula is evaluated once over the whole batch,
 in contiguous passes that give the bytes of the plainer forms: service
-sums as sequential adds (:func:`~repro.sim.environment.service_sum`),
+sums as sequential adds (:func:`~repro.sim.node.service_sum`),
 masked zeros by ``np.copyto``, clips as ``np.minimum``/``np.maximum`` in
 ``np.clip``'s operand order. The Erlang-C probabilities come from one
 unmasked Erlang-B table (:func:`~repro.services.queueing.erlang_c_batch`),
@@ -106,11 +109,11 @@ from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.obs.sink import NULL_SINK, TraceSink
 from repro.pmc.counters import COUNTER_NAMES
 from repro.services.interference import InterferenceModel
-from repro.services.loadgen import ConstantLoad
-from repro.services.profiles import get_profile
+from repro.services.loadgen import ConstantLoad, LoadGenerator
+from repro.services.profiles import ServiceProfile, get_profile
 from repro.services.queueing import erlang_c_batch
 from repro.services.service import IntervalResult
-from repro.sim.environment import (
+from repro.sim.node import (
     EnvironmentConfig,
     NodeState,
     PinTerms,
@@ -313,11 +316,12 @@ class VectorEnvironment:
     names the envelope field used to tag emitted trace events with the
     node index (``"env"`` here;
     :class:`repro.cluster.environment.ClusterEnvironment` retags as
-    ``"node"``).
+    ``"node"``, and the one-node paper loop tags nothing).
     """
 
-    #: Envelope field used when tagging per-environment trace events.
-    index_tag = "env"
+    #: Envelope field used when tagging per-environment trace events, or
+    #: None for untagged events.
+    index_tag: Optional[str] = "env"
 
     def __init__(
         self,
@@ -336,37 +340,39 @@ class VectorEnvironment:
         if not services:
             raise ConfigurationError("need at least one service")
         profiles = [get_profile(name) for name in services]
-        self.names: List[str] = [p.name for p in profiles]
-        if len(set(self.names)) != len(self.names):
-            raise ConfigurationError(f"duplicate service names: {self.names}")
-        self.num_envs = num_envs
+        bases = [seed + e * ENV_SEED_STRIDE for e in range(num_envs)]
+        loads = None
+        if load_fractions is not None:
+            loads = [
+                {
+                    p.name: ConstantLoad(
+                        p.max_load_rps, load_fractions.get(p.name, 0.5),
+                        rng=np.random.default_rng(base + 101 + i),
+                    )
+                    for i, p in enumerate(profiles)
+                }
+                for base in bases
+            ]
+        self._setup(
+            profiles, [np.random.default_rng(base) for base in bases], loads,
+            config, qos_targets,
+        )
+
+    def _setup(
+        self,
+        profiles: Sequence[ServiceProfile],
+        rngs: Sequence[np.random.Generator],
+        loads: Optional[List[Dict[str, LoadGenerator]]],
+        config: Optional[EnvironmentConfig],
+        qos_targets: Optional[Mapping[str, float]],
+    ) -> None:
+        """Build one fresh node per shared RNG in ``rngs``. ``loads`` holds
+        each node's ``name -> LoadGenerator``, read by name every step, or
+        is None for nodes whose rates a subclass supplies."""
+        self.num_envs = len(rngs)
         self.config = config or EnvironmentConfig()
         self.spec = self.config.spec
-
-        as_array = lambda attr: np.array(  # noqa: E731 - tiny stacking helper
-            [getattr(p, attr) for p in profiles], dtype=np.float64
-        )
-        self._cpu_ms = as_array("cpu_ms_per_req")
-        self._serial_fraction = as_array("serial_fraction")
-        self._floor_ms = as_array("floor_q99_ms")
-        self._cv2 = as_array("cv2")
-        self._alpha = as_array("freq_sensitivity")
-        self._membw_per_req = as_array("membw_per_req_mb")
-        self._working_set = as_array("llc_working_set_mb")
-        self._membw_sens = as_array("membw_sensitivity")
-        self._llc_sens = as_array("llc_sensitivity")
-        self._instr_per_req = as_array("instr_per_req_m")
-        self._llc_mpki = as_array("llc_mpki")
-        self._l1d_mpki = as_array("l1d_mpki")
-        self._l1i_mpki = as_array("l1i_mpki")
-        self._bpi = as_array("branch_per_instr")
-        self._bmr = as_array("branch_miss_rate")
-        self._uops = as_array("uops_per_instr")
-        self._aiu = as_array("active_idle_util")
-        targets = {k: v for k, v in (qos_targets or {}).items() if v is not None}
-        self._qos_targets = {p.name: targets.get(p.name, p.qos_target_ms) for p in profiles}
-        self._qos_target = np.array(list(self._qos_targets.values()), dtype=np.float64)
-        self._qos_target.setflags(write=False)  # handed to every StepBatch
+        self._set_services(profiles, qos_targets)
         self._ladder = np.array(self.spec.dvfs.frequencies_ghz, dtype=np.float64)
         self._interference = InterferenceModel(
             membw_capacity_gbps=self.spec.socket.membw_gbps,
@@ -377,22 +383,12 @@ class VectorEnvironment:
         self._off_socket = [c for c in range(self.spec.total_cores) if c not in on_socket]
 
         # Per-node streams and state that is not an array.
-        bases = [seed + e * ENV_SEED_STRIDE for e in range(num_envs)]
-        self._rngs = [np.random.default_rng(base) for base in bases]
-        self._loads: Optional[List[ConstantLoad]] = None
-        if load_fractions is not None:
-            # Node, then service, order: the order they are drawn in.
-            self._loads = [
-                ConstantLoad(
-                    p.max_load_rps, load_fractions.get(p.name, 0.5),
-                    rng=np.random.default_rng(base + 101 + i),
-                )
-                for base in bases
-                for i, p in enumerate(profiles)
-            ]
-        #: Each node's fault injector, or None; assign an entry to attach one.
-        self.faults: List[Optional[FaultInjector]] = [None] * num_envs
-        self._streaks: List[Dict[str, int]] = [{} for _ in range(num_envs)]
+        self._rngs = list(rngs)
+        self._loads = loads
+        self._faults: List[Optional[FaultInjector]] = [None] * self.num_envs
+        self._streaks: List[Dict[str, int]] = [{} for _ in range(self.num_envs)]
+        # Each node's migration counts of the services swapped out of it.
+        self._retired: List[Dict[str, int]] = [{} for _ in range(self.num_envs)]
         #: The trace sink every node emits into; set by :meth:`attach_obs`.
         self.trace: TraceSink = NULL_SINK
         #: Optional :class:`~repro.obs.timing.TimingRegistry` wired in by
@@ -401,7 +397,7 @@ class VectorEnvironment:
 
         # Machine state as (node x service x socket core) arrays, for a
         # fresh socket: every core online, idle at DVFS index 0.
-        E, S, C = num_envs, len(self.names), len(self._core_ids)
+        E, S, C = self.num_envs, len(self.names), len(self._core_ids)
         self._m_membership = np.zeros((E, S, C), dtype=bool)
         self._m_online = np.ones((E, C), dtype=bool)
         self._m_freq_index = np.zeros((E, C), dtype=np.int64)
@@ -443,13 +439,47 @@ class VectorEnvironment:
         # The last RAPL reading per node; NaN before the first poll.
         self._reading = np.full(E, np.nan)
 
+    def _set_services(
+        self, profiles: Sequence[ServiceProfile], qos_targets: Optional[Mapping[str, float]]
+    ) -> None:
+        """The service columns, in ``profiles`` order: names, QoS targets
+        and every per-service profile constant as an ``(S,)`` array."""
+        self._profiles = list(profiles)
+        self.names: List[str] = [p.name for p in profiles]
+        if len(set(self.names)) != len(self.names):
+            raise ConfigurationError(f"duplicate service names: {self.names}")
+        as_array = lambda attr: np.array(  # noqa: E731 - tiny stacking helper
+            [getattr(p, attr) for p in profiles], dtype=np.float64
+        )
+        self._cpu_ms = as_array("cpu_ms_per_req")
+        self._serial_fraction = as_array("serial_fraction")
+        self._floor_ms = as_array("floor_q99_ms")
+        self._cv2 = as_array("cv2")
+        self._alpha = as_array("freq_sensitivity")
+        self._membw_per_req = as_array("membw_per_req_mb")
+        self._working_set = as_array("llc_working_set_mb")
+        self._membw_sens = as_array("membw_sensitivity")
+        self._llc_sens = as_array("llc_sensitivity")
+        self._instr_per_req = as_array("instr_per_req_m")
+        self._llc_mpki = as_array("llc_mpki")
+        self._l1d_mpki = as_array("l1d_mpki")
+        self._l1i_mpki = as_array("l1i_mpki")
+        self._bpi = as_array("branch_per_instr")
+        self._bmr = as_array("branch_miss_rate")
+        self._uops = as_array("uops_per_instr")
+        self._aiu = as_array("active_idle_util")
+        targets = {k: v for k, v in (qos_targets or {}).items() if v is not None}
+        self._qos_targets = {p.name: targets.get(p.name, p.qos_target_ms) for p in profiles}
+        self._qos_target = np.array(list(self._qos_targets.values()), dtype=np.float64)
+        self._qos_target.setflags(write=False)  # handed to every StepBatch
+
     def _install_assignments(self, batch: AssignmentBatch) -> None:
         """Check the batch, then write its changed rows in one pass, as
         ``Machine.apply`` would. Nothing is written unless the whole batch
         passes: one for other services (or in another column order),
         another socket or node count, a service on no core or a DVFS
-        index off the ladder is refused, with the scalar path's message
-        where it has one."""
+        index off the ladder is refused, with
+        :meth:`AssignmentBatch.from_dicts`'s message where it has one."""
         if not isinstance(batch, AssignmentBatch):
             raise AllocationError(
                 f"the engine installs an AssignmentBatch, got {type(batch).__name__}; "
@@ -570,7 +600,7 @@ class VectorEnvironment:
         """Build N sibling nodes with deterministic per-node seeding: node
         ``e`` follows :func:`repro.experiments.common.make_environment` at
         base seed ``seed + e * ENV_SEED_STRIDE``, so node 0 is seed-for-seed
-        a scalar run at ``seed``."""
+        the paper loop's server at ``seed``."""
         return cls(services, load_fractions, num_envs, seed, config, qos_targets)
 
     # ------------------------------------------------------------------ #
@@ -590,6 +620,11 @@ class VectorEnvironment:
         """p99 QoS target (ms) for ``name``, the same on every node."""
         return self._qos_targets[name]
 
+    @property
+    def faults(self) -> List[Optional[FaultInjector]]:
+        """Each node's fault injector, or None; assign an entry to attach one."""
+        return self._faults
+
     def attach_obs(self, trace, timings) -> None:
         """Emit every node's trace events into ``trace``, and keep
         ``timings`` for the sections a subclass reports."""
@@ -597,12 +632,14 @@ class VectorEnvironment:
         self.timings = timings
 
     def migration_counts(self) -> List[Dict[str, int]]:
-        """Per-node service migration counters (for final run traces): a
-        service that never migrated has no entry, as ``Machine.apply``
-        counts them."""
+        """Per-node service migration counters (for final run traces),
+        those of services swapped out of the node included: a service
+        that never migrated has no entry, as ``Machine.apply`` counts
+        them."""
         return [
-            {name: count for name, count in zip(self.names, row) if count}
-            for row in self._migrations.tolist()
+            {name: count for name, count in {**retired, **dict(zip(self.names, row))}.items()
+             if count}
+            for retired, row in zip(self._retired, self._migrations.tolist())
         ]
 
     # ------------------------------------------------------------------ #
@@ -650,8 +687,8 @@ class VectorEnvironment:
         edge = 0.995 * capacity
         stable = offered < edge
         # One Erlang-C evaluation per (node, service), as the scalar
-        # LCService.step makes: at the offered load below the stability
-        # edge, at the edge itself past it.
+        # oracle's LCService.step makes: at the offered load below the
+        # stability edge, at the edge itself past it.
         wait = self._wait_q99_ms(np.where(stable, offered, edge), mu, eff_servers)
         # np.clip with an array bound is minimum(maximum(x, lo), hi).
         overload_backlog = np.minimum(
@@ -717,7 +754,7 @@ class VectorEnvironment:
             ],
             axis=-1,
         )  # (E, S, 11) in COUNTER_NAMES order, the order the scalar
-        # TelemetrySynthesizer builds, and so noises, them.
+        # oracle's TelemetrySynthesizer builds, and so noises, them.
         if tel_draws:
             counters *= 1.0 + self.config.telemetry_noise_std * per_service[:, :, lat_draws:]
         np.maximum(counters, 0.0, out=counters)
@@ -778,17 +815,17 @@ class VectorEnvironment:
         traced = self.trace.enabled
         visit = (
             range(E) if traced
-            else [e for e, injector in enumerate(self.faults) if injector is not None]
+            else [e for e, injector in enumerate(self._faults) if injector is not None]
         )
         for e in visit:
-            injector, time = self.faults[e], int(clock[e])
+            injector, time = self._faults[e], int(clock[e])
             pending = injector is not None and injector.active_at(time)
             if not pending and not traced:
                 continue
             observations = _build_observations(self.names, interval, arrays, e)
             applied = []
             if pending:
-                # Same ordering as the scalar path: injected after
+                # Same ordering as the scalar oracle: injected after
                 # power/RAPL, so sensor faults corrupt what the manager
                 # *sees*, not what the machine drew. The node's injector
                 # RNG is consumed here, draw-for-draw with the oracle. No
@@ -814,10 +851,8 @@ class VectorEnvironment:
             )
             eager[e] = step_result
             if traced:
-                emit_step_events(
-                    self.trace, self._streaks[e], step_result, applied,
-                    **{self.index_tag: e},
-                )
+                tag = {} if self.index_tag is None else {self.index_tag: e}
+                emit_step_events(self.trace, self._streaks[e], step_result, applied, **tag)
         batch = StepBatch(self.names, interval, arrays)
         for e, step_result in eager.items():
             batch.set_result(e, step_result)
@@ -827,15 +862,19 @@ class VectorEnvironment:
     def _gather_arrivals(self) -> np.ndarray:
         """Arrival rates ``(E, S)`` for the interval about to be simulated.
 
-        The default consumes each load generator's private RNG stream
-        exactly as the scalar path does (one jitter normal per generator,
-        in node, then service, order). Subclasses override it to inject
-        externally computed rates, e.g. the cluster load balancer's.
+        The default reads each node's load generators by service name and
+        consumes their private RNG streams in node, then service, order
+        (one jitter normal per jittered generator). Subclasses override it
+        to inject externally computed rates, e.g. the cluster load
+        balancer's.
         """
-        S = len(self.names)
-        times = np.repeat(self._clock, S).tolist()
-        rates = [load.rate(time) for load, time in zip(self._loads, times)]
-        return np.array(rates, dtype=np.float64).reshape(self.num_envs, S)
+        names = self.names
+        rates = [
+            loads[name].rate(time)
+            for loads, time in zip(self._loads, self._clock.tolist())
+            for name in names
+        ]
+        return np.array(rates, dtype=np.float64).reshape(self.num_envs, len(names))
 
     def _post_step(self, results: StepBatch, arrays: Dict[str, np.ndarray]) -> None:
         """Hook called once per :meth:`step` with the finished batch.
@@ -851,7 +890,8 @@ class VectorEnvironment:
     def _wait_q99_ms(
         self, arrival: np.ndarray, mu: np.ndarray, servers: np.ndarray
     ) -> np.ndarray:
-        """Vectorized ``LCService._stable_wait_q99_ms``."""
+        """q99 of the Erlang-C waiting time in the stable regime, in ms
+        (the scalar oracle's ``LCService._stable_wait_q99_ms``, vectorized)."""
         offered = arrival / mu
         p_wait = erlang_c_batch(servers, np.maximum(offered, 0.0))
         p_wait = np.minimum(1.0, p_wait * (1.0 + self._cv2) / 2.0)
@@ -864,10 +904,61 @@ class VectorEnvironment:
         return wait
 
     # ------------------------------------------------------------------ #
+    # service swap (transfer-learning experiments)
+    # ------------------------------------------------------------------ #
+    def swap_service(
+        self,
+        old_name: str,
+        new_profile: ServiceProfile,
+        load_generators: Sequence[LoadGenerator],
+        qos_target_ms: Optional[float] = None,
+    ) -> None:
+        """Replace service ``old_name`` with ``new_profile`` on every node,
+        node ``e`` driven by ``load_generators[e]`` (Figures 8 and 9).
+
+        The new service takes the last column, so the draw order and the
+        observation order are those of a server that appended it. It
+        starts with no backlog and on no core, so its first install
+        counts every core it gets as moved; the swapped-out service's
+        migration count stays in :meth:`migration_counts`. The next step
+        installs every node in full.
+        """
+        if old_name not in self.names:
+            raise ConfigurationError(f"unknown service {old_name!r}")
+        if new_profile.name in self.names and new_profile.name != old_name:
+            raise ConfigurationError(f"service {new_profile.name!r} already present")
+        if self._loads is None or len(load_generators) != self.num_envs:
+            raise ConfigurationError(
+                f"swap_service needs one load generator per node ({self.num_envs}) "
+                "on nodes that read their own load streams"
+            )
+        i = self.names.index(old_name)
+        order = [j for j in range(len(self.names)) if j != i] + [i]
+        targets = {name: self._qos_targets[name] for name in self.names if name != old_name}
+        targets[new_profile.name] = qos_target_ms
+        new = new_profile.name
+        for loads, retired, moved, generator in zip(
+            self._loads, self._retired, self._migrations[:, i].tolist(), load_generators
+        ):
+            del loads[old_name]
+            loads[new] = generator
+            retired[old_name] = moved
+        self._set_services([self._profiles[j] for j in order[:-1]] + [new_profile], targets)
+        self._migrations = self._migrations[:, order]
+        self._migrations[:, -1] = [retired.pop(new, 0) for retired in self._retired]
+        self._m_membership = self._m_membership[:, order]
+        self._m_membership[:, -1] = False
+        self._m_ways = self._m_ways[:, order]
+        self._m_ways[:, -1] = 0
+        self._m_level[:] = -1
+        self._backlog = self._backlog[:, order]
+        self._backlog[:, -1] = 0.0
+
+    # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, Any]:
-        """Per-node trees in the :class:`~repro.sim.environment.NodeState`
+        """Per-node trees in the :class:`~repro.sim.node.NodeState`
         layout, keyed by zero-padded node index. Cores off the server
         socket, which no step pins, are written idle; a node without load
         streams writes each generator's stream as :func:`_never_drawn`."""
@@ -883,7 +974,7 @@ class VectorEnvironment:
         pins = self._m_membership[:, order, :].transpose(0, 2, 1).tolist()
         trees = {}
         for e, (time, migrations, energy, reading, backlogs) in enumerate(zip(
-            self._clock.tolist(), self._migrations.tolist(), self._energy.tolist(),
+            self._clock.tolist(), self.migration_counts(), self._energy.tolist(),
             self._reading.tolist(), self._backlog.tolist(),
         )):
             pinned: List[List[str]] = [[] for _ in range(total)]
@@ -892,11 +983,8 @@ class VectorEnvironment:
             if self._loads is None:
                 loadgen = {name: copy.deepcopy(_never_drawn()) for name in self.names}
             else:
-                loadgen = {
-                    name: rng_state(load._rng)
-                    for name, load in zip(self.names, self._loads[e * S:(e + 1) * S])
-                }
-            injector = self.faults[e]
+                loadgen = {name: rng_state(load._rng) for name, load in self._loads[e].items()}
+            injector = self._faults[e]
             trees[f"{e:04d}"] = node_state_tree(NodeState(
                 time=time,
                 violation_streaks=self._streaks[e],
@@ -904,9 +992,7 @@ class VectorEnvironment:
                 freq_index=freq_index[e],
                 online=online[e],
                 pinned=pinned,
-                migration_counts={
-                    name: count for name, count in zip(self.names, migrations) if count
-                },
+                migration_counts=migrations,
                 energy_j=energy,
                 last_reading_w=None if math.isnan(reading) else {socket: reading},
                 backlogs=dict(zip(self.names, backlogs)),
@@ -947,14 +1033,13 @@ class VectorEnvironment:
                 f"batch size {self.num_envs}"
             )
         states = [self._node_state(e, env_trees[f"{e:04d}"]) for e in range(self.num_envs)]
-        S = len(self.names)
         for e, state in enumerate(states):
             set_rng_state(self._rngs[e], state.rng)
             if self._loads is not None:
-                for name, load in zip(self.names, self._loads[e * S:(e + 1) * S]):
+                for name, load in self._loads[e].items():
                     set_rng_state(load._rng, state.loadgen_rng[name])
             if state.faults is not None:
-                self.faults[e].load_state_dict(dict(state.faults))
+                self._faults[e].load_state_dict(dict(state.faults))
         cores = self._core_ids
         self._m_membership[:] = [
             [[name in state.pinned[c] for c in cores] for name in self.names]
@@ -964,6 +1049,10 @@ class VectorEnvironment:
         self._m_freq_index[:] = [state.freq_index[cores] for state in states]
         self._migrations[:] = [
             [state.migration_counts.get(name, 0) for name in self.names] for state in states
+        ]
+        self._retired = [
+            {name: state.migration_counts.get(name, 0) for name in retired}
+            for retired, state in zip(self._retired, states)
         ]
         # Trees hold no per-service DVFS or way rows: the next step
         # installs every node in full, and so rebuilds every row of the
@@ -983,18 +1072,22 @@ class VectorEnvironment:
 
     def _node_state(self, e: int, tree: Mapping[str, Any]) -> NodeState:
         """Node ``e``'s tree, checked and read. The engine has no state for
-        a core off the server socket, a service it does not run or a drawn
-        stream of a node without load streams, so it refuses a tree that
-        gives any (a reading of another RAPL socket fails as a KeyError)."""
+        a core off the server socket, a service it does not run (it keeps
+        only the migration counts of services swapped out of the node) or
+        a drawn stream of a node without load streams, so it refuses a tree
+        that gives any (a reading of another RAPL socket fails as a
+        KeyError)."""
+        generators = self.names if self._loads is None else list(self._loads[e])
         state = parse_node_state(
-            tree, self.names, self.names, self.spec.total_cores, len(self._ladder),
-            self.faults[e] is not None,
+            tree, self.names, generators, self.spec.total_cores, len(self._ladder),
+            self._faults[e] is not None,
         )
         off = self._off_socket
         if (
             state.freq_index[off].any() or not state.online[off].all()
             or any(state.pinned[c] for c in off)
-            or not set(state.migration_counts).union(*state.pinned) <= set(self.names)
+            or not set().union(*state.pinned) <= set(self.names)
+            or not set(state.migration_counts) <= set(self.names).union(self._retired[e])
             or (self._loads is None
                 and any(rng != _never_drawn() for rng in state.loadgen_rng.values()))
         ):

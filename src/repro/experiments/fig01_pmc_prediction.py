@@ -31,7 +31,7 @@ from repro.server.spec import ServerSpec
 from repro.services.loadgen import TraceLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
-from repro.sim.telemetry import TelemetrySynthesizer
+from repro.sim.telemetry import ipc
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _collect_samples(
         result = env.step(assignment)
         observation = result.observations[service_name]
         states.append(monitor.observe(service_name, observation.pmcs))
-        ipcs.append(TelemetrySynthesizer.ipc(observation.pmcs))
+        ipcs.append(ipc(observation.pmcs))
         latencies.append(observation.p99_ms)
     return np.array(states), np.array(ipcs).reshape(-1, 1), np.array(latencies)
 

@@ -1,8 +1,9 @@
 """Run a task manager against an environment and record the trace.
 
 One loop core, :func:`run_loop`, drives every run. :func:`run_manager`
-(one manager on one :class:`ColocationEnvironment`) and
-:func:`repro.engine.rollout.run_fleet` (one fleet manager on a
+(one manager on one :class:`~repro.sim.environment.ColocationEnvironment`,
+the engine's one-node case) and :func:`repro.engine.rollout.run_fleet`
+(one fleet manager on a
 :class:`~repro.engine.vector_env.VectorEnvironment`) differ only in the
 small object they hand it: :class:`ScalarRun` or
 :class:`~repro.engine.rollout.FleetRun`, which update the manager,
@@ -44,7 +45,7 @@ from repro.obs.manifest import RunManifest, config_hash, git_sha, now_iso
 from repro.obs.sink import JsonlSink, iter_trace
 from repro.obs.summary import summarize_events
 from repro.server.machine import CoreAssignment
-from repro.sim.environment import ColocationEnvironment, StepResult
+from repro.sim.node import StepResult
 
 #: File name of the rolling run checkpoint inside ``checkpoint_dir``.
 RUN_CKPT_NAME = "run.ckpt.npz"
@@ -104,7 +105,8 @@ class RunTrace:
     @classmethod
     def for_env(cls, manager_name: str, env: Any) -> "RunTrace":
         """An empty trace of ``env``'s services, QoS targets and interval
-        (a :class:`ColocationEnvironment` or a vector of them)."""
+        (a :class:`~repro.sim.environment.ColocationEnvironment` or any
+        :class:`~repro.engine.vector_env.VectorEnvironment`)."""
         return cls(
             manager_name=manager_name,
             services={
@@ -451,7 +453,7 @@ class ScalarRun:
     kind = RUN_CKPT_KIND
     tags = ({},)
 
-    def __init__(self, manager: TaskManager, env: ColocationEnvironment) -> None:
+    def __init__(self, manager: TaskManager, env: Any) -> None:
         self.update = manager.update
         self.trace = RunTrace.for_env(manager.name, env)
         self._env = env
@@ -477,8 +479,8 @@ class ScalarRun:
         self.trace = trace
         return assignments, dict(tree["manager"]), dict(tree["env"])
 
-    def finish(self, env: ColocationEnvironment) -> RunTrace:
-        self.trace.migrations = dict(env.machine.migration_counts)
+    def finish(self, env: Any) -> RunTrace:
+        self.trace.migrations = env.migration_counts()[0]
         self.trace.convert_series(_float64)
         return self.trace
 
@@ -489,7 +491,7 @@ def _float64(values) -> np.ndarray:
 
 def run_manager(
     manager: TaskManager,
-    env: ColocationEnvironment,
+    env: Any,
     steps: int,
     on_step=None,
     obs: Optional[ObsContext] = None,

@@ -39,7 +39,7 @@ from repro.obs.sink import TraceSink
 from repro.obs.timing import TimingRegistry
 from repro.server.spec import ServerSpec
 from repro.services.profiles import get_profile
-from repro.sim.environment import StepResult
+from repro.sim.node import StepResult
 
 #: Rule-based baselines the hierarchical experiment accepts.
 RULE_BASELINES = ("static", "heracles", "parties")

@@ -9,11 +9,11 @@ readings). This subpackage models the pieces Twig interacts with:
 - :mod:`repro.server.machine` — mutable core state: per-core frequency,
   hotplug, service affinity, timeshared cores, and migration accounting.
 - :mod:`repro.server.power` — the physical power model (idle + CV^2 f
-  dynamic + uncore/bandwidth term) and a noisy socket-level RAPL sensor.
+  dynamic + uncore/bandwidth term).
 """
 
 from repro.server.machine import CoreAssignment, CoreState, Machine
-from repro.server.power import PowerBreakdown, PowerModel, RaplSensor
+from repro.server.power import PowerBreakdown, PowerModel
 from repro.server.spec import DvfsLadder, ServerSpec, SocketSpec
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Machine",
     "PowerBreakdown",
     "PowerModel",
-    "RaplSensor",
     "ServerSpec",
     "SocketSpec",
 ]

@@ -44,6 +44,28 @@ class CoreAssignment:
     llc_ways: int = 0
 
 
+def check_assignments(spec: ServerSpec, assignments: Mapping[str, CoreAssignment]) -> None:
+    """Refuse, with an ``AllocationError``, what no machine of ``spec`` can
+    install: a service on no core, a DVFS index off the ladder, a core the
+    machine does not have, a core repeated in one service's set."""
+    levels, total = len(spec.dvfs), spec.total_cores
+    for name, assignment in assignments.items():
+        if not assignment.cores:
+            raise AllocationError(f"service {name!r} assigned zero cores")
+        if not 0 <= assignment.freq_index < levels:
+            raise AllocationError(
+                f"service {name!r} freq index {assignment.freq_index} out of "
+                f"range [0, {levels})"
+            )
+        for core_id in assignment.cores:
+            if not 0 <= core_id < total:
+                raise AllocationError(
+                    f"service {name!r} references core {core_id}, machine has {total}"
+                )
+        if len(set(assignment.cores)) != len(assignment.cores):
+            raise AllocationError(f"service {name!r} repeats cores: {assignment.cores}")
+
+
 class Machine:
     """The running node: tracks core state and per-service migrations."""
 
@@ -93,7 +115,7 @@ class Machine:
         mapper's power-conservation rule). Migration counts increase by the
         number of cores that enter or leave each service's set.
         """
-        self._validate(assignments)
+        check_assignments(self.spec, assignments)
         previous: Dict[str, Set[int]] = {
             name: {core.core_id for core in self.cores_of(name)} for name in assignments
         }
@@ -113,24 +135,6 @@ class Machine:
             moved = len(new_set.symmetric_difference(old_set))
             if moved:
                 self.migration_counts[name] = self.migration_counts.get(name, 0) + moved
-
-    def _validate(self, assignments: Mapping[str, CoreAssignment]) -> None:
-        for name, assignment in assignments.items():
-            if not assignment.cores:
-                raise AllocationError(f"service {name!r} assigned zero cores")
-            if not 0 <= assignment.freq_index < len(self.spec.dvfs):
-                raise AllocationError(
-                    f"service {name!r} freq index {assignment.freq_index} out of "
-                    f"range [0, {len(self.spec.dvfs)})"
-                )
-            for core_id in assignment.cores:
-                if not 0 <= core_id < self.spec.total_cores:
-                    raise AllocationError(
-                        f"service {name!r} references core {core_id}, machine has "
-                        f"{self.spec.total_cores}"
-                    )
-            if len(set(assignment.cores)) != len(assignment.cores):
-                raise AllocationError(f"service {name!r} repeats cores: {assignment.cores}")
 
     def set_hotplug(self, core_ids: Iterable[int], online: bool) -> None:
         for core_id in core_ids:

@@ -8,16 +8,16 @@ Twig's *first-order per-service estimate* (Equation 2 of the paper,
 implemented in :mod:`repro.core.power_model`), which is used only inside
 the reward function.
 
-The RAPL sensor adds Gaussian measurement noise and integrates energy, the
-way the paper polls the RAPL MSR at the control interval.
+The vector engine (:mod:`repro.engine.vector_env`) evaluates this model
+per node and adds the RAPL reading's Gaussian measurement noise,
+integrating energy the way the paper polls the RAPL MSR at the control
+interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.server.spec import ServerSpec
@@ -96,33 +96,3 @@ class PowerModel:
         """Socket power with every core online but idle at min DVFS."""
         activity = [(self.spec.dvfs.min_ghz, 0.0)] * self.spec.cores_per_socket
         return self.socket_power(activity, membw_utilization=0.0).total_w
-
-
-class RaplSensor:
-    """Noisy socket-level power readout with energy integration.
-
-    Real RAPL counters expose energy at socket granularity only (the paper
-    stresses per-core readings are unavailable); this sensor reproduces
-    that: one reading per socket per poll, with multiplicative Gaussian
-    noise, accumulated into joules.
-    """
-
-    def __init__(self, rng: np.random.Generator, noise_std: float = 0.01):
-        if noise_std < 0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
-        self._rng = rng
-        self.noise_std = noise_std
-        self.energy_j = 0.0
-        self.last_reading_w: Optional[Mapping[int, float]] = None
-
-    def poll(self, true_power_w: Mapping[int, float], interval_s: float) -> Mapping[int, float]:
-        """Record one interval; returns the noisy per-socket power readings."""
-        if interval_s <= 0:
-            raise ConfigurationError(f"interval must be positive, got {interval_s}")
-        readings = {}
-        for socket, power in true_power_w.items():
-            noise = 1.0 + self._rng.normal(0.0, self.noise_std)
-            readings[socket] = max(power * noise, 0.0)
-        self.energy_j += sum(readings.values()) * interval_s
-        self.last_reading_w = readings
-        return readings

@@ -12,14 +12,15 @@ real services do:
   (service times, frequency sensitivity, memory traffic, Table II loads).
 - :mod:`repro.services.interference` — shared memory-bandwidth and LLC
   contention between services on a socket.
-- :mod:`repro.services.service` — the per-interval latency/throughput
-  model with backlog carry-over (latency explodes under sustained
-  overload, as in the paper's capacity characterisation).
+- :mod:`repro.services.service` — what a service did over one interval
+  (:class:`IntervalResult`) and the latency model the engine computes it
+  with: backlog carry-over, so latency explodes under sustained overload,
+  as in the paper's capacity characterisation.
 - :mod:`repro.services.loadgen` — constant, step-wise varying and diurnal
   request-rate generators used by the evaluation.
 """
 
-from repro.services.interference import InterferenceModel, SocketContention
+from repro.services.interference import InterferenceModel
 from repro.services.loadgen import (
     ConstantLoad,
     DiurnalLoad,
@@ -34,17 +35,15 @@ from repro.services.queueing import (
     response_time_quantile,
     utilization,
 )
-from repro.services.service import IntervalResult, LCService
+from repro.services.service import IntervalResult
 
 __all__ = [
     "ConstantLoad",
     "DiurnalLoad",
     "InterferenceModel",
     "IntervalResult",
-    "LCService",
     "LoadGenerator",
     "ServiceProfile",
-    "SocketContention",
     "StepwiseVaryingLoad",
     "TraceLoad",
     "builtin_profiles",

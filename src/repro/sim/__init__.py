@@ -1,27 +1,29 @@
-"""Environment glue: PMC synthesis and the colocation environment.
+"""One simulated server and the environment task managers drive.
 
-- :mod:`repro.sim.telemetry` — turns a service's ground-truth interval
-  activity into the 11 noisy Table-I counter readings a profiling tool
-  would report.
-- :mod:`repro.sim.environment` — wires machine, power, interference,
-  services and telemetry into a single ``step(assignments)`` loop that
-  task managers (Twig and the baselines) drive.
+- :mod:`repro.sim.node` — one server as the vector engine steps it: its
+  config (:class:`EnvironmentConfig`), what an interval returns
+  (:class:`StepResult`), the capacity kernel, its checkpoint layout and
+  its step events.
+- :mod:`repro.sim.environment` — :class:`~repro.sim.environment.
+  ColocationEnvironment`, the single ``step(assignments)`` loop that task
+  managers (Twig and the baselines) drive: the vector engine with one
+  node. It imports the engine, so this package does not import it.
+- :mod:`repro.sim.telemetry` — how a service's ground-truth interval
+  activity maps to the 11 noisy Table-I counter readings, and
+  :func:`~repro.sim.telemetry.ipc`.
 - :mod:`repro.sim.faults` — deterministic fault injection (PMC
   dropout/NaN, latency spikes, service crash-and-restart) applied to
   step observations without perturbing the simulation's RNG streams.
 """
 
-from repro.sim.environment import ColocationEnvironment, EnvironmentConfig, ServiceObservation, StepResult
 from repro.sim.faults import FAULT_KINDS, Fault, FaultInjector
-from repro.sim.telemetry import TelemetrySynthesizer
+from repro.sim.node import EnvironmentConfig, ServiceObservation, StepResult
 
 __all__ = [
-    "ColocationEnvironment",
     "EnvironmentConfig",
     "FAULT_KINDS",
     "Fault",
     "FaultInjector",
     "ServiceObservation",
     "StepResult",
-    "TelemetrySynthesizer",
 ]

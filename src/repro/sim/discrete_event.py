@@ -10,7 +10,7 @@ request.
 
 It exists to *validate* the analytic substrate (tests compare its measured
 p99 against :func:`repro.services.queueing.response_time_quantile` and
-against :class:`repro.services.service.LCService`), and to let users study
+against the interval model's p99 at the same operating point), and to let users study
 distributional effects the interval model compresses (e.g. full latency
 histograms).
 """
@@ -221,7 +221,7 @@ class MultiServerQueue:
 
 @dataclass
 class ServicePointStats:
-    """DES measurement of one LCService operating point.
+    """DES measurement of one service operating point.
 
     ``p99_latency_ms`` composes the queueing wait with the service's
     response-floor distribution, matching the semantics of the interval
@@ -246,7 +246,8 @@ def simulate_service_point(
     warmup_s: float = 20.0,
     inflation: float = 1.0,
 ) -> ServicePointStats:
-    """Discrete-event counterpart of one :class:`LCService` operating point.
+    """Discrete-event counterpart of one operating point of the interval
+    model (:mod:`repro.services.service`).
 
     The queue is served with the profile's per-request *CPU* time (which
     sets capacity and waiting, exactly like the analytic model's Erlang-C

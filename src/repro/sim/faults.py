@@ -3,10 +3,12 @@
 Production task managers live with broken telemetry: PMC multiplexing
 drops samples, monitoring daemons emit NaNs, services crash and restart,
 and tail latency spikes for reasons no allocation explains. This module
-injects those failure modes into :class:`repro.sim.environment.
-ColocationEnvironment` so Twig's graceful-degradation path (hold the last
-allocation, break the transition chain, emit ``fault``/``degraded`` trace
-events) can be exercised and tested.
+injects those failure modes into a simulated server's observations (any
+node of :class:`repro.engine.vector_env.VectorEnvironment`, the paper
+loop's one-node ``ColocationEnvironment`` included) so Twig's
+graceful-degradation path (hold the last allocation, break the transition
+chain, emit ``fault``/``degraded`` trace events) can be exercised and
+tested.
 
 Faults are applied to the *observations* after the interval has been
 simulated: the underlying service/telemetry/RAPL RNG draws are identical
@@ -102,12 +104,13 @@ class FaultInjector:
         """Apply active faults; returns (new observations, applied faults).
 
         ``observations`` maps service name to
-        :class:`repro.sim.environment.ServiceObservation`; entries for
+        :class:`repro.sim.node.ServiceObservation`; entries for
         unaffected services are passed through untouched. Faults naming
         services not present this interval are skipped (e.g. after a
-        ``swap_service``). ``service_crash`` additionally clears the
-        :class:`repro.services.service.LCService` backlog so the restarted
-        service resumes with an empty queue.
+        ``swap_service``). ``service_crash`` zeroes the observed backlog,
+        which the vector engine copies back into its state (it passes no
+        ``services``), and the ``backlog`` of ``services[name]`` where one
+        is given, so the restarted service resumes with an empty queue.
         """
         active = [fault for fault in self.active_at(t) if fault.service in observations]
         if not active:

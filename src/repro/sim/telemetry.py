@@ -3,8 +3,9 @@
 The substrate knows exactly how many requests a service completed, how many
 core-seconds it burned, and how contended the memory system was; a real
 profiling tool (libpfm) would observe that activity through the 11 Table-I
-counters. This module performs that mapping, including the causal structure
-that makes the paper's Figure 1 result hold in simulation:
+counters. The vector engine (:mod:`repro.engine.vector_env`) performs that
+mapping for every node and service, with the causal structure that makes
+the paper's Figure 1 result hold in simulation:
 
 - cycle counters reflect *busy time* x frequency, so together with retired
   instructions they encode utilisation (which drives queueing latency);
@@ -16,95 +17,17 @@ that makes the paper's Figure 1 result hold in simulation:
   has much higher error.
 
 Each reading gets independent multiplicative Gaussian measurement noise.
+:func:`ipc` reads a set of readings back as instructions per cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
-from repro.errors import ConfigurationError
-from repro.pmc.counters import COUNTER_NAMES
-from repro.services.profiles import ServiceProfile
-from repro.services.service import IntervalResult
+from typing import Mapping
 
 
-class TelemetrySynthesizer:
-    """Produces raw per-service counter readings for each interval."""
-
-    def __init__(self, rng: np.random.Generator, noise_std: float = 0.015):
-        if noise_std < 0:
-            raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
-        self._rng = rng
-        self.noise_std = noise_std
-
-    def _noisy(self, value: float) -> float:
-        if self.noise_std <= 0:
-            return max(value, 0.0)
-        return max(value * (1.0 + self._rng.normal(0.0, self.noise_std)), 0.0)
-
-    #: Characteristics of the spin/poll loops LC services run on their
-    #: allocated-but-idle cores: they retire instructions at a high rate
-    #: (tight loops), are branch dense, and barely miss anywhere.
-    SPIN_IPC = 0.8
-    SPIN_BRANCH_FRACTION = 0.30
-    SPIN_BRANCH_MISS_RATE = 0.001
-
-    def synthesize(self, profile: ServiceProfile, result: IntervalResult) -> Dict[str, float]:
-        """The 11 Table-I counters for one service over one interval.
-
-        Beyond request processing, allocated-but-idle cores busy-poll, so
-        the cycle counters (and, diluted, the instruction counters) encode
-        the *allocation* as well as the load — on real hardware a pinned,
-        spinning worker keeps its core unhalted. This is what lets a
-        PMC-driven agent observe the effect of its own core-count actions.
-        """
-        instructions = result.instructions
-        spin_core_seconds = max(
-            profile.active_idle_util
-            * (result.cores * result.interval_s - result.busy_core_seconds),
-            0.0,
-        )
-        active_core_seconds = result.busy_core_seconds + spin_core_seconds
-        core_cycles = active_core_seconds * result.frequency_ghz * 1e9
-        # The reference (TSC-rate) clock ticks at the base frequency
-        # regardless of the DVFS setting; use the ladder max as base.
-        ref_cycles = active_core_seconds * 2.0e9
-        spin_cycles = spin_core_seconds * result.frequency_ghz * 1e9
-        spin_instr = spin_cycles * self.SPIN_IPC
-        spin_branches = spin_instr * self.SPIN_BRANCH_FRACTION
-
-        kilo_instr = instructions / 1000.0
-        branch_instr = instructions * profile.branch_per_instr + spin_branches
-        branch_misses = (
-            instructions * profile.branch_per_instr * profile.branch_miss_rate
-            + spin_branches * self.SPIN_BRANCH_MISS_RATE
-        )
-        llc_misses = kilo_instr * profile.llc_mpki * result.miss_inflation
-        l1d = kilo_instr * profile.l1d_mpki
-        l1i = kilo_instr * profile.l1i_mpki
-        total_instr = instructions + spin_instr
-        raw = {
-            "UNHALTED_CORE_CYCLES": core_cycles,
-            "INSTRUCTION_RETIRED": total_instr,
-            "PERF_COUNT_HW_CPU_CYCLES": core_cycles,
-            "UNHALTED_REFERENCE_CYCLES": ref_cycles,
-            "UOPS_RETIRED": total_instr * profile.uops_per_instr,
-            "BRANCH_INSTRUCTIONS_RETIRED": branch_instr,
-            "MISPREDICTED_BRANCH_RETIRED": branch_misses,
-            "PERF_COUNT_HW_BRANCH_MISSES": branch_misses,
-            "LLC_MISSES": llc_misses,
-            "PERF_COUNT_HW_CACHE_L1D": l1d,
-            "PERF_COUNT_HW_CACHE_L1I": l1i,
-        }
-        assert set(raw) == set(COUNTER_NAMES)
-        return {name: self._noisy(value) for name, value in raw.items()}
-
-    @staticmethod
-    def ipc(readings: Dict[str, float]) -> float:
-        """Instructions per cycle from a set of raw readings."""
-        cycles = readings.get("UNHALTED_CORE_CYCLES", 0.0)
-        if cycles <= 0:
-            return 0.0
-        return readings.get("INSTRUCTION_RETIRED", 0.0) / cycles
+def ipc(readings: Mapping[str, float]) -> float:
+    """Instructions per cycle from a set of raw readings."""
+    cycles = readings.get("UNHALTED_CORE_CYCLES", 0.0)
+    if cycles <= 0:
+        return 0.0
+    return readings.get("INSTRUCTION_RETIRED", 0.0) / cycles

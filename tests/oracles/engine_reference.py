@@ -26,7 +26,7 @@ from repro.core.mapper import AssignmentBatch
 from repro.engine.vector_env import StepBatch, _FIELD_ARRAYS, _build_observations
 from repro.pmc.counters import COUNTER_NAMES
 from repro.services.queueing import erlang_c_batch
-from repro.sim.environment import StepResult, emit_step_events
+from repro.sim.node import StepResult, emit_step_events
 
 
 def effective_capacity_matrix(

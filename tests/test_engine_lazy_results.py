@@ -21,7 +21,9 @@ its ``observations`` mapping is read. These tests pin:
 - rates: a balancer rate matrix with a NaN, infinite or negative rate,
   or of the wrong size, is refused before any node steps;
 - ownership of the nodes: building an engine builds no per-node object
-  graph (no environment, machine, service or scheduled load).
+  graph (no environment, machine, service or scheduled load), and the
+  paper loop, the one-node engine, builds no machine and never applies
+  one.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.static import StaticManager
-from repro.cluster.environment import ClusterEnvironment, make_cluster_node
+from repro.cluster.environment import ClusterEnvironment
 from repro.cluster.traffic import ScheduledLoad, check_rates
+from repro.core import Twig, TwigConfig
 from repro.core.mapper import Mapper
 from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import (
@@ -40,20 +43,20 @@ from repro.engine.vector_env import (
     VectorEnvironment,
 )
 from repro.errors import ConfigurationError, ShapeError
+from repro.experiments.common import make_environment
+from repro.experiments.runner import run_manager
 from repro.hier.baselines import make_rule_fleet
 from repro.obs.context import ObsContext
 from repro.obs.sink import MemorySink
 from repro.pmc.counters import COUNTER_NAMES
 from repro.server.machine import Machine
-from repro.services.service import IntervalResult, LCService
-from repro.sim.environment import (
-    ColocationEnvironment,
-    ServiceObservation,
-    StepResult,
-    result_arrays,
-)
+from repro.services.profiles import get_profile
+from repro.services.service import IntervalResult
+from repro.sim.environment import ColocationEnvironment
+from repro.sim.node import ServiceObservation, StepResult, result_arrays
 from repro.sim.faults import FAULT_KINDS, Fault, FaultInjector
 from tests.helpers import _assert_tree_equal
+from tests.oracles.colocation_reference import LCService, scalar_cluster_node
 
 SERVICES = ["masstree", "xapian"]
 SEED = 7
@@ -146,7 +149,7 @@ def _assert_matches_oracles(services, seen, faulted):
     """Hand-step one scalar node per cluster node with the rates the
     balancer gave it; every result the fleet read must match."""
     oracles = [
-        make_cluster_node(services, SEED + e * ENV_SEED_STRIDE)
+        scalar_cluster_node(services, SEED + e * ENV_SEED_STRIDE)
         for e in range(len(seen[0][2]))
     ]
     if faulted:
@@ -389,3 +392,22 @@ class TestNodeOwnership:
             venv = _cluster(SERVICES, 64)
         assert venv.num_envs == 64
         assert [counter.count for counter in counters] == [0, 0, 0, 0]
+
+    def test_paper_loop_runs_no_scalar_server(self, monkeypatch):
+        """``make_environment`` builds the one-node engine: a Twig run on it
+        builds no ``Machine`` and never calls ``Machine.apply``."""
+        machines = _Counter(monkeypatch, Machine)
+        applied, apply = [], Machine.apply
+
+        def recording_apply(machine, assignments):
+            applied.append(assignments)
+            apply(machine, assignments)
+
+        monkeypatch.setattr(Machine, "apply", recording_apply)
+        env = make_environment(SERVICES, [0.4, 0.5], SEED)
+        twig = Twig([get_profile(s) for s in SERVICES], TwigConfig.fast(),
+                    np.random.default_rng(SEED))
+        trace = run_manager(twig, env, 4)
+        assert trace.steps() == env.time == 4
+        assert machines.count == 0
+        assert applied == []

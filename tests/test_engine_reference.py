@@ -26,7 +26,7 @@ from repro.cluster.traffic import make_traffic_spec
 from repro.core.mapper import AssignmentBatch
 from repro.engine.vector_env import VectorEnvironment
 from repro.services.profiles import builtin_profiles
-from repro.sim.environment import EnvironmentConfig, service_sum
+from repro.sim.node import EnvironmentConfig, service_sum
 from repro.sim.faults import Fault, FaultInjector
 from tests.oracles.engine_reference import reference_engine
 

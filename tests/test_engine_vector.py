@@ -5,9 +5,9 @@ scalar path:
 
 - a :class:`~repro.engine.vector_env.VectorEnvironment` stepped in
   lock-step produces, per environment, the trajectory the equivalent
-  standalone :class:`ColocationEnvironment` produces at the same
-  per-env seed, byte for byte, with the RNG streams consumed
-  draw-for-draw identically;
+  frozen scalar server (``tests/oracles/colocation_reference.py``)
+  produces at the same per-env seed, byte for byte, with the RNG streams
+  consumed draw-for-draw identically;
 - :meth:`FleetBDQAgent.act_batch` consumes the exploration RNG exactly
   like N consecutive scalar ``act`` calls;
 - a checkpointed/resumed vector run replays bit-identically to an
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Twig
 from repro.core.actions import Allocation
 from repro.core.config import TwigConfig
 from repro.core.mapper import AssignmentBatch, Mapper
@@ -28,15 +29,18 @@ from repro.engine.vector_env import ENV_SEED_STRIDE, VectorEnvironment
 from repro.errors import AllocationError, CheckpointError, ConfigurationError, ShapeError
 from repro.experiments.common import make_environment
 from repro.experiments.fleet import FleetConfig, run as run_fleet_experiment
+from repro.experiments.runner import run_manager
 from repro.rl.agent import BDQAgent, BDQAgentConfig
 from repro.rl.striped import StripedPrioritizedReplayBuffer
 from repro.rl.sum_tree import SumTree
 from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
+from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.obs.sink import MemorySink
 from repro.sim.faults import Fault, FaultInjector
 from tests.helpers import _assert_traces_equal, _assert_tree_equal, as_batch
+from tests.oracles.colocation_reference import scalar_environment
 
 SERVICES = ["masstree", "xapian", "moses"]
 FRACTIONS = {"masstree": 0.4, "xapian": 0.5, "moses": 0.3}
@@ -85,7 +89,7 @@ class TestVectorMatchesScalar:
         num_envs, steps = 3, 25
         venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, num_envs, SEED)
         oracles = [
-            make_environment(SERVICES, [FRACTIONS[s] for s in SERVICES],
+            scalar_environment(SERVICES, [FRACTIONS[s] for s in SERVICES],
                              SEED + e * ENV_SEED_STRIDE)
             for e in range(num_envs)
         ]
@@ -124,12 +128,140 @@ class TestVectorMatchesScalar:
         # the batch seed, so single-experiment results are reproducible
         # inside a fleet.
         venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, 2, SEED)
-        solo = make_environment(SERVICES, [FRACTIONS[s] for s in SERVICES], SEED)
+        solo = scalar_environment(SERVICES, [FRACTIONS[s] for s in SERVICES], SEED)
         assignment = _assignments(venv.spec, 0)
         results = venv.step(as_batch(venv, [assignment, assignment]))
         expected = solo.step(assignment)
         assert _same_bytes(results[0].socket_power_w, expected.socket_power_w)
         assert not _same_bytes(results[1].socket_power_w, expected.socket_power_w)
+
+
+def _assert_result_bytes(got, expected, where):
+    """Two ``StepResult``s equal field for field as float64 bytes, their
+    services and counters in the same order."""
+    assert got.time == expected.time, where
+    for field in ("socket_power_w", "true_power_w", "membw_utilization", "energy_j"):
+        assert _same_bytes(getattr(got, field), getattr(expected, field)), (where, field)
+    assert list(got.observations) == list(expected.observations), where
+    for name, ref in expected.observations.items():
+        obs = got.observations[name]
+        for field in _INTERVAL_FIELDS:
+            assert _same_bytes(getattr(obs.interval, field), getattr(ref.interval, field)), (
+                where, name, field)
+        assert list(obs.pmcs) == list(ref.pmcs), where
+        for counter, value in ref.pmcs.items():
+            assert _same_bytes(obs.pmcs[counter], value), (where, name, counter)
+
+
+def _placement(spec, names, t):
+    """A placement of ``names`` that changes cores and DVFS every tick."""
+    top = len(spec.dvfs) - 1
+    return Mapper(spec).map({
+        name: Allocation(num_cores=2 + (t + 3 * i) % 5, freq_index=(t + 2 * i) % (top + 1))
+        for i, name in enumerate(names)
+    })
+
+
+def _img_dnn_load(seed):
+    return ConstantLoad(get_profile("img-dnn").max_load_rps, 0.4,
+                        rng=np.random.default_rng(seed))
+
+
+class TestPaperLoopMatchesScalar:
+    """The paper loop's ``ColocationEnvironment`` (the one-node engine)
+    against the frozen scalar server, through a service swap and a load
+    generator replaced mid-run."""
+
+    SWAP_AT = 5
+
+    def _pair(self):
+        names = ["masstree", "xapian"]
+        return make_environment(names, [0.4, 0.5], SEED), scalar_environment(names, [0.4, 0.5], SEED)
+
+    def test_swapping_the_first_service_reorders_the_columns(self):
+        env, oracle = self._pair()
+        for t in range(12):
+            if t == self.SWAP_AT:
+                for server in (env, oracle):
+                    server.swap_service("masstree", get_profile("img-dnn"), _img_dnn_load(5))
+                assert env.service_names == oracle.service_names == ["xapian", "img-dnn"]
+                assert env.qos_target_of("img-dnn") == oracle.qos_target_of("img-dnn")
+            assignment = _placement(env.spec, env.service_names, t)
+            _assert_result_bytes(env.step(assignment), oracle.step(assignment), t)
+            _assert_tree_bytes(env.state_dict(), oracle.state_dict(), f"tick {t}")
+        # masstree's count outlives its column; img-dnn's first install
+        # moved every core it got.
+        assert env.migration_counts() == [dict(oracle.machine.migration_counts)]
+        assert set(env.migration_counts()[0]) == {"masstree", "xapian", "img-dnn"}
+
+    def test_run_trace_keeps_the_swapped_out_services_migrations(self):
+        env, oracle = self._pair()
+        twig = Twig([get_profile(s) for s in env.service_names],
+                    TwigConfig.fast(), np.random.default_rng(3))
+        stepped, step = [], env.step
+
+        def recording_step(assignments):
+            stepped.append(assignments)
+            return step(assignments)
+
+        def swap(t, result):
+            if t != self.SWAP_AT:
+                return None
+            env.swap_service("xapian", get_profile("img-dnn"), _img_dnn_load(5))
+            twig.transfer_to("xapian", get_profile("img-dnn"))
+            return twig.initial_assignments()
+
+        env.step = recording_step
+        trace = run_manager(twig, env, 10, on_step=swap)
+        for t, assignments in enumerate(stepped):
+            oracle.step(assignments)
+            if t == self.SWAP_AT:
+                oracle.swap_service("xapian", get_profile("img-dnn"), _img_dnn_load(5))
+        assert trace.migrations == dict(oracle.machine.migration_counts)
+        assert trace.migrations["xapian"] > 0 and trace.migrations["img-dnn"] > 0
+
+    def test_checkpoint_after_a_swap_resumes_bit_for_bit(self, tmp_path):
+        def pair():
+            env = make_environment(["masstree", "xapian"], [0.4, 0.5], SEED)
+            twig = Twig([get_profile(s) for s in env.service_names],
+                        TwigConfig.fast(), np.random.default_rng(3))
+            return twig, env
+
+        def swapper(twig, env):
+            def swap(t, result):
+                if t != self.SWAP_AT:
+                    return None
+                env.swap_service("masstree", get_profile("img-dnn"), _img_dnn_load(5))
+                twig.transfer_to("masstree", get_profile("img-dnn"))
+                return twig.initial_assignments()
+            return swap
+
+        twig, env = pair()
+        plain = run_manager(twig, env, 14, on_step=swapper(twig, env))
+        twig, env = pair()
+        run_manager(twig, env, 14, on_step=swapper(twig, env), checkpoint_every=8,
+                    checkpoint_dir=tmp_path)
+        # A fresh pair, swapped as the checkpointed one was at tick 5.
+        twig, env = pair()
+        swapper(twig, env)(self.SWAP_AT, None)
+        resumed = run_manager(twig, env, 14, resume_from=tmp_path)
+        _assert_traces_equal(resumed, plain)
+
+    def test_a_replaced_load_generator_drives_the_next_step(self):
+        env, oracle = self._pair()
+        for t in range(8):
+            if t == 4:
+                for server in (env, oracle):
+                    server.load_generators["xapian"] = ConstantLoad(
+                        get_profile("xapian").max_load_rps, 0.9, rng=np.random.default_rng(8)
+                    )
+            assignment = _placement(env.spec, env.service_names, t)
+            result = env.step(assignment)
+            _assert_result_bytes(result, oracle.step(assignment), t)
+            _assert_tree_bytes(env.state_dict(), oracle.state_dict(), f"tick {t}")
+            arrival = result.observations["xapian"].interval.arrival_rate
+            fraction = arrival / get_profile("xapian").max_load_rps
+            assert (fraction > 0.8) == (t >= 4), t
 
 
 SERVICES4 = ["masstree", "xapian", "moses", "img-dnn"]
@@ -240,7 +372,7 @@ def _step_and_compare(venv, oracles, assignments):
 def _four_service_batch(num_envs):
     venv = VectorEnvironment.from_services(SERVICES4, FRACTIONS4, num_envs, SEED)
     oracles = [
-        make_environment(SERVICES4, [FRACTIONS4[s] for s in SERVICES4],
+        scalar_environment(SERVICES4, [FRACTIONS4[s] for s in SERVICES4],
                          SEED + e * ENV_SEED_STRIDE)
         for e in range(num_envs)
     ]

@@ -7,10 +7,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.nn.initializers import glorot_uniform, he_uniform
 from repro.rl.agent import BDQAgent, BDQAgentConfig, Transition
 from repro.server.machine import CoreAssignment
-from repro.server.spec import ServerSpec
-from repro.services.loadgen import ConstantLoad
-from repro.services.profiles import get_profile
-from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from repro.cluster.environment import make_cluster_node
 
 
 # --------------------------------------------------------------------- #
@@ -51,47 +48,31 @@ def test_he_wider_than_glorot(rng):
 # --------------------------------------------------------------------- #
 # demand-aware timesharing
 # --------------------------------------------------------------------- #
-def test_shared_cores_split_by_demand(rng):
+def _shared_capacities(rates):
+    """Core-equivalents of masstree and moses, both on every socket core at
+    DVFS 8, over one interval at exactly ``rates`` (no backlog yet)."""
+    env = make_cluster_node(list(rates), 1)
+    for name, rate in rates.items():
+        env.load_generators[name].set_rate(rate)
+    cores = tuple(env.socket_core_ids)
+    shared = {name: CoreAssignment(cores=cores, freq_index=8) for name in rates}
+    observations = env.step(shared).observations
+    return {name: observations[name].interval.cores for name in rates}
+
+
+def test_shared_cores_split_by_demand():
     """A light service sharing cores with a heavy one gets more than its
     guaranteed half when the heavy one leaves headroom — and never less
     than the fair share."""
-    spec = ServerSpec()
-    light, heavy = get_profile("masstree"), get_profile("moses")
-    env = ColocationEnvironment(
-        EnvironmentConfig(spec=spec),
-        [light, heavy],
-        {
-            "masstree": ConstantLoad(2400, 0.1, rng=np.random.default_rng(1)),
-            "moses": ConstantLoad(2800, 0.3, rng=np.random.default_rng(2)),
-        },
-        rng,
-    )
-    cores = tuple(env.socket_core_ids)
-    shared = {name: CoreAssignment(cores=cores, freq_index=8) for name in ("masstree", "moses")}
-    env.machine.apply(shared)
-    capacities = env._effective_capacities({"masstree": 240.0, "moses": 840.0})
+    capacities = _shared_capacities({"masstree": 240.0, "moses": 840.0})
     assert capacities["masstree"] >= 9.0 - 1e-9   # never below the fair share
     assert capacities["moses"] >= 9.0 - 1e-9
     # With both lightly loaded, each can expand into the other's idle time.
     assert capacities["masstree"] + capacities["moses"] > 18.0
 
 
-def test_overloaded_sharers_get_fair_split(rng):
-    spec = ServerSpec()
-    light, heavy = get_profile("masstree"), get_profile("moses")
-    env = ColocationEnvironment(
-        EnvironmentConfig(spec=spec),
-        [light, heavy],
-        {
-            "masstree": ConstantLoad(2400, 1.0, rng=np.random.default_rng(1)),
-            "moses": ConstantLoad(2800, 1.0, rng=np.random.default_rng(2)),
-        },
-        rng,
-    )
-    cores = tuple(env.socket_core_ids)
-    shared = {name: CoreAssignment(cores=cores, freq_index=8) for name in ("masstree", "moses")}
-    env.machine.apply(shared)
-    capacities = env._effective_capacities({"masstree": 2400.0, "moses": 2800.0})
+def test_overloaded_sharers_get_fair_split():
+    capacities = _shared_capacities({"masstree": 2400.0, "moses": 2800.0})
     assert capacities["masstree"] == pytest.approx(9.0, abs=0.5)
     assert capacities["moses"] == pytest.approx(9.0, abs=0.5)
 

@@ -1,11 +1,13 @@
-"""Unit tests for the physical power model and RAPL sensor."""
+"""Unit tests for the physical power model and the frozen scalar server's
+RAPL sensor (``tests/oracles/colocation_reference.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.server.power import PowerModel, RaplSensor
+from repro.server.power import PowerModel
 from repro.server.spec import ServerSpec
+from tests.oracles.colocation_reference import RaplSensor
 
 
 def test_power_increases_with_frequency(spec):

@@ -1,4 +1,7 @@
-"""Unit tests for the memory-bandwidth + LLC interference model."""
+"""Unit tests for the memory-bandwidth + LLC interference model: its
+pressure curve, and the per-service ``resolve`` of the frozen scalar
+server (``tests/oracles/colocation_reference.py``) the engine is pinned
+to."""
 
 import math
 
@@ -7,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.services.interference import InterferenceModel, ServiceDemand
+from repro.services.interference import InterferenceModel
 from repro.services.profiles import get_profile
+from tests.oracles.colocation_reference import ScalarInterference, ServiceDemand
 
 
 def _model():
-    return InterferenceModel(membw_capacity_gbps=60.0, llc_capacity_mb=45.0)
+    return ScalarInterference(membw_capacity_gbps=60.0, llc_capacity_mb=45.0)
 
 
 def test_no_pressure_alone_at_low_load(masstree):
@@ -44,7 +48,7 @@ def test_sensitive_service_suffers_more(masstree, moses):
 
 
 def test_llc_overcommit_inflates_misses(moses, xapian):
-    model = InterferenceModel(membw_capacity_gbps=1000.0, llc_capacity_mb=40.0)
+    model = ScalarInterference(membw_capacity_gbps=1000.0, llc_capacity_mb=40.0)
     demands = {
         "moses": ServiceDemand(profile=moses, throughput_rps=2000.0),
         "xapian": ServiceDemand(profile=xapian, throughput_rps=800.0),
@@ -56,7 +60,7 @@ def test_llc_overcommit_inflates_misses(moses, xapian):
 
 
 def test_llc_fits_no_inflation(masstree, xapian):
-    model = InterferenceModel(membw_capacity_gbps=1000.0, llc_capacity_mb=100.0)
+    model = ScalarInterference(membw_capacity_gbps=1000.0, llc_capacity_mb=100.0)
     demands = {
         "masstree": ServiceDemand(profile=masstree, throughput_rps=200.0),
         "xapian": ServiceDemand(profile=xapian, throughput_rps=200.0),

@@ -1,13 +1,14 @@
-"""Unit and property tests for the per-interval service dynamics."""
+"""Unit and property tests for the per-interval service dynamics of the
+frozen scalar server (``tests/oracles/colocation_reference.py``), the
+reference the engine's queueing step is pinned to."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.services.interference import SocketContention
 from repro.services.profiles import get_profile
-from repro.services.service import LCService
+from tests.oracles.colocation_reference import LCService, SocketContention
 
 
 def _service(name="masstree", noise=0.0, seed=0):

@@ -80,10 +80,14 @@ def test_validation(rng):
 
 @pytest.mark.slow
 def test_interval_model_calibrated_against_discrete_event(rng):
-    """LCService's stable-regime p99 sits within ~2x of per-request ground
-    truth across moderate loads (the interval model is an approximation;
-    what matters is the agreement in *shape* and knee position)."""
-    from repro.services.service import LCService
+    """The engine's stable-regime p99 (masstree alone on the 18-core
+    socket at 2.0 GHz, no latency noise) sits within ~2x of per-request
+    ground truth across moderate loads (the interval model is an
+    approximation; what matters is the agreement in *shape* and knee
+    position)."""
+    from repro.cluster.environment import make_cluster_node
+    from repro.server.machine import CoreAssignment
+    from repro.sim.node import EnvironmentConfig
 
     profile = get_profile("masstree")
     for fraction in (0.3, 0.6):
@@ -92,8 +96,11 @@ def test_interval_model_calibrated_against_discrete_event(rng):
             profile, arrival, cores=18, frequency_ghz=2.0, max_frequency_ghz=2.0,
             rng=np.random.default_rng(5), duration_s=150.0, warmup_s=15.0,
         )
-        service = LCService(profile, 2.0, np.random.default_rng(6), latency_noise_std=0.0)
-        interval_p99 = service.step(arrival, cores=18, frequency_ghz=2.0).p99_ms
+        env = make_cluster_node(["masstree"], 6, EnvironmentConfig(latency_noise_std=0.0))
+        env.load_generators["masstree"].set_rate(arrival)
+        top = len(env.spec.dvfs) - 1
+        full = {"masstree": CoreAssignment(tuple(env.socket_core_ids), freq_index=top)}
+        interval_p99 = env.step(full).observations["masstree"].p99_ms
         des_p99 = stats.p99_latency_ms
         ratio = interval_p99 / des_p99
         assert 0.3 < ratio < 3.0, (fraction, interval_p99, des_p99)

@@ -17,6 +17,7 @@ from repro.experiments.runner import run_manager
 from repro.obs.sink import MemorySink
 from repro.pmc.counters import CounterCatalogue
 from repro.pmc.monitor import SystemMonitor
+from repro.server.machine import CoreAssignment
 from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
@@ -124,17 +125,17 @@ def test_service_crash_zeroes_service_and_drops_backlog():
     env = _env(
         faults=FaultInjector([Fault("service_crash", "masstree", start=2)])
     )
-    twig = _twig()
-    assignments = twig.initial_assignments()
-    env.step(assignments)
-    env.services["masstree"].backlog = 37.0  # pretend a queue built up
-    result = env.step(assignments)
+    # One core at the lowest DVFS state: a queue builds up.
+    starved = {"masstree": CoreAssignment(cores=(env.socket_core_ids[0],), freq_index=0)}
+    assert env.step(starved).observations["masstree"].interval.backlog > 0.0
+    result = env.step(starved)
     observation = result.observations["masstree"]
     assert observation.interval.throughput_rps == 0.0
     assert math.isnan(observation.p99_ms)
     assert observation.interval.utilization == 0.0
     assert observation.interval.backlog == 0.0
-    assert env.services["masstree"].backlog == 0.0  # restarted with empty queue
+    # Restarted with an empty queue.
+    assert env.state_dict()["services"]["masstree"]["backlog"] == 0.0
     assert not observation.qos_met  # NaN p99 counts as a violation, not a crash
 
 

@@ -1,14 +1,15 @@
-"""Unit tests for the PMC telemetry synthesiser."""
+"""Unit tests for the PMC telemetry synthesiser of the frozen scalar
+server (``tests/oracles/colocation_reference.py``), the reference the
+engine's counters are pinned to, and for ``repro.sim.telemetry.ipc``."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.pmc.counters import COUNTER_NAMES
-from repro.services.interference import SocketContention
 from repro.services.profiles import get_profile
-from repro.services.service import LCService
-from repro.sim.telemetry import TelemetrySynthesizer
+from repro.sim.telemetry import ipc
+from tests.oracles.colocation_reference import LCService, SocketContention, TelemetrySynthesizer
 
 
 def _result(name="masstree", arrival=1000.0, cores=12, freq=2.0, contention=None):
@@ -109,9 +110,8 @@ def test_noise_perturbs_readings(rng):
 def test_ipc_helper(rng):
     synth = TelemetrySynthesizer(rng, noise_std=0.0)
     readings = synth.synthesize(get_profile("masstree"), _result())
-    ipc = TelemetrySynthesizer.ipc(readings)
-    assert 0.0 < ipc < 5.0
-    assert TelemetrySynthesizer.ipc({"UNHALTED_CORE_CYCLES": 0.0}) == 0.0
+    assert 0.0 < ipc(readings) < 5.0
+    assert ipc({"UNHALTED_CORE_CYCLES": 0.0}) == 0.0
 
 
 def test_noise_validation(rng):

@@ -53,8 +53,11 @@ test-robust:
 trace-e2e:
 	$(PYTEST) -q -m trace_e2e
 
-## Fleet layer: vector-engine scalar equivalence (each node's state tree
-## and trace events leaf for leaf), the node step byte for byte against
+## Fleet layer: the vector engine byte for byte against the frozen scalar
+## server of tests/oracles/colocation_reference.py (each node's results,
+## state tree and trace events; the paper loop, the engine with one node,
+## through a service swap, a replaced load generator and a resumed
+## post-swap checkpoint), the node step byte for byte against
 ## its frozen form from before install-time arrays, erlang_c_batch and the array
 ## bandwidth pressure pinned bit for bit to their scalar formulas, lazy
 ## step results, a faulted node's arrays, no per-node objects built, and the

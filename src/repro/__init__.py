@@ -11,7 +11,9 @@ module per paper table/figure.
 Quick links
 -----------
 - :class:`repro.core.Twig` / :class:`repro.core.TwigConfig` — the manager.
-- :class:`repro.sim.ColocationEnvironment` — the simulated server.
+- :class:`repro.sim.environment.ColocationEnvironment` — the simulated
+  server: the vector engine (:mod:`repro.engine.vector_env`) with one
+  node.
 - :func:`repro.experiments.run_manager` — the control loop.
 - :func:`repro.experiments.run_experiment` — regenerate a paper artifact.
 - ``python -m repro list`` — all reproducible artifacts.

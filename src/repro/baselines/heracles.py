@@ -18,7 +18,7 @@ high until the power cap — follow directly from these rules.
 
 :class:`HeraclesFleet` runs them on ``num_envs`` servers in lock-step,
 as ``(N,)`` arrays, reads each tick through
-:func:`~repro.sim.environment.result_arrays`, and places them all into
+:func:`~repro.sim.node.result_arrays`, and places them all into
 one :class:`~repro.core.mapper.AssignmentBatch`; its controller state
 (lockouts included) is written and read by
 :meth:`HeraclesFleet.controller_state` and

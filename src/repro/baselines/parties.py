@@ -19,7 +19,7 @@ from these rules.
 :class:`PartiesFleet` runs it on N servers in lock-step, as ``(N, S)``
 arrays and one draw from each adjusting server's own generator, reads a
 polling tick's latencies through
-:func:`~repro.sim.environment.result_arrays`, and places them all into
+:func:`~repro.sim.node.result_arrays`, and places them all into
 one :class:`~repro.core.mapper.AssignmentBatch`; its controller state
 (generators included) is written and read by
 :meth:`PartiesFleet.controller_state` and
@@ -113,7 +113,7 @@ class PartiesFleet:
     def update_batch(self, results: Sequence[StepResult]) -> AssignmentBatch:
         """Poll every ``poll_every`` ticks; return every server's placement.
 
-        The results are read (:func:`~repro.sim.environment.result_arrays`)
+        The results are read (:func:`~repro.sim.node.result_arrays`)
         only on a polling tick, for their ``p99`` matrix. The engine
         refuses a batch whose columns are not its services in its order,
         so a StepBatch's columns are this fleet's.

@@ -358,7 +358,7 @@ class FleetTwig:
         vectorized Equation-2/Equation-1 evaluation, one fused agent
         forward, and one decode-by-arithmetic over the action matrix.
         The raw matrices come from
-        :func:`~repro.sim.environment.result_arrays`: a
+        :func:`~repro.sim.node.result_arrays`: a
         :class:`~repro.engine.vector_env.StepBatch`'s own, or read from a
         plain result sequence. Returns every env's next
         placement as one :class:`~repro.core.mapper.AssignmentBatch`

@@ -10,7 +10,7 @@ control plane over newline-delimited JSON-RPC (:mod:`repro.ctrl.rpc`):
     lock-protected dictionary read, never a policy evaluation.
 ``report_interval``
     Feed one control interval's telemetry (a wire-encoded
-    :class:`~repro.sim.environment.StepResult`) through ``Twig.update``
+    :class:`~repro.sim.node.StepResult`) through ``Twig.update``
     and return the refreshed assignments. Degraded telemetry (NaN PMCs
     or latency from a faulted node) takes Twig's existing hold-last-
     allocation path — the wire format deliberately round-trips NaN.

@@ -19,10 +19,11 @@ Runs N experiments/environments in lock-step inside one process:
   and writes the ``vector_run`` checkpoint; the loop owns obs wiring,
   resume, run events, tick timings and the checkpoint cadence.
 
-:class:`repro.sim.environment.ColocationEnvironment`, stepped directly,
-is the N = 1 paper loop and the equivalence oracle the vector physics is
-tested against; the two share the step events and the checkpoint layout
-of one server.
+:class:`repro.sim.environment.ColocationEnvironment`, the N = 1 paper
+loop, is :class:`VectorEnvironment` with one node, so every server the
+package simulates steps through the same physics; the frozen scalar
+server in ``tests/oracles/colocation_reference.py`` is the equivalence
+oracle that physics is tested against.
 
 The cluster layer (:mod:`repro.cluster`) builds on these same pieces to
 simulate a load-balanced multi-node datacenter: its

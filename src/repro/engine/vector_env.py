@@ -932,11 +932,10 @@ class VectorEnvironment:
                 f"swap_service needs one load generator per node ({self.num_envs}) "
                 "on nodes that read their own load streams"
             )
-        i = self.names.index(old_name)
+        i, new = self.names.index(old_name), new_profile.name
         order = [j for j in range(len(self.names)) if j != i] + [i]
         targets = {name: self._qos_targets[name] for name in self.names if name != old_name}
-        targets[new_profile.name] = qos_target_ms
-        new = new_profile.name
+        targets[new] = qos_target_ms
         for loads, retired, moved, generator in zip(
             self._loads, self._retired, self._migrations[:, i].tolist(), load_generators
         ):

@@ -14,7 +14,7 @@ is that one placement as an N-row batch: it reads no result, and the
 engine installs it once and then finds every row unchanged.
 
 PARTIES and Heracles read a tick's results through
-:func:`~repro.sim.environment.result_arrays`. :meth:`RuleFleet.state_dict`
+:func:`~repro.sim.node.result_arrays`. :meth:`RuleFleet.state_dict`
 holds the fleet's identity and, for PARTIES and Heracles, every node's
 controller state (allocations, tick count, PARTIES's pending downsizings
 and generators, Heracles's lockouts and last memory bandwidth), so a

@@ -85,7 +85,7 @@ EVENT_REGISTRY: Dict[str, EventSpec] = {
             ("interval_s", "float", "Control-interval length in seconds"),
         ),
         _spec(
-            "interval", "repro.sim.environment",
+            "interval", "repro.sim.node",
             "One environment control interval: per-service observations plus "
             "socket power and energy.",
             ("services", "object", "Per-service map: p99_ms, qos_target_ms, "
@@ -96,7 +96,7 @@ EVENT_REGISTRY: Dict[str, EventSpec] = {
             ("energy_j", "float", "Cumulative server-socket energy"),
         ),
         _spec(
-            "qos_violation", "repro.sim.environment",
+            "qos_violation", "repro.sim.node",
             "A service missed its p99 target this interval.",
             ("service", "str", "Violating service name"),
             ("p99_ms", "float", "Measured tail latency"),
@@ -137,7 +137,7 @@ EVENT_REGISTRY: Dict[str, EventSpec] = {
             ("mean_td_error", "float", "Mean absolute TD-error of the minibatch"),
         ),
         _spec(
-            "fault", "repro.sim.environment",
+            "fault", "repro.sim.node",
             "An injected fault was active for a service this interval.",
             ("service", "str", "Service the fault applies to"),
             ("kind", "str", "Fault kind (pmc_dropout, pmc_nan, latency_spike, "

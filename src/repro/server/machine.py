@@ -7,6 +7,12 @@ services pinned to it. A core pinned to more than one service is
 *timeshared* — each pinned service receives an equal fraction of its
 capacity during the interval (the arbitration policy of Section IV sets a
 single frequency for such cores).
+
+The vector engine (:mod:`repro.engine.vector_env`) holds this state as
+arrays and installs with :meth:`Machine.apply`'s rules; both it and
+:class:`Machine` refuse assignments through :func:`check_assignments`.
+:class:`Machine` itself is the per-core reference of those rules: the
+package steps no server on it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from repro.cluster.environment import (
     BALANCER_SEED_OFFSET,
     TRAFFIC_SEED_OFFSET,
     ClusterEnvironment,
-    make_cluster_node,
 )
 from repro.cluster.topology import ClusterTopology
 from repro.cluster.traffic import TrafficModel, make_traffic_spec
@@ -21,14 +20,14 @@ from repro.experiments.cluster import ClusterConfig, run as run_cluster
 from repro.obs.sink import MemorySink
 from repro.services.profiles import get_profile
 from tests.helpers import _assert_traces_equal, _assert_tree_equal
+from tests.oracles.colocation_reference import scalar_cluster_node
 
 SERVICES = ["masstree", "xapian"]
 
 
-def _ulp_close(a: float, b: float) -> bool:
-    """Equal up to vectorized-vs-scalar summation-order round-off (the
-    same tolerance the PR-6 engine oracle uses)."""
-    return bool(np.isclose(a, b, rtol=1e-12, atol=0.0, equal_nan=True))
+def _same_bytes(a: float, b: float) -> bool:
+    """Equal as float64 bytes: the engine adds in the scalar oracle's order."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def _static_assignments(venv, cores=6):
@@ -58,8 +57,8 @@ def _build_cluster(num_nodes, seed=7, traffic="diurnal", balancer="least_loaded"
 class TestScalarEquivalence:
     @pytest.mark.parametrize("balancer", ["round_robin", "power_of_two"])
     def test_one_node_cluster_matches_hand_stepped_scalar(self, balancer):
-        """A 1-node cluster is bit-identical to a scalar environment fed
-        the same balancer rates via set_rate (the oracle for the whole
+        """A 1-node cluster is bit-identical to the frozen scalar server
+        fed the same balancer rates via set_rate (the oracle for the whole
         traffic -> balancer -> vector-step path)."""
         seed, steps = 13, 20
         venv = ClusterEnvironment.from_services(
@@ -67,7 +66,7 @@ class TestScalarEquivalence:
         )
         assignments = _static_assignments(venv)
 
-        env = make_cluster_node(SERVICES, seed)
+        env = scalar_cluster_node(SERVICES, seed)
         topology = ClusterTopology(1, ("r0",))
         model = TrafficModel(
             make_traffic_spec("diurnal", SERVICES),
@@ -91,10 +90,10 @@ class TestScalarEquivalence:
                 utilization=np.array([[obs[n].interval.utilization for n in SERVICES]]),
                 backlog=np.array([[obs[n].interval.backlog for n in SERVICES]]),
             )
-            assert _ulp_close(vec.socket_power_w, scalar.socket_power_w)
-            assert _ulp_close(vec.energy_j, scalar.energy_j)
+            assert _same_bytes(vec.socket_power_w, scalar.socket_power_w)
+            assert _same_bytes(vec.energy_j, scalar.energy_j)
             for name in SERVICES:
-                assert _ulp_close(
+                assert _same_bytes(
                     vec.observations[name].p99_ms, scalar.observations[name].p99_ms
                 )
                 # the balancer rate is installed verbatim on both sides
